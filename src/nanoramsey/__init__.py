@@ -13,7 +13,6 @@ from .params import (
     ConfigError,
     ExperimentParams,
     SpinBranch,
-    SpinForce,
     branch_force,
     build_params,
     load_config,
@@ -31,8 +30,6 @@ from .dynamics import (
     classical_trajectory,
     evolve_sequence,
     gravitational_phase,
-    gravitational_phase_action,
-    gravitational_phase_propagator,
     initial_state,
     jitter_visibility_scan,
     max_separation,
@@ -78,7 +75,6 @@ from .decoherence import (
     dephasing_exposures,
     load_response_table,
     localization_rate,
-    localization_rate_adaptive,
     localization_rate_profile,
     surface_to_csv,
     surface_to_json,
@@ -91,7 +87,6 @@ from .dicke import (
     DickeSector,
     collective_final_state,
     collective_ramsey_signal,
-    collective_trajectory,
     dicke_state_vector,
     product_state_vector,
     product_to_dicke,

@@ -1,10 +1,10 @@
 """Command-line frontend.
 
-Subcommands: fringe, visibility, certify, budget, dicke, sweep,
-dump-snapshots. Outputs are deterministic (12-significant-digit scientific
-CSV, or the JSON mirror with config hash and version); the CLI never
+Subcommands: sweep, fringe (sweep with fixed columns), visibility, certify,
+budget, dicke, dump-snapshots. Outputs are deterministic (12-significant-digit
+scientific CSV, or the JSON mirror with config hash and version); the CLI never
 computes anything itself, it formats library results. Exit codes: 0 success,
-1 validation error, 2 numerical or certification failure.
+1 validation or usage error, 2 numerical or certification failure.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ import numpy as np
 from . import __version__
 from .budget import budget_report
 from .decoherence import (
+    DEFAULT_RESPONSE_IM,
+    DEFAULT_RESPONSE_MOD_SQ,
     QuadratureError,
     default_model_family,
     surface_to_csv,
@@ -35,7 +37,7 @@ from .dynamics import (
     ramsey_probability,
 )
 from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare, snapshot_frames
-from .io import config_sha256, csv_text, fmt, json_table, run_ordered
+from .io import config_sha256, csv_text, fmt, json_table
 from .params import ConfigError, build_params, parse_config_text
 
 EXIT_OK = 0
@@ -145,29 +147,8 @@ def _run_point(cfg: dict, name: str, value: float) -> dict:
 # -- subcommand implementations ------------------------------------------------
 
 
-def _cmd_fringe(args) -> int:
-    params, seq, cfg, text = _load_config(args.config)
-    del params, seq
-    if args.param not in SWEEPABLE:
-        raise ConfigError(f"--param must be one of {', '.join(SWEEPABLE)}")
-    if args.param not in ("theta", "t3"):
-        print(f"warning: fringe sweeps usually vary theta or t3, not {args.param}",
-              file=sys.stderr)
-    values = _sweep_values(args)
-    points = run_ordered(lambda v: _run_point(cfg, args.param, v), values, args.workers)
-    header = ["param_value", "phi_g_rad", "p0", "delta_x_max_m"]
-    rows = [(v, p["phi_g_rad"], p["p0"], p["delta_x_max_m"])
-            for v, p in zip(values, points)]
-    meta = _metadata("fringe", text, args.seed)
-    meta["swept_parameter"] = args.param
-    _write(args, json_table(header, rows, meta) if args.format == "json"
-           else csv_text(header, rows))
-    return EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
-    params, seq, cfg, text = _load_config(args.config)
-    del params, seq
+    _, _, cfg, text = _load_config(args.config)
     if args.param not in SWEEPABLE:
         raise ConfigError(f"--param must be one of {', '.join(SWEEPABLE)}")
     outputs = [c.strip() for c in args.outputs.split(",") if c.strip()]
@@ -175,10 +156,10 @@ def _cmd_sweep(args) -> int:
     if bad:
         raise ConfigError(f"unknown output column(s): {', '.join(bad)}")
     values = _sweep_values(args)
-    points = run_ordered(lambda v: _run_point(cfg, args.param, v), values, args.workers)
+    points = [_run_point(cfg, args.param, v) for v in values]
     header = ["param_value", *outputs]
     rows = [(v, *[p[c] for c in outputs]) for v, p in zip(values, points)]
-    meta = _metadata("sweep", text, args.seed)
+    meta = _metadata(args.command, text, args.seed)
     meta["swept_parameter"] = args.param
     _write(args, json_table(header, rows, meta) if args.format == "json"
            else csv_text(header, rows))
@@ -194,9 +175,8 @@ def _cmd_visibility(args) -> int:
     tint_axis = np.linspace(args.tint_min, args.tint_max, args.tint_count)
     family = default_model_family(
         params,
-        response_im=float(cfg.get("response_im", 1.0e-3)),
-        response_mod_sq=float(cfg.get("response_mod_sq",
-                                      ((5.7 - 1.0) / (5.7 + 2.0)) ** 2)),
+        response_im=float(cfg.get("response_im", DEFAULT_RESPONSE_IM)),
+        response_mod_sq=float(cfg.get("response_mod_sq", DEFAULT_RESPONSE_MOD_SQ)),
     )
     surface = visibility_surface(family, dx_axis, tint_axis,
                                  flight_time=seq.effective_times()[2])
@@ -299,7 +279,6 @@ def _add_common(sub, config_required=True):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--seed", type=int, default=None, help="seed recorded in metadata; sampling APIs require one")
-    sub.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
 
 
 def _add_sweep_flags(sub):
@@ -311,8 +290,16 @@ def _add_sweep_flags(sub):
     sub.add_argument("--log", action="store_true", help="logarithmic range spacing")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_VALIDATION; exit 2 means a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nanoramsey",
         description="Free-flight spin-force Ramsey interferometry toolkit",
     )
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fringe", help="phase/probability fringe over theta or t3")
     _add_common(p)
     _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_fringe)
+    p.set_defaults(func=_cmd_sweep, outputs="phi_g_rad,p0,delta_x_max_m")
 
     p = subs.add_parser("sweep", help="general parameter sweep with selectable outputs")
     _add_common(p)
@@ -336,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx-min", type=float, default=1e-9)
     p.add_argument("--dx-max", type=float, default=1e-6)
     p.add_argument("--dx-count", type=int, default=50)
-    p.add_argument("--dx-log", action="store_true", default=True)
     p.add_argument("--dx-linear", dest="dx_log", action="store_false")
     p.add_argument("--tint-min", type=float, default=300.0)
     p.add_argument("--tint-max", type=float, default=1500.0)

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .constants import CODATA
 from .dynamics import PulseSequence, max_separation, separation_at
@@ -294,38 +293,6 @@ def localization_rate(
 ) -> float:
     """Total which-path localization rate eta(delta_x) in s^-1."""
     return float(localization_rate_profile(model, [delta_x], n_nodes, rtol)[0])
-
-
-def localization_rate_adaptive(model: SpectralRateModel, delta_x: float) -> float:
-    """Cross-check path: the same eta via adaptive Gauss-Kronrod quadrature."""
-    if delta_x < 0.0:
-        raise ValueError("delta_x must be >= 0")
-    total = 0.0
-    for channel in model.channels:
-        if isinstance(channel, CollisionChannel):
-            if channel.total_rate:
-                total += channel.total_rate * angular_factor(channel.kick_wavenumber, delta_x)
-            continue
-        lo, hi = channel.support()
-        if hi <= lo:
-            continue
-
-        def integrand(omega):
-            gam = channel.rate_density(np.asarray([omega]))[0]
-            return gam * angular_factor(omega / _SPEED_OF_LIGHT, delta_x)
-
-        points = None
-        if isinstance(channel, TabulatedChannel):
-            interior = [w for w in channel.omega[1:-1]]
-            points = interior[:40] if interior else None
-        value, abserr = integrate.quad(integrand, lo, hi, limit=400, points=points)
-        if abserr > max(1e-10, 1e-6 * abs(value)):
-            raise QuadratureError(
-                f"adaptive quadrature for channel {channel.name!r} reports error "
-                f"{abserr:.2e} on value {value:.2e}"
-            )
-        total += value
-    return total
 
 
 def visibility(eta: float, t: float) -> float:

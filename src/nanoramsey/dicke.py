@@ -31,15 +31,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    BranchTrajectory,
     GaussianBranchState,
     PulseSequence,
-    _spin_history,
+    evolve_sequence,
     gravitational_phase,
     initial_state,
     ramsey_probability,
 )
-from .params import ExperimentParams, branch_force
+from .params import ExperimentParams
 
 MAX_EXACT_L = 30          # binomials stay exact in float64 well past this
 MAX_BRUTE_FORCE_L = 12    # 4096-dimensional statevectors for the tensor tests
@@ -79,38 +78,6 @@ def product_to_dicke(l: int) -> DickeDecomposition:
         sectors.append(DickeSector(n=n, multiplicity=mult,
                                    collective_value=2 * n - l, amplitude=amp))
     return DickeDecomposition(l=l, sectors=tuple(sectors))
-
-
-def collective_trajectory(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    m_value: int,
-    l: int,
-    x0: float = 0.0,
-    p0: float = 0.0,
-) -> BranchTrajectory:
-    """Centre trajectory of the sector with collective projection ``m_value``.
-
-    The collective flips map M -> -M at t1 and t2. M = 0 falls like a
-    projectile and l = 1 reduces to the single-spin branches.
-    """
-    if abs(m_value) > l:
-        raise ValueError(f"|M| = {abs(m_value)} exceeds l = {l}")
-    if (m_value - l) % 2 != 0:
-        raise ValueError(f"M = {m_value} violates parity for l = {l} (need M = l mod 2)")
-    durations = seq.segment_durations()
-    m = params.mass
-    t, x, p = 0.0, float(x0), float(p0)
-    breakpoints = [(t, x, p)]
-    accels = []
-    for tau, s in zip(durations, _spin_history(m_value)):
-        a = branch_force(params, s) / m
-        accels.append(a)
-        x += (p / m) * tau + 0.5 * a * tau * tau
-        p += m * a * tau
-        t += tau
-        breakpoints.append((t, x, p))
-    return BranchTrajectory(tuple(breakpoints), tuple(accels), m)
 
 
 @dataclass(frozen=True)
@@ -159,15 +126,11 @@ def sector_action_phases(params: ExperimentParams, seq: PulseSequence, l: int):
     """
     if not 1 <= l <= MAX_EXACT_L:
         raise ValueError(f"l must lie in [1, {MAX_EXACT_L}]")
-    m, hbar = params.mass, params.constants.hbar
     out = []
     for n in range(l + 1):
         mv = 2 * n - l
-        state = initial_state(params).plus_branch
-        edges = [0.0, *seq.effective_times()]
-        for k, s in enumerate(_spin_history(mv)):
-            state = state.evolved(branch_force(params, s), edges[k + 1] - edges[k], m, hbar)
-        out.append((mv, state.action_phase))
+        final = evolve_sequence(params, seq, initial_state(params), spins=(mv, mv))
+        out.append((mv, final.plus_branch.action_phase))
     return out
 
 

@@ -268,7 +268,7 @@ def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> fl
     return total
 
 
-# -- interferometric phase, two independent routes ---------------------------
+# -- interferometric phase ----------------------------------------------------
 
 def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
     """Gravity-induced spin phase phi_g for a balanced sequence (rad).
@@ -287,79 +287,6 @@ def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
     c = params.constants
     g_axis = c.g_earth * math.cos(params.theta)
     return g_axis * params.spin_coupling() * seq.t3**3 / (16.0 * c.hbar)
-
-
-def gravitational_phase_action(params: ExperimentParams, seq: PulseSequence) -> float:
-    """Route (a): phi_g from the semiclassical action difference.
-
-    Evaluates (m g cos(theta) / hbar) * integral of the branch separation,
-    using exact piecewise-polynomial integration of the classical paths.
-    """
-    if not seq.is_balanced():
-        raise ValueError("action route requires a balanced sequence")
-    c = params.constants
-    w = c.g_earth * math.cos(params.theta)
-    return params.mass * w * separation_time_integral(params, seq) / c.hbar
-
-
-class _CanonicalUnitary:
-    """Factorized one-dimensional linear-force propagator.
-
-    Any product of constant-force segment propagators can be kept in the
-    ordered form exp(i*phi) exp(i*b*x/h) exp(-i*p^2*T/(2 m h)) exp(i*a*p/h);
-    composing two such forms only produces scalar phase corrections because
-    the commutators close on c-numbers.
-    """
-
-    __slots__ = ("phi", "b", "T", "a", "mass", "hbar")
-
-    def __init__(self, mass: float, hbar: float):
-        self.phi = 0.0
-        self.b = 0.0
-        self.T = 0.0
-        self.a = 0.0
-        self.mass = mass
-        self.hbar = hbar
-
-    def apply_segment(self, force: float, tau: float):
-        """Left-multiply by the exact propagator of H = p^2/2m - force*x."""
-        m, h = self.mass, self.hbar
-        phi_s = -(force**2) * tau**3 / (6.0 * m * h)
-        b_s = force * tau
-        a_s = -force * tau * tau / (2.0 * m)
-        # commute the new segment's p-translation past the stored x-translation
-        self.phi += phi_s + a_s * self.b / h
-        # commute the new kinetic factor past the stored x-translation
-        self.phi += -(self.b**2) * tau / (2.0 * m * h)
-        a_extra = -self.b * tau / m
-        self.b += b_s
-        self.T += tau
-        self.a += a_s + a_extra
-
-
-def gravitational_phase_propagator(params: ExperimentParams, seq: PulseSequence) -> float:
-    """Route (b): phi_g from exact composition of piecewise propagators.
-
-    Builds the full unitary of each branch from per-segment factorized
-    propagators and returns the scalar phase difference. At closure the
-    operator parts of the two branch unitaries coincide, so the difference
-    is a pure spin phase; the returned sign matches the closed form
-    (the branch phases themselves obey phi_plus - phi_minus = -phi_g).
-    """
-    if not seq.is_balanced():
-        raise ValueError("propagator route requires a balanced sequence")
-    c = params.constants
-    durations = seq.segment_durations()
-    units = []
-    for spin in (SpinBranch.PLUS, SpinBranch.MINUS):
-        u = _CanonicalUnitary(params.mass, c.hbar)
-        for tau, s in zip(durations, _spin_history(spin)):
-            u.apply_segment(branch_force(params, s), tau)
-        units.append(u)
-    up, um = units
-    if abs(up.b - um.b) > 1e-9 * max(1.0, abs(up.b)) or abs(up.a - um.a) > 1e-9 * max(1.0, abs(up.a)):
-        raise ValueError("branch unitaries do not close; sequence is not balanced")
-    return -(up.phi - um.phi)
 
 
 def ramsey_probability(phi: float) -> float:

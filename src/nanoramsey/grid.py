@@ -89,10 +89,6 @@ class ScaledUnits:
     def acceleration_to_si(self, a: float) -> float:
         return a * self.length_unit / self.time_unit**2
 
-    def momentum_to_si(self, p: float, mass: float) -> float:
-        # natural momentum unit is hbar / sigma0
-        return p * mass * self.length_unit / self.time_unit
-
     def branch_accelerations(self, spin_pattern) -> tuple[float, ...]:
         """Dimensionless acceleration per segment for a spin-sign history."""
         return tuple(s * self.a_spin - self.a_gravity for s in spin_pattern)
@@ -133,13 +129,13 @@ class GridSpec:
 
     n_points primarily sets momentum resolution (FFT), the domain
     [x_min, x_max] must contain every excursion plus an 8-sigma margin,
-    and dt is the Strang step actually used inside the longest segment.
+    and each segment of duration tau is split into steps_per_segment
+    Strang steps of tau / steps_per_segment.
     """
 
     n_points: int
     x_min: float
     x_max: float
-    dt: float
     steps_per_segment: int
 
     def __post_init__(self):
@@ -147,8 +143,6 @@ class GridSpec:
             raise ValueError("n_points must be a power of two, at least 256")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
         if self.steps_per_segment < 1:
             raise ValueError("steps_per_segment must be >= 1")
 
@@ -277,12 +271,10 @@ def auto_grid(
             v += a * tau
     width_max = math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2)
     margin = width_sigmas * width_max + 2.0
-    dt = max(scaled.seg_times) / steps_per_segment
     return GridSpec(
         n_points=n_points,
         x_min=lo - margin,
         x_max=hi + margin,
-        dt=dt,
         steps_per_segment=steps_per_segment,
     )
 
@@ -493,7 +485,8 @@ def desk_scale_params(
     accelerations, ``tau_scaled`` the dimensionless flight time; the
     analytic phase is a_spin * a_gravity * tau_scaled^3 / 16. The effective
     gravity is dialed through the constants bundle, which is exactly what
-    that knob exists for.
+    that knob exists for; constants stay positive, so ``a_gravity = 0``
+    tilts the axis perpendicular to one unit of gravity (theta = pi/2).
     """
     from .constants import PhysicalConstants
 
@@ -502,11 +495,11 @@ def desk_scale_params(
     time_unit = 1.0 / (2.0 * omega)
     accel_unit = sigma0 / time_unit**2
     b_gradient = a_spin * accel_unit * mass / (g_nv * constants.mu_bohr)
-    constants = PhysicalConstants(g_earth=a_gravity * accel_unit)
+    constants = PhysicalConstants(g_earth=(a_gravity or 1.0) * accel_unit)
     params = ExperimentParams(
         mass=mass,
         b_gradient=b_gradient,
-        theta=0.0,
+        theta=math.pi / 2.0 if a_gravity == 0.0 else 0.0,
         t3=tau_scaled * time_unit,
         trap_omega=omega,
         mw_frequency=2.87e9,

@@ -1,15 +1,14 @@
-"""Deterministic emitters and the parallel sweep runner.
+"""Deterministic CSV and JSON emitters.
 
 Every number leaving the package goes through :func:`fmt` (scientific
 notation, 12 significant digits, '.' decimal separator), so identical inputs
 produce byte-identical CSV and JSON. The CLI never does arithmetic of its
-own; it formats library results.
+own; it formats library results, computed in order with no parallel runner.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 
 def fmt(value) -> str:
@@ -41,10 +40,3 @@ def json_table(header, rows, metadata: dict) -> str:
 def config_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-
-def run_ordered(fn, values, workers: int = 1) -> list:
-    """Map ``fn`` over ``values``, results in input order regardless of workers."""
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))

@@ -13,7 +13,7 @@ component C = mass * g_earth * cos(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .constants import CODATA, DEFAULT_G_NV, PhysicalConstants
@@ -97,31 +97,6 @@ class ExperimentParams:
     def sigma0(self) -> float:
         """Ground-state width of the trapped packet, sqrt(hbar / 2 m omega) (m)."""
         return math.sqrt(self.constants.hbar / (2.0 * self.mass * self.trap_omega))
-
-
-@dataclass(frozen=True)
-class SpinForce:
-    """Force decomposition for a parameter set with a non-negative gradient.
-
-    magnitude          A = g_nv mu_B dB/dx (N), validated >= 0
-    gravity_component  C = m g cos(theta) (N)
-
-    The signed branch force for spin s is s * magnitude - gravity_component.
-    """
-
-    magnitude: float
-    gravity_component: float
-
-    def __post_init__(self):
-        if self.magnitude < 0.0:
-            raise ValueError("spin force magnitude must be >= 0; flip the gradient sign instead")
-
-    @classmethod
-    def from_params(cls, params: ExperimentParams) -> "SpinForce":
-        return cls(magnitude=params.spin_coupling(), gravity_component=params.gravity_force())
-
-    def on_branch(self, s: int) -> float:
-        return s * self.magnitude - self.gravity_component
 
 
 def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:

@@ -1,14 +1,26 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent routes used to freeze and cross-check expected values.
 
-Nothing here calls the closed forms under test: trajectories come from
-fine-step velocity-Verlet integration of the piecewise-constant forces,
-actions from trapezoid integration of the Lagrangian along those paths, and
-sphere averages from Monte-Carlo sampling of uniform directions.
+Trajectories come from fine-step velocity-Verlet integration, actions from
+trapezoid integration of the Lagrangian along those paths, sphere averages
+from Monte-Carlo sampling and localization rates from adaptive quadrature;
+none of these calls the closed forms under test. The action route to phi_g
+leans on ``separation_time_integral``, which is itself checked against Verlet.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy import integrate
+
+from nanoramsey.constants import CODATA
+from nanoramsey.decoherence import (
+    CollisionChannel,
+    QuadratureError,
+    TabulatedChannel,
+    angular_factor,
+)
+from nanoramsey.dynamics import separation_time_integral
 from nanoramsey.params import branch_force
 
 
@@ -95,3 +107,109 @@ def mc_sphere_kick_average(k, delta_x, n_samples, seed):
     n_x = vecs[:, 0] / np.linalg.norm(vecs, axis=1)
     phase = k * delta_x * n_x
     return 1.0 - float(np.mean(np.cos(phase))), float(np.mean(np.sin(phase)))
+
+
+def gravitational_phase_action(params, seq):
+    """Route (a): phi_g from the semiclassical action difference.
+
+    Evaluates (m g cos(theta) / hbar) * integral of the branch separation,
+    using exact piecewise-polynomial integration of the classical paths.
+    """
+    if not seq.is_balanced():
+        raise ValueError("action route requires a balanced sequence")
+    c = params.constants
+    w = c.g_earth * math.cos(params.theta)
+    return params.mass * w * separation_time_integral(params, seq) / c.hbar
+
+
+class _CanonicalUnitary:
+    """Factorized one-dimensional linear-force propagator.
+
+    Any product of constant-force segment propagators can be kept in the
+    ordered form exp(i*phi) exp(i*b*x/h) exp(-i*p^2*T/(2 m h)) exp(i*a*p/h);
+    composing two such forms only produces scalar phase corrections because
+    the commutators close on c-numbers.
+    """
+
+    __slots__ = ("phi", "b", "T", "a", "mass", "hbar")
+
+    def __init__(self, mass, hbar):
+        self.phi = 0.0
+        self.b = 0.0
+        self.T = 0.0
+        self.a = 0.0
+        self.mass = mass
+        self.hbar = hbar
+
+    def apply_segment(self, force, tau):
+        """Left-multiply by the exact propagator of H = p^2/2m - force*x."""
+        m, h = self.mass, self.hbar
+        phi_s = -(force**2) * tau**3 / (6.0 * m * h)
+        b_s = force * tau
+        a_s = -force * tau * tau / (2.0 * m)
+        # commute the new segment's p-translation past the stored x-translation
+        self.phi += phi_s + a_s * self.b / h
+        # commute the new kinetic factor past the stored x-translation
+        self.phi += -(self.b**2) * tau / (2.0 * m * h)
+        a_extra = -self.b * tau / m
+        self.b += b_s
+        self.T += tau
+        self.a += a_s + a_extra
+
+
+def gravitational_phase_propagator(params, seq):
+    """Route (b): phi_g from exact composition of piecewise propagators.
+
+    Builds the full unitary of each branch from per-segment factorized
+    propagators and returns the scalar phase difference. At closure the
+    operator parts of the two branch unitaries coincide, so the difference
+    is a pure spin phase; the returned sign matches the closed form
+    (the branch phases themselves obey phi_plus - phi_minus = -phi_g).
+    """
+    if not seq.is_balanced():
+        raise ValueError("propagator route requires a balanced sequence")
+    c = params.constants
+    durations = seq.segment_durations()
+    units = []
+    for s in (1, -1):
+        u = _CanonicalUnitary(params.mass, c.hbar)
+        # the flip pulses map s -> -s at t1 and t2
+        for tau, spin in zip(durations, (s, -s, s)):
+            u.apply_segment(branch_force(params, spin), tau)
+        units.append(u)
+    up, um = units
+    if abs(up.b - um.b) > 1e-9 * max(1.0, abs(up.b)) or abs(up.a - um.a) > 1e-9 * max(1.0, abs(up.a)):
+        raise ValueError("branch unitaries do not close; sequence is not balanced")
+    return -(up.phi - um.phi)
+
+
+def localization_rate_adaptive(model, delta_x):
+    """The localization rate eta(delta_x) via adaptive Gauss-Kronrod quadrature."""
+    if delta_x < 0.0:
+        raise ValueError("delta_x must be >= 0")
+    total = 0.0
+    for channel in model.channels:
+        if isinstance(channel, CollisionChannel):
+            if channel.total_rate:
+                total += channel.total_rate * angular_factor(channel.kick_wavenumber, delta_x)
+            continue
+        lo, hi = channel.support()
+        if hi <= lo:
+            continue
+
+        def integrand(omega):
+            gam = channel.rate_density(np.asarray([omega]))[0]
+            return gam * angular_factor(omega / CODATA.light_speed, delta_x)
+
+        points = None
+        if isinstance(channel, TabulatedChannel):
+            interior = [w for w in channel.omega[1:-1]]
+            points = interior[:40] if interior else None
+        value, abserr = integrate.quad(integrand, lo, hi, limit=400, points=points)
+        if abserr > max(1e-10, 1e-6 * abs(value)):
+            raise QuadratureError(
+                f"adaptive quadrature for channel {channel.name!r} reports error "
+                f"{abserr:.2e} on value {value:.2e}"
+            )
+        total += value
+    return total

@@ -11,8 +11,6 @@ from nanoramsey import (
     classical_trajectory,
     evolve_sequence,
     gravitational_phase,
-    gravitational_phase_action,
-    gravitational_phase_propagator,
     initial_state,
     jitter_visibility_scan,
     max_separation,
@@ -27,7 +25,13 @@ from nanoramsey import (
 )
 from conftest import PAPER_CONFIG
 from nanoramsey import build_params
-from oracles import integrate_trajectory, numeric_action, numeric_separation_integral
+from oracles import (
+    gravitational_phase_action,
+    gravitational_phase_propagator,
+    integrate_trajectory,
+    numeric_action,
+    numeric_separation_integral,
+)
 
 
 def make_params(**overrides):

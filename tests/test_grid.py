@@ -30,7 +30,7 @@ from conftest import PAPER_CONFIG
 
 
 def small_spec(**overrides):
-    kw = dict(n_points=2048, x_min=-40.0, x_max=40.0, dt=1e-3, steps_per_segment=800)
+    kw = dict(n_points=2048, x_min=-40.0, x_max=40.0, steps_per_segment=800)
     kw.update(overrides)
     return GridSpec(**kw)
 
@@ -93,8 +93,6 @@ class TestGridSpecValidation:
     def test_domain_and_dt(self):
         with pytest.raises(ValueError):
             small_spec(x_min=1.0, x_max=-1.0)
-        with pytest.raises(ValueError):
-            small_spec(dt=0.0)
 
 
 class TestSplitStep:

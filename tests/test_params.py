@@ -11,7 +11,6 @@ from nanoramsey import (
     PhysicalConstants,
     PulseSequence,
     SpinBranch,
-    SpinForce,
     branch_force,
     build_params,
     gravitational_phase,
@@ -155,19 +154,6 @@ class TestBranchForce:
         diff_neg = branch_force(params_neg, 1) - branch_force(params_neg, -1)
         assert diff_pos == -diff_neg
         assert diff_pos > 0
-
-
-class TestSpinForce:
-    def test_from_params_and_on_branch(self):
-        params = make_params()
-        sf = SpinForce.from_params(params)
-        assert sf.magnitude == params.spin_coupling()
-        for s in (-1, 0, 1):
-            assert sf.on_branch(s) == branch_force(params, s)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            SpinForce(magnitude=-1.0, gravity_component=0.0)
 
 
 class TestConfigText:
