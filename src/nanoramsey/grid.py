@@ -156,49 +156,66 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridWavefunction:
-    """Discretized complex amplitudes over the spatial grid."""
+    """Complex amplitudes over the spatial grid: one branch, shape (N,), or
+    one branch per row, shape (B, N). Norms and moments are per row."""
 
     x: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.x.shape != self.amplitudes.shape:
-            raise ValueError("grid and amplitude arrays must share a shape")
+        if self.x.shape != self.amplitudes.shape[-1:]:
+            raise ValueError("grid and amplitude arrays must share the last axis")
         n = self.norm()
-        if abs(n - 1.0) > 1e-9:
+        if np.any(np.abs(n - 1.0) > 1e-9):
             raise ValueError(f"wavefunction must be normalized, got norm {n}")
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * (self.x[1] - self.x[0]))
+    def norm(self):
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1) * self.dx
 
-    def moments(self) -> tuple[float, float, float]:
-        """(<x>, <p>, width) from the grid state."""
+    def moments(self):
+        """(<x>, <p>, width) from the grid state, per row."""
+        return self._spreads()[:3]
+
+    def _spreads(self):
+        """(<x>, <p>, width, momentum width), per row."""
         prob = np.abs(self.amplitudes) ** 2
         dx = self.dx
-        xb = float(np.sum(self.x * prob) * dx)
-        width = math.sqrt(float(np.sum((self.x - xb) ** 2 * prob) * dx))
+        xb = np.sum(self.x * prob, axis=-1) * dx
+        width = np.sqrt(np.sum((self.x - np.expand_dims(xb, -1)) ** 2 * prob, axis=-1) * dx)
         k = 2.0 * np.pi * np.fft.fftfreq(self.x.size, d=dx)
-        psi_k = np.fft.fft(self.amplitudes)
-        pk = float(np.sum(k * np.abs(psi_k) ** 2) / np.sum(np.abs(psi_k) ** 2))
-        return xb, pk, width
+        prob_k = np.abs(np.fft.fft(self.amplitudes)) ** 2
+        total = np.sum(prob_k, axis=-1)
+        pk = np.sum(k * prob_k, axis=-1) / total
+        pwidth = np.sqrt(np.maximum(np.sum(k * k * prob_k, axis=-1) / total - pk * pk, 0.0))
+        return xb, pk, width, pwidth
 
 
 def gaussian_packet(spec: GridSpec, center: float = 0.0, momentum: float = 0.0) -> GridWavefunction:
     """Minimum-uncertainty packet with sigma0 = 1 in natural units."""
     x = spec.axis()
     psi = np.exp(-((x - center) ** 2) / 4.0 + 1j * momentum * (x - center))
-    psi = psi.astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * spec.dx))
     return GridWavefunction(x=x, amplitudes=psi)
 
 
-def _check_margin(psi: GridWavefunction, spec: GridSpec, sigmas: float = 8.0):
-    xb, _, width = psi.moments()
-    lo, hi = xb - sigmas * width, xb + sigmas * width
+def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = 8.0):
+    """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
+    then inside the domain in x (aliased momentum would garble the x moments)."""
+    xb, pb, width, pwidth = psi._spreads()
+    p_lo = float(np.min(np.minimum(pb, pb + kick) - sigmas * pwidth))
+    p_hi = float(np.max(np.maximum(pb, pb + kick) + sigmas * pwidth))
+    k_edge = math.pi / spec.dx
+    if p_lo < -k_edge or p_hi > k_edge:
+        need = 1 << math.ceil(math.log2(max(-p_lo, p_hi) * (spec.x_max - spec.x_min) / math.pi))
+        raise GridBoundaryError(
+            f"momentum support [{p_lo:.2f}, {p_hi:.2f}] reaches the FFT edge +-{k_edge:.2f}; "
+            f"raise n_points to at least {need}"
+        )
+    lo, hi = float(np.min(xb - sigmas * width)), float(np.max(xb + sigmas * width))
     if lo < spec.x_min or hi > spec.x_max:
         need = max(spec.x_max - lo if lo < spec.x_min else 0.0,
                    hi - spec.x_min if hi > spec.x_max else 0.0)
@@ -211,33 +228,33 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, sigmas: float = 8.0):
 
 def split_step_evolve(
     psi: GridWavefunction,
-    force: float,
+    force,
     duration: float,
     spec: GridSpec,
 ) -> GridWavefunction:
     """Strang-split evolution under H = p^2/2 - force*x (natural units).
 
-    Second order in the step size; for a linear potential the splitting error
-    is a pure c-number phase (the commutator algebra closes), so centres and
-    widths are exact up to discretization.
+    ``force`` is a number or one per row of ``psi``. Adjacent half-kinetic steps are fused:
+    one fft/ifft pair per step over all rows. Second order in the step size; for a linear
+    potential the splitting error is a c-number phase, so |psi|^2 is exact up to discretization.
     """
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
         return psi
-    _check_margin(psi, spec)
+    force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
+    _check_margin(psi, spec, kick=force[..., 0] * duration)
     steps = spec.steps_per_segment
     dt = duration / steps
-    x = psi.x
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    kinetic = np.exp(-0.5j * k * k * dt)
     half_kinetic = np.exp(-0.25j * k * k * dt)
-    potential = np.exp(1j * force * x * dt)       # V = -force*x
-    amps = psi.amplitudes
-    for _ in range(steps):
-        amps = np.fft.ifft(half_kinetic * np.fft.fft(amps))
-        amps = potential * amps
-        amps = np.fft.ifft(half_kinetic * np.fft.fft(amps))
-    out = GridWavefunction(x=x, amplitudes=amps)
+    potential = np.exp(1j * force * psi.x * dt)      # V = -force*x
+    amps = np.fft.fft(psi.amplitudes) * half_kinetic
+    for i in range(steps):
+        amps = np.fft.fft(potential * np.fft.ifft(amps))
+        amps *= kinetic if i < steps - 1 else half_kinetic
+    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(amps))
     _check_margin(out, spec)
     return out
 
@@ -253,9 +270,10 @@ def auto_grid(
 
     The domain spans every branch-centre excursion plus ``width_sigmas``
     times the final packet width on each side (the boundary check enforces
-    8 sigma at runtime, so 10 leaves headroom).
+    8 sigma at runtime, so 10 leaves headroom). ``n_points`` is a floor, doubled until
+    pi/dx clears the peak branch |p| plus ``width_sigmas`` momentum widths (1/2 each).
     """
-    lo, hi = 0.0, 0.0
+    lo, hi, p_peak = 0.0, 0.0, 0.0
     for spin in spin_values:
         x, v = 0.0, 0.0
         for tau, a in zip(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin))):
@@ -269,8 +287,11 @@ def auto_grid(
                 lo, hi = min(lo, xc), max(hi, xc)
             x += v * tau + 0.5 * a * tau * tau
             v += a * tau
+            p_peak = max(p_peak, abs(v))
     width_max = math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2)
     margin = width_sigmas * width_max + 2.0
+    while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * width_sigmas:
+        n_points *= 2
     return GridSpec(
         n_points=n_points,
         x_min=lo - margin,
@@ -282,26 +303,41 @@ def auto_grid(
 def evolve_branch_on_grid(
     scaled: ScaledUnits,
     spec: GridSpec,
-    spin: int,
+    spin,
     center: float = 0.0,
     momentum: float = 0.0,
-    until: float | None = None,
-) -> GridWavefunction:
-    """Evolve one spin branch through its (possibly truncated) flip sequence."""
-    psi = gaussian_packet(spec, center, momentum)
-    horizon = scaled.total_time if until is None else until
-    elapsed = 0.0
-    for tau, a in zip(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin))):
-        step = min(tau, horizon - elapsed)
-        if step <= 0.0:
-            break
-        psi = split_step_evolve(psi, a, step, spec)
-        elapsed += step
-    return psi
+    until=None,
+):
+    """Evolve spin branches through their (possibly truncated) flip sequences.
+
+    ``spin`` is one spin (a one-branch state) or a tuple of spins, the rows
+    of one state. ``until`` is one horizon (default t3) or an ascending
+    sequence, for which the rows go forward once, each horizon resuming from
+    the state and time of the last, and the list of states is returned.
+    """
+    horizons = np.atleast_1d(scaled.total_time if until is None else until)
+    if np.any(np.diff(horizons) < 0.0):
+        raise ValueError("horizons must ascend")
+    accelerations = np.array([scaled.branch_accelerations(_spin_history(s))
+                              for s in np.atleast_1d(spin)]).T
+    packet = gaussian_packet(spec, center, momentum)
+    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
+    states, t = [], 0.0
+    for horizon in horizons:
+        start = 0.0
+        for tau, a in zip(scaled.seg_times, accelerations):
+            step = min(start + tau, horizon) - max(start, t)
+            if step > 0.0:
+                psi = split_step_evolve(psi, a, step, spec)
+            start += tau
+        t = horizon
+        states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
+    return states if np.ndim(until) else states[0]
 
 
-def _grid_overlap(psi_plus: GridWavefunction, psi_minus: GridWavefunction) -> complex:
-    return complex(np.sum(np.conj(psi_minus.amplitudes) * psi_plus.amplitudes) * psi_plus.dx)
+def _grid_overlap(pair: GridWavefunction) -> complex:
+    """<psi_minus|psi_plus> of a (plus, minus) pair of rows."""
+    return complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
 
 
 def _balanced_phase(params: ExperimentParams, seq: PulseSequence) -> float | None:
@@ -318,6 +354,19 @@ def _balanced_phase(params: ExperimentParams, seq: PulseSequence) -> float | Non
     return phi
 
 
+def _overlap_phase(ov: complex, phi_analytic: float | None) -> float:
+    """-arg ov, closure-checked and unwrapped onto the 2 pi branch of a
+    balanced prediction; raw when there is none."""
+    if phi_analytic is not None and abs(ov) < 0.99:
+        raise ClosureError(
+            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov):.4f})"
+        )
+    phase_raw = -math.atan2(ov.imag, ov.real)
+    if phi_analytic is None:
+        return phase_raw
+    return phase_raw + 2.0 * math.pi * round((phi_analytic - phase_raw) / (2.0 * math.pi))
+
+
 def oracle_phase(
     params: ExperimentParams,
     seq: PulseSequence,
@@ -325,7 +374,7 @@ def oracle_phase(
 ) -> float:
     """Interferometric phase measured on the grid, in the phi_g convention.
 
-    Evolves the two branches as separate scalar wavefunctions, computes
+    Evolves the two branches as the rows of one grid state, computes
     -arg<psi_minus(t3)|psi_plus(t3)>, and unwraps onto the 2 pi branch of
     the analytic prediction; the sub-2pi residual is untouched, so the
     comparison stays honest. Requires the scaled phase below
@@ -335,18 +384,8 @@ def oracle_phase(
     phi_analytic = _balanced_phase(params, seq)
     if spec is None:
         spec = auto_grid(scaled)
-    psi_p = evolve_branch_on_grid(scaled, spec, +1)
-    psi_m = evolve_branch_on_grid(scaled, spec, -1)
-    ov = _grid_overlap(psi_p, psi_m)
-    if seq.is_balanced() and abs(ov) < 0.99:
-        raise ClosureError(
-            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov):.4f})"
-        )
-    phase_raw = -math.atan2(ov.imag, ov.real)
-    if phi_analytic is None:
-        return phase_raw
-    n = round((phi_analytic - phase_raw) / (2.0 * math.pi))
-    return phase_raw + 2.0 * math.pi * n
+    pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
+    return _overlap_phase(_grid_overlap(pair), phi_analytic)
 
 
 @dataclass(frozen=True)
@@ -399,36 +438,29 @@ def oracle_compare(
     """Run the grid and the closed forms side by side and report the errors.
 
     A balanced sequence is refused above ``MAX_ORACLE_PHASE``, as in
-    :func:`oracle_phase`, before either branch is evolved.
+    :func:`oracle_phase`, before either branch is evolved. The pair is
+    evolved once; ``phase_grid`` is what :func:`oracle_phase` returns.
     """
     scaled = scale_params(params, seq)
     phi_balanced = _balanced_phase(params, seq)
     if spec is None:
         spec = auto_grid(scaled)
-    psi_p = evolve_branch_on_grid(scaled, spec, +1)
-    psi_m = evolve_branch_on_grid(scaled, spec, -1)
-    ov_grid = _grid_overlap(psi_p, psi_m)
-    norm_drift = max(abs(psi_p.norm() - 1.0), abs(psi_m.norm() - 1.0))
+    pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
+    ov_grid = _grid_overlap(pair)
+    norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
 
     final = evolve_sequence(params, seq, initial_state(params))
     ov_analytic = branch_overlap(params, final)
 
     # phases compared as a circular residual; unwrapping only picks the branch
-    phase_error = abs(_wrap_angle(math.atan2(ov_grid.imag, ov_grid.real)
-                                  - math.atan2(ov_analytic.imag, ov_analytic.real)))
+    phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
+                                     - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
 
-    balanced = phi_balanced is not None
-    if balanced:
-        phase_analytic = phi_balanced
-        phase_grid = oracle_phase(params, seq, spec)
-    else:
-        phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
-        phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
+    phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real) if phi_balanced is None else phi_balanced
 
     center_error = 0.0
     width_error = 0.0
-    for psi, branch in ((psi_p, final.plus_branch), (psi_m, final.minus_branch)):
-        xb, pb, width = psi.moments()
+    for xb, pb, width, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
         x_cl = scaled.length_from_si(branch.center)
         # natural momentum unit is hbar / sigma0
         p_cl = branch.momentum * scaled.length_unit / params.constants.hbar
@@ -438,7 +470,7 @@ def oracle_compare(
         width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
 
     return OracleReport(
-        phase_grid=phase_grid,
+        phase_grid=_overlap_phase(ov_grid, phi_balanced),
         phase_analytic=phase_analytic,
         phase_error=phase_error,
         center_error=center_error,
@@ -447,7 +479,7 @@ def oracle_compare(
         overlap_analytic=abs(ov_analytic),
         overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
         norm_drift=norm_drift,
-        balanced=balanced,
+        balanced=phi_balanced is not None,
     )
 
 
@@ -461,28 +493,25 @@ def snapshot_frames(
 
     ``fractions`` are times as fractions of t3. Returns a list of
     (time_s, x_m, prob_plus_per_m, prob_minus_per_m) tuples, each probability
-    normalized per metre so the frames are plot-ready.
+    normalized per metre so the frames are plot-ready, in the order given;
+    both branches go forward once through the sorted times.
     """
     scaled = scale_params(params, seq)
-    if spec is None:
-        spec = auto_grid(scaled)
-    t3 = seq.effective_times()[2]
-    frames = []
+    fractions = list(fractions)
     for frac in fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
-        until = scaled.time_from_si(frac * t3)
-        psi_p = evolve_branch_on_grid(scaled, spec, +1, until=until)
-        psi_m = evolve_branch_on_grid(scaled, spec, -1, until=until)
-        x_si = psi_p.x * scaled.length_unit
-        prob_p = np.abs(psi_p.amplitudes) ** 2 / scaled.length_unit
-        prob_m = np.abs(psi_m.amplitudes) ** 2 / scaled.length_unit
-        frames.append((frac * t3, x_si, prob_p, prob_m))
+    if spec is None:
+        spec = auto_grid(scaled)
+    t3 = seq.effective_times()[2]
+    order = sorted(range(len(fractions)), key=fractions.__getitem__)
+    states = evolve_branch_on_grid(scaled, spec, (+1, -1),
+                                   until=[scaled.time_from_si(fractions[i] * t3) for i in order])
+    frames = [None] * len(fractions)
+    for i, pair in zip(order, states):
+        prob = np.abs(pair.amplitudes) ** 2 / scaled.length_unit
+        frames[i] = (fractions[i] * t3, pair.x * scaled.length_unit, prob[0], prob[1])
     return frames
-
-
-def _wrap_angle(a: float) -> float:
-    return math.atan2(math.sin(a), math.cos(a))
 
 
 def desk_scale_params(

@@ -27,6 +27,7 @@ from nanoramsey import (
     wavepacket_width,
 )
 from conftest import PAPER_CONFIG
+from oracles import reference_branch
 
 
 def small_spec(**overrides):
@@ -149,6 +150,56 @@ class TestSplitStep:
         with pytest.raises(GridBoundaryError, match="enlarge"):
             split_step_evolve(gaussian_packet(spec), force=2.0, duration=4.0, spec=spec)
 
+    @pytest.mark.parametrize("spins", [(1, -1), (2, -2, 1, -1, 0)])
+    def test_batched_fused_kernel_matches_reference(self, spins):
+        """Rows of one fused run equal the unfused one-branch reference loop."""
+        params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15, tau_scaled=6.0)
+        scaled = scale_params(params, seq)
+        spec = auto_grid(scaled, steps_per_segment=300, spin_values=spins)
+        rows = evolve_branch_on_grid(scaled, spec, spins).amplitudes
+        ref = np.array([reference_branch(scaled, spec, s).amplitudes for s in spins])
+        assert np.max(np.abs(rows - ref)) < 1e-12
+        # overlap of every row with the last: phases agree as well as moduli
+        ov_rows = np.angle(np.sum(np.conj(rows[-1]) * rows, axis=-1))
+        ov_ref = np.angle(np.sum(np.conj(ref[-1]) * ref, axis=-1))
+        assert np.max(np.abs(ov_rows - ov_ref)) < 1e-12
+
+    def test_horizons_must_ascend(self, desk):
+        scaled = scale_params(*desk)
+        with pytest.raises(ValueError, match="ascend"):
+            evolve_branch_on_grid(scaled, auto_grid(scaled), (1, -1), until=[2.0, 1.0])
+
+
+class TestAutoGridMomentum:
+    # phi ~ 972 rad, under both thresholds; the minus branch peaks at |p| = 36
+    FAST = dict(a_spin=3.0, a_gravity=3.0, tau_scaled=12.0)
+
+    def test_points_follow_peak_momentum(self):
+        params, seq = desk_scale_params(**self.FAST)
+        spec = auto_grid(scale_params(params, seq))
+        assert spec.n_points == 8192
+        assert math.pi / spec.dx > 36.0 + 5.0
+        report = oracle_compare(params, seq)
+        assert report.passed
+        assert report.phase_error <= 1e-3
+
+    def test_aliasing_grid_refused_with_n_points_advice(self):
+        params, seq = desk_scale_params(**self.FAST)
+        scaled = scale_params(params, seq)
+        spec = auto_grid(scaled)
+        coarse = GridSpec(2048, spec.x_min, spec.x_max, spec.steps_per_segment)
+        with pytest.raises(GridBoundaryError, match="FFT edge.*raise n_points"):
+            oracle_compare(params, seq, coarse)
+
+    def test_certify_and_snapshot_runs_keep_2048_points(self):
+        runs = [desk_scale_params(a_spin=a, a_gravity=g, tau_scaled=t)
+                for a, g, t in ((0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0))]
+        # perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
+        snapshot = dict(PAPER_CONFIG, b_gradient=1.0e5, theta=1.5667963267948966, t3=3.0e-5)
+        runs.append((build_params(snapshot), PulseSequence.balanced(snapshot["t3"])))
+        for params, seq in runs:
+            assert auto_grid(scale_params(params, seq)).n_points == 2048
+
 
 class TestOraclePhase:
     def test_no_gravity_gives_zero_phase(self):
@@ -229,6 +280,11 @@ class TestOracleCompare:
         assert width_grid == pytest.approx(width_std, rel=1e-4)
         assert abs(width_grid - width_alt) / width_alt > 0.1
 
+    def test_phase_grid_is_oracle_phase(self, desk):
+        params, seq = desk
+        phase = oracle_phase(params, seq)
+        assert oracle_compare(params, seq).phase_grid == pytest.approx(phase, abs=1e-12)
+
     def test_report_lines_render(self, desk):
         params, seq = desk
         report = oracle_compare(params, seq)
@@ -242,9 +298,9 @@ class TestSectorPhasesOnGrid:
         params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15, tau_scaled=6.0)
         scaled = scale_params(params, seq)
         spec = auto_grid(scaled, spin_values=(2, -2, 1, -1))
-        psi2 = evolve_branch_on_grid(scaled, spec, +2)
-        psi0 = evolve_branch_on_grid(scaled, spec, 0)
-        ov = np.sum(np.conj(psi0.amplitudes) * psi2.amplitudes) * psi2.dx
+        sectors = evolve_branch_on_grid(scaled, spec, (2, 0))
+        psi2, psi0 = sectors.amplitudes
+        ov = np.sum(np.conj(psi0) * psi2) * sectors.dx
         assert abs(ov) > 0.9999       # every sector recombines
         phases = dict(sector_action_phases(params, seq, 2))
         expected = phases[2] - phases[0]
@@ -267,6 +323,21 @@ class TestSnapshots:
         peak_p = x[np.argmax(prob_p)]
         peak_m = x[np.argmax(prob_m)]
         assert abs(peak_p - peak_m) == pytest.approx(sep_expected, rel=0.05)
+
+    def test_forward_pass_matches_from_zero_reference(self):
+        """Unsorted, repeated and mid-segment times, in the caller's order."""
+        params, seq = desk_scale_params()
+        scaled = scale_params(params, seq)
+        spec = auto_grid(scaled, steps_per_segment=400)
+        fractions = [0.6, 0.0, 1.0, 0.1, 0.6, 0.33, 0.5]
+        frames = snapshot_frames(params, seq, fractions, spec)
+        assert [t for t, *_ in frames] == [f * seq.t3 for f in fractions]
+        for frac, (_, _, prob_p, prob_m) in zip(fractions, frames):
+            until = scaled.time_from_si(frac * seq.t3)
+            for spin, prob in ((+1, prob_p), (-1, prob_m)):
+                ref = np.abs(reference_branch(scaled, spec, spin, until).amplitudes) ** 2
+                ref /= scaled.length_unit
+                assert np.max(np.abs(prob - ref)) < 1e-10 * ref.max()
 
     def test_megaradian_refused(self, paper_params, paper_seq):
         with pytest.raises(ScaleError, match="desk scale"):
