@@ -38,7 +38,15 @@ from .dynamics import (
 )
 from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare, snapshot_frames
 from .io import config_sha256, csv_text, fmt, json_table
-from .params import ConfigError, build_params, parse_config_text
+from .params import (
+    ConfigError,
+    all_of,
+    any_of,
+    build_params,
+    number,
+    parse_config_text,
+    pointwise,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,9 +62,9 @@ OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:
-    t3 = float(cfg["t3"])
-    t1 = float(cfg.get("t1", t3 / 4.0))
-    t2 = float(cfg.get("t2", 3.0 * t3 / 4.0))
+    t3 = number(cfg["t3"])
+    t1 = number(cfg.get("t1", t3 / 4.0))
+    t2 = number(cfg.get("t2", 3.0 * t3 / 4.0))
     jitter = (float(cfg.get("jitter_t1", 0.0)),
               float(cfg.get("jitter_t2", 0.0)),
               float(cfg.get("jitter_t3", 0.0)))
@@ -93,13 +101,14 @@ def _write(args, text: str):
 
 
 def _point_outputs(params, seq) -> dict:
-    if seq.is_balanced():
+    """Output columns of points that are all balanced, or all not."""
+    if all_of(seq.is_balanced()):
         phi = gravitational_phase(params, seq)
         vis = 1.0
     else:
         ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
-        phi = -math.atan2(ov.imag, ov.real)
-        vis = abs(ov)
+        phi = -pointwise(math.atan2, ov.imag, ov.real)
+        vis = pointwise(abs, ov)
     return {
         "phi_g_rad": phi,
         "p0": ramsey_probability(phi),
@@ -108,7 +117,7 @@ def _point_outputs(params, seq) -> dict:
     }
 
 
-def _sweep_values(args) -> list[float]:
+def _sweep_values(args):
     if args.values:
         vals = [float(v) for v in args.values.split(",") if v.strip()]
         if not vals:
@@ -121,8 +130,8 @@ def _sweep_values(args) -> list[float]:
     if args.log:
         if args.start <= 0 or args.stop <= 0:
             raise ConfigError("log spacing needs positive endpoints")
-        return list(np.geomspace(args.start, args.stop, args.count))
-    return list(np.linspace(args.start, args.stop, args.count))
+        return np.geomspace(args.start, args.stop, args.count)
+    return np.linspace(args.start, args.stop, args.count)
 
 
 def _apply_sweep_value(cfg: dict, name: str, value: float) -> dict:
@@ -137,11 +146,40 @@ def _apply_sweep_value(cfg: dict, name: str, value: float) -> dict:
     return out
 
 
-def _run_point(cfg: dict, name: str, value: float) -> dict:
-    cfg_v = _apply_sweep_value(cfg, name, value)
+def _sweep_outputs(cfg: dict, name: str, values) -> dict:
+    """Output columns at the swept ``values``: an array, or one value.
+
+    The config carries the whole array, so each library call covers every
+    point. Balanced points take the closed form and the others the branch
+    overlap, each route one call over its own points.
+    """
+    cfg_v = _apply_sweep_value(cfg, name, values)
     params = build_params(cfg_v)
     seq = _sequence_from_config(cfg_v)
-    return _point_outputs(params, seq)
+    balanced = seq.is_balanced()
+    if all_of(balanced) or not any_of(balanced):
+        return _point_outputs(params, seq)
+    parts = [(mask, _sweep_outputs(cfg, name, values[mask])) for mask in (balanced, ~balanced)]
+    out = {}
+    for column in OUTPUT_COLUMNS:
+        out[column] = np.empty(values.shape)
+        for mask, part in parts:
+            out[column][mask] = part[column]
+    return out
+
+
+def _sweep_rows(cfg: dict, name: str, values, outputs) -> list:
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            points = _sweep_outputs(cfg, name, np.asarray(values, dtype=float))
+        columns = [np.broadcast_to(points[c], np.shape(values)).tolist() for c in outputs]
+    except (ValueError, ArithmeticError):
+        # Some point is invalid or hits a float exception (numpy reports x/0,
+        # where Python raises). Point by point, the first such point raises,
+        # or every point computes, exactly as it does alone.
+        points = [_sweep_outputs(cfg, name, v) for v in values]
+        columns = [[p[c] for p in points] for c in outputs]
+    return list(zip(values, *columns))
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -155,10 +193,8 @@ def _cmd_sweep(args) -> int:
     bad = [c for c in outputs if c not in OUTPUT_COLUMNS]
     if bad:
         raise ConfigError(f"unknown output column(s): {', '.join(bad)}")
-    values = _sweep_values(args)
-    points = [_run_point(cfg, args.param, v) for v in values]
     header = ["param_value", *outputs]
-    rows = [(v, *[p[c] for c in outputs]) for v, p in zip(values, points)]
+    rows = _sweep_rows(cfg, args.param, _sweep_values(args), outputs)
     meta = _metadata(args.command, text, args.seed)
     meta["swept_parameter"] = args.param
     _write(args, json_table(header, rows, meta) if args.format == "json"

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -27,7 +29,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "k_boltzmann", "mu_bohr", "light_speed", "g_earth", "amu"):
-            if not getattr(self, name) > 0.0:
+            if not np.all(getattr(self, name) > 0.0):
                 raise ValueError(f"physical constant {name!r} must be strictly positive")
 
 

@@ -259,30 +259,42 @@ def localization_rate_profile(
     delta_x,
     n_nodes: int = 512,
     rtol: float = 1.0e-6,
+    channel_rates: dict | None = None,
 ) -> np.ndarray:
     """eta(delta_x) for an array of separations (s^-1).
 
     Every channel is integrated with fixed-order Gauss-Legendre quadrature at
     ``n_nodes`` and at twice that; a relative mismatch beyond ``rtol`` raises
     :class:`QuadratureError` naming the channel, so silent under-resolution
-    is impossible.
+    is impossible. ``channel_rates``, if given, memoizes each checked channel
+    rate by channel (channels are frozen and hashable); pass the same dict
+    only with the same separations, nodes and tolerance.
     """
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     if np.any(dx < 0.0):
         raise ValueError("delta_x must be >= 0")
+    if channel_rates is None:
+        channel_rates = {}
     total = np.zeros_like(dx)
     for channel in model.channels:
-        coarse = _channel_rate(channel, dx, n_nodes)
-        fine = _channel_rate(channel, dx, 2 * n_nodes)
-        scale = np.maximum(np.abs(fine), 1e-300)
-        worst = float(np.max(np.abs(fine - coarse) / scale))
-        if worst > rtol and float(np.max(np.abs(fine - coarse))) > 1e-302:
-            raise QuadratureError(
-                f"channel {channel.name!r} not converged: refinement changed the "
-                f"integral by {worst:.2e} relative (tol {rtol:.0e}); raise n_nodes"
-            )
-        total += fine
+        if channel not in channel_rates:
+            channel_rates[channel] = _checked_channel_rate(channel, dx, n_nodes, rtol)
+        total += channel_rates[channel]
     return total
+
+
+def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int, rtol: float) -> np.ndarray:
+    """The channel rate at 2 * ``n_nodes``, after the coarse/fine refinement check."""
+    coarse = _channel_rate(channel, dx, n_nodes)
+    fine = _channel_rate(channel, dx, 2 * n_nodes)
+    scale = np.maximum(np.abs(fine), 1e-300)
+    worst = float(np.max(np.abs(fine - coarse) / scale))
+    if worst > rtol and float(np.max(np.abs(fine - coarse))) > 1e-302:
+        raise QuadratureError(
+            f"channel {channel.name!r} not converged: refinement changed the "
+            f"integral by {worst:.2e} relative (tol {rtol:.0e}); raise n_nodes"
+        )
+    return fine
 
 
 def localization_rate(
@@ -331,16 +343,18 @@ def visibility_surface(
 
     ``model_family`` maps an internal temperature to a
     :class:`SpectralRateModel`; use :func:`default_model_family` for the
-    built-in blackbody defaults.
+    built-in blackbody defaults. A channel that several columns share (one
+    that does not depend on T_int) is integrated once.
     """
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
     if dx.size == 0 or tins.size == 0:
         raise ValueError("axes must be non-empty")
     vis = np.empty((dx.size, tins.size))
+    channel_rates = {}
     for j, t_int in enumerate(tins):
         model = model_family(float(t_int))
-        eta = localization_rate_profile(model, dx, n_nodes)
+        eta = localization_rate_profile(model, dx, n_nodes, channel_rates=channel_rates)
         vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
                              visibility=vis, flight_time=flight_time)

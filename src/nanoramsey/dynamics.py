@@ -17,15 +17,35 @@ Sign conventions used throughout (and certified by the grid oracle):
   gravity and cos(theta), and the branch actions obey
   (S_plus - S_minus)/hbar = -phi_g, equivalently arg<psi_minus|psi_plus> = -phi_g;
 * the measured fringe P0 = cos^2(phi/2) is insensitive to that sign.
+
+Broadcasting. Parameters, sequence times, jitter and initial conditions may
+be numpy arrays; every closed form then evaluates all points in one call and
+returns arrays, while a scalar call returns Python scalars. Each element is
+bit-identical to the scalar call on that point: numpy does only + - * / and
+comparisons, and every ``math`` function runs point by point through
+:func:`~nanoramsey.params.pointwise` (docs/physics-notes.md, "Bit-identical
+broadcasting").
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .params import ExperimentParams, SpinBranch, branch_force
+from .params import (
+    ExperimentParams,
+    SpinBranch,
+    all_of,
+    any_of,
+    branch_force,
+    first,
+    number,
+    pointwise,
+    where,
+)
 
 
 @dataclass(frozen=True)
@@ -43,9 +63,12 @@ class PulseSequence:
 
     def __post_init__(self):
         e1, e2, e3 = self.effective_times()
-        if not (0.0 < e1 < e2 < e3):
+        ok = (0.0 < e1) & (e1 < e2) & (e2 < e3)
+        if not all_of(ok):
+            bad = np.logical_not(ok)
             raise ValueError(
-                f"pulse times must satisfy 0 < t1 < t2 < t3 after jitter, got {e1}, {e2}, {e3}"
+                "pulse times must satisfy 0 < t1 < t2 < t3 after jitter, "
+                f"got {first(bad, e1)}, {first(bad, e2)}, {first(bad, e3)}"
             )
 
     @classmethod
@@ -61,20 +84,24 @@ class PulseSequence:
         e1, e2, e3 = self.effective_times()
         return (e1, e2 - e1, e3 - e2)
 
-    def is_balanced(self, rtol: float = 1e-12) -> bool:
+    def is_balanced(self, rtol: float = 1e-12):
         """True when the flips close the interferometer exactly.
 
         Requires t1 = t3/4 and t2 = 3 t3/4 (within ``rtol``) and zero jitter.
+        Elementwise over array times: a bool for a scalar sequence, else a mask.
         """
-        if any(j != 0.0 for j in self.jitter):
-            return False
-        return (
-            math.isclose(self.t1, self.t3 / 4.0, rel_tol=rtol, abs_tol=0.0)
-            and math.isclose(self.t2, 3.0 * self.t3 / 4.0, rel_tol=rtol, abs_tol=0.0)
-        )
+        j1, j2, j3 = self.jitter
+        return ((j1 == 0.0) & (j2 == 0.0) & (j3 == 0.0)
+                & _isclose(self.t1, self.t3 / 4.0, rtol)
+                & _isclose(self.t2, 3.0 * self.t3 / 4.0, rtol))
 
     def with_jitter(self, j1: float, j2: float, j3: float) -> "PulseSequence":
         return replace(self, jitter=(j1, j2, j3))
+
+
+def _isclose(a, b, rtol: float):
+    """``math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)``, elementwise."""
+    return pointwise(partial(math.isclose, rel_tol=rtol, abs_tol=0.0), a, b)
 
 
 @dataclass(frozen=True)
@@ -98,9 +125,9 @@ class GaussianBranchState:
     action_phase: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma0 > 0.0:
+        if not all_of(self.sigma0 > 0.0):
             raise ValueError("sigma0 must be > 0")
-        if self.spread_time < 0.0:
+        if any_of(self.spread_time < 0.0):
             raise ValueError("spread_time must be >= 0")
 
     def evolved(self, force: float, duration: float, mass: float, hbar: float) -> "GaussianBranchState":
@@ -111,7 +138,7 @@ class GaussianBranchState:
             p * p * tau / (2.0 * m)
             + f * x * tau
             + f * p * tau * tau / m
-            + f * f * tau**3 / (3.0 * m)
+            + f * f * pointwise(operator.pow, tau, 3) / (3.0 * m)
         )
         return GaussianBranchState(
             center=x + p * tau / m + f * tau * tau / (2.0 * m),
@@ -151,7 +178,7 @@ class BranchTrajectory:
 
     def __post_init__(self):
         times = [b[0] for b in self.breakpoints]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        if any(any_of(t1 >= t2) for t1, t2 in zip(times, times[1:])):
             raise ValueError("breakpoint times must be strictly increasing")
         if len(self.accelerations) != len(self.breakpoints) - 1:
             raise ValueError("need exactly one acceleration per segment")
@@ -190,19 +217,21 @@ def classical_trajectory(
 
     The spin sign flips at t1 and t2 (spin 0 stays 0 and falls like a
     projectile). Positions and momenta are continuous at the flips.
+    Broadcasts over array parameters, times and starts; :meth:`~BranchTrajectory.state_at`
+    needs a scalar trajectory.
     """
     durations = seq.segment_durations()
     spins = _spin_history(int(initial_spin))
     m = params.mass
-    t, x, p = 0.0, float(x0), float(p0)
+    t, x, p = 0.0, number(x0), number(p0)
     breakpoints = [(t, x, p)]
     accels = []
     for tau, s in zip(durations, spins):
         a = branch_force(params, s) / m
         accels.append(a)
-        x += (p / m) * tau + 0.5 * a * tau * tau
-        p += m * a * tau
-        t += tau
+        x = x + ((p / m) * tau + 0.5 * a * tau * tau)
+        p = p + m * a * tau
+        t = t + tau
         breakpoints.append((t, x, p))
     return BranchTrajectory(tuple(breakpoints), tuple(accels), m)
 
@@ -234,21 +263,28 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
 
     For a balanced sequence this is the closed form 2*(|A|/m)*(t3/4)^2,
     reached at t3/2. Any other sequence falls back to the exact maximum of
-    the piecewise-quadratic separation, evaluated segment by segment.
+    the piecewise-quadratic separation, evaluated segment by segment. Over
+    arrays each point takes its own route.
     """
-    if seq.is_balanced():
-        a = abs(params.spin_coupling()) / params.mass
-        return 2.0 * a * (seq.t3 / 4.0) ** 2
+    balanced = seq.is_balanced()
+    if all_of(balanced):
+        return _balanced_separation(params, seq)
     best = 0.0
     for tau, dx0, dv0, da in _relative_segments(params, seq):
-        candidates = [0.0, tau]
-        if da != 0.0:
-            t_vertex = -dv0 / da
-            if 0.0 < t_vertex < tau:
-                candidates.append(t_vertex)
-        for tc in candidates:
-            best = max(best, abs(dx0 + dv0 * tc + 0.5 * da * tc * tc))
+        has_vertex = da != 0.0
+        t_vertex = -dv0 / where(has_vertex, da, 1.0)
+        inside = has_vertex & (0.0 < t_vertex) & (t_vertex < tau)
+        for tc, candidate in ((0.0, True), (tau, True), (t_vertex, inside)):
+            sep = abs(dx0 + dv0 * tc + 0.5 * da * tc * tc)
+            best = where(candidate & (sep > best), sep, best)
+    if any_of(balanced):
+        return np.where(balanced, _balanced_separation(params, seq), best)
     return best
+
+
+def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
+    a = abs(params.spin_coupling()) / params.mass
+    return 2.0 * a * pointwise(operator.pow, seq.t3 / 4.0, 2)
 
 
 def peak_arm_displacement(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -264,7 +300,8 @@ def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> fl
     """Exact integral of the signed separation x_plus - x_minus over the flight (m s)."""
     total = 0.0
     for tau, dx0, dv0, da in _relative_segments(params, seq):
-        total += dx0 * tau + 0.5 * dv0 * tau * tau + da * tau**3 / 6.0
+        total = total + (dx0 * tau + 0.5 * dv0 * tau * tau
+                         + da * pointwise(operator.pow, tau, 3) / 6.0)
     return total
 
 
@@ -276,24 +313,28 @@ def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
     Closed form: phi_g = g * cos(theta) * A * t3^3 / (16 * hbar) with
     A = g_nv * mu_B * dB/dx. Positive for positive gradient; the sign flips
     with the gradient. Unbalanced sequences entangle the phase with the
-    motion, so they are rejected here; use :func:`evolve_sequence` and
-    :func:`branch_overlap` instead.
+    motion, so they are rejected here (over arrays, if any point is); use
+    :func:`evolve_sequence` and :func:`branch_overlap` instead.
     """
-    if not seq.is_balanced():
+    if not all_of(seq.is_balanced()):
         raise ValueError(
             "gravitational_phase needs a balanced, jitter-free sequence; "
             "evolve_sequence handles the general case"
         )
     c = params.constants
-    g_axis = c.g_earth * math.cos(params.theta)
-    return g_axis * params.spin_coupling() * seq.t3**3 / (16.0 * c.hbar)
+    g_axis = c.g_earth * pointwise(math.cos, params.theta)
+    return g_axis * params.spin_coupling() * pointwise(operator.pow, seq.t3, 3) / (16.0 * c.hbar)
 
 
-def ramsey_probability(phi: float) -> float:
+def ramsey_probability(phi):
     """Spin-0 return probability P0 = cos^2(phi/2) of the closing pulse."""
-    if not math.isfinite(phi):
+    if not all_of(np.isfinite(phi)):
         raise ValueError("phase must be finite")
-    return math.cos(phi / 2.0) ** 2
+    return pointwise(_cos_squared, phi / 2.0)
+
+
+def _cos_squared(x: float) -> float:
+    return math.cos(x) ** 2
 
 
 # -- full sequence evolution -------------------------------------------------
@@ -316,24 +357,29 @@ def evolve_sequence(
     ``spins`` selects the initial spin of the (plus, minus) branches, which
     allows the kinetic-energy variant that superposes spin 0 with spin +1.
     ``until`` truncates the evolution at an intermediate time, exposing the
-    mid-flight delocalized state.
+    mid-flight delocalized state. Over array sequences, a point whose
+    horizon falls before a segment sits that segment out.
     """
-    if initial.plus_branch.sigma0 != initial.minus_branch.sigma0:
+    if any_of(initial.plus_branch.sigma0 != initial.minus_branch.sigma0):
         raise ValueError("branches must share sigma0")
     e1, e2, e3 = seq.effective_times()
     horizon = e3 if until is None else float(until)
-    if not 0.0 <= horizon <= e3:
-        raise ValueError(f"until must lie in [0, {e3}]")
+    ok = (0.0 <= horizon) & (horizon <= e3)
+    if not all_of(ok):
+        raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
     m, hbar = params.mass, params.constants.hbar
     edges = [0.0, e1, e2, e3]
     branches = []
     for branch, spin in zip((initial.plus_branch, initial.minus_branch), spins):
         state = branch
         for k, s in enumerate(_spin_history(int(spin))):
-            start, stop = edges[k], min(edges[k + 1], horizon)
-            if stop <= start:
+            start = edges[k]
+            stop = edges[k + 1] if until is None else pointwise(min, edges[k + 1], horizon)
+            idle = stop <= start
+            if all_of(idle):
                 break
-            state = state.evolved(branch_force(params, s), stop - start, m, hbar)
+            state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
+                                  m, hbar)
         branches.append(state)
     return CompositeState(branches[0], branches[1], initial.amplitudes)
 
@@ -367,9 +413,9 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
     fringe-visibility factor contributed by motional which-path information.
     """
     plus, minus = state.plus_branch, state.minus_branch
-    if plus.sigma0 != minus.sigma0:
+    if any_of(plus.sigma0 != minus.sigma0):
         raise ValueError("branch overlap undefined for differing sigma0")
-    if plus.spread_time != minus.spread_time:
+    if any_of(plus.spread_time != minus.spread_time):
         raise ValueError("branch overlap undefined for differing spread_time")
     hbar = params.constants.hbar
     s0 = plus.sigma0
@@ -378,8 +424,13 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
     dp = plus.momentum - minus.momentum
     p_mean = 0.5 * (plus.momentum + minus.momentum)
     dx_back = dx - dp * t / params.mass
-    log_mod = -(dx_back**2) / (8.0 * s0 * s0) - (s0 * dp / hbar) ** 2 / 2.0
+    log_mod = (-pointwise(operator.pow, dx_back, 2) / (8.0 * s0 * s0)
+               - pointwise(operator.pow, s0 * dp / hbar, 2) / 2.0)
     arg = (plus.action_phase - minus.action_phase) - p_mean * dx / hbar
+    return pointwise(_polar, log_mod, arg)
+
+
+def _polar(log_mod: float, arg: float) -> complex:
     return math.exp(log_mod) * complex(math.cos(arg), math.sin(arg))
 
 
@@ -427,9 +478,9 @@ def thermal_phase_invariance(
 
     Coherent labels beta are drawn from the circular Gaussian thermal
     phase-space distribution with mean occupation n_bar(t_cm), mapped to
-    (x0, p0) = (2 sigma0 Re beta, (hbar/sigma0) Im beta), and each sample is
-    run through the full sequence. For a balanced sequence the phase is the
-    same for every sample; this report quantifies exactly that.
+    (x0, p0) = (2 sigma0 Re beta, (hbar/sigma0) Im beta), and all samples run
+    through the full sequence in one broadcast call. For a balanced sequence
+    the phase is the same for every sample; this report quantifies exactly that.
     """
     if not seq.is_balanced():
         raise ValueError("thermal invariance is defined for balanced sequences")
@@ -444,15 +495,11 @@ def thermal_phase_invariance(
         betas = rng.normal(0.0, scale, n_samples) + 1j * rng.normal(0.0, scale, n_samples)
     s0 = params.sigma0()
     hbar = params.constants.hbar
-    phases = np.empty(n_samples)
-    visibilities = np.empty(n_samples)
-    for i, beta in enumerate(betas):
-        x0 = 2.0 * s0 * beta.real
-        p0 = (hbar / s0) * beta.imag
-        final = evolve_sequence(params, seq, initial_state(params, x0, p0))
-        ov = branch_overlap(params, final)
-        phases[i] = final.plus_branch.action_phase - final.minus_branch.action_phase
-        visibilities[i] = abs(ov)
+    x0 = 2.0 * s0 * betas.real
+    p0 = (hbar / s0) * betas.imag
+    final = evolve_sequence(params, seq, initial_state(params, x0, p0))
+    visibilities = pointwise(abs, branch_overlap(params, final))
+    phases = final.plus_branch.action_phase - final.minus_branch.action_phase
     # measure the spread relative to the first sample: np.std on a constant
     # megaradian array would otherwise report its own summation roundoff
     rel = phases - phases[0]
@@ -481,20 +528,21 @@ def jitter_visibility_scan(
     seq: PulseSequence,
     jitter_grid,
 ) -> list[JitterPoint]:
-    """Exact visibility and residual phase for each jitter triple."""
-    rows = []
-    for j1, j2, j3 in jitter_grid:
-        jittered = seq.with_jitter(j1, j2, j3)
-        final = evolve_sequence(params, jittered, initial_state(params))
-        ov = branch_overlap(params, final)
-        rows.append(JitterPoint(
-            jitter=(j1, j2, j3),
-            visibility=abs(ov),
-            residual_phase=math.atan2(ov.imag, ov.real),
-            residual_dx=final.plus_branch.center - final.minus_branch.center,
-            residual_dp=final.plus_branch.momentum - final.minus_branch.momentum,
-        ))
-    return rows
+    """Exact visibility and residual phase for each jitter triple, in one broadcast call."""
+    triples = [(j1, j2, j3) for j1, j2, j3 in jitter_grid]
+    if not triples:
+        return []
+    jittered = seq.with_jitter(*np.array(triples, dtype=float).T)
+    final = evolve_sequence(params, jittered, initial_state(params))
+    ov = branch_overlap(params, final)
+    columns = (
+        pointwise(abs, ov),
+        pointwise(math.atan2, ov.imag, ov.real),
+        final.plus_branch.center - final.minus_branch.center,
+        final.plus_branch.momentum - final.minus_branch.momentum,
+    )
+    return [JitterPoint(jitter, *point)
+            for jitter, point in zip(triples, zip(*(c.tolist() for c in columns)))]
 
 
 def trajectory_table(

@@ -202,12 +202,9 @@ def gaussian_packet(spec: GridSpec, center: float = 0.0, momentum: float = 0.0) 
     return GridWavefunction(x=x, amplitudes=psi)
 
 
-def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = 8.0):
-    """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
-    then inside the domain in x (aliased momentum would garble the x moments)."""
-    xb, pb, width, pwidth = psi._spreads()
-    p_lo = float(np.min(np.minimum(pb, pb + kick) - sigmas * pwidth))
-    p_hi = float(np.max(np.maximum(pb, pb + kick) + sigmas * pwidth))
+def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
+    """Refuse momentum support [p_lo, p_hi] that reaches the FFT edge +-pi/dx, naming
+    the smallest power-of-two ``n_points`` whose edge clears it."""
     k_edge = math.pi / spec.dx
     if p_lo < -k_edge or p_hi > k_edge:
         need = 1 << math.ceil(math.log2(max(-p_lo, p_hi) * (spec.x_max - spec.x_min) / math.pi))
@@ -215,6 +212,14 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float
             f"momentum support [{p_lo:.2f}, {p_hi:.2f}] reaches the FFT edge +-{k_edge:.2f}; "
             f"raise n_points to at least {need}"
         )
+
+
+def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = 8.0):
+    """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
+    then inside the domain in x (aliased momentum would garble the x moments)."""
+    xb, pb, width, pwidth = psi._spreads()
+    _check_momentum(float(np.min(np.minimum(pb, pb + kick) - sigmas * pwidth)),
+                    float(np.max(np.maximum(pb, pb + kick) + sigmas * pwidth)), spec)
     lo, hi = float(np.min(xb - sigmas * width)), float(np.max(xb + sigmas * width))
     if lo < spec.x_min or hi > spec.x_max:
         need = max(spec.x_max - lo if lo < spec.x_min else 0.0,
@@ -320,6 +325,14 @@ def evolve_branch_on_grid(
         raise ValueError("horizons must ascend")
     accelerations = np.array([scaled.branch_accelerations(_spin_history(s))
                               for s in np.atleast_1d(spin)]).T
+    # The whole flight's classical <p> is extreme at segment ends, and the packet's
+    # momentum width stays 1/2; check it once, so the advice covers every segment.
+    p_ends = [np.full(accelerations.shape[1], float(momentum))]
+    start = 0.0
+    for tau, a in zip(scaled.seg_times, accelerations):
+        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
+        start += tau
+    _check_momentum(float(np.min(p_ends)) - 8.0 * 0.5, float(np.max(p_ends)) + 8.0 * 0.5, spec)
     packet = gaussian_packet(spec, center, momentum)
     psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
     states, t = [], 0.0

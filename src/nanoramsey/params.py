@@ -9,14 +9,67 @@ The spin projection s in {-1, 0, +1} feels the signed force
 
 with the magnetic term A = g_nv * mu_bohr * b_gradient and the gravity
 component C = mass * g_earth * cos(theta).
+
+Every number knob may also be a numpy array (one swept parameter): the
+formulas then broadcast, each check covers the whole array and names its
+first bad element, and a scalar call still yields Python scalars.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+import numpy as np
+
 from .constants import CODATA, DEFAULT_G_NV, PhysicalConstants
+
+
+def pointwise(fn, *args):
+    """``fn`` applied element by element over the broadcast ``args``.
+
+    Without an ndarray among the arguments this is one plain call, so a
+    scalar stays a Python scalar. Arrays run ``fn`` on each element as
+    Python numbers, so a ``math`` function goes through libm exactly as a
+    scalar call does: numpy's vector loops for exp, arctan2, power and
+    complex abs round some results differently in the last bit
+    (docs/physics-notes.md, "Bit-identical broadcasting").
+    """
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return fn(*args)
+    arrays = np.broadcast_arrays(*args)
+    out = np.array(list(map(fn, *(a.ravel().tolist() for a in arrays))))
+    return out.reshape(arrays[0].shape)
+
+
+def where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``; all-scalar inputs give a Python scalar."""
+    if not any(isinstance(x, np.ndarray) for x in (cond, a, b)):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
+def first(mask, value):
+    """``value`` at the first true element of ``mask``; a scalar passes through."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return np.broadcast_to(value, np.shape(mask)).flat[int(np.argmax(mask))].item()
+
+
+def all_of(cond) -> bool:
+    """Whether ``cond`` holds: a bool, or every element of a bool array."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def any_of(cond) -> bool:
+    """Whether ``cond`` holds anywhere: a bool, or some element of a bool array."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def number(value):
+    """``float(value)``, or a float array when ``value`` is an ndarray."""
+    return value.astype(float, copy=False) if isinstance(value, np.ndarray) else float(value)
 
 
 class ConfigError(ValueError):
@@ -71,7 +124,8 @@ class ExperimentParams:
         _require(self.mass > 0.0, "mass", "must be > 0")
         _require(self.t3 > 0.0, "t3", "must be > 0")
         _require(self.trap_omega > 0.0, "trap_omega", "must be > 0")
-        _require(0.0 <= self.theta <= math.pi / 2.0, "theta", "must lie in [0, pi/2]")
+        _require((0.0 <= self.theta) & (self.theta <= math.pi / 2.0),
+                 "theta", "must lie in [0, pi/2]")
         for name in ("t_internal", "t_environment", "t_cm"):
             _require(getattr(self, name) >= 0.0, name, "must be >= 0")
         _require(self.mw_frequency > 0.0, "mw_frequency", "must be > 0")
@@ -92,11 +146,11 @@ class ExperimentParams:
 
     def gravity_force(self) -> float:
         """Axis projection of the weight, C = m g cos(theta) (N)."""
-        return self.mass * self.constants.g_earth * math.cos(self.theta)
+        return self.mass * self.constants.g_earth * pointwise(math.cos, self.theta)
 
     def sigma0(self) -> float:
         """Ground-state width of the trapped packet, sqrt(hbar / 2 m omega) (m)."""
-        return math.sqrt(self.constants.hbar / (2.0 * self.mass * self.trap_omega))
+        return pointwise(math.sqrt, self.constants.hbar / (2.0 * self.mass * self.trap_omega))
 
 
 def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:
@@ -127,7 +181,7 @@ _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
 
 def sphere_mass(radius: float, density: float) -> float:
     """Mass of a homogeneous sphere (kg)."""
-    return 4.0 / 3.0 * math.pi * radius**3 * density
+    return 4.0 / 3.0 * math.pi * pointwise(operator.pow, radius, 3) * density
 
 
 def build_params(config: dict) -> ExperimentParams:
@@ -135,7 +189,8 @@ def build_params(config: dict) -> ExperimentParams:
 
     The mass may be given directly, derived from ``radius`` and ``density``,
     or both; when all three are present they must agree to 1e-12 relative,
-    otherwise the conflict is reported instead of silently resolved.
+    otherwise the conflict is reported instead of silently resolved. Any
+    number may be an array; a failing check names its first bad element.
     """
     unknown = set(config) - KNOWN_CONFIG_KEYS
     if unknown:
@@ -150,33 +205,35 @@ def build_params(config: dict) -> ExperimentParams:
     if mass is None:
         if radius is None or density is None:
             raise ConfigError("missing mandatory config key(s): mass (or radius and density)")
-        if radius <= 0 or density <= 0:
+        if any_of((radius <= 0) | (density <= 0)):
             raise ConfigError("radius and density must be > 0 to derive the mass")
         mass = sphere_mass(radius, density)
     elif radius is not None and density is not None:
         derived = sphere_mass(radius, density)
-        if abs(derived - mass) > _DERIVED_MASS_RTOL * abs(mass):
+        bad = abs(derived - mass) > _DERIVED_MASS_RTOL * abs(mass)
+        if any_of(bad):
             raise ConfigError(
-                f"mass={mass!r} conflicts with radius/density (sphere mass {derived!r}); "
+                f"mass={first(bad, mass)!r} conflicts with radius/density "
+                f"(sphere mass {first(bad, derived)!r}); "
                 "drop one of the keys"
             )
 
     constants = CODATA
     if "g_earth" in config:
-        if not config["g_earth"] > 0:
+        if not all_of(config["g_earth"] > 0):
             raise ConfigError("g_earth must be > 0")
-        constants = PhysicalConstants(g_earth=float(config["g_earth"]))
+        constants = PhysicalConstants(g_earth=number(config["g_earth"]))
 
     kwargs = {
-        "mass": float(mass),
+        "mass": number(mass),
         "constants": constants,
     }
     for key in ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
                 "pulse_duration", "t_internal", "t_environment", "t_cm"):
-        kwargs[key] = float(config[key])
+        kwargs[key] = number(config[key])
     for key in ("g_nv", "n_nucleons", "radius", "density"):
         if key in config and config[key] is not None:
-            kwargs[key] = float(config[key])
+            kwargs[key] = number(config[key])
     try:
         return ExperimentParams(**kwargs)
     except ConfigError:
@@ -219,6 +276,6 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def _require(cond: bool, key: str, message: str):
-    if not cond:
+def _require(cond, key: str, message: str):
+    if not all_of(cond):
         raise ConfigError(f"{key} {message}")

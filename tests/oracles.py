@@ -6,7 +6,9 @@ from Monte-Carlo sampling and localization rates from adaptive quadrature;
 none of these calls the closed forms under test. The action route to phi_g
 leans on ``separation_time_integral``, which is itself checked against Verlet.
 The grid kernel is checked against ``strang_reference``, the plain unfused
-one-branch Strang loop.
+one-branch Strang loop. The broadcast CLI sweep is checked against
+``sweep_reference``, the loop that builds every point's objects from Python
+scalars and calls the closed forms once per point.
 """
 from __future__ import annotations
 
@@ -22,9 +24,19 @@ from nanoramsey.decoherence import (
     TabulatedChannel,
     angular_factor,
 )
-from nanoramsey.dynamics import _spin_history, separation_time_integral
+from nanoramsey.dynamics import (
+    PulseSequence,
+    _spin_history,
+    branch_overlap,
+    evolve_sequence,
+    gravitational_phase,
+    initial_state,
+    max_separation,
+    ramsey_probability,
+    separation_time_integral,
+)
 from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
-from nanoramsey.params import branch_force
+from nanoramsey.params import ConfigError, branch_force, build_params
 
 
 def _force_of_time(params, seq, initial_spin):
@@ -259,3 +271,84 @@ def reference_branch(scaled, spec, spin, until=None):
         psi = strang_reference(psi, a, step, spec)
         elapsed += step
     return psi
+
+
+def _sequence_from_config(cfg: dict) -> PulseSequence:
+    t3 = float(cfg["t3"])
+    t1 = float(cfg.get("t1", t3 / 4.0))
+    t2 = float(cfg.get("t2", 3.0 * t3 / 4.0))
+    jitter = (float(cfg.get("jitter_t1", 0.0)),
+              float(cfg.get("jitter_t2", 0.0)),
+              float(cfg.get("jitter_t3", 0.0)))
+    try:
+        return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _point_outputs(params, seq) -> dict:
+    if seq.is_balanced():
+        phi = gravitational_phase(params, seq)
+        vis = 1.0
+    else:
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        phi = -math.atan2(ov.imag, ov.real)
+        vis = abs(ov)
+    return {
+        "phi_g_rad": phi,
+        "p0": ramsey_probability(phi),
+        "delta_x_max_m": max_separation(params, seq),
+        "visibility": vis,
+    }
+
+
+def _sweep_values(args) -> list[float]:
+    if args.values:
+        vals = [float(v) for v in args.values.split(",") if v.strip()]
+        if not vals:
+            raise ConfigError("empty --values list")
+        return vals
+    if args.start is None or args.stop is None:
+        raise ConfigError("pass --values or all of --start/--stop/--count")
+    if args.count < 2:
+        raise ConfigError("--count must be >= 2 for a range sweep")
+    if args.log:
+        if args.start <= 0 or args.stop <= 0:
+            raise ConfigError("log spacing needs positive endpoints")
+        return list(np.geomspace(args.start, args.stop, args.count))
+    return list(np.linspace(args.start, args.stop, args.count))
+
+
+def _apply_sweep_value(cfg: dict, name: str, value: float) -> dict:
+    out = dict(cfg)
+    if name == "t3":
+        # preserve the sequence shape: t1/t3 and t2/t3 ratios stay fixed
+        old_t3 = float(cfg["t3"])
+        for key in ("t1", "t2"):
+            if key in out:
+                out[key] = float(out[key]) * value / old_t3
+    out[name] = value
+    return out
+
+
+def run_point(cfg: dict, name: str, value: float) -> dict:
+    """Output columns of one swept value, from Python scalars."""
+    cfg_v = _apply_sweep_value(cfg, name, value)
+    params = build_params(cfg_v)
+    seq = _sequence_from_config(cfg_v)
+    return _point_outputs(params, seq)
+
+
+def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
+    """(header, rows) of ``nanoramsey sweep`` on the parsed config ``cfg``, point by point.
+
+    ``args`` is the parsed sweep command line. Every swept value builds its
+    own parameters and sequence from Python scalars, as the CLI did before
+    the sweep became one broadcast call.
+    """
+    outputs = [c.strip() for c in args.outputs.split(",") if c.strip()]
+    values = _sweep_values(args)
+    points = [run_point(cfg, args.param, v) for v in values]
+    header = ["param_value", *outputs]
+    rows = [(v, *[p[c] for c in outputs]) for v, p in zip(values, points)]
+    return header, rows

@@ -1,0 +1,111 @@
+"""Feasibility budget against hand formulas, Verlet paths and the action route."""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from conftest import PAPER_CONFIG
+from nanoramsey import PulseSequence, build_params
+from nanoramsey.budget import (
+    QUOTED_ONLY_NOTES,
+    BudgetReport,
+    budget_report,
+    csl_bound,
+    doppler_linewidth,
+    thermal_velocity,
+    zeeman_resolvability,
+)
+from nanoramsey.constants import CODATA
+from oracles import gravitational_phase_action, integrate_trajectory
+
+mpmath.mp.dps = 40
+
+
+class TestPointFormulas:
+    def test_csl_bound(self):
+        expected = 1 / (2 * mpmath.mpf("1e9") ** 2 * mpmath.mpf("1e-4"))
+        assert csl_bound(1e9, 1e-4) == pytest.approx(float(expected), rel=1e-15)
+        with pytest.raises(ValueError, match="n_nucleons"):
+            csl_bound(0.5, 1e-4)
+        with pytest.raises(ValueError, match="t3"):
+            csl_bound(1e9, 0.0)
+
+    def test_doppler_two_forms_agree(self):
+        v0 = 1.0e-3
+        direct = doppler_linewidth(2.87e9, v0)
+        assert direct == pytest.approx(2.87e9 * v0 / 299792458.0, rel=1e-15)
+        assert doppler_linewidth(2.87e9, z0=1.0e-8, omega_z=1.0e5) == pytest.approx(direct, rel=1e-15)
+        with pytest.raises(ValueError, match="v0"):
+            doppler_linewidth(2.87e9)
+        with pytest.raises(ValueError, match="v0"):
+            doppler_linewidth(2.87e9, -1.0)
+
+    def test_thermal_velocity_is_equipartition(self):
+        # (1/2) m <v^2> = (3/2) k T
+        t, m = 1.0e-3, 1.25e-17
+        kt = mpmath.mpf(CODATA.k_boltzmann) * mpmath.mpf(t)
+        expected = mpmath.sqrt(3 * kt / mpmath.mpf(m))
+        assert thermal_velocity(t, m) == pytest.approx(float(expected), rel=1e-14)
+        assert thermal_velocity(0.0, m) == 0.0
+        with pytest.raises(ValueError):
+            thermal_velocity(-1.0, m)
+
+
+class TestZeeman:
+    def test_splitting_from_verlet_arm_positions(self, paper_params, paper_seq):
+        e1 = paper_seq.effective_times()[0]
+        tp, xp, _ = integrate_trajectory(paper_params, paper_seq, +1, n_steps=20_000)
+        _, xm, _ = integrate_trajectory(paper_params, paper_seq, -1, n_steps=20_000)
+        i = int(np.argmin(np.abs(tp - e1)))
+        x_flip = 0.5 * abs(xp[i] - xm[i])
+        h = 2 * math.pi * CODATA.hbar
+        expected = 2 * (paper_params.g_nv * CODATA.mu_bohr / h) * paper_params.b_gradient * x_flip
+        z = zeeman_resolvability(paper_params, paper_seq)
+        assert z.splitting == pytest.approx(expected, rel=1e-9)
+        assert z.bandwidth == 1.0 / paper_params.pulse_duration
+        assert z.passes == (z.ratio >= 10.0)
+
+
+class TestReport:
+    def test_paper_report_against_independent_routes(self, paper_params, paper_seq):
+        report = budget_report(paper_params, paper_seq)
+        t3, omega = PAPER_CONFIG["t3"], PAPER_CONFIG["trap_omega"]
+        accel = paper_params.spin_coupling() / paper_params.mass
+        assert report.peak_separation_m == pytest.approx(2 * accel * (t3 / 4) ** 2, rel=1e-14)
+        assert report.arm_displacement_m == pytest.approx(0.5 * report.peak_separation_m, rel=1e-15)
+        # sigma0^2 = hbar / (2 m omega), so sigma(t)/sigma0 = sqrt(1 + (omega t)^2)
+        assert report.spread_ratio == pytest.approx(math.hypot(1.0, omega * t3), rel=1e-12)
+        assert report.phi_g_rad == pytest.approx(gravitational_phase_action(paper_params, paper_seq),
+                                                 rel=1e-9)
+        assert report.ramsey_p0 == pytest.approx(math.cos(report.phi_g_rad / 2) ** 2, abs=1e-12)
+        assert report.visibility_closure == pytest.approx(1.0, abs=1e-12)
+        assert report.closure_pass
+        assert report.n_nucleons == PAPER_CONFIG["n_nucleons"]
+        assert report.csl_bound_per_s == csl_bound(PAPER_CONFIG["n_nucleons"], t3)
+        assert report.all_pass() == (report.resolvability_pass and report.closure_pass)
+        assert report.notes[-len(QUOTED_ONLY_NOTES):] == QUOTED_ONLY_NOTES
+
+    def test_unbalanced_flight_fails_closure(self, paper_params):
+        seq = PulseSequence(t1=0.26e-4, t2=0.75e-4, t3=1.0e-4)
+        report = budget_report(paper_params, seq)
+        assert report.visibility_closure < 1.0 - 1e-9
+        assert not report.closure_pass
+        assert not report.all_pass()
+
+    def test_discrepancy_note_follows_the_separation(self):
+        # a tenfold gradient moves the separation far from the quoted 100 nm
+        params = build_params(dict(PAPER_CONFIG, b_gradient=1.0e8))
+        report = budget_report(params, PulseSequence.balanced(PAPER_CONFIG["t3"]))
+        assert any(note.startswith("peak separation: computed") for note in report.notes)
+
+    def test_json_round_trip_and_text(self, paper_params, paper_seq):
+        report = budget_report(paper_params, paper_seq)
+        text = report.to_json({"command": "budget"})
+        assert BudgetReport.from_json(text) == report
+        assert text == report.to_json({"command": "budget"})
+        lines = report.to_text().splitlines()
+        assert lines[0] == "feasibility budget"
+        assert lines[-len(QUOTED_ONLY_NOTES):] == [f"  - {n}" for n in QUOTED_ONLY_NOTES]
+        closure = next(line for line in lines if "closure visibility" in line)
+        assert closure.endswith("[pass]")

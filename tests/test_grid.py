@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,8 +190,12 @@ class TestAutoGridMomentum:
         scaled = scale_params(params, seq)
         spec = auto_grid(scaled)
         coarse = GridSpec(2048, spec.x_min, spec.x_max, spec.steps_per_segment)
-        with pytest.raises(GridBoundaryError, match="FFT edge.*raise n_points"):
+        with pytest.raises(GridBoundaryError, match="FFT edge.*raise n_points") as excinfo:
             oracle_compare(params, seq, coarse)
+        # the advice covers the whole flight, so following it passes
+        advised = int(re.search(r"at least (\d+)", str(excinfo.value)).group(1))
+        report = oracle_compare(params, seq, replace(coarse, n_points=advised))
+        assert report.passed
 
     def test_certify_and_snapshot_runs_keep_2048_points(self):
         runs = [desk_scale_params(a_spin=a, a_gravity=g, tau_scaled=t)
