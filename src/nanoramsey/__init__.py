@@ -60,6 +60,7 @@ from .grid import (
     scale_params,
     snapshot_frames,
     split_step_evolve,
+    splitting_phase,
 )
 from .decoherence import (
     BlackbodyChannel,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -328,6 +329,12 @@ def _add_sweep_flags(sub):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_VALIDATION; exit 2 means a numerical failure."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only "-1" and "-1.5" as negative numbers, so "--start -1e-05"
+        # would take "-1e-05" for an option; no flag here starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -43,6 +43,10 @@ CENTER_TOL = 1.0e-6      # relative, grid <x>,<p> vs classical trajectory
 WIDTH_TOL = 1.0e-4       # relative, grid width vs spreading law
 OVERLAP_TOL = 1.0e-4     # absolute, |overlap| grid vs analytic
 
+MIN_POINTS = 256         # smallest grid; auto_grid doubles it until momentum fits
+GUARD_SIGMAS = 8.0       # packet widths the runtime guards keep inside the grid
+DOMAIN_SIGMAS = 10.0     # final widths auto_grid leaves beyond the excursions
+
 
 class ScaleError(ValueError):
     """Parameters cannot be represented on the grid without rescaling."""
@@ -139,8 +143,8 @@ class GridSpec:
     steps_per_segment: int
 
     def __post_init__(self):
-        if self.n_points < 256 or (self.n_points & (self.n_points - 1)) != 0:
-            raise ValueError("n_points must be a power of two, at least 256")
+        if self.n_points < MIN_POINTS or (self.n_points & (self.n_points - 1)) != 0:
+            raise ValueError(f"n_points must be a power of two, at least {MIN_POINTS}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.steps_per_segment < 1:
@@ -214,7 +218,7 @@ def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
         )
 
 
-def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = 8.0):
+def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = GUARD_SIGMAS):
     """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
     then inside the domain in x (aliased momentum would garble the x moments)."""
     xb, pb, width, pwidth = psi._spreads()
@@ -264,19 +268,23 @@ def split_step_evolve(
     return out
 
 
+def _final_width(scaled: ScaledUnits) -> float:
+    """Packet width at t3, the widest it gets (sigma0 = 1, free spreading)."""
+    return math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2)
+
+
 def auto_grid(
     scaled: ScaledUnits,
-    n_points: int = 2048,
+    n_points: int = MIN_POINTS,
     steps_per_segment: int = 1200,
-    width_sigmas: float = 10.0,
     spin_values: tuple[int, ...] = (1, -1),
 ) -> GridSpec:
     """Size the grid from the classical trajectory.
 
-    The domain spans every branch-centre excursion plus ``width_sigmas``
-    times the final packet width on each side (the boundary check enforces
-    8 sigma at runtime, so 10 leaves headroom). ``n_points`` is a floor, doubled until
-    pi/dx clears the peak branch |p| plus ``width_sigmas`` momentum widths (1/2 each).
+    The domain spans every branch-centre excursion plus ``DOMAIN_SIGMAS`` final
+    packet widths and 2 on each side (the guards enforce ``GUARD_SIGMAS`` at run
+    time). ``n_points`` is a floor, doubled until pi/dx clears the peak branch |p|
+    plus ``DOMAIN_SIGMAS`` momentum widths (1/2 each).
     """
     lo, hi, p_peak = 0.0, 0.0, 0.0
     for spin in spin_values:
@@ -293,9 +301,8 @@ def auto_grid(
             x += v * tau + 0.5 * a * tau * tau
             v += a * tau
             p_peak = max(p_peak, abs(v))
-    width_max = math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2)
-    margin = width_sigmas * width_max + 2.0
-    while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * width_sigmas:
+    margin = DOMAIN_SIGMAS * _final_width(scaled) + 2.0
+    while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * DOMAIN_SIGMAS:
         n_points *= 2
     return GridSpec(
         n_points=n_points,
@@ -303,6 +310,18 @@ def auto_grid(
         x_max=hi + margin,
         steps_per_segment=steps_per_segment,
     )
+
+
+def _drift_steps(scaled: ScaledUnits) -> int:
+    """Fewest Strang steps per segment that keep both branches inside an ``auto_grid`` domain.
+
+    Between kicks a row sits where a half-drift put it, |F| dt^2 / 8 off its classical
+    centre; the domain leaves (DOMAIN_SIGMAS - GUARD_SIGMAS) final widths + 2 beyond
+    the guard's reach, so dt may grow until the drift fills that slack.
+    """
+    force = max(abs(a) for s in (+1, -1) for a in scaled.branch_accelerations(_spin_history(s)))
+    slack = (DOMAIN_SIGMAS - GUARD_SIGMAS) * _final_width(scaled) + 2.0
+    return max(1, math.ceil(max(scaled.seg_times) * math.sqrt(force / (8.0 * slack))))
 
 
 def evolve_branch_on_grid(
@@ -332,7 +351,8 @@ def evolve_branch_on_grid(
     for tau, a in zip(scaled.seg_times, accelerations):
         p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
         start += tau
-    _check_momentum(float(np.min(p_ends)) - 8.0 * 0.5, float(np.max(p_ends)) + 8.0 * 0.5, spec)
+    _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
+                    float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
     packet = gaussian_packet(spec, center, momentum)
     psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
     states, t = [], 0.0
@@ -346,6 +366,18 @@ def evolve_branch_on_grid(
         t = horizon
         states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
     return states if np.ndim(until) else states[0]
+
+
+def splitting_phase(seg_times, plus, minus, steps: int) -> float:
+    """What Strang splitting adds to a pair's -arg<psi_minus|psi_plus>.
+
+    For a linear potential a step of dt differs from the exact propagator by the
+    c-number phase F^2 dt^3 / 12 (docs/physics-notes.md), so ``steps`` steps per
+    segment of the (plus, minus) branch accelerations give
+    sum_k (tau_k / n)^2 (F+_k^2 - F-_k^2) tau_k / 12.
+    """
+    return sum((tau / steps) ** 2 * (fp * fp - fm * fm) * tau / 12.0
+               for tau, fp, fm in zip(seg_times, plus, minus))
 
 
 def _grid_overlap(pair: GridWavefunction) -> complex:
@@ -408,6 +440,7 @@ class OracleReport:
     phase_grid: float          # rad, unwrapped where a balanced prediction exists
     phase_analytic: float      # rad
     phase_error: float         # rad, circular distance grid vs analytic
+    phase_residual: float      # rad, grid - analytic - splitting_phase, circular
     center_error: float        # relative, worst branch at t3
     width_error: float         # relative
     overlap_grid: float        # |<psi_minus|psi_plus>| on the grid
@@ -470,6 +503,9 @@ def oracle_compare(
                                      - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
 
     phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real) if phi_balanced is None else phi_balanced
+    phase_grid = _overlap_phase(ov_grid, phi_balanced)
+    splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
+                                scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
 
     center_error = 0.0
     width_error = 0.0
@@ -483,9 +519,10 @@ def oracle_compare(
         width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
 
     return OracleReport(
-        phase_grid=_overlap_phase(ov_grid, phi_balanced),
+        phase_grid=phase_grid,
         phase_analytic=phase_analytic,
         phase_error=phase_error,
+        phase_residual=math.remainder(phase_grid - phase_analytic - splitting, 2.0 * math.pi),
         center_error=center_error,
         width_error=width_error,
         overlap_grid=abs(ov_grid),
@@ -507,7 +544,10 @@ def snapshot_frames(
     ``fractions`` are times as fractions of t3. Returns a list of
     (time_s, x_m, prob_plus_per_m, prob_minus_per_m) tuples, each probability
     normalized per metre so the frames are plot-ready, in the order given;
-    both branches go forward once through the sorted times.
+    both branches go forward once through the sorted times. The default grid
+    has 2048 points (more if momentum needs them) and the fewest steps the
+    drift criterion allows: the step size moves only a c-number phase, never
+    |psi|^2.
     """
     scaled = scale_params(params, seq)
     fractions = list(fractions)
@@ -515,7 +555,8 @@ def snapshot_frames(
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
     if spec is None:
-        spec = auto_grid(scaled)
+        # frames are an output, so their resolution is fixed, not sized for the physics
+        spec = auto_grid(scaled, 2048, _drift_steps(scaled))
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     states = evolve_branch_on_grid(scaled, spec, (+1, -1),

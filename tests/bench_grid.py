@@ -5,11 +5,18 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest tests/bench_grid.py --benchmark-json=out.json
 
 The default test run does not collect this file (its name does not match
-``test_*.py``). All cases run on the default desk-scale set, whose grid is
-2048 points by 1200 Strang steps per segment. ``BENCH_grid.json`` keeps the
+``test_*.py``). The layer cases run on the default desk-scale set with the
+library's own default grids: ``auto_grid`` sizes ``n_points`` from the peak
+branch momentum (256 points here) with 1200 Strang steps per segment, and
+``snapshot_frames`` takes 2048 frame points and the drift criterion's step
+count. The two end-to-end cases run a CLI command in a fresh interpreter, as
+the benchmark's ``oracle`` workload does. ``BENCH_grid.json`` keeps the
 measured trajectory of these cases.
 """
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +49,7 @@ def test_strang_step(benchmark, desk_grid):
 
 
 def test_paired_evolution(benchmark, desk_grid):
-    """Both branches through the whole flight: 2048 points, 3 x 1200 steps."""
+    """Both branches through the whole flight: default points, 3 x 1200 steps."""
     _, _, scaled, spec = desk_grid
     benchmark.pedantic(evolve_branch_on_grid, args=(scaled, spec, (+1, -1)),
                        rounds=5, iterations=1, warmup_rounds=1)
@@ -58,4 +65,24 @@ def test_snapshot_frames(benchmark, desk_grid):
     """Four frames, at 0.25, 0.5, 0.75 and 1.0 of t3."""
     params, seq, _, _ = desk_grid
     benchmark.pedantic(snapshot_frames, args=(params, seq, [0.25, 0.5, 0.75, 1.0]),
+                       rounds=5, iterations=1, warmup_rounds=1)
+
+
+SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg"
+
+
+def _cli(*argv):
+    subprocess.run([sys.executable, "-m", "nanoramsey.cli", *argv], check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_cli_certify(benchmark):
+    """``certify``: the three desk runs, interpreter start and import included."""
+    benchmark.pedantic(_cli, args=("certify",), rounds=5, iterations=1, warmup_rounds=1)
+
+
+def test_cli_dump_snapshots(benchmark):
+    """``dump-snapshots`` of the benchmark's snapshot set, four frames as JSON."""
+    benchmark.pedantic(_cli, args=("dump-snapshots", "--config", str(SNAPSHOT_CFG), "--format",
+                                   "json", "--times", "0.25,0.5,0.75,1.0"),
                        rounds=5, iterations=1, warmup_rounds=1)

@@ -73,6 +73,23 @@ class TestExitCodes:
         command, *rest = argv
         assert usage_exit(command, "--config", config, *rest) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flags", [
+        ["--start", "-1e-05", "--stop", "1e-05", "--count", "3"],
+        ["--start", "-2e-05", "--stop", "-1e-05", "--count", "3"],
+        ["--values", "-1e-05,0.1,-2.5E-3"],
+    ])
+    def test_leading_negative_exponent_values(self, capsys, config, flags):
+        """A value such as -1e-05 is a value, read as in the --flag=value form."""
+        joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        rc, out = run(capsys, "sweep", "--config", config, "--param", "b_gradient", *flags)
+        rc_eq, out_eq = run(capsys, "sweep", "--config", config, "--param", "b_gradient", *joined)
+        assert rc == rc_eq == cli.EXIT_OK
+        assert out == out_eq and out.splitlines()[1].startswith("-")
+
+    def test_negative_value_without_flag_is_usage_error(self, config):
+        assert usage_exit("sweep", "--config", config, "--param", "b_gradient", "-1e-05") \
+            == cli.EXIT_VALIDATION
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
         assert usage_exit(*argv) == 0

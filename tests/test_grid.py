@@ -26,10 +26,18 @@ from nanoramsey import (
     sector_action_phases,
     snapshot_frames,
     split_step_evolve,
+    splitting_phase,
     wavepacket_width,
 )
+from nanoramsey.grid import _drift_steps
 from conftest import PAPER_CONFIG
 from oracles import reference_branch
+
+
+#: (a_spin, a_gravity, tau_scaled) of the three `certify` desk runs
+CERTIFY_DESK = [(0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0)]
+#: perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
+SNAPSHOT_CONFIG = dict(PAPER_CONFIG, b_gradient=1.0e5, theta=1.5667963267948966, t3=3.0e-5)
 
 
 def small_spec(**overrides):
@@ -197,14 +205,18 @@ class TestAutoGridMomentum:
         report = oracle_compare(params, seq, replace(coarse, n_points=advised))
         assert report.passed
 
-    def test_certify_and_snapshot_runs_keep_2048_points(self):
-        runs = [desk_scale_params(a_spin=a, a_gravity=g, tau_scaled=t)
-                for a, g, t in ((0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0))]
-        # perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
-        snapshot = dict(PAPER_CONFIG, b_gradient=1.0e5, theta=1.5667963267948966, t3=3.0e-5)
-        runs.append((build_params(snapshot), PulseSequence.balanced(snapshot["t3"])))
-        for params, seq in runs:
-            assert auto_grid(scale_params(params, seq)).n_points == 2048
+    @pytest.mark.parametrize("desk_set", CERTIFY_DESK)
+    def test_certify_desk_at_criterion_points_matches_2048(self, desk_set):
+        """The momentum criterion alone sets n_points; the report matches a 2048-point run."""
+        params, seq = desk_scale_params(*desk_set)
+        spec = auto_grid(scale_params(params, seq))
+        assert spec.n_points == 256
+        small = oracle_compare(params, seq)
+        large = oracle_compare(params, seq, replace(spec, n_points=2048))
+        assert small.phase_grid == pytest.approx(large.phase_grid, abs=1e-12)
+        for field in ("phase_error", "phase_residual", "center_error", "width_error",
+                      "overlap_grid", "overlap_deficit", "norm_drift"):
+            assert getattr(small, field) == pytest.approx(getattr(large, field), abs=1e-10)
 
 
 class TestOraclePhase:
@@ -298,20 +310,57 @@ class TestOracleCompare:
         assert "phase" in text and "pass" in text
 
 
+class TestSplittingPhase:
+    """Grid phase = closed form + splitting_phase, to rounding: the splitting error of a
+    linear potential is a known c-number, so it is no tolerance but a prediction."""
+
+    @pytest.mark.parametrize("steps", [300, 1200])
+    @pytest.mark.parametrize("desk_set", CERTIFY_DESK + [(1.0, 0.5, 8.0)])
+    def test_balanced_residual(self, desk_set, steps):
+        params, seq = desk_scale_params(*desk_set)
+        report = oracle_compare(params, seq, auto_grid(scale_params(params, seq),
+                                                       steps_per_segment=steps))
+        assert abs(report.phase_residual) <= 1e-10
+        assert report.center_error <= 1e-10
+        assert report.width_error <= 1e-10
+        assert report.overlap_deficit <= 1e-10
+
+    @pytest.mark.parametrize("steps", [300, 1200])
+    def test_unbalanced_residual_against_branch_overlap(self, steps):
+        params, seq0 = desk_scale_params()
+        seq = seq0.with_jitter(0.02 * seq0.t3, 0.0, 0.0)
+        report = oracle_compare(params, seq, auto_grid(scale_params(params, seq),
+                                                       steps_per_segment=steps))
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        assert report.phase_analytic == -math.atan2(ov.imag, ov.real)
+        assert abs(report.phase_residual) <= 1e-10
+        assert report.center_error <= 1e-10
+        assert report.width_error <= 1e-10
+        assert report.overlap_deficit <= 1e-10
+
+
 class TestSectorPhasesOnGrid:
     def test_quadratic_sector_phase_certified(self):
         """Grid-certify the one-axis-twisting term: sectors M = 0 and M = 2."""
         params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15, tau_scaled=6.0)
         scaled = scale_params(params, seq)
-        spec = auto_grid(scaled, spin_values=(2, -2, 1, -1))
-        sectors = evolve_branch_on_grid(scaled, spec, (2, 0))
-        psi2, psi0 = sectors.amplitudes
-        ov = np.sum(np.conj(psi0) * psi2) * sectors.dx
-        assert abs(ov) > 0.9999       # every sector recombines
         phases = dict(sector_action_phases(params, seq, 2))
         expected = phases[2] - phases[0]
         wrapped = (expected + math.pi) % (2 * math.pi) - math.pi
-        assert np.angle(ov) == pytest.approx(wrapped, abs=1e-3)
+        for steps in (300, 1200):
+            spec = auto_grid(scaled, steps_per_segment=steps, spin_values=(2, -2, 1, -1))
+            sectors = evolve_branch_on_grid(scaled, spec, (2, 0))
+            psi2, psi0 = sectors.amplitudes
+            ov = np.sum(np.conj(psi0) * psi2) * sectors.dx
+            assert abs(ov) > 0.9999       # every sector recombines
+            assert abs(abs(ov) - 1.0) <= 1e-10
+            assert np.angle(ov) == pytest.approx(wrapped, abs=1e-3)
+            # rows (2, 0) as (plus, minus): -arg ov = -expected + splitting phase
+            splitting = splitting_phase(scaled.seg_times,
+                                        scaled.branch_accelerations((2, -2, 2)),
+                                        scaled.branch_accelerations((0, 0, 0)), steps)
+            residual = math.remainder(-np.angle(ov) + expected - splitting, 2 * math.pi)
+            assert abs(residual) <= 1e-10
 
 
 class TestSnapshots:
@@ -344,6 +393,27 @@ class TestSnapshots:
                 ref = np.abs(reference_branch(scaled, spec, spin, until).amplitudes) ** 2
                 ref /= scaled.length_unit
                 assert np.max(np.abs(prob - ref)) < 1e-10 * ref.max()
+
+    @pytest.mark.parametrize("case, drift_steps", [("snapshot", 1), ((2.0, 0.05, 8.0), 1),
+                                                   ((6.0, 0.2, 8.0), 2)])
+    def test_drift_criterion_frames_match_1200_steps(self, case, drift_steps):
+        """Default frames keep 2048 points and take the fewest steps the drift criterion
+        allows, yet match a 1200-step run: the step size moves only a c-number phase."""
+        if case == "snapshot":
+            params = build_params(SNAPSHOT_CONFIG)
+            seq = PulseSequence.balanced(params.t3)
+        else:
+            params, seq = desk_scale_params(*case)
+        scaled = scale_params(params, seq)
+        assert _drift_steps(scaled) == drift_steps
+        fractions = [0.25, 0.6, 1.0, 0.1, 0.5]
+        frames = snapshot_frames(params, seq, fractions)
+        reference = snapshot_frames(params, seq, fractions, auto_grid(scaled, 2048, 1200))
+        for frame, ref in zip(frames, reference):
+            assert frame[0] == ref[0]
+            assert frame[1].size == 2048 and np.array_equal(frame[1], ref[1])
+            for prob, ref_prob in zip(frame[2:], ref[2:]):
+                assert np.max(np.abs(prob - ref_prob)) < 1e-10 * ref_prob.max()
 
     def test_megaradian_refused(self, paper_params, paper_seq):
         with pytest.raises(ScaleError, match="desk scale"):
