@@ -64,17 +64,13 @@ from .grid import (
 )
 from .decoherence import (
     BlackbodyChannel,
-    CollisionChannel,
     QuadratureError,
     SpectralRateModel,
-    TabulatedChannel,
     VisibilitySurface,
     angular_factor,
-    csl_dephasing_rate,
     default_model,
     default_model_family,
     dephasing_exposures,
-    load_response_table,
     localization_rate,
     localization_rate_profile,
     surface_to_csv,

@@ -21,7 +21,9 @@ absorption and thermal emission use the cross-section
 photon flux at the relevant temperature. THE MATERIAL RESPONSE FACTORS ARE
 ROUGH PLACEHOLDERS (constant Im[(eps-1)/(eps+2)] = 1e-3 and the static
 permittivity 5.7 for the modulus), chosen so that the surface is
-qualitatively right; ingest a measured response table for quantitative work.
+qualitatively right; pass a measured response (a constant, or an
+(omega, value) table that is interpolated linearly) to
+:class:`BlackbodyChannel` for quantitative work.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,13 +72,22 @@ def angular_factor(k: float, delta_x: float) -> float:
 
 
 def _angular_factor_array(z) -> np.ndarray:
-    # 1 - sinc(z) cancels catastrophically for small z; switch to the series
+    # 1 - sinc(z) cancels catastrophically for small z, so the series runs where
+    # |z| < 0.1 and 1 - sin(y)/y runs on the rest, each only on its own
+    # elements. y = pi * (z / pi) is np.sinc's exact operation sequence, so
+    # every element gets the bits np.where(small, series, 1 - np.sinc(z / pi))
+    # gives it (numpy's float64 sin is libm, element by element).
     z = np.asarray(z, dtype=float)
-    z2 = z * z
-    series = z2 / 6.0 - z2 * z2 / 120.0 + z2 * z2 * z2 / 5040.0
+    out = np.empty_like(z)
+    small = np.abs(z) < 0.1
+    zs = z[small]
+    z2 = zs * zs
+    out[small] = z2 / 6.0 - z2 * z2 / 120.0 + z2 * z2 * z2 / 5040.0
+    big = ~small
+    y = np.pi * (z[big] / np.pi)
     with np.errstate(invalid="ignore"):
-        direct = 1.0 - np.sinc(z / np.pi)
-    return np.where(np.abs(z) < 0.1, series, direct)
+        out[big] = 1.0 - np.sin(y) / y
+    return out
 
 
 # -- spectral channels -------------------------------------------------------
@@ -136,59 +148,10 @@ class BlackbodyChannel:
 
 
 @dataclass(frozen=True)
-class TabulatedChannel:
-    """Channel given as a sampled rate density curve (linear interpolation)."""
-
-    name: str
-    omega: tuple                 # rad/s, strictly increasing
-    gamma_density: tuple         # s^-1 per rad/s, >= 0
-
-    def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        g = np.asarray(self.gamma_density, dtype=float)
-        if w.ndim != 1 or w.size < 2 or w.shape != g.shape:
-            raise ValueError("need matching 1-d omega and gamma_density arrays of length >= 2")
-        if np.any(np.diff(w) <= 0.0):
-            raise ValueError("omega grid must be strictly increasing")
-        if np.any(g < 0.0):
-            raise ValueError("gamma_density must be >= 0 everywhere")
-
-    def support(self) -> tuple[float, float]:
-        return (float(self.omega[0]), float(self.omega[-1]))
-
-    def rate_density(self, omega: np.ndarray) -> np.ndarray:
-        return np.interp(omega, np.asarray(self.omega), np.asarray(self.gamma_density),
-                         left=0.0, right=0.0)
-
-
-@dataclass(frozen=True)
-class CollisionChannel:
-    """Gas collisions folded into a single total rate and kick wavenumber.
-
-    Default rate zero: the chamber is assumed pumped to a vacuum where the
-    collision rate is negligible; supply a measured rate to include it.
-    """
-
-    name: str
-    total_rate: float = 0.0      # s^-1
-    kick_wavenumber: float = 0.0  # rad/m
-
-    def __post_init__(self):
-        if self.total_rate < 0.0 or self.kick_wavenumber < 0.0:
-            raise ValueError("collision rate and wavenumber must be >= 0")
-
-
-@dataclass(frozen=True)
 class SpectralRateModel:
     """Named decoherence channels whose localization rates add."""
 
     channels: tuple
-
-    def named(self, name: str):
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise KeyError(name)
 
 
 def default_model(
@@ -199,7 +162,8 @@ def default_model(
 ) -> SpectralRateModel:
     """Blackbody absorption + scattering at t_environment, emission at t_internal.
 
-    Requires ``params.radius``. The gas channel is present but zero.
+    Requires ``params.radius``. Gas collisions are left out: the chamber is
+    assumed pumped to a vacuum where their rate is negligible.
     """
     if params.radius is None:
         raise ValueError("decoherence model needs the object radius; set the radius key")
@@ -211,14 +175,32 @@ def default_model(
                          params.t_environment, params.radius, response_mod_sq),
         BlackbodyChannel("thermal_emission", "emission",
                          t_int, params.radius, response_im),
-        CollisionChannel("gas_collisions"),
     ))
 
 
 # -- localization rate -------------------------------------------------------
 
+#: Gauss-Legendre orders shipped as package data, the default coarse and fine
+#: orders: ``leggauss_<n>.npy`` holds the rows (nodes, weights), the exact float64
+#: output of ``numpy.polynomial.legendre.leggauss(n)`` (``numpy.save`` of the
+#: two rows stacked). Loading one is a small file read; leggauss(1024) solves a
+#: dense 1024 x 1024 eigenvalue problem.
+_STORED_RULE_ORDERS = (512, 1024)
+
+#: Elements per block of the kick matrix (64 KiB of float64). Every temporary of
+#: a block stays under glibc's 128 KiB mmap threshold, and all of them together
+#: stay small enough that freeing the kick matrix does not trim the heap, so
+#: each call reuses heap pages instead of faulting in fresh ones. Chosen by
+#: measurement: 12288 refaults about 10k pages on 50 separations.
+_KICK_BLOCK_ELEMENTS = 8192
+
+
 @lru_cache(maxsize=32)
 def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n in _STORED_RULE_ORDERS:
+        with resources.files(__package__).joinpath(f"leggauss_{n}.npy").open("rb") as f:
+            nodes, weights = np.load(f)
+        return nodes, weights
     return leggauss(n)
 
 
@@ -229,28 +211,23 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Localization rate of one channel over an array of separations."""
-    if isinstance(channel, CollisionChannel):
-        if channel.total_rate == 0.0:
-            return np.zeros_like(delta_x)
-        return channel.total_rate * _angular_factor_array(channel.kick_wavenumber * delta_x)
-    if isinstance(channel, TabulatedChannel):
-        # integrate piecewise so that narrow tabulated features are never missed
-        total = np.zeros_like(delta_x)
-        w = np.asarray(channel.omega)
-        per_piece = max(4, n_nodes // max(1, w.size - 1))
-        for a, b in zip(w[:-1], w[1:]):
-            nodes, weights = _gauss_nodes(float(a), float(b), per_piece)
-            gam = channel.rate_density(nodes)
-            kick = _angular_factor_array(np.outer(delta_x, nodes) / _SPEED_OF_LIGHT)
-            total += kick @ (gam * weights)
-        return total
+    """Localization rate of one channel over a 1-d array of separations.
+
+    The kick matrix is filled a block of rows at a time, but the matrix-vector
+    product runs on the whole matrix: BLAS sums a row in an order that depends
+    on the row count, so a blocked product would move the last bits.
+    """
     lo, hi = channel.support()
     if hi <= lo:
         return np.zeros_like(delta_x)
     nodes, weights = _gauss_nodes(lo, hi, n_nodes)
     gam = channel.rate_density(nodes)
-    kick = _angular_factor_array(np.outer(delta_x, nodes) / _SPEED_OF_LIGHT)
+    kick = np.empty((delta_x.size, nodes.size))
+    rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
+    for start in range(0, delta_x.size, rows):
+        block = slice(start, start + rows)
+        z = np.multiply.outer(delta_x[block], nodes) / _SPEED_OF_LIGHT
+        kick[block] = _angular_factor_array(z)
     return kick @ (gam * weights)
 
 
@@ -397,38 +374,7 @@ def dephasing_exposures(
     return bound, refined
 
 
-# -- collapse-model dephasing -----------------------------------------------------
-
-def csl_dephasing_rate(lambda_csl: float, n_nucleons: float,
-                       delta_x: float, r_csl: float) -> float:
-    """Amplified collapse dephasing rate for an N-nucleon superposition (s^-1).
-
-    Saturates at lambda * N^2 once the separation exceeds the localization
-    length; below it the standard quadratic suppression (delta_x/r_csl)^2
-    applies (a modeling choice for the unsaturated regime).
-    """
-    if min(lambda_csl, n_nucleons, delta_x, r_csl) < 0.0:
-        raise ValueError("all arguments must be >= 0")
-    base = lambda_csl * n_nucleons**2
-    if r_csl == 0.0:
-        return base if delta_x > 0.0 else 0.0
-    if delta_x >= r_csl:
-        return base
-    return base * (delta_x / r_csl) ** 2
-
-
 # -- serialization -----------------------------------------------------------------
-
-def load_response_table(path) -> tuple:
-    """Two-column CSV (omega_rad_s, response) -> interpolation table."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("response table must have exactly two columns")
-    omega, resp = data[:, 0], data[:, 1]
-    if np.any(np.diff(omega) <= 0):
-        raise ValueError("response table omega column must be strictly increasing")
-    return (tuple(omega.tolist()), tuple(resp.tolist()))
-
 
 def surface_to_csv(surface: VisibilitySurface, fmt=lambda v: f"{v:.11e}") -> str:
     """Matrix CSV: first row the T_int axis, first column the delta_x axis."""

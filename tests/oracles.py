@@ -8,22 +8,22 @@ leans on ``separation_time_integral``, which is itself checked against Verlet.
 The grid kernel is checked against ``strang_reference``, the plain unfused
 one-branch Strang loop. The broadcast CLI sweep is checked against
 ``sweep_reference``, the loop that builds every point's objects from Python
-scalars and calls the closed forms once per point.
+scalars and calls the closed forms once per point. The blocked, masked
+quadrature kernel is checked bit for bit against ``angular_factor_reference``
+and ``channel_rate_reference``, which evaluate both branches of 1 - sinc on a
+whole kick matrix built on a rule computed by ``leggauss``.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from nanoramsey.constants import CODATA
-from nanoramsey.decoherence import (
-    CollisionChannel,
-    QuadratureError,
-    TabulatedChannel,
-    angular_factor,
-)
+from nanoramsey.decoherence import QuadratureError, VisibilitySurface, angular_factor
 from nanoramsey.dynamics import (
     PulseSequence,
     _spin_history,
@@ -204,10 +204,6 @@ def localization_rate_adaptive(model, delta_x):
         raise ValueError("delta_x must be >= 0")
     total = 0.0
     for channel in model.channels:
-        if isinstance(channel, CollisionChannel):
-            if channel.total_rate:
-                total += channel.total_rate * angular_factor(channel.kick_wavenumber, delta_x)
-            continue
         lo, hi = channel.support()
         if hi <= lo:
             continue
@@ -216,11 +212,7 @@ def localization_rate_adaptive(model, delta_x):
             gam = channel.rate_density(np.asarray([omega]))[0]
             return gam * angular_factor(omega / CODATA.light_speed, delta_x)
 
-        points = None
-        if isinstance(channel, TabulatedChannel):
-            interior = [w for w in channel.omega[1:-1]]
-            points = interior[:40] if interior else None
-        value, abserr = integrate.quad(integrand, lo, hi, limit=400, points=points)
+        value, abserr = integrate.quad(integrand, lo, hi, limit=400)
         if abserr > max(1e-10, 1e-6 * abs(value)):
             raise QuadratureError(
                 f"adaptive quadrature for channel {channel.name!r} reports error "
@@ -228,6 +220,48 @@ def localization_rate_adaptive(model, delta_x):
             )
         total += value
     return total
+
+
+def angular_factor_reference(z):
+    """1 - sinc(z) on a whole array: both branches everywhere, then np.where."""
+    z = np.asarray(z, dtype=float)
+    z2 = z * z
+    series = z2 / 6.0 - z2 * z2 / 120.0 + z2 * z2 * z2 / 5040.0
+    with np.errstate(invalid="ignore"):
+        direct = 1.0 - np.sinc(z / np.pi)
+    return np.where(np.abs(z) < 0.1, series, direct)
+
+
+_leggauss_rule = lru_cache(maxsize=None)(leggauss)
+
+
+def channel_rate_reference(channel, delta_x, n_nodes):
+    """One channel's rate from a ``leggauss`` rule and one whole kick matrix."""
+    lo, hi = channel.support()
+    if hi <= lo:
+        return np.zeros_like(delta_x)
+    nodes, weights = _leggauss_rule(n_nodes)
+    half = 0.5 * (hi - lo)
+    nodes, weights = lo + half * (nodes + 1.0), half * weights
+    gam = channel.rate_density(nodes)
+    kick = angular_factor_reference(np.outer(delta_x, nodes) / CODATA.light_speed)
+    return kick @ (gam * weights)
+
+
+def visibility_surface_reference(model_family, delta_x_range, t_int_range, flight_time,
+                                 n_nodes=512):
+    """exp(-eta t) column by column, every channel of every column integrated
+    afresh at 2 * ``n_nodes`` with ``channel_rate_reference``."""
+    dx = np.asarray(list(delta_x_range), dtype=float)
+    tins = np.asarray(list(t_int_range), dtype=float)
+    vis = np.empty((dx.size, tins.size))
+    for j, t_int in enumerate(tins):
+        eta = np.zeros_like(dx)
+        for channel in model_family(float(t_int)).channels:
+            eta += channel_rate_reference(channel, dx, 2 * n_nodes)
+        vis[:, j] = np.exp(-eta * flight_time)
+    return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
+                             visibility=vis, flight_time=flight_time)
 
 
 def strang_reference(psi, force, duration, spec):

@@ -1,7 +1,51 @@
-import pytest
+from fnmatch import fnmatch
+from importlib import resources
+from pathlib import Path
 
-from nanoramsey import default_model, localization_rate
-from oracles import localization_rate_adaptive
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.polynomial.legendre import leggauss
+
+from conftest import PAPER_CONFIG
+from nanoramsey import (
+    PulseSequence,
+    QuadratureError,
+    angular_factor,
+    build_params,
+    default_model,
+    default_model_family,
+    dephasing_exposures,
+    localization_rate,
+    localization_rate_profile,
+    visibility_surface,
+)
+from nanoramsey.decoherence import (
+    _STORED_RULE_ORDERS,
+    _angular_factor_array,
+    _channel_rate,
+    _leggauss_cached,
+)
+from oracles import (
+    angular_factor_reference,
+    channel_rate_reference,
+    localization_rate_adaptive,
+    mc_sphere_kick_average,
+    visibility_surface_reference,
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestLocalizationRate:
@@ -10,3 +54,169 @@ class TestLocalizationRate:
         model = default_model(paper_params)
         assert localization_rate(model, delta_x) == pytest.approx(
             localization_rate_adaptive(model, delta_x), rel=1e-9)
+
+    def test_under_resolved_channel_raises(self, paper_params):
+        model = default_model(paper_params, t_internal=1500.0)
+        with pytest.raises(QuadratureError, match="not converged"):
+            localization_rate_profile(model, [1e-3], n_nodes=16)
+
+
+# -- the masked kernel against the whole-array reference, bit for bit ----------
+
+#: The series switch at |z| = 0.1 and its neighbours, signed zeros and non-finite values.
+EDGES = [0.0, -0.0, 0.1, -0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0),
+         np.nextafter(-0.1, 0.0), np.nextafter(-0.1, -1.0), 1e-300, 5e-324, 1e300,
+         np.nan, -np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAngularFactorKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=40),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_arrays_bit_equal(self, z):
+        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 3000),
+                      elements=st.floats(-50.0, 50.0)))
+    def test_kick_range_bit_equal(self, z):
+        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+
+    @pytest.mark.parametrize("z", EDGES)
+    def test_zero_dim_edges(self, z):
+        got = _angular_factor_array(np.float64(z))
+        assert got.ndim == 0
+        assert_bit_equal(got, angular_factor_reference(np.float64(z)))
+
+    def test_edges_in_one_array(self):
+        z = np.array(EDGES * 3).reshape(5, 9)
+        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+
+
+@pytest.fixture(scope="module")
+def paper_family():
+    return default_model_family(build_params(dict(PAPER_CONFIG)))
+
+
+class TestBlockedQuadratureBits:
+    """The blocked kernel on the stored rules against one whole kick matrix on
+    a rule computed by ``leggauss``. m = 7, 33 and 50 leave partial blocks and 200
+    spans many; 33 (and 9, 17) leave a one-row last block, where a matrix-vector
+    product taken block by block moves the last bits. n_nodes = 64 takes the
+    computed-rule fallback (64 and 128 nodes)."""
+
+    @pytest.mark.parametrize("n_nodes", [512, 64])
+    @pytest.mark.parametrize("m", [1, 7, 33, 50, 200])
+    def test_visibility_surface_bit_equal(self, paper_family, m, n_nodes):
+        dx = np.geomspace(1e-9, 1e-6, m)
+        tins = np.linspace(300.0, 1500.0, 3)
+        t3 = PAPER_CONFIG["t3"]
+        got = visibility_surface(paper_family, dx, tins, t3, n_nodes)
+        want = visibility_surface_reference(paper_family, dx, tins, t3, n_nodes)
+        assert_bit_equal(got.visibility, want.visibility)
+
+    @pytest.mark.parametrize("n_nodes", [512, 1024, 64, 100])
+    @pytest.mark.parametrize("m", [1, 9, 17, 33, 64])
+    def test_channel_rate_bit_equal(self, paper_family, m, n_nodes):
+        dx = np.geomspace(1e-9, 1e-6, m)
+        for channel in paper_family(900.0).channels:
+            assert_bit_equal(_channel_rate(channel, dx, n_nodes),
+                             channel_rate_reference(channel, dx, n_nodes))
+
+
+# -- the stored Gauss-Legendre rules -------------------------------------------
+
+@pytest.mark.parametrize("n", _STORED_RULE_ORDERS)
+class TestStoredRules:
+    def test_symmetric_and_weights_sum_to_two(self, n):
+        nodes, weights = _leggauss_cached(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(2.0, rel=1e-15)
+
+    def test_integrates_even_monomials(self, n):
+        # exact for degree <= 2n - 1. numpy's leggauss takes the weights from the
+        # derivative at the nodes before their Newton step, so the relative
+        # error grows with the degree: 7.5e-15 (n = 512) and 2.4e-14 (n = 1024)
+        # at x^2, 3.6e-12 and 1.2e-11 at the top degree
+        nodes, weights = _leggauss_cached(n)
+        for k in range(n):
+            exact = 2.0 / (2 * k + 1)
+            got = float(np.dot(weights, nodes ** (2 * k)))
+            assert got == pytest.approx(exact, rel=2e-14 * (2 * k + 1)), k
+        assert float(np.dot(weights, nodes ** 2)) == pytest.approx(2.0 / 3.0, rel=1e-13)
+
+    def test_within_two_ulp_of_leggauss(self, n):
+        for stored, computed in zip(_leggauss_cached(n), leggauss(n)):
+            assert np.all(np.abs(stored - computed) <= 2.0 * np.spacing(np.abs(computed)))
+
+    def test_shipped_as_package_data(self, n):
+        resource = resources.files("nanoramsey").joinpath(f"leggauss_{n}.npy")
+        assert resource.is_file()
+        with resource.open("rb") as f:
+            rows = np.load(f)
+        assert rows.dtype == np.float64 and rows.shape == (2, n)
+        assert_bit_equal(rows, np.stack(_leggauss_cached(n)))
+
+
+def test_package_data_glob_covers_stored_rules():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"][
+        "nanoramsey"]
+    for n in _STORED_RULE_ORDERS:
+        assert any(fnmatch(f"leggauss_{n}.npy", g) for g in globs)
+
+
+def test_other_orders_fall_back_to_leggauss():
+    for n in (24, 64, 300):
+        assert n not in _STORED_RULE_ORDERS
+        for got, want in zip(_leggauss_cached(n), leggauss(n)):
+            assert_bit_equal(got, want)
+
+
+# -- angular factor against independent oracles --------------------------------
+
+class TestAngularFactorOracles:
+    def test_matches_mpmath(self):
+        # worst measured: 1.65e-11 just below the z = 0.1 switch, the first
+        # dropped series term z^8 / 9!
+        zs = np.concatenate([np.geomspace(1e-8, 10.0, 1500),
+                             [np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0)]])
+        with mpmath.workdps(50):
+            for z in map(float, zs):
+                exact = float(1 - mpmath.sin(mpmath.mpf(z)) / mpmath.mpf(z))
+                assert angular_factor(z, 1.0) == pytest.approx(exact, rel=2e-11), z
+
+    @pytest.mark.parametrize("k, delta_x", [(3e5, 1e-6), (1e6, 1e-6), (2e6, 1e-6),
+                                            (5.0, 1.0), (9.0, 1.0)])
+    def test_matches_monte_carlo_sphere_average(self, k, delta_x):
+        # 400k directions: standard error at most 0.71 / sqrt(4e5) = 1.1e-3
+        real, imag = mc_sphere_kick_average(k, delta_x, 400_000, seed=7)
+        assert real == pytest.approx(angular_factor(k, delta_x), abs=6e-3)
+        assert imag == pytest.approx(0.0, abs=6e-3)
+
+
+# -- time-resolved refinement ---------------------------------------------------
+
+class TestDephasingExposures:
+    @pytest.mark.parametrize("overrides", [{}, {"theta": 0.7}, {"t3": 3e-4},
+                                           {"b_gradient": 1e5}, {"t_internal": 1200.0}])
+    @pytest.mark.parametrize("shape", [(0.25, 0.75), (0.2, 0.7)])
+    def test_refined_below_bound_with_spin_force(self, overrides, shape):
+        cfg = dict(PAPER_CONFIG, **overrides)
+        params = build_params(cfg)
+        t3 = cfg["t3"]
+        seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
+        bound, refined = dephasing_exposures(params, seq, default_model(params))
+        assert 0.0 < refined < bound
+
+    def test_no_spin_force_gives_equal_zero_exposures(self):
+        params = build_params(dict(PAPER_CONFIG, b_gradient=0.0))
+        seq = PulseSequence.balanced(PAPER_CONFIG["t3"])
+        bound, refined = dephasing_exposures(params, seq, default_model(params))
+        assert refined <= bound
+        assert bound == refined == 0.0
