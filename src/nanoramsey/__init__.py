@@ -15,7 +15,6 @@ from .params import (
     SpinBranch,
     branch_force,
     build_params,
-    load_config,
     parse_config_text,
     sphere_mass,
 )
@@ -33,14 +32,12 @@ from .dynamics import (
     initial_state,
     jitter_visibility_scan,
     max_separation,
-    peak_arm_displacement,
     ramsey_probability,
     separation_at,
     separation_time_integral,
     temperature_for_occupation,
     thermal_occupation,
     thermal_phase_invariance,
-    trajectory_table,
     wavepacket_width,
 )
 from .grid import (
@@ -75,20 +72,11 @@ from .decoherence import (
     localization_rate_profile,
     surface_to_csv,
     surface_to_json,
-    visibility,
     visibility_surface,
 )
 from .dicke import (
     CollectiveFinalState,
-    DickeDecomposition,
-    DickeSector,
     collective_final_state,
-    collective_ramsey_signal,
-    dicke_state_vector,
-    product_state_vector,
-    product_to_dicke,
-    reconstruct_spin_state,
-    refactorization_fidelity,
     sector_action_phases,
     sector_phase_quadratic_coefficient,
     sector_table,

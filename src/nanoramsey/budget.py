@@ -18,7 +18,7 @@ from .dynamics import (
     gravitational_phase,
     initial_state,
     max_separation,
-    peak_arm_displacement,
+    ramsey_probability,
     separation_at,
     wavepacket_width,
 )
@@ -60,19 +60,10 @@ def csl_bound(n_nucleons: float, t3: float) -> float:
     return 1.0 / (2.0 * n_nucleons**2 * t3)
 
 
-def doppler_linewidth(f0: float, v0: float | None = None, *,
-                      z0: float | None = None, omega_z: float | None = None) -> float:
-    """First-order Doppler linewidth f0 * v0 / c (Hz).
-
-    Either pass the velocity amplitude ``v0`` directly or the oscillation
-    amplitude and frequency (``z0``, ``omega_z``) with v0 = z0 * omega_z.
-    """
+def doppler_linewidth(f0: float, v0: float) -> float:
+    """First-order Doppler linewidth f0 * v0 / c (Hz) at velocity amplitude ``v0``."""
     if not f0 > 0.0:
         raise ValueError("f0 must be > 0")
-    if v0 is None:
-        if z0 is None or omega_z is None:
-            raise ValueError("pass v0, or both z0 and omega_z")
-        v0 = z0 * omega_z
     if v0 < 0.0:
         raise ValueError("v0 must be >= 0")
     return f0 * v0 / CODATA.light_speed
@@ -146,13 +137,6 @@ class BudgetReport:
             payload["metadata"] = metadata
         return json.dumps(payload, sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BudgetReport":
-        data = json.loads(text)
-        data.pop("metadata", None)
-        data["notes"] = tuple(data["notes"])
-        return cls(**data)
-
     def to_text(self) -> str:
         flag = lambda ok: "pass" if ok else "FAIL"
         lines = [
@@ -187,12 +171,11 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     t3 = seq.effective_times()[2]
     bound = csl_bound(params.n_nucleons, t3)
     bound_mass = csl_bound(params.mass / params.constants.amu, t3)
-    doppler = doppler_linewidth(params.mw_frequency,
-                                thermal_velocity(params.t_cm, params.mass))
     v_rms = thermal_velocity(params.t_cm, params.mass)
+    doppler = doppler_linewidth(params.mw_frequency, v_rms)
     zeeman = zeeman_resolvability(params, seq)
     separation = max_separation(params, seq)
-    arm = peak_arm_displacement(params, seq)
+    arm = 0.5 * separation
     spread = wavepacket_width(params, t3) / params.sigma0()
     final = evolve_sequence(params, seq, initial_state(params))
     ov = branch_overlap(params, final)
@@ -256,7 +239,7 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
         arm_displacement_m=arm,
         spread_ratio=spread,
         phi_g_rad=phi,
-        ramsey_p0=math.cos(phi / 2.0) ** 2,
+        ramsey_p0=ramsey_probability(phi),
         visibility_closure=vis,
         resolvability_pass=zeeman.passes,
         closure_pass=vis >= 1.0 - 1e-9,

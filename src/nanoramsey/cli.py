@@ -220,7 +220,7 @@ def _cmd_visibility(args) -> int:
     if args.format == "json":
         _write(args, surface_to_json(surface, _metadata("visibility", text, args.seed)))
     else:
-        _write(args, surface_to_csv(surface, fmt))
+        _write(args, surface_to_csv(surface))
     return EXIT_OK
 
 

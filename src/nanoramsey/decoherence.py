@@ -21,9 +21,9 @@ absorption and thermal emission use the cross-section
 photon flux at the relevant temperature. THE MATERIAL RESPONSE FACTORS ARE
 ROUGH PLACEHOLDERS (constant Im[(eps-1)/(eps+2)] = 1e-3 and the static
 permittivity 5.7 for the modulus), chosen so that the surface is
-qualitatively right; pass a measured response (a constant, or an
-(omega, value) table that is interpolated linearly) to
-:class:`BlackbodyChannel` for quantitative work.
+qualitatively right; pass measured response factors (the ``response_im``
+and ``response_mod_sq`` config keys, or the ``response`` of a
+:class:`BlackbodyChannel`) for quantitative work.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CODATA
 from .dynamics import PulseSequence, max_separation, separation_at
+from .io import fmt
 from .params import ExperimentParams
 
 #: Default constant Im[(eps-1)/(eps+2)] used by absorption/emission channels.
@@ -106,16 +107,15 @@ def _planck_flux(omega: np.ndarray, temperature: float) -> np.ndarray:
 class BlackbodyChannel:
     """Planck-weighted photon channel (absorption, emission or scattering).
 
-    response: constant material factor, or a (omega, value) table that is
-    linearly interpolated. For absorption/emission it is Im[(eps-1)/(eps+2)],
-    for scattering |(eps-1)/(eps+2)|^2.
+    response: constant material factor, Im[(eps-1)/(eps+2)] for
+    absorption/emission and |(eps-1)/(eps+2)|^2 for scattering.
     """
 
     name: str
     kind: str                    # "absorption" | "emission" | "scattering"
     temperature: float           # K
     radius: float                # m
-    response: float | tuple = DEFAULT_RESPONSE_IM
+    response: float = DEFAULT_RESPONSE_IM
 
     def __post_init__(self):
         if self.kind not in ("absorption", "emission", "scattering"):
@@ -128,18 +128,12 @@ class BlackbodyChannel:
             return (0.0, 0.0)
         return (0.0, PLANCK_CUTOFF * _KB * self.temperature / _HBAR)
 
-    def _response_at(self, omega: np.ndarray) -> np.ndarray:
-        if isinstance(self.response, (int, float)):
-            return np.full_like(omega, float(self.response))
-        grid, values = self.response
-        return np.interp(omega, np.asarray(grid), np.asarray(values))
-
     def rate_density(self, omega: np.ndarray) -> np.ndarray:
         """gamma(omega) in s^-1 per unit angular frequency."""
         if self.temperature == 0.0:
             return np.zeros_like(omega)
         flux = _planck_flux(omega, self.temperature)
-        resp = self._response_at(omega)
+        resp = self.response
         if self.kind == "scattering":
             cross = (8.0 * math.pi / 3.0) * (omega / _SPEED_OF_LIGHT) ** 4 * self.radius**6 * resp
         else:
@@ -284,13 +278,6 @@ def localization_rate(
     return float(localization_rate_profile(model, [delta_x], n_nodes, rtol)[0])
 
 
-def visibility(eta: float, t: float) -> float:
-    """Off-diagonal spin survival exp(-eta t) for a fixed-separation state."""
-    if eta < 0.0 or t < 0.0:
-        raise ValueError("eta and t must be >= 0")
-    return math.exp(-eta * t)
-
-
 # -- visibility surface --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -376,7 +363,7 @@ def dephasing_exposures(
 
 # -- serialization -----------------------------------------------------------------
 
-def surface_to_csv(surface: VisibilitySurface, fmt=lambda v: f"{v:.11e}") -> str:
+def surface_to_csv(surface: VisibilitySurface) -> str:
     """Matrix CSV: first row the T_int axis, first column the delta_x axis."""
     lines = ["delta_x_m\\t_int_K," + ",".join(fmt(t) for t in surface.t_int_axis)]
     for i, dx in enumerate(surface.delta_x_axis):

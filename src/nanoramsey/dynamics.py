@@ -195,10 +195,6 @@ class BranchTrajectory:
         v0 = p0 / self.mass
         return (x0 + v0 * dt + 0.5 * a * dt * dt, p0 + self.mass * a * dt)
 
-    @property
-    def final(self) -> tuple[float, float, float]:
-        return self.breakpoints[-1]
-
 
 def _spin_history(initial_spin: int) -> tuple[int, int, int]:
     # the flip pulses map s -> -s; spin 0 is untouched
@@ -285,15 +281,6 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
 def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
     a = abs(params.spin_coupling()) / params.mass
     return 2.0 * a * pointwise(operator.pow, seq.t3 / 4.0, 2)
-
-
-def peak_arm_displacement(params: ExperimentParams, seq: PulseSequence) -> float:
-    """Peak displacement of a single arm from the spin-averaged path (m).
-
-    Equals half of :func:`max_separation` for balanced sequences, i.e.
-    (|A|/m)*(t3/4)^2.
-    """
-    return 0.5 * max_separation(params, seq)
 
 
 def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -543,23 +530,3 @@ def jitter_visibility_scan(
     )
     return [JitterPoint(jitter, *point)
             for jitter, point in zip(triples, zip(*(c.tolist() for c in columns)))]
-
-
-def trajectory_table(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    n_points: int = 201,
-    x0: float = 0.0,
-    p0: float = 0.0,
-) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Two-branch trajectory sampled on a uniform time grid, CSV-ready."""
-    plus = classical_trajectory(params, seq, SpinBranch.PLUS, x0, p0)
-    minus = classical_trajectory(params, seq, SpinBranch.MINUS, x0, p0)
-    t_end = seq.effective_times()[2]
-    header = ["time_s", "x_plus_m", "p_plus", "x_minus_m", "p_minus"]
-    rows = []
-    for t in np.linspace(0.0, t_end, n_points):
-        xp, pp = plus.state_at(float(t))
-        xm, pm = minus.state_at(float(t))
-        rows.append((float(t), xp, pp, xm, pm))
-    return header, rows

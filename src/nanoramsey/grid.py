@@ -75,23 +75,11 @@ class ScaledUnits:
         return sum(self.seg_times)
 
     # conversions (natural units carry no suffix, SI carries _si)
-    def length_to_si(self, x: float) -> float:
-        return x * self.length_unit
-
     def length_from_si(self, x_si: float) -> float:
         return x_si / self.length_unit
 
-    def time_to_si(self, t: float) -> float:
-        return t * self.time_unit
-
     def time_from_si(self, t_si: float) -> float:
         return t_si / self.time_unit
-
-    def acceleration_from_si(self, a_si: float) -> float:
-        return a_si * self.time_unit**2 / self.length_unit
-
-    def acceleration_to_si(self, a: float) -> float:
-        return a * self.length_unit / self.time_unit**2
 
     def branch_accelerations(self, spin_pattern) -> tuple[float, ...]:
         """Dimensionless acceleration per segment for a spin-sign history."""

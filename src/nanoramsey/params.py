@@ -270,12 +270,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path) -> dict:
-    """Read and parse a config file; returns the raw key/value map."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def _require(cond, key: str, message: str):
     if not all_of(cond):
         raise ConfigError(f"{key} {message}")

@@ -20,6 +20,7 @@ import resource
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from nanoramsey import (
     visibility_surface,
 )
 from nanoramsey.decoherence import _channel_rate, _leggauss_cached
-from nanoramsey.params import load_config
+from nanoramsey.params import parse_config_text
 
 CONFIG = "perfbench/configs/paper.cfg"
 
@@ -69,7 +70,7 @@ def _library_sweep(cfg, thetas):
 
 def test_library_sweep_1e6(benchmark):
     """phi_g, P0 and the peak separation at 1e6 tilts, one broadcast call each."""
-    cfg = load_config(CONFIG)
+    cfg = parse_config_text(Path(CONFIG).read_text())
     thetas = np.linspace(0.0, 1.5, 1_000_000)
     benchmark.pedantic(_library_sweep, args=(cfg, thetas), rounds=3, iterations=1,
                        warmup_rounds=1)
@@ -77,7 +78,7 @@ def test_library_sweep_1e6(benchmark):
 
 @pytest.fixture(scope="module")
 def surface_inputs():
-    cfg = load_config(CONFIG)
+    cfg = parse_config_text(Path(CONFIG).read_text())
     params = build_params(cfg)
     family = default_model_family(params)
     return family, np.geomspace(1e-9, 1e-6, 200), np.linspace(300.0, 1500.0, 100), cfg["t3"]

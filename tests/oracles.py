@@ -11,7 +11,8 @@ one-branch Strang loop. The broadcast CLI sweep is checked against
 scalars and calls the closed forms once per point. The blocked, masked
 quadrature kernel is checked bit for bit against ``angular_factor_reference``
 and ``channel_rate_reference``, which evaluate both branches of 1 - sinc on a
-whole kick matrix built on a rule computed by ``leggauss``.
+whole kick matrix built on a rule computed by ``leggauss``. The Dicke
+sectors are checked against brute-force 2^l statevectors of l pseudo-spins.
 """
 from __future__ import annotations
 
@@ -386,3 +387,66 @@ def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
     header = ["param_value", *outputs]
     rows = [(v, *[p[c] for c in outputs]) for v, p in zip(values, points)]
     return header, rows
+
+
+# -- brute-force statevectors of l pseudo-spins --------------------------------
+
+#: 4096-dimensional statevectors at most
+MAX_BRUTE_FORCE_L = 12
+
+
+def dicke_state_vector(l: int, n: int) -> np.ndarray:
+    """Normalized Dicke state |D_l^n> in the 2^l computational basis.
+
+    Qubit encoding: bit 0 = spin +1, bit 1 = spin -1; n counts +1 spins.
+    """
+    if not 1 <= l <= MAX_BRUTE_FORCE_L:
+        raise ValueError(f"statevector reconstruction capped at l <= {MAX_BRUTE_FORCE_L}")
+    vec = np.zeros(2**l, dtype=complex)
+    for idx in range(2**l):
+        if l - bin(idx).count("1") == n:
+            vec[idx] = 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def product_state_vector(l: int, rel_phase: float) -> np.ndarray:
+    """((|+1> + exp(i rel_phase)|-1>)/sqrt(2))^(x l) as a 2^l statevector."""
+    single = np.array([1.0, np.exp(1j * rel_phase)], dtype=complex) / math.sqrt(2.0)
+    vec = single
+    for _ in range(l - 1):
+        vec = np.kron(vec, single)
+    return vec
+
+
+def reconstruct_spin_state(l: int, sector_phases) -> np.ndarray:
+    """Statevector sum_n amplitude_n exp(i phase(M_n)) |D_l^n>, M_n = 2n - l.
+
+    amplitude_n = sqrt(binomial(l, n)) / 2^(l/2) is the coefficient of the
+    uniform product state ((|+1> + |-1>)/sqrt(2))^(x l) on |D_l^n>.
+    """
+    phase_map = dict(sector_phases)
+    vec = np.zeros(2**l, dtype=complex)
+    for n in range(l + 1):
+        amplitude = math.sqrt(math.comb(l, n)) / 2.0 ** (l / 2.0)
+        vec += amplitude * np.exp(1j * phase_map[2 * n - l]) * dicke_state_vector(l, n)
+    return vec
+
+
+def refactorization_fidelity(l: int, phi: float) -> float:
+    """|<product | sum_n e^{i M phi} sectors>|^2, the separability identity.
+
+    Sector phases linear in M refactorize exactly: assigning e^{i M phi}
+    to sector M reproduces the product state with per-spin relative phase
+    -2 phi (each +1 spin contributes e^{i phi}, each -1 spin e^{-i phi},
+    up to a global phase).
+    """
+    phases = [(2 * n - l, (2 * n - l) * phi) for n in range(l + 1)]
+    reconstructed = reconstruct_spin_state(l, phases)
+    target = product_state_vector(l, -2.0 * phi) * np.exp(1j * l * phi)
+    return float(abs(np.vdot(target, reconstructed)) ** 2)
+
+
+def single_spin_contrast(vec: np.ndarray) -> float:
+    """Ramsey contrast 2 |rho_{+-}| of the first spin, the other l - 1 traced out."""
+    rows = vec.reshape(2, -1)
+    return float(2.0 * abs(np.vdot(rows[1], rows[0])))

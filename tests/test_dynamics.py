@@ -14,13 +14,11 @@ from nanoramsey import (
     initial_state,
     jitter_visibility_scan,
     max_separation,
-    peak_arm_displacement,
     ramsey_probability,
     separation_at,
     separation_time_integral,
     temperature_for_occupation,
     thermal_phase_invariance,
-    trajectory_table,
     wavepacket_width,
 )
 from conftest import PAPER_CONFIG
@@ -99,8 +97,8 @@ class TestClassicalTrajectory:
             seq = PulseSequence.balanced(params.t3)
             plus = classical_trajectory(params, seq, SpinBranch.PLUS)
             minus = classical_trajectory(params, seq, SpinBranch.MINUS)
-            _, xp, pp = plus.final
-            _, xm, pm = minus.final
+            _, xp, pp = plus.breakpoints[-1]
+            _, xm, pm = minus.breakpoints[-1]
             # closure to 1e-12 of the excursion scale
             scale_x = max(abs(xp), max_separation(params, seq))
             scale_p = max(abs(pp), params.spin_coupling() * params.t3)
@@ -137,12 +135,6 @@ class TestMaxSeparation:
         # fallback path: shift t1 by a negligible amount so the closed form is skipped
         nudged = PulseSequence(t1=seq.t1 * (1 + 1e-13), t2=seq.t2, t3=seq.t3)
         assert max_separation(paper_params, nudged) == pytest.approx(closed, rel=1e-9)
-
-    def test_arm_displacement_is_half(self, paper_params, paper_seq):
-        assert peak_arm_displacement(paper_params, paper_seq) == pytest.approx(
-            0.5 * max_separation(paper_params, paper_seq), rel=1e-15)
-        assert peak_arm_displacement(paper_params, paper_seq) == pytest.approx(
-            9.287e-9, rel=1e-3)
 
 
 class TestGravitationalPhase:
@@ -454,15 +446,3 @@ class TestJitterScan:
             assert phi == pytest.approx(target, rel=1e-9)
             p0 = ramsey_probability(phi)
             assert min(abs(p0 - 0.0), abs(p0 - 1.0)) < 1e-9
-
-
-class TestTrajectoryTable:
-    def test_header_and_shape(self, paper_params, paper_seq):
-        header, rows = trajectory_table(paper_params, paper_seq, n_points=11)
-        assert header == ["time_s", "x_plus_m", "p_plus", "x_minus_m", "p_minus"]
-        assert len(rows) == 11
-        assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(1e-4)
-        # branches coincide at start and end, split in the middle
-        assert rows[0][1] == rows[0][3]
-        mid = rows[5]
-        assert abs(mid[1] - mid[3]) > 0.0

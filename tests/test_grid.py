@@ -58,12 +58,12 @@ class TestScaledUnits:
                 mass=float(10 ** rng.uniform(-25, -18)),
             )
             scaled = scale_params(params, seq)
+            # length unit sigma0 = sqrt(hbar / (2 m omega)), time unit 1 / (2 omega)
+            sigma0 = math.sqrt(params.constants.hbar / (2.0 * params.mass * params.trap_omega))
             for x in (0.0, 1.3e-7, -2.2e-9):
-                assert scaled.length_to_si(scaled.length_from_si(x)) == pytest.approx(x, rel=1e-12, abs=1e-300)
+                assert scaled.length_from_si(x) == pytest.approx(x / sigma0, rel=1e-12, abs=1e-300)
             for t in (1e-6, 3.3e-4):
-                assert scaled.time_to_si(scaled.time_from_si(t)) == pytest.approx(t, rel=1e-12)
-            a_si = 9.81
-            assert scaled.acceleration_to_si(scaled.acceleration_from_si(a_si)) == pytest.approx(a_si, rel=1e-12)
+                assert scaled.time_from_si(t) == pytest.approx(2.0 * params.trap_omega * t, rel=1e-12)
 
     def test_scaled_phase_equals_si_phase(self):
         # the dimensionless problem carries the same interferometric phase
