@@ -27,7 +27,7 @@ from .decoherence import (
     surface_to_json,
     visibility_surface,
 )
-from .dicke import collective_final_state, sector_table
+from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
 from .dynamics import (
     PulseSequence,
     branch_overlap,
@@ -38,7 +38,7 @@ from .dynamics import (
     ramsey_probability,
 )
 from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare, snapshot_frames
-from .io import config_sha256, csv_text, fmt, json_table
+from .io import config_sha256, csv_text, fmt, json_cells, json_table
 from .params import (
     ConfigError,
     all_of,
@@ -270,9 +270,23 @@ def _cmd_dicke(args) -> int:
     header, rows = sector_table(final)
     meta = _metadata("dicke", text, args.seed)
     meta["l"] = args.l
+    meta["phase_rad"] = ("linear M * phi_g; the exact sector phase adds "
+                         "sector_phase_quadratic_coefficient * M^2")
+    meta["sector_phase_quadratic_coefficient"] = sector_phase_quadratic_coefficient(params, seq)
     _write(args, json_table(header, rows, meta) if args.format == "json"
            else csv_text(header, rows))
     return EXIT_OK
+
+
+def _snapshots_json(frames, metadata: dict) -> str:
+    """``json.dumps({"frames": [...], "metadata": ...}, sort_keys=True, indent=1)``
+    of the frames with every number a fmt string; ``frames`` is not empty."""
+    texts = [f'  {{\n   "prob_minus": {json_cells(pm, 3)},\n   "prob_plus": {json_cells(pp, 3)},'
+             f'\n   "time_s": "{fmt(t)}",\n   "x": {json_cells(x, 3)}\n  }}'
+             for t, x, pp, pm in frames]
+    doc = json.dumps({"frames": [], "metadata": metadata}, sort_keys=True, indent=1)
+    # "frames" sorts first, so its empty list is the first "[]" of the document
+    return doc.replace("[]", "[\n" + ",\n".join(texts) + "\n ]", 1)
 
 
 def _cmd_dump_snapshots(args) -> int:
@@ -283,19 +297,7 @@ def _cmd_dump_snapshots(args) -> int:
     frames = snapshot_frames(params, seq, fractions)
     header = ["x", "prob_plus", "prob_minus"]
     if args.format == "json":
-        payload = {
-            "frames": [
-                {
-                    "time_s": fmt(t),
-                    "x": [fmt(v) for v in x],
-                    "prob_plus": [fmt(v) for v in pp],
-                    "prob_minus": [fmt(v) for v in pm],
-                }
-                for t, x, pp, pm in frames
-            ],
-            "metadata": _metadata("dump-snapshots", text, args.seed),
-        }
-        _write(args, json.dumps(payload, sort_keys=True, indent=1))
+        _write(args, _snapshots_json(frames, _metadata("dump-snapshots", text, args.seed)))
         return EXIT_OK
     if not args.out:
         raise ConfigError("dump-snapshots with CSV output needs --out as a filename prefix")

@@ -38,7 +38,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CODATA
 from .dynamics import PulseSequence, max_separation, separation_at
-from .io import fmt
+from .io import csv_columns, float_cells, fmt
 from .params import ExperimentParams
 
 #: Default constant Im[(eps-1)/(eps+2)] used by absorption/emission channels.
@@ -365,10 +365,10 @@ def dephasing_exposures(
 
 def surface_to_csv(surface: VisibilitySurface) -> str:
     """Matrix CSV: first row the T_int axis, first column the delta_x axis."""
-    lines = ["delta_x_m\\t_int_K," + ",".join(fmt(t) for t in surface.t_int_axis)]
-    for i, dx in enumerate(surface.delta_x_axis):
-        lines.append(fmt(dx) + "," + ",".join(fmt(v) for v in surface.visibility[i]))
-    return "\n".join(lines) + "\n"
+    header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
+    table = np.column_stack([surface.delta_x_axis, surface.visibility])
+    cells = float_cells(table).reshape(*table.shape, -1)
+    return csv_columns(header, [cells[:, j] for j in range(table.shape[1])])
 
 
 def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> str:

@@ -13,8 +13,11 @@ channel on 200 separations and the Gauss-Legendre rule the quadrature loads,
 against computing it with ``leggauss``. The two visibility CLI cases are the
 ``surface`` workload's commands in a fresh interpreter; they also record the
 median minor page faults and system CPU seconds per command in
-``extra_info``. ``BENCH_sweep.json`` keeps the measured trajectory of these
-cases.
+``extra_info``. The io cases time the emitters alone on the ``sweep``
+workload's tables (the 30,000 x 4 theta CSV and the 20,000 x 5 t1 JSON), the
+float kernel on the theta table's 120,000 cells, and the ``oracle``
+workload's 4-frame ``dump-snapshots`` JSON. ``BENCH_sweep.json`` keeps the
+measured trajectory of these cases.
 """
 import resource
 import statistics
@@ -34,12 +37,15 @@ from nanoramsey import (
     gravitational_phase,
     max_separation,
     ramsey_probability,
+    snapshot_frames,
     visibility_surface,
 )
 from nanoramsey.decoherence import _channel_rate, _leggauss_cached
+from nanoramsey.io import csv_text, float_cells, json_table
 from nanoramsey.params import parse_config_text
 
 CONFIG = "perfbench/configs/paper.cfg"
+SNAPSHOT_CONFIG = "perfbench/configs/snapshot.cfg"
 
 
 def _cli_sweep(out, *argv):
@@ -140,3 +146,41 @@ def test_cli_visibility_200x100(benchmark):
 def test_cli_visibility_50x50_json(benchmark):
     """``visibility`` at the default 50 x 50 as JSON."""
     _bench_cli(benchmark, "visibility", "--config", CONFIG, "--format", "json")
+
+
+@pytest.fixture(scope="module")
+def sweep_tables():
+    """The sweep workload's two tables as (header, rows), computed once."""
+    cfg = parse_config_text(Path(CONFIG).read_text())
+    outputs = list(cli.OUTPUT_COLUMNS)
+    theta = cli._sweep_rows(cfg, "theta", np.linspace(0.0, 1.5, 30_000), outputs[:3])
+    t1 = cli._sweep_rows(cfg, "t1", np.linspace(2.495e-05, 2.505e-05, 20_000), outputs)
+    return (["param_value", *outputs[:3]], theta), (["param_value", *outputs], t1)
+
+
+def test_io_csv_text_30k(benchmark, sweep_tables):
+    """csv_text on the 30,000 x 4 theta table."""
+    benchmark.pedantic(csv_text, args=sweep_tables[0], rounds=10, iterations=1,
+                       warmup_rounds=1)
+
+
+def test_io_json_table_20k(benchmark, sweep_tables):
+    """json_table on the 20,000 x 5 t1 table."""
+    header, rows = sweep_tables[1]
+    benchmark.pedantic(json_table, args=(header, rows, {"command": "sweep"}), rounds=10,
+                       iterations=1, warmup_rounds=1)
+
+
+def test_io_float_cells_120k(benchmark, sweep_tables):
+    """The float kernel on the theta table's 120,000 cells."""
+    values = np.array(sweep_tables[0][1]).ravel()
+    benchmark.pedantic(float_cells, args=(values,), rounds=10, iterations=1, warmup_rounds=1)
+
+
+def test_io_snapshots_json_4_frames(benchmark):
+    """The dump-snapshots JSON of 4 frames of 2048 points (24,576 cells)."""
+    cfg = parse_config_text(Path(SNAPSHOT_CONFIG).read_text())
+    frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg),
+                             [0.25, 0.5, 0.75, 1.0])
+    benchmark.pedantic(cli._snapshots_json, args=(frames, {"command": "dump-snapshots"}),
+                       rounds=10, iterations=1, warmup_rounds=1)

@@ -13,9 +13,13 @@ quadrature kernel is checked bit for bit against ``angular_factor_reference``
 and ``channel_rate_reference``, which evaluate both branches of 1 - sinc on a
 whole kick matrix built on a rule computed by ``leggauss``. The Dicke
 sectors are checked against brute-force 2^l statevectors of l pseudo-spins.
+The column-wise table emitters are checked byte for byte against
+``csv_text_reference`` and ``json_table_reference``, which call ``fmt`` once
+per cell and let the json module lay out the document.
 """
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 
@@ -37,6 +41,7 @@ from nanoramsey.dynamics import (
     separation_time_integral,
 )
 from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
+from nanoramsey.io import fmt
 from nanoramsey.params import ConfigError, branch_force, build_params
 
 
@@ -387,6 +392,25 @@ def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
     header = ["param_value", *outputs]
     rows = [(v, *[p[c] for c in outputs]) for v, p in zip(values, points)]
     return header, rows
+
+
+# -- per-cell table emitters ------------------------------------------------------
+
+def csv_text_reference(header, rows) -> str:
+    lines = [",".join(str(h) for h in header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def json_table_reference(header, rows, metadata: dict) -> str:
+    """JSON mirror of a CSV table: same cells, plus run metadata."""
+    payload = {
+        "columns": list(header),
+        "rows": [[fmt(v) for v in row] for row in rows],
+        "metadata": metadata,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1)
 
 
 # -- brute-force statevectors of l pseudo-spins --------------------------------

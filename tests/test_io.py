@@ -1,10 +1,48 @@
+"""The emitters against f-strings, the per-cell references and the json module, bit for bit.
+
+``float_cells`` formats a float column in one numpy pass; every cell must
+equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``, ``surface_to_csv`` and
+the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
+``oracles.json_table_reference`` and ``json.dumps(..., sort_keys=True,
+indent=1)`` of per-cell ``fmt`` strings.
+"""
 import hashlib
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nanoramsey.io import config_sha256, csv_text, fmt, json_table
+from conftest import paper_config_text
+from nanoramsey import build_params, cli, sector_phase_quadratic_coefficient, snapshot_frames
+from nanoramsey.decoherence import VisibilitySurface, surface_to_csv
+from nanoramsey.io import (
+    CELL_WIDTH,
+    _decimal_scale,
+    config_sha256,
+    csv_text,
+    float_cells,
+    fmt,
+    json_cells,
+    json_table,
+)
+from nanoramsey.params import parse_config_text
+from oracles import csv_text_reference, json_table_reference
+
+SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg"
+
+
+def cell_strings(cells) -> list[str]:
+    assert cells.dtype == np.uint8 and cells.shape[1] == CELL_WIDTH
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells]
+
+
+def assert_cells_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert cell_strings(float_cells(values)) == [f"{v:.11e}" for v in values.tolist()]
 
 
 class TestFmt:
@@ -31,6 +69,112 @@ class TestFmt:
     def test_numpy_float64_formats_as_python_float(self):
         for value in (0.1, -2.5e-17, 1.0e300, 123456.789):
             assert fmt(np.float64(value)) == fmt(value) == f"{value:.11e}"
+
+
+# -- the float kernel ------------------------------------------------------------
+
+TINY = np.nextafter(0.0, 1.0)
+SPECIALS = [0.0, -0.0, math.nan, -math.nan, np.copysign(math.nan, -1.0), math.inf, -math.inf,
+            TINY, -TINY, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+            1.7976931348623157e308, -1.7976931348623157e308, 1e-280, 1e280,
+            np.nextafter(1e-280, 0.0), np.nextafter(1e280, math.inf), 0.5, 9.9999999999995e5,
+            999999999999.5, 99999999999.95]
+
+
+def powers_of_ten():
+    """10**k, rounded, with its neighbours one ulp away, both signs, every k."""
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)])
+    return np.concatenate([near, -near])
+
+
+def ties(n13):
+    """Exact binary values whose 13th significant digit is a 5 followed by zeros,
+    and the nearest floats to 13-digit decimals ending in 5 at every exponent."""
+    exact = [(10 * n + 5) * 10**j for n in n13 for j in range(4)]
+    exact += [(10 * n + 5) / 2 for n in n13] + [n + 0.5 for n in n13]
+    near = [float(f"{10 * n + 5}e{k}") for n in n13 for k in range(-295, 290, 7)]
+    return exact + near
+
+
+class TestFloatCells:
+    def test_specials(self):
+        assert_cells_exact(SPECIALS)
+
+    def test_powers_of_ten_and_neighbours(self):
+        assert_cells_exact(powers_of_ten())
+
+    def test_thirteen_digit_ties(self):
+        rng = np.random.default_rng(7)
+        assert_cells_exact(ties(rng.integers(10**11, 10**12, 40).tolist()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    def test_bit_patterns(self, bits):
+        assert_cells_exact(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=100))
+    def test_floats(self, values):
+        assert_cells_exact(values)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(10**11, 10**12 - 1), min_size=1, max_size=5))
+    def test_tie_lists(self, n13):
+        assert_cells_exact(ties(n13))
+
+    def test_large_random_columns(self):
+        rng = np.random.default_rng(11)
+        assert_cells_exact(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64))
+        assert_cells_exact(rng.lognormal(0.0, 40.0, 100_000) * rng.choice([-1.0, 1.0], 100_000))
+
+    def test_empty(self):
+        assert float_cells(np.array([])).shape == (0, CELL_WIDTH)
+
+
+class TestDecimalScale:
+    """The error bound that the tie window rests on (docs/physics-notes.md)."""
+
+    def test_two_roundings_and_the_range(self):
+        rng = np.random.default_rng(3)
+        decades = np.array([float(f"1e{k}") for k in range(-280, 280)])
+        a = np.concatenate([decades, np.nextafter(decades, 0.0)[1:],
+                            np.nextafter(decades, math.inf),
+                            *(decades * rng.uniform(1.0, 10.0, decades.size) for _ in range(6))])
+        a = a[(a >= 1e-280) & (a <= 1e280)]
+        e, scaled = _decimal_scale(a)
+        bound = Fraction(1, 2**52)
+        for ai, ei, si in zip(a.tolist(), e.tolist(), scaled.tolist()):
+            t = Fraction(ai) * Fraction(10) ** (11 - ei)
+            assert abs(Fraction(si) - t) < bound * t, (ai, ei)
+            assert 10**11 * (1 - Fraction(1, 2**53)) <= t < 10**12 * (1 + Fraction(1, 2**53)), ai
+
+
+# -- tables -----------------------------------------------------------------------
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+CELLS = {
+    "float": FLOATS,
+    "float64": FLOATS.map(np.float64),
+    "float and float64": st.one_of(FLOATS, FLOATS.map(np.float64)),
+    "int": st.integers(-10**25, 10**25),
+    "bool": st.booleans(),
+    "mixed": st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(),
+                       st.integers(-5, 5).map(np.int64)),
+}
+METADATA = st.dictionaries(st.text(max_size=8), st.one_of(
+    st.none(), st.integers(), st.text(max_size=8), st.lists(st.integers(), max_size=2)),
+    max_size=4)
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 25))
+    columns = [draw(st.lists(CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    header = [f"c{i}" for i in range(len(kinds))]
+    return header, list(zip(*columns)) if n_rows else []
 
 
 class TestTables:
@@ -64,6 +208,85 @@ class TestTables:
         rows = json.loads(json_table(self.HEADER, self.ROWS, {}))["rows"]
         csv_rows = csv_text(self.HEADER, self.ROWS).splitlines()[1:]
         assert [",".join(r) for r in rows] == csv_rows
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tables(), METADATA)
+    def test_equal_the_per_cell_references(self, table, metadata):
+        header, rows = table
+        assert csv_text(header, rows) == csv_text_reference(header, rows)
+        assert json_table(header, rows, metadata) == json_table_reference(header, rows, metadata)
+
+    def test_one_column_and_zero_rows(self):
+        for rows in ([], [(0.1,)], [(True,), (2,)]):
+            assert csv_text(["a"], rows) == csv_text_reference(["a"], rows)
+            assert json_table(["a"], rows, {}) == json_table_reference(["a"], rows, {})
+
+    def test_surface_csv(self):
+        rng = np.random.default_rng(5)
+        vis = rng.uniform(0.0, 1.0, (7, 4))
+        vis[0, 0], vis[1, 1] = 0.0, 1.0
+        surface = VisibilitySurface(delta_x_axis=np.geomspace(1e-9, 1e-6, 7),
+                                    t_int_axis=np.linspace(300.0, 1500.0, 4),
+                                    visibility=vis, flight_time=1e-4)
+        header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
+        rows = [(dx, *row) for dx, row in zip(surface.delta_x_axis, vis)]
+        assert surface_to_csv(surface) == csv_text_reference(header, rows)
+
+
+# -- dump-snapshots JSON -------------------------------------------------------------
+
+def snapshots_reference(frames, metadata) -> str:
+    payload = {
+        "frames": [{"time_s": fmt(t), "x": [fmt(v) for v in x],
+                    "prob_plus": [fmt(v) for v in pp], "prob_minus": [fmt(v) for v in pm]}
+                   for t, x, pp, pm in frames],
+        "metadata": metadata,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1)
+
+
+ARRAYS = st.lists(FLOATS, max_size=12).map(lambda v: np.array(v, dtype=np.float64))
+
+
+class TestSnapshotJson:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(FLOATS, ARRAYS, ARRAYS, ARRAYS), min_size=1, max_size=3),
+           METADATA)
+    def test_equals_json_dumps(self, frames, metadata):
+        assert cli._snapshots_json(frames, metadata) == snapshots_reference(frames, metadata)
+
+    def test_json_cells_depth(self):
+        values = np.array([0.5, -1e-300, math.nan])
+        flat = json.dumps([fmt(v) for v in values], indent=1)
+        for depth in (0, 1, 3):
+            assert json_cells(values, depth) == flat.replace("\n", "\n" + " " * depth)
+        assert json_cells(np.array([]), 3) == "[]"
+
+    def test_cli_frames(self, capsys):
+        cfg = parse_config_text(SNAPSHOT_CFG.read_text())
+        assert cli.main(["dump-snapshots", "--config", str(SNAPSHOT_CFG), "--format", "json",
+                         "--times", "0.5,0.25"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg), [0.5, 0.25])
+        metadata = json.loads(out)["metadata"]
+        assert out == snapshots_reference(frames, metadata)
+
+
+# -- dicke metadata ------------------------------------------------------------------
+
+def test_dicke_json_names_the_phase_convention(tmp_path, capsys):
+    path = tmp_path / "paper.cfg"
+    path.write_text(paper_config_text(), encoding="utf-8")
+    assert cli.main(["dicke", "--config", str(path), "--l", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(["dicke", "--config", str(path), "--l", "3"]) == 0
+    csv_rows = capsys.readouterr().out.splitlines()[1:]
+    assert [",".join(r) for r in doc["rows"]] == csv_rows
+    params, seq, _, _ = cli._load_config(str(path))
+    meta = doc["metadata"]
+    assert meta["sector_phase_quadratic_coefficient"] == \
+        sector_phase_quadratic_coefficient(params, seq)
+    assert meta["phase_rad"].startswith("linear M * phi_g")
 
 
 def test_config_sha256():

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import PAPER_CONFIG, paper_config_text
 from nanoramsey import cli
-from nanoramsey.io import csv_text
 from nanoramsey.params import parse_config_text, sphere_mass
-from oracles import run_point, sweep_reference
+from oracles import csv_text_reference, run_point, sweep_reference
 
 T3 = PAPER_CONFIG["t3"]
 
@@ -85,7 +84,7 @@ def run_reference(cfg: dict, argv):
         return cli.EXIT_VALIDATION, "", f"error: {exc}\n"
     except Exception as exc:   # noqa: BLE001 - cli.main lets these propagate
         return "raises", type(exc), str(exc)
-    return cli.EXIT_OK, csv_text(header, rows), ""
+    return cli.EXIT_OK, csv_text_reference(header, rows), ""
 
 
 def assert_matches_reference(configs, config_name, argv):
