@@ -22,22 +22,16 @@ from .dynamics import (
     BranchTrajectory,
     CompositeState,
     GaussianBranchState,
-    JitterPoint,
     PulseSequence,
-    ThermalInvarianceReport,
     branch_overlap,
     classical_trajectory,
     evolve_sequence,
     gravitational_phase,
     initial_state,
-    jitter_visibility_scan,
     max_separation,
     ramsey_probability,
     separation_at,
     separation_time_integral,
-    temperature_for_occupation,
-    thermal_occupation,
-    thermal_phase_invariance,
     wavepacket_width,
 )
 from .grid import (
@@ -68,7 +62,6 @@ from .decoherence import (
     default_model,
     default_model_family,
     dephasing_exposures,
-    localization_rate,
     localization_rate_profile,
     surface_to_csv,
     surface_to_json,

@@ -3,15 +3,17 @@
 Environmental photons and gas particles kick the object with random
 directions; a kick of wavenumber k resolves a superposition of separation
 dx with probability governed by the isotropic sphere average of the kick
-phase, whose closed form is 1 - sinc(k*dx). Summed over the spectral rate
-densities gamma_i(omega) of all channels this gives the localization rate
+phase, whose closed form is :func:`angular_factor` (z) = 1 - sinc(z) at
+z = k*dx. Summed over the spectral rate densities gamma_i(omega) of all
+channels this gives the localization rate, which
+:func:`localization_rate_profile` evaluates over an array of separations,
 
     eta(dx) = sum_i  integral domega gamma_i(omega) * (1 - sinc(omega*dx/c))
 
 and the worst-case spin visibility after a flight of duration t is
 exp(-eta(dx_max) * t), evaluated at the peak separation (a strict upper
-bound on the dephasing; the time-resolved refinement below is always
-smaller).
+bound on the dephasing; the time-resolved refinement of
+:func:`dephasing_exposures` is always smaller).
 
 Default channels. No public tabulation of the object's spectral response is
 assumed. The built-in defaults use textbook point-dipole blackbody forms:
@@ -59,20 +61,15 @@ class QuadratureError(RuntimeError):
     """A channel integral failed to converge under refinement."""
 
 
-def angular_factor(k: float, delta_x: float) -> float:
-    """Sphere-averaged which-path factor 1 - sinc(k*dx), sinc(z) = sin(z)/z.
+def angular_factor(z) -> np.ndarray:
+    """Sphere-averaged which-path factor 1 - sinc(z), sinc(z) = sin(z)/z, elementwise.
 
-    This is the closed form of 1 - (1/4pi) * integral dOmega exp(i k n_x dx);
-    the imaginary part vanishes by the n_x -> -n_x symmetry. Ranges over
-    [0, 2), -> 0 as k*dx -> 0 (no which-path information) and oscillates
-    about 1 with a 1/(k*dx) envelope once the kick resolves the separation.
+    With z = k*dx this is the closed form of 1 - (1/4pi) * integral dOmega
+    exp(i k n_x dx); the imaginary part vanishes by the n_x -> -n_x symmetry.
+    Ranges over [0, 2), -> 0 as z -> 0 (no which-path information) and
+    oscillates about 1 with a 1/z envelope once the kick resolves the
+    separation. Even in z.
     """
-    if k < 0.0 or delta_x < 0.0:
-        raise ValueError("k and delta_x must be >= 0")
-    return float(_angular_factor_array(np.asarray(k * delta_x)))
-
-
-def _angular_factor_array(z) -> np.ndarray:
     # 1 - sinc(z) cancels catastrophically for small z, so the series runs where
     # |z| < 0.1 and 1 - sin(y)/y runs on the rest, each only on its own
     # elements. y = pi * (z / pi) is np.sinc's exact operation sequence, so
@@ -188,6 +185,11 @@ _STORED_RULE_ORDERS = (512, 1024)
 #: measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = 8192
 
+#: Largest relative coarse/fine mismatch a channel integral may show.
+QUADRATURE_RTOL = 1.0e-6
+#: Gauss-Legendre nodes per flight piece of the time-resolved exposure.
+TIME_NODES = 24
+
 
 @lru_cache(maxsize=32)
 def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +223,7 @@ def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
     for start in range(0, delta_x.size, rows):
         block = slice(start, start + rows)
         z = np.multiply.outer(delta_x[block], nodes) / _SPEED_OF_LIGHT
-        kick[block] = _angular_factor_array(z)
+        kick[block] = angular_factor(z)
     return kick @ (gam * weights)
 
 
@@ -229,17 +231,16 @@ def localization_rate_profile(
     model: SpectralRateModel,
     delta_x,
     n_nodes: int = 512,
-    rtol: float = 1.0e-6,
     channel_rates: dict | None = None,
 ) -> np.ndarray:
     """eta(delta_x) for an array of separations (s^-1).
 
     Every channel is integrated with fixed-order Gauss-Legendre quadrature at
-    ``n_nodes`` and at twice that; a relative mismatch beyond ``rtol`` raises
-    :class:`QuadratureError` naming the channel, so silent under-resolution
-    is impossible. ``channel_rates``, if given, memoizes each checked channel
-    rate by channel (channels are frozen and hashable); pass the same dict
-    only with the same separations, nodes and tolerance.
+    ``n_nodes`` and at twice that; a relative mismatch beyond
+    ``QUADRATURE_RTOL`` raises :class:`QuadratureError` naming the channel,
+    so silent under-resolution is impossible. ``channel_rates``, if given,
+    memoizes each checked channel rate by channel (channels are frozen and
+    hashable); pass the same dict only with the same separations and nodes.
     """
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     if np.any(dx < 0.0):
@@ -249,33 +250,23 @@ def localization_rate_profile(
     total = np.zeros_like(dx)
     for channel in model.channels:
         if channel not in channel_rates:
-            channel_rates[channel] = _checked_channel_rate(channel, dx, n_nodes, rtol)
+            channel_rates[channel] = _checked_channel_rate(channel, dx, n_nodes)
         total += channel_rates[channel]
     return total
 
 
-def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int, rtol: float) -> np.ndarray:
+def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
     """The channel rate at 2 * ``n_nodes``, after the coarse/fine refinement check."""
     coarse = _channel_rate(channel, dx, n_nodes)
     fine = _channel_rate(channel, dx, 2 * n_nodes)
     scale = np.maximum(np.abs(fine), 1e-300)
     worst = float(np.max(np.abs(fine - coarse) / scale))
-    if worst > rtol and float(np.max(np.abs(fine - coarse))) > 1e-302:
+    if worst > QUADRATURE_RTOL and float(np.max(np.abs(fine - coarse))) > 1e-302:
         raise QuadratureError(
             f"channel {channel.name!r} not converged: refinement changed the "
-            f"integral by {worst:.2e} relative (tol {rtol:.0e}); raise n_nodes"
+            f"integral by {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}); raise n_nodes"
         )
     return fine
-
-
-def localization_rate(
-    model: SpectralRateModel,
-    delta_x: float,
-    n_nodes: int = 512,
-    rtol: float = 1.0e-6,
-) -> float:
-    """Total which-path localization rate eta(delta_x) in s^-1."""
-    return float(localization_rate_profile(model, [delta_x], n_nodes, rtol)[0])
 
 
 # -- visibility surface --------------------------------------------------------
@@ -340,23 +331,22 @@ def dephasing_exposures(
     params: ExperimentParams,
     seq: PulseSequence,
     model: SpectralRateModel,
-    n_time_nodes: int = 24,
-    n_nodes: int = 512,
 ) -> tuple[float, float]:
     """(worst-case, time-resolved) dimensionless dephasing exposures.
 
     Worst case is eta(peak separation) * t3; the refinement integrates
-    eta(|dx(t)|) dt along the actual separation profile and is strictly
-    smaller whenever the spin force is nonzero.
+    eta(|dx(t)|) dt along the actual separation profile, ``TIME_NODES``
+    Gauss-Legendre nodes per piece, and is strictly smaller whenever the spin
+    force is nonzero.
     """
     t3 = seq.effective_times()[2]
-    bound = localization_rate(model, max_separation(params, seq), n_nodes) * t3
+    bound = float(localization_rate_profile(model, max_separation(params, seq))[0]) * t3
     edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
     refined = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes, weights = _gauss_nodes(a, b, n_time_nodes)
+        nodes, weights = _gauss_nodes(a, b, TIME_NODES)
         seps = np.abs([separation_at(params, seq, float(t)) for t in nodes])
-        rates = localization_rate_profile(model, seps, n_nodes)
+        rates = localization_rate_profile(model, seps)
         refined += float(np.dot(rates, weights))
     return bound, refined
 

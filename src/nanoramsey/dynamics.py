@@ -24,7 +24,8 @@ returns arrays, while a scalar call returns Python scalars. Each element is
 bit-identical to the scalar call on that point: numpy does only + - * / and
 comparisons, and every ``math`` function runs point by point through
 :func:`~nanoramsey.params.pointwise` (docs/physics-notes.md, "Bit-identical
-broadcasting").
+broadcasting"). So a thermal ensemble (array starts x0, p0) or a jitter scan
+(array ``with_jitter``) is one :func:`evolve_sequence` call.
 """
 from __future__ import annotations
 
@@ -46,6 +47,10 @@ from .params import (
     pointwise,
     where,
 )
+
+#: Relative tolerance within which t1 = t3/4 and t2 = 3 t3/4 count as balanced.
+BALANCE_RTOL = 1e-12
+_isclose = partial(math.isclose, rel_tol=BALANCE_RTOL, abs_tol=0.0)
 
 
 @dataclass(frozen=True)
@@ -84,24 +89,17 @@ class PulseSequence:
         e1, e2, e3 = self.effective_times()
         return (e1, e2 - e1, e3 - e2)
 
-    def is_balanced(self, rtol: float = 1e-12):
-        """True when the flips close the interferometer exactly.
-
-        Requires t1 = t3/4 and t2 = 3 t3/4 (within ``rtol``) and zero jitter.
-        Elementwise over array times: a bool for a scalar sequence, else a mask.
-        """
+    def is_balanced(self):
+        """True when the flips close the interferometer exactly: t1 = t3/4 and
+        t2 = 3 t3/4 within ``BALANCE_RTOL``, and no jitter. A bool for a scalar
+        sequence, else a mask over the array times."""
         j1, j2, j3 = self.jitter
         return ((j1 == 0.0) & (j2 == 0.0) & (j3 == 0.0)
-                & _isclose(self.t1, self.t3 / 4.0, rtol)
-                & _isclose(self.t2, 3.0 * self.t3 / 4.0, rtol))
+                & pointwise(_isclose, self.t1, self.t3 / 4.0)
+                & pointwise(_isclose, self.t2, 3.0 * self.t3 / 4.0))
 
     def with_jitter(self, j1: float, j2: float, j3: float) -> "PulseSequence":
         return replace(self, jitter=(j1, j2, j3))
-
-
-def _isclose(a, b, rtol: float):
-    """``math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)``, elementwise."""
-    return pointwise(partial(math.isclose, rel_tol=rtol, abs_tol=0.0), a, b)
 
 
 @dataclass(frozen=True)
@@ -151,16 +149,10 @@ class GaussianBranchState:
 
 @dataclass(frozen=True)
 class CompositeState:
-    """Spin-motional superposition: one Gaussian branch per spin amplitude."""
+    """Equal spin superposition: one Gaussian branch per spin."""
 
     plus_branch: GaussianBranchState
     minus_branch: GaussianBranchState
-    amplitudes: tuple[complex, complex] = (2.0**-0.5, 2.0**-0.5)
-
-    def __post_init__(self):
-        norm = abs(self.amplitudes[0]) ** 2 + abs(self.amplitudes[1]) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"amplitude norms must sum to 1, got {norm}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +360,7 @@ def evolve_sequence(
             state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
                                   m, hbar)
         branches.append(state)
-    return CompositeState(branches[0], branches[1], initial.amplitudes)
+    return CompositeState(branches[0], branches[1])
 
 
 def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:
@@ -419,114 +411,3 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
 
 def _polar(log_mod: float, arg: float) -> complex:
     return math.exp(log_mod) * complex(math.cos(arg), math.sin(arg))
-
-
-# -- thermal ensemble and timing jitter ---------------------------------------
-
-@dataclass(frozen=True)
-class ThermalInvarianceReport:
-    """Ensemble statistics of the spin phase over thermal initial conditions."""
-
-    phase_mean: float          # rad
-    phase_spread: float        # rad, sample standard deviation
-    visibility_mean: float
-    n_samples: int
-    n_bar: float               # mean thermal occupation used for sampling
-
-
-def thermal_occupation(params: ExperimentParams, t_cm: float) -> float:
-    """Bose occupation n_bar of the trap mode at temperature ``t_cm``."""
-    if t_cm < 0.0:
-        raise ValueError("t_cm must be >= 0")
-    if t_cm == 0.0:
-        return 0.0
-    c = params.constants
-    return 1.0 / math.expm1(c.hbar * params.trap_omega / (c.k_boltzmann * t_cm))
-
-
-def temperature_for_occupation(params: ExperimentParams, n_bar: float) -> float:
-    """Trap temperature (K) that gives mean occupation ``n_bar``; 0 for n_bar = 0."""
-    if n_bar < 0.0:
-        raise ValueError("n_bar must be >= 0")
-    if n_bar == 0.0:
-        return 0.0
-    c = params.constants
-    return c.hbar * params.trap_omega / (c.k_boltzmann * math.log1p(1.0 / n_bar))
-
-
-def thermal_phase_invariance(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    n_samples: int,
-    t_cm: float,
-    rng_seed: int,
-) -> ThermalInvarianceReport:
-    """Sample the thermal phase distribution over coherent-state labels.
-
-    Coherent labels beta are drawn from the circular Gaussian thermal
-    phase-space distribution with mean occupation n_bar(t_cm), mapped to
-    (x0, p0) = (2 sigma0 Re beta, (hbar/sigma0) Im beta), and all samples run
-    through the full sequence in one broadcast call. For a balanced sequence
-    the phase is the same for every sample; this report quantifies exactly that.
-    """
-    if not seq.is_balanced():
-        raise ValueError("thermal invariance is defined for balanced sequences")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    n_bar = thermal_occupation(params, t_cm)
-    rng = np.random.default_rng(rng_seed)
-    if n_bar == 0.0:
-        betas = np.zeros(n_samples, dtype=complex)
-    else:
-        scale = math.sqrt(n_bar / 2.0)
-        betas = rng.normal(0.0, scale, n_samples) + 1j * rng.normal(0.0, scale, n_samples)
-    s0 = params.sigma0()
-    hbar = params.constants.hbar
-    x0 = 2.0 * s0 * betas.real
-    p0 = (hbar / s0) * betas.imag
-    final = evolve_sequence(params, seq, initial_state(params, x0, p0))
-    visibilities = pointwise(abs, branch_overlap(params, final))
-    phases = final.plus_branch.action_phase - final.minus_branch.action_phase
-    # measure the spread relative to the first sample: np.std on a constant
-    # megaradian array would otherwise report its own summation roundoff
-    rel = phases - phases[0]
-    return ThermalInvarianceReport(
-        phase_mean=float(phases[0] + np.mean(rel)),
-        phase_spread=float(np.std(rel)),
-        visibility_mean=float(np.mean(visibilities)),
-        n_samples=n_samples,
-        n_bar=n_bar,
-    )
-
-
-@dataclass(frozen=True)
-class JitterPoint:
-    """One row of a timing-jitter scan."""
-
-    jitter: tuple[float, float, float]   # s
-    visibility: float                    # |<psi_minus|psi_plus>|
-    residual_phase: float                # rad, arg<psi_minus|psi_plus>
-    residual_dx: float                   # m
-    residual_dp: float                   # kg m/s
-
-
-def jitter_visibility_scan(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    jitter_grid,
-) -> list[JitterPoint]:
-    """Exact visibility and residual phase for each jitter triple, in one broadcast call."""
-    triples = [(j1, j2, j3) for j1, j2, j3 in jitter_grid]
-    if not triples:
-        return []
-    jittered = seq.with_jitter(*np.array(triples, dtype=float).T)
-    final = evolve_sequence(params, jittered, initial_state(params))
-    ov = branch_overlap(params, final)
-    columns = (
-        pointwise(abs, ov),
-        pointwise(math.atan2, ov.imag, ov.real),
-        final.plus_branch.center - final.minus_branch.center,
-        final.plus_branch.momentum - final.minus_branch.momentum,
-    )
-    return [JitterPoint(jitter, *point)
-            for jitter, point in zip(triples, zip(*(c.tolist() for c in columns)))]

@@ -35,7 +35,7 @@ from .params import ExperimentParams
 
 #: Largest dimensionless phase the grid is asked to resolve directly.
 MAX_SCALED_PHASE = 1.0e4
-#: oracle_phase refuses above this; the caller should desk-scale first.
+#: oracle_compare refuses a balanced phase above this; desk-scale first.
 MAX_ORACLE_PHASE = 1.0e3
 
 PHASE_TOL = 1.0e-3       # rad, grid vs analytic phase
@@ -73,13 +73,6 @@ class ScaledUnits:
     @property
     def total_time(self) -> float:
         return sum(self.seg_times)
-
-    # conversions (natural units carry no suffix, SI carries _si)
-    def length_from_si(self, x_si: float) -> float:
-        return x_si / self.length_unit
-
-    def time_from_si(self, t_si: float) -> float:
-        return t_si / self.time_unit
 
     def branch_accelerations(self, spin_pattern) -> tuple[float, ...]:
         """Dimensionless acceleration per segment for a spin-sign history."""
@@ -169,11 +162,7 @@ class GridWavefunction:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=-1) * self.dx
 
     def moments(self):
-        """(<x>, <p>, width) from the grid state, per row."""
-        return self._spreads()[:3]
-
-    def _spreads(self):
-        """(<x>, <p>, width, momentum width), per row."""
+        """(<x>, <p>, width, momentum width) from the grid state, per row."""
         prob = np.abs(self.amplitudes) ** 2
         dx = self.dx
         xb = np.sum(self.x * prob, axis=-1) * dx
@@ -209,7 +198,7 @@ def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
 def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = GUARD_SIGMAS):
     """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
     then inside the domain in x (aliased momentum would garble the x moments)."""
-    xb, pb, width, pwidth = psi._spreads()
+    xb, pb, width, pwidth = psi.moments()
     _check_momentum(float(np.min(np.minimum(pb, pb + kick) - sigmas * pwidth)),
                     float(np.max(np.maximum(pb, pb + kick) + sigmas * pwidth)), spec)
     lo, hi = float(np.min(xb - sigmas * width)), float(np.max(xb + sigmas * width))
@@ -368,59 +357,6 @@ def splitting_phase(seg_times, plus, minus, steps: int) -> float:
                for tau, fp, fm in zip(seg_times, plus, minus))
 
 
-def _grid_overlap(pair: GridWavefunction) -> complex:
-    """<psi_minus|psi_plus> of a (plus, minus) pair of rows."""
-    return complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
-
-
-def _balanced_phase(params: ExperimentParams, seq: PulseSequence) -> float | None:
-    """Analytic phi_g of a balanced sequence (None otherwise), refused above
-    ``MAX_ORACLE_PHASE`` before any grid work is done."""
-    if not seq.is_balanced():
-        return None
-    phi = gravitational_phase(params, seq)
-    if abs(phi) > MAX_ORACLE_PHASE:
-        raise ScaleError(
-            f"analytic phase {phi:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
-            "reduce the parameters to desk scale"
-        )
-    return phi
-
-
-def _overlap_phase(ov: complex, phi_analytic: float | None) -> float:
-    """-arg ov, closure-checked and unwrapped onto the 2 pi branch of a
-    balanced prediction; raw when there is none."""
-    if phi_analytic is not None and abs(ov) < 0.99:
-        raise ClosureError(
-            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov):.4f})"
-        )
-    phase_raw = -math.atan2(ov.imag, ov.real)
-    if phi_analytic is None:
-        return phase_raw
-    return phase_raw + 2.0 * math.pi * round((phi_analytic - phase_raw) / (2.0 * math.pi))
-
-
-def oracle_phase(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    spec: GridSpec | None = None,
-) -> float:
-    """Interferometric phase measured on the grid, in the phi_g convention.
-
-    Evolves the two branches as the rows of one grid state, computes
-    -arg<psi_minus(t3)|psi_plus(t3)>, and unwraps onto the 2 pi branch of
-    the analytic prediction; the sub-2pi residual is untouched, so the
-    comparison stays honest. Requires the scaled phase below
-    ``MAX_ORACLE_PHASE``.
-    """
-    scaled = scale_params(params, seq)
-    phi_analytic = _balanced_phase(params, seq)
-    if spec is None:
-        spec = auto_grid(scaled)
-    pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
-    return _overlap_phase(_grid_overlap(pair), phi_analytic)
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Side-by-side grid vs closed-form observables for one run."""
@@ -471,16 +407,29 @@ def oracle_compare(
 ) -> OracleReport:
     """Run the grid and the closed forms side by side and report the errors.
 
-    A balanced sequence is refused above ``MAX_ORACLE_PHASE``, as in
-    :func:`oracle_phase`, before either branch is evolved. The pair is
-    evolved once; ``phase_grid`` is what :func:`oracle_phase` returns.
+    The branch pair is evolved once, as the rows of one grid state, and
+    ``phase_grid`` is -arg<psi_minus(t3)|psi_plus(t3)>. A balanced sequence is
+    refused above ``MAX_ORACLE_PHASE`` before any grid work, must recombine
+    (else :class:`ClosureError`), and has ``phase_grid`` unwrapped onto the
+    2 pi branch of phi_g; the sub-2pi residual is untouched.
     """
     scaled = scale_params(params, seq)
-    phi_balanced = _balanced_phase(params, seq)
+    balanced = bool(seq.is_balanced())
+    if balanced:
+        phase_analytic = gravitational_phase(params, seq)
+        if abs(phase_analytic) > MAX_ORACLE_PHASE:
+            raise ScaleError(
+                f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
+                "reduce the parameters to desk scale"
+            )
     if spec is None:
         spec = auto_grid(scaled)
     pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
-    ov_grid = _grid_overlap(pair)
+    ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+    if balanced and abs(ov_grid) < 0.99:
+        raise ClosureError(
+            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
+        )
     norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
 
     final = evolve_sequence(params, seq, initial_state(params))
@@ -490,15 +439,18 @@ def oracle_compare(
     phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
                                      - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
 
-    phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real) if phi_balanced is None else phi_balanced
-    phase_grid = _overlap_phase(ov_grid, phi_balanced)
+    phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
+    if balanced:
+        phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
+    else:
+        phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
     splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
                                 scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
 
     center_error = 0.0
     width_error = 0.0
-    for xb, pb, width, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
-        x_cl = scaled.length_from_si(branch.center)
+    for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+        x_cl = branch.center / scaled.length_unit
         # natural momentum unit is hbar / sigma0
         p_cl = branch.momentum * scaled.length_unit / params.constants.hbar
         denom = max(1.0, abs(x_cl), abs(p_cl))
@@ -517,8 +469,18 @@ def oracle_compare(
         overlap_analytic=abs(ov_analytic),
         overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
         norm_drift=norm_drift,
-        balanced=phi_balanced is not None,
+        balanced=balanced,
     )
+
+
+def oracle_phase(
+    params: ExperimentParams,
+    seq: PulseSequence,
+    spec: GridSpec | None = None,
+) -> float:
+    """Interferometric phase measured on the grid, in the phi_g convention:
+    the ``phase_grid`` of :func:`oracle_compare`."""
+    return oracle_compare(params, seq, spec).phase_grid
 
 
 def snapshot_frames(
@@ -548,7 +510,7 @@ def snapshot_frames(
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     states = evolve_branch_on_grid(scaled, spec, (+1, -1),
-                                   until=[scaled.time_from_si(fractions[i] * t3) for i in order])
+                                   until=[fractions[i] * t3 / scaled.time_unit for i in order])
     frames = [None] * len(fractions)
     for i, pair in zip(order, states):
         prob = np.abs(pair.amplitudes) ** 2 / scaled.length_unit

@@ -216,7 +216,7 @@ def localization_rate_adaptive(model, delta_x):
 
         def integrand(omega):
             gam = channel.rate_density(np.asarray([omega]))[0]
-            return gam * angular_factor(omega / CODATA.light_speed, delta_x)
+            return gam * angular_factor(omega / CODATA.light_speed * delta_x)
 
         value, abserr = integrate.quad(integrand, lo, hi, limit=400)
         if abserr > max(1e-10, 1e-6 * abs(value)):

@@ -68,6 +68,8 @@ class TestExitCodes:
         ["sweep", "--param", "theta", "--values", "0.1", "--workers", "2"],
         ["visibility", "--dx-log"],
         ["sweep"],                                  # --param missing
+        ["certify", "--format", "json"],            # certify writes text only
+        ["certify", "--seed", "3"],                 # and samples nothing
     ])
     def test_usage_errors_are_validation_errors(self, config, argv):
         command, *rest = argv
@@ -97,6 +99,16 @@ class TestExitCodes:
     def test_certify_paper_scale_is_numerical_failure(self, capsys, config):
         assert cli.main(["certify", "--config", config]) == cli.EXIT_NUMERICAL
         assert "desk scale" in capsys.readouterr().err
+
+    def test_certify_unbalanced_flight_needs_no_closure(self, capsys, tmp_path):
+        """An open interferometer (|overlap| 0.71) passes on its four checks."""
+        path = tmp_path / "open.cfg"
+        path.write_text(paper_config_text(b_gradient=1.0e5, theta=1.5667963267948966,
+                                          t3=3.0e-5, t1=0.7e-5, t2=2.3e-5), encoding="utf-8")
+        rc, out = run(capsys, "certify", "--config", str(path))
+        assert rc == cli.EXIT_OK
+        assert "  closure  |overlap| 0.711609  (unbalanced flight: closure not required)" in out
+        assert out.endswith("certification: PASS\n")
 
 
 def test_cli_import_loads_no_scipy():

@@ -19,13 +19,11 @@ from nanoramsey import (
     default_model,
     default_model_family,
     dephasing_exposures,
-    localization_rate,
     localization_rate_profile,
     visibility_surface,
 )
 from nanoramsey.decoherence import (
     _STORED_RULE_ORDERS,
-    _angular_factor_array,
     _channel_rate,
     _leggauss_cached,
 )
@@ -52,7 +50,7 @@ class TestLocalizationRate:
     @pytest.mark.parametrize("delta_x", [1e-9, 1e-7, 1e-6, 1e-5])
     def test_gauss_legendre_matches_adaptive_oracle(self, paper_params, delta_x):
         model = default_model(paper_params)
-        assert localization_rate(model, delta_x) == pytest.approx(
+        assert localization_rate_profile(model, [delta_x])[0] == pytest.approx(
             localization_rate_adaptive(model, delta_x), rel=1e-9)
 
     def test_under_resolved_channel_raises(self, paper_params):
@@ -75,23 +73,28 @@ class TestAngularFactorKernel:
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=40),
                       elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_arrays_bit_equal(self, z):
-        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+        assert_bit_equal(angular_factor(z), angular_factor_reference(z))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 3000),
                       elements=st.floats(-50.0, 50.0)))
     def test_kick_range_bit_equal(self, z):
-        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+        assert_bit_equal(angular_factor(z), angular_factor_reference(z))
 
     @pytest.mark.parametrize("z", EDGES)
     def test_zero_dim_edges(self, z):
-        got = _angular_factor_array(np.float64(z))
+        got = angular_factor(np.float64(z))
         assert got.ndim == 0
         assert_bit_equal(got, angular_factor_reference(np.float64(z)))
 
     def test_edges_in_one_array(self):
         z = np.array(EDGES * 3).reshape(5, 9)
-        assert_bit_equal(_angular_factor_array(z), angular_factor_reference(z))
+        assert_bit_equal(angular_factor(z), angular_factor_reference(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(allow_nan=False)))
+    def test_even(self, z):
+        assert_bit_equal(angular_factor(-z), angular_factor(z))
 
 
 @pytest.fixture(scope="module")
@@ -189,14 +192,14 @@ class TestAngularFactorOracles:
         with mpmath.workdps(50):
             for z in map(float, zs):
                 exact = float(1 - mpmath.sin(mpmath.mpf(z)) / mpmath.mpf(z))
-                assert angular_factor(z, 1.0) == pytest.approx(exact, rel=2e-11), z
+                assert angular_factor(z) == pytest.approx(exact, rel=2e-11), z
 
     @pytest.mark.parametrize("k, delta_x", [(3e5, 1e-6), (1e6, 1e-6), (2e6, 1e-6),
                                             (5.0, 1.0), (9.0, 1.0)])
     def test_matches_monte_carlo_sphere_average(self, k, delta_x):
         # 400k directions: standard error at most 0.71 / sqrt(4e5) = 1.1e-3
         real, imag = mc_sphere_kick_average(k, delta_x, 400_000, seed=7)
-        assert real == pytest.approx(angular_factor(k, delta_x), abs=6e-3)
+        assert real == pytest.approx(angular_factor(k * delta_x), abs=6e-3)
         assert imag == pytest.approx(0.0, abs=6e-3)
 
 

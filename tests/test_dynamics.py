@@ -3,26 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanoramsey import (
     PulseSequence,
     SpinBranch,
     branch_overlap,
+    build_params,
     classical_trajectory,
+    desk_scale_params,
     evolve_sequence,
     gravitational_phase,
     initial_state,
-    jitter_visibility_scan,
     max_separation,
     ramsey_probability,
     separation_at,
     separation_time_integral,
-    temperature_for_occupation,
-    thermal_phase_invariance,
     wavepacket_width,
 )
 from conftest import PAPER_CONFIG
-from nanoramsey import build_params
 from oracles import (
     gravitational_phase_action,
     gravitational_phase_propagator,
@@ -338,6 +338,34 @@ class TestBranchOverlap:
             branch_overlap(paper_params, state)
 
 
+#: Desk sets (a_spin, a_gravity, tau_scaled); their phase a_s a_g tau^3 / 16 stays below 432 rad.
+#: A gravity below about 1e-280 would take the SI m g product into subnormal floats.
+DESK_SETS = st.tuples(st.floats(0.01, 2.0, exclude_min=True, exclude_max=True),
+                      st.one_of(st.just(0.0), st.floats(1e-200, 2.0, exclude_max=True)),
+                      st.floats(0.5, 12.0, exclude_min=True, exclude_max=True))
+
+
+class TestDeskSetProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS)
+    def test_balanced_flight_closes_on_phi_g(self, desk_set):
+        params, seq = desk_scale_params(*desk_set)
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        phi = gravitational_phase(params, seq)
+        assert abs(abs(ov) - 1.0) <= 1e-12
+        # below 1 rad absolutely: at a_gravity = 0, phi is cos(pi/2) ~ 6e-17 times its scale
+        assert abs(math.remainder(-cmath.phase(ov) - phi, 2.0 * math.pi)) <= 1e-12 * max(abs(phi), 1.0)
+        assert gravitational_phase_action(params, seq) == pytest.approx(phi, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, st.floats(0.02, 0.49).filter(lambda f: abs(f - 0.25) > 1e-3),
+           st.floats(0.51, 0.98).filter(lambda f: abs(f - 0.75) > 1e-3))
+    def test_open_flight_overlap_at_most_one(self, desk_set, f1, f2):
+        params, balanced = desk_scale_params(*desk_set)
+        seq = PulseSequence(t1=f1 * balanced.t3, t2=f2 * balanced.t3, t3=balanced.t3)
+        assert abs(branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))) <= 1.0
+
+
 class TestWavepacketWidth:
     def test_initial_width(self, paper_params):
         assert wavepacket_width(paper_params, 0.0) == paper_params.sigma0()
@@ -354,50 +382,53 @@ class TestWavepacketWidth:
         assert ratio == pytest.approx(10.0499, rel=1e-4)
 
 
+def thermal_flight(params, seq, n_bar, n_samples, seed):
+    """(phase spread, first phase, worst visibility) over thermal starts (x0, p0) =
+    (2 sigma0 Re beta, (hbar / sigma0) Im beta), beta circular Gaussian with mean
+    occupation ``n_bar``. The spread is taken about the first sample: np.std of a
+    megaradian array would report its own summation roundoff."""
+    re, im = np.random.default_rng(seed).normal(0.0, math.sqrt(n_bar / 2.0), (2, n_samples))
+    s0 = params.sigma0()
+    start = initial_state(params, 2.0 * s0 * re, params.constants.hbar / s0 * im)
+    final = evolve_sequence(params, seq, start)
+    phases = final.plus_branch.action_phase - final.minus_branch.action_phase
+    return np.std(phases - phases[0]), phases[0], np.min(np.abs(branch_overlap(params, final)))
+
+
 class TestThermalInvariance:
     def test_phase_spread_tiny_at_stated_occupations(self, desk):
-        params, seq = desk
         for n_bar, seed in ((0.0, 1), (1.0, 2), (10.0, 3), (100.0, 4)):
-            t_cm = temperature_for_occupation(params, n_bar)
-            rep = thermal_phase_invariance(params, seq, 200, t_cm, rng_seed=seed)
-            assert rep.phase_spread <= 1e-10
-            assert rep.visibility_mean >= 1.0 - 1e-12
+            spread, _, visibility = thermal_flight(*desk, n_bar, 200, seed)
+            assert spread <= 1e-10 and visibility >= 1.0 - 1e-12
 
     def test_phase_spread_at_large_occupation_floor(self, desk):
         # huge occupations blow up the per-sample action scale; the spread is
         # then limited by float cancellation of that scale, not by physics
+        # (4e10 is the occupation of the 1 rad/s desk trap at 0.3 K)
         params, seq = desk
-        rep = thermal_phase_invariance(params, seq, 200, 0.3, rng_seed=4)
-        action_scale = rep.n_bar * params.trap_omega * seq.t3
-        assert rep.phase_spread <= 64.0 * np.finfo(float).eps * action_scale
-        assert rep.visibility_mean >= 1.0 - 1e-12
+        spread, _, visibility = thermal_flight(params, seq, 4e10, 200, 4)
+        assert spread <= 64.0 * np.finfo(float).eps * 4e10 * params.trap_omega * seq.t3
+        assert visibility >= 1.0 - 1e-12
 
     def test_zero_temperature_single_point(self, desk):
-        params, seq = desk
-        rep = thermal_phase_invariance(params, seq, 50, 0.0, rng_seed=9)
-        assert rep.n_bar == 0.0
-        assert rep.phase_spread == 0.0
-        assert rep.phase_mean == pytest.approx(-gravitational_phase(params, seq), rel=1e-9)
+        spread, phase, _ = thermal_flight(*desk, 0.0, 50, 9)
+        assert spread == 0.0
+        assert phase == pytest.approx(-gravitational_phase(*desk), rel=1e-9)
 
     def test_paper_scale_spread_at_float_floor(self, paper_params, paper_seq):
         # at phi_g ~ 1e6 rad the two-branch action difference carries an
         # irreducible float64 cancellation noise of order eps * phi_g
-        phi = gravitational_phase(paper_params, paper_seq)
-        rep = thermal_phase_invariance(paper_params, paper_seq, 300, 1e-3, rng_seed=12)
-        assert rep.phase_spread <= 64.0 * np.finfo(float).eps * phi
-        assert rep.visibility_mean >= 1.0 - 1e-12
-
-    def test_occupation_temperature_roundtrip(self, paper_params):
-        for n_bar in (0.5, 1.0, 10.0, 100.0):
-            t = temperature_for_occupation(paper_params, n_bar)
-            from nanoramsey import thermal_occupation
-            assert thermal_occupation(paper_params, t) == pytest.approx(n_bar, rel=1e-12)
+        # (1.3e3 is the occupation of the 1e5 rad/s trap at 1 mK)
+        spread, _, visibility = thermal_flight(paper_params, paper_seq, 1.3e3, 300, 12)
+        assert spread <= 64.0 * np.finfo(float).eps * gravitational_phase(paper_params, paper_seq)
+        assert visibility >= 1.0 - 1e-12
 
 
 class TestJitterScan:
     def test_zero_jitter_full_visibility(self, paper_params, paper_seq):
-        rows = jitter_visibility_scan(paper_params, paper_seq, [(0.0, 0.0, 0.0)])
-        assert rows[0].visibility == pytest.approx(1.0, abs=1e-12)
+        seq = paper_seq.with_jitter(0.0, 0.0, 0.0)
+        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        assert abs(branch_overlap(paper_params, final)) == pytest.approx(1.0, abs=1e-12)
 
     def test_five_ns_jitter_frozen_value(self, paper_params, paper_seq):
         """Exact visibility at dt1 = 5 ns, frozen from the certified overlap law.
@@ -415,21 +446,22 @@ class TestJitterScan:
         dp = 4.0 * paper_params.spin_coupling() * d
         dx_back = dx - dp * 1e-4 / m
         expected = math.exp(-dx_back**2 / (8 * s0**2) - (s0 * dp / hbar) ** 2 / 2.0)
-        rows = jitter_visibility_scan(paper_params, paper_seq, [(d, 0.0, 0.0)])
-        assert rows[0].visibility == pytest.approx(expected, rel=1e-9)
-        assert rows[0].visibility == pytest.approx(0.827, abs=5e-3)
+        seq = paper_seq.with_jitter(d, 0.0, 0.0)
+        visibility = abs(branch_overlap(paper_params, evolve_sequence(paper_params, seq,
+                                                                      initial_state(paper_params))))
+        assert visibility == pytest.approx(expected, rel=1e-9)
+        assert visibility == pytest.approx(0.827, abs=5e-3)
 
     def test_momentum_closes_for_compensating_jitter(self, paper_params, paper_seq):
         """dp(t3) vanishes when dt3 = -2 dt1 (and only then, for dt2 = 0)."""
         d = 3e-8
-        rows = jitter_visibility_scan(
-            paper_params, paper_seq,
-            [(d, 0.0, -2.0 * d), (d, 0.0, -d), (d, 0.0, 0.0)],
-        )
+        seq = paper_seq.with_jitter(d, 0.0, np.array([-2.0 * d, -d, 0.0]))
+        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        dp = np.abs(final.plus_branch.momentum - final.minus_branch.momentum)
         dp_scale = 4.0 * paper_params.spin_coupling() * d
-        assert abs(rows[0].residual_dp) <= 1e-9 * dp_scale
-        assert abs(rows[1].residual_dp) > 0.3 * dp_scale
-        assert abs(rows[2].residual_dp) == pytest.approx(dp_scale, rel=1e-9)
+        assert dp[0] <= 1e-9 * dp_scale
+        assert dp[1] > 0.3 * dp_scale
+        assert dp[2] == pytest.approx(dp_scale, rel=1e-9)
 
     def test_visibility_extrema_track_phase_multiples_of_pi(self):
         """P0(theta) sits at an extremum exactly where phi_g(theta) = k pi."""
