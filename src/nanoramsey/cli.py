@@ -37,7 +37,7 @@ from .dynamics import (
     max_separation,
     ramsey_probability,
 )
-from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare, snapshot_frames
+from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare_sets, snapshot_frames
 from .io import config_sha256, csv_text, fmt, json_cells, json_table
 from .params import (
     ConfigError,
@@ -240,8 +240,8 @@ def _cmd_certify(args) -> int:
             runs.append((label, params, seq))
     all_ok = True
     lines = []
-    for label, params, seq in runs:
-        report = oracle_compare(params, seq)
+    reports = oracle_compare_sets([(params, seq) for _, params, seq in runs])
+    for (label, _, _), report in zip(runs, reports):
         # only a balanced flight recombines; an open one is checked by its overlap deficit
         closure_ok = report.overlap_grid >= 0.9999 or not report.balanced
         ok = report.passed and closure_ok

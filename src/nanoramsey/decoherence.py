@@ -206,19 +206,20 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (nodes + 1.0), half * weights
 
 
-def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
+def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int, work: np.ndarray) -> np.ndarray:
     """Localization rate of one channel over a 1-d array of separations.
 
     The kick matrix is filled a block of rows at a time, but the matrix-vector
     product runs on the whole matrix: BLAS sums a row in an order that depends
-    on the row count, so a blocked product would move the last bits.
+    on the row count, so a blocked product would move the last bits. The matrix
+    takes the first delta_x.size * n_nodes elements of the float64 buffer ``work``.
     """
     lo, hi = channel.support()
     if hi <= lo:
         return np.zeros_like(delta_x)
     nodes, weights = _gauss_nodes(lo, hi, n_nodes)
     gam = channel.rate_density(nodes)
-    kick = np.empty((delta_x.size, nodes.size))
+    kick = work[:delta_x.size * nodes.size].reshape(delta_x.size, nodes.size)
     rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
     for start in range(0, delta_x.size, rows):
         block = slice(start, start + rows)
@@ -256,9 +257,15 @@ def localization_rate_profile(
 
 
 def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The channel rate at 2 * ``n_nodes``, after the coarse/fine refinement check."""
-    coarse = _channel_rate(channel, dx, n_nodes)
-    fine = _channel_rate(channel, dx, 2 * n_nodes)
+    """The channel rate at 2 * ``n_nodes``, after the coarse/fine refinement check.
+
+    Both passes fill one work buffer. A fine kick matrix allocated after the coarse
+    one was freed lands wherever the heap has room, so peak RSS would step by about
+    1 MiB with the heap layout that import left behind.
+    """
+    work = np.empty(dx.size * 2 * n_nodes)
+    coarse = _channel_rate(channel, dx, n_nodes, work)
+    fine = _channel_rate(channel, dx, 2 * n_nodes, work)
     scale = np.maximum(np.abs(fine), 1e-300)
     worst = float(np.max(np.abs(fine - coarse) / scale))
     if worst > QUADRATURE_RTOL and float(np.max(np.abs(fine - coarse))) > 1e-302:

@@ -18,6 +18,7 @@ see docs/physics-notes.md for the argument spelled out.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,46 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float
         )
 
 
+def _strang_rows(amps, kinetic, half_kinetic, potential, steps: int) -> np.ndarray:
+    """``steps`` Strang steps of the position-space rows ``amps`` under per-row factors.
+
+    Adjacent half-kinetic steps are fused: one fft/ifft pair per step over all rows, into
+    two preallocated buffers. numpy's SIMD complex multiply is not commutative in the last
+    bit, so the operand order potential * psi, psi_k * kinetic is part of the result.
+    """
+    amps = np.fft.fft(amps)
+    buf = np.empty_like(amps)
+    np.multiply(amps, half_kinetic, out=amps)
+    for i in range(steps):
+        np.fft.ifft(amps, out=buf)
+        np.multiply(potential, buf, out=buf)
+        np.fft.fft(buf, out=amps)
+        np.multiply(amps, kinetic if i < steps - 1 else half_kinetic, out=amps)
+    return np.fft.ifft(amps, out=buf)
+
+
+def _evolve_segment(runs) -> list[GridWavefunction]:
+    """One segment of every (psi, force, duration, spec) in ``runs`` through one kernel call,
+    each state on its own grid, with its margin checked before and after. The specs
+    share ``n_points`` and ``steps_per_segment``."""
+    steps = runs[0][3].steps_per_segment
+    factors = []
+    for psi, force, duration, spec in runs:
+        force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
+        _check_margin(psi, spec, kick=force[..., 0] * duration)
+        k, dt = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx), duration / steps
+        factors.append((np.exp(-0.5j * k * k * dt), np.exp(-0.25j * k * k * dt),
+                        np.exp(1j * force * psi.x * dt)))     # V = -force*x
+    amps = np.array([psi.amplitudes for psi, *_ in runs])
+    shape = (len(runs),) + (1,) * (amps.ndim - 2) + (-1,)    # one kinetic row per state
+    kinetic, half_kinetic, potential = (np.array(f) for f in zip(*factors))
+    rows = _strang_rows(amps, kinetic.reshape(shape), half_kinetic.reshape(shape), potential, steps)
+    out = [GridWavefunction(x=psi.x, amplitudes=row) for (psi, *_), row in zip(runs, rows)]
+    for psi, (*_, spec) in zip(out, runs):
+        _check_margin(psi, spec)
+    return out
+
+
 def split_step_evolve(
     psi: GridWavefunction,
     force,
@@ -228,21 +269,7 @@ def split_step_evolve(
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
         return psi
-    force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
-    _check_margin(psi, spec, kick=force[..., 0] * duration)
-    steps = spec.steps_per_segment
-    dt = duration / steps
-    k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
-    kinetic = np.exp(-0.5j * k * k * dt)
-    half_kinetic = np.exp(-0.25j * k * k * dt)
-    potential = np.exp(1j * force * psi.x * dt)      # V = -force*x
-    amps = np.fft.fft(psi.amplitudes) * half_kinetic
-    for i in range(steps):
-        amps = np.fft.fft(potential * np.fft.ifft(amps))
-        amps *= kinetic if i < steps - 1 else half_kinetic
-    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(amps))
-    _check_margin(out, spec)
-    return out
+    return _evolve_segment([(psi, force, duration, spec)])[0]
 
 
 def _final_width(scaled: ScaledUnits) -> float:
@@ -301,6 +328,32 @@ def _drift_steps(scaled: ScaledUnits) -> int:
     return max(1, math.ceil(max(scaled.seg_times) * math.sqrt(force / (8.0 * slack))))
 
 
+def _flight(scaled: ScaledUnits, spec: GridSpec, spins, center, momentum, horizons):
+    """The rows' initial state, and per horizon the (duration, row accelerations) of each
+    segment from the last horizon up to it, after one momentum check of the whole flight."""
+    accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in spins]).T
+    # The whole flight's classical <p> is extreme at segment ends, and the packet's
+    # momentum width stays 1/2; check it once, so the advice covers every segment.
+    p_ends = [np.full(accelerations.shape[1], float(momentum))]
+    start = 0.0
+    for tau, a in zip(scaled.seg_times, accelerations):
+        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
+        start += tau
+    _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
+                    float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
+    packet = gaussian_packet(spec, center, momentum)
+    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
+    plan, t = [], 0.0
+    for horizon in horizons:
+        start, pieces = 0.0, []
+        for tau, a in zip(scaled.seg_times, accelerations):
+            pieces.append((min(start + tau, horizon) - max(start, t), a))
+            start += tau
+        plan.append(pieces)
+        t = horizon
+    return psi, plan
+
+
 def evolve_branch_on_grid(
     scaled: ScaledUnits,
     spec: GridSpec,
@@ -319,30 +372,34 @@ def evolve_branch_on_grid(
     horizons = np.atleast_1d(scaled.total_time if until is None else until)
     if np.any(np.diff(horizons) < 0.0):
         raise ValueError("horizons must ascend")
-    accelerations = np.array([scaled.branch_accelerations(_spin_history(s))
-                              for s in np.atleast_1d(spin)]).T
-    # The whole flight's classical <p> is extreme at segment ends, and the packet's
-    # momentum width stays 1/2; check it once, so the advice covers every segment.
-    p_ends = [np.full(accelerations.shape[1], float(momentum))]
-    start = 0.0
-    for tau, a in zip(scaled.seg_times, accelerations):
-        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
-        start += tau
-    _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
-                    float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
-    packet = gaussian_packet(spec, center, momentum)
-    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
-    states, t = [], 0.0
-    for horizon in horizons:
-        start = 0.0
-        for tau, a in zip(scaled.seg_times, accelerations):
-            step = min(start + tau, horizon) - max(start, t)
+    psi, plan = _flight(scaled, spec, np.atleast_1d(spin), center, momentum, horizons)
+    states = []
+    for pieces in plan:
+        for step, a in pieces:
             if step > 0.0:
                 psi = split_step_evolve(psi, a, step, spec)
-            start += tau
-        t = horizon
         states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
     return states if np.ndim(until) else states[0]
+
+
+def evolve_pairs_lockstep(runs) -> list[GridWavefunction]:
+    """The (+, -) pair of every (scaled, spec) in ``runs`` through its whole flight, all rows
+    in lockstep, one kernel call per segment. The rows equal those of
+    ``evolve_branch_on_grid(scaled, spec, (+1, -1))`` bit for bit, and each run keeps its
+    guards; specs that differ in ``n_points`` or ``steps_per_segment`` raise ValueError.
+    """
+    if len({(spec.n_points, spec.steps_per_segment) for _, spec in runs}) != 1:
+        raise ValueError("lockstep runs must share one n_points and one steps_per_segment")
+    flights = [_flight(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time])
+               for scaled, spec in runs]
+    states = [psi for psi, _ in flights]
+    for segment in zip(*(plan[0] for _, plan in flights)):
+        live = [(i, step, a) for i, (step, a) in enumerate(segment) if step > 0.0]
+        if live:
+            moved = _evolve_segment([(states[i], a, step, runs[i][1]) for i, step, a in live])
+            for (i, _, _), psi in zip(live, moved):
+                states[i] = psi
+    return states
 
 
 def splitting_phase(seg_times, plus, minus, steps: int) -> float:
@@ -405,72 +462,82 @@ def oracle_compare(
     seq: PulseSequence,
     spec: GridSpec | None = None,
 ) -> OracleReport:
-    """Run the grid and the closed forms side by side and report the errors.
+    """Run the grid and the closed forms side by side and report the errors: the
+    one-set case of :func:`oracle_compare_sets`."""
+    return oracle_compare_sets([(params, seq)], [spec])[0]
 
-    The branch pair is evolved once, as the rows of one grid state, and
-    ``phase_grid`` is -arg<psi_minus(t3)|psi_plus(t3)>. A balanced sequence is
-    refused above ``MAX_ORACLE_PHASE`` before any grid work, must recombine
-    (else :class:`ClosureError`), and has ``phase_grid`` unwrapped onto the
-    2 pi branch of phi_g; the sub-2pi residual is untouched.
+
+def oracle_compare_sets(sets, specs=None) -> list[OracleReport]:
+    """One :class:`OracleReport` per (params, seq) in ``sets``, their grids run in lockstep.
+
+    ``specs`` holds one grid per set, None for ``auto_grid``. Each branch pair is
+    evolved once, as two rows of :func:`evolve_pairs_lockstep`, and ``phase_grid`` is
+    -arg<psi_minus(t3)|psi_plus(t3)>. A balanced set is refused above
+    ``MAX_ORACLE_PHASE`` before any grid work, must recombine (else
+    :class:`ClosureError`), and has ``phase_grid`` unwrapped onto the 2 pi branch of
+    phi_g; the sub-2pi residual is untouched.
     """
-    scaled = scale_params(params, seq)
-    balanced = bool(seq.is_balanced())
-    if balanced:
-        phase_analytic = gravitational_phase(params, seq)
-        if abs(phase_analytic) > MAX_ORACLE_PHASE:
+    checked = []
+    for (params, seq), spec in zip(sets, specs or [None] * len(sets), strict=True):
+        scaled = scale_params(params, seq)
+        balanced = bool(seq.is_balanced())
+        phase_analytic = gravitational_phase(params, seq) if balanced else None
+        if balanced and abs(phase_analytic) > MAX_ORACLE_PHASE:
             raise ScaleError(
                 f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
                 "reduce the parameters to desk scale"
             )
-    if spec is None:
-        spec = auto_grid(scaled)
-    pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
-    ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
-    if balanced and abs(ov_grid) < 0.99:
-        raise ClosureError(
-            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
-        )
-    norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
+        checked.append((params, seq, scaled, spec or auto_grid(scaled), balanced, phase_analytic))
+    pairs = evolve_pairs_lockstep([(scaled, spec) for _, _, scaled, spec, _, _ in checked])
+    reports = []
+    for pair, (params, seq, scaled, spec, balanced, phase_analytic) in zip(pairs, checked):
+        ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+        if balanced and abs(ov_grid) < 0.99:
+            raise ClosureError(
+                f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
+            )
+        norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
 
-    final = evolve_sequence(params, seq, initial_state(params))
-    ov_analytic = branch_overlap(params, final)
+        final = evolve_sequence(params, seq, initial_state(params))
+        ov_analytic = branch_overlap(params, final)
 
-    # phases compared as a circular residual; unwrapping only picks the branch
-    phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
-                                     - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
+        # phases compared as a circular residual; unwrapping only picks the branch
+        phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
+                                         - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
 
-    phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
-    if balanced:
-        phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
-    else:
-        phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
-    splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
-                                scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
+        phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
+        if balanced:
+            phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
+        else:
+            phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
+        splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
+                                    scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
 
-    center_error = 0.0
-    width_error = 0.0
-    for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
-        x_cl = branch.center / scaled.length_unit
-        # natural momentum unit is hbar / sigma0
-        p_cl = branch.momentum * scaled.length_unit / params.constants.hbar
-        denom = max(1.0, abs(x_cl), abs(p_cl))
-        center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
-        sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
-        width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
+        center_error = 0.0
+        width_error = 0.0
+        for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+            x_cl = branch.center / scaled.length_unit
+            # natural momentum unit is hbar / sigma0
+            p_cl = branch.momentum * scaled.length_unit / params.constants.hbar
+            denom = max(1.0, abs(x_cl), abs(p_cl))
+            center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
+            sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
+            width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
 
-    return OracleReport(
-        phase_grid=phase_grid,
-        phase_analytic=phase_analytic,
-        phase_error=phase_error,
-        phase_residual=math.remainder(phase_grid - phase_analytic - splitting, 2.0 * math.pi),
-        center_error=center_error,
-        width_error=width_error,
-        overlap_grid=abs(ov_grid),
-        overlap_analytic=abs(ov_analytic),
-        overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
-        norm_drift=norm_drift,
-        balanced=balanced,
-    )
+        reports.append(OracleReport(
+            phase_grid=phase_grid,
+            phase_analytic=phase_analytic,
+            phase_error=phase_error,
+            phase_residual=math.remainder(phase_grid - phase_analytic - splitting, 2.0 * math.pi),
+            center_error=center_error,
+            width_error=width_error,
+            overlap_grid=abs(ov_grid),
+            overlap_analytic=abs(ov_analytic),
+            overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
+            norm_drift=norm_drift,
+            balanced=balanced,
+        ))
+    return reports
 
 
 def oracle_phase(
@@ -533,7 +600,8 @@ def desk_scale_params(
     analytic phase is a_spin * a_gravity * tau_scaled^3 / 16. The effective
     gravity is dialed through the constants bundle, which is exactly what
     that knob exists for; constants stay positive, so ``a_gravity = 0``
-    tilts the axis perpendicular to one unit of gravity (theta = pi/2).
+    tilts the axis perpendicular to one unit of gravity (theta = pi/2); an
+    ``a_gravity`` whose g_earth or m g_earth is no normal float raises ValueError.
     """
     from .constants import PhysicalConstants
 
@@ -542,7 +610,10 @@ def desk_scale_params(
     time_unit = 1.0 / (2.0 * omega)
     accel_unit = sigma0 / time_unit**2
     b_gradient = a_spin * accel_unit * mass / (g_nv * constants.mu_bohr)
-    constants = PhysicalConstants(g_earth=(a_gravity or 1.0) * accel_unit)
+    g_earth = (a_gravity or 1.0) * accel_unit
+    if not all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (g_earth, mass * g_earth)):
+        raise ValueError(f"a_gravity = {a_gravity!r} takes g_earth or m g_earth out of the normal floats")
+    constants = PhysicalConstants(g_earth=g_earth)
     params = ExperimentParams(
         mass=mass,
         b_gradient=b_gradient,

@@ -172,7 +172,7 @@ _PARAM_KEYS = {
     "pulse_duration", "n_nucleons", "g_earth",
 }
 _SEQUENCE_KEYS = {"t1", "t2", "jitter_t1", "jitter_t2", "jitter_t3"}
-_EXTRA_KEYS = {"seed", "response_im", "response_mod_sq"}
+_EXTRA_KEYS = {"response_im", "response_mod_sq"}
 KNOWN_CONFIG_KEYS = _PARAM_KEYS | _SEQUENCE_KEYS | _EXTRA_KEYS
 
 _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
@@ -264,7 +264,7 @@ def parse_config_text(text: str) -> dict:
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            out[key] = int(value) if key == "seed" else float(value)
+            out[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: could not parse value for {key!r}: {value!r}") from exc
     return out

@@ -9,7 +9,9 @@ The default test run does not collect this file (its name does not match
 library's own default grids: ``auto_grid`` sizes ``n_points`` from the peak
 branch momentum (256 points here) with 1200 Strang steps per segment, and
 ``snapshot_frames`` takes 2048 frame points and the drift criterion's step
-count. The two end-to-end cases run a CLI command in a fresh interpreter, as
+count. ``test_certify_lockstep`` runs the three ``certify`` desk pairs through
+their whole flights as one six-row lockstep run, in-process. The two
+end-to-end cases run a CLI command in a fresh interpreter, as
 the benchmark's ``oracle`` workload does. ``BENCH_grid.json`` keeps the
 measured trajectory of these cases.
 """
@@ -29,6 +31,7 @@ from nanoramsey import (
     snapshot_frames,
     split_step_evolve,
 )
+from nanoramsey.grid import evolve_pairs_lockstep
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,16 @@ def test_paired_evolution(benchmark, desk_grid):
     _, _, scaled, spec = desk_grid
     benchmark.pedantic(evolve_branch_on_grid, args=(scaled, spec, (+1, -1)),
                        rounds=5, iterations=1, warmup_rounds=1)
+
+
+def test_certify_lockstep(benchmark):
+    """The (+, -) pairs of the three ``certify`` desk sets as one six-row run."""
+    runs = []
+    for desk_set in ((0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0)):
+        scaled = scale_params(*desk_scale_params(*desk_set))
+        runs.append((scaled, auto_grid(scaled)))
+    benchmark.pedantic(evolve_pairs_lockstep, args=(runs,), rounds=5, iterations=1,
+                       warmup_rounds=1)
 
 
 def test_oracle_compare(benchmark, desk_grid):

@@ -103,7 +103,8 @@ def test_channel_rate_1024(benchmark, surface_inputs):
     """One thermal-emission channel (900 K) at 1024 nodes on 200 separations."""
     channel = next(ch for ch in surface_inputs[0](900.0).channels
                    if ch.name == "thermal_emission")
-    benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, 1024), rounds=20,
+    work = np.empty(SEPARATIONS.size * 1024)
+    benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, 1024, work), rounds=20,
                        iterations=1, warmup_rounds=2)
 
 

@@ -6,7 +6,9 @@ from Monte-Carlo sampling and localization rates from adaptive quadrature;
 none of these calls the closed forms under test. The action route to phi_g
 leans on ``separation_time_integral``, which is itself checked against Verlet.
 The grid kernel is checked against ``strang_reference``, the plain unfused
-one-branch Strang loop. The broadcast CLI sweep is checked against
+one-branch Strang loop, and the lockstep rows bit for bit against
+``pair_flight_reference``, which runs one set's (+, -) pair alone through the
+fused Strang loop with fresh arrays at every step. The broadcast CLI sweep is checked against
 ``sweep_reference``, the loop that builds every point's objects from Python
 scalars and calls the closed forms once per point. The blocked, masked
 quadrature kernel is checked bit for bit against ``angular_factor_reference``
@@ -310,6 +312,39 @@ def reference_branch(scaled, spec, spin, until=None):
             break
         psi = strang_reference(psi, a, step, spec)
         elapsed += step
+    return psi
+
+
+def paired_strang_reference(psi, force, duration, spec):
+    """One segment of the rows of ``psi`` through the fused Strang loop, one fft/ifft pair
+    per step and fresh arrays at every step, with the margin guard before and after."""
+    force = np.asarray(force, dtype=float)[..., None]
+    _check_margin(psi, spec, kick=force[..., 0] * duration)
+    steps = spec.steps_per_segment
+    dt = duration / steps
+    k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    kinetic = np.exp(-0.5j * k * k * dt)
+    half_kinetic = np.exp(-0.25j * k * k * dt)
+    potential = np.exp(1j * force * psi.x * dt)      # V = -force*x
+    amps = np.fft.fft(psi.amplitudes) * half_kinetic
+    for i in range(steps):
+        amps = np.fft.fft(potential * np.fft.ifft(amps))
+        amps *= kinetic if i < steps - 1 else half_kinetic
+    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(amps))
+    _check_margin(out, spec)
+    return out
+
+
+def pair_flight_reference(scaled, spec):
+    """One set's (+, -) rows through the whole flight on their own, segment by segment
+    with ``paired_strang_reference``; durations are cut as the package cuts them."""
+    packet = gaussian_packet(spec)
+    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (2, 1)))
+    accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in (1, -1)]).T
+    start = 0.0
+    for tau, a in zip(scaled.seg_times, accelerations):
+        psi = paired_strang_reference(psi, a, min(start + tau, scaled.total_time) - start, spec)
+        start += tau
     return psi
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+import math
+import sys
 from fnmatch import fnmatch
 from importlib import resources
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.polynomial.legendre import leggauss
 
 from conftest import PAPER_CONFIG
+from nanoramsey import cli, decoherence
 from nanoramsey import (
     PulseSequence,
     QuadratureError,
@@ -97,6 +101,36 @@ class TestAngularFactorKernel:
         assert_bit_equal(angular_factor(-z), angular_factor(z))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_np_sin_is_libm_on_benchmark_surfaces(monkeypatch, tmp_path):
+    """The surface bytes rest on np.sin being libm's sin, element by element (see
+    angular_factor). Check it on every argument np.sin receives inside angular_factor
+    for the benchmark's visibility commands (variant 0: 200 x 100 and 50 x 50), so a
+    numpy build that breaks it fails here by name rather than in a golden byte."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    counts = {"checked": 0, "differ": 0}
+
+    def checked_angular_factor(z):
+        y = np.pi * (z[np.abs(z) >= 0.1] / np.pi)      # the sin arguments, as angular_factor forms them
+        libm = np.fromiter(map(math.sin, y.tolist()), float, y.size)
+        counts["checked"] += y.size
+        counts["differ"] += int(np.count_nonzero(_bits(np.sin(y)) != _bits(libm)))
+        return angular_factor(z)
+
+    monkeypatch.setattr(decoherence, "angular_factor", checked_angular_factor)
+    monkeypatch.chdir(ROOT)
+    for cmd in workloads.commands("surface", 0):
+        assert cli.main([*cmd.argv, "--out", str(tmp_path / cmd.name)]) == 0
+    assert counts["checked"] > 10_000_000       # both whole surfaces went through the hook
+    assert counts["differ"] == 0
+
+
 @pytest.fixture(scope="module")
 def paper_family():
     return default_model_family(build_params(dict(PAPER_CONFIG)))
@@ -124,7 +158,8 @@ class TestBlockedQuadratureBits:
     def test_channel_rate_bit_equal(self, paper_family, m, n_nodes):
         dx = np.geomspace(1e-9, 1e-6, m)
         for channel in paper_family(900.0).channels:
-            assert_bit_equal(_channel_rate(channel, dx, n_nodes),
+            work = np.empty(2 * dx.size * n_nodes)      # as the coarse pass gets it
+            assert_bit_equal(_channel_rate(channel, dx, n_nodes, work),
                              channel_rate_reference(channel, dx, n_nodes))
 
 

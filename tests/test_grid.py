@@ -29,9 +29,10 @@ from nanoramsey import (
     splitting_phase,
     wavepacket_width,
 )
-from nanoramsey.grid import _drift_steps
+from nanoramsey import grid
+from nanoramsey.grid import _drift_steps, evolve_pairs_lockstep, oracle_compare_sets
 from conftest import PAPER_CONFIG
-from oracles import reference_branch
+from oracles import pair_flight_reference, reference_branch
 
 
 #: (a_spin, a_gravity, tau_scaled) of the three `certify` desk runs
@@ -91,6 +92,18 @@ class TestScaledUnits:
         params, seq = desk_scale_params(a_spin=0.0, a_gravity=0.2)
         scaled = scale_params(params, seq)
         assert scaled.a_spin == pytest.approx(0.0, abs=1e-15)
+
+    def test_underflowing_gravity_refused(self):
+        """A positive a_gravity whose g_earth or m g_earth is no normal float is refused by
+        name; a_gravity = 0 still means the perpendicular tilt."""
+        accel_unit = desk_scale_params(a_gravity=1.0)[0].constants.g_earth     # ~2.9e-5
+        limit = np.finfo(float).smallest_normal / (1.0e-24 * accel_unit)       # ~7.6e-280
+        for a_gravity in (1e-320, 0.99 * limit):
+            with pytest.raises(ValueError, match="a_gravity"):
+                desk_scale_params(a_gravity=a_gravity)
+        params, _ = desk_scale_params(a_gravity=1.01 * limit)
+        assert params.mass * params.constants.g_earth >= np.finfo(float).smallest_normal
+        assert desk_scale_params(a_gravity=0.0)[0].theta == math.pi / 2.0
 
 
 class TestGridSpecValidation:
@@ -306,6 +319,65 @@ class TestOracleCompare:
         report = oracle_compare(params, seq)
         text = "\n".join(report.lines())
         assert "phase" in text and "pass" in text
+
+
+class TestLockstep:
+    """The three certify desk sets as one six-row run: each set keeps its own grid, its
+    own factors and its own guards, and nothing moves by a bit."""
+
+    @pytest.fixture(scope="class")
+    def desk_sets(self):
+        return [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK]
+
+    @pytest.fixture(scope="class")
+    def desk_runs(self, desk_sets):
+        return [(scaled, auto_grid(scaled)) for scaled in (scale_params(*s) for s in desk_sets)]
+
+    def test_rows_equal_pair_runs_bit_for_bit(self, desk_runs):
+        assert {(spec.n_points, spec.steps_per_segment) for _, spec in desk_runs} == {(256, 1200)}
+        assert len({spec.dx for _, spec in desk_runs}) == 3
+        for (scaled, spec), pair in zip(desk_runs, evolve_pairs_lockstep(desk_runs)):
+            ref = pair_flight_reference(scaled, spec).amplitudes.view(np.int64)
+            assert np.array_equal(pair.amplitudes.view(np.int64), ref)
+            alone = evolve_branch_on_grid(scaled, spec, (+1, -1)).amplitudes
+            assert np.array_equal(alone.view(np.int64), ref)
+
+    def test_reports_equal_one_set_reports(self, desk_sets):
+        reports = oracle_compare_sets(desk_sets)
+        assert reports == [oracle_compare(params, seq) for params, seq in desk_sets]
+        assert all(report.passed for report in reports)
+
+    @pytest.mark.parametrize("field, value", [("n_points", 512), ("steps_per_segment", 600)])
+    def test_mismatched_grids_refused(self, desk_sets, desk_runs, field, value):
+        (scaled, spec), *rest = desk_runs
+        odd = replace(spec, **{field: value})
+        with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
+            evolve_pairs_lockstep([(scaled, odd), *rest])
+        with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
+            oracle_compare_sets(desk_sets, [odd, None, None])
+
+    def test_phase_band_refused_before_grid_work(self, desk_sets, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grid, "evolve_pairs_lockstep", lambda runs: calls.append(runs) or [])
+        band = desk_scale_params(a_spin=10.0, a_gravity=10.0, tau_scaled=6.84)   # phi ~ 2000 rad
+        with pytest.raises(ScaleError, match="desk scale"):
+            oracle_compare_sets([*desk_sets, band])
+        assert calls == []
+
+    def test_closure_checked_per_set(self, desk_sets, monkeypatch):
+        """A middle set whose pair fails to recombine raises, though its neighbours close."""
+        lockstep = grid.evolve_pairs_lockstep
+
+        def broken_middle(runs):
+            pairs = lockstep(runs)
+            amps = pairs[1].amplitudes.copy()
+            amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
+            pairs[1] = grid.GridWavefunction(pairs[1].x, amps)
+            return pairs
+
+        monkeypatch.setattr(grid, "evolve_pairs_lockstep", broken_middle)
+        with pytest.raises(ClosureError, match="failed to recombine"):
+            oracle_compare_sets(desk_sets)
 
 
 class TestSplittingPhase:

@@ -173,8 +173,11 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just words\n")
 
-    def test_seed_parses_as_int(self):
-        assert parse_config_text("seed = 42\n") == {"seed": 42}
+    def test_seed_key_refused(self):
+        # --seed is the only seed; a config key nothing reads is an unknown key
+        cfg = dict(PAPER_CONFIG, **parse_config_text("seed = 5\n"))
+        with pytest.raises(ConfigError, match="unknown config key.*seed"):
+            build_params(cfg)
 
 
 class TestUnitAudit:
