@@ -185,28 +185,15 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     else:
         phi = -math.atan2(ov.imag, ov.real)
 
-    notes = []
     quotes = PROPOSAL_QUOTES
-    if _discrepant(separation, quotes["peak_separation_m"]):
-        notes.append(
-            f"peak separation: computed {separation:.3e} m vs quoted "
-            f"{quotes['peak_separation_m']:.3e} m (single-arm displacement {arm:.3e} m)"
-        )
-    if _discrepant(doppler, quotes["doppler_linewidth_hz"]):
-        notes.append(
-            f"doppler linewidth: computed {doppler:.3e} Hz vs quoted "
-            f"{quotes['doppler_linewidth_hz']:.3e} Hz"
-        )
-    if _discrepant(v_rms, quotes["thermal_velocity_m_s"]):
-        notes.append(
-            f"thermal rms velocity: computed {v_rms:.3e} m/s vs quoted "
-            f"{quotes['thermal_velocity_m_s']:.3e} m/s"
-        )
-    if _discrepant(zeeman.splitting, quotes["zeeman_splitting_hz"]):
-        notes.append(
-            f"zeeman splitting: computed {zeeman.splitting:.3e} Hz vs quoted "
-            f"{quotes['zeeman_splitting_hz']:.3e} Hz"
-        )
+    notes = [f"{label}: computed {value:.3e} {unit} vs quoted {quotes[key]:.3e} {unit}{suffix}"
+             for label, key, value, unit, suffix in (
+                 ("peak separation", "peak_separation_m", separation, "m",
+                  f" (single-arm displacement {arm:.3e} m)"),
+                 ("doppler linewidth", "doppler_linewidth_hz", doppler, "Hz", ""),
+                 ("thermal rms velocity", "thermal_velocity_m_s", v_rms, "m/s", ""),
+                 ("zeeman splitting", "zeeman_splitting_hz", zeeman.splitting, "Hz", ""),
+             ) if _discrepant(value, quotes[key])]
     # bound comparison on the order of magnitude only (the quote is an order)
     if abs(math.log10(bound) - math.log10(quotes["csl_bound_per_s"])) > 0.5:
         notes.append(

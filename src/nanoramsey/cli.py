@@ -37,7 +37,8 @@ from .dynamics import (
     max_separation,
     ramsey_probability,
 )
-from .grid import ClosureError, GridBoundaryError, ScaleError, desk_scale_params, oracle_compare_sets, snapshot_frames
+from .grid import (CERTIFY_DESK, ClosureError, GridBoundaryError, ScaleError, desk_scale_params,
+                   oracle_compare_sets, snapshot_frames)
 from .io import config_sha256, csv_text, fmt, json_cells, json_table
 from .params import (
     ConfigError,
@@ -225,23 +226,15 @@ def _cmd_visibility(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    runs = []
     if args.config:
         params, seq, _, _ = _load_config(args.config)
-        runs.append(("config", params, seq))
+        runs = {"config": (params, seq, None)}
     else:
-        for label, a_spin, a_grav, tau in (
-            ("desk-a", 0.6, 0.15, 6.0),
-            ("desk-b", 0.4, 0.30, 6.0),
-            ("desk-c", 0.75, 0.10, 7.0),
-        ):
-            params, seq = desk_scale_params(a_spin=a_spin, a_gravity=a_grav,
-                                            tau_scaled=tau)
-            runs.append((label, params, seq))
+        runs = {label: (*desk_scale_params(*desk_set), None) for label, desk_set in CERTIFY_DESK.items()}
     all_ok = True
     lines = []
-    reports = oracle_compare_sets([(params, seq) for _, params, seq in runs])
-    for (label, _, _), report in zip(runs, reports):
+    reports = oracle_compare_sets(runs.values())
+    for label, report in zip(runs, reports):
         # only a balanced flight recombines; an open one is checked by its overlap deficit
         closure_ok = report.overlap_grid >= 0.9999 or not report.balanced
         ok = report.passed and closure_ok

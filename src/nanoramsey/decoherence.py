@@ -268,7 +268,8 @@ def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
     fine = _channel_rate(channel, dx, 2 * n_nodes, work)
     scale = np.maximum(np.abs(fine), 1e-300)
     worst = float(np.max(np.abs(fine - coarse) / scale))
-    if worst > QUADRATURE_RTOL and float(np.max(np.abs(fine - coarse))) > 1e-302:
+    # written as "unless within bounds", so a NaN rate is refused too
+    if not worst <= QUADRATURE_RTOL and not float(np.max(np.abs(fine - coarse))) <= 1e-302:
         raise QuadratureError(
             f"channel {channel.name!r} not converged: refinement changed the "
             f"integral by {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}); raise n_nodes"
@@ -290,7 +291,7 @@ class VisibilitySurface:
     def __post_init__(self):
         if self.visibility.shape != (self.delta_x_axis.size, self.t_int_axis.size):
             raise ValueError("visibility matrix shape must match the axes")
-        if np.any(self.visibility < 0.0) or np.any(self.visibility > 1.0):
+        if not np.all((0.0 <= self.visibility) & (self.visibility <= 1.0)):
             raise ValueError("visibility entries must lie in [0, 1]")
 
 

@@ -45,6 +45,7 @@ WIDTH_TOL = 1.0e-4       # relative, grid width vs spreading law
 OVERLAP_TOL = 1.0e-4     # absolute, |overlap| grid vs analytic
 
 MIN_POINTS = 256         # smallest grid; auto_grid doubles it until momentum fits
+MAX_POINTS = 1 << 16     # largest grid auto_grid sizes; past it, desk-scale first
 GUARD_SIGMAS = 8.0       # packet widths the runtime guards keep inside the grid
 DOMAIN_SIGMAS = 10.0     # final widths auto_grid leaves beyond the excursions
 
@@ -234,8 +235,10 @@ def _strang_rows(amps, kinetic, half_kinetic, potential, steps: int) -> np.ndarr
 def _evolve_segment(runs) -> list[GridWavefunction]:
     """One segment of every (psi, force, duration, spec) in ``runs`` through one kernel call,
     each state on its own grid, with its margin checked before and after. The specs
-    share ``n_points`` and ``steps_per_segment``."""
+    must share ``n_points`` and ``steps_per_segment``, else ValueError."""
     steps = runs[0][3].steps_per_segment
+    if len({(spec.n_points, spec.steps_per_segment) for *_, spec in runs}) != 1:
+        raise ValueError("lockstep runs must share one n_points and one steps_per_segment")
     factors = []
     for psi, force, duration, spec in runs:
         force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
@@ -288,7 +291,8 @@ def auto_grid(
     The domain spans every branch-centre excursion plus ``DOMAIN_SIGMAS`` final
     packet widths and 2 on each side (the guards enforce ``GUARD_SIGMAS`` at run
     time). ``n_points`` is a floor, doubled until pi/dx clears the peak branch |p|
-    plus ``DOMAIN_SIGMAS`` momentum widths (1/2 each).
+    plus ``DOMAIN_SIGMAS`` momentum widths (1/2 each); a flight that needs more
+    than ``MAX_POINTS`` raises :class:`ScaleError` before any array exists.
     """
     lo, hi, p_peak = 0.0, 0.0, 0.0
     for spin in spin_values:
@@ -308,6 +312,10 @@ def auto_grid(
     margin = DOMAIN_SIGMAS * _final_width(scaled) + 2.0
     while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * DOMAIN_SIGMAS:
         n_points *= 2
+        if n_points > MAX_POINTS:
+            need = (p_peak + 0.5 * DOMAIN_SIGMAS) * (hi - lo + 2.0 * margin) / math.pi
+            raise ScaleError(f"peak momentum {p_peak:.3g} needs about {need:.3g} grid points, more than "
+                             f"{MAX_POINTS}; reduce the parameters to desk scale (see docs/physics-notes.md)")
     return GridSpec(
         n_points=n_points,
         x_min=lo - margin,
@@ -354,6 +362,27 @@ def _flight(scaled: ScaledUnits, spec: GridSpec, spins, center, momentum, horizo
     return psi, plan
 
 
+def _evolve_flights(flights) -> list[list[GridWavefunction]]:
+    """Every flight ``(scaled, spec, spins, center, momentum, horizons)``, planned by
+    :func:`_flight`, with all rows in lockstep: per piece, one :func:`_evolve_segment` call
+    over the flights whose piece is not empty. The flights share their number of
+    horizons; each flight's states at its horizons are returned, one list per flight.
+    """
+    planned = [_flight(*flight) for flight in flights]
+    states = [psi for psi, _ in planned]
+    out = [[] for _ in flights]
+    for pieces in zip(*(plan for _, plan in planned), strict=True):   # one horizon each
+        for segment in zip(*pieces):
+            live = [(i, step, a) for i, (step, a) in enumerate(segment) if step > 0.0]
+            if live:
+                moved = _evolve_segment([(states[i], a, step, flights[i][1]) for i, step, a in live])
+                for (i, _, _), psi in zip(live, moved):
+                    states[i] = psi
+        for frames, psi in zip(out, states):
+            frames.append(psi)
+    return out
+
+
 def evolve_branch_on_grid(
     scaled: ScaledUnits,
     spec: GridSpec,
@@ -372,34 +401,10 @@ def evolve_branch_on_grid(
     horizons = np.atleast_1d(scaled.total_time if until is None else until)
     if np.any(np.diff(horizons) < 0.0):
         raise ValueError("horizons must ascend")
-    psi, plan = _flight(scaled, spec, np.atleast_1d(spin), center, momentum, horizons)
-    states = []
-    for pieces in plan:
-        for step, a in pieces:
-            if step > 0.0:
-                psi = split_step_evolve(psi, a, step, spec)
-        states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
+    [states] = _evolve_flights([(scaled, spec, np.atleast_1d(spin), center, momentum, horizons)])
+    if not np.ndim(spin):
+        states = [GridWavefunction(psi.x, psi.amplitudes[0]) for psi in states]
     return states if np.ndim(until) else states[0]
-
-
-def evolve_pairs_lockstep(runs) -> list[GridWavefunction]:
-    """The (+, -) pair of every (scaled, spec) in ``runs`` through its whole flight, all rows
-    in lockstep, one kernel call per segment. The rows equal those of
-    ``evolve_branch_on_grid(scaled, spec, (+1, -1))`` bit for bit, and each run keeps its
-    guards; specs that differ in ``n_points`` or ``steps_per_segment`` raise ValueError.
-    """
-    if len({(spec.n_points, spec.steps_per_segment) for _, spec in runs}) != 1:
-        raise ValueError("lockstep runs must share one n_points and one steps_per_segment")
-    flights = [_flight(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time])
-               for scaled, spec in runs]
-    states = [psi for psi, _ in flights]
-    for segment in zip(*(plan[0] for _, plan in flights)):
-        live = [(i, step, a) for i, (step, a) in enumerate(segment) if step > 0.0]
-        if live:
-            moved = _evolve_segment([(states[i], a, step, runs[i][1]) for i, step, a in live])
-            for (i, _, _), psi in zip(live, moved):
-                states[i] = psi
-    return states
 
 
 def splitting_phase(seg_times, plus, minus, steps: int) -> float:
@@ -464,21 +469,21 @@ def oracle_compare(
 ) -> OracleReport:
     """Run the grid and the closed forms side by side and report the errors: the
     one-set case of :func:`oracle_compare_sets`."""
-    return oracle_compare_sets([(params, seq)], [spec])[0]
+    return oracle_compare_sets([(params, seq, spec)])[0]
 
 
-def oracle_compare_sets(sets, specs=None) -> list[OracleReport]:
-    """One :class:`OracleReport` per (params, seq) in ``sets``, their grids run in lockstep.
+def oracle_compare_sets(sets) -> list[OracleReport]:
+    """One :class:`OracleReport` per (params, seq, spec) in ``sets``, their grids run in lockstep.
 
-    ``specs`` holds one grid per set, None for ``auto_grid``. Each branch pair is
-    evolved once, as two rows of :func:`evolve_pairs_lockstep`, and ``phase_grid`` is
+    ``spec`` is the set's grid, None for ``auto_grid``. Each branch pair is evolved
+    once, as two rows of one flight of :func:`_evolve_flights`, and ``phase_grid`` is
     -arg<psi_minus(t3)|psi_plus(t3)>. A balanced set is refused above
     ``MAX_ORACLE_PHASE`` before any grid work, must recombine (else
     :class:`ClosureError`), and has ``phase_grid`` unwrapped onto the 2 pi branch of
     phi_g; the sub-2pi residual is untouched.
     """
     checked = []
-    for (params, seq), spec in zip(sets, specs or [None] * len(sets), strict=True):
+    for params, seq, spec in sets:
         scaled = scale_params(params, seq)
         balanced = bool(seq.is_balanced())
         phase_analytic = gravitational_phase(params, seq) if balanced else None
@@ -488,9 +493,10 @@ def oracle_compare_sets(sets, specs=None) -> list[OracleReport]:
                 "reduce the parameters to desk scale"
             )
         checked.append((params, seq, scaled, spec or auto_grid(scaled), balanced, phase_analytic))
-    pairs = evolve_pairs_lockstep([(scaled, spec) for _, _, scaled, spec, _, _ in checked])
+    flights = _evolve_flights([(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time])
+                               for _, _, scaled, spec, _, _ in checked])
     reports = []
-    for pair, (params, seq, scaled, spec, balanced, phase_analytic) in zip(pairs, checked):
+    for [pair], (params, seq, scaled, spec, balanced, phase_analytic) in zip(flights, checked):
         ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
         if balanced and abs(ov_grid) < 0.99:
             raise ClosureError(
@@ -583,6 +589,14 @@ def snapshot_frames(
         prob = np.abs(pair.amplitudes) ** 2 / scaled.length_unit
         frames[i] = (fractions[i] * t3, pair.x * scaled.length_unit, prob[0], prob[1])
     return frames
+
+
+#: (a_spin, a_gravity, tau_scaled) of the desk sets ``certify`` runs, by label
+CERTIFY_DESK = {
+    "desk-a": (0.6, 0.15, 6.0),
+    "desk-b": (0.4, 0.30, 6.0),
+    "desk-c": (0.75, 0.10, 7.0),
+}
 
 
 def desk_scale_params(

@@ -245,7 +245,7 @@ def build_params(config: dict) -> ExperimentParams:
 def parse_config_text(text: str) -> dict:
     """Parse the flat ``key = value`` config format.
 
-    One assignment per line, ``#`` starts a comment, values are numbers.
+    One assignment per line, ``#`` starts a comment, values are finite numbers.
     Unknown keys are rejected by :func:`build_params`, not here, so that
     callers can carve off their own keys first.
     """
@@ -267,6 +267,8 @@ def parse_config_text(text: str) -> dict:
             out[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: could not parse value for {key!r}: {value!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"line {lineno}: value for {key!r} must be finite, got {value!r}")
     return out
 
 

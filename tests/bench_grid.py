@@ -31,7 +31,7 @@ from nanoramsey import (
     snapshot_frames,
     split_step_evolve,
 )
-from nanoramsey.grid import evolve_pairs_lockstep
+from nanoramsey.grid import CERTIFY_DESK, _evolve_flights
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +60,11 @@ def test_paired_evolution(benchmark, desk_grid):
 
 def test_certify_lockstep(benchmark):
     """The (+, -) pairs of the three ``certify`` desk sets as one six-row run."""
-    runs = []
-    for desk_set in ((0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0)):
+    flights = []
+    for desk_set in CERTIFY_DESK.values():
         scaled = scale_params(*desk_scale_params(*desk_set))
-        runs.append((scaled, auto_grid(scaled)))
-    benchmark.pedantic(evolve_pairs_lockstep, args=(runs,), rounds=5, iterations=1,
+        flights.append((scaled, auto_grid(scaled), (+1, -1), 0.0, 0.0, [scaled.total_time]))
+    benchmark.pedantic(_evolve_flights, args=(flights,), rounds=5, iterations=1,
                        warmup_rounds=1)
 
 

@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,64 @@ class TestExitCodes:
         assert rc == cli.EXIT_OK
         assert "  closure  |overlap| 0.711609  (unbalanced flight: closure not required)" in out
         assert out.endswith("certification: PASS\n")
+
+
+
+def write_config(tmp_path, **overrides) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(paper_config_text(**overrides), encoding="utf-8")
+    return str(path)
+
+
+class TestGravityOnlyGrid:
+    """Without a gradient the phase is 0, yet gravity alone sizes the oracle grid."""
+
+    @pytest.mark.parametrize("g_earth", [None, 1.0e200])
+    @pytest.mark.parametrize("command", [["certify"], ["dump-snapshots", "--times", "0.5"]])
+    def test_refused_before_any_grid(self, capsys, tmp_path, command, g_earth):
+        config = write_config(tmp_path, b_gradient=0.0, g_earth=g_earth)
+        tracemalloc.start()
+        try:
+            rc = cli.main([*command, "--config", config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "desk scale" in err
+        assert peak < 16 * 2**20
+
+    def test_infinite_gravity_refused_by_its_line(self, capsys, tmp_path):
+        config = write_config(tmp_path, b_gradient=0.0, g_earth=math.inf)
+        assert cli.main(["certify", "--config", config]) == cli.EXIT_VALIDATION
+        assert "line 13: value for 'g_earth' must be finite" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """NaN fails every comparison, so each guard must accept only what lies in bounds."""
+
+    def test_subnormal_temperature_is_numerical_failure(self, capsys, tmp_path):
+        config = write_config(tmp_path, t_environment=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # the Planck factor overflows
+            rc = cli.main(["visibility", "--config", config])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL and out == ""
+        assert "not converged" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("visibility", "t_environment", math.inf),
+        ("visibility", "response_im", math.nan),
+        ("visibility", "radius", math.inf),
+        ("budget", "t_cm", math.inf),
+    ])
+    def test_non_finite_config_value_refused(self, capsys, tmp_path, command, key, value):
+        config = write_config(tmp_path, **{key: value})
+        rc = cli.main([command, "--config", config])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        lineno = paper_config_text(**{key: value}).splitlines().index(f"{key} = {value!r}") + 1
+        assert f"line {lineno}: value for {key!r} must be finite" in err
 
 
 def test_cli_import_loads_no_scipy():

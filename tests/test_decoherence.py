@@ -63,6 +63,18 @@ class TestLocalizationRate:
             localization_rate_profile(model, [1e-3], n_nodes=16)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_rate_raises(self, paper_params):
+        """A subnormal k_B T makes every Planck weight NaN; NaN passes no bound."""
+        model = default_model(paper_params, t_internal=1e-300)
+        with pytest.raises(QuadratureError, match="not converged.*by nan"):
+            localization_rate_profile(model, [1e-7])
+
+    def test_nan_visibility_refused(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            decoherence.VisibilitySurface(np.array([1e-7, 2e-7]), np.array([300.0]),
+                                          np.array([[0.5], [np.nan]]), 1e-4)
+
 # -- the masked kernel against the whole-array reference, bit for bit ----------
 
 #: The series switch at |z| = 0.1 and its neighbours, signed zeros and non-finite values.

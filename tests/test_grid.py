@@ -30,13 +30,11 @@ from nanoramsey import (
     wavepacket_width,
 )
 from nanoramsey import grid
-from nanoramsey.grid import _drift_steps, evolve_pairs_lockstep, oracle_compare_sets
+from nanoramsey.grid import CERTIFY_DESK, MAX_POINTS, _drift_steps, oracle_compare_sets
 from conftest import PAPER_CONFIG
 from oracles import pair_flight_reference, reference_branch
 
 
-#: (a_spin, a_gravity, tau_scaled) of the three `certify` desk runs
-CERTIFY_DESK = [(0.6, 0.15, 6.0), (0.4, 0.30, 6.0), (0.75, 0.10, 7.0)]
 #: perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
 SNAPSHOT_CONFIG = dict(PAPER_CONFIG, b_gradient=1.0e5, theta=1.5667963267948966, t3=3.0e-5)
 
@@ -216,7 +214,17 @@ class TestAutoGridMomentum:
         report = oracle_compare(params, seq, replace(coarse, n_points=advised))
         assert report.passed
 
-    @pytest.mark.parametrize("desk_set", CERTIFY_DESK)
+    @pytest.mark.parametrize("g_earth", [9.80665, 1.0e200, math.inf])
+    def test_gravity_only_flight_refused_before_any_array(self, g_earth, monkeypatch):
+        """Without a gradient the phase is 0 and scale_params passes, but gravity alone
+        drives the momentum: the paper object needs about 2e6 points at 1 g."""
+        params = build_params(dict(PAPER_CONFIG, b_gradient=0.0, g_earth=g_earth))
+        scaled = scale_params(params, PulseSequence.balanced(params.t3))
+        monkeypatch.setattr(grid, "GridSpec", None)      # no grid may be built
+        with pytest.raises(ScaleError, match=f"more than {MAX_POINTS}; .*desk scale"):
+            auto_grid(scaled)
+
+    @pytest.mark.parametrize("desk_set", list(CERTIFY_DESK.values()))
     def test_certify_desk_at_criterion_points_matches_2048(self, desk_set):
         """The momentum criterion alone sets n_points; the report matches a 2048-point run."""
         params, seq = desk_scale_params(*desk_set)
@@ -327,23 +335,28 @@ class TestLockstep:
 
     @pytest.fixture(scope="class")
     def desk_sets(self):
-        return [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK]
+        return [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK.values()]
 
     @pytest.fixture(scope="class")
     def desk_runs(self, desk_sets):
         return [(scaled, auto_grid(scaled)) for scaled in (scale_params(*s) for s in desk_sets)]
 
+    @staticmethod
+    def pair_flights(runs):
+        return [(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time]) for scaled, spec in runs]
+
     def test_rows_equal_pair_runs_bit_for_bit(self, desk_runs):
         assert {(spec.n_points, spec.steps_per_segment) for _, spec in desk_runs} == {(256, 1200)}
         assert len({spec.dx for _, spec in desk_runs}) == 3
-        for (scaled, spec), pair in zip(desk_runs, evolve_pairs_lockstep(desk_runs)):
+        flights = grid._evolve_flights(self.pair_flights(desk_runs))
+        for (scaled, spec), [pair] in zip(desk_runs, flights):
             ref = pair_flight_reference(scaled, spec).amplitudes.view(np.int64)
             assert np.array_equal(pair.amplitudes.view(np.int64), ref)
             alone = evolve_branch_on_grid(scaled, spec, (+1, -1)).amplitudes
             assert np.array_equal(alone.view(np.int64), ref)
 
     def test_reports_equal_one_set_reports(self, desk_sets):
-        reports = oracle_compare_sets(desk_sets)
+        reports = oracle_compare_sets([(params, seq, None) for params, seq in desk_sets])
         assert reports == [oracle_compare(params, seq) for params, seq in desk_sets]
         assert all(report.passed for report in reports)
 
@@ -352,32 +365,40 @@ class TestLockstep:
         (scaled, spec), *rest = desk_runs
         odd = replace(spec, **{field: value})
         with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
-            evolve_pairs_lockstep([(scaled, odd), *rest])
+            grid._evolve_flights(self.pair_flights([(scaled, odd), *rest]))
+        (params, seq), *others = desk_sets
         with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
-            oracle_compare_sets(desk_sets, [odd, None, None])
+            oracle_compare_sets([(params, seq, odd), *((p, s, None) for p, s in others)])
+
+    def test_unequal_horizon_counts_refused(self, desk_runs):
+        (scaled, spec), (scaled_b, spec_b), _ = desk_runs
+        with pytest.raises(ValueError):
+            grid._evolve_flights([(scaled, spec, (+1, -1), 0.0, 0.0, [0.0]),
+                                  (scaled_b, spec_b, (+1, -1), 0.0, 0.0, [0.0, 0.0])])
 
     def test_phase_band_refused_before_grid_work(self, desk_sets, monkeypatch):
         calls = []
-        monkeypatch.setattr(grid, "evolve_pairs_lockstep", lambda runs: calls.append(runs) or [])
+        monkeypatch.setattr(grid, "_evolve_flights", lambda flights: calls.append(flights) or [])
         band = desk_scale_params(a_spin=10.0, a_gravity=10.0, tau_scaled=6.84)   # phi ~ 2000 rad
         with pytest.raises(ScaleError, match="desk scale"):
-            oracle_compare_sets([*desk_sets, band])
+            oracle_compare_sets([(params, seq, None) for params, seq in [*desk_sets, band]])
         assert calls == []
 
     def test_closure_checked_per_set(self, desk_sets, monkeypatch):
         """A middle set whose pair fails to recombine raises, though its neighbours close."""
-        lockstep = grid.evolve_pairs_lockstep
+        lockstep = grid._evolve_flights
 
-        def broken_middle(runs):
-            pairs = lockstep(runs)
-            amps = pairs[1].amplitudes.copy()
+        def broken_middle(flights):
+            states = lockstep(flights)
+            [pair] = states[1]
+            amps = pair.amplitudes.copy()
             amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
-            pairs[1] = grid.GridWavefunction(pairs[1].x, amps)
-            return pairs
+            states[1] = [grid.GridWavefunction(pair.x, amps)]
+            return states
 
-        monkeypatch.setattr(grid, "evolve_pairs_lockstep", broken_middle)
+        monkeypatch.setattr(grid, "_evolve_flights", broken_middle)
         with pytest.raises(ClosureError, match="failed to recombine"):
-            oracle_compare_sets(desk_sets)
+            oracle_compare_sets([(params, seq, None) for params, seq in desk_sets])
 
 
 class TestSplittingPhase:
@@ -385,7 +406,7 @@ class TestSplittingPhase:
     linear potential is a known c-number, so it is no tolerance but a prediction."""
 
     @pytest.mark.parametrize("steps", [300, 1200])
-    @pytest.mark.parametrize("desk_set", CERTIFY_DESK + [(1.0, 0.5, 8.0)])
+    @pytest.mark.parametrize("desk_set", [*CERTIFY_DESK.values(), (1.0, 0.5, 8.0)])
     def test_balanced_residual(self, desk_set, steps):
         params, seq = desk_scale_params(*desk_set)
         report = oracle_compare(params, seq, auto_grid(scale_params(params, seq),

@@ -173,6 +173,11 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just words\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(ConfigError, match=f"line 2: value for 't_cm' must be finite, got '{value}'"):
+            parse_config_text(f"mass = 1e-18\nt_cm = {value}\n")
+
     def test_seed_key_refused(self):
         # --seed is the only seed; a config key nothing reads is an unknown key
         cfg = dict(PAPER_CONFIG, **parse_config_text("seed = 5\n"))
