@@ -19,12 +19,10 @@ from .params import (
     sphere_mass,
 )
 from .dynamics import (
-    BranchTrajectory,
     CompositeState,
     GaussianBranchState,
     PulseSequence,
     branch_overlap,
-    classical_trajectory,
     evolve_sequence,
     gravitational_phase,
     initial_state,

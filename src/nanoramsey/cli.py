@@ -37,8 +37,8 @@ from .dynamics import (
     max_separation,
     ramsey_probability,
 )
-from .grid import (CERTIFY_DESK, ClosureError, GridBoundaryError, ScaleError, desk_scale_params,
-                   oracle_compare_sets, snapshot_frames)
+from .grid import (CERTIFY_DESK, CLOSURE_MIN, ClosureError, GridBoundaryError, ScaleError,
+                   desk_scale_params, oracle_compare_sets, snapshot_frames)
 from .io import config_sha256, csv_text, fmt, json_cells, json_table
 from .params import (
     ConfigError,
@@ -235,15 +235,13 @@ def _cmd_certify(args) -> int:
     lines = []
     reports = oracle_compare_sets(runs.values())
     for label, report in zip(runs, reports):
-        # only a balanced flight recombines; an open one is checked by its overlap deficit
-        closure_ok = report.overlap_grid >= 0.9999 or not report.balanced
-        ok = report.passed and closure_ok
+        ok = report.passed and report.closure_ok
         all_ok &= ok
         lines.append(f"[{label}] {'PASS' if ok else 'FAIL'}")
         lines.extend("  " + ln for ln in report.lines())
-        lines.append(f"  closure  |overlap| {report.overlap_grid:.6f}"
-                     + (f" >= 0.9999  [{'pass' if closure_ok else 'FAIL'}]" if report.balanced
-                        else "  (unbalanced flight: closure not required)"))
+        closure = (f" >= {CLOSURE_MIN}  [{'pass' if report.closure_ok else 'FAIL'}]"
+                   if report.balanced else "  (unbalanced flight: closure not required)")
+        lines.append(f"  closure  |overlap| {report.overlap_grid:.6f}{closure}")
     lines.append(f"certification: {'PASS' if all_ok else 'FAIL'}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_NUMERICAL

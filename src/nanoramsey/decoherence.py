@@ -96,8 +96,10 @@ def _planck_flux(omega: np.ndarray, temperature: float) -> np.ndarray:
     Photons per unit area, time and angular frequency: c * n(omega) with the
     mode density omega^2/(pi^2 c^3) weighted by the Bose occupation.
     """
-    occ = 1.0 / np.expm1(_HBAR * omega / (_KB * temperature))
-    return omega**2 / (math.pi**2 * _SPEED_OF_LIGHT**2) * occ
+    # a k T that underflows makes the weights inf or NaN; _checked_channel_rate refuses them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        occ = 1.0 / np.expm1(_HBAR * omega / (_KB * temperature))
+        return omega**2 / (math.pi**2 * _SPEED_OF_LIGHT**2) * occ
 
 
 @dataclass(frozen=True)
@@ -266,6 +268,11 @@ def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
     work = np.empty(dx.size * 2 * n_nodes)
     coarse = _channel_rate(channel, dx, n_nodes, work)
     fine = _channel_rate(channel, dx, 2 * n_nodes, work)
+    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
+        raise QuadratureError(
+            f"channel {channel.name!r} not converged: its rate is not finite at "
+            f"temperature {channel.temperature!r} K"
+        )
     scale = np.maximum(np.abs(fine), 1e-300)
     worst = float(np.max(np.abs(fine - coarse) / scale))
     # written as "unless within bounds", so a NaN rate is refused too

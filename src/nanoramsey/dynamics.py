@@ -43,7 +43,6 @@ from .params import (
     any_of,
     branch_force,
     first,
-    number,
     pointwise,
     where,
 )
@@ -155,95 +154,40 @@ class CompositeState:
     minus_branch: GaussianBranchState
 
 
-@dataclass(frozen=True)
-class BranchTrajectory:
-    """Piecewise-uniform-acceleration trajectory of one branch centre.
-
-    ``breakpoints`` holds (time s, centre m, momentum kg m/s) at the segment
-    boundaries; ``accelerations`` the constant acceleration inside each
-    segment, so the trajectory is exactly reconstructible anywhere.
-    """
-
-    breakpoints: tuple[tuple[float, float, float], ...]
-    accelerations: tuple[float, ...]
-    mass: float
-
-    def __post_init__(self):
-        times = [b[0] for b in self.breakpoints]
-        if any(any_of(t1 >= t2) for t1, t2 in zip(times, times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if len(self.accelerations) != len(self.breakpoints) - 1:
-            raise ValueError("need exactly one acceleration per segment")
-
-    def state_at(self, t: float) -> tuple[float, float]:
-        """Exact (centre, momentum) at any time inside the trajectory."""
-        times = [b[0] for b in self.breakpoints]
-        if not times[0] <= t <= times[-1]:
-            raise ValueError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
-        k = max(0, min(len(self.accelerations) - 1, np.searchsorted(times, t, side="right") - 1))
-        t0, x0, p0 = self.breakpoints[k]
-        a = self.accelerations[k]
-        dt = t - t0
-        v0 = p0 / self.mass
-        return (x0 + v0 * dt + 0.5 * a * dt * dt, p0 + self.mass * a * dt)
-
-
 def _spin_history(initial_spin: int) -> tuple[int, int, int]:
     # the flip pulses map s -> -s; spin 0 is untouched
     s = int(initial_spin)
     return (s, -s, s)
 
 
-def classical_trajectory(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    initial_spin: SpinBranch | int,
-    x0: float = 0.0,
-    p0: float = 0.0,
-) -> BranchTrajectory:
-    """Centre trajectory of the branch that starts on ``initial_spin``.
-
-    The spin sign flips at t1 and t2 (spin 0 stays 0 and falls like a
-    projectile). Positions and momenta are continuous at the flips.
-    Broadcasts over array parameters, times and starts; :meth:`~BranchTrajectory.state_at`
-    needs a scalar trajectory.
-    """
-    durations = seq.segment_durations()
-    spins = _spin_history(int(initial_spin))
-    m = params.mass
-    t, x, p = 0.0, number(x0), number(p0)
-    breakpoints = [(t, x, p)]
-    accels = []
-    for tau, s in zip(durations, spins):
-        a = branch_force(params, s) / m
-        accels.append(a)
-        x = x + ((p / m) * tau + 0.5 * a * tau * tau)
-        p = p + m * a * tau
-        t = t + tau
-        breakpoints.append((t, x, p))
-    return BranchTrajectory(tuple(breakpoints), tuple(accels), m)
-
-
 def _relative_segments(params: ExperimentParams, seq: PulseSequence):
-    """Per-segment (duration, dx0, dv0, da) of the + minus - branch separation."""
-    plus = classical_trajectory(params, seq, SpinBranch.PLUS)
-    minus = classical_trajectory(params, seq, SpinBranch.MINUS)
+    """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation.
+
+    Both branch centres start at rest at the origin and are walked through the
+    three segments; ``start`` accumulates the durations and ``duration`` is the
+    difference of consecutive starts, so the last segment may end an ulp off t3.
+    """
     m = params.mass
+    t, xp, pp, xm, pm = 0.0, 0.0, 0.0, 0.0, 0.0
     out = []
-    for k in range(len(plus.accelerations)):
-        t0, xp, pp = plus.breakpoints[k]
-        _, xm, pm = minus.breakpoints[k]
-        tau = plus.breakpoints[k + 1][0] - t0
-        da = plus.accelerations[k] - minus.accelerations[k]
-        out.append((tau, xp - xm, (pp - pm) / m, da))
+    for tau, s in zip(seq.segment_durations(), _spin_history(SpinBranch.PLUS)):
+        ap, am = branch_force(params, s) / m, branch_force(params, -s) / m
+        end = t + tau
+        out.append((t, end - t, xp - xm, (pp - pm) / m, ap - am))
+        xp, pp = xp + ((pp / m) * tau + 0.5 * ap * tau * tau), pp + m * ap * tau
+        xm, pm = xm + ((pm / m) * tau + 0.5 * am * tau * tau), pm + m * am * tau
+        t = end
     return out
 
 
 def separation_at(params: ExperimentParams, seq: PulseSequence, t: float) -> float:
-    """Signed branch separation x_plus(t) - x_minus(t) in metres."""
-    plus = classical_trajectory(params, seq, SpinBranch.PLUS)
-    minus = classical_trajectory(params, seq, SpinBranch.MINUS)
-    return plus.state_at(t)[0] - minus.state_at(t)[0]
+    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3."""
+    t3 = seq.effective_times()[2]
+    if not 0.0 <= t <= t3:
+        raise ValueError(f"time {t} outside the flight [0.0, {t3}]")
+    start, _, dx0, dv0, da = [seg for seg in _relative_segments(params, seq) if seg[0] <= t][-1]
+    dt = t - start
+    return dx0 + dv0 * dt + 0.5 * da * dt * dt
 
 
 def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -258,7 +202,7 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
     if all_of(balanced):
         return _balanced_separation(params, seq)
     best = 0.0
-    for tau, dx0, dv0, da in _relative_segments(params, seq):
+    for _, tau, dx0, dv0, da in _relative_segments(params, seq):
         has_vertex = da != 0.0
         t_vertex = -dv0 / where(has_vertex, da, 1.0)
         inside = has_vertex & (0.0 < t_vertex) & (t_vertex < tau)
@@ -278,7 +222,7 @@ def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
 def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> float:
     """Exact integral of the signed separation x_plus - x_minus over the flight (m s)."""
     total = 0.0
-    for tau, dx0, dv0, da in _relative_segments(params, seq):
+    for _, tau, dx0, dv0, da in _relative_segments(params, seq):
         total = total + (dx0 * tau + 0.5 * dv0 * tau * tau
                          + da * pointwise(operator.pow, tau, 3) / 6.0)
     return total

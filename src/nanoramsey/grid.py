@@ -43,6 +43,7 @@ PHASE_TOL = 1.0e-3       # rad, grid vs analytic phase
 CENTER_TOL = 1.0e-6      # relative, grid <x>,<p> vs classical trajectory
 WIDTH_TOL = 1.0e-4       # relative, grid width vs spreading law
 OVERLAP_TOL = 1.0e-4     # absolute, |overlap| grid vs analytic
+CLOSURE_MIN = 0.9999     # |overlap| on the grid a balanced flight must reach
 
 MIN_POINTS = 256         # smallest grid; auto_grid doubles it until momentum fits
 MAX_POINTS = 1 << 16     # largest grid auto_grid sizes; past it, desk-scale first
@@ -95,7 +96,8 @@ def scale_params(params: ExperimentParams, seq: PulseSequence) -> ScaledUnits:
     a_grav = (params.constants.g_earth * math.cos(params.theta)) * time_unit**2 / sigma0
     seg = tuple(tau / time_unit for tau in seq.segment_durations())
     phase_scale = abs(a_spin * a_grav) * sum(seg) ** 3 / 16.0
-    if phase_scale > MAX_SCALED_PHASE:
+    # written as "unless within bounds", so a NaN phase scale (0 * inf) is refused too
+    if not phase_scale <= MAX_SCALED_PHASE:
         raise ScaleError(
             f"dimensionless phase ~{phase_scale:.3g} exceeds {MAX_SCALED_PHASE:.0g}; "
             "reduce t3 or the gradient to desk scale for the oracle run "
@@ -443,6 +445,11 @@ class OracleReport:
             and self.width_error <= WIDTH_TOL
             and self.overlap_deficit <= OVERLAP_TOL
         )
+
+    @property
+    def closure_ok(self) -> bool:
+        """Whether the grid closed: only a balanced flight recombines, an open one passes."""
+        return self.overlap_grid >= CLOSURE_MIN or not self.balanced
 
     def lines(self) -> list[str]:
         def mark(ok):

@@ -220,9 +220,10 @@ def build_params(config: dict) -> ExperimentParams:
 
     constants = CODATA
     if "g_earth" in config:
-        if not all_of(config["g_earth"] > 0):
-            raise ConfigError("g_earth must be > 0")
-        constants = PhysicalConstants(g_earth=number(config["g_earth"]))
+        g_earth = config["g_earth"]
+        if not all_of((0 < g_earth) & (g_earth < math.inf)):
+            raise ConfigError("g_earth must be finite and > 0")
+        constants = PhysicalConstants(g_earth=number(g_earth))
 
     kwargs = {
         "mass": number(mass),

@@ -5,6 +5,9 @@ trapezoid integration of the Lagrangian along those paths, sphere averages
 from Monte-Carlo sampling and localization rates from adaptive quadrature;
 none of these calls the closed forms under test. The action route to phi_g
 leans on ``separation_time_integral``, which is itself checked against Verlet.
+The separation observables are checked bit for bit against
+``relative_segments_reference``, which walks each branch centre on its own
+through ``classical_trajectory_reference``.
 The grid kernel is checked against ``strang_reference``, the plain unfused
 one-branch Strang loop, and the lockstep rows bit for bit against
 ``pair_flight_reference``, which runs one set's (+, -) pair alone through the
@@ -44,7 +47,7 @@ from nanoramsey.dynamics import (
 )
 from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
 from nanoramsey.io import fmt
-from nanoramsey.params import ConfigError, branch_force, build_params
+from nanoramsey.params import ConfigError, branch_force, build_params, number
 
 
 def _force_of_time(params, seq, initial_spin):
@@ -117,6 +120,58 @@ def numeric_separation_integral(params, seq, n_steps=400_000):
     tm, xm, _ = integrate_trajectory(params, seq, -1, n_steps=n_steps)
     assert np.allclose(tp, tm)
     return float(np.trapezoid(xp - xm, tp))
+
+
+def classical_trajectory_reference(params, seq, initial_spin, x0=0.0, p0=0.0):
+    """(breakpoints, accelerations) of the branch centre that starts on ``initial_spin``.
+
+    ``breakpoints`` holds (time, centre, momentum) at the segment boundaries, the
+    times accumulated segment by segment. This is the second trajectory route the
+    package once had; the separation observables must reproduce it bit for bit.
+    """
+    durations = seq.segment_durations()
+    spins = _spin_history(int(initial_spin))
+    m = params.mass
+    t, x, p = 0.0, number(x0), number(p0)
+    breakpoints = [(t, x, p)]
+    accels = []
+    for tau, s in zip(durations, spins):
+        a = branch_force(params, s) / m
+        accels.append(a)
+        x = x + ((p / m) * tau + 0.5 * a * tau * tau)
+        p = p + m * a * tau
+        t = t + tau
+        breakpoints.append((t, x, p))
+    return breakpoints, accels
+
+
+def relative_segments_reference(params, seq):
+    """Per-segment (start, duration, dx0, dv0, da) from the two reference trajectories."""
+    plus, plus_accels = classical_trajectory_reference(params, seq, +1)
+    minus, minus_accels = classical_trajectory_reference(params, seq, -1)
+    m = params.mass
+    out = []
+    for k in range(len(plus_accels)):
+        t0, xp, pp = plus[k]
+        _, xm, pm = minus[k]
+        tau = plus[k + 1][0] - t0
+        out.append((t0, tau, xp - xm, (pp - pm) / m, plus_accels[k] - minus_accels[k]))
+    return out
+
+
+def separation_at_reference(params, seq, t):
+    """x_plus(t) - x_minus(t), each centre evaluated in its own trajectory segment."""
+    centres = []
+    for spin in (+1, -1):
+        breakpoints, accels = classical_trajectory_reference(params, seq, spin)
+        times = [b[0] for b in breakpoints]
+        if not times[0] <= t <= times[-1]:
+            raise ValueError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
+        k = max(0, min(len(accels) - 1, np.searchsorted(times, t, side="right") - 1))
+        t0, x0, p0 = breakpoints[k]
+        dt = t - t0
+        centres.append(x0 + (p0 / params.mass) * dt + 0.5 * accels[k] * dt * dt)
+    return centres[0] - centres[1]
 
 
 def mc_sphere_kick_average(k, delta_x, n_samples, seed):

@@ -148,6 +148,17 @@ class TestGravityOnlyGrid:
 class TestNonFiniteInputs:
     """NaN fails every comparison, so each guard must accept only what lies in bounds."""
 
+    def test_subnormal_temperature_refused_without_warnings(self, capsys, tmp_path):
+        """k T underflows, so no node count can help: the refusal names the temperature."""
+        config = write_config(tmp_path, t_environment=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["visibility", "--config", config])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL and out == ""
+        assert "not converged" in err and "temperature 1e-300 K" in err
+        assert "n_nodes" not in err and "Warning" not in err
+
     def test_subnormal_temperature_is_numerical_failure(self, capsys, tmp_path):
         config = write_config(tmp_path, t_environment=1e-300)
         with warnings.catch_warnings():

@@ -63,11 +63,13 @@ class TestLocalizationRate:
             localization_rate_profile(model, [1e-3], n_nodes=16)
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_rate_raises(self, paper_params):
-        """A subnormal k_B T makes every Planck weight NaN; NaN passes no bound."""
+        """A subnormal k_B T makes every Planck weight NaN; NaN passes no bound, and the
+        refusal names the temperature instead of asking for more nodes."""
         model = default_model(paper_params, t_internal=1e-300)
-        with pytest.raises(QuadratureError, match="not converged.*by nan"):
+        with pytest.raises(QuadratureError, match="not converged: its rate is not finite "
+                                                  "at temperature 1e-300 K"):
             localization_rate_profile(model, [1e-7])
 
     def test_nan_visibility_refused(self):

@@ -5,10 +5,11 @@ import pytest
 import sympy as sp
 
 from nanoramsey import (
-    classical_trajectory,
     collective_final_state,
     desk_scale_params,
+    evolve_sequence,
     gravitational_phase,
+    initial_state,
     sector_action_phases,
     sector_phase_quadratic_coefficient,
     sector_table,
@@ -29,12 +30,14 @@ DESK_SETS = [(0.35, 0.15), (0.6, 0.15), (0.4, 0.3)]
 class TestCollectiveTrajectory:
     @pytest.mark.parametrize("m_value", [2, -2, 3, -3])
     def test_matches_verlet_oracle(self, paper_params, paper_seq, m_value):
-        """Sector M feels M*A - C, so classical_trajectory covers it directly."""
-        traj = classical_trajectory(paper_params, paper_seq, m_value, x0=1e-9, p0=1e-24)
+        """Sector M feels M*A - C, so evolve_sequence covers it directly."""
+        start = initial_state(paper_params, 1e-9, 1e-24)
         ts, xs, vs = integrate_trajectory(paper_params, paper_seq, m_value, 1e-9, 1e-24)
         for frac in (0.25, 0.5, 0.9, 1.0):
             idx = int(np.argmin(np.abs(ts - paper_seq.t3 * frac)))
-            x_cl, p_cl = traj.state_at(ts[idx])
+            branch = evolve_sequence(paper_params, paper_seq, start, spins=(m_value, m_value),
+                                     until=ts[idx]).plus_branch
+            x_cl, p_cl = branch.center, branch.momentum
             assert x_cl == pytest.approx(xs[idx], rel=1e-9)
             assert p_cl / paper_params.mass == pytest.approx(vs[idx], rel=1e-9)
 

@@ -11,7 +11,6 @@ from nanoramsey import (
     SpinBranch,
     branch_overlap,
     build_params,
-    classical_trajectory,
     desk_scale_params,
     evolve_sequence,
     gravitational_phase,
@@ -22,6 +21,7 @@ from nanoramsey import (
     separation_time_integral,
     wavepacket_width,
 )
+from nanoramsey import dynamics
 from conftest import PAPER_CONFIG
 from oracles import (
     gravitational_phase_action,
@@ -29,6 +29,8 @@ from oracles import (
     integrate_trajectory,
     numeric_action,
     numeric_separation_integral,
+    relative_segments_reference,
+    separation_at_reference,
 )
 
 
@@ -69,25 +71,30 @@ class TestPulseSequence:
         assert not seq.is_balanced()
 
 
+def branch_at(params, seq, spin, t, x0=0.0, p0=0.0):
+    """(centre, momentum) at time t of the branch that starts on ``spin``."""
+    branch = evolve_sequence(params, seq, initial_state(params, x0, p0), spins=(spin, spin),
+                             until=t).plus_branch
+    return branch.center, branch.momentum
+
+
 class TestClassicalTrajectory:
     def test_force_free_center_constant(self):
         # cos(pi/2) is eps-level rather than zero in floats, hence the tolerances
         params = make_params(b_gradient=0.0, theta=math.pi / 2)
         seq = PulseSequence.balanced(1e-4)
-        traj = classical_trajectory(params, seq, SpinBranch.PLUS, x0=1.0e-9, p0=0.0)
         for t in np.linspace(0, 1e-4, 7):
-            x, p = traj.state_at(float(t))
+            x, p = branch_at(params, seq, SpinBranch.PLUS, float(t), x0=1.0e-9, p0=0.0)
             assert x == pytest.approx(1.0e-9, abs=1e-22)
             assert abs(p) < 1e-30
 
     def test_matches_verlet_oracle(self, paper_params, paper_seq):
         for spin in (SpinBranch.PLUS, SpinBranch.MINUS, SpinBranch.ZERO):
-            traj = classical_trajectory(paper_params, paper_seq, spin, x0=1e-9, p0=1e-24)
             ts, xs, vs = integrate_trajectory(paper_params, paper_seq, spin, 1e-9, 1e-24)
             for frac in (0.25, 0.5, 0.9, 1.0):
                 t = 1e-4 * frac
                 idx = int(np.argmin(np.abs(ts - t)))
-                x_cl, p_cl = traj.state_at(ts[idx])
+                x_cl, p_cl = branch_at(paper_params, paper_seq, spin, ts[idx], x0=1e-9, p0=1e-24)
                 scale = max(abs(xs[idx]), 1e-12)
                 assert x_cl == pytest.approx(xs[idx], abs=1e-7 * scale)
                 assert p_cl / paper_params.mass == pytest.approx(vs[idx], rel=1e-7, abs=1e-30)
@@ -95,10 +102,9 @@ class TestClassicalTrajectory:
     def test_balanced_closure_relative_coordinates(self):
         for params in random_param_sets(20, seed=5):
             seq = PulseSequence.balanced(params.t3)
-            plus = classical_trajectory(params, seq, SpinBranch.PLUS)
-            minus = classical_trajectory(params, seq, SpinBranch.MINUS)
-            _, xp, pp = plus.breakpoints[-1]
-            _, xm, pm = minus.breakpoints[-1]
+            final = evolve_sequence(params, seq, initial_state(params))
+            xp, pp = final.plus_branch.center, final.plus_branch.momentum
+            xm, pm = final.minus_branch.center, final.minus_branch.momentum
             # closure to 1e-12 of the excursion scale
             scale_x = max(abs(xp), max_separation(params, seq))
             scale_p = max(abs(pp), params.spin_coupling() * params.t3)
@@ -106,10 +112,9 @@ class TestClassicalTrajectory:
             assert abs(pp - pm) <= 1e-12 * scale_p
 
     def test_spin_zero_is_projectile(self, paper_params, paper_seq):
-        traj = classical_trajectory(paper_params, paper_seq, SpinBranch.ZERO)
         g = paper_params.constants.g_earth
         for t in (2e-5, 5e-5, 1e-4):
-            x, p = traj.state_at(t)
+            x, p = branch_at(paper_params, paper_seq, SpinBranch.ZERO, t)
             assert x == pytest.approx(-0.5 * g * t * t, rel=1e-12)
             assert p == pytest.approx(-paper_params.mass * g * t, rel=1e-12)
 
@@ -123,6 +128,18 @@ class TestClassicalTrajectory:
         _, xm, _ = integrate_trajectory(paper_params, paper_seq, -1)
         idx = int(np.argmin(np.abs(ts - 0.5e-4)))
         assert sep == pytest.approx(xp[idx] - xm[idx], rel=1e-6)
+        mid = evolve_sequence(paper_params, paper_seq, initial_state(paper_params), until=0.5e-4)
+        assert sep == pytest.approx(mid.plus_branch.center - mid.minus_branch.center, rel=1e-12)
+
+    def test_separation_at_measurement_time(self, paper_params):
+        # the accumulated segment starts end an ulp short of t3 on this sequence
+        seq = PulseSequence(6e-6, 51e-6, 1e-4)
+        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        sep = separation_at(paper_params, seq, 1e-4)
+        assert sep == pytest.approx(final.plus_branch.center - final.minus_branch.center,
+                                    rel=1e-12)
+        with pytest.raises(ValueError, match="outside the flight"):
+            separation_at(paper_params, seq, 1.000001e-4)
 
 
 class TestMaxSeparation:
@@ -135,6 +152,50 @@ class TestMaxSeparation:
         # fallback path: shift t1 by a negligible amount so the closed form is skipped
         nudged = PulseSequence(t1=seq.t1 * (1 + 1e-13), t2=seq.t2, t3=seq.t3)
         assert max_separation(paper_params, nudged) == pytest.approx(closed, rel=1e-9)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def t1_sweep_sequence(v):
+    """The ``sweep`` workload's t1 sweep of input variant ``v``: 20,000 points around t3/4."""
+    t3 = PAPER_CONFIG["t3"]
+    t1 = np.linspace(2.495e-5 + 1.1e-9 * v, 2.505e-5 + 1.1e-9 * v, 20000)
+    return PulseSequence(t1=t1, t2=3.0 * t3 / 4.0, t3=t3)
+
+
+class TestOneSeparationSource:
+    """The separation observables come from _relative_segments, bit for bit the
+    arithmetic of the reference route that walks each branch on its own."""
+
+    def assert_same_bits(self, params, seq, monkeypatch):
+        new = (max_separation(params, seq), separation_time_integral(params, seq))
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_relative_segments", relative_segments_reference)
+            old = (max_separation(params, seq), separation_time_integral(params, seq))
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(bits(a), bits(b))
+        for seg, ref in zip(dynamics._relative_segments(params, seq),
+                            relative_segments_reference(params, seq)):
+            for a, b in zip(seg, ref):
+                np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("v", range(8))
+    def test_t1_sweep_bit_identical(self, paper_params, v, monkeypatch):
+        self.assert_same_bits(paper_params, t1_sweep_sequence(v), monkeypatch)
+
+    def test_random_scalar_sequences_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for params in random_param_sets(40, seed=13):
+            t1, t2 = np.sort(rng.uniform(0.0, params.t3, 2))
+            jitter = tuple(float(j) for j in rng.normal(0.0, 1e-3 * params.t3, 3))
+            seq = PulseSequence(float(t1), float(t2), params.t3)
+            for s in (seq, seq.with_jitter(*jitter)):
+                self.assert_same_bits(params, s, monkeypatch)
+                for t in (0.0, s.effective_times()[0]):
+                    assert bits(separation_at(params, s, t)) == bits(
+                        separation_at_reference(params, s, t))
 
 
 class TestGravitationalPhase:

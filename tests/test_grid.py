@@ -9,6 +9,7 @@ from nanoramsey import (
     ClosureError,
     GridBoundaryError,
     GridSpec,
+    PhysicalConstants,
     PulseSequence,
     ScaleError,
     auto_grid,
@@ -217,12 +218,16 @@ class TestAutoGridMomentum:
     @pytest.mark.parametrize("g_earth", [9.80665, 1.0e200, math.inf])
     def test_gravity_only_flight_refused_before_any_array(self, g_earth, monkeypatch):
         """Without a gradient the phase is 0 and scale_params passes, but gravity alone
-        drives the momentum: the paper object needs about 2e6 points at 1 g."""
-        params = build_params(dict(PAPER_CONFIG, b_gradient=0.0, g_earth=g_earth))
-        scaled = scale_params(params, PulseSequence.balanced(params.t3))
+        drives the momentum: the paper object needs about 2e6 points at 1 g. Infinite
+        gravity makes the phase scale 0 * inf = NaN, which scale_params refuses first."""
+        # built around build_params, which refuses an infinite g_earth
+        params = replace(build_params(dict(PAPER_CONFIG, b_gradient=0.0)),
+                         constants=PhysicalConstants(g_earth=g_earth))
         monkeypatch.setattr(grid, "GridSpec", None)      # no grid may be built
-        with pytest.raises(ScaleError, match=f"more than {MAX_POINTS}; .*desk scale"):
-            auto_grid(scaled)
+        match = ("dimensionless phase ~nan" if math.isinf(g_earth)
+                 else f"more than {MAX_POINTS}; .*desk scale")
+        with pytest.raises(ScaleError, match=match):
+            auto_grid(scale_params(params, PulseSequence.balanced(params.t3)))
 
     @pytest.mark.parametrize("desk_set", list(CERTIFY_DESK.values()))
     def test_certify_desk_at_criterion_points_matches_2048(self, desk_set):
@@ -288,6 +293,21 @@ class TestOracleCompare:
         assert report.overlap_grid < 0.999           # genuinely open interferometer
         assert report.overlap_deficit <= 1e-3
         assert report.phase_error <= 1e-3
+
+    def test_nan_phase_scale_refused(self):
+        """No gradient and infinite gravity: the phase scale is 0 * inf = NaN, which
+        scale_params refuses before a caller's grid is ever sized."""
+        params = replace(build_params(dict(PAPER_CONFIG, b_gradient=0.0)),
+                         constants=PhysicalConstants(g_earth=math.inf))
+        seq = PulseSequence.balanced(params.t3)
+        with pytest.raises(ScaleError, match="dimensionless phase ~nan"):
+            oracle_compare(params, seq, GridSpec(256, -50.0, 50.0, 10))
+
+    def test_closure_ok_reads_closure_min(self, desk):
+        report = oracle_compare(*desk)
+        assert report.balanced and report.closure_ok
+        assert not replace(report, overlap_grid=grid.CLOSURE_MIN - 1e-6).closure_ok
+        assert replace(report, overlap_grid=0.5, balanced=False).closure_ok
 
     def test_oracle_phase_band_refused_before_grid_work(self):
         # phi ~ 2000 rad: under MAX_SCALED_PHASE, over MAX_ORACLE_PHASE

@@ -106,6 +106,11 @@ class TestBuildParams:
         assert params.constants.g_earth == 1.0
         assert params.constants.hbar == CODATA.hbar
 
+    @pytest.mark.parametrize("g_earth", [math.inf, math.nan, 0.0])
+    def test_g_earth_must_be_finite_and_positive(self, g_earth):
+        with pytest.raises(ConfigError, match="g_earth must be finite and > 0"):
+            make_params(b_gradient=0.0, g_earth=g_earth)
+
 
 class TestSpinBranch:
     def test_only_three_values(self):
