@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -44,10 +43,11 @@ from .params import (
     ConfigError,
     all_of,
     any_of,
+    atan2,
     build_params,
+    modulus,
     number,
     parse_config_text,
-    pointwise,
 )
 
 EXIT_OK = 0
@@ -109,8 +109,8 @@ def _point_outputs(params, seq) -> dict:
         vis = 1.0
     else:
         ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
-        phi = -pointwise(math.atan2, ov.imag, ov.real)
-        vis = pointwise(abs, ov)
+        phi = -atan2(ov.imag, ov.real)
+        vis = modulus(ov)
     return {
         "phi_g_rad": phi,
         "p0": ramsey_probability(phi),
@@ -170,18 +170,20 @@ def _sweep_outputs(cfg: dict, name: str, values) -> dict:
     return out
 
 
-def _sweep_rows(cfg: dict, name: str, values, outputs) -> list:
+def _sweep_rows(cfg: dict, name: str, values, outputs):
+    """The table of the swept ``values`` and their ``outputs``: an
+    (n, 1 + len(outputs)) float matrix, or row tuples from the replay."""
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
             points = _sweep_outputs(cfg, name, np.asarray(values, dtype=float))
-        columns = [np.broadcast_to(points[c], np.shape(values)).tolist() for c in outputs]
+        return np.column_stack([values, *(np.broadcast_to(points[c], np.shape(values))
+                                          for c in outputs)])
     except (ValueError, ArithmeticError):
         # Some point is invalid or hits a float exception (numpy reports x/0,
         # where Python raises). Point by point, the first such point raises,
         # or every point computes, exactly as it does alone.
         points = [_sweep_outputs(cfg, name, v) for v in values]
-        columns = [[p[c] for p in points] for c in outputs]
-    return list(zip(values, *columns))
+        return list(zip(values, *([p[c] for p in points] for c in outputs)))
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -295,7 +297,7 @@ def _cmd_dump_snapshots(args) -> int:
     if not args.out:
         raise ConfigError("dump-snapshots with CSV output needs --out as a filename prefix")
     for idx, (t, x, pp, pm) in enumerate(frames):
-        rows = list(zip(x, pp, pm))
+        rows = np.column_stack([x, pp, pm])
         path = f"{args.out}_{idx:03d}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# time_s = {fmt(t)}\n")

@@ -360,7 +360,7 @@ def dephasing_exposures(
     refined = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         nodes, weights = _gauss_nodes(a, b, TIME_NODES)
-        seps = np.abs([separation_at(params, seq, float(t)) for t in nodes])
+        seps = np.abs(separation_at(params, seq, nodes))
         rates = localization_rate_profile(model, seps)
         refined += float(np.dot(rates, weights))
     return bound, refined
@@ -377,12 +377,31 @@ def surface_to_csv(surface: VisibilitySurface) -> str:
 
 
 def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> str:
-    payload = {
-        "delta_x_m": [float(v) for v in surface.delta_x_axis],
-        "t_int_K": [float(v) for v in surface.t_int_axis],
-        "flight_time_s": surface.flight_time,
-        "visibility": [[float(v) for v in row] for row in surface.visibility],
-    }
+    """``json.dumps(..., sort_keys=True, indent=1)`` of the surface: the document
+    is dumped with empty lists, and the float lists are spliced in with each
+    number as json writes it (``repr``, or json's spelling of a non-finite float)."""
+    payload = {"delta_x_m": [], "flight_time_s": surface.flight_time, "t_int_K": [],
+               "visibility": []}
     if metadata:
         payload["metadata"] = metadata
-    return json.dumps(payload, sort_keys=True, indent=1)
+    doc = json.dumps(payload, sort_keys=True, indent=1)
+    # the keys sort as delta_x_m, flight_time_s, metadata, t_int_K, visibility:
+    # the first "[]" is delta_x_m's, the last two are t_int_K's and visibility's
+    head, rest = doc.split("[]", 1)
+    middle, between, tail = rest.rsplit("[]", 2)
+    rows = _json_list([_json_floats(row, 2) for row in surface.visibility], 1)
+    return (head + _json_floats(surface.delta_x_axis, 1) + middle
+            + _json_floats(surface.t_int_axis, 1) + between + rows + tail)
+
+
+def _json_floats(values: np.ndarray, depth: int) -> str:
+    spell = repr if np.isfinite(values).all() else json.dumps
+    return _json_list(list(map(spell, np.asarray(values, dtype=float).tolist())), depth)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """Texts as the items of a list that ``json.dumps(indent=1)`` writes ``depth`` deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"

@@ -22,17 +22,15 @@ Broadcasting. Parameters, sequence times, jitter and initial conditions may
 be numpy arrays; every closed form then evaluates all points in one call and
 returns arrays, while a scalar call returns Python scalars. Each element is
 bit-identical to the scalar call on that point: numpy does only + - * / and
-comparisons, and every ``math`` function runs point by point through
-:func:`~nanoramsey.params.pointwise` (docs/physics-notes.md, "Bit-identical
-broadcasting"). So a thermal ensemble (array starts x0, p0) or a jitter scan
-(array ``with_jitter``) is one :func:`evolve_sequence` call.
+comparisons, and every ``math`` function and ``**`` goes through an array
+kernel of :mod:`~nanoramsey.params` that calls C libm (docs/physics-notes.md,
+"Bit-identical broadcasting"). So a thermal ensemble (array starts x0, p0)
+or a jitter scan (array ``with_jitter``) is one :func:`evolve_sequence` call.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -42,14 +40,17 @@ from .params import (
     all_of,
     any_of,
     branch_force,
+    cos,
+    exp,
     first,
-    pointwise,
+    isclose,
+    power,
+    sin,
     where,
 )
 
 #: Relative tolerance within which t1 = t3/4 and t2 = 3 t3/4 count as balanced.
 BALANCE_RTOL = 1e-12
-_isclose = partial(math.isclose, rel_tol=BALANCE_RTOL, abs_tol=0.0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ class PulseSequence:
         sequence, else a mask over the array times."""
         j1, j2, j3 = self.jitter
         return ((j1 == 0.0) & (j2 == 0.0) & (j3 == 0.0)
-                & pointwise(_isclose, self.t1, self.t3 / 4.0)
-                & pointwise(_isclose, self.t2, 3.0 * self.t3 / 4.0))
+                & isclose(self.t1, self.t3 / 4.0, BALANCE_RTOL)
+                & isclose(self.t2, 3.0 * self.t3 / 4.0, BALANCE_RTOL))
 
     def with_jitter(self, j1: float, j2: float, j3: float) -> "PulseSequence":
         return replace(self, jitter=(j1, j2, j3))
@@ -135,7 +136,7 @@ class GaussianBranchState:
             p * p * tau / (2.0 * m)
             + f * x * tau
             + f * p * tau * tau / m
-            + f * f * pointwise(operator.pow, tau, 3) / (3.0 * m)
+            + f * f * power(tau, 3) / (3.0 * m)
         )
         return GaussianBranchState(
             center=x + p * tau / m + f * tau * tau / (2.0 * m),
@@ -181,11 +182,19 @@ def _relative_segments(params: ExperimentParams, seq: PulseSequence):
 
 
 def separation_at(params: ExperimentParams, seq: PulseSequence, t: float) -> float:
-    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3."""
+    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3.
+    Over an array of times the segments are walked once, and each time takes
+    the last segment that starts at or before it."""
     t3 = seq.effective_times()[2]
-    if not 0.0 <= t <= t3:
-        raise ValueError(f"time {t} outside the flight [0.0, {t3}]")
-    start, _, dx0, dv0, da = [seg for seg in _relative_segments(params, seq) if seg[0] <= t][-1]
+    inside = (0.0 <= t) & (t <= t3)
+    if not all_of(inside):
+        raise ValueError(f"time {first(np.logical_not(inside), t)} outside the flight [0.0, {t3}]")
+    segments = _relative_segments(params, seq)
+    start, _, dx0, dv0, da = segments[0]
+    for seg in segments[1:]:
+        later = seg[0] <= t
+        start, dx0, dv0, da = (where(later, new, old) for new, old
+                               in zip((seg[0], *seg[2:]), (start, dx0, dv0, da)))
     dt = t - start
     return dx0 + dv0 * dt + 0.5 * da * dt * dt
 
@@ -216,7 +225,7 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
 
 def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
     a = abs(params.spin_coupling()) / params.mass
-    return 2.0 * a * pointwise(operator.pow, seq.t3 / 4.0, 2)
+    return 2.0 * a * power(seq.t3 / 4.0, 2)
 
 
 def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -224,7 +233,7 @@ def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> fl
     total = 0.0
     for _, tau, dx0, dv0, da in _relative_segments(params, seq):
         total = total + (dx0 * tau + 0.5 * dv0 * tau * tau
-                         + da * pointwise(operator.pow, tau, 3) / 6.0)
+                         + da * power(tau, 3) / 6.0)
     return total
 
 
@@ -245,19 +254,15 @@ def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
             "evolve_sequence handles the general case"
         )
     c = params.constants
-    g_axis = c.g_earth * pointwise(math.cos, params.theta)
-    return g_axis * params.spin_coupling() * pointwise(operator.pow, seq.t3, 3) / (16.0 * c.hbar)
+    g_axis = c.g_earth * cos(params.theta)
+    return g_axis * params.spin_coupling() * power(seq.t3, 3) / (16.0 * c.hbar)
 
 
 def ramsey_probability(phi):
     """Spin-0 return probability P0 = cos^2(phi/2) of the closing pulse."""
     if not all_of(np.isfinite(phi)):
         raise ValueError("phase must be finite")
-    return pointwise(_cos_squared, phi / 2.0)
-
-
-def _cos_squared(x: float) -> float:
-    return math.cos(x) ** 2
+    return power(cos(phi / 2.0), 2)
 
 
 # -- full sequence evolution -------------------------------------------------
@@ -292,12 +297,13 @@ def evolve_sequence(
         raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
     m, hbar = params.mass, params.constants.hbar
     edges = [0.0, e1, e2, e3]
+    if until is not None:
+        edges = [where(horizon < e, horizon, e) for e in edges]     # min(e, horizon)
     branches = []
     for branch, spin in zip((initial.plus_branch, initial.minus_branch), spins):
         state = branch
         for k, s in enumerate(_spin_history(int(spin))):
-            start = edges[k]
-            stop = edges[k + 1] if until is None else pointwise(min, edges[k + 1], horizon)
+            start, stop = edges[k], edges[k + 1]
             idle = stop <= start
             if all_of(idle):
                 break
@@ -347,11 +353,19 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
     dp = plus.momentum - minus.momentum
     p_mean = 0.5 * (plus.momentum + minus.momentum)
     dx_back = dx - dp * t / params.mass
-    log_mod = (-pointwise(operator.pow, dx_back, 2) / (8.0 * s0 * s0)
-               - pointwise(operator.pow, s0 * dp / hbar, 2) / 2.0)
+    log_mod = -power(dx_back, 2) / (8.0 * s0 * s0) - power(s0 * dp / hbar, 2) / 2.0
     arg = (plus.action_phase - minus.action_phase) - p_mean * dx / hbar
-    return pointwise(_polar, log_mod, arg)
+    return _polar(log_mod, arg)
 
 
-def _polar(log_mod: float, arg: float) -> complex:
-    return math.exp(log_mod) * complex(math.cos(arg), math.sin(arg))
+def _polar(log_mod, arg):
+    """``exp(log_mod) * complex(cos(arg), sin(arg))``. Over arrays the product is
+    CPython's float * complex, which takes e as complex(e, 0.0), so the zero
+    terms keep the scalar call's signed zeros when the modulus underflows."""
+    if not any(isinstance(v, np.ndarray) for v in (log_mod, arg)):
+        return math.exp(log_mod) * complex(math.cos(arg), math.sin(arg))
+    e, c, s = exp(log_mod), cos(arg), sin(arg)
+    z = np.empty(np.broadcast(e, c).shape, complex)
+    z.real = e * c - 0.0 * s
+    z.imag = e * s + 0.0 * c
+    return z

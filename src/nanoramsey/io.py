@@ -5,15 +5,15 @@ significant digits, '.' decimal separator; bools as JSON literals, ints
 exact), so identical inputs produce byte-identical CSV and JSON:
 :func:`csv_text`, :func:`json_table`, :func:`json_cells` (the
 ``dump-snapshots`` frames) and ``decoherence.surface_to_csv``. Two emitters
-write float ``repr`` instead, through the json module:
+write float ``repr`` instead, as the json module does:
 ``decoherence.surface_to_json`` and ``budget.BudgetReport.to_json``. The
 CLI never does arithmetic of its own; it formats library results, computed
 in order with no parallel runner.
 
-A column of floats is formatted in one numpy pass by :func:`float_cells`,
-which writes exactly the bytes of ``f"{v:.11e}"``; docs/physics-notes.md
-("Why the table bytes cannot move") gives the error bound that makes it
-exact.
+A column of floats, or a whole float matrix such as a sweep's table, is
+formatted in one numpy pass by :func:`float_cells`, which writes exactly the
+bytes of ``f"{v:.11e}"``; docs/physics-notes.md ("Why the table bytes cannot
+move") gives the error bound that makes it exact.
 """
 from __future__ import annotations
 
@@ -109,14 +109,12 @@ def _string_cells(strings, width=0) -> np.ndarray:
 
 
 def _table_cells(rows) -> list[np.ndarray]:
-    """Each column's cells by fmt's rules: the all-float columns in one
-    :func:`float_cells` call, any other column cell by cell."""
-    columns = list(zip(*rows))
-    floats = [set(map(type, c)) <= _FLOAT_TYPES for c in columns]
-    stacked = [c for c, is_float in zip(columns, floats) if is_float]
-    float_columns = iter(float_cells(stacked).reshape(len(stacked), len(rows), CELL_WIDTH))
-    return [next(float_columns) if is_float else _string_cells([fmt(v) for v in c])
-            for c, is_float in zip(columns, floats)]
+    """Each column's cells by fmt's rules: a float matrix in one
+    :func:`float_cells` call, a float column in one, any other cell by cell."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        return list(float_cells(rows.T).reshape(rows.shape[1], len(rows), CELL_WIDTH))
+    return [float_cells(c) if set(map(type, c)) <= _FLOAT_TYPES
+            else _string_cells([fmt(v) for v in c]) for c in zip(*rows)]
 
 
 def _join_rows(columns, prefix: str, sep: str, suffix: str) -> str:

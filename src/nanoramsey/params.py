@@ -20,32 +20,81 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
 from .constants import CODATA, DEFAULT_G_NV, PhysicalConstants
 
 
+def _has_array(*args) -> bool:
+    return any(isinstance(a, np.ndarray) for a in args)
+
+
 def pointwise(fn, *args):
     """``fn`` applied element by element over the broadcast ``args``.
 
     Without an ndarray among the arguments this is one plain call, so a
-    scalar stays a Python scalar. Arrays run ``fn`` on each element as
-    Python numbers, so a ``math`` function goes through libm exactly as a
-    scalar call does: numpy's vector loops for exp, arctan2, power and
-    complex abs round some results differently in the last bit
-    (docs/physics-notes.md, "Bit-identical broadcasting").
+    scalar stays a Python scalar. Arrays run ``fn`` on each element as a
+    Python float, so a ``math`` function goes through libm exactly as a
+    scalar call does.
     """
-    if not any(isinstance(a, np.ndarray) for a in args):
+    if not _has_array(*args):
         return fn(*args)
     arrays = np.broadcast_arrays(*args)
-    out = np.array(list(map(fn, *(a.ravel().tolist() for a in arrays))))
+    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
     return out.reshape(arrays[0].shape)
+
+
+# Array kernels. Each gives, element by element, the bits of its scalar call
+# on Python floats and raises the class that call raises; a scalar argument
+# takes the scalar call itself. The array routes are C libm or IEEE basic
+# operations, never a numpy SIMD loop (docs/physics-notes.md, "Bit-identical
+# broadcasting"). numpy's exp and arctan2 are SIMD loops, so those two map libm.
+
+def _kernel(scalar, array, refused, error, message):
+    """``scalar`` on scalars; on arrays ``array``, raising ``error(message)``
+    where ``refused(out, *args)`` marks an element the scalar call raises on."""
+    def kernel(*args):
+        if not _has_array(*args):
+            return scalar(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = array(*args)
+        if refused(out, *args).any():
+            raise error(message)
+        return out
+    return kernel
+
+
+exp = partial(pointwise, math.exp)
+atan2 = partial(pointwise, math.atan2)
+cos = _kernel(math.cos, np.cos, lambda out, x: np.isinf(x), ValueError, "math domain error")
+sin = _kernel(math.sin, np.sin, lambda out, x: np.isinf(x), ValueError, "math domain error")
+sqrt = _kernel(math.sqrt, np.sqrt, lambda out, x: x < 0.0, ValueError, "math domain error")
+#: ``x ** n`` for an int ``n``: C ``pow``, as CPython's float power calls it
+power = _kernel(operator.pow, lambda x, n: np.float_power(x, float(n)),
+                lambda out, x, n: np.isinf(out) & np.isfinite(x),
+                OverflowError, "(34, 'Numerical result out of range')")
+#: ``abs`` of a complex: C ``hypot`` of its parts
+modulus = _kernel(abs, lambda z: np.hypot(z.real, z.imag),
+                  lambda out, z: np.isinf(out) & np.isfinite(z.real) & np.isfinite(z.imag),
+                  OverflowError, "absolute value too large")
+
+
+def isclose(a, b, rel_tol: float):
+    """``math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)``; over arrays
+    CPython's own test, whose abs_tol clause holds only where a == b."""
+    if not _has_array(a, b):
+        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(b - a)
+        near = (diff <= np.abs(rel_tol * b)) | (diff <= np.abs(rel_tol * a))
+    return (a == b) | (near & ~(np.isinf(a) | np.isinf(b)))
 
 
 def where(cond, a, b):
     """``a`` where ``cond`` holds, else ``b``; all-scalar inputs give a Python scalar."""
-    if not any(isinstance(x, np.ndarray) for x in (cond, a, b)):
+    if not _has_array(cond, a, b):
         return a if cond else b
     return np.where(cond, a, b)
 
@@ -146,11 +195,11 @@ class ExperimentParams:
 
     def gravity_force(self) -> float:
         """Axis projection of the weight, C = m g cos(theta) (N)."""
-        return self.mass * self.constants.g_earth * pointwise(math.cos, self.theta)
+        return self.mass * self.constants.g_earth * cos(self.theta)
 
     def sigma0(self) -> float:
         """Ground-state width of the trapped packet, sqrt(hbar / 2 m omega) (m)."""
-        return pointwise(math.sqrt, self.constants.hbar / (2.0 * self.mass * self.trap_omega))
+        return sqrt(self.constants.hbar / (2.0 * self.mass * self.trap_omega))
 
 
 def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:
@@ -181,7 +230,7 @@ _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
 
 def sphere_mass(radius: float, density: float) -> float:
     """Mass of a homogeneous sphere (kg)."""
-    return 4.0 / 3.0 * math.pi * pointwise(operator.pow, radius, 3) * density
+    return 4.0 / 3.0 * math.pi * power(radius, 3) * density
 
 
 def build_params(config: dict) -> ExperimentParams:

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -43,3 +44,16 @@ def paper_config_text(**overrides) -> str:
     cfg = dict(PAPER_CONFIG)
     cfg.update(overrides)
     return "".join(f"{k} = {v!r}\n" for k, v in cfg.items() if v is not None)
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` loaded from its file; nothing under perfbench/ is installed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    if spec.name in sys.modules:
+        return sys.modules[spec.name]
+    module = importlib.util.module_from_spec(spec)
+    # registered first: the dataclasses of workloads.py look their module up
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

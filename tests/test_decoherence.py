@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.polynomial.legendre import leggauss
 
 from conftest import PAPER_CONFIG
-from nanoramsey import cli, decoherence
+from nanoramsey import cli, decoherence, dynamics
 from nanoramsey import (
     PulseSequence,
     QuadratureError,
@@ -24,6 +24,7 @@ from nanoramsey import (
     default_model_family,
     dephasing_exposures,
     localization_rate_profile,
+    separation_at,
     visibility_surface,
 )
 from nanoramsey.decoherence import (
@@ -265,6 +266,27 @@ class TestDephasingExposures:
         seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
         bound, refined = dephasing_exposures(params, seq, default_model(params))
         assert 0.0 < refined < bound
+
+    @pytest.mark.parametrize("shape", [(0.25, 0.75), (0.2, 0.7)])
+    def test_one_walk_per_piece_and_the_per_node_bits(self, paper_params, shape, monkeypatch):
+        t3 = PAPER_CONFIG["t3"]
+        seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
+        model = default_model(paper_params)
+        # the refinement as the per-node loop of scalar separation_at calls computes it
+        edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
+        want = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            nodes, weights = decoherence._gauss_nodes(lo, hi, decoherence.TIME_NODES)
+            seps = np.abs([separation_at(paper_params, seq, t) for t in nodes.tolist()])
+            want += float(np.dot(localization_rate_profile(model, seps), weights))
+        walks = []
+        walk = dynamics._relative_segments
+        monkeypatch.setattr(dynamics, "_relative_segments",
+                            lambda *args: walks.append(1) or walk(*args))
+        _, refined = dephasing_exposures(paper_params, seq, model)
+        # four pieces, split at the flips and at t3 / 2; an unbalanced peak walks once more
+        assert len(walks) == 4 + (shape != (0.25, 0.75))
+        assert np.float64(refined).view(np.int64) == np.float64(want).view(np.int64)
 
     def test_no_spin_force_gives_equal_zero_exposures(self):
         params = build_params(dict(PAPER_CONFIG, b_gradient=0.0))

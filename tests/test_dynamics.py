@@ -197,6 +197,28 @@ class TestOneSeparationSource:
                     assert bits(separation_at(params, s, t)) == bits(
                         separation_at_reference(params, s, t))
 
+    def test_array_times_equal_the_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        for params in random_param_sets(20, seed=19):
+            t1, t2 = np.sort(rng.uniform(0.0, params.t3, 2))
+            seq = PulseSequence(float(t1), float(t2), params.t3)
+            times = np.concatenate([[0.0, t1, np.nextafter(t1, 0.0), t2, params.t3],
+                                    rng.uniform(0.0, params.t3, 200)])
+            want = [separation_at(params, seq, t) for t in times.tolist()]
+            np.testing.assert_array_equal(bits(separation_at(params, seq, times)), bits(want))
+
+    def test_array_times_walk_the_segments_once(self, paper_params, paper_seq, monkeypatch):
+        walks = []
+        walk = dynamics._relative_segments
+        monkeypatch.setattr(dynamics, "_relative_segments",
+                            lambda *args: walks.append(1) or walk(*args))
+        separation_at(paper_params, paper_seq, np.linspace(0.0, 1e-4, 96))
+        assert len(walks) == 1
+
+    def test_array_times_name_the_first_time_outside(self, paper_params, paper_seq):
+        with pytest.raises(ValueError, match=r"time -1e-09 outside the flight \[0.0, 0.0001\]"):
+            separation_at(paper_params, paper_seq, np.array([0.0, -1e-9, 2e-4]))
+
 
 class TestGravitationalPhase:
     def test_perpendicular_tilt_gives_zero(self, paper_seq):

@@ -4,7 +4,8 @@
 equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``, ``surface_to_csv`` and
 the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
 ``oracles.json_table_reference`` and ``json.dumps(..., sort_keys=True,
-indent=1)`` of per-cell ``fmt`` strings.
+indent=1)`` of per-cell ``fmt`` strings, and ``surface_to_json`` must equal
+``json.dumps`` of its float lists.
 """
 import hashlib
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import paper_config_text
 from nanoramsey import build_params, cli, sector_phase_quadratic_coefficient, snapshot_frames
-from nanoramsey.decoherence import VisibilitySurface, surface_to_csv
+from nanoramsey.decoherence import VisibilitySurface, surface_to_csv, surface_to_json
 from nanoramsey.io import (
     CELL_WIDTH,
     _decimal_scale,
@@ -216,6 +217,15 @@ class TestTables:
         assert csv_text(header, rows) == csv_text_reference(header, rows)
         assert json_table(header, rows, metadata) == json_table_reference(header, rows, metadata)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(FLOATS, min_size=3, max_size=3), max_size=20), METADATA)
+    def test_float_matrix_equals_its_rows(self, rows, metadata):
+        # the sweep and dump-snapshots CSV hand over one float matrix, not row tuples
+        header = ["a", "b", "c"]
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        assert csv_text(header, matrix) == csv_text_reference(header, rows)
+        assert json_table(header, matrix, metadata) == json_table_reference(header, rows, metadata)
+
     def test_one_column_and_zero_rows(self):
         for rows in ([], [(0.1,)], [(True,), (2,)]):
             assert csv_text(["a"], rows) == csv_text_reference(["a"], rows)
@@ -231,6 +241,31 @@ class TestTables:
         header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
         rows = [(dx, *row) for dx, row in zip(surface.delta_x_axis, vis)]
         assert surface_to_csv(surface) == csv_text_reference(header, rows)
+
+
+def surface_json_reference(surface, metadata=None) -> str:
+    payload = {
+        "delta_x_m": [float(v) for v in surface.delta_x_axis],
+        "t_int_K": [float(v) for v in surface.t_int_axis],
+        "flight_time_s": surface.flight_time,
+        "visibility": [[float(v) for v in row] for row in surface.visibility],
+    }
+    if metadata:
+        payload["metadata"] = metadata
+    return json.dumps(payload, sort_keys=True, indent=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=6), st.integers(0, 5), METADATA,
+       st.floats(0.0, 1.0))
+def test_surface_json_equals_json_dumps(dx, n_tint, metadata, flight_time):
+    rng = np.random.default_rng(len(dx) * 7 + n_tint)
+    surface = VisibilitySurface(delta_x_axis=np.array(dx, dtype=float),
+                                t_int_axis=np.linspace(300.0, 1500.0, n_tint),
+                                visibility=rng.uniform(0.0, 1.0, (len(dx), n_tint)),
+                                flight_time=flight_time)
+    for meta in (None, metadata):
+        assert surface_to_json(surface, meta) == surface_json_reference(surface, meta)
 
 
 # -- dump-snapshots JSON -------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from nanoramsey import (
     parse_config_text,
     sphere_mass,
 )
-from conftest import PAPER_CONFIG
+from conftest import PAPER_CONFIG, load_perfbench
+from nanoramsey import cli, dynamics, params
 
 
 def make_params(**overrides):
@@ -232,3 +235,165 @@ class TestUnitAudit:
             params.mass = 1.0
         with pytest.raises(AttributeError):
             CODATA.hbar = 1.0
+
+
+# -- array kernels ------------------------------------------------------------
+
+#: name -> (array kernel, the CPython scalar operation it must reproduce, the
+#: number of leading arguments that are arrays; the rest pass through as they are)
+KERNELS = {
+    "exp": (params.exp, math.exp, 1),
+    "atan2": (params.atan2, math.atan2, 2),
+    "cos": (params.cos, math.cos, 1),
+    "sin": (params.sin, math.sin, 1),
+    "sqrt": (params.sqrt, math.sqrt, 1),
+    "power": (params.power, operator.pow, 1),
+    "modulus": (params.modulus, abs, 1),
+    "isclose": (params.isclose,
+                lambda a, b, rel_tol: math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0), 2),
+    "polar": (dynamics._polar,
+              lambda log_mod, arg: math.exp(log_mod) * complex(math.cos(arg), math.sin(arg)), 2),
+    "ramsey_probability": (dynamics.ramsey_probability, lambda phi: math.cos(phi / 2.0) ** 2, 1),
+}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def edge_values(n: int, seed: int) -> np.ndarray:
+    """n shuffled floats: +-0, subnormals, +-inf, +-1e300 and +-1e-300 with their
+    neighbours, signed magnitudes log-uniform over 1e-300 .. 1e300, and uniform
+    values in (-1000, 1000), where exp neither overflows nor underflows."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300,
+                        1.7976931348623157e308, math.inf, 0.5, 1.0, 2.0, math.pi])
+    special = np.concatenate([special, np.nextafter(special, 0.0), np.nextafter(special, 3.0)])
+    special = np.concatenate([special, -special])
+    wide = rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-300.0, 300.0, n // 2)
+    near = rng.uniform(-1000.0, 1000.0, n - n // 2 - special.size)
+    out = np.concatenate([special, wide, near])
+    rng.shuffle(out)
+    return out
+
+
+def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def edge_arguments(name: str, n: int = 1 << 20) -> tuple:
+    x, y = edge_values(n, 1), edge_values(n, 2)
+    if name == "modulus":
+        x[:2], y[:2] = 1e308, -1.5e308      # |z| above the largest float
+        return (complex_array(x, y),)
+    if name == "isclose":
+        # b a few 1e-12 relative steps (and single ulps) off a, and unrelated pairs
+        rng = np.random.default_rng(3)
+        steps = np.array([0.0, 1e-13, 9.9e-13, 1e-12, 1.01e-12, 2e-12, 1e-6])
+        with np.errstate(over="ignore"):
+            b = x * (1.0 + rng.choice(np.concatenate([steps, -steps]), n))
+            b[::7] = np.nextafter(x[::7], rng.choice([-np.inf, np.inf], x[::7].size))
+        b[::11] = y[::11]
+        return x, b, dynamics.BALANCE_RTOL
+    if name == "power":
+        return x, 3
+    return (x, y)[:KERNELS[name][2]]
+
+
+def scalar_results(op, arrays, rest, chunk=1024):
+    """``op`` on each element as Python numbers: the results where it returns,
+    and per element the exception class it raises (None where it returns)."""
+    call = (lambda *args: op(*args, *rest)) if rest else op
+    columns = [a.tolist() for a in arrays]
+    results, errors = [], []
+    for start in range(0, len(columns[0]), chunk):
+        part = [c[start:start + chunk] for c in columns]
+        try:
+            results += list(map(call, *part))
+            errors += [None] * len(part[0])
+            continue
+        except (ValueError, ArithmeticError):
+            pass
+        for args in zip(*part):
+            try:
+                results.append(call(*args))
+                errors.append(None)
+            except (ValueError, ArithmeticError) as exc:
+                errors.append(type(exc))
+    return np.array(results), errors
+
+
+def assert_kernel_matches_scalar(name: str, args: tuple):
+    kernel, op, n_arrays = KERNELS[name]
+    arrays = [a.ravel() for a in np.broadcast_arrays(*args[:n_arrays])]
+    rest = args[n_arrays:]
+    want, errors = scalar_results(op, arrays, rest)
+    ok = np.array([e is None for e in errors])
+    got = np.asarray(kernel(*(a[ok] for a in arrays), *rest))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # bit for bit, signed zeros and NaN payloads included
+    assert got.tobytes() == want.tobytes(), name
+    raised = {e for e in errors if e is not None}
+    for error in raised:
+        i = errors.index(error)
+        with pytest.raises(error):
+            kernel(*(a[i:i + 1] for a in arrays), *rest)
+    if raised:
+        with pytest.raises(tuple(raised)):
+            kernel(*arrays, *rest)
+    return raised
+
+
+class TestArrayKernels:
+    """Each array kernel returns the scalar call's bits and raises its class."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_edge_values(self, name):
+        raised = assert_kernel_matches_scalar(name, edge_arguments(name))
+        assert raised == {
+            "exp": {OverflowError}, "cos": {ValueError}, "sin": {ValueError},
+            "sqrt": {ValueError}, "power": {OverflowError}, "modulus": {OverflowError},
+            "polar": {OverflowError, ValueError}, "ramsey_probability": {ValueError},
+        }.get(name, set())
+
+    def test_square(self):
+        # numpy squares by multiplying, which misses pow(x, 2) on about 0.1% of inputs
+        assert_kernel_matches_scalar("power", (edge_values(1 << 20, 4), 2))
+
+    def test_scalars_stay_python_scalars(self):
+        assert type(params.cos(0.5)) is float
+        assert type(params.power(0.5, 3)) is float
+        assert type(params.modulus(3 + 4j)) is float
+        assert type(params.isclose(1.0, 1.0, 1e-12)) is bool
+        assert type(dynamics._polar(-1.0, 0.5)) is complex
+
+    @pytest.fixture(scope="class")
+    def sweep_arguments(self):
+        """Every argument that the benchmark's two sweep commands pass to each
+        kernel, over all input variants, grouped by the pass-through arguments."""
+        calls = {}
+        workloads = load_perfbench("workloads")
+        with pytest.MonkeyPatch.context() as patched:
+            for name, (kernel, _, n_arrays) in KERNELS.items():
+                def recorded(*args, _name=name, _kernel=kernel, _n=n_arrays):
+                    key = (_name, *args[_n:])
+                    calls.setdefault(key, []).append(np.broadcast_arrays(*args[:_n]))
+                    return _kernel(*args)
+                for module in (params, dynamics, cli):
+                    for attr, value in list(vars(module).items()):
+                        if value is kernel:
+                            patched.setattr(module, attr, recorded)
+            for seed in range(workloads.VARIANTS):
+                for cmd in workloads.commands("sweep", seed):
+                    args = cli.build_parser().parse_args(cmd.argv)
+                    cfg = parse_config_text((ROOT / args.config).read_text())
+                    rows = cli._sweep_rows(cfg, args.param, cli._sweep_values(args),
+                                           list(cli.OUTPUT_COLUMNS))
+                    assert isinstance(rows, np.ndarray)     # no point fell back
+        return {key: tuple(np.concatenate([c[i].ravel() for c in chunks])
+                           for i in range(len(chunks[0])))
+                for key, chunks in calls.items()}
+
+    def test_sweep_arguments(self, sweep_arguments):
+        assert {key[0] for key in sweep_arguments} == set(KERNELS)
+        for (name, *rest), arrays in sweep_arguments.items():
+            assert assert_kernel_matches_scalar(name, (*arrays, *rest)) == set()
