@@ -6,7 +6,6 @@ annotate discrepancies in the report notes, never as inputs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -22,6 +21,7 @@ from .dynamics import (
     separation_at,
     wavepacket_width,
 )
+from .io import json_document
 from .params import ExperimentParams
 
 #: Headline figures quoted for the reference design of this protocol.
@@ -132,10 +132,9 @@ class BudgetReport:
 
     def to_json(self, metadata: dict | None = None) -> str:
         payload = asdict(self)
-        payload["notes"] = list(self.notes)
         if metadata is not None:
             payload["metadata"] = metadata
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return json_document(payload)
 
     def to_text(self) -> str:
         flag = lambda ok: "pass" if ok else "FAIL"

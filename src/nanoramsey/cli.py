@@ -9,7 +9,7 @@ computes anything itself, it formats library results. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import re
 import sys
 
@@ -38,8 +38,9 @@ from .dynamics import (
 )
 from .grid import (CERTIFY_DESK, CLOSURE_MIN, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare_sets, snapshot_frames)
-from .io import config_sha256, csv_text, fmt, json_cells, json_table
+from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
 from .params import (
+    PARAM_KEYS,
     ConfigError,
     all_of,
     any_of,
@@ -54,11 +55,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-SWEEPABLE = (
-    "mass", "radius", "density", "b_gradient", "theta", "t3", "trap_omega",
-    "g_nv", "t_internal", "t_environment", "t_cm", "mw_frequency",
-    "pulse_duration", "n_nucleons", "g_earth", "t1", "t2",
-)
+SWEEPABLE = (*PARAM_KEYS, "t1", "t2")
 
 OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 
@@ -208,6 +205,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_visibility(args) -> int:
     params, seq, cfg, text = _load_config(args.config)
+    for flag in ("dx_min", "dx_max", "tint_min", "tint_max"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be finite")
     if args.dx_log:
         dx_axis = np.geomspace(args.dx_min, args.dx_max, args.dx_count)
     else:
@@ -274,14 +274,12 @@ def _cmd_dicke(args) -> int:
 
 
 def _snapshots_json(frames, metadata: dict) -> str:
-    """``json.dumps({"frames": [...], "metadata": ...}, sort_keys=True, indent=1)``
-    of the frames with every number a fmt string; ``frames`` is not empty."""
-    texts = [f'  {{\n   "prob_minus": {json_cells(pm, 3)},\n   "prob_plus": {json_cells(pp, 3)},'
-             f'\n   "time_s": "{fmt(t)}",\n   "x": {json_cells(x, 3)}\n  }}'
-             for t, x, pp, pm in frames]
-    doc = json.dumps({"frames": [], "metadata": metadata}, sort_keys=True, indent=1)
-    # "frames" sorts first, so its empty list is the first "[]" of the document
-    return doc.replace("[]", "[\n" + ",\n".join(texts) + "\n ]", 1)
+    """The frames as a JSON document, every number a fmt string."""
+    return json_document({
+        "frames": [{"prob_minus": fmt_cells(pm), "prob_plus": fmt_cells(pp), "time_s": fmt(t),
+                    "x": fmt_cells(x)} for t, x, pp, pm in frames],
+        "metadata": metadata,
+    })
 
 
 def _cmd_dump_snapshots(args) -> int:

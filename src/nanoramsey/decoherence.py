@@ -29,7 +29,6 @@ and ``response_mod_sq`` config keys, or the ``response`` of a
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CODATA
 from .dynamics import PulseSequence, max_separation, separation_at
-from .io import csv_columns, float_cells, fmt
+from .io import csv_text, fmt, json_document
 from .params import ExperimentParams
 
 #: Default constant Im[(eps-1)/(eps+2)] used by absorption/emission channels.
@@ -119,8 +118,8 @@ class BlackbodyChannel:
     def __post_init__(self):
         if self.kind not in ("absorption", "emission", "scattering"):
             raise ValueError(f"unknown blackbody channel kind {self.kind!r}")
-        if self.temperature < 0.0 or self.radius <= 0.0:
-            raise ValueError("temperature must be >= 0 and radius > 0")
+        if not (0.0 <= self.temperature < math.inf and 0.0 < self.radius < math.inf):
+            raise ValueError("temperature must be finite and >= 0, radius finite and > 0")
 
     def support(self) -> tuple[float, float]:
         if self.temperature == 0.0:
@@ -246,8 +245,8 @@ def localization_rate_profile(
     hashable); pass the same dict only with the same separations and nodes.
     """
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
-    if np.any(dx < 0.0):
-        raise ValueError("delta_x must be >= 0")
+    if not np.all((dx >= 0.0) & (dx < math.inf)):
+        raise ValueError("delta_x must be finite and >= 0")
     if channel_rates is None:
         channel_rates = {}
     total = np.zeros_like(dx)
@@ -371,37 +370,13 @@ def dephasing_exposures(
 def surface_to_csv(surface: VisibilitySurface) -> str:
     """Matrix CSV: first row the T_int axis, first column the delta_x axis."""
     header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
-    table = np.column_stack([surface.delta_x_axis, surface.visibility])
-    cells = float_cells(table).reshape(*table.shape, -1)
-    return csv_columns(header, [cells[:, j] for j in range(table.shape[1])])
+    return csv_text(header, np.column_stack([surface.delta_x_axis, surface.visibility]))
 
 
 def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> str:
-    """``json.dumps(..., sort_keys=True, indent=1)`` of the surface: the document
-    is dumped with empty lists, and the float lists are spliced in with each
-    number as json writes it (``repr``, or json's spelling of a non-finite float)."""
-    payload = {"delta_x_m": [], "flight_time_s": surface.flight_time, "t_int_K": [],
-               "visibility": []}
+    """The surface as a JSON document of its float arrays; an empty ``metadata`` is left out."""
+    payload = {"delta_x_m": surface.delta_x_axis, "flight_time_s": surface.flight_time,
+               "t_int_K": surface.t_int_axis, "visibility": surface.visibility}
     if metadata:
         payload["metadata"] = metadata
-    doc = json.dumps(payload, sort_keys=True, indent=1)
-    # the keys sort as delta_x_m, flight_time_s, metadata, t_int_K, visibility:
-    # the first "[]" is delta_x_m's, the last two are t_int_K's and visibility's
-    head, rest = doc.split("[]", 1)
-    middle, between, tail = rest.rsplit("[]", 2)
-    rows = _json_list([_json_floats(row, 2) for row in surface.visibility], 1)
-    return (head + _json_floats(surface.delta_x_axis, 1) + middle
-            + _json_floats(surface.t_int_axis, 1) + between + rows + tail)
-
-
-def _json_floats(values: np.ndarray, depth: int) -> str:
-    spell = repr if np.isfinite(values).all() else json.dumps
-    return _json_list(list(map(spell, np.asarray(values, dtype=float).tolist())), depth)
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """Texts as the items of a list that ``json.dumps(indent=1)`` writes ``depth`` deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+    return json_document(payload)

@@ -3,17 +3,18 @@
 Table cells go through :func:`fmt`'s rules (scientific notation, 12
 significant digits, '.' decimal separator; bools as JSON literals, ints
 exact), so identical inputs produce byte-identical CSV and JSON:
-:func:`csv_text`, :func:`json_table`, :func:`json_cells` (the
-``dump-snapshots`` frames) and ``decoherence.surface_to_csv``. Two emitters
-write float ``repr`` instead, as the json module does:
-``decoherence.surface_to_json`` and ``budget.BudgetReport.to_json``. The
-CLI never does arithmetic of its own; it formats library results, computed
-in order with no parallel runner.
+:func:`csv_text`, :func:`json_table`, the ``dump-snapshots`` frames and
+``decoherence.surface_to_csv``. ``decoherence.surface_to_json`` and
+``budget.BudgetReport.to_json`` write float ``repr`` instead, as the json
+module does. The CLI never does arithmetic of its own; it formats library
+results, computed in order with no parallel runner.
 
-A column of floats, or a whole float matrix such as a sweep's table, is
-formatted in one numpy pass by :func:`float_cells`, which writes exactly the
-bytes of ``f"{v:.11e}"``; docs/physics-notes.md ("Why the table bytes cannot
-move") gives the error bound that makes it exact.
+A float matrix, such as a sweep's table, is formatted in one numpy pass by
+:func:`float_cells`, which writes exactly the bytes of ``f"{v:.11e}"``;
+docs/physics-notes.md ("Why the table bytes cannot move") gives the error
+bound that makes it exact. Every JSON document comes from
+:func:`json_document`: ``json.dumps(..., sort_keys=True, indent=1)`` of a
+payload whose numpy arrays, cell strings or floats, are laid out in numpy.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ import hashlib
 import json
 
 import numpy as np
-
-_FLOAT_TYPES = {float, np.float64}
 
 _K = 300                          # the power-of-ten table spans 1e-300 .. 1e300
 # correctly rounded powers of ten: float() of a decimal literal rounds once
@@ -84,7 +83,8 @@ def float_cells(values) -> np.ndarray:
     cells = words.view(np.uint8)
     slow = np.flatnonzero(~exact)
     if slow.size:
-        cells[slow] = _string_cells([f"{x:.11e}" for x in v[slow].tolist()], CELL_WIDTH)
+        slow_cells = np.array([f"{x:.11e}" for x in v[slow].tolist()], dtype=f"S{CELL_WIDTH}")
+        cells[slow] = slow_cells.view(np.uint8).reshape(-1, CELL_WIDTH)
     return cells
 
 
@@ -102,66 +102,94 @@ def _decimal_scale(a):
     return e, a * _POW10[(_K + 11) - e]
 
 
-def _string_cells(strings, width=0) -> np.ndarray:
-    """ASCII strings as an (n, w) NUL-padded uint8 matrix, w >= ``width``."""
-    cells = np.array(strings, dtype=f"S{width}" if width else "S")
-    return cells.view(np.uint8).reshape(len(strings), -1)
+def fmt_cells(values) -> np.ndarray:
+    """``fmt`` of each float as a byte string (a NUL-padded :func:`float_cells`
+    row), in an array of the values' shape."""
+    values = np.asarray(values, dtype=np.float64)
+    return float_cells(values).view(f"S{CELL_WIDTH}").reshape(values.shape)
 
 
-def _table_cells(rows) -> list[np.ndarray]:
-    """Each column's cells by fmt's rules: a float matrix in one
-    :func:`float_cells` call, a float column in one, any other cell by cell."""
+def _table_cells(rows) -> np.ndarray:
+    """A float matrix or row tuples by fmt's rules, as an (n, m) byte-string
+    array (empty if there are no rows): the matrix in one :func:`fmt_cells`
+    call, the tuples cell by cell."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        return list(float_cells(rows.T).reshape(rows.shape[1], len(rows), CELL_WIDTH))
-    return [float_cells(c) if set(map(type, c)) <= _FLOAT_TYPES
-            else _string_cells([fmt(v) for v in c]) for c in zip(*rows)]
+        return fmt_cells(rows)
+    return np.array([[fmt(v) for v in row] for row in rows], dtype="S")
 
 
-def _join_rows(columns, prefix: str, sep: str, suffix: str) -> str:
-    """prefix + cell + sep + cell ... + suffix for every row, NULs dropped."""
-    n = len(columns[0])
-    parts = [prefix]
-    for cells in columns:
-        parts += [cells, sep]
-    parts[-1] = suffix
-    parts = [np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (n, len(p)))
-             if isinstance(p, str) else p for p in parts]
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
-
-
-def csv_columns(header, columns) -> str:
-    """CSV of a header line and cell matrices, one per column."""
-    head = ",".join(str(h) for h in header) + "\n"
-    return head + _join_rows(columns, "", ",", "\n") if columns else head
+def _join_rows(cells, prefix: str, sep: str, suffix: str, between: str = "") -> str:
+    """prefix + cell + sep + cell ... + suffix for each row of an (n, m)
+    byte-string array, rows separated by ``between``, NULs dropped."""
+    if not cells.size:
+        return ""
+    n, m = cells.shape
+    head, sep, tail = (np.broadcast_to(np.frombuffer(t.encode(), np.uint8), (n, len(t)))
+                       for t in (prefix, sep, suffix + between))
+    columns = cells.view((np.uint8, (cells.dtype.itemsize,)))
+    parts = [head, *(part for j in range(m) for part in (columns[:, j], sep))]
+    parts[-1] = tail
+    joined = np.concatenate(parts, axis=1)
+    joined[-1, joined.shape[1] - len(between):] = 0
+    return joined.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_text(header, rows) -> str:
-    return csv_columns(header, _table_cells(rows))
+    return ",".join(str(h) for h in header) + "\n" + _join_rows(_table_cells(rows), "", ",", "\n")
 
 
 def json_table(header, rows, metadata: dict) -> str:
-    """JSON mirror of a CSV table: same cells, plus run metadata.
-
-    The bytes are those of ``json.dumps(..., sort_keys=True, indent=1)`` of
-    the table with its cells as strings; "rows" sorts last, so the rows are
-    spliced in at the end of the document.
-    """
-    doc = json.dumps({"columns": list(header), "rows": [], "metadata": metadata},
-                     sort_keys=True, indent=1)
-    if not len(rows):
-        return doc
-    body = _join_rows(_table_cells(rows),
-                      '  [\n   "', '",\n   "', '"\n  ],\n')
-    return doc[:-len("[]\n}")] + "[\n" + body[:-2] + "\n ]\n}"
+    """JSON mirror of a CSV table: the same cells as strings, plus run metadata."""
+    return json_document({"columns": list(header), "rows": _table_cells(rows),
+                          "metadata": metadata})
 
 
-def json_cells(values, depth: int) -> str:
-    """``[fmt(v) for v in values]`` of a float array, as ``json.dumps(indent=1)``
-    prints it ``depth`` levels deep."""
-    if not len(values):
-        return "[]"
-    body = _join_rows([float_cells(values)], " " * (depth + 1) + '"', "", '",\n')
-    return "[\n" + body[:-2] + "\n" + " " * depth + "]"
+_MARKER = "\0ndarray\0"          # json.dumps writes _PLACE where an array goes
+_PLACE = json.dumps(_MARKER)
+
+
+def json_document(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=1)`` with each ndarray
+    written as json writes its ``tolist()``, at the depth of the line where
+    json put the array's marker. Floats print as json prints them; byte-string
+    cells print as strings, verbatim but for their NULs, so they must need no
+    escaping, as :func:`fmt_cells` never does. A payload string that json
+    writes as the marker raises ValueError."""
+    arrays = []
+
+    def place(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _MARKER
+
+    pieces = json.dumps(payload, sort_keys=True, indent=1, default=place).split(_PLACE)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"a payload string reads as the array marker {_MARKER!r}")
+    parts = pieces[:1]
+    for array, before, after in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        parts += [*_array_pieces(array, len(line) - len(line.lstrip(" "))), after]
+    return "".join(parts)
+
+
+def _array_pieces(a: np.ndarray, depth: int) -> list[str]:
+    """``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels deep."""
+    pad = " " * (depth + 1)
+    if not len(a):
+        return ["[]"]
+    if a.ndim > 2 or not a.size:
+        pieces = [p for sub in a for p in (",\n" + pad, *_array_pieces(sub, depth + 1))]
+        return ["[\n" + pad, *pieces[1:], "\n" + pad[1:] + "]"]
+    q = '"' if a.dtype.kind == "S" else ""
+    if not q:
+        spell = repr if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
+        a = np.array(list(map(spell, a.ravel().tolist())), dtype="S").reshape(a.shape)
+    if a.ndim == 1:
+        rows = _join_rows(a[:, None], pad + q, "", q, ",\n")
+    else:
+        rows = _join_rows(a, f"{pad}[\n {pad}{q}", f"{q},\n {pad}{q}", f"{q}\n{pad}]", ",\n")
+    return ["[\n", rows, "\n" + pad[1:] + "]"]
 
 
 def config_sha256(text: str) -> str:

@@ -215,14 +215,14 @@ def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:
 
 _DERIVED_MASS_RTOL = 1e-12
 
-_PARAM_KEYS = {
+PARAM_KEYS = (
     "mass", "radius", "density", "b_gradient", "theta", "t3", "trap_omega",
     "g_nv", "t_internal", "t_environment", "t_cm", "mw_frequency",
     "pulse_duration", "n_nucleons", "g_earth",
-}
+)
 _SEQUENCE_KEYS = {"t1", "t2", "jitter_t1", "jitter_t2", "jitter_t3"}
 _EXTRA_KEYS = {"response_im", "response_mod_sq"}
-KNOWN_CONFIG_KEYS = _PARAM_KEYS | _SEQUENCE_KEYS | _EXTRA_KEYS
+KNOWN_CONFIG_KEYS = {*PARAM_KEYS, *_SEQUENCE_KEYS, *_EXTRA_KEYS}
 
 _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
               "pulse_duration", "t_internal", "t_environment", "t_cm")
@@ -278,8 +278,7 @@ def build_params(config: dict) -> ExperimentParams:
         "mass": number(mass),
         "constants": constants,
     }
-    for key in ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
-                "pulse_duration", "t_internal", "t_environment", "t_cm"):
+    for key in _MANDATORY:
         kwargs[key] = number(config[key])
     for key in ("g_nv", "n_nucleons", "radius", "density"):
         if key in config and config[key] is not None:

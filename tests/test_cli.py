@@ -182,6 +182,18 @@ class TestNonFiniteInputs:
         lineno = paper_config_text(**{key: value}).splitlines().index(f"{key} = {value!r}") + 1
         assert f"line {lineno}: value for {key!r} must be finite" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dx-min", "nan"), ("--dx-max", "inf"), ("--tint-min", "-inf"), ("--tint-max", "nan"),
+    ])
+    def test_non_finite_axis_bound_refused(self, capsys, tmp_path, flag, value):
+        config = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["visibility", "--config", config, f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: {flag} must be finite\n"
+
 
 def test_cli_import_loads_no_scipy():
     # the test process itself imports scipy through the oracles

@@ -16,6 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
 from nanoramsey import (
+    BlackbodyChannel,
     PulseSequence,
     QuadratureError,
     angular_factor,
@@ -77,6 +78,19 @@ class TestLocalizationRate:
         with pytest.raises(ValueError, match="must lie in"):
             decoherence.VisibilitySurface(np.array([1e-7, 2e-7]), np.array([300.0]),
                                           np.array([[0.5], [np.nan]]), 1e-4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta_x", [math.nan, math.inf, -1e-9])
+    def test_separation_outside_bounds_refused(self, paper_params, delta_x):
+        with pytest.raises(ValueError, match="delta_x must be finite and >= 0"):
+            localization_rate_profile(default_model(paper_params), [1e-7, delta_x])
+
+    @pytest.mark.parametrize("temperature, radius", [
+        (math.nan, 1e-7), (math.inf, 1e-7), (300.0, math.nan), (300.0, math.inf),
+    ])
+    def test_channel_outside_bounds_refused(self, temperature, radius):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            BlackbodyChannel("absorption", "absorption", temperature, radius)
 
 # -- the masked kernel against the whole-array reference, bit for bit ----------
 

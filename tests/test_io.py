@@ -5,8 +5,11 @@ equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``, ``surface_to_csv`` and
 the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
 ``oracles.json_table_reference`` and ``json.dumps(..., sort_keys=True,
 indent=1)`` of per-cell ``fmt`` strings, and ``surface_to_json`` must equal
-``json.dumps`` of its float lists.
+``json.dumps`` of its float lists. ``json_document``, which all of them
+share, must equal ``json.dumps`` of its payload with every array as a list,
+and it is the only place in the package that calls ``json.dumps``.
 """
+import ast
 import hashlib
 import json
 import math
@@ -14,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,19 +25,22 @@ from conftest import paper_config_text
 from nanoramsey import build_params, cli, sector_phase_quadratic_coefficient, snapshot_frames
 from nanoramsey.decoherence import VisibilitySurface, surface_to_csv, surface_to_json
 from nanoramsey.io import (
+    _MARKER,
     CELL_WIDTH,
     _decimal_scale,
     config_sha256,
     csv_text,
     float_cells,
     fmt,
-    json_cells,
+    fmt_cells,
+    json_document,
     json_table,
 )
 from nanoramsey.params import parse_config_text
 from oracles import csv_text_reference, json_table_reference
 
 SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nanoramsey"
 
 
 def cell_strings(cells) -> list[str]:
@@ -268,6 +275,97 @@ def test_surface_json_equals_json_dumps(dx, n_tint, metadata, flight_time):
         assert surface_to_json(surface, meta) == surface_json_reference(surface, meta)
 
 
+# -- the JSON writer ---------------------------------------------------------------
+
+def nested(value, depth: int):
+    """``value`` inside ``depth`` one-item lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def expanded(payload):
+    """The payload as plain JSON values: each array as its ``tolist()``, and
+    byte strings as text without their NULs."""
+    if isinstance(payload, np.ndarray):
+        return expanded(payload.tolist())
+    if isinstance(payload, bytes):
+        return payload.replace(b"\0", b"").decode("ascii")
+    if isinstance(payload, dict):
+        return {k: expanded(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [expanded(v) for v in payload]
+    return payload
+
+
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   blacklist_characters='"\\'), max_size=6)
+SHAPES = st.one_of(st.tuples(st.integers(0, 5)), st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                   st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(SHAPES)
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["float", "fmt", "text", "int", "bool"]))
+    if kind == "text":
+        return np.array(draw(st.lists(PLAIN_TEXT, min_size=size, max_size=size)),
+                        dtype="S").reshape(shape)
+    if kind == "int":
+        return np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                        dtype=bool).reshape(shape)
+    values = np.array(draw(st.lists(FLOATS, min_size=size, max_size=size)),
+                      dtype=np.float64).reshape(shape)
+    return fmt_cells(values) if kind == "fmt" else values
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=6),
+                    st.sampled_from(["[]", '"[]"', "a[]", "[]\n", "{}"]))
+PAYLOADS = st.recursive(
+    st.one_of(arrays(), SCALARS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.one_of(st.text(max_size=4), st.just("[]")),
+                                            inner, max_size=3)),
+    max_leaves=10)
+
+
+class TestJsonDocument:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(PAYLOADS)
+    def test_equals_json_dumps(self, payload):
+        assert json_document(payload) == json.dumps(expanded(payload), sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_arrays_in_lists_of_dicts(self, depth):
+        payload = nested({"a": [{"b": np.array([[1.5, -0.0], [math.inf, math.nan]]),
+                                 "c": np.zeros((2, 0)), "d": np.array([])}],
+                          "e": fmt_cells(np.array([[1.0, 2.0]])), "f": "[]"}, depth)
+        assert json_document(payload) == json.dumps(expanded(payload), sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("payload", [
+        _MARKER, [_MARKER], {"a": np.zeros(2), "b": _MARKER}, {_MARKER: 1}, [np.zeros(1), _MARKER],
+    ])
+    def test_marker_string_raises(self, payload):
+        with pytest.raises(ValueError, match="marker"):
+            json_document(payload)
+
+    def test_only_io_calls_json_dumps(self):
+        def json_dumps_lines(path):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"
+                        or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                    yield node.lineno
+
+        callers = {path.name: list(json_dumps_lines(path)) for path in PACKAGE.rglob("*.py")}
+        assert callers.pop("io.py")
+        assert {name: lines for name, lines in callers.items() if lines} == {}
+
+
 # -- dump-snapshots JSON -------------------------------------------------------------
 
 def snapshots_reference(frames, metadata) -> str:
@@ -292,10 +390,10 @@ class TestSnapshotJson:
 
     def test_json_cells_depth(self):
         values = np.array([0.5, -1e-300, math.nan])
-        flat = json.dumps([fmt(v) for v in values], indent=1)
         for depth in (0, 1, 3):
-            assert json_cells(values, depth) == flat.replace("\n", "\n" + " " * depth)
-        assert json_cells(np.array([]), 3) == "[]"
+            assert json_document(nested(fmt_cells(values), depth)) == \
+                json.dumps(nested([fmt(v) for v in values], depth), indent=1)
+        assert json_document(nested(fmt_cells(np.array([])), 3)) == json.dumps([[[[]]]], indent=1)
 
     def test_cli_frames(self, capsys):
         cfg = parse_config_text(SNAPSHOT_CFG.read_text())
