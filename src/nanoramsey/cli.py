@@ -206,8 +206,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_visibility(args) -> int:
     params, seq, cfg, text = _load_config(args.config)
     for flag in ("dx_min", "dx_max", "tint_min", "tint_max"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag.replace('_', '-')} must be finite")
+        value, name = getattr(args, flag), f"--{flag.replace('_', '-')}"
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite")
+        if args.dx_log and flag.startswith("dx"):
+            if not value > 0.0:
+                raise ConfigError(f"{name} must be > 0 under log spacing, got {value!r}")
+        elif value < 0.0:
+            raise ConfigError(f"{name} must be >= 0, got {value!r}")
     if args.dx_log:
         dx_axis = np.geomspace(args.dx_min, args.dx_max, args.dx_count)
     else:

@@ -11,9 +11,10 @@ channels this gives the localization rate, which
     eta(dx) = sum_i  integral domega gamma_i(omega) * (1 - sinc(omega*dx/c))
 
 and the worst-case spin visibility after a flight of duration t is
-exp(-eta(dx_max) * t), evaluated at the peak separation (a strict upper
-bound on the dephasing; the time-resolved refinement of
-:func:`dephasing_exposures` is always smaller).
+exp(-eta(dx_max) * t), evaluated at the peak separation. That bounds the
+dephasing from above: the time-resolved exposure, eta(|dx(t)|) integrated
+along the flight, is smaller whenever the spin force is nonzero (the tests
+check the bound against that refinement).
 
 Default channels. No public tabulation of the object's spectral response is
 assumed. The built-in defaults use textbook point-dipole blackbody forms:
@@ -38,7 +39,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import CODATA
-from .dynamics import PulseSequence, max_separation, separation_at
 from .io import csv_text, fmt, json_document
 from .params import ExperimentParams
 
@@ -118,8 +118,10 @@ class BlackbodyChannel:
     def __post_init__(self):
         if self.kind not in ("absorption", "emission", "scattering"):
             raise ValueError(f"unknown blackbody channel kind {self.kind!r}")
-        if not (0.0 <= self.temperature < math.inf and 0.0 < self.radius < math.inf):
-            raise ValueError("temperature must be finite and >= 0, radius finite and > 0")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
 
     def support(self) -> tuple[float, float]:
         if self.temperature == 0.0:
@@ -139,19 +141,12 @@ class BlackbodyChannel:
         return flux * cross
 
 
-@dataclass(frozen=True)
-class SpectralRateModel:
-    """Named decoherence channels whose localization rates add."""
-
-    channels: tuple
-
-
 def default_model(
     params: ExperimentParams,
     t_internal: float | None = None,
     response_im: float = DEFAULT_RESPONSE_IM,
     response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ,
-) -> SpectralRateModel:
+) -> tuple[BlackbodyChannel, ...]:
     """Blackbody absorption + scattering at t_environment, emission at t_internal.
 
     Requires ``params.radius``. Gas collisions are left out: the chamber is
@@ -160,14 +155,14 @@ def default_model(
     if params.radius is None:
         raise ValueError("decoherence model needs the object radius; set the radius key")
     t_int = params.t_internal if t_internal is None else t_internal
-    return SpectralRateModel(channels=(
+    return (
         BlackbodyChannel("blackbody_absorption", "absorption",
                          params.t_environment, params.radius, response_im),
         BlackbodyChannel("blackbody_scattering", "scattering",
                          params.t_environment, params.radius, response_mod_sq),
         BlackbodyChannel("thermal_emission", "emission",
                          t_int, params.radius, response_im),
-    ))
+    )
 
 
 # -- localization rate -------------------------------------------------------
@@ -188,8 +183,6 @@ _KICK_BLOCK_ELEMENTS = 8192
 
 #: Largest relative coarse/fine mismatch a channel integral may show.
 QUADRATURE_RTOL = 1.0e-6
-#: Gauss-Legendre nodes per flight piece of the time-resolved exposure.
-TIME_NODES = 24
 
 
 @lru_cache(maxsize=32)
@@ -230,12 +223,12 @@ def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int, work: np.ndarray) 
 
 
 def localization_rate_profile(
-    model: SpectralRateModel,
+    channels: tuple[BlackbodyChannel, ...],
     delta_x,
     n_nodes: int = 512,
     channel_rates: dict | None = None,
 ) -> np.ndarray:
-    """eta(delta_x) for an array of separations (s^-1).
+    """eta(delta_x) of the summed ``channels`` for an array of separations (s^-1).
 
     Every channel is integrated with fixed-order Gauss-Legendre quadrature at
     ``n_nodes`` and at twice that; a relative mismatch beyond
@@ -250,7 +243,7 @@ def localization_rate_profile(
     if channel_rates is None:
         channel_rates = {}
     total = np.zeros_like(dx)
-    for channel in model.channels:
+    for channel in channels:
         if channel not in channel_rates:
             channel_rates[channel] = _checked_channel_rate(channel, dx, n_nodes)
         total += channel_rates[channel]
@@ -310,10 +303,10 @@ def visibility_surface(
 ) -> VisibilitySurface:
     """Tabulate exp(-eta(dx; T_int) * t) on the given axes.
 
-    ``model_family`` maps an internal temperature to a
-    :class:`SpectralRateModel`; use :func:`default_model_family` for the
-    built-in blackbody defaults. A channel that several columns share (one
-    that does not depend on T_int) is integrated once.
+    ``model_family`` maps an internal temperature to a tuple of channels;
+    use :func:`default_model_family` for the built-in blackbody defaults. A
+    channel that several columns share (one that does not depend on T_int) is
+    integrated once.
     """
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
@@ -322,8 +315,8 @@ def visibility_surface(
     vis = np.empty((dx.size, tins.size))
     channel_rates = {}
     for j, t_int in enumerate(tins):
-        model = model_family(float(t_int))
-        eta = localization_rate_profile(model, dx, n_nodes, channel_rates=channel_rates)
+        channels = model_family(float(t_int))
+        eta = localization_rate_profile(channels, dx, n_nodes, channel_rates=channel_rates)
         vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
                              visibility=vis, flight_time=flight_time)
@@ -332,37 +325,11 @@ def visibility_surface(
 def default_model_family(params: ExperimentParams,
                          response_im: float = DEFAULT_RESPONSE_IM,
                          response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ):
-    """t_int -> default blackbody model, for :func:`visibility_surface`."""
-    def family(t_int: float) -> SpectralRateModel:
+    """t_int -> default blackbody channels, for :func:`visibility_surface`."""
+    def family(t_int: float) -> tuple[BlackbodyChannel, ...]:
         return default_model(params, t_internal=t_int,
                              response_im=response_im, response_mod_sq=response_mod_sq)
     return family
-
-
-# -- time-resolved refinement ---------------------------------------------------
-
-def dephasing_exposures(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    model: SpectralRateModel,
-) -> tuple[float, float]:
-    """(worst-case, time-resolved) dimensionless dephasing exposures.
-
-    Worst case is eta(peak separation) * t3; the refinement integrates
-    eta(|dx(t)|) dt along the actual separation profile, ``TIME_NODES``
-    Gauss-Legendre nodes per piece, and is strictly smaller whenever the spin
-    force is nonzero.
-    """
-    t3 = seq.effective_times()[2]
-    bound = float(localization_rate_profile(model, max_separation(params, seq))[0]) * t3
-    edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
-    refined = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes, weights = _gauss_nodes(a, b, TIME_NODES)
-        seps = np.abs(separation_at(params, seq, nodes))
-        rates = localization_rate_profile(model, seps)
-        refined += float(np.dot(rates, weights))
-    return bound, refined
 
 
 # -- serialization -----------------------------------------------------------------

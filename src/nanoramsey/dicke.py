@@ -8,25 +8,23 @@ permutation components, carries the collective projection M = 2n - l and its
 motional packet feels the force M*A - C, so every sector closes under a
 balanced sequence and the final spin state picks up sector phases.
 
-Two phase tables are exposed on purpose:
-
-* ``collective_final_state`` carries the idealized linear table
-  phase(M) = M * phi_g, whose refactorization target is the product state
-  ((|+1> + exp(-2 i phi_g)|-1>)/sqrt(2))^(x l);
-* ``sector_action_phases`` carries the exact per-sector action phases, which
-  contain, besides the linear term of slope -phi_g/2, a real quadratic
-  (one-axis-twisting) term from the spin-dependent kinetic energy; see
-  :func:`sector_phase_quadratic_coefficient`. The grid oracle certifies the
-  quadratic term, so the linear table is an idealization, not the dynamics:
-  for l >= 2 the twisting cuts each spin's contrast to |cos 4c|^(l-1)
-  (docs/physics-notes.md, "The twisting contrast of l spins").
+``collective_final_state`` carries the idealized linear phase table
+phase(M) = M * phi_g, whose refactorization target is the product state
+((|+1> + exp(-2 i phi_g)|-1>)/sqrt(2))^(x l). The exact sector phase is the
+action phase of ``evolve_sequence`` with both branches on spin M. Besides
+the linear term of slope -phi_g/2 it holds a real quadratic
+(one-axis-twisting) term from the spin-dependent kinetic energy, whose
+coefficient :func:`sector_phase_quadratic_coefficient` gives. The grid oracle
+certifies the quadratic term, so the linear table is an idealization, not
+the dynamics: for l >= 2 the twisting cuts each spin's contrast to
+|cos 4c|^(l-1) (docs/physics-notes.md, "The twisting contrast of l spins").
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .dynamics import PulseSequence, evolve_sequence, gravitational_phase, initial_state
+from .dynamics import PulseSequence, gravitational_phase
 from .params import ExperimentParams
 
 MAX_EXACT_L = 30          # binomials stay exact in float64 well past this
@@ -56,23 +54,6 @@ def collective_final_state(params: ExperimentParams, seq: PulseSequence, l: int)
     phi = gravitational_phase(params, seq)
     phases = tuple((2 * n - l, (2 * n - l) * phi) for n in range(l + 1))
     return CollectiveFinalState(l=l, sector_phases=phases, phi_g=phi)
-
-
-def sector_action_phases(params: ExperimentParams, seq: PulseSequence, l: int):
-    """Exact per-sector action phases (dynamical truth, global phase included).
-
-    Returns a list of (M, S_M/hbar). The dependence on M is quadratic:
-    a linear part of slope -phi_g/2 plus the one-axis-twisting term
-    sector_phase_quadratic_coefficient * M^2.
-    """
-    if not 1 <= l <= MAX_EXACT_L:
-        raise ValueError(f"l must lie in [1, {MAX_EXACT_L}]")
-    out = []
-    for n in range(l + 1):
-        mv = 2 * n - l
-        final = evolve_sequence(params, seq, initial_state(params), spins=(mv, mv))
-        out.append((mv, final.plus_branch.action_phase))
-    return out
 
 
 def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSequence) -> float:

@@ -25,12 +25,12 @@ bit-identical to the scalar call on that point: numpy does only + - * / and
 comparisons, and every ``math`` function and ``**`` goes through an array
 kernel of :mod:`~nanoramsey.params` that calls C libm (docs/physics-notes.md,
 "Bit-identical broadcasting"). So a thermal ensemble (array starts x0, p0)
-or a jitter scan (array ``with_jitter``) is one :func:`evolve_sequence` call.
+or a jitter scan (an array ``jitter``) is one :func:`evolve_sequence` call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class PulseSequence:
         return ((j1 == 0.0) & (j2 == 0.0) & (j3 == 0.0)
                 & isclose(self.t1, self.t3 / 4.0, BALANCE_RTOL)
                 & isclose(self.t2, 3.0 * self.t3 / 4.0, BALANCE_RTOL))
-
-    def with_jitter(self, j1: float, j2: float, j3: float) -> "PulseSequence":
-        return replace(self, jitter=(j1, j2, j3))
 
 
 @dataclass(frozen=True)
@@ -226,15 +223,6 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
 def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
     a = abs(params.spin_coupling()) / params.mass
     return 2.0 * a * power(seq.t3 / 4.0, 2)
-
-
-def separation_time_integral(params: ExperimentParams, seq: PulseSequence) -> float:
-    """Exact integral of the signed separation x_plus - x_minus over the flight (m s)."""
-    total = 0.0
-    for _, tau, dx0, dv0, da in _relative_segments(params, seq):
-        total = total + (dx0 * tau + 0.5 * dv0 * tau * tau
-                         + da * power(tau, 3) / 6.0)
-    return total
 
 
 # -- interferometric phase ----------------------------------------------------

@@ -186,6 +186,20 @@ class ExperimentParams:
         if self.n_nucleons is None:
             object.__setattr__(self, "n_nucleons", self.mass / self.constants.amu)
         _require(self.n_nucleons >= 1.0, "n_nucleons", "must be >= 1")
+        # the product first, so that hbar is divided by neither 0 nor inf; the
+        # square root of a positive float is normal, so sigma0 > 0 is enough
+        product = 2.0 * self.mass * self.trap_omega
+        ok = (0.0 < product) & (product < math.inf)
+        if all_of(ok):
+            sigma0 = self.sigma0()
+            ok = (0.0 < sigma0) & (sigma0 < math.inf)
+        if not all_of(ok):
+            bad = np.logical_not(ok)
+            raise ConfigError(
+                "mass and trap_omega must give a packet width sqrt(hbar / (2 mass trap_omega)) "
+                f"that is a positive normal float, got mass={first(bad, self.mass)!r}, "
+                f"trap_omega={first(bad, self.trap_omega)!r}"
+            )
 
     # -- derived quantities ------------------------------------------------
 

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from nanoramsey import (
+from nanoramsey.grid import (
+    CERTIFY_DESK,
+    _evolve_flights,
     auto_grid,
     desk_scale_params,
     evolve_branch_on_grid,
@@ -31,7 +33,6 @@ from nanoramsey import (
     snapshot_frames,
     split_step_evolve,
 )
-from nanoramsey.grid import CERTIFY_DESK, _evolve_flights
 
 
 @pytest.fixture(scope="module")

@@ -29,20 +29,22 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nanoramsey import (
-    PulseSequence,
-    build_params,
-    cli,
+from nanoramsey import cli
+from nanoramsey.decoherence import (
+    _channel_rate,
+    _leggauss_cached,
     default_model_family,
+    visibility_surface,
+)
+from nanoramsey.dynamics import (
+    PulseSequence,
     gravitational_phase,
     max_separation,
     ramsey_probability,
-    snapshot_frames,
-    visibility_surface,
 )
-from nanoramsey.decoherence import _channel_rate, _leggauss_cached
+from nanoramsey.grid import snapshot_frames
 from nanoramsey.io import csv_text, float_cells, json_table
-from nanoramsey.params import parse_config_text
+from nanoramsey.params import build_params, parse_config_text
 
 CONFIG = "perfbench/configs/paper.cfg"
 SNAPSHOT_CONFIG = "perfbench/configs/snapshot.cfg"
@@ -101,7 +103,7 @@ SEPARATIONS = np.geomspace(1e-9, 1e-6, 200)
 
 def test_channel_rate_1024(benchmark, surface_inputs):
     """One thermal-emission channel (900 K) at 1024 nodes on 200 separations."""
-    channel = next(ch for ch in surface_inputs[0](900.0).channels
+    channel = next(ch for ch in surface_inputs[0](900.0)
                    if ch.name == "thermal_emission")
     work = np.empty(SEPARATIONS.size * 1024)
     benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, 1024, work), rounds=20,

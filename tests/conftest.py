@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nanoramsey import PulseSequence, build_params, desk_scale_params
+from nanoramsey.dynamics import PulseSequence
+from nanoramsey.grid import desk_scale_params
+from nanoramsey.params import build_params
 
 PAPER_CONFIG = dict(
     mass=1.25e-17,        # kg

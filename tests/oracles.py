@@ -21,6 +21,14 @@ sectors are checked against brute-force 2^l statevectors of l pseudo-spins.
 The column-wise table emitters are checked byte for byte against
 ``csv_text_reference`` and ``json_table_reference``, which call ``fmt`` once
 per cell and let the json module lay out the document.
+
+Three compositions of package routines that no command runs live here too,
+beside the claims the tests make with them; unlike the routes above, they
+call the code under test. ``separation_time_integral`` sums the separation
+pieces of ``dynamics._relative_segments``; ``dephasing_exposures`` returns
+the peak-separation exposure that the visibility surface takes and the
+time-resolved one it bounds; ``sector_action_phases`` runs
+``evolve_sequence`` once per Dicke sector.
 """
 from __future__ import annotations
 
@@ -32,8 +40,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
+from nanoramsey import dynamics
 from nanoramsey.constants import CODATA
-from nanoramsey.decoherence import QuadratureError, VisibilitySurface, angular_factor
+from nanoramsey.decoherence import (
+    QuadratureError,
+    VisibilitySurface,
+    _gauss_nodes,
+    angular_factor,
+    localization_rate_profile,
+)
 from nanoramsey.dynamics import (
     PulseSequence,
     _spin_history,
@@ -43,11 +58,11 @@ from nanoramsey.dynamics import (
     initial_state,
     max_separation,
     ramsey_probability,
-    separation_time_integral,
+    separation_at,
 )
 from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
 from nanoramsey.io import fmt
-from nanoramsey.params import ConfigError, branch_force, build_params, number
+from nanoramsey.params import ConfigError, branch_force, build_params, number, power
 
 
 def _force_of_time(params, seq, initial_spin):
@@ -187,6 +202,19 @@ def mc_sphere_kick_average(k, delta_x, n_samples, seed):
     return 1.0 - float(np.mean(np.cos(phase))), float(np.mean(np.sin(phase)))
 
 
+def separation_time_integral(params, seq):
+    """Exact integral of the signed separation x_plus - x_minus over the flight (m s).
+
+    Sums the piecewise polynomial of each ``dynamics._relative_segments`` piece,
+    looked up on the module so that a test can swap the segment walk.
+    """
+    total = 0.0
+    for _, tau, dx0, dv0, da in dynamics._relative_segments(params, seq):
+        total = total + (dx0 * tau + 0.5 * dv0 * tau * tau
+                         + da * power(tau, 3) / 6.0)
+    return total
+
+
 def gravitational_phase_action(params, seq):
     """Route (a): phi_g from the semiclassical action difference.
 
@@ -261,12 +289,12 @@ def gravitational_phase_propagator(params, seq):
     return -(up.phi - um.phi)
 
 
-def localization_rate_adaptive(model, delta_x):
+def localization_rate_adaptive(channels, delta_x):
     """The localization rate eta(delta_x) via adaptive Gauss-Kronrod quadrature."""
     if delta_x < 0.0:
         raise ValueError("delta_x must be >= 0")
     total = 0.0
-    for channel in model.channels:
+    for channel in channels:
         lo, hi = channel.support()
         if hi <= lo:
             continue
@@ -283,6 +311,30 @@ def localization_rate_adaptive(model, delta_x):
             )
         total += value
     return total
+
+
+#: Gauss-Legendre nodes per flight piece of the time-resolved exposure.
+TIME_NODES = 24
+
+
+def dephasing_exposures(params, seq, channels):
+    """(worst-case, time-resolved) dimensionless dephasing exposures.
+
+    Worst case is eta(peak separation) * t3, as the visibility surface takes
+    it; the refinement integrates eta(|dx(t)|) dt along the actual separation
+    profile, ``TIME_NODES`` Gauss-Legendre nodes per piece, with the pieces
+    split at the flips and at t3 / 2.
+    """
+    t3 = seq.effective_times()[2]
+    bound = float(localization_rate_profile(channels, max_separation(params, seq))[0]) * t3
+    edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
+    refined = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes, weights = _gauss_nodes(a, b, TIME_NODES)
+        seps = np.abs(separation_at(params, seq, nodes))
+        rates = localization_rate_profile(channels, seps)
+        refined += float(np.dot(rates, weights))
+    return bound, refined
 
 
 def angular_factor_reference(z):
@@ -320,7 +372,7 @@ def visibility_surface_reference(model_family, delta_x_range, t_int_range, fligh
     vis = np.empty((dx.size, tins.size))
     for j, t_int in enumerate(tins):
         eta = np.zeros_like(dx)
-        for channel in model_family(float(t_int)).channels:
+        for channel in model_family(float(t_int)):
             eta += channel_rate_reference(channel, dx, 2 * n_nodes)
         vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
@@ -507,6 +559,21 @@ def json_table_reference(header, rows, metadata: dict) -> str:
 
 #: 4096-dimensional statevectors at most
 MAX_BRUTE_FORCE_L = 12
+
+
+def sector_action_phases(params, seq, l: int):
+    """Exact per-sector action phases: a list of (M, S_M/hbar), M = -l, -l + 2, ..., l.
+
+    Sector M is ``evolve_sequence`` with both branches on spin M; the global
+    phase is included. The dependence on M is quadratic: a linear part of
+    slope -phi_g/2 plus ``sector_phase_quadratic_coefficient`` * M^2.
+    """
+    out = []
+    for n in range(l + 1):
+        mv = 2 * n - l
+        final = evolve_sequence(params, seq, initial_state(params), spins=(mv, mv))
+        out.append((mv, final.plus_branch.action_phase))
+    return out
 
 
 def dicke_state_vector(l: int, n: int) -> np.ndarray:

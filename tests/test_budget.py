@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import PAPER_CONFIG
-from nanoramsey import PulseSequence, build_params
 from nanoramsey.budget import (
     QUOTED_ONLY_NOTES,
     budget_report,
@@ -18,6 +17,8 @@ from nanoramsey.budget import (
     zeeman_resolvability,
 )
 from nanoramsey.constants import CODATA
+from nanoramsey.dynamics import PulseSequence
+from nanoramsey.params import build_params
 from oracles import gravitational_phase_action, integrate_trajectory
 
 mpmath.mp.dps = 40

@@ -194,6 +194,52 @@ class TestNonFiniteInputs:
         assert rc == cli.EXIT_VALIDATION and out == ""
         assert err == f"error: {flag} must be finite\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tint-max=-5"], "--tint-max must be >= 0, got -5.0"),
+        (["--tint-min=-5"], "--tint-min must be >= 0, got -5.0"),
+        (["--dx-min=-1e-9"], "--dx-min must be > 0 under log spacing, got -1e-09"),
+        (["--dx-min=0"], "--dx-min must be > 0 under log spacing, got 0.0"),
+        (["--dx-linear", "--dx-min=-1e-9"], "--dx-min must be >= 0, got -1e-09"),
+    ], ids=["tint-max", "tint-min", "dx-min-negative", "dx-min-zero", "dx-min-linear"])
+    def test_axis_bound_below_range_refused_by_flag(self, capsys, tmp_path, flags, message):
+        config = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["visibility", "--config", config, *flags])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestPacketWidthUnderflow:
+    """sigma0 = sqrt(hbar / (2 m omega)) that is 0 or inf is refused by its keys."""
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"mass": 1e300}, "mass=1e+300, trap_omega=100000.0"),
+        ({"trap_omega": 5e-324}, "mass=1.25e-17, trap_omega=5e-324"),
+    ], ids=["mass", "trap_omega"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_budget_refused(self, capsys, tmp_path, overrides, named, fmt):
+        config = write_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["budget", "--config", config, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err == ("error: mass and trap_omega must give a packet width sqrt(hbar / "
+                       f"(2 mass trap_omega)) that is a positive normal float, got {named}\n")
+
+    def test_sweep_refused_at_the_first_bad_point(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", "--config", config, "--param", "mass",
+                           "--values", "1e-17,1e300,1e301"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: mass and trap_omega must give a packet width")
+        assert err.endswith("got mass=1e+300, trap_omega=100000.0\n")
+
 
 def test_cli_import_loads_no_scipy():
     # the test process itself imports scipy through the oracles
@@ -205,3 +251,21 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_package_import_loads_only_what_it_names():
+    """``import nanoramsey`` loads no submodule and no numpy; the CLI loads all nine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import json, sys, {}; print(json.dumps("
+            "[m for m in sys.modules if m.split('.')[0] in ('nanoramsey', 'numpy')]))")
+    loaded = {}
+    for module in ("nanoramsey", "nanoramsey.cli"):
+        result = subprocess.run([sys.executable, "-c", code.format(module)], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        loaded[module] = set(json.loads(result.stdout))
+    assert loaded["nanoramsey"] == {"nanoramsey"}
+    submodules = {m for m in loaded["nanoramsey.cli"] if m.startswith("nanoramsey.")}
+    assert submodules == {f"nanoramsey.{name}" for name in (
+        "budget", "cli", "constants", "decoherence", "dicke", "dynamics", "grid", "io", "params")}

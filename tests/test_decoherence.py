@@ -15,27 +15,25 @@ from numpy.polynomial.legendre import leggauss
 
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
-from nanoramsey import (
-    BlackbodyChannel,
-    PulseSequence,
-    QuadratureError,
-    angular_factor,
-    build_params,
-    default_model,
-    default_model_family,
-    dephasing_exposures,
-    localization_rate_profile,
-    separation_at,
-    visibility_surface,
-)
 from nanoramsey.decoherence import (
     _STORED_RULE_ORDERS,
+    BlackbodyChannel,
+    QuadratureError,
     _channel_rate,
     _leggauss_cached,
+    angular_factor,
+    default_model,
+    default_model_family,
+    localization_rate_profile,
+    visibility_surface,
 )
+from nanoramsey.dynamics import PulseSequence, separation_at
+from nanoramsey.params import build_params
 from oracles import (
+    TIME_NODES,
     angular_factor_reference,
     channel_rate_reference,
+    dephasing_exposures,
     localization_rate_adaptive,
     mc_sphere_kick_average,
     visibility_surface_reference,
@@ -89,8 +87,20 @@ class TestLocalizationRate:
         (math.nan, 1e-7), (math.inf, 1e-7), (300.0, math.nan), (300.0, math.inf),
     ])
     def test_channel_outside_bounds_refused(self, temperature, radius):
-        with pytest.raises(ValueError, match="temperature must be finite"):
+        field = "temperature" if not math.isfinite(temperature) else "radius"
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             BlackbodyChannel("absorption", "absorption", temperature, radius)
+
+    @pytest.mark.parametrize("temperature, radius, message", [
+        (-5.0, 1e-7, "temperature must be finite and >= 0, got -5.0"),
+        (math.nan, 0.0, "temperature must be finite and >= 0, got nan"),
+        (300.0, 0.0, "radius must be finite and > 0, got 0.0"),
+        (300.0, -1e-7, "radius must be finite and > 0, got -1e-07"),
+    ], ids=["negative-temperature", "temperature-first", "zero-radius", "negative-radius"])
+    def test_channel_refusal_names_the_field_and_value(self, temperature, radius, message):
+        with pytest.raises(ValueError) as refused:
+            BlackbodyChannel("absorption", "absorption", temperature, radius)
+        assert str(refused.value) == message
 
 # -- the masked kernel against the whole-array reference, bit for bit ----------
 
@@ -186,7 +196,7 @@ class TestBlockedQuadratureBits:
     @pytest.mark.parametrize("m", [1, 9, 17, 33, 64])
     def test_channel_rate_bit_equal(self, paper_family, m, n_nodes):
         dx = np.geomspace(1e-9, 1e-6, m)
-        for channel in paper_family(900.0).channels:
+        for channel in paper_family(900.0):
             work = np.empty(2 * dx.size * n_nodes)      # as the coarse pass gets it
             assert_bit_equal(_channel_rate(channel, dx, n_nodes, work),
                              channel_rate_reference(channel, dx, n_nodes))
@@ -290,7 +300,7 @@ class TestDephasingExposures:
         edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
         want = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes, weights = decoherence._gauss_nodes(lo, hi, decoherence.TIME_NODES)
+            nodes, weights = decoherence._gauss_nodes(lo, hi, TIME_NODES)
             seps = np.abs([separation_at(paper_params, seq, t) for t in nodes.tolist()])
             want += float(np.dot(localization_rate_profile(model, seps), weights))
         walks = []

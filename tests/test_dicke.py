@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from nanoramsey import (
+from nanoramsey.dicke import (
     collective_final_state,
-    desk_scale_params,
-    evolve_sequence,
-    gravitational_phase,
-    initial_state,
-    sector_action_phases,
     sector_phase_quadratic_coefficient,
     sector_table,
 )
+from nanoramsey.dynamics import evolve_sequence, gravitational_phase, initial_state
+from nanoramsey.grid import desk_scale_params
 from oracles import (
     dicke_state_vector,
     integrate_trajectory,
     numeric_action,
     reconstruct_spin_state,
     refactorization_fidelity,
+    sector_action_phases,
     single_spin_contrast,
 )
 

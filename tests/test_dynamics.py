@@ -1,27 +1,26 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanoramsey import (
+from nanoramsey import dynamics
+from nanoramsey.dynamics import (
     PulseSequence,
-    SpinBranch,
     branch_overlap,
-    build_params,
-    desk_scale_params,
     evolve_sequence,
     gravitational_phase,
     initial_state,
     max_separation,
     ramsey_probability,
     separation_at,
-    separation_time_integral,
     wavepacket_width,
 )
-from nanoramsey import dynamics
+from nanoramsey.grid import desk_scale_params
+from nanoramsey.params import SpinBranch, build_params
 from conftest import PAPER_CONFIG
 from oracles import (
     gravitational_phase_action,
@@ -31,6 +30,7 @@ from oracles import (
     numeric_separation_integral,
     relative_segments_reference,
     separation_at_reference,
+    separation_time_integral,
 )
 
 
@@ -67,7 +67,7 @@ class TestPulseSequence:
             PulseSequence(t1=2.5e-5, t2=7.5e-5, t3=1e-4, jitter=(6e-5, 0.0, 0.0))
 
     def test_jittered_is_not_balanced(self):
-        seq = PulseSequence.balanced(1e-4).with_jitter(1e-9, 0.0, 0.0)
+        seq = replace(PulseSequence.balanced(1e-4), jitter=(1e-9, 0.0, 0.0))
         assert not seq.is_balanced()
 
 
@@ -191,7 +191,7 @@ class TestOneSeparationSource:
             t1, t2 = np.sort(rng.uniform(0.0, params.t3, 2))
             jitter = tuple(float(j) for j in rng.normal(0.0, 1e-3 * params.t3, 3))
             seq = PulseSequence(float(t1), float(t2), params.t3)
-            for s in (seq, seq.with_jitter(*jitter)):
+            for s in (seq, replace(seq, jitter=jitter)):
                 self.assert_same_bits(params, s, monkeypatch)
                 for t in (0.0, s.effective_times()[0]):
                     assert bits(separation_at(params, s, t)) == bits(
@@ -344,7 +344,7 @@ class TestEvolveSequence:
     def test_first_order_jitter_residuals(self, paper_params):
         """Exact kinematics: dx(t3) = 3 (A/m) t3 dt1 - 2 (A/m) dt1^2, dp = 4 A dt1."""
         delta = 1e-9
-        seq = PulseSequence.balanced(1e-4).with_jitter(delta, 0.0, 0.0)
+        seq = replace(PulseSequence.balanced(1e-4), jitter=(delta, 0.0, 0.0))
         final = evolve_sequence(paper_params, seq, initial_state(paper_params))
         a = paper_params.spin_coupling() / paper_params.mass
         dx = final.plus_branch.center - final.minus_branch.center
@@ -354,7 +354,7 @@ class TestEvolveSequence:
 
     def test_jitter_residuals_match_verlet_oracle(self, paper_params):
         delta = 5e-7   # large enough for the oracle stepper to resolve
-        seq = PulseSequence.balanced(1e-4).with_jitter(delta, 0.0, 0.0)
+        seq = replace(PulseSequence.balanced(1e-4), jitter=(delta, 0.0, 0.0))
         final = evolve_sequence(paper_params, seq, initial_state(paper_params))
         tp, xp, vp = integrate_trajectory(paper_params, seq, +1)
         tm, xm, vm = integrate_trajectory(paper_params, seq, -1)
@@ -370,7 +370,7 @@ class TestEvolveSequence:
         assert final.plus_branch.center == final.minus_branch.center
 
     def test_differing_sigma0_rejected(self, paper_params, paper_seq):
-        from nanoramsey import CompositeState, GaussianBranchState
+        from nanoramsey.dynamics import CompositeState, GaussianBranchState
         a = GaussianBranchState(0.0, 0.0, 1e-12)
         b = GaussianBranchState(0.0, 0.0, 2e-12)
         with pytest.raises(ValueError, match="sigma0"):
@@ -384,7 +384,7 @@ class TestBranchOverlap:
 
     def test_pure_displacement_inversion_at_half(self, paper_params):
         """At spread_time 0 and dp = 0, |ov| = exp(-dx^2/(8 sigma0^2)); invert 0.5."""
-        from nanoramsey import CompositeState, GaussianBranchState
+        from nanoramsey.dynamics import CompositeState, GaussianBranchState
         s0 = paper_params.sigma0()
         dx = s0 * math.sqrt(8.0 * math.log(2.0))
         state = CompositeState(GaussianBranchState(dx / 2, 0.0, s0),
@@ -393,7 +393,7 @@ class TestBranchOverlap:
 
     def test_displacement_law_spread_independent(self, paper_params):
         """For dp = 0 the exact modulus keeps sigma0 in the exponent at any spread."""
-        from nanoramsey import CompositeState, GaussianBranchState
+        from nanoramsey.dynamics import CompositeState, GaussianBranchState
         s0 = paper_params.sigma0()
         dx = 3.0 * s0
         for spread in (0.0, 1e-4, 5e-4):
@@ -413,7 +413,7 @@ class TestBranchOverlap:
         assert ov.imag == pytest.approx(expected.imag, abs=1e-6)
 
     def test_differing_spread_time_rejected(self, paper_params):
-        from nanoramsey import CompositeState, GaussianBranchState
+        from nanoramsey.dynamics import CompositeState, GaussianBranchState
         s0 = paper_params.sigma0()
         state = CompositeState(GaussianBranchState(0.0, 0.0, s0, 1e-5),
                                GaussianBranchState(0.0, 0.0, s0, 2e-5))
@@ -509,7 +509,7 @@ class TestThermalInvariance:
 
 class TestJitterScan:
     def test_zero_jitter_full_visibility(self, paper_params, paper_seq):
-        seq = paper_seq.with_jitter(0.0, 0.0, 0.0)
+        seq = replace(paper_seq, jitter=(0.0, 0.0, 0.0))
         final = evolve_sequence(paper_params, seq, initial_state(paper_params))
         assert abs(branch_overlap(paper_params, final)) == pytest.approx(1.0, abs=1e-12)
 
@@ -529,7 +529,7 @@ class TestJitterScan:
         dp = 4.0 * paper_params.spin_coupling() * d
         dx_back = dx - dp * 1e-4 / m
         expected = math.exp(-dx_back**2 / (8 * s0**2) - (s0 * dp / hbar) ** 2 / 2.0)
-        seq = paper_seq.with_jitter(d, 0.0, 0.0)
+        seq = replace(paper_seq, jitter=(d, 0.0, 0.0))
         visibility = abs(branch_overlap(paper_params, evolve_sequence(paper_params, seq,
                                                                       initial_state(paper_params))))
         assert visibility == pytest.approx(expected, rel=1e-9)
@@ -538,7 +538,7 @@ class TestJitterScan:
     def test_momentum_closes_for_compensating_jitter(self, paper_params, paper_seq):
         """dp(t3) vanishes when dt3 = -2 dt1 (and only then, for dt2 = 0)."""
         d = 3e-8
-        seq = paper_seq.with_jitter(d, 0.0, np.array([-2.0 * d, -d, 0.0]))
+        seq = replace(paper_seq, jitter=(d, 0.0, np.array([-2.0 * d, -d, 0.0])))
         final = evolve_sequence(paper_params, seq, initial_state(paper_params))
         dp = np.abs(final.plus_branch.momentum - final.minus_branch.momentum)
         dp_scale = 4.0 * paper_params.spin_coupling() * d

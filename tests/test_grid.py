@@ -5,35 +5,39 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nanoramsey import (
+from nanoramsey import grid
+from nanoramsey.constants import PhysicalConstants
+from nanoramsey.dynamics import (
+    PulseSequence,
+    branch_overlap,
+    evolve_sequence,
+    gravitational_phase,
+    initial_state,
+    wavepacket_width,
+)
+from nanoramsey.grid import (
+    CERTIFY_DESK,
+    MAX_POINTS,
     ClosureError,
     GridBoundaryError,
     GridSpec,
-    PhysicalConstants,
-    PulseSequence,
     ScaleError,
+    _drift_steps,
     auto_grid,
-    branch_overlap,
-    build_params,
     desk_scale_params,
     evolve_branch_on_grid,
-    evolve_sequence,
     gaussian_packet,
-    gravitational_phase,
-    initial_state,
     oracle_compare,
+    oracle_compare_sets,
     oracle_phase,
     scale_params,
-    sector_action_phases,
     snapshot_frames,
     split_step_evolve,
     splitting_phase,
-    wavepacket_width,
 )
-from nanoramsey import grid
-from nanoramsey.grid import CERTIFY_DESK, MAX_POINTS, _drift_steps, oracle_compare_sets
+from nanoramsey.params import build_params
 from conftest import PAPER_CONFIG
-from oracles import pair_flight_reference, reference_branch
+from oracles import pair_flight_reference, reference_branch, sector_action_phases
 
 
 #: perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
@@ -287,7 +291,7 @@ class TestOracleCompare:
     def test_unbalanced_overlap_matches_analytic(self):
         """Two independent computations of the same overlap agree to 1e-3."""
         params, seq0 = desk_scale_params()
-        seq = seq0.with_jitter(0.02 * seq0.t3, 0.0, 0.0)
+        seq = replace(seq0, jitter=(0.02 * seq0.t3, 0.0, 0.0))
         report = oracle_compare(params, seq)
         assert not seq.is_balanced()
         assert report.overlap_grid < 0.999           # genuinely open interferometer
@@ -439,7 +443,7 @@ class TestSplittingPhase:
     @pytest.mark.parametrize("steps", [300, 1200])
     def test_unbalanced_residual_against_branch_overlap(self, steps):
         params, seq0 = desk_scale_params()
-        seq = seq0.with_jitter(0.02 * seq0.t3, 0.0, 0.0)
+        seq = replace(seq0, jitter=(0.02 * seq0.t3, 0.0, 0.0))
         report = oracle_compare(params, seq, auto_grid(scale_params(params, seq),
                                                        steps_per_segment=steps))
         ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
@@ -479,7 +483,7 @@ class TestSnapshots:
         # exaggerated splitting so the mid-flight frame shows two clear peaks
         params, seq = desk_scale_params(a_spin=2.0, a_gravity=0.05, tau_scaled=8.0)
         frames = snapshot_frames(params, seq, [0.0, 0.5, 1.0])
-        from nanoramsey import max_separation
+        from nanoramsey.dynamics import max_separation
         sep_expected = max_separation(params, seq)
         for t, x, prob_p, prob_m in frames:
             dx = x[1] - x[0]

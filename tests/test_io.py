@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import paper_config_text
-from nanoramsey import build_params, cli, sector_phase_quadratic_coefficient, snapshot_frames
+from nanoramsey import cli
 from nanoramsey.decoherence import VisibilitySurface, surface_to_csv, surface_to_json
+from nanoramsey.dicke import sector_phase_quadratic_coefficient
+from nanoramsey.grid import snapshot_frames
 from nanoramsey.io import (
     _MARKER,
     CELL_WIDTH,
@@ -36,7 +38,7 @@ from nanoramsey.io import (
     json_document,
     json_table,
 )
-from nanoramsey.params import parse_config_text
+from nanoramsey.params import build_params, parse_config_text
 from oracles import csv_text_reference, json_table_reference
 
 SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg"

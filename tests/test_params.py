@@ -1,21 +1,20 @@
 import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.constants
 
-from nanoramsey import (
-    CODATA,
+from nanoramsey.constants import CODATA, PhysicalConstants
+from nanoramsey.dynamics import PulseSequence, gravitational_phase
+from nanoramsey.params import (
     ConfigError,
     ExperimentParams,
-    PhysicalConstants,
-    PulseSequence,
     SpinBranch,
     branch_force,
     build_params,
-    gravitational_phase,
     parse_config_text,
     sphere_mass,
 )
@@ -97,6 +96,17 @@ class TestBuildParams:
     def test_invalid_values_name_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             make_params(**{key: value})
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"mass": 1e300}, "mass=1e+300, trap_omega=100000.0"),
+        ({"trap_omega": 5e-324}, "mass=1.25e-17, trap_omega=5e-324"),
+        ({"mass": np.array([1.25e-17, 1e300, 1e301])}, "mass=1e+300, trap_omega=100000.0"),
+        ({"trap_omega": np.array([1e5, 1e-320, 5e-324])}, "mass=1.25e-17, trap_omega=1e-320"),
+    ], ids=["mass", "trap_omega", "mass-array", "trap_omega-array"])
+    def test_packet_width_must_be_positive_normal(self, overrides, named):
+        with np.errstate(over="ignore"):        # 2 mass trap_omega overflows on arrays
+            with pytest.raises(ConfigError, match=re.escape(f"positive normal float, got {named}") + "$"):
+                make_params(**overrides)
 
     def test_n_nucleons_defaults_to_mass_over_amu(self):
         cfg = dict(PAPER_CONFIG)
