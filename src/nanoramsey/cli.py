@@ -21,7 +21,6 @@ from .decoherence import (
     DEFAULT_RESPONSE_IM,
     DEFAULT_RESPONSE_MOD_SQ,
     QuadratureError,
-    default_model_family,
     surface_to_csv,
     surface_to_json,
     visibility_surface,
@@ -219,13 +218,11 @@ def _cmd_visibility(args) -> int:
     else:
         dx_axis = np.linspace(args.dx_min, args.dx_max, args.dx_count)
     tint_axis = np.linspace(args.tint_min, args.tint_max, args.tint_count)
-    family = default_model_family(
-        params,
+    surface = visibility_surface(
+        params, dx_axis, tint_axis, flight_time=seq.effective_times()[2],
         response_im=float(cfg.get("response_im", DEFAULT_RESPONSE_IM)),
         response_mod_sq=float(cfg.get("response_mod_sq", DEFAULT_RESPONSE_MOD_SQ)),
     )
-    surface = visibility_surface(family, dx_axis, tint_axis,
-                                 flight_time=seq.effective_times()[2])
     if args.format == "json":
         _write(args, surface_to_json(surface, _metadata("visibility", text, args.seed)))
     else:
@@ -366,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("visibility", help="decoherence visibility surface")
     _add_common(p)
     p.add_argument("--dx-min", type=float, default=1e-9)
-    p.add_argument("--dx-max", type=float, default=1e-6)
+    p.add_argument("--dx-max", type=float, default=1e-6,
+                   help="largest separation (m); the quadrature resolves up to about "
+                        "0.1 m K / T, T the hotter of t_environment and --tint-max "
+                        "(7e-5 m at 1500 K); beyond that the command exits 2")
     p.add_argument("--dx-count", type=int, default=50)
     p.add_argument("--dx-linear", dest="dx_log", action="store_false")
     p.add_argument("--tint-min", type=float, default=300.0)

@@ -36,7 +36,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import CODATA
 from .io import csv_text, fmt, json_document
@@ -167,12 +166,12 @@ def default_model(
 
 # -- localization rate -------------------------------------------------------
 
-#: Gauss-Legendre orders shipped as package data, the default coarse and fine
-#: orders: ``leggauss_<n>.npy`` holds the rows (nodes, weights), the exact float64
+#: Gauss-Legendre orders of the coarse and fine pass, shipped as package data:
+#: ``leggauss_<n>.npy`` holds the rows (nodes, weights), the exact float64
 #: output of ``numpy.polynomial.legendre.leggauss(n)`` (``numpy.save`` of the
 #: two rows stacked). Loading one is a small file read; leggauss(1024) solves a
 #: dense 1024 x 1024 eigenvalue problem.
-_STORED_RULE_ORDERS = (512, 1024)
+RULE_ORDERS = (512, 1024)
 
 #: Elements per block of the kick matrix (64 KiB of float64). Every temporary of
 #: a block stays under glibc's 128 KiB mmap threshold, and all of them together
@@ -185,33 +184,28 @@ _KICK_BLOCK_ELEMENTS = 8192
 QUADRATURE_RTOL = 1.0e-6
 
 
-@lru_cache(maxsize=32)
-def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n in _STORED_RULE_ORDERS:
-        with resources.files(__package__).joinpath(f"leggauss_{n}.npy").open("rb") as f:
-            nodes, weights = np.load(f)
-        return nodes, weights
-    return leggauss(n)
+@lru_cache(maxsize=len(RULE_ORDERS))
+def _stored_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shipped rule of order ``n`` (one of ``RULE_ORDERS``) as (nodes, weights)."""
+    with resources.files(__package__).joinpath(f"leggauss_{n}.npy").open("rb") as f:
+        nodes, weights = np.load(f)
+    return nodes, weights
 
 
-def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _leggauss_cached(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
-
-
-def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int, work: np.ndarray) -> np.ndarray:
+def _channel_rate(channel, delta_x: np.ndarray, rule, work: np.ndarray) -> np.ndarray:
     """Localization rate of one channel over a 1-d array of separations.
 
-    The kick matrix is filled a block of rows at a time, but the matrix-vector
-    product runs on the whole matrix: BLAS sums a row in an order that depends
-    on the row count, so a blocked product would move the last bits. The matrix
-    takes the first delta_x.size * n_nodes elements of the float64 buffer ``work``.
+    ``rule`` is a Gauss-Legendre (nodes, weights) pair on [-1, 1]. The kick matrix
+    is filled a block of rows at a time, but the matrix-vector product runs on the
+    whole matrix: BLAS sums a row in an order that depends on the row count, so a
+    blocked product would move the last bits. The matrix takes the first
+    delta_x.size * len(nodes) elements of the float64 buffer ``work``.
     """
     lo, hi = channel.support()
     if hi <= lo:
         return np.zeros_like(delta_x)
-    nodes, weights = _gauss_nodes(lo, hi, n_nodes)
+    half = 0.5 * (hi - lo)
+    nodes, weights = lo + half * (rule[0] + 1.0), half * rule[1]
     gam = channel.rate_density(nodes)
     kick = work[:delta_x.size * nodes.size].reshape(delta_x.size, nodes.size)
     rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
@@ -225,17 +219,16 @@ def _channel_rate(channel, delta_x: np.ndarray, n_nodes: int, work: np.ndarray) 
 def localization_rate_profile(
     channels: tuple[BlackbodyChannel, ...],
     delta_x,
-    n_nodes: int = 512,
     channel_rates: dict | None = None,
 ) -> np.ndarray:
     """eta(delta_x) of the summed ``channels`` for an array of separations (s^-1).
 
-    Every channel is integrated with fixed-order Gauss-Legendre quadrature at
-    ``n_nodes`` and at twice that; a relative mismatch beyond
-    ``QUADRATURE_RTOL`` raises :class:`QuadratureError` naming the channel,
-    so silent under-resolution is impossible. ``channel_rates``, if given,
-    memoizes each checked channel rate by channel (channels are frozen and
-    hashable); pass the same dict only with the same separations and nodes.
+    Every channel is integrated on both rules of ``RULE_ORDERS``; a relative
+    mismatch beyond ``QUADRATURE_RTOL`` raises :class:`QuadratureError`
+    naming the channel, so silent under-resolution is impossible.
+    ``channel_rates``, if given, memoizes each checked channel rate by channel
+    (channels are frozen and hashable); pass the same dict only with the same
+    separations.
     """
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     if not np.all((dx >= 0.0) & (dx < math.inf)):
@@ -245,21 +238,22 @@ def localization_rate_profile(
     total = np.zeros_like(dx)
     for channel in channels:
         if channel not in channel_rates:
-            channel_rates[channel] = _checked_channel_rate(channel, dx, n_nodes)
+            channel_rates[channel] = _checked_channel_rate(channel, dx)
         total += channel_rates[channel]
     return total
 
 
-def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The channel rate at 2 * ``n_nodes``, after the coarse/fine refinement check.
+def _checked_channel_rate(channel, dx: np.ndarray) -> np.ndarray:
+    """The channel rate on the fine rule, after the coarse/fine refinement check.
 
     Both passes fill one work buffer. A fine kick matrix allocated after the coarse
     one was freed lands wherever the heap has room, so peak RSS would step by about
     1 MiB with the heap layout that import left behind.
     """
-    work = np.empty(dx.size * 2 * n_nodes)
-    coarse = _channel_rate(channel, dx, n_nodes, work)
-    fine = _channel_rate(channel, dx, 2 * n_nodes, work)
+    coarse_order, fine_order = RULE_ORDERS
+    work = np.empty(dx.size * fine_order)
+    coarse = _channel_rate(channel, dx, _stored_rule(coarse_order), work)
+    fine = _channel_rate(channel, dx, _stored_rule(fine_order), work)
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise QuadratureError(
             f"channel {channel.name!r} not converged: its rate is not finite at "
@@ -271,7 +265,8 @@ def _checked_channel_rate(channel, dx: np.ndarray, n_nodes: int) -> np.ndarray:
     if not worst <= QUADRATURE_RTOL and not float(np.max(np.abs(fine - coarse))) <= 1e-302:
         raise QuadratureError(
             f"channel {channel.name!r} not converged: refinement changed the "
-            f"integral by {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}); raise n_nodes"
+            f"integral by {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) on separations "
+            f"up to {float(dx.max())!r} m; reduce the largest separation"
         )
     return fine
 
@@ -295,18 +290,17 @@ class VisibilitySurface:
 
 
 def visibility_surface(
-    model_family,
+    params: ExperimentParams,
     delta_x_range,
     t_int_range,
     flight_time: float,
-    n_nodes: int = 512,
+    response_im: float = DEFAULT_RESPONSE_IM,
+    response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ,
 ) -> VisibilitySurface:
-    """Tabulate exp(-eta(dx; T_int) * t) on the given axes.
+    """Tabulate exp(-eta(dx; T_int) * t) of the :func:`default_model` channels.
 
-    ``model_family`` maps an internal temperature to a tuple of channels;
-    use :func:`default_model_family` for the built-in blackbody defaults. A
-    channel that several columns share (one that does not depend on T_int) is
-    integrated once.
+    A channel that several columns share (one that does not depend on T_int)
+    is integrated once.
     """
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
@@ -315,21 +309,14 @@ def visibility_surface(
     vis = np.empty((dx.size, tins.size))
     channel_rates = {}
     for j, t_int in enumerate(tins):
-        channels = model_family(float(t_int))
-        eta = localization_rate_profile(channels, dx, n_nodes, channel_rates=channel_rates)
-        vis[:, j] = np.exp(-eta * flight_time)
+        channels = default_model(params, float(t_int), response_im, response_mod_sq)
+        eta = localization_rate_profile(channels, dx, channel_rates)
+        # an exposure that overflows to inf decays to exactly 0.0, as its finite
+        # neighbours beyond about 745 already do
+        with np.errstate(over="ignore"):
+            vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
                              visibility=vis, flight_time=flight_time)
-
-
-def default_model_family(params: ExperimentParams,
-                         response_im: float = DEFAULT_RESPONSE_IM,
-                         response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ):
-    """t_int -> default blackbody channels, for :func:`visibility_surface`."""
-    def family(t_int: float) -> tuple[BlackbodyChannel, ...]:
-        return default_model(params, t_internal=t_int,
-                             response_im=response_im, response_mod_sq=response_mod_sq)
-    return family
 
 
 # -- serialization -----------------------------------------------------------------

@@ -68,7 +68,16 @@ def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSeque
         raise ValueError("quadratic coefficient derived for balanced sequences")
     a_spin = params.spin_coupling() / params.mass
     tau = seq.t3 / 4.0
-    return -(2.0 / 3.0) * params.mass * a_spin**2 * tau**3 / params.constants.hbar
+    try:
+        coefficient = -(2.0 / 3.0) * params.mass * a_spin**2 * tau**3 / params.constants.hbar
+    except OverflowError:       # float ** raises where float * gives inf
+        coefficient = math.inf
+    if not math.isfinite(coefficient):
+        raise ValueError(
+            f"mass, b_gradient and t3 overflow the twisting coefficient, got mass={params.mass!r}, "
+            f"b_gradient={params.b_gradient!r}, t3={seq.t3!r}"
+        )
+    return coefficient
 
 
 def sector_table(final: CollectiveFinalState) -> tuple[list[str], list[tuple]]:

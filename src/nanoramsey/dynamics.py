@@ -30,6 +30,7 @@ or a jitter scan (an array ``jitter``) is one :func:`evolve_sequence` call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,7 +312,14 @@ def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:
     if spread_time < 0.0:
         raise ValueError("spread_time must be >= 0")
     s0 = params.sigma0()
-    z = params.constants.hbar * spread_time / (2.0 * params.mass * s0 * s0)
+    # hbar / trap_omega in exact arithmetic, but its left-to-right product can underflow
+    denominator = 2.0 * params.mass * s0 * s0
+    if not denominator >= sys.float_info.min:
+        raise ValueError(
+            f"mass and trap_omega make 2 mass sigma0^2 = {denominator!r} underflow, got "
+            f"mass={params.mass!r}, trap_omega={params.trap_omega!r}"
+        )
+    z = params.constants.hbar * spread_time / denominator
     return s0 * math.sqrt(1.0 + z * z)
 
 

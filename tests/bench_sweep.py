@@ -9,10 +9,10 @@ The default test run does not collect this file (its name does not match
 run in-process, output included; the library case is a 1e6-point balanced
 theta sweep through the closed forms; the surface case is the ``surface``
 workload's large visibility table. The quadrature cases time one 1024-node
-channel on 200 separations and the Gauss-Legendre rule the quadrature loads,
-against computing it with ``leggauss``. The two visibility CLI cases are the
-``surface`` workload's commands in a fresh interpreter; they also record the
-median minor page faults and system CPU seconds per command in
+channel on 200 separations and the stored Gauss-Legendre rule the quadrature
+loads, against computing it with ``leggauss``. The two visibility CLI cases
+are the ``surface`` workload's commands in a fresh interpreter; they also
+record the median minor page faults and system CPU seconds per command in
 ``extra_info``. The io cases time the emitters alone on the ``sweep``
 workload's tables (the 30,000 x 4 theta CSV and the 20,000 x 5 t1 JSON), the
 float kernel on the theta table's 120,000 cells, and the ``oracle``
@@ -30,12 +30,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from nanoramsey import cli
-from nanoramsey.decoherence import (
-    _channel_rate,
-    _leggauss_cached,
-    default_model_family,
-    visibility_surface,
-)
+from nanoramsey.decoherence import _channel_rate, _stored_rule, default_model, visibility_surface
 from nanoramsey.dynamics import (
     PulseSequence,
     gravitational_phase,
@@ -88,8 +83,7 @@ def test_library_sweep_1e6(benchmark):
 def surface_inputs():
     cfg = parse_config_text(Path(CONFIG).read_text())
     params = build_params(cfg)
-    family = default_model_family(params)
-    return family, np.geomspace(1e-9, 1e-6, 200), np.linspace(300.0, 1500.0, 100), cfg["t3"]
+    return params, np.geomspace(1e-9, 1e-6, 200), np.linspace(300.0, 1500.0, 100), cfg["t3"]
 
 
 def test_visibility_surface_200x100(benchmark, surface_inputs):
@@ -103,16 +97,16 @@ SEPARATIONS = np.geomspace(1e-9, 1e-6, 200)
 
 def test_channel_rate_1024(benchmark, surface_inputs):
     """One thermal-emission channel (900 K) at 1024 nodes on 200 separations."""
-    channel = next(ch for ch in surface_inputs[0](900.0)
+    channel = next(ch for ch in default_model(surface_inputs[0], 900.0)
                    if ch.name == "thermal_emission")
     work = np.empty(SEPARATIONS.size * 1024)
-    benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, 1024, work), rounds=20,
-                       iterations=1, warmup_rounds=2)
+    benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, _stored_rule(1024), work),
+                       rounds=20, iterations=1, warmup_rounds=2)
 
 
 def test_gauss_rule_1024(benchmark):
-    """The 1024-node rule as the quadrature gets it on a cache miss."""
-    benchmark.pedantic(_leggauss_cached.__wrapped__, args=(1024,), rounds=20, iterations=1,
+    """The stored 1024-node rule as the quadrature loads it on a cache miss."""
+    benchmark.pedantic(_stored_rule.__wrapped__, args=(1024,), rounds=20, iterations=1,
                        warmup_rounds=2)
 
 

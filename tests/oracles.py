@@ -45,8 +45,8 @@ from nanoramsey.constants import CODATA
 from nanoramsey.decoherence import (
     QuadratureError,
     VisibilitySurface,
-    _gauss_nodes,
     angular_factor,
+    default_model,
     localization_rate_profile,
 )
 from nanoramsey.dynamics import (
@@ -316,6 +316,15 @@ def localization_rate_adaptive(channels, delta_x):
 #: Gauss-Legendre nodes per flight piece of the time-resolved exposure.
 TIME_NODES = 24
 
+_leggauss_rule = lru_cache(maxsize=None)(leggauss)
+
+
+def gauss_nodes(lo, hi, n_nodes):
+    """``leggauss(n_nodes)`` mapped onto [lo, hi], as the quadrature maps its rules."""
+    nodes, weights = _leggauss_rule(n_nodes)
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0), half * weights
+
 
 def dephasing_exposures(params, seq, channels):
     """(worst-case, time-resolved) dimensionless dephasing exposures.
@@ -330,7 +339,7 @@ def dephasing_exposures(params, seq, channels):
     edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
     refined = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes, weights = _gauss_nodes(a, b, TIME_NODES)
+        nodes, weights = gauss_nodes(a, b, TIME_NODES)
         seps = np.abs(separation_at(params, seq, nodes))
         rates = localization_rate_profile(channels, seps)
         refined += float(np.dot(rates, weights))
@@ -347,23 +356,18 @@ def angular_factor_reference(z):
     return np.where(np.abs(z) < 0.1, series, direct)
 
 
-_leggauss_rule = lru_cache(maxsize=None)(leggauss)
-
-
 def channel_rate_reference(channel, delta_x, n_nodes):
     """One channel's rate from a ``leggauss`` rule and one whole kick matrix."""
     lo, hi = channel.support()
     if hi <= lo:
         return np.zeros_like(delta_x)
-    nodes, weights = _leggauss_rule(n_nodes)
-    half = 0.5 * (hi - lo)
-    nodes, weights = lo + half * (nodes + 1.0), half * weights
+    nodes, weights = gauss_nodes(lo, hi, n_nodes)
     gam = channel.rate_density(nodes)
     kick = angular_factor_reference(np.outer(delta_x, nodes) / CODATA.light_speed)
     return kick @ (gam * weights)
 
 
-def visibility_surface_reference(model_family, delta_x_range, t_int_range, flight_time,
+def visibility_surface_reference(params, delta_x_range, t_int_range, flight_time,
                                  n_nodes=512):
     """exp(-eta t) column by column, every channel of every column integrated
     afresh at 2 * ``n_nodes`` with ``channel_rate_reference``."""
@@ -372,7 +376,7 @@ def visibility_surface_reference(model_family, delta_x_range, t_int_range, fligh
     vis = np.empty((dx.size, tins.size))
     for j, t_int in enumerate(tins):
         eta = np.zeros_like(dx)
-        for channel in model_family(float(t_int)):
+        for channel in default_model(params, float(t_int)):
             eta += channel_rate_reference(channel, dx, 2 * n_nodes)
         vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,

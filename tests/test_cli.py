@@ -212,22 +212,28 @@ class TestNonFiniteInputs:
 
 
 class TestPacketWidthUnderflow:
-    """sigma0 = sqrt(hbar / (2 m omega)) that is 0 or inf is refused by its keys."""
+    """sigma0 = sqrt(hbar / (2 m omega)) that is 0 or inf is refused by its keys, and so
+    is a normal sigma0 (about 2e-159 m at trap_omega = 1e300) whose 2 m sigma0 sigma0,
+    the denominator of the spreading, underflows to 0."""
 
-    @pytest.mark.parametrize("overrides, named", [
-        ({"mass": 1e300}, "mass=1e+300, trap_omega=100000.0"),
-        ({"trap_omega": 5e-324}, "mass=1.25e-17, trap_omega=5e-324"),
-    ], ids=["mass", "trap_omega"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mass": 1e300}, "mass and trap_omega must give a packet width sqrt(hbar / (2 mass "
+         "trap_omega)) that is a positive normal float, got mass=1e+300, trap_omega=100000.0"),
+        ({"trap_omega": 5e-324}, "mass and trap_omega must give a packet width sqrt(hbar / "
+         "(2 mass trap_omega)) that is a positive normal float, got mass=1.25e-17, "
+         "trap_omega=5e-324"),
+        ({"trap_omega": 1e300}, "mass and trap_omega make 2 mass sigma0^2 = 0.0 underflow, "
+         "got mass=1.25e-17, trap_omega=1e+300"),
+    ], ids=["mass", "trap_omega", "spreading"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_budget_refused(self, capsys, tmp_path, overrides, named, fmt):
+    def test_budget_refused(self, capsys, tmp_path, overrides, message, fmt):
         config = write_config(tmp_path, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["budget", "--config", config, "--format", fmt])
         out, err = capsys.readouterr()
         assert rc == cli.EXIT_VALIDATION and out == ""
-        assert err == ("error: mass and trap_omega must give a packet width sqrt(hbar / "
-                       f"(2 mass trap_omega)) that is a positive normal float, got {named}\n")
+        assert err == f"error: {message}\n"
 
     def test_sweep_refused_at_the_first_bad_point(self, capsys, tmp_path):
         config = write_config(tmp_path)
@@ -241,30 +247,72 @@ class TestPacketWidthUnderflow:
         assert err.endswith("got mass=1e+300, trap_omega=100000.0\n")
 
 
-def test_cli_import_loads_no_scipy():
-    # the test process itself imports scipy through the oracles
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
+    """A/m is about 1.9e274 m/s^2, so (A/m)**2 overflows: refused by its keys."""
+    config = write_config(tmp_path, mass=1e-290, n_nucleons=1.0)
+    rc = cli.main(["dicke", "--config", config, "--l", "3", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION and out == ""
+    assert err == ("error: mass, b_gradient and t3 overflow the twisting coefficient, "
+                   "got mass=1e-290, b_gradient=10000000.0, t3=0.0001\n")
+
+
+def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp_path):
+    """eta * t3 overflows to inf for t3 = 1e300, and exp(-inf) is the 0.0 that every
+    exposure above about 745 already gives."""
+    config = write_config(tmp_path, t3=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["visibility", "--config", config, "--dx-count", "3", "--tint-count", "2"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_OK and err == ""
+    rows = [line.split(",")[1:] for line in out.splitlines()[1:]]
+    assert len(rows) == 3 and all(cell == "0.00000000000e+00" for row in rows for cell in row)
+
+
+def test_visibility_beyond_the_rule_pair_refused(capsys, tmp_path):
+    """At 1e-4 m the 512/1024-node rules disagree on thermal emission by 4.2e-6."""
+    config = write_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["visibility", "--config", config, "--dx-min", "1e-4", "--dx-max", "1e-4",
+                       "--dx-count", "1"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical failure: channel 'thermal_emission' not converged")
+    assert "up to 0.0001 m; reduce the largest separation" in err
+    assert "n_nodes" not in err and "Warning" not in err
+
+
+def _modules_after_import(module: str, *packages: str) -> set[str]:
+    """The modules of ``packages`` that ``import module`` loads in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, nanoramsey.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import json, sys, {module}; print(json.dumps("
+            f"[m for m in sys.modules if m.split('.')[0] in {packages!r}]))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return set(json.loads(result.stdout))
+
+
+def test_cli_import_loads_no_scipy():
+    # the test process itself imports scipy through the oracles
+    assert _modules_after_import("nanoramsey.cli", "scipy") == set()
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    """Only the two stored Gauss-Legendre rules are read; no rule is computed."""
+    loaded = _modules_after_import("nanoramsey.cli", "numpy")
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.startswith("numpy.polynomial")}
 
 
 def test_package_import_loads_only_what_it_names():
     """``import nanoramsey`` loads no submodule and no numpy; the CLI loads all nine."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import json, sys, {}; print(json.dumps("
-            "[m for m in sys.modules if m.split('.')[0] in ('nanoramsey', 'numpy')]))")
-    loaded = {}
-    for module in ("nanoramsey", "nanoramsey.cli"):
-        result = subprocess.run([sys.executable, "-c", code.format(module)], env=env,
-                                capture_output=True, text=True, check=True, timeout=60)
-        loaded[module] = set(json.loads(result.stdout))
+    loaded = {module: _modules_after_import(module, "nanoramsey", "numpy")
+              for module in ("nanoramsey", "nanoramsey.cli")}
     assert loaded["nanoramsey"] == {"nanoramsey"}
     submodules = {m for m in loaded["nanoramsey.cli"] if m.startswith("nanoramsey.")}
     assert submodules == {f"nanoramsey.{name}" for name in (

@@ -16,14 +16,13 @@ from numpy.polynomial.legendre import leggauss
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
 from nanoramsey.decoherence import (
-    _STORED_RULE_ORDERS,
+    RULE_ORDERS,
     BlackbodyChannel,
     QuadratureError,
     _channel_rate,
-    _leggauss_cached,
+    _stored_rule,
     angular_factor,
     default_model,
-    default_model_family,
     localization_rate_profile,
     visibility_surface,
 )
@@ -31,9 +30,11 @@ from nanoramsey.dynamics import PulseSequence, separation_at
 from nanoramsey.params import build_params
 from oracles import (
     TIME_NODES,
+    _leggauss_rule,
     angular_factor_reference,
     channel_rate_reference,
     dephasing_exposures,
+    gauss_nodes,
     localization_rate_adaptive,
     mc_sphere_kick_average,
     visibility_surface_reference,
@@ -59,9 +60,9 @@ class TestLocalizationRate:
 
     def test_under_resolved_channel_raises(self, paper_params):
         model = default_model(paper_params, t_internal=1500.0)
-        with pytest.raises(QuadratureError, match="not converged"):
-            localization_rate_profile(model, [1e-3], n_nodes=16)
-
+        with pytest.raises(QuadratureError, match="not converged") as refused:
+            localization_rate_profile(model, [1e-3])
+        assert "up to 0.001 m; reduce the largest separation" in str(refused.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_rate_raises(self, paper_params):
@@ -170,44 +171,43 @@ def test_np_sin_is_libm_on_benchmark_surfaces(monkeypatch, tmp_path):
     assert counts["differ"] == 0
 
 
-@pytest.fixture(scope="module")
-def paper_family():
-    return default_model_family(build_params(dict(PAPER_CONFIG)))
-
-
 class TestBlockedQuadratureBits:
     """The blocked kernel on the stored rules against one whole kick matrix on
     a rule computed by ``leggauss``. m = 7, 33 and 50 leave partial blocks and 200
     spans many; 33 (and 9, 17) leave a one-row last block, where a matrix-vector
-    product taken block by block moves the last bits. n_nodes = 64 takes the
-    computed-rule fallback (64 and 128 nodes)."""
+    product taken block by block moves the last bits. n_nodes = 64 runs the
+    surface on the computed (64, 128) rule pair in place of the stored one."""
 
     @pytest.mark.parametrize("n_nodes", [512, 64])
     @pytest.mark.parametrize("m", [1, 7, 33, 50, 200])
-    def test_visibility_surface_bit_equal(self, paper_family, m, n_nodes):
+    def test_visibility_surface_bit_equal(self, paper_params, m, n_nodes, monkeypatch):
+        if n_nodes not in RULE_ORDERS:
+            monkeypatch.setattr(decoherence, "RULE_ORDERS", (n_nodes, 2 * n_nodes))
+            monkeypatch.setattr(decoherence, "_stored_rule", _leggauss_rule)
         dx = np.geomspace(1e-9, 1e-6, m)
         tins = np.linspace(300.0, 1500.0, 3)
         t3 = PAPER_CONFIG["t3"]
-        got = visibility_surface(paper_family, dx, tins, t3, n_nodes)
-        want = visibility_surface_reference(paper_family, dx, tins, t3, n_nodes)
+        got = visibility_surface(paper_params, dx, tins, t3)
+        want = visibility_surface_reference(paper_params, dx, tins, t3, n_nodes=n_nodes)
         assert_bit_equal(got.visibility, want.visibility)
 
     @pytest.mark.parametrize("n_nodes", [512, 1024, 64, 100])
     @pytest.mark.parametrize("m", [1, 9, 17, 33, 64])
-    def test_channel_rate_bit_equal(self, paper_family, m, n_nodes):
+    def test_channel_rate_bit_equal(self, paper_params, m, n_nodes):
         dx = np.geomspace(1e-9, 1e-6, m)
-        for channel in paper_family(900.0):
+        rule = _stored_rule(n_nodes) if n_nodes in RULE_ORDERS else _leggauss_rule(n_nodes)
+        for channel in default_model(paper_params, 900.0):
             work = np.empty(2 * dx.size * n_nodes)      # as the coarse pass gets it
-            assert_bit_equal(_channel_rate(channel, dx, n_nodes, work),
+            assert_bit_equal(_channel_rate(channel, dx, rule, work),
                              channel_rate_reference(channel, dx, n_nodes))
 
 
 # -- the stored Gauss-Legendre rules -------------------------------------------
 
-@pytest.mark.parametrize("n", _STORED_RULE_ORDERS)
+@pytest.mark.parametrize("n", RULE_ORDERS)
 class TestStoredRules:
     def test_symmetric_and_weights_sum_to_two(self, n):
-        nodes, weights = _leggauss_cached(n)
+        nodes, weights = _stored_rule(n)
         assert nodes.shape == weights.shape == (n,)
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
@@ -219,7 +219,7 @@ class TestStoredRules:
         # derivative at the nodes before their Newton step, so the relative
         # error grows with the degree: 7.5e-15 (n = 512) and 2.4e-14 (n = 1024)
         # at x^2, 3.6e-12 and 1.2e-11 at the top degree
-        nodes, weights = _leggauss_cached(n)
+        nodes, weights = _stored_rule(n)
         for k in range(n):
             exact = 2.0 / (2 * k + 1)
             got = float(np.dot(weights, nodes ** (2 * k)))
@@ -227,7 +227,7 @@ class TestStoredRules:
         assert float(np.dot(weights, nodes ** 2)) == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_within_two_ulp_of_leggauss(self, n):
-        for stored, computed in zip(_leggauss_cached(n), leggauss(n)):
+        for stored, computed in zip(_stored_rule(n), leggauss(n)):
             assert np.all(np.abs(stored - computed) <= 2.0 * np.spacing(np.abs(computed)))
 
     def test_shipped_as_package_data(self, n):
@@ -236,7 +236,7 @@ class TestStoredRules:
         with resource.open("rb") as f:
             rows = np.load(f)
         assert rows.dtype == np.float64 and rows.shape == (2, n)
-        assert_bit_equal(rows, np.stack(_leggauss_cached(n)))
+        assert_bit_equal(rows, np.stack(_stored_rule(n)))
 
 
 def test_package_data_glob_covers_stored_rules():
@@ -244,15 +244,8 @@ def test_package_data_glob_covers_stored_rules():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"][
         "nanoramsey"]
-    for n in _STORED_RULE_ORDERS:
+    for n in RULE_ORDERS:
         assert any(fnmatch(f"leggauss_{n}.npy", g) for g in globs)
-
-
-def test_other_orders_fall_back_to_leggauss():
-    for n in (24, 64, 300):
-        assert n not in _STORED_RULE_ORDERS
-        for got, want in zip(_leggauss_cached(n), leggauss(n)):
-            assert_bit_equal(got, want)
 
 
 # -- angular factor against independent oracles --------------------------------
@@ -300,7 +293,7 @@ class TestDephasingExposures:
         edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
         want = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes, weights = decoherence._gauss_nodes(lo, hi, TIME_NODES)
+            nodes, weights = gauss_nodes(lo, hi, TIME_NODES)
             seps = np.abs([separation_at(paper_params, seq, t) for t in nodes.tolist()])
             want += float(np.dot(localization_rate_profile(model, seps), weights))
         walks = []
