@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .constants import CODATA
+from .constants import AMU, HBAR, K_BOLTZMANN, LIGHT_SPEED, MU_BOHR
 from .dynamics import (
     PulseSequence,
     branch_overlap,
@@ -57,7 +57,10 @@ def csl_bound(n_nucleons: float, t3: float) -> float:
         raise ValueError("n_nucleons must be >= 1")
     if not t3 > 0.0:
         raise ValueError("t3 must be > 0")
-    return 1.0 / (2.0 * n_nucleons**2 * t3)
+    try:
+        return 1.0 / (2.0 * n_nucleons**2 * t3)
+    except OverflowError:       # float ** raises where float * gives inf, and 1 / inf is 0
+        return 0.0
 
 
 def doppler_linewidth(f0: float, v0: float) -> float:
@@ -66,7 +69,7 @@ def doppler_linewidth(f0: float, v0: float) -> float:
         raise ValueError("f0 must be > 0")
     if v0 < 0.0:
         raise ValueError("v0 must be >= 0")
-    return f0 * v0 / CODATA.light_speed
+    return f0 * v0 / LIGHT_SPEED
 
 
 def thermal_velocity(t_cm: float, mass: float) -> float:
@@ -75,7 +78,7 @@ def thermal_velocity(t_cm: float, mass: float) -> float:
         raise ValueError("t_cm must be >= 0")
     if not mass > 0.0:
         raise ValueError("mass must be > 0")
-    return math.sqrt(3.0 * CODATA.k_boltzmann * t_cm / mass)
+    return math.sqrt(3.0 * K_BOLTZMANN * t_cm / mass)
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,14 @@ def zeeman_resolvability(params: ExperimentParams, seq: PulseSequence) -> Zeeman
     bandwidth 1/pulse_duration. x_flip is half the arm separation at t1.
     """
     x_flip = 0.5 * abs(separation_at(params, seq, seq.effective_times()[0]))
-    h = 2.0 * math.pi * params.constants.hbar
-    splitting = 2.0 * (params.g_nv * params.constants.mu_bohr / h) * abs(params.b_gradient) * x_flip
+    h = 2.0 * math.pi * HBAR
+    splitting = 2.0 * (params.g_nv * MU_BOHR / h) * abs(params.b_gradient) * x_flip
     bandwidth = 1.0 / params.pulse_duration
     ratio = splitting / bandwidth
+    if not math.isfinite(ratio):
+        raise ValueError(f"pulse_duration and b_gradient make the resolvability ratio {ratio!r}, "
+                         f"got pulse_duration={params.pulse_duration!r}, "
+                         f"b_gradient={params.b_gradient!r}")
     return ZeemanResolvability(splitting=splitting, bandwidth=bandwidth,
                                ratio=ratio, passes=ratio >= RESOLVABILITY_MARGIN)
 
@@ -169,7 +176,10 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     """Recompute every feasibility figure and flag quoted-value discrepancies."""
     t3 = seq.effective_times()[2]
     bound = csl_bound(params.n_nucleons, t3)
-    bound_mass = csl_bound(params.mass / params.constants.amu, t3)
+    if not 0.0 < bound < math.inf:
+        raise ValueError(f"n_nucleons and t3 take the collapse-rate bound 1/(2 N^2 t3) out of "
+                         f"range, got n_nucleons={params.n_nucleons!r}, t3={t3!r}")
+    bound_mass = csl_bound(params.mass / AMU, t3)
     v_rms = thermal_velocity(params.t_cm, params.mass)
     doppler = doppler_linewidth(params.mw_frequency, v_rms)
     zeeman = zeeman_resolvability(params, seq)

@@ -213,6 +213,10 @@ def _cmd_visibility(args) -> int:
                 raise ConfigError(f"{name} must be > 0 under log spacing, got {value!r}")
         elif value < 0.0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    for flag in ("dx_count", "tint_count"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value!r}")
     if args.dx_log:
         dx_axis = np.geomspace(args.dx_min, args.dx_max, args.dx_count)
     else:

@@ -31,13 +31,14 @@ and ``response_mod_sq`` config keys, or the ``response`` of a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import HBAR, K_BOLTZMANN, LIGHT_SPEED
 from .io import csv_text, fmt, json_document
 from .params import ExperimentParams
 
@@ -49,10 +50,8 @@ EPSILON_STATIC = 5.7
 DEFAULT_RESPONSE_MOD_SQ = ((EPSILON_STATIC - 1.0) / (EPSILON_STATIC + 2.0)) ** 2
 #: Planck spectra are truncated at this multiple of kT/hbar (relative tail ~1e-17).
 PLANCK_CUTOFF = 50.0
-
-_SPEED_OF_LIGHT = CODATA.light_speed
-_HBAR = CODATA.hbar
-_KB = CODATA.k_boltzmann
+#: Largest radius whose sixth power is a finite float.
+_MAX_RADIUS = sys.float_info.max ** (1.0 / 6.0)
 
 
 class QuadratureError(RuntimeError):
@@ -96,8 +95,8 @@ def _planck_flux(omega: np.ndarray, temperature: float) -> np.ndarray:
     """
     # a k T that underflows makes the weights inf or NaN; _checked_channel_rate refuses them
     with np.errstate(divide="ignore", invalid="ignore"):
-        occ = 1.0 / np.expm1(_HBAR * omega / (_KB * temperature))
-        return omega**2 / (math.pi**2 * _SPEED_OF_LIGHT**2) * occ
+        occ = 1.0 / np.expm1(HBAR * omega / (K_BOLTZMANN * temperature))
+        return omega**2 / (math.pi**2 * LIGHT_SPEED**2) * occ
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,14 @@ class BlackbodyChannel:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
+        if not self.radius <= _MAX_RADIUS:
+            raise ValueError(f"radius must be at most {_MAX_RADIUS!r}, whose sixth power the "
+                             f"scattering cross-section takes, got {self.radius!r}")
 
     def support(self) -> tuple[float, float]:
         if self.temperature == 0.0:
             return (0.0, 0.0)
-        return (0.0, PLANCK_CUTOFF * _KB * self.temperature / _HBAR)
+        return (0.0, PLANCK_CUTOFF * K_BOLTZMANN * self.temperature / HBAR)
 
     def rate_density(self, omega: np.ndarray) -> np.ndarray:
         """gamma(omega) in s^-1 per unit angular frequency."""
@@ -134,9 +136,9 @@ class BlackbodyChannel:
         flux = _planck_flux(omega, self.temperature)
         resp = self.response
         if self.kind == "scattering":
-            cross = (8.0 * math.pi / 3.0) * (omega / _SPEED_OF_LIGHT) ** 4 * self.radius**6 * resp
+            cross = (8.0 * math.pi / 3.0) * (omega / LIGHT_SPEED) ** 4 * self.radius**6 * resp
         else:
-            cross = (omega / _SPEED_OF_LIGHT) * 4.0 * math.pi * self.radius**3 * resp
+            cross = (omega / LIGHT_SPEED) * 4.0 * math.pi * self.radius**3 * resp
         return flux * cross
 
 
@@ -211,7 +213,7 @@ def _channel_rate(channel, delta_x: np.ndarray, rule, work: np.ndarray) -> np.nd
     rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
     for start in range(0, delta_x.size, rows):
         block = slice(start, start + rows)
-        z = np.multiply.outer(delta_x[block], nodes) / _SPEED_OF_LIGHT
+        z = np.multiply.outer(delta_x[block], nodes) / LIGHT_SPEED
         kick[block] = angular_factor(z)
     return kick @ (gam * weights)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import HBAR
 from .dynamics import PulseSequence, gravitational_phase
 from .params import ExperimentParams
 
@@ -69,7 +70,7 @@ def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSeque
     a_spin = params.spin_coupling() / params.mass
     tau = seq.t3 / 4.0
     try:
-        coefficient = -(2.0 / 3.0) * params.mass * a_spin**2 * tau**3 / params.constants.hbar
+        coefficient = -(2.0 / 3.0) * params.mass * a_spin**2 * tau**3 / HBAR
     except OverflowError:       # float ** raises where float * gives inf
         coefficient = math.inf
     if not math.isfinite(coefficient):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import HBAR
 from .params import (
     ExperimentParams,
     SpinBranch,
@@ -242,9 +243,8 @@ def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
             "gravitational_phase needs a balanced, jitter-free sequence; "
             "evolve_sequence handles the general case"
         )
-    c = params.constants
-    g_axis = c.g_earth * cos(params.theta)
-    return g_axis * params.spin_coupling() * power(seq.t3, 3) / (16.0 * c.hbar)
+    g_axis = params.g_earth * cos(params.theta)
+    return g_axis * params.spin_coupling() * power(seq.t3, 3) / (16.0 * HBAR)
 
 
 def ramsey_probability(phi):
@@ -284,7 +284,7 @@ def evolve_sequence(
     ok = (0.0 <= horizon) & (horizon <= e3)
     if not all_of(ok):
         raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
-    m, hbar = params.mass, params.constants.hbar
+    m = params.mass
     edges = [0.0, e1, e2, e3]
     if until is not None:
         edges = [where(horizon < e, horizon, e) for e in edges]     # min(e, horizon)
@@ -297,7 +297,7 @@ def evolve_sequence(
             if all_of(idle):
                 break
             state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
-                                  m, hbar)
+                                  m, HBAR)
         branches.append(state)
     return CompositeState(branches[0], branches[1])
 
@@ -319,7 +319,7 @@ def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:
             f"mass and trap_omega make 2 mass sigma0^2 = {denominator!r} underflow, got "
             f"mass={params.mass!r}, trap_omega={params.trap_omega!r}"
         )
-    z = params.constants.hbar * spread_time / denominator
+    z = HBAR * spread_time / denominator
     return s0 * math.sqrt(1.0 + z * z)
 
 
@@ -342,15 +342,14 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
         raise ValueError("branch overlap undefined for differing sigma0")
     if any_of(plus.spread_time != minus.spread_time):
         raise ValueError("branch overlap undefined for differing spread_time")
-    hbar = params.constants.hbar
     s0 = plus.sigma0
     t = plus.spread_time
     dx = plus.center - minus.center
     dp = plus.momentum - minus.momentum
     p_mean = 0.5 * (plus.momentum + minus.momentum)
     dx_back = dx - dp * t / params.mass
-    log_mod = -power(dx_back, 2) / (8.0 * s0 * s0) - power(s0 * dp / hbar, 2) / 2.0
-    arg = (plus.action_phase - minus.action_phase) - p_mean * dx / hbar
+    log_mod = -power(dx_back, 2) / (8.0 * s0 * s0) - power(s0 * dp / HBAR, 2) / 2.0
+    arg = (plus.action_phase - minus.action_phase) - p_mean * dx / HBAR
     return _polar(log_mod, arg)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import HBAR, MU_BOHR
 from .dynamics import (
     PulseSequence,
     _spin_history,
@@ -88,14 +89,23 @@ def scale_params(params: ExperimentParams, seq: PulseSequence) -> ScaledUnits:
     Raises :class:`ScaleError` when the dimensionless phase exceeds
     ``MAX_SCALED_PHASE``: the grid cannot resolve megaradian phases, and by
     scale invariance nothing is lost by certifying a reduced t3 or gradient
-    instead.
+    instead. It also refuses a time unit that is no normal float or whose
+    square overflows.
     """
     sigma0 = params.sigma0()
-    time_unit = params.mass * sigma0**2 / params.constants.hbar
+    time_unit = params.mass * sigma0**2 / HBAR
+    if not sys.float_info.min <= time_unit <= math.sqrt(sys.float_info.max):
+        raise ScaleError(
+            f"mass and trap_omega give a time unit m sigma0^2 / hbar = {time_unit!r} s that the "
+            f"grid cannot scale by, got mass={params.mass!r}, trap_omega={params.trap_omega!r}"
+        )
     a_spin = (params.spin_coupling() / params.mass) * time_unit**2 / sigma0
-    a_grav = (params.constants.g_earth * math.cos(params.theta)) * time_unit**2 / sigma0
+    a_grav = (params.g_earth * math.cos(params.theta)) * time_unit**2 / sigma0
     seg = tuple(tau / time_unit for tau in seq.segment_durations())
-    phase_scale = abs(a_spin * a_grav) * sum(seg) ** 3 / 16.0
+    try:
+        phase_scale = abs(a_spin * a_grav) * sum(seg) ** 3 / 16.0
+    except OverflowError:       # float ** raises where float * gives inf
+        phase_scale = math.inf
     # written as "unless within bounds", so a NaN phase scale (0 * inf) is refused too
     if not phase_scale <= MAX_SCALED_PHASE:
         raise ScaleError(
@@ -531,7 +541,7 @@ def oracle_compare_sets(sets) -> list[OracleReport]:
         for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
             x_cl = branch.center / scaled.length_unit
             # natural momentum unit is hbar / sigma0
-            p_cl = branch.momentum * scaled.length_unit / params.constants.hbar
+            p_cl = branch.momentum * scaled.length_unit / HBAR
             denom = max(1.0, abs(x_cl), abs(p_cl))
             center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
             sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
@@ -619,22 +629,18 @@ def desk_scale_params(
     ``a_spin`` and ``a_gravity`` are the dimensionless spin and gravity
     accelerations, ``tau_scaled`` the dimensionless flight time; the
     analytic phase is a_spin * a_gravity * tau_scaled^3 / 16. The effective
-    gravity is dialed through the constants bundle, which is exactly what
-    that knob exists for; constants stay positive, so ``a_gravity = 0``
-    tilts the axis perpendicular to one unit of gravity (theta = pi/2); an
-    ``a_gravity`` whose g_earth or m g_earth is no normal float raises ValueError.
+    gravity is dialed through ``g_earth``, which must stay positive, so
+    ``a_gravity = 0`` tilts the axis perpendicular to one unit of gravity
+    (theta = pi/2); an ``a_gravity`` whose g_earth or m g_earth is no normal
+    float raises ValueError.
     """
-    from .constants import PhysicalConstants
-
-    constants = PhysicalConstants()
-    sigma0 = math.sqrt(constants.hbar / (2.0 * mass * omega))
+    sigma0 = math.sqrt(HBAR / (2.0 * mass * omega))
     time_unit = 1.0 / (2.0 * omega)
     accel_unit = sigma0 / time_unit**2
-    b_gradient = a_spin * accel_unit * mass / (g_nv * constants.mu_bohr)
+    b_gradient = a_spin * accel_unit * mass / (g_nv * MU_BOHR)
     g_earth = (a_gravity or 1.0) * accel_unit
     if not all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (g_earth, mass * g_earth)):
         raise ValueError(f"a_gravity = {a_gravity!r} takes g_earth or m g_earth out of the normal floats")
-    constants = PhysicalConstants(g_earth=g_earth)
     params = ExperimentParams(
         mass=mass,
         b_gradient=b_gradient,
@@ -648,6 +654,6 @@ def desk_scale_params(
         t_cm=1.0e-3,
         g_nv=g_nv,
         radius=1.0e-7,
-        constants=constants,
+        g_earth=g_earth,
     )
     return params, PulseSequence.balanced(params.t3)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 
 import numpy as np
 
-from .constants import CODATA, DEFAULT_G_NV, PhysicalConstants
+from .constants import AMU, DEFAULT_G_NV, HBAR, MU_BOHR, STANDARD_GRAVITY
 
 
 def _has_array(*args) -> bool:
@@ -151,6 +151,7 @@ class ExperimentParams:
     n_nucleons      nucleon count used for collapse-model bounds
     radius          m, object radius (optional; needed by the decoherence model)
     density         kg/m^3 (optional; with radius it determines the mass)
+    g_earth         m/s^2, local gravitational acceleration (standard gravity by default)
     """
 
     mass: float
@@ -167,9 +168,10 @@ class ExperimentParams:
     n_nucleons: float | None = None
     radius: float | None = None
     density: float | None = None
-    constants: PhysicalConstants = field(default=CODATA)
+    g_earth: float = STANDARD_GRAVITY
 
     def __post_init__(self):
+        _require((0.0 < self.g_earth) & (self.g_earth < math.inf), "g_earth", "must be finite and > 0")
         _require(self.mass > 0.0, "mass", "must be > 0")
         _require(self.t3 > 0.0, "t3", "must be > 0")
         _require(self.trap_omega > 0.0, "trap_omega", "must be > 0")
@@ -184,7 +186,7 @@ class ExperimentParams:
         if self.density is not None:
             _require(self.density > 0.0, "density", "must be > 0")
         if self.n_nucleons is None:
-            object.__setattr__(self, "n_nucleons", self.mass / self.constants.amu)
+            object.__setattr__(self, "n_nucleons", self.mass / AMU)
         _require(self.n_nucleons >= 1.0, "n_nucleons", "must be >= 1")
         # the product first, so that hbar is divided by neither 0 nor inf; the
         # square root of a positive float is normal, so sigma0 > 0 is enough
@@ -205,15 +207,15 @@ class ExperimentParams:
 
     def spin_coupling(self) -> float:
         """Magnetic force per unit spin projection, A = g_nv mu_B dB/dx (N)."""
-        return self.g_nv * self.constants.mu_bohr * self.b_gradient
+        return self.g_nv * MU_BOHR * self.b_gradient
 
     def gravity_force(self) -> float:
         """Axis projection of the weight, C = m g cos(theta) (N)."""
-        return self.mass * self.constants.g_earth * cos(self.theta)
+        return self.mass * self.g_earth * cos(self.theta)
 
     def sigma0(self) -> float:
         """Ground-state width of the trapped packet, sqrt(hbar / 2 m omega) (m)."""
-        return sqrt(self.constants.hbar / (2.0 * self.mass * self.trap_omega))
+        return sqrt(HBAR / (2.0 * self.mass * self.trap_omega))
 
 
 def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:
@@ -281,20 +283,10 @@ def build_params(config: dict) -> ExperimentParams:
                 "drop one of the keys"
             )
 
-    constants = CODATA
-    if "g_earth" in config:
-        g_earth = config["g_earth"]
-        if not all_of((0 < g_earth) & (g_earth < math.inf)):
-            raise ConfigError("g_earth must be finite and > 0")
-        constants = PhysicalConstants(g_earth=number(g_earth))
-
-    kwargs = {
-        "mass": number(mass),
-        "constants": constants,
-    }
+    kwargs = {"mass": number(mass)}
     for key in _MANDATORY:
         kwargs[key] = number(config[key])
-    for key in ("g_nv", "n_nucleons", "radius", "density"):
+    for key in ("g_nv", "n_nucleons", "radius", "density", "g_earth"):
         if key in config and config[key] is not None:
             kwargs[key] = number(config[key])
     try:

@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from nanoramsey import dynamics
-from nanoramsey.constants import CODATA
+from nanoramsey.constants import HBAR, LIGHT_SPEED
 from nanoramsey.decoherence import (
     QuadratureError,
     VisibilitySurface,
@@ -223,9 +223,8 @@ def gravitational_phase_action(params, seq):
     """
     if not seq.is_balanced():
         raise ValueError("action route requires a balanced sequence")
-    c = params.constants
-    w = c.g_earth * math.cos(params.theta)
-    return params.mass * w * separation_time_integral(params, seq) / c.hbar
+    w = params.g_earth * math.cos(params.theta)
+    return params.mass * w * separation_time_integral(params, seq) / HBAR
 
 
 class _CanonicalUnitary:
@@ -274,11 +273,10 @@ def gravitational_phase_propagator(params, seq):
     """
     if not seq.is_balanced():
         raise ValueError("propagator route requires a balanced sequence")
-    c = params.constants
     durations = seq.segment_durations()
     units = []
     for s in (1, -1):
-        u = _CanonicalUnitary(params.mass, c.hbar)
+        u = _CanonicalUnitary(params.mass, HBAR)
         # the flip pulses map s -> -s at t1 and t2
         for tau, spin in zip(durations, (s, -s, s)):
             u.apply_segment(branch_force(params, spin), tau)
@@ -301,7 +299,7 @@ def localization_rate_adaptive(channels, delta_x):
 
         def integrand(omega):
             gam = channel.rate_density(np.asarray([omega]))[0]
-            return gam * angular_factor(omega / CODATA.light_speed * delta_x)
+            return gam * angular_factor(omega / LIGHT_SPEED * delta_x)
 
         value, abserr = integrate.quad(integrand, lo, hi, limit=400)
         if abserr > max(1e-10, 1e-6 * abs(value)):
@@ -363,7 +361,7 @@ def channel_rate_reference(channel, delta_x, n_nodes):
         return np.zeros_like(delta_x)
     nodes, weights = gauss_nodes(lo, hi, n_nodes)
     gam = channel.rate_density(nodes)
-    kick = angular_factor_reference(np.outer(delta_x, nodes) / CODATA.light_speed)
+    kick = angular_factor_reference(np.outer(delta_x, nodes) / LIGHT_SPEED)
     return kick @ (gam * weights)
 
 

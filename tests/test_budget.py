@@ -16,7 +16,7 @@ from nanoramsey.budget import (
     thermal_velocity,
     zeeman_resolvability,
 )
-from nanoramsey.constants import CODATA
+from nanoramsey.constants import HBAR, K_BOLTZMANN, MU_BOHR
 from nanoramsey.dynamics import PulseSequence
 from nanoramsey.params import build_params
 from oracles import gravitational_phase_action, integrate_trajectory
@@ -45,7 +45,7 @@ class TestPointFormulas:
     def test_thermal_velocity_is_equipartition(self):
         # (1/2) m <v^2> = (3/2) k T
         t, m = 1.0e-3, 1.25e-17
-        kt = mpmath.mpf(CODATA.k_boltzmann) * mpmath.mpf(t)
+        kt = mpmath.mpf(K_BOLTZMANN) * mpmath.mpf(t)
         expected = mpmath.sqrt(3 * kt / mpmath.mpf(m))
         assert thermal_velocity(t, m) == pytest.approx(float(expected), rel=1e-14)
         assert thermal_velocity(0.0, m) == 0.0
@@ -60,8 +60,8 @@ class TestZeeman:
         _, xm, _ = integrate_trajectory(paper_params, paper_seq, -1, n_steps=20_000)
         i = int(np.argmin(np.abs(tp - e1)))
         x_flip = 0.5 * abs(xp[i] - xm[i])
-        h = 2 * math.pi * CODATA.hbar
-        expected = 2 * (paper_params.g_nv * CODATA.mu_bohr / h) * paper_params.b_gradient * x_flip
+        h = 2 * math.pi * HBAR
+        expected = 2 * (paper_params.g_nv * MU_BOHR / h) * paper_params.b_gradient * x_flip
         z = zeeman_resolvability(paper_params, paper_seq)
         assert z.splitting == pytest.approx(expected, rel=1e-9)
         assert z.bandwidth == 1.0 / paper_params.pulse_duration

@@ -258,6 +258,44 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
                    "got mass=1e-290, b_gradient=10000000.0, t3=0.0001\n")
 
 
+def _refusal(argv, overrides, code, *named):
+    label = " ".join([*argv, *(f"{key}={value:g}" for key, value in overrides.items())])
+    return pytest.param(argv, overrides, code, named, id=label)
+
+
+_GRID = (["certify"], ["dump-snapshots", "--times", "0.5"])
+_BUDGET = (["budget"], ["budget", "--format", "json"])
+_VISIBILITY = ["visibility", "--dx-count", "3", "--tint-count", "2"]
+
+
+@pytest.mark.parametrize("argv, overrides, code, named", [
+    *(_refusal(argv, {"trap_omega": 1e300}, cli.EXIT_NUMERICAL, "trap_omega=1e+300") for argv in _GRID),
+    *(_refusal(argv, {"trap_omega": 1e-300}, cli.EXIT_NUMERICAL, "trap_omega=1e-300") for argv in _GRID),
+    *(_refusal(argv, {"t3": 1e300}, cli.EXIT_NUMERICAL, "phase ~inf", "t3") for argv in _GRID),
+    *(_refusal(argv, {"n_nucleons": 1e300}, cli.EXIT_VALIDATION, "n_nucleons=1e+300", "t3=0.0001")
+      for argv in _BUDGET),
+    *(_refusal(argv, {"pulse_duration": 1e300}, cli.EXIT_VALIDATION, "ratio inf",
+               "pulse_duration=1e+300", "b_gradient=") for argv in _BUDGET),
+    _refusal(_VISIBILITY, {"radius": 1e300}, cli.EXIT_VALIDATION, "radius", "got 1e+300"),
+    _refusal(_VISIBILITY, {"radius": 1e60}, cli.EXIT_VALIDATION, "radius", "got 1e+60"),
+    _refusal(["visibility", "--tint-count", "-1"], {}, cli.EXIT_VALIDATION, "--tint-count", "got -1"),
+    _refusal(["visibility", "--dx-count", "-3"], {}, cli.EXIT_VALIDATION, "--dx-count", "got -3"),
+    _refusal(["visibility", "--dx-count", "0"], {}, cli.EXIT_VALIDATION, "--dx-count", "got 0"),
+])
+def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, named):
+    """An input whose arithmetic overflows, underflows or is out of range ends in one
+    refusal line that names what to change, with no traceback and no warning."""
+    config = write_config(tmp_path, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([*argv, "--config", config])
+    out, err = capsys.readouterr()
+    assert rc == code and out == ""
+    assert err.startswith("numerical failure: " if code == cli.EXIT_NUMERICAL else "error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert all(name in err for name in named), err
+
+
 def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp_path):
     """eta * t3 overflows to inf for t3 = 1e300, and exp(-inf) is the 0.0 that every
     exposure above about 745 already gives."""
@@ -307,6 +345,10 @@ def test_cli_import_loads_no_numpy_polynomial():
     loaded = _modules_after_import("nanoramsey.cli", "numpy")
     assert "numpy" in loaded
     assert not {m for m in loaded if m.startswith("numpy.polynomial")}
+
+
+def test_constants_import_loads_no_numpy():
+    assert _modules_after_import("nanoramsey.constants", "numpy") == set()
 
 
 def test_package_import_loads_only_what_it_names():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from nanoramsey import constants
 from nanoramsey.dicke import (
     collective_final_state,
     sector_phase_quadratic_coefficient,
@@ -43,11 +44,10 @@ class TestCollectiveTrajectory:
 class TestSectorActionPhases:
     def test_against_numeric_action_oracle(self):
         params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15)
-        hbar = params.constants.hbar
         phases = sector_action_phases(params, seq, 2)
         assert [m for m, _ in phases] == [-2, 0, 2]
         for m_value, phase in phases:
-            assert phase == pytest.approx(numeric_action(params, seq, m_value) / hbar, rel=1e-8)
+            assert phase == pytest.approx(numeric_action(params, seq, m_value) / constants.HBAR, rel=1e-8)
 
     @pytest.mark.parametrize("a_spin, a_gravity", DESK_SETS)
     def test_second_difference_is_quadratic_coefficient(self, a_spin, a_gravity):
@@ -89,7 +89,7 @@ class TestSectorPhasesFromSympy:
         for a_spin, a_gravity in DESK_SETS:
             params, seq = desk_scale_params(a_spin=a_spin, a_gravity=a_gravity)
             expected = phi_of(params.mass, params.spin_coupling(), params.gravity_force(),
-                              seq.t3 / 4.0, params.constants.hbar)
+                              seq.t3 / 4.0, constants.HBAR)
             assert gravitational_phase(params, seq) == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_coefficient_closed_form(self):
@@ -102,7 +102,7 @@ class TestSectorPhasesFromSympy:
         for a_spin, a_gravity in DESK_SETS:
             params, seq = desk_scale_params(a_spin=a_spin, a_gravity=a_gravity)
             expected = coeff_of(params.mass, params.spin_coupling(), seq.t3 / 4.0,
-                                params.constants.hbar)
+                                constants.HBAR)
             assert sector_phase_quadratic_coefficient(params, seq) == pytest.approx(expected,
                                                                                     rel=1e-12)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanoramsey import dynamics
+from nanoramsey.constants import HBAR
 from nanoramsey.dynamics import (
     PulseSequence,
     branch_overlap,
@@ -112,7 +113,7 @@ class TestClassicalTrajectory:
             assert abs(pp - pm) <= 1e-12 * scale_p
 
     def test_spin_zero_is_projectile(self, paper_params, paper_seq):
-        g = paper_params.constants.g_earth
+        g = paper_params.g_earth
         for t in (2e-5, 5e-5, 1e-4):
             x, p = branch_at(paper_params, paper_seq, SpinBranch.ZERO, t)
             assert x == pytest.approx(-0.5 * g * t * t, rel=1e-12)
@@ -233,8 +234,7 @@ class TestGravitationalPhase:
         # independent route: m g cos(theta) * integral(dx dt) / hbar with the
         # separation integral from brute-force integration
         integral = numeric_separation_integral(paper_params, paper_seq)
-        c = paper_params.constants
-        phi_oracle = paper_params.mass * c.g_earth * integral / c.hbar
+        phi_oracle = paper_params.mass * paper_params.g_earth * integral / HBAR
         assert phi == pytest.approx(phi_oracle, rel=1e-6)
         assert phi == pytest.approx(1.0795e6, rel=1e-3)
 
@@ -316,11 +316,10 @@ class TestEvolveSequence:
     def test_action_phase_against_numeric_action_oracle(self, desk):
         params, seq = desk
         final = evolve_sequence(params, seq, initial_state(params))
-        hbar = params.constants.hbar
         s_plus = numeric_action(params, seq, +1)
         s_minus = numeric_action(params, seq, -1)
-        assert final.plus_branch.action_phase == pytest.approx(s_plus / hbar, rel=1e-6)
-        assert final.minus_branch.action_phase == pytest.approx(s_minus / hbar, rel=1e-6)
+        assert final.plus_branch.action_phase == pytest.approx(s_plus / HBAR, rel=1e-6)
+        assert final.minus_branch.action_phase == pytest.approx(s_minus / HBAR, rel=1e-6)
 
     def test_initial_condition_independence(self, desk):
         params, seq = desk
@@ -329,7 +328,7 @@ class TestEvolveSequence:
         s0 = params.sigma0()
         for _ in range(100):
             x0 = float(rng.normal(0.0, 5.0)) * s0
-            p0 = float(rng.normal(0.0, 5.0)) * params.constants.hbar / s0
+            p0 = float(rng.normal(0.0, 5.0)) * HBAR / s0
             final = evolve_sequence(params, seq, initial_state(params, x0, p0))
             diff = final.minus_branch.action_phase - final.plus_branch.action_phase
             assert diff == pytest.approx(phi_ref, rel=1e-12)
@@ -472,7 +471,7 @@ def thermal_flight(params, seq, n_bar, n_samples, seed):
     megaradian array would report its own summation roundoff."""
     re, im = np.random.default_rng(seed).normal(0.0, math.sqrt(n_bar / 2.0), (2, n_samples))
     s0 = params.sigma0()
-    start = initial_state(params, 2.0 * s0 * re, params.constants.hbar / s0 * im)
+    start = initial_state(params, 2.0 * s0 * re, HBAR / s0 * im)
     final = evolve_sequence(params, seq, start)
     phases = final.plus_branch.action_phase - final.minus_branch.action_phase
     return np.std(phases - phases[0]), phases[0], np.min(np.abs(branch_overlap(params, final)))
@@ -523,12 +522,11 @@ class TestJitterScan:
         d = 5e-9
         a = paper_params.spin_coupling() / paper_params.mass
         m = paper_params.mass
-        hbar = paper_params.constants.hbar
         s0 = paper_params.sigma0()
         dx = 3.0 * a * 1e-4 * d - 2.0 * a * d * d
         dp = 4.0 * paper_params.spin_coupling() * d
         dx_back = dx - dp * 1e-4 / m
-        expected = math.exp(-dx_back**2 / (8 * s0**2) - (s0 * dp / hbar) ** 2 / 2.0)
+        expected = math.exp(-dx_back**2 / (8 * s0**2) - (s0 * dp / HBAR) ** 2 / 2.0)
         seq = replace(paper_seq, jitter=(d, 0.0, 0.0))
         visibility = abs(branch_overlap(paper_params, evolve_sequence(paper_params, seq,
                                                                       initial_state(paper_params))))

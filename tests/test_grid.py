@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nanoramsey import grid
-from nanoramsey.constants import PhysicalConstants
+from nanoramsey.constants import HBAR
 from nanoramsey.dynamics import (
     PulseSequence,
     branch_overlap,
@@ -63,7 +63,7 @@ class TestScaledUnits:
             )
             scaled = scale_params(params, seq)
             # length unit sigma0 = sqrt(hbar / (2 m omega)), time unit 1 / (2 omega)
-            sigma0 = math.sqrt(params.constants.hbar / (2.0 * params.mass * params.trap_omega))
+            sigma0 = math.sqrt(HBAR / (2.0 * params.mass * params.trap_omega))
             assert scaled.length_unit == pytest.approx(sigma0, rel=1e-12)
             assert scaled.time_unit == pytest.approx(0.5 / params.trap_omega, rel=1e-12)
 
@@ -99,13 +99,13 @@ class TestScaledUnits:
     def test_underflowing_gravity_refused(self):
         """A positive a_gravity whose g_earth or m g_earth is no normal float is refused by
         name; a_gravity = 0 still means the perpendicular tilt."""
-        accel_unit = desk_scale_params(a_gravity=1.0)[0].constants.g_earth     # ~2.9e-5
+        accel_unit = desk_scale_params(a_gravity=1.0)[0].g_earth               # ~2.9e-5
         limit = np.finfo(float).smallest_normal / (1.0e-24 * accel_unit)       # ~7.6e-280
         for a_gravity in (1e-320, 0.99 * limit):
             with pytest.raises(ValueError, match="a_gravity"):
                 desk_scale_params(a_gravity=a_gravity)
         params, _ = desk_scale_params(a_gravity=1.01 * limit)
-        assert params.mass * params.constants.g_earth >= np.finfo(float).smallest_normal
+        assert params.mass * params.g_earth >= np.finfo(float).smallest_normal
         assert desk_scale_params(a_gravity=0.0)[0].theta == math.pi / 2.0
 
 
@@ -219,16 +219,15 @@ class TestAutoGridMomentum:
         report = oracle_compare(params, seq, replace(coarse, n_points=advised))
         assert report.passed
 
-    @pytest.mark.parametrize("g_earth", [9.80665, 1.0e200, math.inf])
+    @pytest.mark.parametrize("g_earth", [9.80665, 1.0e200, 1.0e308])
     def test_gravity_only_flight_refused_before_any_array(self, g_earth, monkeypatch):
         """Without a gradient the phase is 0 and scale_params passes, but gravity alone
-        drives the momentum: the paper object needs about 2e6 points at 1 g. Infinite
-        gravity makes the phase scale 0 * inf = NaN, which scale_params refuses first."""
-        # built around build_params, which refuses an infinite g_earth
-        params = replace(build_params(dict(PAPER_CONFIG, b_gradient=0.0)),
-                         constants=PhysicalConstants(g_earth=g_earth))
+        drives the momentum: the paper object needs about 2e6 points at 1 g. At 1e308 the
+        scaled gravity overflows and the phase scale 0 * inf = NaN, which scale_params
+        refuses first."""
+        params = build_params(dict(PAPER_CONFIG, b_gradient=0.0, g_earth=g_earth))
         monkeypatch.setattr(grid, "GridSpec", None)      # no grid may be built
-        match = ("dimensionless phase ~nan" if math.isinf(g_earth)
+        match = ("dimensionless phase ~nan" if g_earth == 1.0e308
                  else f"more than {MAX_POINTS}; .*desk scale")
         with pytest.raises(ScaleError, match=match):
             auto_grid(scale_params(params, PulseSequence.balanced(params.t3)))
@@ -299,10 +298,9 @@ class TestOracleCompare:
         assert report.phase_error <= 1e-3
 
     def test_nan_phase_scale_refused(self):
-        """No gradient and infinite gravity: the phase scale is 0 * inf = NaN, which
-        scale_params refuses before a caller's grid is ever sized."""
-        params = replace(build_params(dict(PAPER_CONFIG, b_gradient=0.0)),
-                         constants=PhysicalConstants(g_earth=math.inf))
+        """No gradient and a gravity whose scaled value overflows: the phase scale is
+        0 * inf = NaN, which scale_params refuses before a caller's grid is ever sized."""
+        params = build_params(dict(PAPER_CONFIG, b_gradient=0.0, g_earth=1.0e308))
         seq = PulseSequence.balanced(params.t3)
         with pytest.raises(ScaleError, match="dimensionless phase ~nan"):
             oracle_compare(params, seq, GridSpec(256, -50.0, 50.0, 10))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.constants
 
-from nanoramsey.constants import CODATA, PhysicalConstants
+from nanoramsey.constants import AMU, HBAR, K_BOLTZMANN, LIGHT_SPEED, MU_BOHR, STANDARD_GRAVITY
 from nanoramsey.dynamics import PulseSequence, gravitational_phase
 from nanoramsey.params import (
     ConfigError,
@@ -30,18 +30,12 @@ def make_params(**overrides):
 
 class TestConstants:
     def test_codata_values_match_scipy(self):
-        assert CODATA.hbar == pytest.approx(scipy.constants.hbar, rel=1e-9)
-        assert CODATA.k_boltzmann == pytest.approx(scipy.constants.k, rel=1e-9)
-        assert CODATA.mu_bohr == pytest.approx(
+        assert HBAR == pytest.approx(scipy.constants.hbar, rel=1e-9)
+        assert K_BOLTZMANN == pytest.approx(scipy.constants.k, rel=1e-9)
+        assert MU_BOHR == pytest.approx(
             scipy.constants.physical_constants["Bohr magneton"][0], rel=1e-9)
-        assert CODATA.light_speed == scipy.constants.c
-        assert CODATA.amu == pytest.approx(scipy.constants.atomic_mass, rel=1e-9)
-
-    def test_all_positive_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=-1.0)
-        with pytest.raises(ValueError):
-            PhysicalConstants(g_earth=0.0)
+        assert LIGHT_SPEED == scipy.constants.c
+        assert AMU == pytest.approx(scipy.constants.atomic_mass, rel=1e-9)
 
 
 class TestBuildParams:
@@ -71,7 +65,7 @@ class TestBuildParams:
     def test_untilted_gravity_component(self):
         params = make_params(theta=0.0)
         assert params.gravity_force() == pytest.approx(
-            params.mass * CODATA.g_earth, rel=1e-15)
+            params.mass * STANDARD_GRAVITY, rel=1e-15)
 
     def test_missing_key_named(self):
         cfg = dict(PAPER_CONFIG)
@@ -112,12 +106,12 @@ class TestBuildParams:
         cfg = dict(PAPER_CONFIG)
         del cfg["n_nucleons"]
         params = build_params(cfg)
-        assert params.n_nucleons == pytest.approx(1.25e-17 / CODATA.amu, rel=1e-12)
+        assert params.n_nucleons == pytest.approx(1.25e-17 / AMU, rel=1e-12)
 
     def test_g_earth_override(self):
         params = make_params(g_earth=1.0)
-        assert params.constants.g_earth == 1.0
-        assert params.constants.hbar == CODATA.hbar
+        assert params.g_earth == 1.0
+        assert make_params().g_earth == STANDARD_GRAVITY
 
     @pytest.mark.parametrize("g_earth", [math.inf, math.nan, 0.0])
     def test_g_earth_must_be_finite_and_positive(self, g_earth):
@@ -136,13 +130,13 @@ class TestBranchForce:
     def test_spin_zero_feels_only_gravity(self):
         params = make_params()
         assert branch_force(params, SpinBranch.ZERO) == pytest.approx(
-            -params.mass * CODATA.g_earth * math.cos(params.theta), rel=1e-15)
+            -params.mass * STANDARD_GRAVITY * math.cos(params.theta), rel=1e-15)
 
     def test_magnetic_force_magnitude(self):
         # g_nv * mu_B * dB/dx at the nominal gradient
         params = make_params()
         a = params.spin_coupling()
-        assert a == pytest.approx(2.0028 * CODATA.mu_bohr * 1e7, rel=1e-12)
+        assert a == pytest.approx(2.0028 * MU_BOHR * 1e7, rel=1e-12)
         assert a == pytest.approx(1.8574e-16, rel=1e-4)
         assert branch_force(params, SpinBranch.PLUS) == pytest.approx(
             a - params.gravity_force(), rel=1e-15)
@@ -204,7 +198,7 @@ class TestConfigText:
 
 
 class TestUnitAudit:
-    def test_phase_invariant_under_unit_rescaling(self):
+    def test_phase_invariant_under_unit_rescaling(self, monkeypatch):
         """phi_g is dimensionless: rescaling (m, kg, s) must leave it fixed."""
         base = make_params()
         seq = PulseSequence.balanced(base.t3)
@@ -212,14 +206,8 @@ class TestUnitAudit:
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam_l, lam_m, lam_t = (float(10 ** rng.uniform(-2, 2)) for _ in range(3))
-            consts = PhysicalConstants(
-                hbar=CODATA.hbar * lam_m * lam_l**2 / lam_t,
-                k_boltzmann=CODATA.k_boltzmann,
-                mu_bohr=CODATA.mu_bohr,   # field units absorbed into b_gradient
-                light_speed=CODATA.light_speed,
-                g_earth=CODATA.g_earth * lam_l / lam_t**2,
-                amu=CODATA.amu * lam_m,
-            )
+            # mu_bohr keeps its value: field units are absorbed into b_gradient
+            monkeypatch.setattr(dynamics, "HBAR", HBAR * lam_m * lam_l**2 / lam_t)
             # spin coupling is a force: scale b_gradient so A -> A * kg m / s^2
             scale_force = lam_m * lam_l / lam_t**2
             params = ExperimentParams(
@@ -234,7 +222,7 @@ class TestUnitAudit:
                 t_environment=base.t_environment,
                 t_cm=base.t_cm,
                 g_nv=base.g_nv,
-                constants=consts,
+                g_earth=STANDARD_GRAVITY * lam_l / lam_t**2,
             )
             phi = gravitational_phase(params, PulseSequence.balanced(params.t3))
             assert phi == pytest.approx(phi0, rel=1e-12)
@@ -243,8 +231,6 @@ class TestUnitAudit:
         params = make_params()
         with pytest.raises(AttributeError):
             params.mass = 1.0
-        with pytest.raises(AttributeError):
-            CODATA.hbar = 1.0
 
 
 # -- array kernels ------------------------------------------------------------
