@@ -103,6 +103,9 @@ def zeeman_resolvability(params: ExperimentParams, seq: PulseSequence) -> Zeeman
     h = 2.0 * math.pi * HBAR
     splitting = 2.0 * (params.g_nv * MU_BOHR / h) * abs(params.b_gradient) * x_flip
     bandwidth = 1.0 / params.pulse_duration
+    if bandwidth == math.inf:
+        raise ValueError(f"pulse_duration = {params.pulse_duration!r} s makes the pulse bandwidth "
+                         "1 / pulse_duration overflow")
     ratio = splitting / bandwidth
     if not math.isfinite(ratio):
         raise ValueError(f"pulse_duration and b_gradient make the resolvability ratio {ratio!r}, "

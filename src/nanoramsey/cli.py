@@ -20,6 +20,7 @@ from .budget import budget_report
 from .decoherence import (
     DEFAULT_RESPONSE_IM,
     DEFAULT_RESPONSE_MOD_SQ,
+    MAX_SEPARATIONS,
     QuadratureError,
     surface_to_csv,
     surface_to_json,
@@ -217,6 +218,9 @@ def _cmd_visibility(args) -> int:
         value = getattr(args, flag)
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value!r}")
+    if args.dx_count > MAX_SEPARATIONS:
+        raise ConfigError(f"--dx-count must be at most {MAX_SEPARATIONS}, where the quadrature's work "
+                          f"buffer reaches 128 MiB, got {args.dx_count!r}")
     if args.dx_log:
         dx_axis = np.geomspace(args.dx_min, args.dx_max, args.dx_count)
     else:

@@ -52,6 +52,12 @@ DEFAULT_RESPONSE_MOD_SQ = ((EPSILON_STATIC - 1.0) / (EPSILON_STATIC + 2.0)) ** 2
 PLANCK_CUTOFF = 50.0
 #: Largest radius whose sixth power is a finite float.
 _MAX_RADIUS = sys.float_info.max ** (1.0 / 6.0)
+#: Largest saturated rate (eta at infinite separation, 1/s) of a channel that the quadrature
+#: integrates; up to it every weighted node and kick sum stays a finite float.
+MAX_SATURATED_RATE = 1.0e300
+#: kind -> (p, c): the saturated rate, in closed form, is c |response| theta (R theta / c)^p, theta = k T / hbar
+_SATURATION = {"absorption": (3, 4.0 * math.pi**3 / 15.0), "emission": (3, 4.0 * math.pi**3 / 15.0),
+               "scattering": (6, 1920.0 * 1.0083492773819228 / math.pi)}     # 8 6! zeta(7) / (3 pi)
 
 
 class QuadratureError(RuntimeError):
@@ -123,6 +129,16 @@ class BlackbodyChannel:
         if not self.radius <= _MAX_RADIUS:
             raise ValueError(f"radius must be at most {_MAX_RADIUS!r}, whose sixth power the "
                              f"scattering cross-section takes, got {self.radius!r}")
+        if self.temperature > 0.0 and 0.0 < abs(self.response) < math.inf:
+            p, c = _SATURATION[self.kind]     # in logarithms: k T / hbar overflows from 7.6e296 K on
+            log_theta = math.log10(K_BOLTZMANN * self.temperature) - math.log10(HBAR)
+            log_rate = math.log10(c * abs(self.response)) + log_theta + p * (
+                math.log10(self.radius / LIGHT_SPEED) + log_theta)
+            if not log_rate <= math.log10(MAX_SATURATED_RATE):
+                raise ValueError(
+                    f"radius {self.radius!r} m at temperature {self.temperature!r} K gives channel "
+                    f"{self.name!r} a rate of 10^{log_rate:.2f} 1/s, above the {MAX_SATURATED_RATE:.0e} "
+                    "1/s its quadrature can sum; reduce the radius or the temperature")
 
     def support(self) -> tuple[float, float]:
         if self.temperature == 0.0:
@@ -181,6 +197,10 @@ RULE_ORDERS = (512, 1024)
 #: each call reuses heap pages instead of faulting in fresh ones. Chosen by
 #: measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = 8192
+
+#: Most separations one surface takes: each channel pass fills a separations x
+#: ``RULE_ORDERS[-1]`` float64 work buffer, 128 MiB at this count.
+MAX_SEPARATIONS = (128 << 20) // (8 * RULE_ORDERS[-1])
 
 #: Largest relative coarse/fine mismatch a channel integral may show.
 QUADRATURE_RTOL = 1.0e-6
@@ -308,10 +328,11 @@ def visibility_surface(
     tins = np.asarray(list(t_int_range), dtype=float)
     if dx.size == 0 or tins.size == 0:
         raise ValueError("axes must be non-empty")
+    # every column's channels first, so that a refused channel stops the surface before any work
+    models = [default_model(params, float(t_int), response_im, response_mod_sq) for t_int in tins]
     vis = np.empty((dx.size, tins.size))
     channel_rates = {}
-    for j, t_int in enumerate(tins):
-        channels = default_model(params, float(t_int), response_im, response_mod_sq)
+    for j, channels in enumerate(models):
         eta = localization_rate_profile(channels, dx, channel_rates)
         # an exposure that overflows to inf decays to exactly 0.0, as its finite
         # neighbours beyond about 745 already do

@@ -244,7 +244,13 @@ def gravitational_phase(params: ExperimentParams, seq: PulseSequence) -> float:
             "evolve_sequence handles the general case"
         )
     g_axis = params.g_earth * cos(params.theta)
-    return g_axis * params.spin_coupling() * power(seq.t3, 3) / (16.0 * HBAR)
+    try:
+        return g_axis * params.spin_coupling() * power(seq.t3, 3) / (16.0 * HBAR)
+    except OverflowError:       # float ** raises where float * gives inf
+        with np.errstate(over="ignore"):
+            bad = np.isinf(np.float_power(seq.t3, 3.0))
+        raise ValueError(f"t3 = {first(bad, seq.t3)!r} s overflows t3^3 in the gravitational "
+                         "phase g cos(theta) A t3^3 / (16 hbar); reduce t3") from None
 
 
 def ramsey_probability(phi):
@@ -299,6 +305,11 @@ def evolve_sequence(
             state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
                                   m, HBAR)
         branches.append(state)
+    bad = np.logical_not(np.isfinite(branches[0].action_phase) & np.isfinite(branches[1].action_phase))
+    if any_of(bad):     # an action that overflows leaves the overlap phase inf - inf = NaN
+        raise ValueError("mass, g_earth, b_gradient and t3 overflow a branch's action phase S / hbar, got "
+                         f"mass={first(bad, params.mass)!r}, g_earth={first(bad, params.g_earth)!r}, "
+                         f"b_gradient={first(bad, params.b_gradient)!r}, t3={first(bad, seq.t3)!r}")
     return CompositeState(branches[0], branches[1])
 
 

@@ -1,10 +1,11 @@
 """Split-operator Schrodinger oracle on a 1D grid, in scaled natural units.
 
 This module is the independent referee for every closed form in
-:mod:`nanoramsey.dynamics`: it brute-forces the time-dependent Schrodinger
-equation with second-order Strang splitting (kinetic step in momentum space
-via FFT, linear-potential step in position space) and compares phases,
-trajectories, widths and overlaps against the analytic predictions.
+:mod:`nanoramsey.dynamics`: it solves the time-dependent Schrodinger equation
+on a grid, as a product of second-order Strang steps (kinetic step in momentum
+space via FFT, linear-potential step in position space), composed per segment
+in closed form, and compares phases, trajectories, widths and overlaps against
+the analytic predictions.
 
 Scaling. The oracle works in units where m = hbar = 1 and the initial packet
 width sigma0 = 1. With length unit sigma0 and time unit m*sigma0^2/hbar
@@ -128,8 +129,8 @@ class GridSpec:
 
     n_points primarily sets momentum resolution (FFT), the domain
     [x_min, x_max] must contain every excursion plus an 8-sigma margin,
-    and each segment of duration tau is split into steps_per_segment
-    Strang steps of tau / steps_per_segment.
+    and each segment of duration tau evolves as the product of
+    steps_per_segment Strang steps of tau / steps_per_segment.
     """
 
     n_points: int
@@ -226,70 +227,40 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float
         )
 
 
-def _strang_rows(amps, kinetic, half_kinetic, potential, steps: int) -> np.ndarray:
-    """``steps`` Strang steps of the position-space rows ``amps`` under per-row factors.
+def _evolve_segment(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
+    """One segment of the rows of ``psi`` under H = p^2/2 - force*x, ``force`` a number or
+    one per row, with the margin checked before (with the segment's kick) and after.
 
-    Adjacent half-kinetic steps are fused: one fft/ifft pair per step over all rows, into
-    two preallocated buffers. numpy's SIMD complex multiply is not commutative in the last
-    bit, so the operand order potential * psi, psi_k * kinetic is part of the result.
+    The n = ``steps_per_segment`` Strang steps of dt = tau/n are composed in closed form: the
+    exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
+    FFT[exp(i F tau x) psi](k), times the c-number exp(-i n F^2 dt^3 / 12) by which their
+    product differs from it (docs/physics-notes.md). One fft/ifft pair per segment.
     """
-    amps = np.fft.fft(amps)
-    buf = np.empty_like(amps)
-    np.multiply(amps, half_kinetic, out=amps)
-    for i in range(steps):
-        np.fft.ifft(amps, out=buf)
-        np.multiply(potential, buf, out=buf)
-        np.fft.fft(buf, out=amps)
-        np.multiply(amps, kinetic if i < steps - 1 else half_kinetic, out=amps)
-    return np.fft.ifft(amps, out=buf)
-
-
-def _evolve_segment(runs) -> list[GridWavefunction]:
-    """One segment of every (psi, force, duration, spec) in ``runs`` through one kernel call,
-    each state on its own grid, with its margin checked before and after. The specs
-    must share ``n_points`` and ``steps_per_segment``, else ValueError."""
-    steps = runs[0][3].steps_per_segment
-    if len({(spec.n_points, spec.steps_per_segment) for *_, spec in runs}) != 1:
-        raise ValueError("lockstep runs must share one n_points and one steps_per_segment")
-    factors = []
-    for psi, force, duration, spec in runs:
-        force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
-        _check_margin(psi, spec, kick=force[..., 0] * duration)
-        k, dt = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx), duration / steps
-        factors.append((np.exp(-0.5j * k * k * dt), np.exp(-0.25j * k * k * dt),
-                        np.exp(1j * force * psi.x * dt)))     # V = -force*x
-    amps = np.array([psi.amplitudes for psi, *_ in runs])
-    shape = (len(runs),) + (1,) * (amps.ndim - 2) + (-1,)    # one kinetic row per state
-    kinetic, half_kinetic, potential = (np.array(f) for f in zip(*factors))
-    rows = _strang_rows(amps, kinetic.reshape(shape), half_kinetic.reshape(shape), potential, steps)
-    out = [GridWavefunction(x=psi.x, amplitudes=row) for (psi, *_), row in zip(runs, rows)]
-    for psi, (*_, spec) in zip(out, runs):
-        _check_margin(psi, spec)
+    force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
+    _check_margin(psi, spec, kick=force[..., 0] * duration)
+    k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    dt = duration / spec.steps_per_segment
+    c_number = force * force * duration * (duration * duration / 6.0 + dt * dt / 12.0)
+    kicked = np.exp(1j * force * duration * psi.x) * psi.amplitudes      # V = -force*x
+    drift = np.exp(-1j * (0.5 * k * k * duration - 0.5 * force * duration * duration * k + c_number))
+    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(drift * np.fft.fft(kicked)))
+    _check_margin(out, spec)
     return out
 
 
-def split_step_evolve(
-    psi: GridWavefunction,
-    force,
-    duration: float,
-    spec: GridSpec,
-) -> GridWavefunction:
-    """Strang-split evolution under H = p^2/2 - force*x (natural units).
+def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
+    """Strang-split evolution under H = p^2/2 - force*x (natural units), in closed form.
 
-    ``force`` is a number or one per row of ``psi``. Adjacent half-kinetic steps are fused:
-    one fft/ifft pair per step over all rows. Second order in the step size; for a linear
-    potential the splitting error is a c-number phase, so |psi|^2 is exact up to discretization.
+    ``force`` is a number or one per row of ``psi``. The result is the product of
+    ``spec.steps_per_segment`` Strang steps: the exact propagator times the c-number
+    splitting phase, so |psi|^2 is exact up to discretization and the phase is second
+    order in the step size.
     """
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
         return psi
-    return _evolve_segment([(psi, force, duration, spec)])[0]
-
-
-def _final_width(scaled: ScaledUnits) -> float:
-    """Packet width at t3, the widest it gets (sigma0 = 1, free spreading)."""
-    return math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2)
+    return _evolve_segment(psi, force, duration, spec)
 
 
 def auto_grid(
@@ -297,8 +268,11 @@ def auto_grid(
     n_points: int = MIN_POINTS,
     steps_per_segment: int = 1200,
     spin_values: tuple[int, ...] = (1, -1),
+    center: float = 0.0,
+    momentum: float = 0.0,
 ) -> GridSpec:
-    """Size the grid from the classical trajectory.
+    """Size the grid from the classical trajectory of a packet that starts at
+    ``center`` with ``momentum``, as :func:`evolve_branch_on_grid` starts it.
 
     The domain spans every branch-centre excursion plus ``DOMAIN_SIGMAS`` final
     packet widths and 2 on each side (the guards enforce ``GUARD_SIGMAS`` at run
@@ -306,9 +280,9 @@ def auto_grid(
     plus ``DOMAIN_SIGMAS`` momentum widths (1/2 each); a flight that needs more
     than ``MAX_POINTS`` raises :class:`ScaleError` before any array exists.
     """
-    lo, hi, p_peak = 0.0, 0.0, 0.0
+    lo, hi, p_peak = center, center, abs(momentum)
     for spin in spin_values:
-        x, v = 0.0, 0.0
+        x, v = center, momentum
         for tau, a in zip(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin))):
             candidates = [tau]
             if a != 0.0:
@@ -321,7 +295,8 @@ def auto_grid(
             x += v * tau + 0.5 * a * tau * tau
             v += a * tau
             p_peak = max(p_peak, abs(v))
-    margin = DOMAIN_SIGMAS * _final_width(scaled) + 2.0
+    # the packet is widest at t3: sigma0 = 1 spreads freely to sqrt(1 + (t3 / 2)^2)
+    margin = DOMAIN_SIGMAS * math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2) + 2.0
     while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * DOMAIN_SIGMAS:
         n_points *= 2
         if n_points > MAX_POINTS:
@@ -334,18 +309,6 @@ def auto_grid(
         x_max=hi + margin,
         steps_per_segment=steps_per_segment,
     )
-
-
-def _drift_steps(scaled: ScaledUnits) -> int:
-    """Fewest Strang steps per segment that keep both branches inside an ``auto_grid`` domain.
-
-    Between kicks a row sits where a half-drift put it, |F| dt^2 / 8 off its classical
-    centre; the domain leaves (DOMAIN_SIGMAS - GUARD_SIGMAS) final widths + 2 beyond
-    the guard's reach, so dt may grow until the drift fills that slack.
-    """
-    force = max(abs(a) for s in (+1, -1) for a in scaled.branch_accelerations(_spin_history(s)))
-    slack = (DOMAIN_SIGMAS - GUARD_SIGMAS) * _final_width(scaled) + 2.0
-    return max(1, math.ceil(max(scaled.seg_times) * math.sqrt(force / (8.0 * slack))))
 
 
 def _flight(scaled: ScaledUnits, spec: GridSpec, spins, center, momentum, horizons):
@@ -376,22 +339,19 @@ def _flight(scaled: ScaledUnits, spec: GridSpec, spins, center, momentum, horizo
 
 def _evolve_flights(flights) -> list[list[GridWavefunction]]:
     """Every flight ``(scaled, spec, spins, center, momentum, horizons)``, planned by
-    :func:`_flight`, with all rows in lockstep: per piece, one :func:`_evolve_segment` call
-    over the flights whose piece is not empty. The flights share their number of
-    horizons; each flight's states at its horizons are returned, one list per flight.
+    :func:`_flight` (so every momentum check runs before any grid work), with its rows
+    evolved piece by piece on its own grid. The flights share their number of horizons;
+    each flight's states at its horizons are returned, one list per flight.
     """
     planned = [_flight(*flight) for flight in flights]
     states = [psi for psi, _ in planned]
     out = [[] for _ in flights]
     for pieces in zip(*(plan for _, plan in planned), strict=True):   # one horizon each
-        for segment in zip(*pieces):
-            live = [(i, step, a) for i, (step, a) in enumerate(segment) if step > 0.0]
-            if live:
-                moved = _evolve_segment([(states[i], a, step, flights[i][1]) for i, step, a in live])
-                for (i, _, _), psi in zip(live, moved):
-                    states[i] = psi
-        for frames, psi in zip(out, states):
-            frames.append(psi)
+        for i, (piece, (_, spec, *_)) in enumerate(zip(pieces, flights)):
+            for step, a in piece:
+                if step > 0.0:
+                    states[i] = _evolve_segment(states[i], a, step, spec)
+            out[i].append(states[i])
     return out
 
 
@@ -490,7 +450,7 @@ def oracle_compare(
 
 
 def oracle_compare_sets(sets) -> list[OracleReport]:
-    """One :class:`OracleReport` per (params, seq, spec) in ``sets``, their grids run in lockstep.
+    """One :class:`OracleReport` per (params, seq, spec) in ``sets``, each on its own grid.
 
     ``spec`` is the set's grid, None for ``auto_grid``. Each branch pair is evolved
     once, as two rows of one flight of :func:`_evolve_flights`, and ``phase_grid`` is
@@ -585,9 +545,8 @@ def snapshot_frames(
     (time_s, x_m, prob_plus_per_m, prob_minus_per_m) tuples, each probability
     normalized per metre so the frames are plot-ready, in the order given;
     both branches go forward once through the sorted times. The default grid
-    has 2048 points (more if momentum needs them) and the fewest steps the
-    drift criterion allows: the step size moves only a c-number phase, never
-    |psi|^2.
+    has 2048 points (more if momentum needs them) and one step per segment:
+    the step count moves only a c-number phase, never |psi|^2.
     """
     scaled = scale_params(params, seq)
     fractions = list(fractions)
@@ -596,7 +555,7 @@ def snapshot_frames(
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
     if spec is None:
         # frames are an output, so their resolution is fixed, not sized for the physics
-        spec = auto_grid(scaled, 2048, _drift_steps(scaled))
+        spec = auto_grid(scaled, 2048, 1)
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     states = evolve_branch_on_grid(scaled, spec, (+1, -1),

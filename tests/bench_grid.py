@@ -8,9 +8,10 @@ The default test run does not collect this file (its name does not match
 ``test_*.py``). The layer cases run on the default desk-scale set with the
 library's own default grids: ``auto_grid`` sizes ``n_points`` from the peak
 branch momentum (256 points here) with 1200 Strang steps per segment, and
-``snapshot_frames`` takes 2048 frame points and the drift criterion's step
-count. ``test_certify_lockstep`` runs the three ``certify`` desk pairs through
-their whole flights as one six-row lockstep run, in-process. The two
+``snapshot_frames`` takes 2048 frame points and one step per segment. Each
+segment is one closed-form propagator call, whatever its step count.
+``test_certify_lockstep`` runs the three ``certify`` desk pairs through
+their whole flights in one ``_evolve_flights`` call, in-process. The two
 end-to-end cases run a CLI command in a fresh interpreter, as
 the benchmark's ``oracle`` workload does. ``BENCH_grid.json`` keeps the
 measured trajectory of these cases.
@@ -43,7 +44,7 @@ def desk_grid():
 
 
 def test_strang_step(benchmark, desk_grid):
-    """One fused Strang step of the (plus, minus) pair, with its two guards."""
+    """One one-step segment of the (plus, minus) pair, with its two guards."""
     _, _, scaled, spec = desk_grid
     one_step = replace(spec, steps_per_segment=1)
     pair = evolve_branch_on_grid(scaled, one_step, (+1, -1), until=0.0)
@@ -60,7 +61,7 @@ def test_paired_evolution(benchmark, desk_grid):
 
 
 def test_certify_lockstep(benchmark):
-    """The (+, -) pairs of the three ``certify`` desk sets as one six-row run."""
+    """The (+, -) pairs of the three ``certify`` desk sets through one flight executor call."""
     flights = []
     for desk_set in CERTIFY_DESK.values():
         scaled = scale_params(*desk_scale_params(*desk_set))

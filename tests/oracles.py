@@ -8,10 +8,10 @@ leans on ``separation_time_integral``, which is itself checked against Verlet.
 The separation observables are checked bit for bit against
 ``relative_segments_reference``, which walks each branch centre on its own
 through ``classical_trajectory_reference``.
-The grid kernel is checked against ``strang_reference``, the plain unfused
-one-branch Strang loop, and the lockstep rows bit for bit against
-``pair_flight_reference``, which runs one set's (+, -) pair alone through the
-fused Strang loop with fresh arrays at every step. The broadcast CLI sweep is checked against
+The grid's closed-form segment propagator is checked against the Strang
+loop it composes: ``strang_reference``, the plain unfused one-branch loop, and
+``flight_reference``, which runs a flight's rows through the fused loop with
+fresh arrays at every step, to 1e-12 in amplitude. The broadcast CLI sweep is checked against
 ``sweep_reference``, the loop that builds every point's objects from Python
 scalars and calls the closed forms once per point. The blocked, masked
 quadrature kernel is checked bit for bit against ``angular_factor_reference``
@@ -444,17 +444,27 @@ def paired_strang_reference(psi, force, duration, spec):
     return out
 
 
-def pair_flight_reference(scaled, spec):
-    """One set's (+, -) rows through the whole flight on their own, segment by segment
-    with ``paired_strang_reference``; durations are cut as the package cuts them."""
-    packet = gaussian_packet(spec)
-    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (2, 1)))
-    accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in (1, -1)]).T
-    start = 0.0
-    for tau, a in zip(scaled.seg_times, accelerations):
-        psi = paired_strang_reference(psi, a, min(start + tau, scaled.total_time) - start, spec)
-        start += tau
-    return psi
+def flight_reference(scaled, spec, spins=(1, -1), center=0.0, momentum=0.0, until=None):
+    """The rows of ``spins``, from a packet at ``center`` with ``momentum``, through their
+    (possibly truncated) flip sequences, segment by segment with ``paired_strang_reference``.
+
+    ``until`` is one horizon (default t3) or an ascending list, walked in one forward pass
+    that returns one state per horizon; durations are cut as the package cuts them.
+    """
+    packet = gaussian_packet(spec, center, momentum)
+    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (len(spins), 1)))
+    accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in spins]).T
+    states, t = [], 0.0
+    for horizon in np.atleast_1d(scaled.total_time if until is None else until):
+        start = 0.0
+        for tau, a in zip(scaled.seg_times, accelerations):
+            piece = min(start + tau, horizon) - max(start, t)
+            if piece > 0.0:
+                psi = paired_strang_reference(psi, a, piece, spec)
+            start += tau
+        states.append(psi)
+        t = horizon
+    return states if np.ndim(until) else states[0]
 
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import paper_config_text
 from nanoramsey import cli
+from nanoramsey.decoherence import MAX_SEPARATIONS
 
 SWEEP_ARGS = ["--param", "theta", "--start", "0.0", "--stop", "1.5", "--count", "7"]
 
@@ -281,6 +282,16 @@ _VISIBILITY = ["visibility", "--dx-count", "3", "--tint-count", "2"]
     _refusal(["visibility", "--tint-count", "-1"], {}, cli.EXIT_VALIDATION, "--tint-count", "got -1"),
     _refusal(["visibility", "--dx-count", "-3"], {}, cli.EXIT_VALIDATION, "--dx-count", "got -3"),
     _refusal(["visibility", "--dx-count", "0"], {}, cli.EXIT_VALIDATION, "--dx-count", "got 0"),
+    _refusal(["dicke", "--l", "3"], {"t3": 1e300}, cli.EXIT_VALIDATION, "t3 = 1e+300"),
+    _refusal(["sweep", "--param", "theta", "--values", "0,0.1,0.2"], {"t3": 1e300}, cli.EXIT_VALIDATION,
+             "t3 = 1e+300"),
+    *(_refusal(argv, {"mass": 1e284}, cli.EXIT_VALIDATION, "action phase", "mass=1e+284")
+      for argv in _BUDGET),
+    *(_refusal(argv, {"pulse_duration": 5e-324}, cli.EXIT_VALIDATION, "pulse_duration = 5e-324")
+      for argv in _BUDGET),
+    _refusal(_VISIBILITY, {"radius": 1e46}, cli.EXIT_VALIDATION, "radius 1e+46", "reduce the radius"),
+    _refusal(["visibility", "--dx-count", str(MAX_SEPARATIONS + 1)], {}, cli.EXIT_VALIDATION,
+             "--dx-count", f"got {MAX_SEPARATIONS + 1}"),
 ])
 def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, named):
     """An input whose arithmetic overflows, underflows or is out of range ends in one
@@ -294,6 +305,19 @@ def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, 
     assert err.startswith("numerical failure: " if code == cli.EXIT_NUMERICAL else "error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert all(name in err for name in named), err
+
+
+def test_dx_count_refused_before_any_array(capsys, tmp_path):
+    """A count of 2^40 separations would ask for an 8 TiB work buffer: refused first."""
+    config = write_config(tmp_path)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["visibility", "--config", config, "--dx-count", str(1 << 40)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_VALIDATION and capsys.readouterr().err.startswith("error: --dx-count")
+    assert peak < 1 << 20
 
 
 def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp_path):

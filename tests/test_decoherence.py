@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from fnmatch import fnmatch
 from importlib import resources
@@ -15,7 +16,9 @@ from numpy.polynomial.legendre import leggauss
 
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
+from nanoramsey.constants import HBAR, K_BOLTZMANN, LIGHT_SPEED
 from nanoramsey.decoherence import (
+    MAX_SATURATED_RATE,
     RULE_ORDERS,
     BlackbodyChannel,
     QuadratureError,
@@ -102,6 +105,36 @@ class TestLocalizationRate:
         with pytest.raises(ValueError) as refused:
             BlackbodyChannel("absorption", "absorption", temperature, radius)
         assert str(refused.value) == message
+
+
+class TestSaturatedRateCeiling:
+    """A channel whose rate at infinite separation passes MAX_SATURATED_RATE is refused when
+    it is built, before any quadrature, so numpy never overflows mid-integral."""
+
+    @staticmethod
+    def saturated_rate(kind, temperature, radius, response):
+        p, c = decoherence._SATURATION[kind]
+        theta = K_BOLTZMANN * temperature / HBAR
+        return c * response * theta * (radius * theta / LIGHT_SPEED) ** p
+
+    @pytest.mark.parametrize("kind, temperature", [("absorption", 300.0), ("emission", 1500.0),
+                                                   ("scattering", 300.0)])
+    def test_closed_form_is_the_planck_integral(self, kind, temperature):
+        channel = BlackbodyChannel(kind, kind, temperature, 1e-7, 0.38)
+        lo, hi = channel.support()
+        integral = mpmath.quad(lambda w: channel.rate_density(np.array([float(w)]))[0],
+                               mpmath.linspace(lo, hi, 9))
+        assert float(integral) == pytest.approx(self.saturated_rate(kind, temperature, 1e-7, 0.38),
+                                                rel=1e-9)
+
+    @pytest.mark.parametrize("kind, temperature", [("emission", 1e33), ("scattering", 300.0)])
+    def test_refused_just_past_the_ceiling(self, kind, temperature):
+        p, _ = decoherence._SATURATION[kind]
+        edge = 1e-7 * (MAX_SATURATED_RATE / self.saturated_rate(kind, temperature, 1e-7, 1e-3)) ** (1.0 / p)
+        BlackbodyChannel(kind, kind, temperature, 0.99 * edge)
+        with pytest.raises(ValueError, match=re.escape(f"radius {1.01 * edge!r} m at temperature")):
+            BlackbodyChannel(kind, kind, temperature, 1.01 * edge)
+
 
 # -- the masked kernel against the whole-array reference, bit for bit ----------
 

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nanoramsey import grid
 from nanoramsey.constants import HBAR
 from nanoramsey.dynamics import (
     PulseSequence,
+    _spin_history,
     branch_overlap,
     evolve_sequence,
     gravitational_phase,
@@ -22,7 +25,6 @@ from nanoramsey.grid import (
     GridBoundaryError,
     GridSpec,
     ScaleError,
-    _drift_steps,
     auto_grid,
     desk_scale_params,
     evolve_branch_on_grid,
@@ -37,7 +39,8 @@ from nanoramsey.grid import (
 )
 from nanoramsey.params import build_params
 from conftest import PAPER_CONFIG
-from oracles import pair_flight_reference, reference_branch, sector_action_phases
+from oracles import flight_reference, reference_branch, sector_action_phases
+from test_dynamics import DESK_SETS
 
 
 #: perfbench/configs/snapshot.cfg: the paper object at desk scale by tilt and gradient
@@ -352,8 +355,8 @@ class TestOracleCompare:
 
 
 class TestLockstep:
-    """The three certify desk sets as one six-row run: each set keeps its own grid, its
-    own factors and its own guards, and nothing moves by a bit."""
+    """The three certify desk sets in one call: each set keeps its own grid, its own
+    factors and its own guards, and its rows are those of a run of its own."""
 
     @pytest.fixture(scope="class")
     def desk_sets(self):
@@ -367,15 +370,15 @@ class TestLockstep:
     def pair_flights(runs):
         return [(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time]) for scaled, spec in runs]
 
-    def test_rows_equal_pair_runs_bit_for_bit(self, desk_runs):
+    def test_rows_match_strang_reference(self, desk_runs):
         assert {(spec.n_points, spec.steps_per_segment) for _, spec in desk_runs} == {(256, 1200)}
         assert len({spec.dx for _, spec in desk_runs}) == 3
         flights = grid._evolve_flights(self.pair_flights(desk_runs))
         for (scaled, spec), [pair] in zip(desk_runs, flights):
-            ref = pair_flight_reference(scaled, spec).amplitudes.view(np.int64)
-            assert np.array_equal(pair.amplitudes.view(np.int64), ref)
+            ref = flight_reference(scaled, spec).amplitudes
+            assert np.max(np.abs(pair.amplitudes - ref)) < 1e-12
             alone = evolve_branch_on_grid(scaled, spec, (+1, -1)).amplitudes
-            assert np.array_equal(alone.view(np.int64), ref)
+            assert np.array_equal(alone.view(np.int64), pair.amplitudes.view(np.int64))
 
     def test_reports_equal_one_set_reports(self, desk_sets):
         reports = oracle_compare_sets([(params, seq, None) for params, seq in desk_sets])
@@ -383,14 +386,14 @@ class TestLockstep:
         assert all(report.passed for report in reports)
 
     @pytest.mark.parametrize("field, value", [("n_points", 512), ("steps_per_segment", 600)])
-    def test_mismatched_grids_refused(self, desk_sets, desk_runs, field, value):
-        (scaled, spec), *rest = desk_runs
-        odd = replace(spec, **{field: value})
-        with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
-            grid._evolve_flights(self.pair_flights([(scaled, odd), *rest]))
+    def test_mixed_grids_report_as_one_set_runs(self, desk_sets, desk_runs, field, value):
+        """A set on a grid of its own size or step count shares the call with the others."""
+        (_, spec), *_ = desk_runs
         (params, seq), *others = desk_sets
-        with pytest.raises(ValueError, match="share one n_points and one steps_per_segment"):
-            oracle_compare_sets([(params, seq, odd), *((p, s, None) for p, s in others)])
+        sets = [(params, seq, replace(spec, **{field: value})), *((p, s, None) for p, s in others)]
+        reports = oracle_compare_sets(sets)
+        assert reports == [oracle_compare(*one_set) for one_set in sets]
+        assert all(report.passed for report in reports)
 
     def test_unequal_horizon_counts_refused(self, desk_runs):
         (scaled, spec), (scaled_b, spec_b), _ = desk_runs
@@ -476,6 +479,98 @@ class TestSectorPhasesOnGrid:
             assert abs(residual) <= 1e-10
 
 
+#: (plus, minus) initial spins of a drawn pair: spin pairs, and the spin-0 kinetic variant
+SPIN_PAIRS = [(1, -1), (-1, 1), (1, 0), (0, 1), (-1, 0), (0, -1)]
+#: a packet start (x0, p0) up to 3 sigma off centre in position and in momentum (sigma_p = 1/2)
+STARTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-1.5, 1.5))
+#: flip fractions (f1, f2) of t3: the balanced pair, or an open one
+FLIPS = st.one_of(st.just((0.25, 0.75)), st.tuples(st.floats(0.02, 0.49), st.floats(0.51, 0.97)))
+#: jitter of (t1, t2, t3) as fractions of t3
+JITTER = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-0.01, 0.01)] * 3))
+#: the horizon as a fraction of the flight: the whole flight, or a cut inside it
+HORIZONS = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+def drawn_flight(desk_set, flips, jitter, spins, start):
+    """(params, seq, scaled, spec) of one drawn flight. The rule that filters draws: a
+    flight ``auto_grid`` refuses (more than MAX_POINTS points) is no draw."""
+    params, balanced = desk_scale_params(*desk_set)
+    t3 = balanced.t3
+    seq = PulseSequence(t1=flips[0] * t3, t2=flips[1] * t3, t3=t3, jitter=tuple(j * t3 for j in jitter))
+    scaled = scale_params(params, seq)
+    try:
+        spec = auto_grid(scaled, spin_values=spins, center=start[0], momentum=start[1])
+    except ScaleError:
+        assume(False)
+    return params, seq, scaled, spec
+
+
+class TestStrangReference:
+    """The closed-form segment propagator against the Strang loop it composes, to 1e-12 in
+    amplitude: the product of n steps is the exact propagator times a known c-number."""
+
+    @staticmethod
+    def assert_matches(scaled, spec, spins, center=0.0, momentum=0.0, until=None):
+        rows = evolve_branch_on_grid(scaled, spec, spins, center, momentum, until)
+        ref = flight_reference(scaled, spec, spins, center, momentum, until)
+        assert np.max(np.abs(rows.amplitudes - ref.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("desk_set", [*CERTIFY_DESK.values(), (1.0, 0.5, 8.0)])
+    def test_desk_sets(self, desk_set):
+        scaled = scale_params(*desk_scale_params(*desk_set))
+        self.assert_matches(scaled, auto_grid(scaled), (+1, -1))
+
+    def test_jittered_set(self):
+        params, seq0 = desk_scale_params()
+        scaled = scale_params(params, replace(seq0, jitter=(0.02 * seq0.t3, 0.0, 0.0)))
+        self.assert_matches(scaled, auto_grid(scaled), (+1, -1))
+
+    def test_sector_rows(self):
+        scaled = scale_params(*desk_scale_params(a_spin=0.35, a_gravity=0.15, tau_scaled=6.0))
+        self.assert_matches(scaled, auto_grid(scaled, spin_values=(2, -2, 1, -1)), (2, 0))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, FLIPS, JITTER, st.sampled_from(SPIN_PAIRS), STARTS, HORIZONS)
+    def test_drawn_flights(self, desk_set, flips, jitter, spins, start, fraction):
+        """Few Strang steps keep the reference cheap; the c-number follows the count."""
+        _, _, scaled, spec = drawn_flight(desk_set, flips, jitter, spins, start)
+        self.assert_matches(scaled, replace(spec, steps_per_segment=40), spins, *start,
+                            until=fraction * scaled.total_time)
+
+
+class TestDeskSpaceOnGrid:
+    """The closed forms grid-certified over the desk space: balanced or open flips with
+    jitter, a start off centre, spin pairs with a spin-0 row, and a mid-flight horizon."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, FLIPS, JITTER, st.sampled_from(SPIN_PAIRS), STARTS, HORIZONS)
+    def test_grid_matches_closed_forms(self, desk_set, flips, jitter, spins, start, fraction):
+        params, seq, scaled, spec = drawn_flight(desk_set, flips, jitter, spins, start)
+        horizon = fraction * scaled.total_time
+        pair = evolve_branch_on_grid(scaled, spec, spins, *start, until=horizon)
+        unit = scaled.length_unit
+        initial = initial_state(params, start[0] * unit, start[1] * HBAR / unit)
+        final = evolve_sequence(params, seq, initial, spins=spins,
+                                until=fraction * seq.effective_times()[2])
+        for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+            x_cl, p_cl = branch.center / unit, branch.momentum * unit / HBAR
+            denom = max(1.0, abs(x_cl), abs(p_cl))
+            assert abs(xb - x_cl) <= 1e-10 * denom and abs(pb - p_cl) <= 1e-10 * denom
+            sigma = wavepacket_width(params, branch.spread_time) / unit
+            assert abs(width - sigma) <= 1e-10 * sigma
+        ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+        ov = branch_overlap(params, final)
+        assert abs(abs(ov_grid) - abs(ov)) <= 1e-10
+        # the grid phase carries the splitting term of every piece up to the horizon
+        starts = np.cumsum((0.0, *scaled.seg_times[:-1]))
+        pieces = [max(0.0, min(tau, horizon - t0)) for t0, tau in zip(starts, scaled.seg_times)]
+        splitting = splitting_phase(pieces, *(scaled.branch_accelerations(_spin_history(s)) for s in spins),
+                                    spec.steps_per_segment)
+        residual = math.remainder(-np.angle(ov_grid) + np.angle(ov) - splitting, 2.0 * math.pi)
+        # the phase of an overlap near 0 is rounding noise: checked where |ov| >= 1e-3
+        assert abs(ov) < 1e-3 or abs(residual) <= 1e-10
+
+
 class TestSnapshots:
     def test_frames_normalized_and_split(self):
         # exaggerated splitting so the mid-flight frame shows two clear peaks
@@ -507,25 +602,25 @@ class TestSnapshots:
                 ref /= scaled.length_unit
                 assert np.max(np.abs(prob - ref)) < 1e-10 * ref.max()
 
-    @pytest.mark.parametrize("case, drift_steps", [("snapshot", 1), ((2.0, 0.05, 8.0), 1),
-                                                   ((6.0, 0.2, 8.0), 2)])
-    def test_drift_criterion_frames_match_1200_steps(self, case, drift_steps):
-        """Default frames keep 2048 points and take the fewest steps the drift criterion
-        allows, yet match a 1200-step run: the step size moves only a c-number phase."""
+    @pytest.mark.parametrize("case", ["snapshot", (2.0, 0.05, 8.0), (6.0, 0.2, 8.0)])
+    def test_default_frames_match_strang_reference(self, case):
+        """Default frames keep 2048 points and one step per segment, yet match the 1200-step
+        Strang loop: the step count moves only a c-number phase."""
         if case == "snapshot":
             params = build_params(SNAPSHOT_CONFIG)
             seq = PulseSequence.balanced(params.t3)
         else:
             params, seq = desk_scale_params(*case)
         scaled = scale_params(params, seq)
-        assert _drift_steps(scaled) == drift_steps
         fractions = [0.25, 0.6, 1.0, 0.1, 0.5]
         frames = snapshot_frames(params, seq, fractions)
-        reference = snapshot_frames(params, seq, fractions, auto_grid(scaled, 2048, 1200))
-        for frame, ref in zip(frames, reference):
-            assert frame[0] == ref[0]
-            assert frame[1].size == 2048 and np.array_equal(frame[1], ref[1])
-            for prob, ref_prob in zip(frame[2:], ref[2:]):
+        spec = auto_grid(scaled, 2048, 1200)
+        reference = flight_reference(scaled, spec, until=[f * scaled.total_time for f in sorted(fractions)])
+        for (t, x, *probs), frac in zip(frames, fractions):
+            assert t == frac * seq.t3
+            assert x.size == 2048 and np.array_equal(x, spec.axis() * scaled.length_unit)
+            ref = np.abs(reference[sorted(fractions).index(frac)].amplitudes) ** 2 / scaled.length_unit
+            for prob, ref_prob in zip(probs, ref):
                 assert np.max(np.abs(prob - ref_prob)) < 1e-10 * ref_prob.max()
 
     def test_megaradian_refused(self, paper_params, paper_seq):
