@@ -37,7 +37,7 @@ from .dynamics import (
     ramsey_probability,
 )
 from .grid import (CERTIFY_DESK, CLOSURE_MIN, ClosureError, GridBoundaryError, ScaleError,
-                   desk_scale_params, oracle_compare_sets, snapshot_frames)
+                   desk_scale_params, oracle_compare, snapshot_frames)
 from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
 from .params import (
     PARAM_KEYS,
@@ -246,7 +246,7 @@ def _cmd_certify(args) -> int:
         runs = {label: (*desk_scale_params(*desk_set), None) for label, desk_set in CERTIFY_DESK.items()}
     all_ok = True
     lines = []
-    reports = oracle_compare_sets(runs.values())
+    reports = [oracle_compare(*run) for run in runs.values()]
     for label, report in zip(runs, reports):
         ok = report.passed and report.closure_ok
         all_ok &= ok

@@ -227,15 +227,20 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float
         )
 
 
-def _evolve_segment(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
-    """One segment of the rows of ``psi`` under H = p^2/2 - force*x, ``force`` a number or
-    one per row, with the margin checked before (with the segment's kick) and after.
+def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
+    """Strang-split evolution of the rows of ``psi`` under H = p^2/2 - force*x (natural
+    units), ``force`` a number or one per row, with the margin checked before (with the
+    segment's kick) and after.
 
-    The n = ``steps_per_segment`` Strang steps of dt = tau/n are composed in closed form: the
-    exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
+    The n = ``spec.steps_per_segment`` Strang steps of dt = tau/n are composed in closed
+    form: the exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
     FFT[exp(i F tau x) psi](k), times the c-number exp(-i n F^2 dt^3 / 12) by which their
     product differs from it (docs/physics-notes.md). One fft/ifft pair per segment.
     """
+    if duration < 0.0:
+        raise ValueError("duration must be >= 0")
+    if duration == 0.0:
+        return psi
     force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
     _check_margin(psi, spec, kick=force[..., 0] * duration)
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
@@ -246,21 +251,6 @@ def _evolve_segment(psi: GridWavefunction, force, duration: float, spec: GridSpe
     out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(drift * np.fft.fft(kicked)))
     _check_margin(out, spec)
     return out
-
-
-def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
-    """Strang-split evolution under H = p^2/2 - force*x (natural units), in closed form.
-
-    ``force`` is a number or one per row of ``psi``. The result is the product of
-    ``spec.steps_per_segment`` Strang steps: the exact propagator times the c-number
-    splitting phase, so |psi|^2 is exact up to discretization and the phase is second
-    order in the step size.
-    """
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
-    if duration == 0.0:
-        return psi
-    return _evolve_segment(psi, force, duration, spec)
 
 
 def auto_grid(
@@ -311,50 +301,6 @@ def auto_grid(
     )
 
 
-def _flight(scaled: ScaledUnits, spec: GridSpec, spins, center, momentum, horizons):
-    """The rows' initial state, and per horizon the (duration, row accelerations) of each
-    segment from the last horizon up to it, after one momentum check of the whole flight."""
-    accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in spins]).T
-    # The whole flight's classical <p> is extreme at segment ends, and the packet's
-    # momentum width stays 1/2; check it once, so the advice covers every segment.
-    p_ends = [np.full(accelerations.shape[1], float(momentum))]
-    start = 0.0
-    for tau, a in zip(scaled.seg_times, accelerations):
-        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
-        start += tau
-    _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
-                    float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
-    packet = gaussian_packet(spec, center, momentum)
-    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
-    plan, t = [], 0.0
-    for horizon in horizons:
-        start, pieces = 0.0, []
-        for tau, a in zip(scaled.seg_times, accelerations):
-            pieces.append((min(start + tau, horizon) - max(start, t), a))
-            start += tau
-        plan.append(pieces)
-        t = horizon
-    return psi, plan
-
-
-def _evolve_flights(flights) -> list[list[GridWavefunction]]:
-    """Every flight ``(scaled, spec, spins, center, momentum, horizons)``, planned by
-    :func:`_flight` (so every momentum check runs before any grid work), with its rows
-    evolved piece by piece on its own grid. The flights share their number of horizons;
-    each flight's states at its horizons are returned, one list per flight.
-    """
-    planned = [_flight(*flight) for flight in flights]
-    states = [psi for psi, _ in planned]
-    out = [[] for _ in flights]
-    for pieces in zip(*(plan for _, plan in planned), strict=True):   # one horizon each
-        for i, (piece, (_, spec, *_)) in enumerate(zip(pieces, flights)):
-            for step, a in piece:
-                if step > 0.0:
-                    states[i] = _evolve_segment(states[i], a, step, spec)
-            out[i].append(states[i])
-    return out
-
-
 def evolve_branch_on_grid(
     scaled: ScaledUnits,
     spec: GridSpec,
@@ -366,16 +312,41 @@ def evolve_branch_on_grid(
     """Evolve spin branches through their (possibly truncated) flip sequences.
 
     ``spin`` is one spin (a one-branch state) or a tuple of spins, the rows
-    of one state. ``until`` is one horizon (default t3) or an ascending
-    sequence, for which the rows go forward once, each horizon resuming from
-    the state and time of the last, and the list of states is returned.
+    of one state, from a packet at ``center`` with ``momentum``. ``until`` is
+    one horizon in [0, t3] (default t3) or an ascending sequence, for which
+    the rows go forward once, each horizon resuming from the state and time
+    of the last, and the list of states is returned; each segment piece is
+    one :func:`split_step_evolve` call.
     """
     horizons = np.atleast_1d(scaled.total_time if until is None else until)
+    for horizon in horizons:
+        if not 0.0 <= horizon <= scaled.total_time:     # written so, NaN is refused too
+            raise ValueError(f"horizon {float(horizon)!r} outside the flight [0, {scaled.total_time!r}]")
     if np.any(np.diff(horizons) < 0.0):
         raise ValueError("horizons must ascend")
-    [states] = _evolve_flights([(scaled, spec, np.atleast_1d(spin), center, momentum, horizons)])
-    if not np.ndim(spin):
-        states = [GridWavefunction(psi.x, psi.amplitudes[0]) for psi in states]
+    accelerations = np.array([scaled.branch_accelerations(_spin_history(s))
+                              for s in np.atleast_1d(spin)]).T
+    # The whole flight's classical <p> is extreme at segment ends, and the packet's
+    # momentum width stays 1/2; check it once, so the advice covers every segment.
+    p_ends = [np.full(accelerations.shape[1], float(momentum))]
+    start = 0.0
+    for tau, a in zip(scaled.seg_times, accelerations):
+        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
+        start += tau
+    _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
+                    float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
+    packet = gaussian_packet(spec, center, momentum)
+    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
+    states, t = [], 0.0
+    for horizon in horizons:
+        start = 0.0
+        for tau, a in zip(scaled.seg_times, accelerations):
+            step = min(start + tau, horizon) - max(start, t)
+            if step > 0.0:
+                psi = split_step_evolve(psi, a, step, spec)
+            start += tau
+        states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
+        t = horizon
     return states if np.ndim(until) else states[0]
 
 
@@ -444,83 +415,71 @@ def oracle_compare(
     seq: PulseSequence,
     spec: GridSpec | None = None,
 ) -> OracleReport:
-    """Run the grid and the closed forms side by side and report the errors: the
-    one-set case of :func:`oracle_compare_sets`."""
-    return oracle_compare_sets([(params, seq, spec)])[0]
+    """Run the grid and the closed forms side by side and report the errors.
 
-
-def oracle_compare_sets(sets) -> list[OracleReport]:
-    """One :class:`OracleReport` per (params, seq, spec) in ``sets``, each on its own grid.
-
-    ``spec`` is the set's grid, None for ``auto_grid``. Each branch pair is evolved
-    once, as two rows of one flight of :func:`_evolve_flights`, and ``phase_grid`` is
+    ``spec`` is the grid, None for ``auto_grid``. The branch pair is evolved once,
+    as the two rows of :func:`evolve_branch_on_grid`, and ``phase_grid`` is
     -arg<psi_minus(t3)|psi_plus(t3)>. A balanced set is refused above
     ``MAX_ORACLE_PHASE`` before any grid work, must recombine (else
     :class:`ClosureError`), and has ``phase_grid`` unwrapped onto the 2 pi branch of
     phi_g; the sub-2pi residual is untouched.
     """
-    checked = []
-    for params, seq, spec in sets:
-        scaled = scale_params(params, seq)
-        balanced = bool(seq.is_balanced())
-        phase_analytic = gravitational_phase(params, seq) if balanced else None
-        if balanced and abs(phase_analytic) > MAX_ORACLE_PHASE:
-            raise ScaleError(
-                f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
-                "reduce the parameters to desk scale"
-            )
-        checked.append((params, seq, scaled, spec or auto_grid(scaled), balanced, phase_analytic))
-    flights = _evolve_flights([(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time])
-                               for _, _, scaled, spec, _, _ in checked])
-    reports = []
-    for [pair], (params, seq, scaled, spec, balanced, phase_analytic) in zip(flights, checked):
-        ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
-        if balanced and abs(ov_grid) < 0.99:
-            raise ClosureError(
-                f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
-            )
-        norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
+    scaled = scale_params(params, seq)
+    balanced = bool(seq.is_balanced())
+    phase_analytic = gravitational_phase(params, seq) if balanced else None
+    if balanced and abs(phase_analytic) > MAX_ORACLE_PHASE:
+        raise ScaleError(
+            f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
+            "reduce the parameters to desk scale"
+        )
+    spec = spec or auto_grid(scaled)
+    pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
+    ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+    if balanced and abs(ov_grid) < 0.99:
+        raise ClosureError(
+            f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
+        )
+    norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
 
-        final = evolve_sequence(params, seq, initial_state(params))
-        ov_analytic = branch_overlap(params, final)
+    final = evolve_sequence(params, seq, initial_state(params))
+    ov_analytic = branch_overlap(params, final)
 
-        # phases compared as a circular residual; unwrapping only picks the branch
-        phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
-                                         - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
+    # phases compared as a circular residual; unwrapping only picks the branch
+    phase_error = abs(math.remainder(math.atan2(ov_grid.imag, ov_grid.real)
+                                     - math.atan2(ov_analytic.imag, ov_analytic.real), 2.0 * math.pi))
 
-        phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
-        if balanced:
-            phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
-        else:
-            phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
-        splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
-                                    scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
+    phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
+    if balanced:
+        phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
+    else:
+        phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
+    splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
+                                scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
 
-        center_error = 0.0
-        width_error = 0.0
-        for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
-            x_cl = branch.center / scaled.length_unit
-            # natural momentum unit is hbar / sigma0
-            p_cl = branch.momentum * scaled.length_unit / HBAR
-            denom = max(1.0, abs(x_cl), abs(p_cl))
-            center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
-            sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
-            width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
+    center_error = 0.0
+    width_error = 0.0
+    for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+        x_cl = branch.center / scaled.length_unit
+        # natural momentum unit is hbar / sigma0
+        p_cl = branch.momentum * scaled.length_unit / HBAR
+        denom = max(1.0, abs(x_cl), abs(p_cl))
+        center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
+        sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
+        width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
 
-        reports.append(OracleReport(
-            phase_grid=phase_grid,
-            phase_analytic=phase_analytic,
-            phase_error=phase_error,
-            phase_residual=math.remainder(phase_grid - phase_analytic - splitting, 2.0 * math.pi),
-            center_error=center_error,
-            width_error=width_error,
-            overlap_grid=abs(ov_grid),
-            overlap_analytic=abs(ov_analytic),
-            overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
-            norm_drift=norm_drift,
-            balanced=balanced,
-        ))
-    return reports
+    return OracleReport(
+        phase_grid=phase_grid,
+        phase_analytic=phase_analytic,
+        phase_error=phase_error,
+        phase_residual=math.remainder(phase_grid - phase_analytic - splitting, 2.0 * math.pi),
+        center_error=center_error,
+        width_error=width_error,
+        overlap_grid=abs(ov_grid),
+        overlap_analytic=abs(ov_analytic),
+        overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
+        norm_drift=norm_drift,
+        balanced=balanced,
+    )
 
 
 def oracle_phase(
@@ -558,8 +517,9 @@ def snapshot_frames(
         spec = auto_grid(scaled, 2048, 1)
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
-    states = evolve_branch_on_grid(scaled, spec, (+1, -1),
-                                   until=[fractions[i] * t3 / scaled.time_unit for i in order])
+    # f t3 / time_unit can round an ulp past total_time; capping it drops no piece
+    states = evolve_branch_on_grid(scaled, spec, (+1, -1), until=[
+        min(fractions[i] * t3 / scaled.time_unit, scaled.total_time) for i in order])
     frames = [None] * len(fractions)
     for i, pair in zip(order, states):
         prob = np.abs(pair.amplitudes) ** 2 / scaled.length_unit

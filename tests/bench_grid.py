@@ -10,11 +10,11 @@ library's own default grids: ``auto_grid`` sizes ``n_points`` from the peak
 branch momentum (256 points here) with 1200 Strang steps per segment, and
 ``snapshot_frames`` takes 2048 frame points and one step per segment. Each
 segment is one closed-form propagator call, whatever its step count.
-``test_certify_lockstep`` runs the three ``certify`` desk pairs through
-their whole flights in one ``_evolve_flights`` call, in-process. The two
-end-to-end cases run a CLI command in a fresh interpreter, as
-the benchmark's ``oracle`` workload does. ``BENCH_grid.json`` keeps the
-measured trajectory of these cases.
+``test_certify_sets`` makes the three ``oracle_compare`` calls that
+``certify`` makes, one per desk set, in-process. The two end-to-end cases
+run a CLI command in a fresh interpreter, as the benchmark's ``oracle``
+workload does. ``BENCH_grid.json`` keeps the measured trajectory of these
+cases.
 """
 import subprocess
 import sys
@@ -25,7 +25,6 @@ import pytest
 
 from nanoramsey.grid import (
     CERTIFY_DESK,
-    _evolve_flights,
     auto_grid,
     desk_scale_params,
     evolve_branch_on_grid,
@@ -60,14 +59,11 @@ def test_paired_evolution(benchmark, desk_grid):
                        rounds=5, iterations=1, warmup_rounds=1)
 
 
-def test_certify_lockstep(benchmark):
-    """The (+, -) pairs of the three ``certify`` desk sets through one flight executor call."""
-    flights = []
-    for desk_set in CERTIFY_DESK.values():
-        scaled = scale_params(*desk_scale_params(*desk_set))
-        flights.append((scaled, auto_grid(scaled), (+1, -1), 0.0, 0.0, [scaled.total_time]))
-    benchmark.pedantic(_evolve_flights, args=(flights,), rounds=5, iterations=1,
-                       warmup_rounds=1)
+def test_certify_sets(benchmark):
+    """The three ``oracle_compare`` calls of ``certify``, one per desk set."""
+    desk_sets = [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK.values()]
+    benchmark.pedantic(lambda: [oracle_compare(params, seq) for params, seq in desk_sets],
+                       rounds=5, iterations=1, warmup_rounds=1)
 
 
 def test_oracle_compare(benchmark, desk_grid):

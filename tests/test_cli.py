@@ -7,10 +7,11 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import paper_config_text
-from nanoramsey import cli
+from nanoramsey import cli, grid
 from nanoramsey.decoherence import MAX_SEPARATIONS
 
 SWEEP_ARGS = ["--param", "theta", "--start", "0.0", "--stop", "1.5", "--count", "7"]
@@ -114,6 +115,26 @@ class TestExitCodes:
         assert "  closure  |overlap| 0.711609  (unbalanced flight: closure not required)" in out
         assert out.endswith("certification: PASS\n")
 
+    def test_certify_closure_failure_is_numerical_failure(self, capsys, monkeypatch):
+        """The middle desk set's pair fails to recombine; its neighbours close."""
+        evolve = grid.evolve_branch_on_grid
+        calls = []
+
+        def broken_middle(*args, **kwargs):
+            pair = evolve(*args, **kwargs)
+            calls.append(args)
+            if len(calls) == 2:
+                amps = pair.amplitudes.copy()
+                amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
+                pair = grid.GridWavefunction(pair.x, amps)
+            return pair
+
+        monkeypatch.setattr(grid, "evolve_branch_on_grid", broken_middle)
+        assert cli.main(["certify"]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert len(calls) == 2 and out == ""
+        assert err.startswith("numerical failure: balanced sequence failed to recombine")
+        assert err.count("\n") == 1
 
 
 def write_config(tmp_path, **overrides) -> str:

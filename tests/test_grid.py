@@ -30,7 +30,6 @@ from nanoramsey.grid import (
     evolve_branch_on_grid,
     gaussian_packet,
     oracle_compare,
-    oracle_compare_sets,
     oracle_phase,
     scale_params,
     snapshot_frames,
@@ -314,11 +313,36 @@ class TestOracleCompare:
         assert not replace(report, overlap_grid=grid.CLOSURE_MIN - 1e-6).closure_ok
         assert replace(report, overlap_grid=0.5, balanced=False).closure_ok
 
-    def test_oracle_phase_band_refused_before_grid_work(self):
+    def test_oracle_phase_band_refused_before_grid_work(self, monkeypatch):
         # phi ~ 2000 rad: under MAX_SCALED_PHASE, over MAX_ORACLE_PHASE
+        calls = []
+        monkeypatch.setattr(grid, "evolve_branch_on_grid", lambda *args, **kwargs: calls.append(args))
         params, seq = desk_scale_params(a_spin=10.0, a_gravity=10.0, tau_scaled=6.84)
         with pytest.raises(ScaleError, match="desk scale"):
             oracle_compare(params, seq)
+        assert calls == []
+
+    def test_pair_that_fails_to_recombine_refused(self, desk, monkeypatch):
+        def broken(*args, **kwargs):
+            pair = evolve_branch_on_grid(*args, **kwargs)
+            amps = pair.amplitudes.copy()
+            amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
+            return grid.GridWavefunction(pair.x, amps)
+
+        monkeypatch.setattr(grid, "evolve_branch_on_grid", broken)
+        with pytest.raises(ClosureError, match="failed to recombine"):
+            oracle_compare(*desk)
+
+    @pytest.mark.parametrize("until", [12.0, math.nan, -1.0], ids=["2t3", "nan", "negative"])
+    def test_horizon_outside_the_flight_refused(self, desk, until):
+        """``evolve_sequence(until=...)``, the closed form the grid certifies, refuses these too."""
+        params, seq = desk
+        scaled = scale_params(params, seq)
+        assert scaled.total_time == 6.0
+        with pytest.raises(ValueError, match="until must lie"):
+            evolve_sequence(params, seq, initial_state(params), until=until * scaled.time_unit)
+        with pytest.raises(ValueError, match=re.escape(f"horizon {until!r} outside the flight [0, 6.0]")):
+            evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1), until=[1.0, until])
 
     def test_zero_force_machine_level(self):
         params, seq = desk_scale_params(a_spin=0.0, a_gravity=0.0)
@@ -352,78 +376,6 @@ class TestOracleCompare:
         report = oracle_compare(params, seq)
         text = "\n".join(report.lines())
         assert "phase" in text and "pass" in text
-
-
-class TestLockstep:
-    """The three certify desk sets in one call: each set keeps its own grid, its own
-    factors and its own guards, and its rows are those of a run of its own."""
-
-    @pytest.fixture(scope="class")
-    def desk_sets(self):
-        return [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK.values()]
-
-    @pytest.fixture(scope="class")
-    def desk_runs(self, desk_sets):
-        return [(scaled, auto_grid(scaled)) for scaled in (scale_params(*s) for s in desk_sets)]
-
-    @staticmethod
-    def pair_flights(runs):
-        return [(scaled, spec, (+1, -1), 0.0, 0.0, [scaled.total_time]) for scaled, spec in runs]
-
-    def test_rows_match_strang_reference(self, desk_runs):
-        assert {(spec.n_points, spec.steps_per_segment) for _, spec in desk_runs} == {(256, 1200)}
-        assert len({spec.dx for _, spec in desk_runs}) == 3
-        flights = grid._evolve_flights(self.pair_flights(desk_runs))
-        for (scaled, spec), [pair] in zip(desk_runs, flights):
-            ref = flight_reference(scaled, spec).amplitudes
-            assert np.max(np.abs(pair.amplitudes - ref)) < 1e-12
-            alone = evolve_branch_on_grid(scaled, spec, (+1, -1)).amplitudes
-            assert np.array_equal(alone.view(np.int64), pair.amplitudes.view(np.int64))
-
-    def test_reports_equal_one_set_reports(self, desk_sets):
-        reports = oracle_compare_sets([(params, seq, None) for params, seq in desk_sets])
-        assert reports == [oracle_compare(params, seq) for params, seq in desk_sets]
-        assert all(report.passed for report in reports)
-
-    @pytest.mark.parametrize("field, value", [("n_points", 512), ("steps_per_segment", 600)])
-    def test_mixed_grids_report_as_one_set_runs(self, desk_sets, desk_runs, field, value):
-        """A set on a grid of its own size or step count shares the call with the others."""
-        (_, spec), *_ = desk_runs
-        (params, seq), *others = desk_sets
-        sets = [(params, seq, replace(spec, **{field: value})), *((p, s, None) for p, s in others)]
-        reports = oracle_compare_sets(sets)
-        assert reports == [oracle_compare(*one_set) for one_set in sets]
-        assert all(report.passed for report in reports)
-
-    def test_unequal_horizon_counts_refused(self, desk_runs):
-        (scaled, spec), (scaled_b, spec_b), _ = desk_runs
-        with pytest.raises(ValueError):
-            grid._evolve_flights([(scaled, spec, (+1, -1), 0.0, 0.0, [0.0]),
-                                  (scaled_b, spec_b, (+1, -1), 0.0, 0.0, [0.0, 0.0])])
-
-    def test_phase_band_refused_before_grid_work(self, desk_sets, monkeypatch):
-        calls = []
-        monkeypatch.setattr(grid, "_evolve_flights", lambda flights: calls.append(flights) or [])
-        band = desk_scale_params(a_spin=10.0, a_gravity=10.0, tau_scaled=6.84)   # phi ~ 2000 rad
-        with pytest.raises(ScaleError, match="desk scale"):
-            oracle_compare_sets([(params, seq, None) for params, seq in [*desk_sets, band]])
-        assert calls == []
-
-    def test_closure_checked_per_set(self, desk_sets, monkeypatch):
-        """A middle set whose pair fails to recombine raises, though its neighbours close."""
-        lockstep = grid._evolve_flights
-
-        def broken_middle(flights):
-            states = lockstep(flights)
-            [pair] = states[1]
-            amps = pair.amplitudes.copy()
-            amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
-            states[1] = [grid.GridWavefunction(pair.x, amps)]
-            return states
-
-        monkeypatch.setattr(grid, "_evolve_flights", broken_middle)
-        with pytest.raises(ClosureError, match="failed to recombine"):
-            oracle_compare_sets([(params, seq, None) for params, seq in desk_sets])
 
 
 class TestSplittingPhase:
@@ -520,6 +472,25 @@ class TestStrangReference:
         scaled = scale_params(*desk_scale_params(*desk_set))
         self.assert_matches(scaled, auto_grid(scaled), (+1, -1))
 
+    def test_rows_match_strang_reference(self, monkeypatch):
+        """The rows ``oracle_compare`` evolves for the three certify desk sets, each on its own
+        default grid (256 points, 1200 steps, three spacings), match the Strang loop."""
+        evolved = []
+
+        def recording(*args, **kwargs):
+            evolved.append((args, evolve_branch_on_grid(*args, **kwargs)))
+            return evolved[-1][1]
+
+        monkeypatch.setattr(grid, "evolve_branch_on_grid", recording)
+        for desk_set in CERTIFY_DESK.values():
+            oracle_compare(*desk_scale_params(*desk_set))
+        specs = [spec for (_, spec, _), _ in evolved]
+        assert {(spec.n_points, spec.steps_per_segment) for spec in specs} == {(256, 1200)}
+        assert len({spec.dx for spec in specs}) == 3
+        for (scaled, spec, spins), pair in evolved:
+            assert spins == (+1, -1)
+            assert np.max(np.abs(pair.amplitudes - flight_reference(scaled, spec).amplitudes)) < 1e-12
+
     def test_jittered_set(self):
         params, seq0 = desk_scale_params()
         scaled = scale_params(params, replace(seq0, jitter=(0.02 * seq0.t3, 0.0, 0.0)))
@@ -601,6 +572,17 @@ class TestSnapshots:
                 ref = np.abs(reference_branch(scaled, spec, spin, until).amplitudes) ** 2
                 ref /= scaled.length_unit
                 assert np.max(np.abs(prob - ref)) < 1e-10 * ref.max()
+
+    def test_last_frame_where_t3_rounds_past_the_flight(self):
+        """t3 / time_unit one ulp above the sum of the scaled segments: the frame at t3 is
+        the state at the end of the flight."""
+        params, seq0 = desk_scale_params(omega=2.9)
+        seq = replace(seq0, jitter=(0.01 * seq0.t3, 0.0, 0.0))
+        scaled = scale_params(params, seq)
+        assert seq.effective_times()[2] / scaled.time_unit > scaled.total_time
+        [(_, _, prob_p, prob_m)] = snapshot_frames(params, seq, [1.0])
+        final = evolve_branch_on_grid(scaled, auto_grid(scaled, 2048, 1), (+1, -1))
+        assert np.array_equal(np.abs(final.amplitudes) ** 2 / scaled.length_unit, [prob_p, prob_m])
 
     @pytest.mark.parametrize("case", ["snapshot", (2.0, 0.05, 8.0), (6.0, 0.2, 8.0)])
     def test_default_frames_match_strang_reference(self, case):
