@@ -378,6 +378,27 @@ class TestOracleCompare:
         assert "phase" in text and "pass" in text
 
 
+class TestLockstep:
+    """Certify's sets run in turn, one ``oracle_compare`` each, and each keeps its own guards."""
+
+    def test_phase_band_refused_before_grid_work(self, monkeypatch):
+        """A band set after the three desk sets is refused without a grid call of its own."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evolve_branch_on_grid(*args, **kwargs)
+
+        monkeypatch.setattr(grid, "evolve_branch_on_grid", counting)
+        desk_sets = [desk_scale_params(*desk_set) for desk_set in CERTIFY_DESK.values()]
+        assert all(oracle_compare(params, seq).passed for params, seq in desk_sets)
+        assert len(calls) == len(desk_sets)
+        band = desk_scale_params(a_spin=10.0, a_gravity=10.0, tau_scaled=6.84)   # phi ~ 2000 rad
+        with pytest.raises(ScaleError, match="desk scale"):
+            oracle_compare(*band)
+        assert len(calls) == len(desk_sets)
+
+
 class TestSplittingPhase:
     """Grid phase = closed form + splitting_phase, to rounding: the splitting error of a
     linear potential is a known c-number, so it is no tolerance but a prediction."""
