@@ -1,10 +1,10 @@
 """Command-line frontend.
 
-Subcommands: sweep, fringe (sweep with fixed columns), visibility, certify,
-budget, dicke, dump-snapshots. Outputs are deterministic (12-significant-digit
-scientific CSV, or the JSON mirror with config hash and version); the CLI never
-computes anything itself, it formats library results. Exit codes: 0 success,
-1 validation or usage error, 2 numerical or certification failure.
+Subcommands: sweep, visibility, certify, budget, dicke, dump-snapshots. Outputs
+are deterministic (12-significant-digit scientific CSV, or the JSON mirror with
+config hash and version); the CLI never computes anything itself, it formats
+library results. Exit codes: 0 success, 1 validation or usage error, 2 numerical
+or certification failure.
 """
 from __future__ import annotations
 
@@ -196,7 +196,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"unknown output column(s): {', '.join(bad)}")
     header = ["param_value", *outputs]
     rows = _sweep_rows(cfg, args.param, _sweep_values(args), outputs)
-    meta = _metadata(args.command, text, args.seed)
+    meta = _metadata("sweep", text, args.seed)
     meta["swept_parameter"] = args.param
     _write(args, json_table(header, rows, meta) if args.format == "json"
            else csv_text(header, rows))
@@ -241,9 +241,9 @@ def _cmd_visibility(args) -> int:
 def _cmd_certify(args) -> int:
     if args.config:
         params, seq, _, _ = _load_config(args.config)
-        runs = {"config": (params, seq, None)}
+        runs = {"config": (params, seq)}
     else:
-        runs = {label: (*desk_scale_params(*desk_set), None) for label, desk_set in CERTIFY_DESK.items()}
+        runs = {label: desk_scale_params(*desk_set) for label, desk_set in CERTIFY_DESK.items()}
     all_ok = True
     lines = []
     reports = [oracle_compare(*run) for run in runs.values()]
@@ -325,15 +325,6 @@ def _add_common(sub):
                      help="integer recorded in the JSON metadata; no command samples, so it moves no number")
 
 
-def _add_sweep_flags(sub):
-    sub.add_argument("--param", required=True, help=f"one of: {', '.join(SWEEPABLE)}")
-    sub.add_argument("--values", default=None, help="comma-separated explicit values")
-    sub.add_argument("--start", type=float, default=None)
-    sub.add_argument("--stop", type=float, default=None)
-    sub.add_argument("--count", type=int, default=0)
-    sub.add_argument("--log", action="store_true", help="logarithmic range spacing")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_VALIDATION; exit 2 means a numerical failure."""
 
@@ -356,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("fringe", help="phase/probability fringe over theta or t3")
-    _add_common(p)
-    _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_sweep, outputs="phi_g_rad,p0,delta_x_max_m")
-
     p = subs.add_parser("sweep", help="general parameter sweep with selectable outputs")
     _add_common(p)
-    _add_sweep_flags(p)
+    p.add_argument("--param", required=True, help=f"one of: {', '.join(SWEEPABLE)}")
+    p.add_argument("--values", default=None, help="comma-separated explicit values")
+    p.add_argument("--start", type=float, default=None)
+    p.add_argument("--stop", type=float, default=None)
+    p.add_argument("--count", type=int, default=0)
+    p.add_argument("--log", action="store_true", help="logarithmic range spacing")
     p.add_argument("--outputs", default=",".join(OUTPUT_COLUMNS),
                    help=f"comma list from: {', '.join(OUTPUT_COLUMNS)}")
     p.set_defaults(func=_cmd_sweep)

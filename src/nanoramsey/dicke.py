@@ -11,8 +11,8 @@ balanced sequence and the final spin state picks up sector phases.
 ``collective_final_state`` carries the idealized linear phase table
 phase(M) = M * phi_g, whose refactorization target is the product state
 ((|+1> + exp(-2 i phi_g)|-1>)/sqrt(2))^(x l). The exact sector phase is the
-action phase of ``evolve_sequence`` with both branches on spin M. Besides
-the linear term of slope -phi_g/2 it holds a real quadratic
+action phase of a packet that starts in sector M, which each flip maps to -M.
+Besides the linear term of slope -phi_g/2 it holds a real quadratic
 (one-axis-twisting) term from the spin-dependent kinetic energy, whose
 coefficient :func:`sector_phase_quadratic_coefficient` gives. The grid oracle
 certifies the quadratic term, so the linear table is an idealization, not

@@ -181,19 +181,12 @@ def _relative_segments(params: ExperimentParams, seq: PulseSequence):
 
 
 def separation_at(params: ExperimentParams, seq: PulseSequence, t: float) -> float:
-    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3.
-    Over an array of times the segments are walked once, and each time takes
-    the last segment that starts at or before it."""
+    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3,
+    from the last segment that starts at or before t."""
     t3 = seq.effective_times()[2]
-    inside = (0.0 <= t) & (t <= t3)
-    if not all_of(inside):
-        raise ValueError(f"time {first(np.logical_not(inside), t)} outside the flight [0.0, {t3}]")
-    segments = _relative_segments(params, seq)
-    start, _, dx0, dv0, da = segments[0]
-    for seg in segments[1:]:
-        later = seg[0] <= t
-        start, dx0, dv0, da = (where(later, new, old) for new, old
-                               in zip((seg[0], *seg[2:]), (start, dx0, dv0, da)))
+    if not 0.0 <= t <= t3:      # written so, NaN is refused too
+        raise ValueError(f"time {t} outside the flight [0.0, {t3}]")
+    start, _, dx0, dv0, da = [seg for seg in _relative_segments(params, seq) if seg[0] <= t][-1]
     dt = t - start
     return dx0 + dv0 * dt + 0.5 * da * dt * dt
 
@@ -202,13 +195,12 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
     """Peak |x_plus - x_minus| over the whole flight (m).
 
     For a balanced sequence this is the closed form 2*(|A|/m)*(t3/4)^2,
-    reached at t3/2. Any other sequence falls back to the exact maximum of
-    the piecewise-quadratic separation, evaluated segment by segment. Over
-    arrays each point takes its own route.
+    reached at t3/2. Any other sequence, and an array of sequences not all
+    balanced, takes the exact maximum of the piecewise-quadratic separation,
+    evaluated segment by segment.
     """
-    balanced = seq.is_balanced()
-    if all_of(balanced):
-        return _balanced_separation(params, seq)
+    if all_of(seq.is_balanced()):
+        return 2.0 * (abs(params.spin_coupling()) / params.mass) * power(seq.t3 / 4.0, 2)
     best = 0.0
     for _, tau, dx0, dv0, da in _relative_segments(params, seq):
         has_vertex = da != 0.0
@@ -217,14 +209,7 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
         for tc, candidate in ((0.0, True), (tau, True), (t_vertex, inside)):
             sep = abs(dx0 + dv0 * tc + 0.5 * da * tc * tc)
             best = where(candidate & (sep > best), sep, best)
-    if any_of(balanced):
-        return np.where(balanced, _balanced_separation(params, seq), best)
     return best
-
-
-def _balanced_separation(params: ExperimentParams, seq: PulseSequence):
-    a = abs(params.spin_coupling()) / params.mass
-    return 2.0 * a * power(seq.t3 / 4.0, 2)
 
 
 # -- interferometric phase ----------------------------------------------------
@@ -268,42 +253,15 @@ def initial_state(params: ExperimentParams, x0: float = 0.0, p0: float = 0.0) ->
     return CompositeState(plus_branch=packet, minus_branch=packet)
 
 
-def evolve_sequence(
-    params: ExperimentParams,
-    seq: PulseSequence,
-    initial: CompositeState,
-    spins: tuple[int, int] = (SpinBranch.PLUS, SpinBranch.MINUS),
-    until: float | None = None,
-) -> CompositeState:
-    """Evolve both branches through the flip sequence (exact closed forms).
-
-    ``spins`` selects the initial spin of the (plus, minus) branches, which
-    allows the kinetic-energy variant that superposes spin 0 with spin +1.
-    ``until`` truncates the evolution at an intermediate time, exposing the
-    mid-flight delocalized state. Over array sequences, a point whose
-    horizon falls before a segment sits that segment out.
-    """
+def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: CompositeState) -> CompositeState:
+    """Evolve both branches through the flip sequence to t3 (exact closed forms):
+    the plus branch starts on spin +1, the minus branch on spin -1."""
     if any_of(initial.plus_branch.sigma0 != initial.minus_branch.sigma0):
         raise ValueError("branches must share sigma0")
-    e1, e2, e3 = seq.effective_times()
-    horizon = e3 if until is None else float(until)
-    ok = (0.0 <= horizon) & (horizon <= e3)
-    if not all_of(ok):
-        raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
-    m = params.mass
-    edges = [0.0, e1, e2, e3]
-    if until is not None:
-        edges = [where(horizon < e, horizon, e) for e in edges]     # min(e, horizon)
     branches = []
-    for branch, spin in zip((initial.plus_branch, initial.minus_branch), spins):
-        state = branch
-        for k, s in enumerate(_spin_history(int(spin))):
-            start, stop = edges[k], edges[k + 1]
-            idle = stop <= start
-            if all_of(idle):
-                break
-            state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
-                                  m, HBAR)
+    for state, spin in ((initial.plus_branch, SpinBranch.PLUS), (initial.minus_branch, SpinBranch.MINUS)):
+        for tau, s in zip(seq.segment_durations(), _spin_history(spin)):
+            state = state.evolved(branch_force(params, s), tau, params.mass, HBAR)
         branches.append(state)
     bad = np.logical_not(np.isfinite(branches[0].action_phase) & np.isfinite(branches[1].action_phase))
     if any_of(bad):     # an action that overflows leaves the overlap phase inf - inf = NaN

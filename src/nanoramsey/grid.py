@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, MU_BOHR
+from .constants import DEFAULT_G_NV, HBAR, MU_BOHR
 from .dynamics import (
     PulseSequence,
     _spin_history,
@@ -210,18 +210,18 @@ def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
         )
 
 
-def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float = GUARD_SIGMAS):
-    """Keep every row ``sigmas`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
+def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0):
+    """Keep every row ``GUARD_SIGMAS`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
     then inside the domain in x (aliased momentum would garble the x moments)."""
     xb, pb, width, pwidth = psi.moments()
-    _check_momentum(float(np.min(np.minimum(pb, pb + kick) - sigmas * pwidth)),
-                    float(np.max(np.maximum(pb, pb + kick) + sigmas * pwidth)), spec)
-    lo, hi = float(np.min(xb - sigmas * width)), float(np.max(xb + sigmas * width))
+    _check_momentum(float(np.min(np.minimum(pb, pb + kick) - GUARD_SIGMAS * pwidth)),
+                    float(np.max(np.maximum(pb, pb + kick) + GUARD_SIGMAS * pwidth)), spec)
+    lo, hi = float(np.min(xb - GUARD_SIGMAS * width)), float(np.max(xb + GUARD_SIGMAS * width))
     if lo < spec.x_min or hi > spec.x_max:
         need = max(spec.x_max - lo if lo < spec.x_min else 0.0,
                    hi - spec.x_min if hi > spec.x_max else 0.0)
         raise GridBoundaryError(
-            f"packet within {sigmas} sigma of the grid edge "
+            f"packet within {GUARD_SIGMAS} sigma of the grid edge "
             f"(support [{lo:.2f}, {hi:.2f}] vs domain [{spec.x_min:.2f}, {spec.x_max:.2f}]); "
             f"enlarge the domain to at least half-width {0.5 * need:.2f} beyond the current edges"
         )
@@ -229,18 +229,16 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0, sigmas: float
 
 def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
     """Strang-split evolution of the rows of ``psi`` under H = p^2/2 - force*x (natural
-    units), ``force`` a number or one per row, with the margin checked before (with the
-    segment's kick) and after.
+    units) for a ``duration`` > 0, ``force`` a number or one per row, with the margin
+    checked before (with the segment's kick) and after.
 
     The n = ``spec.steps_per_segment`` Strang steps of dt = tau/n are composed in closed
     form: the exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
     FFT[exp(i F tau x) psi](k), times the c-number exp(-i n F^2 dt^3 / 12) by which their
     product differs from it (docs/physics-notes.md). One fft/ifft pair per segment.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
-    if duration == 0.0:
-        return psi
+    if not duration > 0.0:      # written so, NaN is refused too
+        raise ValueError(f"duration must be > 0, got {duration!r}")
     force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
     _check_margin(psi, spec, kick=force[..., 0] * duration)
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
@@ -541,12 +539,12 @@ def desk_scale_params(
     tau_scaled: float = 6.0,
     omega: float = 1.0,
     mass: float = 1.0e-24,
-    g_nv: float = 2.0028,
 ) -> tuple[ExperimentParams, PulseSequence]:
     """SI parameter set engineered to land on given natural-unit targets.
 
     ``a_spin`` and ``a_gravity`` are the dimensionless spin and gravity
-    accelerations, ``tau_scaled`` the dimensionless flight time; the
+    accelerations, ``tau_scaled`` the dimensionless flight time, at the
+    default Lande factor ``DEFAULT_G_NV``; the
     analytic phase is a_spin * a_gravity * tau_scaled^3 / 16. The effective
     gravity is dialed through ``g_earth``, which must stay positive, so
     ``a_gravity = 0`` tilts the axis perpendicular to one unit of gravity
@@ -556,7 +554,7 @@ def desk_scale_params(
     sigma0 = math.sqrt(HBAR / (2.0 * mass * omega))
     time_unit = 1.0 / (2.0 * omega)
     accel_unit = sigma0 / time_unit**2
-    b_gradient = a_spin * accel_unit * mass / (g_nv * MU_BOHR)
+    b_gradient = a_spin * accel_unit * mass / (DEFAULT_G_NV * MU_BOHR)
     g_earth = (a_gravity or 1.0) * accel_unit
     if not all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (g_earth, mass * g_earth)):
         raise ValueError(f"a_gravity = {a_gravity!r} takes g_earth or m g_earth out of the normal floats")
@@ -571,7 +569,6 @@ def desk_scale_params(
         t_internal=300.0,
         t_environment=300.0,
         t_cm=1.0e-3,
-        g_nv=g_nv,
         radius=1.0e-7,
         g_earth=g_earth,
     )

@@ -22,13 +22,16 @@ The column-wise table emitters are checked byte for byte against
 ``csv_text_reference`` and ``json_table_reference``, which call ``fmt`` once
 per cell and let the json module lay out the document.
 
-Three compositions of package routines that no command runs live here too,
+Four compositions of package routines that no command runs live here too,
 beside the claims the tests make with them; unlike the routes above, they
-call the code under test. ``separation_time_integral`` sums the separation
-pieces of ``dynamics._relative_segments``; ``dephasing_exposures`` returns
-the peak-separation exposure that the visibility surface takes and the
+call the code under test. ``evolve_branches`` walks a branch pair with any
+initial spins to any horizon through ``GaussianBranchState.evolved``, and at
+its defaults equals ``evolve_sequence`` bit for bit;
+``separation_time_integral`` sums the separation pieces of
+``dynamics._relative_segments``; ``dephasing_exposures`` returns the
+peak-separation exposure that the visibility surface takes and the
 time-resolved one it bounds; ``sector_action_phases`` runs
-``evolve_sequence`` once per Dicke sector.
+``evolve_branches`` once per Dicke sector.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from nanoramsey.decoherence import (
     localization_rate_profile,
 )
 from nanoramsey.dynamics import (
+    CompositeState,
     PulseSequence,
     _spin_history,
     branch_overlap,
@@ -58,11 +62,46 @@ from nanoramsey.dynamics import (
     initial_state,
     max_separation,
     ramsey_probability,
-    separation_at,
 )
 from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
 from nanoramsey.io import fmt
-from nanoramsey.params import ConfigError, branch_force, build_params, number, power
+from nanoramsey.params import (
+    ConfigError,
+    all_of,
+    branch_force,
+    build_params,
+    first,
+    number,
+    power,
+    where,
+)
+
+
+def evolve_branches(params, seq, initial, spins=(1, -1), until=None):
+    """The (plus, minus) branches of ``initial`` from initial spins ``spins`` through
+    the flip sequence, to t3 or to the horizon ``until`` in [0, t3].
+
+    Spin 0 is the kinetic variant that superposes spin 0 with spin +-1, and
+    ``until`` exposes the mid-flight delocalized state. Over array sequences, a
+    point whose horizon falls before a segment sits that segment out.
+    """
+    e1, e2, e3 = seq.effective_times()
+    horizon = e3 if until is None else float(until)
+    ok = (0.0 <= horizon) & (horizon <= e3)
+    if not all_of(ok):
+        raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
+    edges = [where(horizon < e, horizon, e) for e in (0.0, e1, e2, e3)]     # min(e, horizon)
+    branches = []
+    for state, spin in zip((initial.plus_branch, initial.minus_branch), spins):
+        for k, s in enumerate(_spin_history(spin)):
+            start, stop = edges[k], edges[k + 1]
+            idle = stop <= start
+            if all_of(idle):
+                break
+            state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
+                                  params.mass, HBAR)
+        branches.append(state)
+    return CompositeState(*branches)
 
 
 def _force_of_time(params, seq, initial_spin):
@@ -338,7 +377,11 @@ def dephasing_exposures(params, seq, channels):
     refined = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         nodes, weights = gauss_nodes(a, b, TIME_NODES)
-        seps = np.abs(separation_at(params, seq, nodes))
+        # the piece lies inside one segment: the last that starts before its midpoint
+        start, _, dx0, dv0, da = [seg for seg in dynamics._relative_segments(params, seq)
+                                  if seg[0] <= 0.5 * (a + b)][-1]
+        dt = nodes - start
+        seps = np.abs(dx0 + dv0 * dt + 0.5 * da * dt * dt)
         rates = localization_rate_profile(channels, seps)
         refined += float(np.dot(rates, weights))
     return bound, refined
@@ -576,14 +619,14 @@ MAX_BRUTE_FORCE_L = 12
 def sector_action_phases(params, seq, l: int):
     """Exact per-sector action phases: a list of (M, S_M/hbar), M = -l, -l + 2, ..., l.
 
-    Sector M is ``evolve_sequence`` with both branches on spin M; the global
+    Sector M is ``evolve_branches`` with both branches on spin M; the global
     phase is included. The dependence on M is quadratic: a linear part of
     slope -phi_g/2 plus ``sector_phase_quadratic_coefficient`` * M^2.
     """
     out = []
     for n in range(l + 1):
         mv = 2 * n - l
-        final = evolve_sequence(params, seq, initial_state(params), spins=(mv, mv))
+        final = evolve_branches(params, seq, initial_state(params), spins=(mv, mv))
         out.append((mv, final.plus_branch.action_phase))
     return out
 

@@ -35,26 +35,6 @@ def usage_exit(*argv):
     return excinfo.value.code
 
 
-class TestFringeIsSweep:
-    def test_csv_byte_identical(self, capsys, config):
-        rc_f, fringe = run(capsys, "fringe", "--config", config, *SWEEP_ARGS)
-        rc_s, sweep = run(capsys, "sweep", "--config", config, *SWEEP_ARGS,
-                          "--outputs", "phi_g_rad,p0,delta_x_max_m")
-        assert rc_f == rc_s == cli.EXIT_OK
-        assert fringe == sweep
-        assert fringe.splitlines()[0] == "param_value,phi_g_rad,p0,delta_x_max_m"
-        assert len(fringe.splitlines()) == 8
-
-    def test_json_differs_only_in_command(self, capsys, config):
-        _, fringe = run(capsys, "fringe", "--config", config, *SWEEP_ARGS, "--format", "json")
-        _, sweep = run(capsys, "sweep", "--config", config, *SWEEP_ARGS, "--format", "json",
-                       "--outputs", "phi_g_rad,p0,delta_x_max_m")
-        fringe, sweep = json.loads(fringe), json.loads(sweep)
-        assert fringe["metadata"].pop("command") == "fringe"
-        assert sweep["metadata"].pop("command") == "sweep"
-        assert fringe == sweep
-
-
 class TestExitCodes:
     def test_success(self, capsys, config):
         rc, out = run(capsys, "sweep", "--config", config, *SWEEP_ARGS)

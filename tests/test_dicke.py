@@ -10,10 +10,11 @@ from nanoramsey.dicke import (
     sector_phase_quadratic_coefficient,
     sector_table,
 )
-from nanoramsey.dynamics import evolve_sequence, gravitational_phase, initial_state
+from nanoramsey.dynamics import gravitational_phase, initial_state
 from nanoramsey.grid import desk_scale_params
 from oracles import (
     dicke_state_vector,
+    evolve_branches,
     integrate_trajectory,
     numeric_action,
     reconstruct_spin_state,
@@ -29,12 +30,12 @@ DESK_SETS = [(0.35, 0.15), (0.6, 0.15), (0.4, 0.3)]
 class TestCollectiveTrajectory:
     @pytest.mark.parametrize("m_value", [2, -2, 3, -3])
     def test_matches_verlet_oracle(self, paper_params, paper_seq, m_value):
-        """Sector M feels M*A - C, so evolve_sequence covers it directly."""
+        """Sector M feels M*A - C, so the branch walker covers it directly."""
         start = initial_state(paper_params, 1e-9, 1e-24)
         ts, xs, vs = integrate_trajectory(paper_params, paper_seq, m_value, 1e-9, 1e-24)
         for frac in (0.25, 0.5, 0.9, 1.0):
             idx = int(np.argmin(np.abs(ts - paper_seq.t3 * frac)))
-            branch = evolve_sequence(paper_params, paper_seq, start, spins=(m_value, m_value),
+            branch = evolve_branches(paper_params, paper_seq, start, spins=(m_value, m_value),
                                      until=ts[idx]).plus_branch
             x_cl, p_cl = branch.center, branch.momentum
             assert x_cl == pytest.approx(xs[idx], rel=1e-9)

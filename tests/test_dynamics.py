@@ -24,6 +24,7 @@ from nanoramsey.grid import desk_scale_params
 from nanoramsey.params import SpinBranch, build_params
 from conftest import PAPER_CONFIG
 from oracles import (
+    evolve_branches,
     gravitational_phase_action,
     gravitational_phase_propagator,
     integrate_trajectory,
@@ -74,7 +75,7 @@ class TestPulseSequence:
 
 def branch_at(params, seq, spin, t, x0=0.0, p0=0.0):
     """(centre, momentum) at time t of the branch that starts on ``spin``."""
-    branch = evolve_sequence(params, seq, initial_state(params, x0, p0), spins=(spin, spin),
+    branch = evolve_branches(params, seq, initial_state(params, x0, p0), spins=(spin, spin),
                              until=t).plus_branch
     return branch.center, branch.momentum
 
@@ -129,7 +130,7 @@ class TestClassicalTrajectory:
         _, xm, _ = integrate_trajectory(paper_params, paper_seq, -1)
         idx = int(np.argmin(np.abs(ts - 0.5e-4)))
         assert sep == pytest.approx(xp[idx] - xm[idx], rel=1e-6)
-        mid = evolve_sequence(paper_params, paper_seq, initial_state(paper_params), until=0.5e-4)
+        mid = evolve_branches(paper_params, paper_seq, initial_state(paper_params), until=0.5e-4)
         assert sep == pytest.approx(mid.plus_branch.center - mid.minus_branch.center, rel=1e-12)
 
     def test_separation_at_measurement_time(self, paper_params):
@@ -139,8 +140,9 @@ class TestClassicalTrajectory:
         sep = separation_at(paper_params, seq, 1e-4)
         assert sep == pytest.approx(final.plus_branch.center - final.minus_branch.center,
                                     rel=1e-12)
-        with pytest.raises(ValueError, match="outside the flight"):
-            separation_at(paper_params, seq, 1.000001e-4)
+        for t in (1.000001e-4, -1e-9, math.nan):
+            with pytest.raises(ValueError, match=rf"time {t} outside the flight \[0.0, 0.0001\]"):
+                separation_at(paper_params, seq, t)
 
 
 class TestMaxSeparation:
@@ -197,28 +199,6 @@ class TestOneSeparationSource:
                 for t in (0.0, s.effective_times()[0]):
                     assert bits(separation_at(params, s, t)) == bits(
                         separation_at_reference(params, s, t))
-
-    def test_array_times_equal_the_scalar_calls(self):
-        rng = np.random.default_rng(17)
-        for params in random_param_sets(20, seed=19):
-            t1, t2 = np.sort(rng.uniform(0.0, params.t3, 2))
-            seq = PulseSequence(float(t1), float(t2), params.t3)
-            times = np.concatenate([[0.0, t1, np.nextafter(t1, 0.0), t2, params.t3],
-                                    rng.uniform(0.0, params.t3, 200)])
-            want = [separation_at(params, seq, t) for t in times.tolist()]
-            np.testing.assert_array_equal(bits(separation_at(params, seq, times)), bits(want))
-
-    def test_array_times_walk_the_segments_once(self, paper_params, paper_seq, monkeypatch):
-        walks = []
-        walk = dynamics._relative_segments
-        monkeypatch.setattr(dynamics, "_relative_segments",
-                            lambda *args: walks.append(1) or walk(*args))
-        separation_at(paper_params, paper_seq, np.linspace(0.0, 1e-4, 96))
-        assert len(walks) == 1
-
-    def test_array_times_name_the_first_time_outside(self, paper_params, paper_seq):
-        with pytest.raises(ValueError, match=r"time -1e-09 outside the flight \[0.0, 0.0001\]"):
-            separation_at(paper_params, paper_seq, np.array([0.0, -1e-9, 2e-4]))
 
 
 class TestGravitationalPhase:
@@ -334,7 +314,7 @@ class TestEvolveSequence:
             assert diff == pytest.approx(phi_ref, rel=1e-12)
 
     def test_intermediate_truncation_exposes_split_state(self, paper_params, paper_seq):
-        mid = evolve_sequence(paper_params, paper_seq, initial_state(paper_params),
+        mid = evolve_branches(paper_params, paper_seq, initial_state(paper_params),
                               until=0.5e-4)
         sep = mid.plus_branch.center - mid.minus_branch.center
         assert sep == pytest.approx(max_separation(paper_params, paper_seq), rel=1e-12)
@@ -363,7 +343,7 @@ class TestEvolveSequence:
             paper_params.mass * (vp[-1] - vm[-1]), rel=1e-6)
 
     def test_spin_zero_pair_has_no_phase(self, paper_params, paper_seq):
-        final = evolve_sequence(paper_params, paper_seq, initial_state(paper_params),
+        final = evolve_branches(paper_params, paper_seq, initial_state(paper_params),
                                 spins=(SpinBranch.ZERO, SpinBranch.ZERO))
         assert final.plus_branch.action_phase == final.minus_branch.action_phase
         assert final.plus_branch.center == final.minus_branch.center
@@ -446,6 +426,38 @@ class TestDeskSetProperties:
         params, balanced = desk_scale_params(*desk_set)
         seq = PulseSequence(t1=f1 * balanced.t3, t2=f2 * balanced.t3, t3=balanced.t3)
         assert abs(branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))) <= 1.0
+
+
+def assert_same_state_bits(state, other):
+    for branch, want in zip((state.plus_branch, state.minus_branch), (other.plus_branch, other.minus_branch)):
+        for field in ("center", "momentum", "sigma0", "spread_time", "action_phase"):
+            got, expected = getattr(branch, field), getattr(want, field)
+            assert type(got) is type(expected)
+            np.testing.assert_array_equal(bits(got), bits(expected))
+
+
+class TestBranchWalkerIsEvolveSequence:
+    """At its defaults the oracle walker ``evolve_branches`` is ``evolve_sequence`` bit for
+    bit, so what the grid certifies of the walker (``TestDeskSpaceOnGrid``) holds for the
+    package's route."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS,
+           st.one_of(st.just((0.25, 0.75)), st.tuples(st.floats(0.02, 0.49), st.floats(0.51, 0.98))),
+           st.tuples(st.floats(-3.0, 3.0), st.floats(-1.5, 1.5)))
+    def test_desk_sets(self, desk_set, flips, start):
+        params, balanced = desk_scale_params(*desk_set)
+        seq = PulseSequence(t1=flips[0] * balanced.t3, t2=flips[1] * balanced.t3, t3=balanced.t3)
+        s0 = params.sigma0()
+        initial = initial_state(params, start[0] * s0, start[1] * HBAR / s0)
+        assert_same_state_bits(evolve_sequence(params, seq, initial), evolve_branches(params, seq, initial))
+
+    @pytest.mark.parametrize("v", range(8))
+    def test_t1_sweep_arrays(self, paper_params, v):
+        seq = t1_sweep_sequence(v)
+        initial = initial_state(paper_params)
+        assert_same_state_bits(evolve_sequence(paper_params, seq, initial),
+                               evolve_branches(paper_params, seq, initial))
 
 
 class TestWavepacketWidth:

@@ -38,7 +38,7 @@ from nanoramsey.grid import (
 )
 from nanoramsey.params import build_params
 from conftest import PAPER_CONFIG
-from oracles import flight_reference, reference_branch, sector_action_phases
+from oracles import evolve_branches, flight_reference, reference_branch, sector_action_phases
 from test_dynamics import DESK_SETS
 
 
@@ -171,6 +171,12 @@ class TestSplitStep:
         predicted = (duration / steps_list[0]) ** 2 * force**2 * duration / 12.0
         assert errors[0] == pytest.approx(predicted, rel=1e-3)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+    def test_duration_not_positive_refused(self, duration):
+        spec = small_spec()
+        with pytest.raises(ValueError, match=re.escape(f"duration must be > 0, got {duration!r}")):
+            split_step_evolve(gaussian_packet(spec), force=0.5, duration=duration, spec=spec)
+
     def test_boundary_contact_detected(self):
         spec = small_spec(x_min=-6.0, x_max=6.0)
         with pytest.raises(GridBoundaryError, match="enlarge"):
@@ -264,14 +270,16 @@ class TestOraclePhase:
         report = oracle_compare(params, seq)
         assert report.overlap_grid >= 0.9999
 
-    def test_closure_error_for_broken_balanced_run(self):
-        # huge jitter breaks recombination; is_balanced is False then, so force
-        # the check by calling with a sequence that claims balance via t1/t2
+    def test_unbalanced_run_returns_the_raw_grid_phase(self):
+        """An open flight needs no closure and keeps -arg of its grid overlap, unwrapped."""
         params, seq = desk_scale_params()
         bad = PulseSequence(t1=seq.t3 / 4.0 * 0.8, t2=seq.t2, t3=seq.t3)
-        # not balanced -> no closure exception expected, phase returned raw
-        phase = oracle_phase(params, bad)
-        assert math.isfinite(phase)
+        report = oracle_compare(params, bad)
+        assert not report.balanced and report.closure_ok
+        scaled = scale_params(params, bad)
+        pair = evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1))
+        ov = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+        assert report.phase_grid == oracle_phase(params, bad) == -math.atan2(ov.imag, ov.real)
 
     def test_megaradian_refused(self, paper_params, paper_seq):
         with pytest.raises(ScaleError):
@@ -335,12 +343,12 @@ class TestOracleCompare:
 
     @pytest.mark.parametrize("until", [12.0, math.nan, -1.0], ids=["2t3", "nan", "negative"])
     def test_horizon_outside_the_flight_refused(self, desk, until):
-        """``evolve_sequence(until=...)``, the closed form the grid certifies, refuses these too."""
+        """``evolve_branches(until=...)``, the closed form the grid is held to, refuses these too."""
         params, seq = desk
         scaled = scale_params(params, seq)
         assert scaled.total_time == 6.0
         with pytest.raises(ValueError, match="until must lie"):
-            evolve_sequence(params, seq, initial_state(params), until=until * scaled.time_unit)
+            evolve_branches(params, seq, initial_state(params), until=until * scaled.time_unit)
         with pytest.raises(ValueError, match=re.escape(f"horizon {until!r} outside the flight [0, 6.0]")):
             evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1), until=[1.0, until])
 
@@ -542,7 +550,7 @@ class TestDeskSpaceOnGrid:
         pair = evolve_branch_on_grid(scaled, spec, spins, *start, until=horizon)
         unit = scaled.length_unit
         initial = initial_state(params, start[0] * unit, start[1] * HBAR / unit)
-        final = evolve_sequence(params, seq, initial, spins=spins,
+        final = evolve_branches(params, seq, initial, spins=spins,
                                 until=fraction * seq.effective_times()[2])
         for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
             x_cl, p_cl = branch.center / unit, branch.momentum * unit / HBAR

@@ -1,9 +1,11 @@
-"""Every public name in the package is something a command runs.
+"""Every public name and every defaulted parameter in the package is something a command runs.
 
 A public module-level function or class that nothing in ``src/`` refers to
 serves only the tests, and belongs in ``tests/oracles.py``. The benchmark's
 tracer targets are the one exception: the tracer wraps them by name, so
-they stay even where no command calls them.
+they stay even where no command calls them. Likewise a defaulted parameter
+that no call in ``src/`` passes is generality only the tests use; the
+exceptions are the signatures the tracer's hooks bind to, and ``KEPT``.
 """
 import ast
 import warnings
@@ -46,6 +48,74 @@ def test_every_public_name_is_used_in_src():
             if not any(node.name in _references(other, skip=node) for other in trees.values()):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+#: Defaulted parameters that no call in src/ passes, by function, and why each stays.
+KEPT = {
+    "cli.main": ({"argv"}, "the argument list a caller runs in place of sys.argv, "
+                           "as the benchmark's child does"),
+    "dynamics.initial_state": ({"x0", "p0"}, "a thermal start off centre, the input of the "
+                                            "paper's claim that the phase does not depend on it"),
+    "grid.auto_grid": ({"spin_values", "center", "momentum"},
+                       "sizes a grid for the spins and start that evolve_branch_on_grid's "
+                       "hooked signature takes"),
+    "grid.oracle_phase": ({"spec"}, "a tracer target, whose signature follows oracle_compare's"),
+    "grid.snapshot_frames": ({"spec"}, "frames on a grid other than the fixed output grid"),
+    "grid.desk_scale_params": ({"a_spin", "a_gravity", "tau_scaled", "omega", "mass"},
+                               "certify passes the first three from CERTIFY_DESK by a star, which "
+                               "this check cannot count; omega and mass rescale a set, and the "
+                               "phase must not move with them"),
+}
+
+
+def _defaulted_parameters(module: str, tree: ast.Module):
+    """(qualified name, function name, parameter, its place among a call's positional
+    arguments, None if keyword-only) of every defaulted parameter of a function or of a
+    method, whose first parameter (self or cls) a call does not pass."""
+    functions = [(f"{module}.{node.name}", node, 0) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{module}.{cls.name}.{node.name}", node, 1) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for qualified, fn, bound in functions:
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(positional) - len(fn.args.defaults)
+        for place, arg in enumerate(positional[first:], first - bound):
+            yield qualified, fn.name, arg.arg, place
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualified, fn.name, arg.arg, None
+
+
+def _calls(trees) -> dict[str, list[tuple[int, set]]]:
+    """Each called name's calls: (positional arguments before any star, keyword names,
+    None among them for a ``**`` splat). A method call counts under the method's name."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = [isinstance(arg, ast.Starred) for arg in node.args]
+            positional = starred.index(True) if True in starred else len(starred)
+            calls.setdefault(name, []).append((positional, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = _calls(trees.values())
+    hooked = {f"{module.removeprefix('nanoramsey.')}.{attr}"
+              for module, attr, span, _ in TRACER.TARGETS if span in TRACER.HOOKS}
+    unpassed = {}
+    for module, tree in trees.items():
+        for qualified, fn, name, place in _defaulted_parameters(module, tree):
+            if qualified in hooked:
+                continue
+            if not any((place is not None and positional > place) or name in keywords or None in keywords
+                       for positional, keywords in calls.get(fn, ())):
+                unpassed.setdefault(qualified, set()).add(name)
+    assert unpassed == {fn: names for fn, (names, _) in KEPT.items()}
 
 
 def test_one_version_string():
