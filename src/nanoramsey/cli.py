@@ -9,6 +9,7 @@ or certification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -50,6 +51,9 @@ from .params import (
     number,
     parse_config_text,
 )
+
+# the import graph lives until exit; frozen, it is walked by no collection, not even shutdown's
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import functools
 import importlib.util
 import io
 import sys
@@ -89,11 +90,25 @@ def unrun_statements(path: Path, ran_lines: set[int]) -> tuple[int, list[ast.stm
     return len(spans), [node for node in spans if not ran(node)]
 
 
+@functools.lru_cache(maxsize=None)
+def in_src(filename: str) -> bool:
+    return Path(filename).resolve().parent == SRC
+
+
+class SrcTrace(trace.Trace):
+    """Line counts of ``src/`` code alone. ``trace``'s own ``ignoredirs`` cannot do
+    this: it caches its ignore verdict by module base name, so an ``__init__.py``
+    ignored elsewhere would hide ``src/nanoramsey/__init__.py``."""
+
+    def globaltrace_lt(self, frame, why, arg):
+        return self.localtrace if why == "call" and in_src(frame.f_code.co_filename) else None
+
+
 def main() -> int:
     commands = distinct_commands()
     if any(name == "nanoramsey" or name.startswith("nanoramsey.") for name in sys.modules):
         raise SystemExit("nanoramsey is already imported; its module-level lines would not count")
-    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
+    tracer = SrcTrace(count=1, trace=0)
     codes = tracer.runfunc(run_commands, commands)
     ran = {}
     for filename, line in tracer.results().counts:

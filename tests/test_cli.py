@@ -348,16 +348,20 @@ def test_visibility_beyond_the_rule_pair_refused(capsys, tmp_path):
     assert "n_nodes" not in err and "Warning" not in err
 
 
-def _modules_after_import(module: str, *packages: str) -> set[str]:
-    """The modules of ``packages`` that ``import module`` loads in a fresh interpreter."""
+def _child(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports ``nanoramsey`` from ``src/``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120,
+                          **kwargs)
+
+
+def _modules_after_import(module: str, *packages: str) -> set[str]:
+    """The modules of ``packages`` that ``import module`` loads in a fresh interpreter."""
     code = (f"import json, sys, {module}; print(json.dumps("
             f"[m for m in sys.modules if m.split('.')[0] in {packages!r}]))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    return set(json.loads(result.stdout))
+    return set(json.loads(_child("-c", code, check=True).stdout))
 
 
 def test_cli_import_loads_no_scipy():
@@ -384,3 +388,43 @@ def test_package_import_loads_only_what_it_names():
     submodules = {m for m in loaded["nanoramsey.cli"] if m.startswith("nanoramsey.")}
     assert submodules == {f"nanoramsey.{name}" for name in (
         "budget", "cli", "constants", "decoherence", "dicke", "dynamics", "grid", "io", "params")}
+
+
+class TestProcessLifetime:
+    """The CLI freezes its import heap; the library modules leave the collector alone."""
+
+    def test_cli_import_freezes_the_heap(self):
+        code = "import gc, nanoramsey.cli; print(gc.get_freeze_count(), gc.isenabled())"
+        frozen, enabled = _child("-c", code, check=True, text=True).stdout.split()
+        assert int(frozen) > 0 and enabled == "True"
+
+    def test_library_import_freezes_nothing(self):
+        code = ("import gc, nanoramsey, nanoramsey.grid, nanoramsey.decoherence; "
+                "print(gc.get_freeze_count(), gc.isenabled())")
+        assert _child("-c", code, check=True, text=True).stdout.split() == ["0", "True"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["budget", "--out", "{out}"], cli.EXIT_OK),
+        (["dicke", "--l", "12", "--format", "json"], cli.EXIT_OK),
+        (["sweep"], cli.EXIT_VALIDATION),           # --param missing
+        (["certify"], cli.EXIT_NUMERICAL),          # paper scale is beyond the grid
+    ], ids=["budget-out", "dicke-json", "usage-error", "numerical-failure"])
+    def test_spawned_command_matches_in_process(self, capsys, config, tmp_path, argv, code):
+        """stdout or the --out file, stderr and exit code, byte for byte."""
+        def command(out):
+            return [arg.format(out=out) for arg in [*argv, "--config", config]]
+
+        spawned = _child("-m", "nanoramsey.cli", *command(tmp_path / "spawned.out"))
+        try:
+            rc = cli.main(command(tmp_path / "in_process.out"))
+        except SystemExit as exc:                   # argparse's usage error
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert spawned.returncode == rc == code
+        assert spawned.stdout == out.encode() and spawned.stderr == err.encode()
+        if "--out" in argv:
+            assert out == ""
+            assert (tmp_path / "spawned.out").read_bytes() == \
+                (tmp_path / "in_process.out").read_bytes() != b""
+        else:
+            assert (out == "") == (code != cli.EXIT_OK)
