@@ -182,6 +182,9 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     if not 0.0 < bound < math.inf:
         raise ValueError(f"n_nucleons and t3 take the collapse-rate bound 1/(2 N^2 t3) out of "
                          f"range, got n_nucleons={params.n_nucleons!r}, t3={t3!r}")
+    if not params.mass >= AMU:
+        raise ValueError(f"mass must be at least one atomic mass unit ({AMU!r} kg) to count the "
+                         f"nucleons of the collapse-rate bound, got mass={params.mass!r}")
     bound_mass = csl_bound(params.mass / AMU, t3)
     v_rms = thermal_velocity(params.t_cm, params.mass)
     doppler = doppler_linewidth(params.mw_frequency, v_rms)

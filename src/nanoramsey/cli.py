@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dx-min", type=float, default=1e-9)
     p.add_argument("--dx-max", type=float, default=1e-6,
-                   help="largest separation (m); the quadrature resolves up to about "
-                        "0.1 m K / T, T the hotter of t_environment and --tint-max "
-                        "(7e-5 m at 1500 K); beyond that the command exits 2")
+                   help="largest separation (m); the quadrature's error bound holds up to "
+                        "about 0.178 m K / T, T the hotter of t_environment and --tint-max "
+                        "(1.19e-4 m at 1500 K); beyond that the command exits 2")
     p.add_argument("--dx-count", type=int, default=50)
     p.add_argument("--dx-linear", dest="dx_log", action="store_false")
     p.add_argument("--tint-min", type=float, default=300.0)

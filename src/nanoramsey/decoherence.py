@@ -130,15 +130,24 @@ class BlackbodyChannel:
             raise ValueError(f"radius must be at most {_MAX_RADIUS!r}, whose sixth power the "
                              f"scattering cross-section takes, got {self.radius!r}")
         if self.temperature > 0.0 and 0.0 < abs(self.response) < math.inf:
-            p, c = _SATURATION[self.kind]     # in logarithms: k T / hbar overflows from 7.6e296 K on
-            log_theta = math.log10(K_BOLTZMANN * self.temperature) - math.log10(HBAR)
-            log_rate = math.log10(c * abs(self.response)) + log_theta + p * (
-                math.log10(self.radius / LIGHT_SPEED) + log_theta)
+            log_rate = self._log10_saturated_rate()
             if not log_rate <= math.log10(MAX_SATURATED_RATE):
                 raise ValueError(
                     f"radius {self.radius!r} m at temperature {self.temperature!r} K gives channel "
                     f"{self.name!r} a rate of 10^{log_rate:.2f} 1/s, above the {MAX_SATURATED_RATE:.0e} "
                     "1/s its quadrature can sum; reduce the radius or the temperature")
+
+    def _log10_saturated_rate(self) -> float:
+        """log10 of the rate at infinite separation, c |response| theta (R theta / c)^p, theta =
+        k T / hbar, for a temperature > 0 and a response != 0.
+
+        Taken factor by factor: k T / hbar overflows from 7.6e296 K on, and k T and R / c
+        underflow to 0 at subnormal temperatures and radii.
+        """
+        p, c = _SATURATION[self.kind]
+        log_theta = math.log10(K_BOLTZMANN) + math.log10(self.temperature) - math.log10(HBAR)
+        return math.log10(c) + math.log10(abs(self.response)) + log_theta + p * (
+            math.log10(self.radius) - math.log10(LIGHT_SPEED) + log_theta)
 
     def support(self) -> tuple[float, float]:
         if self.temperature == 0.0:
@@ -184,12 +193,12 @@ def default_model(
 
 # -- localization rate -------------------------------------------------------
 
-#: Gauss-Legendre orders of the coarse and fine pass, shipped as package data:
-#: ``leggauss_<n>.npy`` holds the rows (nodes, weights), the exact float64
-#: output of ``numpy.polynomial.legendre.leggauss(n)`` (``numpy.save`` of the
-#: two rows stacked). Loading one is a small file read; leggauss(1024) solves a
+#: Gauss-Legendre order of every channel integral, shipped as package data:
+#: ``leggauss_1024.npy`` holds the rows (nodes, weights), the exact float64
+#: output of ``numpy.polynomial.legendre.leggauss(1024)`` (``numpy.save`` of the
+#: two rows stacked). Loading it is a small file read; leggauss(1024) solves a
 #: dense 1024 x 1024 eigenvalue problem.
-RULE_ORDERS = (512, 1024)
+RULE_ORDER = 1024
 
 #: Elements per block of the kick matrix (64 KiB of float64). Every temporary of
 #: a block stays under glibc's 128 KiB mmap threshold, and all of them together
@@ -198,17 +207,37 @@ RULE_ORDERS = (512, 1024)
 #: measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = 8192
 
-#: Most separations one surface takes: each channel pass fills a separations x
-#: ``RULE_ORDERS[-1]`` float64 work buffer, 128 MiB at this count.
-MAX_SEPARATIONS = (128 << 20) // (8 * RULE_ORDERS[-1])
+#: Fewest elements a channel's work buffer takes (512 KiB). glibc maps the first buffer and,
+#: when it is freed, raises its heap trim threshold to twice the buffer's size. Under this
+#: floor that threshold stays below the heap a channel peaks at (the buffer, the block
+#: temporaries and the 128 KiB top pad), so the heap would be trimmed after each channel and
+#: faulted in again: about 190 pages a channel on 50 separations. The kick matrix never
+#: touches the pages past its own elements.
+_MIN_WORK_ELEMENTS = 8 * _KICK_BLOCK_ELEMENTS
 
-#: Largest relative coarse/fine mismatch a channel integral may show.
+#: Most separations one surface takes: each channel integral fills a separations x
+#: ``RULE_ORDER`` float64 work buffer, 128 MiB at this count.
+MAX_SEPARATIONS = (128 << 20) // (8 * RULE_ORDER)
+
+#: Largest relative error a channel integral may carry, by its a-priori bound.
 QUADRATURE_RTOL = 1.0e-6
 
+#: Bernstein ellipse of the error bound, the image of |u| = rho under x = (u + 1/u) / 2
+#: with [-1, 1] mapped onto the support: just inside rho = 1.667, where it meets the
+#: first Bose poles hbar omega / k T = +-2 pi i.
+_BERNSTEIN_RHO = 1.6
+#: Largest |1 + x| and |Im x| on that ellipse: one plus its semi-major axis, and its semi-minor axis.
+_ELLIPSE_REACH = 1.0 + 0.5 * (_BERNSTEIN_RHO + 1.0 / _BERNSTEIN_RHO)
+_ELLIPSE_HEIGHT = 0.5 * (_BERNSTEIN_RHO - 1.0 / _BERNSTEIN_RHO)
+#: p -> (sup of |w^p / expm1(w)| over the ellipse, w = hbar omega / k T, rounded up;
+#: the integral p! zeta(p + 1) of w^p / expm1(w) over w > 0). The tests sample the
+#: ellipse's boundary, where the sup lies by the maximum-modulus principle.
+_PLANCK_SHAPE = {3: (213.0, math.pi**4 / 15.0), 6: (41150.0, 720.0 * 1.0083492773819228)}
 
-@lru_cache(maxsize=len(RULE_ORDERS))
+
+@lru_cache(maxsize=1)
 def _stored_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shipped rule of order ``n`` (one of ``RULE_ORDERS``) as (nodes, weights)."""
+    """The shipped rule of order ``n`` (``RULE_ORDER``) as (nodes, weights)."""
     with resources.files(__package__).joinpath(f"leggauss_{n}.npy").open("rb") as f:
         nodes, weights = np.load(f)
     return nodes, weights
@@ -238,6 +267,33 @@ def _channel_rate(channel, delta_x: np.ndarray, rule, work: np.ndarray) -> np.nd
     return kick @ (gam * weights)
 
 
+def _error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
+    """A-priori bound on the absolute error of ``channel``'s rate on an ``n_nodes`` rule.
+
+    Gauss-Legendre on an integrand f analytic inside the Bernstein ellipse E_rho errs
+    by at most (64/15) M rho^(-2n) / (rho^2 - 1), M = sup |f| on E_rho (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3). f is the integrand on
+    [-1, 1], half-length included; M is its prefactor times sup |w^p / expm1(w)| times
+    a majorant of |1 - sinc z|, all in logarithms, as rho^(-2048) underflows
+    (docs/physics-notes.md, "How far the rule reaches"). Calls no ``rate_density``.
+    """
+    p, _ = _SATURATION[channel.kind]
+    sup, integral = _PLANCK_SHAPE[p]
+    rho = _BERNSTEIN_RHO
+    # prefactor times sup: the saturated rate is the prefactor times the integral over [0, inf)
+    log_base = (channel._log10_saturated_rate() * math.log(10.0)
+                + math.log(0.5 * PLANCK_CUTOFF * sup / integral * (64.0 / 15.0) / (rho * rho - 1.0))
+                - 2.0 * n_nodes * math.log(rho))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = delta_x * (0.5 * channel.support()[1] / LIGHT_SPEED)     # z at x = 0
+        log_s = np.log(s)
+        # sinh r / r - 1 <= (r^2 / 6) e^r at r = max |z|, for small kicks
+        series = 2.0 * log_s + _ELLIPSE_REACH * s + math.log(_ELLIPSE_REACH**2 / 6.0)
+        # 1 + sinh y / y <= 1 + e^y / (2 y) at y = max |Im z|, from sinc z = int_0^1 cos(z t) dt
+        cosine = np.logaddexp(0.0, _ELLIPSE_HEIGHT * s - log_s - math.log(2.0 * _ELLIPSE_HEIGHT))
+        return np.exp(log_base + np.minimum(series, cosine))
+
+
 def localization_rate_profile(
     channels: tuple[BlackbodyChannel, ...],
     delta_x,
@@ -245,12 +301,12 @@ def localization_rate_profile(
 ) -> np.ndarray:
     """eta(delta_x) of the summed ``channels`` for an array of separations (s^-1).
 
-    Every channel is integrated on both rules of ``RULE_ORDERS``; a relative
-    mismatch beyond ``QUADRATURE_RTOL`` raises :class:`QuadratureError`
-    naming the channel, so silent under-resolution is impossible.
-    ``channel_rates``, if given, memoizes each checked channel rate by channel
-    (channels are frozen and hashable); pass the same dict only with the same
-    separations.
+    Every channel is integrated on the ``RULE_ORDER``-node rule; where the rule's
+    a-priori error bound passes ``QUADRATURE_RTOL`` of the rate, it raises
+    :class:`QuadratureError` naming the channel, so silent under-resolution is
+    impossible. ``channel_rates``, if given, memoizes each checked channel rate by
+    channel (channels are frozen and hashable); pass the same dict only with the
+    same separations.
     """
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     if not np.all((dx >= 0.0) & (dx < math.inf)):
@@ -266,31 +322,28 @@ def localization_rate_profile(
 
 
 def _checked_channel_rate(channel, dx: np.ndarray) -> np.ndarray:
-    """The channel rate on the fine rule, after the coarse/fine refinement check.
-
-    Both passes fill one work buffer. A fine kick matrix allocated after the coarse
-    one was freed lands wherever the heap has room, so peak RSS would step by about
-    1 MiB with the heap layout that import left behind.
-    """
-    coarse_order, fine_order = RULE_ORDERS
-    work = np.empty(dx.size * fine_order)
-    coarse = _channel_rate(channel, dx, _stored_rule(coarse_order), work)
-    fine = _channel_rate(channel, dx, _stored_rule(fine_order), work)
-    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
+    """The channel rate on the stored rule, refused where it is not finite or where the
+    rule's error bound passes ``QUADRATURE_RTOL`` of it."""
+    work = np.empty(max(dx.size * RULE_ORDER, _MIN_WORK_ELEMENTS))
+    rate = _channel_rate(channel, dx, _stored_rule(RULE_ORDER), work)
+    if not np.all(np.isfinite(rate)):
         raise QuadratureError(
             f"channel {channel.name!r} not converged: its rate is not finite at "
             f"temperature {channel.temperature!r} K"
         )
-    scale = np.maximum(np.abs(fine), 1e-300)
-    worst = float(np.max(np.abs(fine - coarse) / scale))
-    # written as "unless within bounds", so a NaN rate is refused too
-    if not worst <= QUADRATURE_RTOL and not float(np.max(np.abs(fine - coarse))) <= 1e-302:
+    if not rate.any():      # zero temperature or response, or every term underflows: nothing to bound
+        return rate
+    bound = _error_bound(channel, dx, RULE_ORDER)
+    # written as "unless within bounds", so a NaN bound is refused too
+    if not np.all(bound <= QUADRATURE_RTOL * np.abs(rate)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(bound / np.abs(rate)))
         raise QuadratureError(
-            f"channel {channel.name!r} not converged: refinement changed the "
-            f"integral by {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) on separations "
+            f"channel {channel.name!r} not converged: the {RULE_ORDER}-node rule's error "
+            f"bound is {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) on separations "
             f"up to {float(dx.max())!r} m; reduce the largest separation"
         )
-    return fine
+    return rate
 
 
 # -- visibility surface --------------------------------------------------------

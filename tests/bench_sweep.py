@@ -9,7 +9,8 @@ The default test run does not collect this file (its name does not match
 run in-process, output included; the library case is a 1e6-point balanced
 theta sweep through the closed forms; the surface case is the ``surface``
 workload's large visibility table. The quadrature cases time one 1024-node
-channel on 200 separations and the stored Gauss-Legendre rule the quadrature
+channel on 200 separations, the a-priori error bound of that channel alone
+on the same separations, and the stored Gauss-Legendre rule the quadrature
 loads, against computing it with ``leggauss``. The two visibility CLI cases
 are the ``surface`` workload's commands in a fresh interpreter; they also
 record the median minor page faults and system CPU seconds per command in
@@ -30,7 +31,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from nanoramsey import cli
-from nanoramsey.decoherence import _channel_rate, _stored_rule, default_model, visibility_surface
+from nanoramsey.decoherence import (
+    _channel_rate,
+    _error_bound,
+    _stored_rule,
+    default_model,
+    visibility_surface,
+)
 from nanoramsey.dynamics import (
     PulseSequence,
     gravitational_phase,
@@ -102,6 +109,14 @@ def test_channel_rate_1024(benchmark, surface_inputs):
     work = np.empty(SEPARATIONS.size * 1024)
     benchmark.pedantic(_channel_rate, args=(channel, SEPARATIONS, _stored_rule(1024), work),
                        rounds=20, iterations=1, warmup_rounds=2)
+
+
+def test_error_bound_200(benchmark, surface_inputs):
+    """The error bound of the same channel on the same 200 separations."""
+    channel = next(ch for ch in default_model(surface_inputs[0], 900.0)
+                   if ch.name == "thermal_emission")
+    benchmark.pedantic(_error_bound, args=(channel, SEPARATIONS, 1024), rounds=200, iterations=1,
+                       warmup_rounds=5)
 
 
 def test_gauss_rule_1024(benchmark):

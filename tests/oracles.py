@@ -409,16 +409,16 @@ def channel_rate_reference(channel, delta_x, n_nodes):
 
 
 def visibility_surface_reference(params, delta_x_range, t_int_range, flight_time,
-                                 n_nodes=512):
+                                 n_nodes=1024):
     """exp(-eta t) column by column, every channel of every column integrated
-    afresh at 2 * ``n_nodes`` with ``channel_rate_reference``."""
+    afresh at ``n_nodes`` with ``channel_rate_reference``."""
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
     vis = np.empty((dx.size, tins.size))
     for j, t_int in enumerate(tins):
         eta = np.zeros_like(dx)
         for channel in default_model(params, float(t_int)):
-            eta += channel_rate_reference(channel, dx, 2 * n_nodes)
+            eta += channel_rate_reference(channel, dx, n_nodes)
         vis[:, j] = np.exp(-eta * flight_time)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
                              visibility=vis, flight_time=flight_time)

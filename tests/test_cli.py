@@ -334,18 +334,47 @@ def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp
     assert len(rows) == 3 and all(cell == "0.00000000000e+00" for row in rows for cell in row)
 
 
-def test_visibility_beyond_the_rule_pair_refused(capsys, tmp_path):
-    """At 1e-4 m the 512/1024-node rules disagree on thermal emission by 4.2e-6."""
+def test_visibility_beyond_the_rule_reach_refused(capsys, tmp_path):
+    """At 3e-4 m the default axis reaches dx T = 0.45 m K, past the 0.178 m K where the
+    stored rule's error bound passes QUADRATURE_RTOL on thermal emission."""
     config = write_config(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli.main(["visibility", "--config", config, "--dx-min", "1e-4", "--dx-max", "1e-4",
+        rc = cli.main(["visibility", "--config", config, "--dx-min", "3e-4", "--dx-max", "3e-4",
                        "--dx-count", "1"])
     out, err = capsys.readouterr()
     assert rc == cli.EXIT_NUMERICAL and out == ""
-    assert err.startswith("numerical failure: channel 'thermal_emission' not converged")
-    assert "up to 0.0001 m; reduce the largest separation" in err
+    assert err.startswith("numerical failure: channel 'thermal_emission' not converged: "
+                          "the 1024-node rule's error bound is ")
+    assert "up to 0.0003 m; reduce the largest separation" in err
     assert "n_nodes" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("key", ["radius", "t_environment"])
+def test_visibility_subnormal_key_answered(capsys, tmp_path, key):
+    """R / c and k T underflow to 0 at 5e-324; the channel's rate ceiling is taken in
+    logarithms of each factor, so the surface is computed: every cell finite."""
+    config = write_config(tmp_path, **{key: 5e-324})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["visibility", "--config", config, "--dx-count", "3", "--tint-count", "2"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_OK and err == ""
+    cells = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")[1:]]
+    assert len(cells) == 6 and all(0.0 <= cell <= 1.0 for cell in cells)
+
+
+@pytest.mark.parametrize("mass", [1e-300, 5e-324, 1e-28])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_budget_mass_below_one_nucleon_refused_by_name(capsys, tmp_path, mass, fmt):
+    config = write_config(tmp_path, mass=mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["budget", "--config", config, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION and out == ""
+    assert err == ("error: mass must be at least one atomic mass unit (1.6605390666e-27 kg) to "
+                   f"count the nucleons of the collapse-rate bound, got mass={mass!r}\n")
 
 
 def _child(*args: str, **kwargs) -> subprocess.CompletedProcess:

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from fnmatch import fnmatch
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -13,16 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
 
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
 from nanoramsey.constants import HBAR, K_BOLTZMANN, LIGHT_SPEED
 from nanoramsey.decoherence import (
     MAX_SATURATED_RATE,
-    RULE_ORDERS,
+    QUADRATURE_RTOL,
+    RULE_ORDER,
     BlackbodyChannel,
     QuadratureError,
     _channel_rate,
+    _checked_channel_rate,
+    _error_bound,
     _stored_rule,
     angular_factor,
     default_model,
@@ -205,17 +210,17 @@ def test_np_sin_is_libm_on_benchmark_surfaces(monkeypatch, tmp_path):
 
 
 class TestBlockedQuadratureBits:
-    """The blocked kernel on the stored rules against one whole kick matrix on
+    """The blocked kernel on the stored rule against one whole kick matrix on
     a rule computed by ``leggauss``. m = 7, 33 and 50 leave partial blocks and 200
     spans many; 33 (and 9, 17) leave a one-row last block, where a matrix-vector
-    product taken block by block moves the last bits. n_nodes = 64 runs the
-    surface on the computed (64, 128) rule pair in place of the stored one."""
+    product taken block by block moves the last bits. n_nodes = 512 and 64 run the
+    surface on a computed rule of that order in place of the stored one."""
 
-    @pytest.mark.parametrize("n_nodes", [512, 64])
+    @pytest.mark.parametrize("n_nodes", [512, 64, 1024])
     @pytest.mark.parametrize("m", [1, 7, 33, 50, 200])
     def test_visibility_surface_bit_equal(self, paper_params, m, n_nodes, monkeypatch):
-        if n_nodes not in RULE_ORDERS:
-            monkeypatch.setattr(decoherence, "RULE_ORDERS", (n_nodes, 2 * n_nodes))
+        if n_nodes != RULE_ORDER:
+            monkeypatch.setattr(decoherence, "RULE_ORDER", n_nodes)
             monkeypatch.setattr(decoherence, "_stored_rule", _leggauss_rule)
         dx = np.geomspace(1e-9, 1e-6, m)
         tins = np.linspace(300.0, 1500.0, 3)
@@ -228,16 +233,16 @@ class TestBlockedQuadratureBits:
     @pytest.mark.parametrize("m", [1, 9, 17, 33, 64])
     def test_channel_rate_bit_equal(self, paper_params, m, n_nodes):
         dx = np.geomspace(1e-9, 1e-6, m)
-        rule = _stored_rule(n_nodes) if n_nodes in RULE_ORDERS else _leggauss_rule(n_nodes)
+        rule = _stored_rule(n_nodes) if n_nodes == RULE_ORDER else _leggauss_rule(n_nodes)
         for channel in default_model(paper_params, 900.0):
-            work = np.empty(2 * dx.size * n_nodes)      # as the coarse pass gets it
+            work = np.empty(dx.size * n_nodes)
             assert_bit_equal(_channel_rate(channel, dx, rule, work),
                              channel_rate_reference(channel, dx, n_nodes))
 
 
-# -- the stored Gauss-Legendre rules -------------------------------------------
+# -- the stored Gauss-Legendre rule --------------------------------------------
 
-@pytest.mark.parametrize("n", RULE_ORDERS)
+@pytest.mark.parametrize("n", [RULE_ORDER])
 class TestStoredRules:
     def test_symmetric_and_weights_sum_to_two(self, n):
         nodes, weights = _stored_rule(n)
@@ -250,8 +255,7 @@ class TestStoredRules:
     def test_integrates_even_monomials(self, n):
         # exact for degree <= 2n - 1. numpy's leggauss takes the weights from the
         # derivative at the nodes before their Newton step, so the relative
-        # error grows with the degree: 7.5e-15 (n = 512) and 2.4e-14 (n = 1024)
-        # at x^2, 3.6e-12 and 1.2e-11 at the top degree
+        # error grows with the degree: 2.4e-14 at x^2, 1.2e-11 at the top degree
         nodes, weights = _stored_rule(n)
         for k in range(n):
             exact = 2.0 / (2 * k + 1)
@@ -277,8 +281,120 @@ def test_package_data_glob_covers_stored_rules():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"][
         "nanoramsey"]
-    for n in RULE_ORDERS:
-        assert any(fnmatch(f"leggauss_{n}.npy", g) for g in globs)
+    assert any(fnmatch(f"leggauss_{RULE_ORDER}.npy", g) for g in globs)
+    shipped = sorted(f.name for f in resources.files("nanoramsey").iterdir()
+                     if fnmatch(f.name, "leggauss_*.npy"))
+    assert shipped == [f"leggauss_{RULE_ORDER}.npy"]
+
+
+# -- the a-priori error bound of the stored rule --------------------------------
+
+#: Order of the reference rule the bound is checked against.
+REFERENCE_ORDER = 4096
+
+
+@lru_cache(maxsize=1)
+def _reference_rule():
+    return roots_legendre(REFERENCE_ORDER)
+
+
+def reference_rate(channel, delta_x):
+    """The channel's rate on scipy's 4096-node rule, from one whole kick matrix."""
+    nodes, weights = _reference_rule()
+    half = 0.5 * channel.support()[1]
+    omega = half * (nodes + 1.0)
+    kick = angular_factor_reference(np.outer(delta_x, omega) / LIGHT_SPEED)
+    return kick @ (channel.rate_density(omega) * half * weights)
+
+
+def _ellipse(n_points):
+    """x on the boundary of the bound's Bernstein ellipse."""
+    u = decoherence._BERNSTEIN_RHO * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_points))
+    return 0.5 * (u + 1.0 / u)
+
+
+#: The three channel kinds at the radius and responses of the default model.
+KINDS = [("absorption", 300.0, 1e-3), ("emission", 1500.0, 1e-3),
+         ("scattering", 300.0, decoherence.DEFAULT_RESPONSE_MOD_SQ)]
+
+
+class TestErrorBound:
+    def test_ellipse_inside_the_first_bose_pole(self):
+        pole = -1.0 + 2j * math.pi / (0.5 * decoherence.PLANCK_CUTOFF)     # w = 2 pi i
+        root = np.sqrt(pole * pole - 1.0 + 0j)
+        rho_pole = max(abs(pole + root), abs(pole - root))     # x = (u + 1/u) / 2, |u| >= 1
+        assert rho_pole == pytest.approx(1.667, abs=1e-3)
+        assert 1.0 < decoherence._BERNSTEIN_RHO < rho_pole
+
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_planck_sup_literal_bounds_the_sampled_boundary(self, p):
+        # the integrand is analytic inside the ellipse (w = 0 is removable), so by the
+        # maximum-modulus principle its sup over the ellipse is its sup on the boundary
+        w = 0.5 * decoherence.PLANCK_CUTOFF * (1.0 + _ellipse(400_001))
+        sampled = float(np.max(np.abs(w**p / np.expm1(w))))
+        sup, integral = decoherence._PLANCK_SHAPE[p]
+        assert sampled <= sup <= sampled * (1.0 + 1e-3)
+        assert integral == pytest.approx(float(mpmath.quad(lambda t: t**p / mpmath.expm1(t),
+                                                           [0, mpmath.inf])), rel=1e-14)
+
+    @pytest.mark.parametrize("kind, temperature, response", KINDS)
+    @pytest.mark.parametrize("dx_t", [0.0, 1e-6, 1e-3, 0.05, 0.1])
+    def test_majorant_bounds_the_integrand_on_the_ellipse(self, kind, temperature, response, dx_t):
+        """At n = 0 the bound is (64/15) M / (rho^2 - 1): M must dominate |f| sampled on
+        the ellipse, f the channel's integrand on [-1, 1] as rate_density gives it. M
+        takes each factor's sup on its own, so it overshoots by up to e^25 at 0.1 m K,
+        where M is about e^550: that moves the refusal by under 0.005 m K."""
+        channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
+        rho = decoherence._BERNSTEIN_RHO
+        dx = dx_t / temperature
+        majorant = float(_error_bound(channel, np.array([dx]), 0)[0]) * (rho * rho - 1.0) * 15.0 / 64.0
+        half = 0.5 * channel.support()[1]
+        omega = half * (1.0 + _ellipse(20_001))
+        z = omega * dx / LIGHT_SPEED
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kick = np.where(z == 0.0, 0.0, 1.0 - np.sin(z) / z)
+        sampled = float(np.max(np.abs(half * channel.rate_density(omega) * kick)))
+        assert sampled <= majorant
+        assert majorant <= math.exp(25.0) * sampled or sampled == majorant == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, temperature, response", KINDS)
+    def test_bound_refuses_wherever_the_rule_misses(self, kind, temperature, response):
+        """dx T from 0.05 to 0.3 m K: wherever the stored rule's value differs from the
+        4096-node value by more than QUADRATURE_RTOL, the channel is refused."""
+        channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
+        dx = np.linspace(0.05, 0.3, 126) / temperature
+        missed = np.abs(_channel_rate(channel, dx, _stored_rule(RULE_ORDER), np.empty(dx.size * RULE_ORDER))
+                        / reference_rate(channel, dx) - 1.0) > QUADRATURE_RTOL
+        refused = np.zeros(dx.size, dtype=bool)
+        for i, sep in enumerate(dx):
+            try:
+                _checked_channel_rate(channel, np.array([sep]))
+            except QuadratureError:
+                refused[i] = True
+        assert missed.any() and not missed[dx * temperature < 0.19].any()
+        assert np.all(refused[missed])
+        # one boundary, at dx T = 0.178 m K: refused from there on, accepted below
+        edge = int(np.argmax(refused))
+        assert np.all(refused[edge:]) and not refused[:edge].any()
+        assert 0.17 < dx[edge] * temperature < 0.19
+
+    def test_1e_4_m_at_1500_k_answered(self, paper_params):
+        """dx T = 0.15 m K, inside the rule's reach: answered, matching the 4096-node rule."""
+        model = default_model(paper_params, t_internal=1500.0)
+        want = sum(reference_rate(channel, np.array([1e-4]))[0] for channel in model)
+        assert localization_rate_profile(model, [1e-4])[0] == pytest.approx(want, rel=QUADRATURE_RTOL)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rates_pass_without_warning(self, paper_params):
+        """dx = 0 gives exactly 0, and so does a subnormal dx, whose kicks underflow: both
+        bounds are exactly 0 too. A zero response makes every rate 0, with nothing to bound."""
+        model = default_model(paper_params)
+        eta = localization_rate_profile(model, [0.0, 5e-324, 1e-7])
+        assert eta[0] == eta[1] == 0.0 < eta[2]
+        assert _error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER).tolist() == [0.0, 0.0]
+        mute = default_model(paper_params, response_im=0.0, response_mod_sq=0.0)
+        assert localization_rate_profile(mute, [0.0, 1e-7, 1e-4]).tolist() == [0.0, 0.0, 0.0]
 
 
 # -- angular factor against independent oracles --------------------------------

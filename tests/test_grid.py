@@ -20,6 +20,7 @@ from nanoramsey.dynamics import (
 )
 from nanoramsey.grid import (
     CERTIFY_DESK,
+    GUARD_SIGMAS,
     MAX_POINTS,
     ClosureError,
     GridBoundaryError,
@@ -200,6 +201,42 @@ class TestSplitStep:
         scaled = scale_params(*desk)
         with pytest.raises(ValueError, match="ascend"):
             evolve_branch_on_grid(scaled, auto_grid(scaled), (1, -1), until=[2.0, 1.0])
+
+
+class TestMarginThresholds:
+    """``_check_margin`` on each of its four edges alone, just inside (passes) and just
+    outside (raises), with the edge placed from the packet's own moments: a packet of
+    width 1 and momentum width 1/2, offset toward the edge under test."""
+
+    GAP = 1e-6
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_x_edge(self, side, inside):
+        psi = gaussian_packet(small_spec(n_points=1024), center=10.0 * side)
+        xb, _, width, _ = psi.moments()
+        edge = float(xb + side * GUARD_SIGMAS * width) + side * (self.GAP if inside else -self.GAP)
+        far = -40.0 * side
+        spec = small_spec(n_points=1024, x_min=min(edge, far), x_max=max(edge, far))
+        if inside:
+            grid._check_margin(psi, spec)
+        else:
+            with pytest.raises(GridBoundaryError, match="sigma of the grid edge"):
+                grid._check_margin(psi, spec)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_p_edge(self, side, inside):
+        psi = gaussian_packet(small_spec(n_points=1024, x_min=-44.0, x_max=44.0), momentum=5.0 * side)
+        _, pb, _, pwidth = psi.moments()
+        k_edge = abs(float(pb + side * GUARD_SIGMAS * pwidth)) + (self.GAP if inside else -self.GAP)
+        half = 0.5 * math.pi * 256 / k_edge       # pi / dx = k_edge
+        spec = small_spec(n_points=256, x_min=-half, x_max=half)
+        if inside:
+            grid._check_margin(psi, spec)
+        else:
+            with pytest.raises(GridBoundaryError, match="FFT edge"):
+                grid._check_margin(psi, spec)
 
 
 class TestAutoGridMomentum:
