@@ -31,7 +31,9 @@ and ``response_mod_sq`` config keys, or the ``response`` of a
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -207,12 +209,12 @@ RULE_ORDER = 1024
 #: measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = 8192
 
-#: Fewest elements a channel's work buffer takes (512 KiB). glibc maps the first buffer and,
+#: Fewest elements a work buffer takes (512 KiB). glibc maps the first buffer and,
 #: when it is freed, raises its heap trim threshold to twice the buffer's size. Under this
 #: floor that threshold stays below the heap a channel peaks at (the buffer, the block
-#: temporaries and the 128 KiB top pad), so the heap would be trimmed after each channel and
-#: faulted in again: about 190 pages a channel on 50 separations. The kick matrix never
-#: touches the pages past its own elements.
+#: temporaries and the 128 KiB top pad), so the heap would be trimmed after each buffer and
+#: faulted in again: about 190 pages a channel on 50 separations, with a buffer per channel.
+#: The kick matrix never touches the pages past its own elements.
 _MIN_WORK_ELEMENTS = 8 * _KICK_BLOCK_ELEMENTS
 
 #: Most separations one surface takes: each channel integral fills a separations x
@@ -243,28 +245,37 @@ def _stored_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _channel_rate(channel, delta_x: np.ndarray, rule, work: np.ndarray) -> np.ndarray:
-    """Localization rate of one channel over a 1-d array of separations.
-
-    ``rule`` is a Gauss-Legendre (nodes, weights) pair on [-1, 1]. The kick matrix
-    is filled a block of rows at a time, but the matrix-vector product runs on the
-    whole matrix: BLAS sums a row in an order that depends on the row count, so a
-    blocked product would move the last bits. The matrix takes the first
-    delta_x.size * len(nodes) elements of the float64 buffer ``work``.
-    """
+def _weighted_spectrum(channel, rule) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of ``rule``, a Gauss-Legendre (nodes, weights) pair on [-1, 1], mapped onto
+    the channel's support, and gamma(omega) times the weight at each. An empty support
+    maps every node to 0 with weight 0, and calls no ``rate_density``."""
     lo, hi = channel.support()
-    if hi <= lo:
-        return np.zeros_like(delta_x)
     half = 0.5 * (hi - lo)
     nodes, weights = lo + half * (rule[0] + 1.0), half * rule[1]
-    gam = channel.rate_density(nodes)
+    if hi <= lo:
+        return nodes, weights
+    return nodes, channel.rate_density(nodes) * weights
+
+
+def _channel_rate(spectrum, delta_x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Localization rate of one channel over a 1-d array of separations.
+
+    ``spectrum`` is the channel's :func:`_weighted_spectrum`; where its weights are all
+    zero, so is the rate. The kick matrix is filled a block of rows at a time, but the
+    matrix-vector product runs on the whole matrix: BLAS sums a row in an order that
+    depends on the row count, so a blocked product would move the last bits. The matrix
+    takes the first delta_x.size * len(nodes) elements of the float64 buffer ``work``.
+    """
+    nodes, weighted = spectrum
+    if not weighted.any():
+        return np.zeros_like(delta_x)
     kick = work[:delta_x.size * nodes.size].reshape(delta_x.size, nodes.size)
     rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
     for start in range(0, delta_x.size, rows):
         block = slice(start, start + rows)
         z = np.multiply.outer(delta_x[block], nodes) / LIGHT_SPEED
         kick[block] = angular_factor(z)
-    return kick @ (gam * weights)
+    return kick @ weighted
 
 
 def _error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -308,24 +319,36 @@ def localization_rate_profile(
     channel (channels are frozen and hashable); pass the same dict only with the
     same separations.
     """
-    dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
-    if not np.all((dx >= 0.0) & (dx < math.inf)):
-        raise ValueError("delta_x must be finite and >= 0")
+    dx = _separations(delta_x)
     if channel_rates is None:
         channel_rates = {}
     total = np.zeros_like(dx)
     for channel in channels:
         if channel not in channel_rates:
-            channel_rates[channel] = _checked_channel_rate(channel, dx)
+            spectrum = _weighted_spectrum(channel, _stored_rule(RULE_ORDER))
+            channel_rates[channel] = _checked_channel_rate(channel, dx, spectrum, _work_buffer(dx))
         total += channel_rates[channel]
     return total
 
 
-def _checked_channel_rate(channel, dx: np.ndarray) -> np.ndarray:
-    """The channel rate on the stored rule, refused where it is not finite or where the
-    rule's error bound passes ``QUADRATURE_RTOL`` of it."""
-    work = np.empty(max(dx.size * RULE_ORDER, _MIN_WORK_ELEMENTS))
-    rate = _channel_rate(channel, dx, _stored_rule(RULE_ORDER), work)
+def _separations(delta_x) -> np.ndarray:
+    """``delta_x`` as a 1-d float array, refused unless every entry is finite and >= 0."""
+    dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
+    if not np.all((dx >= 0.0) & (dx < math.inf)):
+        raise ValueError("delta_x must be finite and >= 0")
+    return dx
+
+
+def _work_buffer(dx: np.ndarray) -> np.ndarray:
+    """A float64 buffer that holds the kick matrix of any channel over ``dx``."""
+    return np.empty(max(dx.size * RULE_ORDER, _MIN_WORK_ELEMENTS))
+
+
+def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -> np.ndarray:
+    """The rate of ``channel`` from its :func:`_weighted_spectrum` on the stored rule, its
+    kick matrix in ``work`` (:func:`_work_buffer`), refused where it is not finite or where
+    the rule's error bound passes ``QUADRATURE_RTOL`` of it."""
+    rate = _channel_rate(spectrum, dx, work)
     if not np.all(np.isfinite(rate)):
         raise QuadratureError(
             f"channel {channel.name!r} not converged: its rate is not finite at "
@@ -344,6 +367,91 @@ def _checked_channel_rate(channel, dx: np.ndarray) -> np.ndarray:
             f"up to {float(dx.max())!r} m; reduce the largest separation"
         )
     return rate
+
+
+# -- channel integrals in forked processes --------------------------------------
+
+def _share_count(n_channels: int) -> int:
+    """Processes that integrate ``n_channels`` channels: one per CPU this process may run
+    on, at most one per channel. Only one while another Python thread runs, since a forked
+    child would hold just the forking thread and whatever locks the others held."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_channels)
+
+
+def _share_rates(channels, spectra, dx: np.ndarray) -> list[np.ndarray]:
+    """Checked rates of ``channels``, in order, up to the first one refused. One work buffer
+    serves them all: freed and taken again per channel, next to the small rates that stay,
+    it could fragment the heap so that a later buffer no longer fits in the freed one; the
+    command's peak then rose by 0.9 MiB, or not, with the length of its argv."""
+    rates = []
+    work = _work_buffer(dx)
+    for channel, spectrum in zip(channels, spectra):
+        try:
+            rates.append(_checked_channel_rate(channel, dx, spectrum, work))
+        except QuadratureError:
+            break
+    return rates
+
+
+def _forked_channel_rates(channels: list, dx: np.ndarray) -> dict:
+    """Checked rates of the distinct ``channels`` over ``dx``, integrated in shares.
+
+    Channel i goes to share i % n, n = :func:`_share_count`. This process runs share 0;
+    each other share runs in a forked child, which sends its finished rates back through
+    a pipe, once, and leaves by ``os._exit``. A share stops at its first refused channel,
+    so the result lacks that channel, the rest of its share and all of a share whose
+    child died or could not be forked; the caller computes those itself, in order, and so
+    raises the first refusal the serial walk would. Every weighted spectrum is evaluated
+    in this process; every kick matrix, product and check runs whole in one process.
+    """
+    rule = _stored_rule(RULE_ORDER)
+    shares = _share_count(len(channels))
+    # the children's spectra, in one block: mapped, never touched at share 0's rows,
+    # and unmapped here once the children hold it
+    handed = np.empty((len(channels), 2, RULE_ORDER))
+    children = []       # (pid, read end of its pipe, its channels)
+    try:
+        for share in range(1, shares):
+            for i in range(share, len(channels), shares):
+                handed[i] = _weighted_spectrum(channels[i], rule)
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                try:
+                    os.close(read)
+                    rates = _share_rates(channels[share::shares], handed[share::shares], dx)
+                    with open(write, "wb") as pipe:
+                        pipe.writelines(rates)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read, channels[share::shares]))
+        del handed
+        own = channels[::shares]
+        rates = dict(zip(own, _share_rates(own, (_weighted_spectrum(ch, rule) for ch in own), dx)))
+        for _, read, sent_for in children:
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            whole = len(sent) // (8 * dx.size)      # a child killed mid-write sends a part
+            sent = np.frombuffer(sent, count=whole * dx.size).reshape(whole, dx.size)
+            rates.update(zip(sent_for, sent))
+    except BaseException:
+        import signal       # here, so that no command that succeeds imports it
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return rates
 
 
 # -- visibility surface --------------------------------------------------------
@@ -375,7 +483,8 @@ def visibility_surface(
     """Tabulate exp(-eta(dx; T_int) * t) of the :func:`default_model` channels.
 
     A channel that several columns share (one that does not depend on T_int)
-    is integrated once.
+    is integrated once, and the distinct channels are split over forked processes
+    (:func:`_forked_channel_rates`).
     """
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
@@ -383,8 +492,10 @@ def visibility_surface(
         raise ValueError("axes must be non-empty")
     # every column's channels first, so that a refused channel stops the surface before any work
     models = [default_model(params, float(t_int), response_im, response_mod_sq) for t_int in tins]
+    dx = _separations(dx)
+    distinct = list(dict.fromkeys(channel for channels in models for channel in channels))
+    channel_rates = _forked_channel_rates(distinct, dx)
     vis = np.empty((dx.size, tins.size))
-    channel_rates = {}
     for j, channels in enumerate(models):
         eta = localization_rate_profile(channels, dx, channel_rates)
         # an exposure that overflows to inf decays to exactly 0.0, as its finite

@@ -1,7 +1,13 @@
 import importlib.util
+import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
+import threading
+import time
 from fnmatch import fnmatch
 from functools import lru_cache
 from importlib import resources
@@ -29,6 +35,7 @@ from nanoramsey.decoherence import (
     _checked_channel_rate,
     _error_bound,
     _stored_rule,
+    _weighted_spectrum,
     angular_factor,
     default_model,
     localization_rate_profile,
@@ -186,27 +193,87 @@ def test_np_sin_is_libm_on_benchmark_surfaces(monkeypatch, tmp_path):
     """The surface bytes rest on np.sin being libm's sin, element by element (see
     angular_factor). Check it on every argument np.sin receives inside angular_factor
     for the benchmark's visibility commands (variant 0: 200 x 100 and 50 x 50), so a
-    numpy build that breaks it fails here by name rather than in a golden byte."""
+    numpy build that breaks it fails here by name rather than in a golden byte. The
+    counts sit in shared memory, so the forked processes that integrate most of the
+    channels add theirs too."""
     spec = importlib.util.spec_from_file_location("_perfbench_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    counts = {"checked": 0, "differ": 0}
+    counts = multiprocessing.Array("q", 2)     # sines checked, sines that differ
 
     def checked_angular_factor(z):
         y = np.pi * (z[np.abs(z) >= 0.1] / np.pi)      # the sin arguments, as angular_factor forms them
         libm = np.fromiter(map(math.sin, y.tolist()), float, y.size)
-        counts["checked"] += y.size
-        counts["differ"] += int(np.count_nonzero(_bits(np.sin(y)) != _bits(libm)))
+        differ = int(np.count_nonzero(_bits(np.sin(y)) != _bits(libm)))
+        with counts.get_lock():
+            counts[0] += y.size
+            counts[1] += differ
         return angular_factor(z)
 
     monkeypatch.setattr(decoherence, "angular_factor", checked_angular_factor)
     monkeypatch.chdir(ROOT)
     for cmd in workloads.commands("surface", 0):
         assert cli.main([*cmd.argv, "--out", str(tmp_path / cmd.name)]) == 0
-    assert counts["checked"] > 10_000_000       # both whole surfaces went through the hook
-    assert counts["differ"] == 0
+    assert counts[0] > 10_000_000       # both whole surfaces went through the hook
+    assert counts[1] == 0
+    with pytest.raises(ChildProcessError):      # and every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: Run in a child interpreter: the OpenBLAS core type numpy's BLAS runs on, and the raw
+#: eta of every column of a 50 x 7 surface, as JSON on stdout.
+_ETA_ON_THIS_KERNEL = """
+import ctypes, json
+import numpy as np
+from nanoramsey.decoherence import default_model, localization_rate_profile
+from nanoramsey.params import build_params
+
+def core():
+    for line in open("/proc/self/maps"):
+        if "openblas" in line:
+            lib = ctypes.CDLL(line.split()[-1])
+            for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                         "openblas_get_corename"):
+                if hasattr(lib, name):
+                    getattr(lib, name).restype = ctypes.c_char_p
+                    return getattr(lib, name)().decode()
+    return None
+
+params = build_params(%r)
+dx = np.geomspace(1e-9, 1e-6, 50)
+eta = [localization_rate_profile(default_model(params, t), dx) for t in np.linspace(300, 1500, 7)]
+print(json.dumps({"core": core(), "eta": np.array(eta).tobytes().hex()}))
+"""
+
+
+def test_surface_bits_depend_on_the_blas_kernel_by_a_few_ulp():
+    """The matrix-vector product of each channel sums 1024 positive terms in the order its
+    OpenBLAS kernel picks, so another kernel moves the raw eta by a few ulp (14 at most
+    measured, Sandybridge against SkylakeX; the a-priori bound for two orders is about
+    2 x 1023 ulp) and with them printed digits (docs/physics-notes.md, "Which bytes
+    depend on the machine"). Forked workers inherit the parent's kernel."""
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("the loaded BLAS library is found through /proc/self/maps")
+
+    def run(coretype):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", _ETA_ON_THIS_KERNEL % (dict(PAPER_CONFIG),)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        got = json.loads(out.stdout)
+        return got["core"], np.frombuffer(bytes.fromhex(got["eta"]))
+
+    default_core, default_eta = run(None)
+    other_core, other_eta = run("Sandybridge")
+    if default_core is None or default_core == other_core:
+        pytest.skip(f"no second OpenBLAS kernel to compare (default {default_core!r})")
+    ulps = np.abs(_bits(other_eta) - _bits(default_eta))
+    assert default_eta.size == 350 and np.all(default_eta > 0.0)
+    assert ulps.max() <= 32, f"{other_core} against {default_core}: {ulps.max()} ulp"
 
 
 class TestBlockedQuadratureBits:
@@ -236,8 +303,166 @@ class TestBlockedQuadratureBits:
         rule = _stored_rule(n_nodes) if n_nodes == RULE_ORDER else _leggauss_rule(n_nodes)
         for channel in default_model(paper_params, 900.0):
             work = np.empty(dx.size * n_nodes)
-            assert_bit_equal(_channel_rate(channel, dx, rule, work),
+            assert_bit_equal(_channel_rate(_weighted_spectrum(channel, rule), dx, work),
                              channel_rate_reference(channel, dx, n_nodes))
+
+
+class TestForkedShares:
+    """visibility_surface integrates its distinct channels in shares, one per CPU, in
+    forked processes (``_forked_channel_rates``). Every case gives the serial walk's bits
+    or its first refusal, and leaves no child unreaped."""
+
+    SURFACES = {"200x100": (200, 100), "50x50": (50, 50)}     # the benchmark's, variant 0
+    SHARE_COUNT = staticmethod(decoherence._share_count)
+
+    @pytest.fixture(autouse=True)
+    def every_child_reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _surface(params, shares, monkeypatch, dx, tins):
+        """The visibility on ``shares`` shares at most; None: one per CPU, as the CLI runs."""
+        monkeypatch.setattr(decoherence, "_share_count", TestForkedShares.SHARE_COUNT
+                            if shares is None else lambda n: min(shares, n))
+        return visibility_surface(params, dx, tins, PAPER_CONFIG["t3"]).visibility
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_benchmark_surfaces_equal_the_serial_walk(self, paper_params, surface, monkeypatch):
+        m, k = self.SURFACES[surface]
+        axes = np.geomspace(1e-9, 1e-6, m), np.linspace(300.0, 1500.0, k)
+        serial = self._surface(paper_params, 1, monkeypatch, *axes)
+        for shares in (None, 3):
+            assert_bit_equal(self._surface(paper_params, shares, monkeypatch, *axes), serial)
+
+    @pytest.mark.parametrize("shares", [2, 3])
+    def test_each_channel_integrated_once(self, paper_params, shares, monkeypatch):
+        """This process integrates only share 0; every other rate comes from a child."""
+        parent, checked = os.getpid(), decoherence._checked_channel_rate
+        here = []
+
+        def counted(channel, *args):
+            if os.getpid() == parent:
+                here.append(channel)
+            return checked(channel, *args)
+
+        monkeypatch.setattr(decoherence, "_checked_channel_rate", counted)
+        tins = np.linspace(300.0, 1500.0, 10)
+        self._surface(paper_params, shares, monkeypatch, np.geomspace(1e-9, 1e-6, 20), tins)
+        distinct = list(dict.fromkeys(ch for t in tins for ch in default_model(paper_params, t)))
+        assert here == distinct[::shares]
+
+    @pytest.mark.parametrize("shares", [1, 3])
+    @pytest.mark.parametrize("m", [1, 7, 33, 50, 200])
+    def test_blocked_shapes_equal_the_reference(self, paper_params, m, shares, monkeypatch):
+        dx, tins = np.geomspace(1e-9, 1e-6, m), np.linspace(300.0, 1500.0, 3)
+        want = visibility_surface_reference(paper_params, dx, tins, PAPER_CONFIG["t3"])
+        assert_bit_equal(self._surface(paper_params, shares, monkeypatch, dx, tins),
+                         want.visibility)
+
+    # Up to 3e-4 m the emission channels at 600 and 700 K are refused and every other one is
+    # not. The distinct channels are absorption, scattering, then emission per column, so
+    # over two shares the first refused channel (600 K) is the child's with these T_int
+    # and the parent's (share 0) with the second set, its 700 K twin the other's.
+    @pytest.mark.parametrize("tins", [[100.0, 200.0, 300.0, 600.0, 700.0], [100.0, 200.0, 600.0, 700.0]],
+                             ids=["child-share", "parent-share"])
+    @pytest.mark.parametrize("shares", [2, 3])
+    def test_first_refusal_is_the_serial_one(self, paper_params, tins, shares, monkeypatch):
+        dx = np.geomspace(1e-9, 3e-4, 5)
+        with pytest.raises(QuadratureError) as serial:
+            self._surface(paper_params, 1, monkeypatch, dx, tins)
+        assert "1.24e-02 relative" in str(serial.value)       # the 600 K channel's bound
+        with pytest.raises(QuadratureError) as split:
+            self._surface(paper_params, shares, monkeypatch, dx, tins)
+        assert str(split.value) == str(serial.value)
+
+    @pytest.mark.parametrize("dies_at", [0, 2])
+    def test_child_killed_mid_share(self, paper_params, dies_at, monkeypatch):
+        """A child that dies before its first or third channel sends nothing or two rates;
+        this process computes the rest, to the same bits."""
+        dx, tins = np.geomspace(1e-9, 1e-6, 33), np.linspace(300.0, 1500.0, 12)
+        serial = self._surface(paper_params, 1, monkeypatch, dx, tins)
+        parent, checked = os.getpid(), decoherence._checked_channel_rate
+        calls = iter(range(1_000))
+
+        def dying(*args):
+            if os.getpid() != parent and next(calls) == dies_at:
+                os._exit(3)
+            return checked(*args)
+
+        monkeypatch.setattr(decoherence, "_checked_channel_rate", dying)
+        assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
+
+    def test_child_cut_off_mid_write(self, paper_params, monkeypatch):
+        """A child killed while writing leaves part of a rate at the end of the pipe; that
+        part is dropped and its channel computed here."""
+        dx, tins = np.geomspace(1e-9, 1e-6, 33), np.linspace(300.0, 1500.0, 12)
+        serial = self._surface(paper_params, 1, monkeypatch, dx, tins)
+        parent, checked = os.getpid(), decoherence._checked_channel_rate
+        calls = iter(range(1_000))
+
+        def cut(*args):
+            if os.getpid() == parent:
+                return checked(*args)
+            call = next(calls)
+            if call == 2:
+                raise QuadratureError("the share ends here")
+            return checked(*args)[:None if call < 1 else 5]    # 5 of 33 floats of the second
+
+        monkeypatch.setattr(decoherence, "_checked_channel_rate", cut)
+        assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
+
+    def test_interrupt_kills_and_reaps_every_child(self, paper_params, monkeypatch):
+        parent, checked = os.getpid(), decoherence._checked_channel_rate
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60.0)            # a child still at work
+            return checked(*args)
+
+        monkeypatch.setattr(decoherence, "_checked_channel_rate", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self._surface(paper_params, 3, monkeypatch, np.geomspace(1e-9, 1e-6, 20),
+                          np.linspace(300.0, 1500.0, 10))
+        assert time.monotonic() - start < 30.0
+
+    def test_failed_fork_leaves_the_share_to_the_walk(self, paper_params, monkeypatch):
+        dx, tins = np.geomspace(1e-9, 1e-6, 17), np.linspace(300.0, 1500.0, 5)
+        serial = self._surface(paper_params, 1, monkeypatch, dx, tins)
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
+
+    def test_no_fork_while_another_thread_runs(self, paper_params, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        dx, tins = np.geomspace(1e-9, 1e-6, 9), np.linspace(300.0, 1500.0, 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60.0,))
+        other.start()
+        try:
+            alone = self._surface(paper_params, None, monkeypatch, dx, tins)
+        finally:
+            release.set()
+            other.join(timeout=60.0)
+        assert not other.is_alive()
+        assert forks == []
+        split = self._surface(paper_params, None, monkeypatch, dx, tins)
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 6) - 1
+        assert_bit_equal(split, alone)
+
+    def test_share_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [decoherence._share_count(n) for n in (1, 3, 102)] == [1, 3, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert decoherence._share_count(102) == 1
 
 
 # -- the stored Gauss-Legendre rule --------------------------------------------
@@ -364,12 +589,13 @@ class TestErrorBound:
         4096-node value by more than QUADRATURE_RTOL, the channel is refused."""
         channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
         dx = np.linspace(0.05, 0.3, 126) / temperature
-        missed = np.abs(_channel_rate(channel, dx, _stored_rule(RULE_ORDER), np.empty(dx.size * RULE_ORDER))
+        spectrum = _weighted_spectrum(channel, _stored_rule(RULE_ORDER))
+        missed = np.abs(_channel_rate(spectrum, dx, np.empty(dx.size * RULE_ORDER))
                         / reference_rate(channel, dx) - 1.0) > QUADRATURE_RTOL
         refused = np.zeros(dx.size, dtype=bool)
         for i, sep in enumerate(dx):
             try:
-                _checked_channel_rate(channel, np.array([sep]))
+                _checked_channel_rate(channel, np.array([sep]), spectrum, np.empty(RULE_ORDER))
             except QuadratureError:
                 refused[i] = True
         assert missed.any() and not missed[dx * temperature < 0.19].any()
@@ -388,13 +614,16 @@ class TestErrorBound:
     @pytest.mark.filterwarnings("error")
     def test_zero_rates_pass_without_warning(self, paper_params):
         """dx = 0 gives exactly 0, and so does a subnormal dx, whose kicks underflow: both
-        bounds are exactly 0 too. A zero response makes every rate 0, with nothing to bound."""
+        bounds are exactly 0 too. A zero response or temperature makes every rate 0, with
+        nothing to bound."""
         model = default_model(paper_params)
         eta = localization_rate_profile(model, [0.0, 5e-324, 1e-7])
         assert eta[0] == eta[1] == 0.0 < eta[2]
         assert _error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER).tolist() == [0.0, 0.0]
         mute = default_model(paper_params, response_im=0.0, response_mod_sq=0.0)
         assert localization_rate_profile(mute, [0.0, 1e-7, 1e-4]).tolist() == [0.0, 0.0, 0.0]
+        cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
+        assert localization_rate_profile((cold,), [0.0, 1e-7, 1e-4]).tolist() == [0.0, 0.0, 0.0]
 
 
 # -- angular factor against independent oracles --------------------------------
