@@ -108,8 +108,8 @@ def zeeman_resolvability(params: ExperimentParams, seq: PulseSequence) -> Zeeman
                          "1 / pulse_duration overflow")
     ratio = splitting / bandwidth
     if not math.isfinite(ratio):
-        raise ValueError(f"pulse_duration and b_gradient make the resolvability ratio {ratio!r}, "
-                         f"got pulse_duration={params.pulse_duration!r}, "
+        raise ValueError(f"pulse_duration, g_nv and b_gradient make the resolvability ratio {ratio!r}, "
+                         f"got pulse_duration={params.pulse_duration!r}, g_nv={params.g_nv!r}, "
                          f"b_gradient={params.b_gradient!r}")
     return ZeemanResolvability(splitting=splitting, bandwidth=bandwidth,
                                ratio=ratio, passes=ratio >= RESOLVABILITY_MARGIN)

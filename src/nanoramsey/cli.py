@@ -125,9 +125,15 @@ def _sweep_values(args):
         vals = [float(v) for v in args.values.split(",") if v.strip()]
         if not vals:
             raise ConfigError("empty --values list")
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"--values must be finite, got {bad[0]!r}")
         return vals
     if args.start is None or args.stop is None:
         raise ConfigError("pass --values or all of --start/--stop/--count")
+    for name, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if args.count < 2:
         raise ConfigError("--count must be >= 2 for a range sweep")
     if args.log:

@@ -37,7 +37,6 @@ class CollectiveFinalState:
 
     l: int
     sector_phases: tuple[tuple[int, float], ...]   # (M, M * phi_g)
-    phi_g: float
 
 
 def collective_final_state(params: ExperimentParams, seq: PulseSequence, l: int) -> CollectiveFinalState:
@@ -54,7 +53,7 @@ def collective_final_state(params: ExperimentParams, seq: PulseSequence, l: int)
         raise ValueError(f"l must lie in [1, {MAX_EXACT_L}]")
     phi = gravitational_phase(params, seq)
     phases = tuple((2 * n - l, (2 * n - l) * phi) for n in range(l + 1))
-    return CollectiveFinalState(l=l, sector_phases=phases, phi_g=phi)
+    return CollectiveFinalState(l=l, sector_phases=phases)
 
 
 def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -75,8 +74,8 @@ def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSeque
         coefficient = math.inf
     if not math.isfinite(coefficient):
         raise ValueError(
-            f"mass, b_gradient and t3 overflow the twisting coefficient, got mass={params.mass!r}, "
-            f"b_gradient={params.b_gradient!r}, t3={seq.t3!r}"
+            f"mass, g_nv, b_gradient and t3 overflow the twisting coefficient, got mass={params.mass!r}, "
+            f"g_nv={params.g_nv!r}, b_gradient={params.b_gradient!r}, t3={seq.t3!r}"
         )
     return coefficient
 

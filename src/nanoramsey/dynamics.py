@@ -9,6 +9,9 @@ over hbar. In the position representation a branch reads
     psi(x) = N(t) * exp(i*(S + p*(x - xc))/hbar) * exp(-(x - xc)^2 / (4*w))
 
 with complex width w = sigma0^2 + i*hbar*t/(2m) and S the action integral.
+Both branches leave the same trap ground state, so sigma0 is
+``params.sigma0()`` and t, the time since release, is the pair's one clock,
+``CompositeState.spread_time``; a branch holds only xc, p and S / hbar.
 
 Sign conventions used throughout (and certified by the grid oracle):
 
@@ -103,31 +106,18 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class GaussianBranchState:
-    """One spin-conditioned motional wavepacket.
+    """One spin-conditioned motional wavepacket; its width is the pair's (:class:`CompositeState`).
 
     center        m, packet centre xc
     momentum      kg m/s, packet momentum p
-    sigma0        m, initial (trap ground state) width
-    spread_time   s, total time entering the free-spreading width law
     action_phase  rad, accumulated classical action over hbar
-
-    A piecewise-constant force leaves ``sigma0`` untouched and advances
-    ``spread_time`` by exactly the evolved duration.
     """
 
     center: float
     momentum: float
-    sigma0: float
-    spread_time: float = 0.0
     action_phase: float = 0.0
 
-    def __post_init__(self):
-        if not all_of(self.sigma0 > 0.0):
-            raise ValueError("sigma0 must be > 0")
-        if any_of(self.spread_time < 0.0):
-            raise ValueError("spread_time must be >= 0")
-
-    def evolved(self, force: float, duration: float, mass: float, hbar: float) -> "GaussianBranchState":
+    def evolved(self, force: float, duration: float, mass: float) -> "GaussianBranchState":
         """Exact evolution under a constant force for ``duration`` seconds."""
         x, p, tau, m = self.center, self.momentum, duration, mass
         f = force
@@ -140,18 +130,18 @@ class GaussianBranchState:
         return GaussianBranchState(
             center=x + p * tau / m + f * tau * tau / (2.0 * m),
             momentum=p + f * tau,
-            sigma0=self.sigma0,
-            spread_time=self.spread_time + tau,
-            action_phase=self.action_phase + action / hbar,
+            action_phase=self.action_phase + action / HBAR,
         )
 
 
 @dataclass(frozen=True)
 class CompositeState:
-    """Equal spin superposition: one Gaussian branch per spin."""
+    """Equal spin superposition: one Gaussian branch per spin, and the pair's
+    clock ``spread_time`` (s), the time since release that sets both widths."""
 
     plus_branch: GaussianBranchState
     minus_branch: GaussianBranchState
+    spread_time: float = 0.0
 
 
 def _spin_history(initial_spin: int) -> tuple[int, int, int]:
@@ -249,26 +239,27 @@ def ramsey_probability(phi):
 
 def initial_state(params: ExperimentParams, x0: float = 0.0, p0: float = 0.0) -> CompositeState:
     """Equal superposition of the two spin branches on a shared coherent state."""
-    packet = GaussianBranchState(center=x0, momentum=p0, sigma0=params.sigma0())
+    packet = GaussianBranchState(center=x0, momentum=p0)
     return CompositeState(plus_branch=packet, minus_branch=packet)
 
 
 def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: CompositeState) -> CompositeState:
     """Evolve both branches through the flip sequence to t3 (exact closed forms):
     the plus branch starts on spin +1, the minus branch on spin -1."""
-    if any_of(initial.plus_branch.sigma0 != initial.minus_branch.sigma0):
-        raise ValueError("branches must share sigma0")
+    durations = seq.segment_durations()
     branches = []
     for state, spin in ((initial.plus_branch, SpinBranch.PLUS), (initial.minus_branch, SpinBranch.MINUS)):
-        for tau, s in zip(seq.segment_durations(), _spin_history(spin)):
-            state = state.evolved(branch_force(params, s), tau, params.mass, HBAR)
+        for tau, s in zip(durations, _spin_history(spin)):
+            state = state.evolved(branch_force(params, s), tau, params.mass)
         branches.append(state)
     bad = np.logical_not(np.isfinite(branches[0].action_phase) & np.isfinite(branches[1].action_phase))
     if any_of(bad):     # an action that overflows leaves the overlap phase inf - inf = NaN
-        raise ValueError("mass, g_earth, b_gradient and t3 overflow a branch's action phase S / hbar, got "
-                         f"mass={first(bad, params.mass)!r}, g_earth={first(bad, params.g_earth)!r}, "
-                         f"b_gradient={first(bad, params.b_gradient)!r}, t3={first(bad, seq.t3)!r}")
-    return CompositeState(branches[0], branches[1])
+        raise ValueError("mass, g_earth, g_nv, b_gradient and t3 overflow a branch's action phase S / hbar, "
+                         f"got mass={first(bad, params.mass)!r}, g_earth={first(bad, params.g_earth)!r}, "
+                         f"g_nv={first(bad, params.g_nv)!r}, b_gradient={first(bad, params.b_gradient)!r}, "
+                         f"t3={first(bad, seq.t3)!r}")
+    return CompositeState(branches[0], branches[1],
+                          initial.spread_time + durations[0] + durations[1] + durations[2])
 
 
 def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:
@@ -307,12 +298,8 @@ def branch_overlap(params: ExperimentParams, state: CompositeState) -> complex:
     fringe-visibility factor contributed by motional which-path information.
     """
     plus, minus = state.plus_branch, state.minus_branch
-    if any_of(plus.sigma0 != minus.sigma0):
-        raise ValueError("branch overlap undefined for differing sigma0")
-    if any_of(plus.spread_time != minus.spread_time):
-        raise ValueError("branch overlap undefined for differing spread_time")
-    s0 = plus.sigma0
-    t = plus.spread_time
+    s0 = params.sigma0()
+    t = state.spread_time
     dx = plus.center - minus.center
     dp = plus.momentum - minus.momentum
     p_mean = 0.5 * (plus.momentum + minus.momentum)

@@ -456,13 +456,13 @@ def oracle_compare(
 
     center_error = 0.0
     width_error = 0.0
+    sigma_scaled = wavepacket_width(params, final.spread_time) / scaled.length_unit
     for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
         x_cl = branch.center / scaled.length_unit
         # natural momentum unit is hbar / sigma0
         p_cl = branch.momentum * scaled.length_unit / HBAR
         denom = max(1.0, abs(x_cl), abs(p_cl))
         center_error = max(center_error, abs(xb - x_cl) / denom, abs(pb - p_cl) / denom)
-        sigma_scaled = wavepacket_width(params, branch.spread_time) / scaled.length_unit
         width_error = max(width_error, abs(width - sigma_scaled) / sigma_scaled)
 
     return OracleReport(

@@ -150,7 +150,6 @@ class ExperimentParams:
     pulse_duration  s, duration of one control pulse
     n_nucleons      nucleon count used for collapse-model bounds
     radius          m, object radius (optional; needed by the decoherence model)
-    density         kg/m^3 (optional; with radius it determines the mass)
     g_earth         m/s^2, local gravitational acceleration (standard gravity by default)
     """
 
@@ -167,7 +166,6 @@ class ExperimentParams:
     g_nv: float = DEFAULT_G_NV
     n_nucleons: float | None = None
     radius: float | None = None
-    density: float | None = None
     g_earth: float = STANDARD_GRAVITY
 
     def __post_init__(self):
@@ -183,8 +181,6 @@ class ExperimentParams:
         _require(self.pulse_duration > 0.0, "pulse_duration", "must be > 0")
         if self.radius is not None:
             _require(self.radius > 0.0, "radius", "must be > 0")
-        if self.density is not None:
-            _require(self.density > 0.0, "density", "must be > 0")
         if self.n_nucleons is None:
             object.__setattr__(self, "n_nucleons", self.mass / AMU)
         _require(self.n_nucleons >= 1.0, "n_nucleons", "must be >= 1")
@@ -282,11 +278,13 @@ def build_params(config: dict) -> ExperimentParams:
                 f"(sphere mass {first(bad, derived)!r}); "
                 "drop one of the keys"
             )
+    elif density is not None:       # the mass is given, so the density is only checked
+        _require(density > 0.0, "density", "must be > 0")
 
     kwargs = {"mass": number(mass)}
     for key in _MANDATORY:
         kwargs[key] = number(config[key])
-    for key in ("g_nv", "n_nucleons", "radius", "density", "g_earth"):
+    for key in ("g_nv", "n_nucleons", "radius", "g_earth"):
         if key in config and config[key] is not None:
             kwargs[key] = number(config[key])
     try:

@@ -6,8 +6,9 @@ Run from the repository root:
 
 The default test run does not collect this file (its name does not match
 ``test_*.py``). The two sweep CLI cases are the ``sweep`` workload's commands
-run in-process, output included; the library case is a 1e6-point balanced
-theta sweep through the closed forms; the surface case is the ``surface``
+run in-process, output included; the library cases are a 1e6-point balanced
+theta sweep through the closed forms and the t1 command's 20,000 points
+through ``evolve_sequence`` and ``branch_overlap`` alone; the surface case is the ``surface``
 workload's large visibility table. The quadrature cases time one 1024-node
 channel on 200 separations, the a-priori error bound of that channel alone
 on the same separations, and the stored Gauss-Legendre rule the quadrature
@@ -41,7 +42,10 @@ from nanoramsey.decoherence import (
 )
 from nanoramsey.dynamics import (
     PulseSequence,
+    branch_overlap,
+    evolve_sequence,
     gravitational_phase,
+    initial_state,
     max_separation,
     ramsey_probability,
 )
@@ -85,6 +89,17 @@ def test_library_sweep_1e6(benchmark):
     thetas = np.linspace(0.0, 1.5, 1_000_000)
     benchmark.pedantic(_library_sweep, args=(cfg, thetas), rounds=3, iterations=1,
                        warmup_rounds=1)
+
+
+def _library_unbalanced(params, seq):
+    return branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+
+
+def test_library_unbalanced_20k(benchmark):
+    """The overlap at the t1 command's 20,000 points, one broadcast call each."""
+    cfg = dict(parse_config_text(Path(CONFIG).read_text()), t1=np.linspace(2.495e-05, 2.505e-05, 20_000))
+    benchmark.pedantic(_library_unbalanced, args=(build_params(cfg), cli._sequence_from_config(cfg)),
+                       rounds=30, iterations=1, warmup_rounds=2)
 
 
 @pytest.fixture(scope="module")

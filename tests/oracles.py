@@ -91,17 +91,21 @@ def evolve_branches(params, seq, initial, spins=(1, -1), until=None):
     if not all_of(ok):
         raise ValueError(f"until must lie in [0, {first(np.logical_not(ok), e3)}]")
     edges = [where(horizon < e, horizon, e) for e in (0.0, e1, e2, e3)]     # min(e, horizon)
+    durations = []
+    for start, stop in zip(edges, edges[1:]):
+        idle = stop <= start
+        if all_of(idle):
+            break
+        durations.append(where(idle, 0.0, stop - start))
     branches = []
     for state, spin in zip((initial.plus_branch, initial.minus_branch), spins):
-        for k, s in enumerate(_spin_history(spin)):
-            start, stop = edges[k], edges[k + 1]
-            idle = stop <= start
-            if all_of(idle):
-                break
-            state = state.evolved(branch_force(params, s), where(idle, 0.0, stop - start),
-                                  params.mass, HBAR)
+        for tau, s in zip(durations, _spin_history(spin)):
+            state = state.evolved(branch_force(params, s), tau, params.mass)
         branches.append(state)
-    return CompositeState(*branches)
+    clock = initial.spread_time
+    for tau in durations:
+        clock = clock + tau
+    return CompositeState(*branches, clock)
 
 
 def _force_of_time(params, seq, initial_spin):

@@ -197,6 +197,25 @@ class TestNonFiniteInputs:
         assert err == f"error: {flag} must be finite\n"
 
     @pytest.mark.parametrize("flags, message", [
+        (["--param", "b_gradient", "--values", "nan"], "--values must be finite, got nan"),
+        (["--param", "theta", "--values", "0.1,-inf,nan"], "--values must be finite, got -inf"),
+        (["--param", "mass", "--start", "1e-17", "--stop", "inf", "--count", "3"],
+         "--stop must be finite, got inf"),
+        (["--param", "mass", "--start", "nan", "--stop", "inf", "--count", "3", "--log"],
+         "--start must be finite, got nan"),
+    ], ids=["values-nan", "values-inf", "stop-inf", "start-nan-log"])
+    def test_non_finite_sweep_flag_refused(self, capsys, tmp_path, flags, message, monkeypatch):
+        """Refused by the flag before any point runs, not by the check a point then fails."""
+        monkeypatch.setattr(cli, "_sweep_rows", lambda *args: pytest.fail("a point ran"))
+        config = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", "--config", config, *flags])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
         (["--tint-max=-5"], "--tint-max must be >= 0, got -5.0"),
         (["--tint-min=-5"], "--tint-min must be >= 0, got -5.0"),
         (["--dx-min=-1e-9"], "--dx-min must be > 0 under log spacing, got -1e-09"),
@@ -256,8 +275,8 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
     rc = cli.main(["dicke", "--config", config, "--l", "3", "--format", fmt])
     out, err = capsys.readouterr()
     assert rc == cli.EXIT_VALIDATION and out == ""
-    assert err == ("error: mass, b_gradient and t3 overflow the twisting coefficient, "
-                   "got mass=1e-290, b_gradient=10000000.0, t3=0.0001\n")
+    assert err == ("error: mass, g_nv, b_gradient and t3 overflow the twisting coefficient, "
+                   "got mass=1e-290, g_nv=2.0028, b_gradient=10000000.0, t3=0.0001\n")
 
 
 def _refusal(argv, overrides, code, *named):
@@ -293,6 +312,10 @@ _VISIBILITY = ["visibility", "--dx-count", "3", "--tint-count", "2"]
     _refusal(_VISIBILITY, {"radius": 1e46}, cli.EXIT_VALIDATION, "radius 1e+46", "reduce the radius"),
     _refusal(["visibility", "--dx-count", str(MAX_SEPARATIONS + 1)], {}, cli.EXIT_VALIDATION,
              "--dx-count", f"got {MAX_SEPARATIONS + 1}"),
+    *(_refusal(argv, {"g_nv": 1e300}, cli.EXIT_VALIDATION, "ratio inf", "g_nv=1e+300") for argv in _BUDGET),
+    _refusal(["dicke", "--l", "3"], {"g_nv": 1e300}, cli.EXIT_VALIDATION, "twisting", "g_nv=1e+300"),
+    _refusal(["sweep", "--param", "t1", "--values", "1e-5,2e-5"], {"g_nv": 1e300}, cli.EXIT_VALIDATION,
+             "action phase", "g_nv=1e+300"),
 ])
 def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, named):
     """An input whose arithmetic overflows, underflows or is out of range ends in one

@@ -285,7 +285,7 @@ class TestEvolveSequence:
         scale_x = max_separation(paper_params, paper_seq)
         assert abs(plus.center - minus.center) <= 1e-12 * scale_x
         assert abs(plus.momentum - minus.momentum) <= 1e-12 * abs(plus.momentum)
-        assert plus.spread_time == minus.spread_time == 1e-4
+        assert final.spread_time == 1e-4
 
     def test_action_phase_difference_equals_phi_g(self, paper_params, paper_seq):
         """The branch actions accumulate (S+ - S-)/hbar = -phi_g."""
@@ -318,7 +318,7 @@ class TestEvolveSequence:
                               until=0.5e-4)
         sep = mid.plus_branch.center - mid.minus_branch.center
         assert sep == pytest.approx(max_separation(paper_params, paper_seq), rel=1e-12)
-        assert mid.plus_branch.spread_time == 0.5e-4
+        assert mid.spread_time == 0.5e-4
 
     def test_first_order_jitter_residuals(self, paper_params):
         """Exact kinematics: dx(t3) = 3 (A/m) t3 dt1 - 2 (A/m) dt1^2, dp = 4 A dt1."""
@@ -348,13 +348,6 @@ class TestEvolveSequence:
         assert final.plus_branch.action_phase == final.minus_branch.action_phase
         assert final.plus_branch.center == final.minus_branch.center
 
-    def test_differing_sigma0_rejected(self, paper_params, paper_seq):
-        from nanoramsey.dynamics import CompositeState, GaussianBranchState
-        a = GaussianBranchState(0.0, 0.0, 1e-12)
-        b = GaussianBranchState(0.0, 0.0, 2e-12)
-        with pytest.raises(ValueError, match="sigma0"):
-            evolve_sequence(paper_params, paper_seq, CompositeState(a, b))
-
 
 class TestBranchOverlap:
     def test_identical_branches(self, paper_params):
@@ -366,8 +359,7 @@ class TestBranchOverlap:
         from nanoramsey.dynamics import CompositeState, GaussianBranchState
         s0 = paper_params.sigma0()
         dx = s0 * math.sqrt(8.0 * math.log(2.0))
-        state = CompositeState(GaussianBranchState(dx / 2, 0.0, s0),
-                               GaussianBranchState(-dx / 2, 0.0, s0))
+        state = CompositeState(GaussianBranchState(dx / 2, 0.0), GaussianBranchState(-dx / 2, 0.0))
         assert abs(branch_overlap(paper_params, state)) == pytest.approx(0.5, rel=1e-12)
 
     def test_displacement_law_spread_independent(self, paper_params):
@@ -376,8 +368,7 @@ class TestBranchOverlap:
         s0 = paper_params.sigma0()
         dx = 3.0 * s0
         for spread in (0.0, 1e-4, 5e-4):
-            state = CompositeState(GaussianBranchState(dx / 2, 0.0, s0, spread),
-                                   GaussianBranchState(-dx / 2, 0.0, s0, spread))
+            state = CompositeState(GaussianBranchState(dx / 2, 0.0), GaussianBranchState(-dx / 2, 0.0), spread)
             assert abs(branch_overlap(paper_params, state)) == pytest.approx(
                 math.exp(-dx**2 / (8 * s0**2)), rel=1e-12)
 
@@ -390,14 +381,6 @@ class TestBranchOverlap:
         # compare on the circle; phi itself is ~1e6 rad
         assert ov.real == pytest.approx(expected.real, abs=1e-6)
         assert ov.imag == pytest.approx(expected.imag, abs=1e-6)
-
-    def test_differing_spread_time_rejected(self, paper_params):
-        from nanoramsey.dynamics import CompositeState, GaussianBranchState
-        s0 = paper_params.sigma0()
-        state = CompositeState(GaussianBranchState(0.0, 0.0, s0, 1e-5),
-                               GaussianBranchState(0.0, 0.0, s0, 2e-5))
-        with pytest.raises(ValueError, match="spread_time"):
-            branch_overlap(paper_params, state)
 
 
 #: Desk sets (a_spin, a_gravity, tau_scaled); their phase a_s a_g tau^3 / 16 stays below 432 rad.
@@ -429,11 +412,13 @@ class TestDeskSetProperties:
 
 
 def assert_same_state_bits(state, other):
+    pairs = [(state.spread_time, other.spread_time)]
     for branch, want in zip((state.plus_branch, state.minus_branch), (other.plus_branch, other.minus_branch)):
-        for field in ("center", "momentum", "sigma0", "spread_time", "action_phase"):
-            got, expected = getattr(branch, field), getattr(want, field)
-            assert type(got) is type(expected)
-            np.testing.assert_array_equal(bits(got), bits(expected))
+        pairs += [(getattr(branch, field), getattr(want, field))
+                  for field in ("center", "momentum", "action_phase")]
+    for got, expected in pairs:
+        assert type(got) is type(expected)
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 class TestBranchWalkerIsEvolveSequence:

@@ -589,11 +589,11 @@ class TestDeskSpaceOnGrid:
         initial = initial_state(params, start[0] * unit, start[1] * HBAR / unit)
         final = evolve_branches(params, seq, initial, spins=spins,
                                 until=fraction * seq.effective_times()[2])
+        sigma = wavepacket_width(params, final.spread_time) / unit
         for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
             x_cl, p_cl = branch.center / unit, branch.momentum * unit / HBAR
             denom = max(1.0, abs(x_cl), abs(p_cl))
             assert abs(xb - x_cl) <= 1e-10 * denom and abs(pb - p_cl) <= 1e-10 * denom
-            sigma = wavepacket_width(params, branch.spread_time) / unit
             assert abs(width - sigma) <= 1e-10 * sigma
         ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
         ov = branch_overlap(params, final)

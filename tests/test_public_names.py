@@ -5,7 +5,10 @@ serves only the tests, and belongs in ``tests/oracles.py``. The benchmark's
 tracer targets are the one exception: the tracer wraps them by name, so
 they stay even where no command calls them. Likewise a defaulted parameter
 that no call in ``src/`` passes is generality only the tests use; the
-exceptions are the signatures the tracer's hooks bind to, and ``KEPT``.
+exceptions are the signatures the tracer's hooks bind to, and ``KEPT``. A
+dataclass field that no code in ``src/`` reads, outside the class's own
+``__post_init__``, is a stored copy of something else; the exceptions are in
+``KEPT_FIELDS``.
 """
 import ast
 import warnings
@@ -116,6 +119,60 @@ def test_every_defaulted_parameter_is_passed_in_src():
                        for positional, keywords in calls.get(fn, ())):
                 unpassed.setdefault(qualified, set()).add(name)
     assert unpassed == {fn: names for fn, (names, _) in KEPT.items()}
+
+
+#: Dataclass fields that no code in src/ reads, by class, and why each stays.
+KEPT_FIELDS = {
+    "grid.OracleReport": ({"phase_residual"}, "grid phase minus closed form minus splitting phase: "
+                                              "the oracle guard that the planned numerical-health "
+                                              "record reports, and the tests assert"),
+}
+
+
+def _dataclass_fields(cls: ast.ClassDef) -> list[str]:
+    """The fields of a class decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    if not any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass" for dec in cls.decorator_list):
+        return []
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and not ast.unparse(node.annotation).startswith(("ClassVar", "InitVar"))]
+
+
+def _field_reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Attributes loaded, and ``getattr`` names given as literals, in ``tree`` outside ``skip``."""
+    reads = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """A field that only its own ``__post_init__`` reads is a copy that nothing uses.
+    A class whose method passes ``self`` to ``asdict`` reads every field it has."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unread = {}
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+                   and [ast.unparse(arg) for arg in node.args] == ["self"] for node in ast.walk(cls)):
+                continue
+            post_init = next((node for node in cls.body
+                              if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"), None)
+            reads = set().union(*(_field_reads(other, skip=post_init) for other in trees.values()))
+            fields = {name for name in _dataclass_fields(cls) if name not in reads}
+            if fields:
+                unread[f"{module}.{cls.name}"] = fields
+    assert unread == {cls: names for cls, (names, _) in KEPT_FIELDS.items()}
 
 
 def test_one_version_string():
