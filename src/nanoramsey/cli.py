@@ -120,11 +120,23 @@ def _point_outputs(params, seq) -> dict:
     }
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated entries of ``flag`` as floats, refused by flag and entry, or by
+    flag if there are none."""
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{flag} entry {entry.strip()!r} is not a number") from None
+    if not values:
+        raise ConfigError(f"empty {flag} list")
+    return values
+
+
 def _sweep_values(args):
     if args.values:
-        vals = [float(v) for v in args.values.split(",") if v.strip()]
-        if not vals:
-            raise ConfigError("empty --values list")
+        vals = _numbers(args.values, "--values")
         bad = [v for v in vals if not math.isfinite(v)]
         if bad:
             raise ConfigError(f"--values must be finite, got {bad[0]!r}")
@@ -305,9 +317,7 @@ def _snapshots_json(frames, metadata: dict) -> str:
 
 def _cmd_dump_snapshots(args) -> int:
     params, seq, _, text = _load_config(args.config)
-    fractions = [float(v) for v in args.times.split(",") if v.strip()]
-    if not fractions:
-        raise ConfigError("empty --times list")
+    fractions = _numbers(args.times, "--times")
     frames = snapshot_frames(params, seq, fractions)
     header = ["x", "prob_plus", "prob_minus"]
     if args.format == "json":

@@ -6,7 +6,8 @@ dx with probability governed by the isotropic sphere average of the kick
 phase, whose closed form is :func:`angular_factor` (z) = 1 - sinc(z) at
 z = k*dx. Summed over the spectral rate densities gamma_i(omega) of all
 channels this gives the localization rate, which
-:func:`localization_rate_profile` evaluates over an array of separations,
+:func:`localization_rate_profile` evaluates over an array of separations for
+a list of models (tuples of channels), each distinct channel integrated once,
 
     eta(dx) = sum_i  integral domega gamma_i(omega) * (1 - sinc(omega*dx/c))
 
@@ -238,9 +239,9 @@ _PLANCK_SHAPE = {3: (213.0, math.pi**4 / 15.0), 6: (41150.0, 720.0 * 1.008349277
 
 
 @lru_cache(maxsize=1)
-def _stored_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shipped rule of order ``n`` (``RULE_ORDER``) as (nodes, weights)."""
-    with resources.files(__package__).joinpath(f"leggauss_{n}.npy").open("rb") as f:
+def _stored_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The shipped ``RULE_ORDER``-node rule as (nodes, weights)."""
+    with resources.files(__package__).joinpath(f"leggauss_{RULE_ORDER}.npy").open("rb") as f:
         nodes, weights = np.load(f)
     return nodes, weights
 
@@ -305,38 +306,24 @@ def _error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
         return np.exp(log_base + np.minimum(series, cosine))
 
 
-def localization_rate_profile(
-    channels: tuple[BlackbodyChannel, ...],
-    delta_x,
-    channel_rates: dict | None = None,
-) -> np.ndarray:
-    """eta(delta_x) of the summed ``channels`` for an array of separations (s^-1).
+def localization_rate_profile(models, delta_x) -> np.ndarray:
+    """eta(delta_x) of each model, a tuple of channels, for an array of separations (s^-1):
+    one row per separation and one column per model.
 
-    Every channel is integrated on the ``RULE_ORDER``-node rule; where the rule's
-    a-priori error bound passes ``QUADRATURE_RTOL`` of the rate, it raises
-    :class:`QuadratureError` naming the channel, so silent under-resolution is
-    impossible. ``channel_rates``, if given, memoizes each checked channel rate by
-    channel (channels are frozen and hashable); pass the same dict only with the
-    same separations.
+    Each distinct channel is integrated once (:func:`_channel_rates`) on the
+    ``RULE_ORDER``-node rule; where the rule's a-priori error bound passes
+    ``QUADRATURE_RTOL`` of the rate, it raises :class:`QuadratureError` naming the first
+    such channel in the models' order, so silent under-resolution is impossible.
     """
-    dx = _separations(delta_x)
-    if channel_rates is None:
-        channel_rates = {}
-    total = np.zeros_like(dx)
-    for channel in channels:
-        if channel not in channel_rates:
-            spectrum = _weighted_spectrum(channel, _stored_rule(RULE_ORDER))
-            channel_rates[channel] = _checked_channel_rate(channel, dx, spectrum, _work_buffer(dx))
-        total += channel_rates[channel]
-    return total
-
-
-def _separations(delta_x) -> np.ndarray:
-    """``delta_x`` as a 1-d float array, refused unless every entry is finite and >= 0."""
     dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
     if not np.all((dx >= 0.0) & (dx < math.inf)):
         raise ValueError("delta_x must be finite and >= 0")
-    return dx
+    rates = _channel_rates(list(dict.fromkeys(ch for model in models for ch in model)), dx)
+    eta = np.zeros((dx.size, len(models)))
+    for j, model in enumerate(models):
+        for channel in model:
+            eta[:, j] += rates[channel]
+    return eta
 
 
 def _work_buffer(dx: np.ndarray) -> np.ndarray:
@@ -377,7 +364,7 @@ def _share_count(n_channels: int) -> int:
     child would hold just the forking thread and whatever locks the others held."""
     if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_channels)
+    return min(len(os.sched_getaffinity(0)), n_channels) or 1
 
 
 def _share_rates(channels, spectra, dx: np.ndarray) -> list[np.ndarray]:
@@ -395,18 +382,19 @@ def _share_rates(channels, spectra, dx: np.ndarray) -> list[np.ndarray]:
     return rates
 
 
-def _forked_channel_rates(channels: list, dx: np.ndarray) -> dict:
+def _channel_rates(channels: list, dx: np.ndarray) -> dict:
     """Checked rates of the distinct ``channels`` over ``dx``, integrated in shares.
 
     Channel i goes to share i % n, n = :func:`_share_count`. This process runs share 0;
     each other share runs in a forked child, which sends its finished rates back through
-    a pipe, once, and leaves by ``os._exit``. A share stops at its first refused channel,
-    so the result lacks that channel, the rest of its share and all of a share whose
-    child died or could not be forked; the caller computes those itself, in order, and so
-    raises the first refusal the serial walk would. Every weighted spectrum is evaluated
-    in this process; every kick matrix, product and check runs whole in one process.
+    a pipe, once, and leaves by ``os._exit``. A share stops at its first refused channel.
+    Once every child is reaped, this process integrates, in order, each channel no share
+    returned (a refused one, the rest of its share, a dead or unforked child's share, a
+    rate cut off mid-write), so it raises the serial walk's first refusal. Every weighted
+    spectrum is evaluated in this process; every kick matrix, product and check runs whole
+    in one process.
     """
-    rule = _stored_rule(RULE_ORDER)
+    rule = _stored_rule()
     shares = _share_count(len(channels))
     # the children's spectra, in one block: mapped, never touched at share 0's rows,
     # and unmapped here once the children hold it
@@ -451,6 +439,10 @@ def _forked_channel_rates(channels: list, dx: np.ndarray) -> dict:
         for pid, read, _ in children:
             os.close(read)
             os.waitpid(pid, 0)
+    for channel in channels:
+        if channel not in rates:
+            spectrum = _weighted_spectrum(channel, rule)
+            rates[channel] = _checked_channel_rate(channel, dx, spectrum, _work_buffer(dx))
     return rates
 
 
@@ -480,28 +472,19 @@ def visibility_surface(
     response_im: float = DEFAULT_RESPONSE_IM,
     response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ,
 ) -> VisibilitySurface:
-    """Tabulate exp(-eta(dx; T_int) * t) of the :func:`default_model` channels.
-
-    A channel that several columns share (one that does not depend on T_int)
-    is integrated once, and the distinct channels are split over forked processes
-    (:func:`_forked_channel_rates`).
-    """
+    """Tabulate exp(-eta(dx; T_int) * t) of the :func:`default_model` channels, one
+    :func:`localization_rate_profile` column per internal temperature."""
     dx = np.asarray(list(delta_x_range), dtype=float)
     tins = np.asarray(list(t_int_range), dtype=float)
     if dx.size == 0 or tins.size == 0:
         raise ValueError("axes must be non-empty")
     # every column's channels first, so that a refused channel stops the surface before any work
     models = [default_model(params, float(t_int), response_im, response_mod_sq) for t_int in tins]
-    dx = _separations(dx)
-    distinct = list(dict.fromkeys(channel for channels in models for channel in channels))
-    channel_rates = _forked_channel_rates(distinct, dx)
-    vis = np.empty((dx.size, tins.size))
-    for j, channels in enumerate(models):
-        eta = localization_rate_profile(channels, dx, channel_rates)
-        # an exposure that overflows to inf decays to exactly 0.0, as its finite
-        # neighbours beyond about 745 already do
-        with np.errstate(over="ignore"):
-            vis[:, j] = np.exp(-eta * flight_time)
+    vis = localization_rate_profile(models, dx)
+    # in place, eta * -t having the bits of -eta * t; an exposure that overflows to inf
+    # decays to exactly 0.0, as its finite neighbours beyond about 745 already do
+    with np.errstate(over="ignore"):
+        np.exp(np.multiply(vis, -flight_time, out=vis), out=vis)
     return VisibilitySurface(delta_x_axis=dx, t_int_axis=tins,
                              visibility=vis, flight_time=flight_time)
 

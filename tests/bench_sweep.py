@@ -124,7 +124,7 @@ def test_channel_rate_1024(benchmark, surface_inputs):
     channel = next(ch for ch in default_model(surface_inputs[0], 900.0)
                    if ch.name == "thermal_emission")
     work = np.empty(SEPARATIONS.size * 1024)
-    spectrum = _weighted_spectrum(channel, _stored_rule(1024))
+    spectrum = _weighted_spectrum(channel, _stored_rule())
     benchmark.pedantic(_channel_rate, args=(spectrum, SEPARATIONS, work),
                        rounds=20, iterations=1, warmup_rounds=2)
 
@@ -139,7 +139,7 @@ def test_error_bound_200(benchmark, surface_inputs):
 
 def test_gauss_rule_1024(benchmark):
     """The stored 1024-node rule as the quadrature loads it on a cache miss."""
-    benchmark.pedantic(_stored_rule.__wrapped__, args=(1024,), rounds=20, iterations=1,
+    benchmark.pedantic(_stored_rule.__wrapped__, rounds=20, iterations=1,
                        warmup_rounds=2)
 
 

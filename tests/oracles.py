@@ -376,7 +376,7 @@ def dephasing_exposures(params, seq, channels):
     split at the flips and at t3 / 2.
     """
     t3 = seq.effective_times()[2]
-    bound = float(localization_rate_profile(channels, max_separation(params, seq))[0]) * t3
+    bound = float(localization_rate_profile([channels], max_separation(params, seq))[0, 0]) * t3
     edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
     refined = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -386,7 +386,7 @@ def dephasing_exposures(params, seq, channels):
                                   if seg[0] <= 0.5 * (a + b)][-1]
         dt = nodes - start
         seps = np.abs(dx0 + dv0 * dt + 0.5 * da * dt * dt)
-        rates = localization_rate_profile(channels, seps)
+        rates = localization_rate_profile([channels], seps)[:, 0]
         refined += float(np.dot(rates, weights))
     return bound, refined
 

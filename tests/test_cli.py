@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import paper_config_text
+from conftest import PAPER_CONFIG, paper_config_text
 from nanoramsey import cli, grid
 from nanoramsey.decoherence import MAX_SEPARATIONS
+from nanoramsey.params import parse_config_text
 
 SWEEP_ARGS = ["--param", "theta", "--start", "0.0", "--stop", "1.5", "--count", "7"]
 
@@ -329,6 +331,63 @@ def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, 
     assert err.startswith("numerical failure: " if code == cli.EXIT_NUMERICAL else "error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert all(name in err for name in named), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--param", "theta", "--values", "0.1,abc"], "--values entry 'abc' is not a number"),
+    (["dump-snapshots", "--times", "0.5, x", "--format", "json"], "--times entry 'x' is not a number"),
+], ids=["sweep-values", "dump-snapshots-times"])
+def test_unparsable_list_entry_refused_by_flag(capsys, tmp_path, argv, message):
+    rc = cli.main([*argv, "--config", write_config(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION and out == ""
+    assert err == f"error: {message}\n"
+
+
+#: Each key of paper.cfg takes each of these on each probed command.
+_BAD_VALUES = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, 5e-324, 1e20, 1e-20)
+#: The grid commands run on the desk-scale config, where a refusal is about the changed key
+#: and not about paper.cfg's scale.
+_SNAPSHOT_CONFIG = parse_config_text(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg").read_text())
+_PROBED = {
+    "sweep": (PAPER_CONFIG, ["sweep", "--param", "theta", "--values", "0,0.5,1"]),
+    "visibility": (PAPER_CONFIG, _VISIBILITY),
+    "certify": (_SNAPSHOT_CONFIG, ["certify"]),
+    "budget": (PAPER_CONFIG, _BUDGET[0]),
+    "budget-json": (PAPER_CONFIG, _BUDGET[1]),
+    "dicke": (PAPER_CONFIG, ["dicke", "--l", "3"]),
+    "dump-snapshots": (_SNAPSHOT_CONFIG, ["dump-snapshots", "--times", "0.5", "--format", "json"]),
+}
+
+
+@pytest.mark.parametrize("command", _PROBED)
+def test_every_key_at_every_bad_value(capsys, tmp_path, command):
+    """Each of the 12 keys at each of ten bad or extreme values, with warnings as errors:
+    the command answers with finite numbers (exit 0, or 2 for a budget report), or prints
+    one refusal line. An exit-1 line names the key or its value; an exit-2 line may name a
+    derived quantity instead (the grid size or phase, or a quadrature bound)."""
+    base, argv = _PROBED[command]
+    prefixes = {cli.EXIT_VALIDATION: "error: ", cli.EXIT_NUMERICAL: "numerical failure: "}
+    config = tmp_path / "probe.cfg"
+    failures = []
+    for key in PAPER_CONFIG:
+        for value in _BAD_VALUES:
+            config.write_text("".join(f"{k} = {v!r}\n" for k, v in dict(base, **{key: value}).items()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli.main([*argv, "--config", str(config)])
+            out, err = capsys.readouterr()
+            if rc == cli.EXIT_OK or (rc == cli.EXIT_NUMERICAL and command.startswith("budget") and out):
+                failed = err != "" or re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
+            elif rc not in prefixes or out or err.count("\n") != 1:
+                failed = True
+            else:
+                failed = not (err.startswith(prefixes[rc]) and err.endswith("\n")) or (
+                    rc == cli.EXIT_VALIDATION and key not in err and repr(value) not in err)
+            if failed:
+                failures.append(f"{key} = {value!r}: exit {rc}, stderr {err!r}")
+    assert failures == []
 
 
 def test_dx_count_refused_before_any_array(capsys, tmp_path):

@@ -70,13 +70,13 @@ class TestLocalizationRate:
     @pytest.mark.parametrize("delta_x", [1e-9, 1e-7, 1e-6, 1e-5])
     def test_gauss_legendre_matches_adaptive_oracle(self, paper_params, delta_x):
         model = default_model(paper_params)
-        assert localization_rate_profile(model, [delta_x])[0] == pytest.approx(
+        assert localization_rate_profile([model], [delta_x])[0, 0] == pytest.approx(
             localization_rate_adaptive(model, delta_x), rel=1e-9)
 
     def test_under_resolved_channel_raises(self, paper_params):
         model = default_model(paper_params, t_internal=1500.0)
         with pytest.raises(QuadratureError, match="not converged") as refused:
-            localization_rate_profile(model, [1e-3])
+            localization_rate_profile([model], [1e-3])
         assert "up to 0.001 m; reduce the largest separation" in str(refused.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -86,7 +86,16 @@ class TestLocalizationRate:
         model = default_model(paper_params, t_internal=1e-300)
         with pytest.raises(QuadratureError, match="not converged: its rate is not finite "
                                                   "at temperature 1e-300 K"):
-            localization_rate_profile(model, [1e-7])
+            localization_rate_profile([model], [1e-7])
+
+    def test_models_share_channels_and_an_empty_model_sums_to_zero(self, paper_params):
+        """One column per model, in order; a model with no channels forks nothing."""
+        hot, cold = default_model(paper_params, 900.0), default_model(paper_params)
+        eta = localization_rate_profile([hot, (), cold], [1e-8, 1e-7])
+        assert eta.shape == (2, 3) and eta[:, 1].tolist() == [0.0, 0.0]
+        assert_bit_equal(eta[:, 0], localization_rate_profile([hot], [1e-8, 1e-7])[:, 0])
+        assert_bit_equal(eta[:, 2], localization_rate_profile([cold], [1e-8, 1e-7])[:, 0])
+        assert localization_rate_profile([()], [1e-7]).tolist() == [[0.0]]
 
     def test_nan_visibility_refused(self):
         with pytest.raises(ValueError, match="must lie in"):
@@ -97,7 +106,7 @@ class TestLocalizationRate:
     @pytest.mark.parametrize("delta_x", [math.nan, math.inf, -1e-9])
     def test_separation_outside_bounds_refused(self, paper_params, delta_x):
         with pytest.raises(ValueError, match="delta_x must be finite and >= 0"):
-            localization_rate_profile(default_model(paper_params), [1e-7, delta_x])
+            localization_rate_profile([default_model(paper_params)], [1e-7, delta_x])
 
     @pytest.mark.parametrize("temperature, radius", [
         (math.nan, 1e-7), (math.inf, 1e-7), (300.0, math.nan), (300.0, math.inf),
@@ -243,8 +252,8 @@ def core():
 
 params = build_params(%r)
 dx = np.geomspace(1e-9, 1e-6, 50)
-eta = [localization_rate_profile(default_model(params, t), dx) for t in np.linspace(300, 1500, 7)]
-print(json.dumps({"core": core(), "eta": np.array(eta).tobytes().hex()}))
+eta = localization_rate_profile([default_model(params, t) for t in np.linspace(300, 1500, 7)], dx)
+print(json.dumps({"core": core(), "eta": eta.tobytes().hex()}))
 """
 
 
@@ -288,7 +297,7 @@ class TestBlockedQuadratureBits:
     def test_visibility_surface_bit_equal(self, paper_params, m, n_nodes, monkeypatch):
         if n_nodes != RULE_ORDER:
             monkeypatch.setattr(decoherence, "RULE_ORDER", n_nodes)
-            monkeypatch.setattr(decoherence, "_stored_rule", _leggauss_rule)
+            monkeypatch.setattr(decoherence, "_stored_rule", lambda: _leggauss_rule(n_nodes))
         dx = np.geomspace(1e-9, 1e-6, m)
         tins = np.linspace(300.0, 1500.0, 3)
         t3 = PAPER_CONFIG["t3"]
@@ -300,7 +309,7 @@ class TestBlockedQuadratureBits:
     @pytest.mark.parametrize("m", [1, 9, 17, 33, 64])
     def test_channel_rate_bit_equal(self, paper_params, m, n_nodes):
         dx = np.geomspace(1e-9, 1e-6, m)
-        rule = _stored_rule(n_nodes) if n_nodes == RULE_ORDER else _leggauss_rule(n_nodes)
+        rule = _stored_rule() if n_nodes == RULE_ORDER else _leggauss_rule(n_nodes)
         for channel in default_model(paper_params, 900.0):
             work = np.empty(dx.size * n_nodes)
             assert_bit_equal(_channel_rate(_weighted_spectrum(channel, rule), dx, work),
@@ -309,7 +318,7 @@ class TestBlockedQuadratureBits:
 
 class TestForkedShares:
     """visibility_surface integrates its distinct channels in shares, one per CPU, in
-    forked processes (``_forked_channel_rates``). Every case gives the serial walk's bits
+    forked processes (``_channel_rates``). Every case gives the serial walk's bits
     or its first refusal, and leaves no child unreaped."""
 
     SURFACES = {"200x100": (200, 100), "50x50": (50, 50)}     # the benchmark's, variant 0
@@ -470,7 +479,7 @@ class TestForkedShares:
 @pytest.mark.parametrize("n", [RULE_ORDER])
 class TestStoredRules:
     def test_symmetric_and_weights_sum_to_two(self, n):
-        nodes, weights = _stored_rule(n)
+        nodes, weights = _stored_rule()
         assert nodes.shape == weights.shape == (n,)
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
@@ -481,7 +490,7 @@ class TestStoredRules:
         # exact for degree <= 2n - 1. numpy's leggauss takes the weights from the
         # derivative at the nodes before their Newton step, so the relative
         # error grows with the degree: 2.4e-14 at x^2, 1.2e-11 at the top degree
-        nodes, weights = _stored_rule(n)
+        nodes, weights = _stored_rule()
         for k in range(n):
             exact = 2.0 / (2 * k + 1)
             got = float(np.dot(weights, nodes ** (2 * k)))
@@ -489,7 +498,7 @@ class TestStoredRules:
         assert float(np.dot(weights, nodes ** 2)) == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_within_two_ulp_of_leggauss(self, n):
-        for stored, computed in zip(_stored_rule(n), leggauss(n)):
+        for stored, computed in zip(_stored_rule(), leggauss(n)):
             assert np.all(np.abs(stored - computed) <= 2.0 * np.spacing(np.abs(computed)))
 
     def test_shipped_as_package_data(self, n):
@@ -498,7 +507,7 @@ class TestStoredRules:
         with resource.open("rb") as f:
             rows = np.load(f)
         assert rows.dtype == np.float64 and rows.shape == (2, n)
-        assert_bit_equal(rows, np.stack(_stored_rule(n)))
+        assert_bit_equal(rows, np.stack(_stored_rule()))
 
 
 def test_package_data_glob_covers_stored_rules():
@@ -589,7 +598,7 @@ class TestErrorBound:
         4096-node value by more than QUADRATURE_RTOL, the channel is refused."""
         channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
         dx = np.linspace(0.05, 0.3, 126) / temperature
-        spectrum = _weighted_spectrum(channel, _stored_rule(RULE_ORDER))
+        spectrum = _weighted_spectrum(channel, _stored_rule())
         missed = np.abs(_channel_rate(spectrum, dx, np.empty(dx.size * RULE_ORDER))
                         / reference_rate(channel, dx) - 1.0) > QUADRATURE_RTOL
         refused = np.zeros(dx.size, dtype=bool)
@@ -609,7 +618,7 @@ class TestErrorBound:
         """dx T = 0.15 m K, inside the rule's reach: answered, matching the 4096-node rule."""
         model = default_model(paper_params, t_internal=1500.0)
         want = sum(reference_rate(channel, np.array([1e-4]))[0] for channel in model)
-        assert localization_rate_profile(model, [1e-4])[0] == pytest.approx(want, rel=QUADRATURE_RTOL)
+        assert localization_rate_profile([model], [1e-4])[0, 0] == pytest.approx(want, rel=QUADRATURE_RTOL)
 
     @pytest.mark.filterwarnings("error")
     def test_zero_rates_pass_without_warning(self, paper_params):
@@ -617,13 +626,13 @@ class TestErrorBound:
         bounds are exactly 0 too. A zero response or temperature makes every rate 0, with
         nothing to bound."""
         model = default_model(paper_params)
-        eta = localization_rate_profile(model, [0.0, 5e-324, 1e-7])
+        eta = localization_rate_profile([model], [0.0, 5e-324, 1e-7])[:, 0]
         assert eta[0] == eta[1] == 0.0 < eta[2]
         assert _error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER).tolist() == [0.0, 0.0]
         mute = default_model(paper_params, response_im=0.0, response_mod_sq=0.0)
-        assert localization_rate_profile(mute, [0.0, 1e-7, 1e-4]).tolist() == [0.0, 0.0, 0.0]
+        assert localization_rate_profile([mute], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
-        assert localization_rate_profile((cold,), [0.0, 1e-7, 1e-4]).tolist() == [0.0, 0.0, 0.0]
+        assert localization_rate_profile([(cold,)], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 # -- angular factor against independent oracles --------------------------------
@@ -673,7 +682,7 @@ class TestDephasingExposures:
         for lo, hi in zip(edges[:-1], edges[1:]):
             nodes, weights = gauss_nodes(lo, hi, TIME_NODES)
             seps = np.abs([separation_at(paper_params, seq, t) for t in nodes.tolist()])
-            want += float(np.dot(localization_rate_profile(model, seps), weights))
+            want += float(np.dot(localization_rate_profile([model], seps)[:, 0], weights))
         walks = []
         walk = dynamics._relative_segments
         monkeypatch.setattr(dynamics, "_relative_segments",
