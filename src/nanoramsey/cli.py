@@ -18,15 +18,7 @@ import numpy as np
 
 from . import __version__
 from .budget import budget_report
-from .decoherence import (
-    DEFAULT_RESPONSE_IM,
-    DEFAULT_RESPONSE_MOD_SQ,
-    MAX_SEPARATIONS,
-    QuadratureError,
-    surface_to_csv,
-    surface_to_json,
-    visibility_surface,
-)
+from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surface_to_json, visibility_surface
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
 from .dynamics import (
     PulseSequence,
@@ -226,7 +218,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_visibility(args) -> int:
-    params, seq, cfg, text = _load_config(args.config)
+    params, seq, _, text = _load_config(args.config)
     for flag in ("dx_min", "dx_max", "tint_min", "tint_max"):
         value, name = getattr(args, flag), f"--{flag.replace('_', '-')}"
         if not math.isfinite(value):
@@ -248,11 +240,7 @@ def _cmd_visibility(args) -> int:
     else:
         dx_axis = np.linspace(args.dx_min, args.dx_max, args.dx_count)
     tint_axis = np.linspace(args.tint_min, args.tint_max, args.tint_count)
-    surface = visibility_surface(
-        params, dx_axis, tint_axis, flight_time=seq.effective_times()[2],
-        response_im=float(cfg.get("response_im", DEFAULT_RESPONSE_IM)),
-        response_mod_sq=float(cfg.get("response_mod_sq", DEFAULT_RESPONSE_MOD_SQ)),
-    )
+    surface = visibility_surface(params, dx_axis, tint_axis, flight_time=seq.effective_times()[2])
     if args.format == "json":
         _write(args, surface_to_json(surface, _metadata("visibility", text, args.seed)))
     else:

@@ -26,8 +26,10 @@ photon flux at the relevant temperature. THE MATERIAL RESPONSE FACTORS ARE
 ROUGH PLACEHOLDERS (constant Im[(eps-1)/(eps+2)] = 1e-3 and the static
 permittivity 5.7 for the modulus), chosen so that the surface is
 qualitatively right; pass measured response factors (the ``response_im``
-and ``response_mod_sq`` config keys, or the ``response`` of a
-:class:`BlackbodyChannel`) for quantitative work.
+and ``response_mod_sq`` fields of
+:class:`~nanoramsey.params.ExperimentParams`, set by the config keys of the
+same names, or the ``response`` of a :class:`BlackbodyChannel`) for
+quantitative work.
 """
 from __future__ import annotations
 
@@ -41,16 +43,10 @@ from importlib import resources
 
 import numpy as np
 
-from .constants import HBAR, K_BOLTZMANN, LIGHT_SPEED
+from .constants import DEFAULT_RESPONSE_IM, HBAR, K_BOLTZMANN, LIGHT_SPEED
 from .io import csv_text, fmt, json_document
 from .params import ExperimentParams
 
-#: Default constant Im[(eps-1)/(eps+2)] used by absorption/emission channels.
-DEFAULT_RESPONSE_IM = 1.0e-3
-#: Static relative permittivity used for the default scattering response.
-EPSILON_STATIC = 5.7
-#: Default |(eps-1)/(eps+2)|^2 for the scattering channel.
-DEFAULT_RESPONSE_MOD_SQ = ((EPSILON_STATIC - 1.0) / (EPSILON_STATIC + 2.0)) ** 2
 #: Planck spectra are truncated at this multiple of kT/hbar (relative tail ~1e-17).
 PLANCK_CUTOFF = 50.0
 #: Largest radius whose sixth power is a finite float.
@@ -136,9 +132,10 @@ class BlackbodyChannel:
             log_rate = self._log10_saturated_rate()
             if not log_rate <= math.log10(MAX_SATURATED_RATE):
                 raise ValueError(
-                    f"radius {self.radius!r} m at temperature {self.temperature!r} K gives channel "
-                    f"{self.name!r} a rate of 10^{log_rate:.2f} 1/s, above the {MAX_SATURATED_RATE:.0e} "
-                    "1/s its quadrature can sum; reduce the radius or the temperature")
+                    f"radius {self.radius!r} m at temperature {self.temperature!r} K with response "
+                    f"{self.response!r} gives channel {self.name!r} a rate of 10^{log_rate:.2f} 1/s, "
+                    f"above the {MAX_SATURATED_RATE:.0e} 1/s its quadrature can sum; reduce the "
+                    "radius, the temperature or the response")
 
     def _log10_saturated_rate(self) -> float:
         """log10 of the rate at infinite separation, c |response| theta (R theta / c)^p, theta =
@@ -170,13 +167,10 @@ class BlackbodyChannel:
         return flux * cross
 
 
-def default_model(
-    params: ExperimentParams,
-    t_internal: float | None = None,
-    response_im: float = DEFAULT_RESPONSE_IM,
-    response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ,
-) -> tuple[BlackbodyChannel, ...]:
-    """Blackbody absorption + scattering at t_environment, emission at t_internal.
+def default_model(params: ExperimentParams,
+                  t_internal: float | None = None) -> tuple[BlackbodyChannel, ...]:
+    """Blackbody absorption + scattering at t_environment, emission at t_internal, with
+    the object's response factors ``params.response_im`` and ``params.response_mod_sq``.
 
     Requires ``params.radius``. Gas collisions are left out: the chamber is
     assumed pumped to a vacuum where their rate is negligible.
@@ -186,11 +180,11 @@ def default_model(
     t_int = params.t_internal if t_internal is None else t_internal
     return (
         BlackbodyChannel("blackbody_absorption", "absorption",
-                         params.t_environment, params.radius, response_im),
+                         params.t_environment, params.radius, params.response_im),
         BlackbodyChannel("blackbody_scattering", "scattering",
-                         params.t_environment, params.radius, response_mod_sq),
+                         params.t_environment, params.radius, params.response_mod_sq),
         BlackbodyChannel("thermal_emission", "emission",
-                         t_int, params.radius, response_im),
+                         t_int, params.radius, params.response_im),
     )
 
 
@@ -350,8 +344,9 @@ def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -
             worst = float(np.max(bound / np.abs(rate)))
         raise QuadratureError(
             f"channel {channel.name!r} not converged: the {RULE_ORDER}-node rule's error "
-            f"bound is {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) on separations "
-            f"up to {float(dx.max())!r} m; reduce the largest separation"
+            f"bound is {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) at temperature "
+            f"{channel.temperature!r} K on separations up to {float(dx.max())!r} m; reduce the "
+            "largest separation"
         )
     return rate
 
@@ -464,14 +459,8 @@ class VisibilitySurface:
             raise ValueError("visibility entries must lie in [0, 1]")
 
 
-def visibility_surface(
-    params: ExperimentParams,
-    delta_x_range,
-    t_int_range,
-    flight_time: float,
-    response_im: float = DEFAULT_RESPONSE_IM,
-    response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ,
-) -> VisibilitySurface:
+def visibility_surface(params: ExperimentParams, delta_x_range, t_int_range,
+                       flight_time: float) -> VisibilitySurface:
     """Tabulate exp(-eta(dx; T_int) * t) of the :func:`default_model` channels, one
     :func:`localization_rate_profile` column per internal temperature."""
     dx = np.asarray(list(delta_x_range), dtype=float)
@@ -479,7 +468,7 @@ def visibility_surface(
     if dx.size == 0 or tins.size == 0:
         raise ValueError("axes must be non-empty")
     # every column's channels first, so that a refused channel stops the surface before any work
-    models = [default_model(params, float(t_int), response_im, response_mod_sq) for t_int in tins]
+    models = [default_model(params, float(t_int)) for t_int in tins]
     vis = localization_rate_profile(models, dx)
     # in place, eta * -t having the bits of -eta * t; an exposure that overflows to inf
     # decays to exactly 0.0, as its finite neighbours beyond about 745 already do

@@ -112,7 +112,9 @@ def scale_params(params: ExperimentParams, seq: PulseSequence) -> ScaledUnits:
         raise ScaleError(
             f"dimensionless phase ~{phase_scale:.3g} exceeds {MAX_SCALED_PHASE:.0g}; "
             "reduce t3 or the gradient to desk scale for the oracle run "
-            "(the phase is invariant under the rescaling, see docs/physics-notes.md)"
+            "(the phase is invariant under the rescaling, see docs/physics-notes.md), "
+            f"got g_nv={params.g_nv!r}, b_gradient={params.b_gradient!r}, g_earth={params.g_earth!r}, "
+            f"theta={params.theta!r}, t3={seq.t3!r}"
         )
     return ScaledUnits(
         length_unit=sigma0,
@@ -408,6 +410,19 @@ class OracleReport:
         ]
 
 
+def _sized_grid(params: ExperimentParams, seq: PulseSequence, scaled: ScaledUnits,
+                n_points: int, steps_per_segment: int) -> GridSpec:
+    """:func:`auto_grid` of ``scaled``, whose refusal names the inputs that the
+    trajectories, and so the grid, come from."""
+    try:
+        return auto_grid(scaled, n_points, steps_per_segment)
+    except ScaleError as exc:
+        raise ScaleError(
+            f"{exc}, got mass={params.mass!r}, trap_omega={params.trap_omega!r}, g_nv={params.g_nv!r}, "
+            f"b_gradient={params.b_gradient!r}, g_earth={params.g_earth!r}, theta={params.theta!r}, "
+            f"t3={seq.t3!r}") from None
+
+
 def oracle_compare(
     params: ExperimentParams,
     seq: PulseSequence,
@@ -430,7 +445,7 @@ def oracle_compare(
             f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
             "reduce the parameters to desk scale"
         )
-    spec = spec or auto_grid(scaled)
+    spec = spec or _sized_grid(params, seq, scaled, MIN_POINTS, 1200)
     pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
     ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
     if balanced and abs(ov_grid) < 0.99:
@@ -512,7 +527,7 @@ def snapshot_frames(
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
     if spec is None:
         # frames are an output, so their resolution is fixed, not sized for the physics
-        spec = auto_grid(scaled, 2048, 1)
+        spec = _sized_grid(params, seq, scaled, 2048, 1)
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     # f t3 / time_unit can round an ulp past total_time; capping it drops no piece
@@ -558,11 +573,10 @@ def desk_scale_params(
     g_earth = (a_gravity or 1.0) * accel_unit
     if not all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (g_earth, mass * g_earth)):
         raise ValueError(f"a_gravity = {a_gravity!r} takes g_earth or m g_earth out of the normal floats")
-    params = ExperimentParams(
+    return ExperimentParams(
         mass=mass,
         b_gradient=b_gradient,
         theta=math.pi / 2.0 if a_gravity == 0.0 else 0.0,
-        t3=tau_scaled * time_unit,
         trap_omega=omega,
         mw_frequency=2.87e9,
         pulse_duration=1.0e-8,
@@ -571,5 +585,4 @@ def desk_scale_params(
         t_cm=1.0e-3,
         radius=1.0e-7,
         g_earth=g_earth,
-    )
-    return params, PulseSequence.balanced(params.t3)
+    ), PulseSequence.balanced(tau_scaled * time_unit)

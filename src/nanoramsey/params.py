@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import partial
 
 import numpy as np
 
-from .constants import AMU, DEFAULT_G_NV, HBAR, MU_BOHR, STANDARD_GRAVITY
+from .constants import (AMU, DEFAULT_G_NV, DEFAULT_RESPONSE_IM, DEFAULT_RESPONSE_MOD_SQ, HBAR, MU_BOHR,
+                        STANDARD_GRAVITY)
 
 
 def _has_array(*args) -> bool:
@@ -135,12 +136,13 @@ class SpinBranch(IntEnum):
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """All physical knobs of one protocol run (SI units throughout).
+    """All physical knobs of one protocol run (SI units throughout), except the pulse
+    times, flight time t3 included, which belong to the
+    :class:`~nanoramsey.dynamics.PulseSequence`.
 
     mass            kg, of the test object
     b_gradient      T/m, magnetic field gradient along the flight axis
     theta           rad, tilt of the flight axis against gravity, [0, pi/2]
-    t3              s, total flight time
     trap_omega      rad/s, trap angular frequency before release
     g_nv            Lande factor of the NV spin (dimensionless)
     t_internal      K, internal temperature of the object
@@ -151,12 +153,15 @@ class ExperimentParams:
     n_nucleons      nucleon count used for collapse-model bounds
     radius          m, object radius (optional; needed by the decoherence model)
     g_earth         m/s^2, local gravitational acceleration (standard gravity by default)
+    response_im     Im[(eps-1)/(eps+2)] of the object's material, >= 0, for blackbody
+                    absorption and emission (a rough placeholder by default)
+    response_mod_sq |(eps-1)/(eps+2)|^2 of the object's material, >= 0, for blackbody
+                    scattering (a rough placeholder by default)
     """
 
     mass: float
     b_gradient: float
     theta: float
-    t3: float
     trap_omega: float
     mw_frequency: float
     pulse_duration: float
@@ -167,15 +172,16 @@ class ExperimentParams:
     n_nucleons: float | None = None
     radius: float | None = None
     g_earth: float = STANDARD_GRAVITY
+    response_im: float = DEFAULT_RESPONSE_IM
+    response_mod_sq: float = DEFAULT_RESPONSE_MOD_SQ
 
     def __post_init__(self):
         _require((0.0 < self.g_earth) & (self.g_earth < math.inf), "g_earth", "must be finite and > 0")
         _require(self.mass > 0.0, "mass", "must be > 0")
-        _require(self.t3 > 0.0, "t3", "must be > 0")
         _require(self.trap_omega > 0.0, "trap_omega", "must be > 0")
         _require((0.0 <= self.theta) & (self.theta <= math.pi / 2.0),
                  "theta", "must lie in [0, pi/2]")
-        for name in ("t_internal", "t_environment", "t_cm"):
+        for name in ("t_internal", "t_environment", "t_cm", "response_im", "response_mod_sq"):
             _require(getattr(self, name) >= 0.0, name, "must be >= 0")
         _require(self.mw_frequency > 0.0, "mw_frequency", "must be > 0")
         _require(self.pulse_duration > 0.0, "pulse_duration", "must be > 0")
@@ -232,9 +238,11 @@ PARAM_KEYS = (
     "g_nv", "t_internal", "t_environment", "t_cm", "mw_frequency",
     "pulse_duration", "n_nucleons", "g_earth",
 )
-_SEQUENCE_KEYS = {"t1", "t2", "jitter_t1", "jitter_t2", "jitter_t3"}
-_EXTRA_KEYS = {"response_im", "response_mod_sq"}
-KNOWN_CONFIG_KEYS = {*PARAM_KEYS, *_SEQUENCE_KEYS, *_EXTRA_KEYS}
+_FIELDS = tuple(field.name for field in fields(ExperimentParams))
+#: the keys the pulse sequence is built from
+_SEQUENCE_KEYS = {"t1", "t2", "t3", "jitter_t1", "jitter_t2", "jitter_t3"}
+#: each key has one home: a field, the pulse sequence, or, for the density, none (it is only checked)
+KNOWN_CONFIG_KEYS = {*_FIELDS, *_SEQUENCE_KEYS, "density"}
 
 _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
               "pulse_duration", "t_internal", "t_environment", "t_cm")
@@ -250,8 +258,10 @@ def build_params(config: dict) -> ExperimentParams:
 
     The mass may be given directly, derived from ``radius`` and ``density``,
     or both; when all three are present they must agree to 1e-12 relative,
-    otherwise the conflict is reported instead of silently resolved. Any
-    number may be an array; a failing check names its first bad element.
+    otherwise the conflict is reported instead of silently resolved. The
+    pulse-sequence keys are the caller's; of them only ``t3`` is required and
+    checked here. Any number may be an array; a failing check names its first
+    bad element.
     """
     unknown = set(config) - KNOWN_CONFIG_KEYS
     if unknown:
@@ -280,13 +290,11 @@ def build_params(config: dict) -> ExperimentParams:
             )
     elif density is not None:       # the mass is given, so the density is only checked
         _require(density > 0.0, "density", "must be > 0")
+    # t3 is the pulse sequence's, and checked here as the density is
+    _require(config["t3"] > 0.0, "t3", "must be > 0")
 
-    kwargs = {"mass": number(mass)}
-    for key in _MANDATORY:
-        kwargs[key] = number(config[key])
-    for key in ("g_nv", "n_nucleons", "radius", "g_earth"):
-        if key in config and config[key] is not None:
-            kwargs[key] = number(config[key])
+    kwargs = {key: number(config[key]) for key in _FIELDS if config.get(key) is not None}
+    kwargs["mass"] = number(mass)        # derived, or checked against radius and density, above
     try:
         return ExperimentParams(**kwargs)
     except ConfigError:

@@ -312,6 +312,9 @@ _VISIBILITY = ["visibility", "--dx-count", "3", "--tint-count", "2"]
     *(_refusal(argv, {"pulse_duration": 5e-324}, cli.EXIT_VALIDATION, "pulse_duration = 5e-324")
       for argv in _BUDGET),
     _refusal(_VISIBILITY, {"radius": 1e46}, cli.EXIT_VALIDATION, "radius 1e+46", "reduce the radius"),
+    *(_refusal(_VISIBILITY, {key: 1e300}, cli.EXIT_VALIDATION, "with response 1e+300",
+               "reduce the radius, the temperature or the response")
+      for key in ("response_im", "response_mod_sq")),
     _refusal(["visibility", "--dx-count", str(MAX_SEPARATIONS + 1)], {}, cli.EXIT_VALIDATION,
              "--dx-count", f"got {MAX_SEPARATIONS + 1}"),
     *(_refusal(argv, {"g_nv": 1e300}, cli.EXIT_VALIDATION, "ratio inf", "g_nv=1e+300") for argv in _BUDGET),
@@ -333,6 +336,17 @@ def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, 
     assert all(name in err for name in named), err
 
 
+@pytest.mark.parametrize("value", [-0.5, -1e-3])
+@pytest.mark.parametrize("key", ["response_im", "response_mod_sq"])
+def test_negative_response_refused_by_name(capsys, tmp_path, key, value):
+    """A negative |.|^2, or a negative absorption that would make the visibility exceed 1,
+    is the object's bad input, and is refused as one."""
+    rc = cli.main([*_VISIBILITY, "--config", write_config(tmp_path, **{key: value})])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION and out == ""
+    assert err == f"error: {key} must be >= 0\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--param", "theta", "--values", "0.1,abc"], "--values entry 'abc' is not a number"),
     (["dump-snapshots", "--times", "0.5, x", "--format", "json"], "--times entry 'x' is not a number"),
@@ -344,7 +358,8 @@ def test_unparsable_list_entry_refused_by_flag(capsys, tmp_path, argv, message):
     assert err == f"error: {message}\n"
 
 
-#: Each key of paper.cfg takes each of these on each probed command.
+#: Each key of paper.cfg, and each response factor, takes each of these on each probed command.
+_PROBED_KEYS = (*PAPER_CONFIG, "response_im", "response_mod_sq")
 _BAD_VALUES = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, 5e-324, 1e20, 1e-20)
 #: The grid commands run on the desk-scale config, where a refusal is about the changed key
 #: and not about paper.cfg's scale.
@@ -363,15 +378,14 @@ _PROBED = {
 
 @pytest.mark.parametrize("command", _PROBED)
 def test_every_key_at_every_bad_value(capsys, tmp_path, command):
-    """Each of the 12 keys at each of ten bad or extreme values, with warnings as errors:
+    """Each of the 14 keys at each of ten bad or extreme values, with warnings as errors:
     the command answers with finite numbers (exit 0, or 2 for a budget report), or prints
-    one refusal line. An exit-1 line names the key or its value; an exit-2 line may name a
-    derived quantity instead (the grid size or phase, or a quadrature bound)."""
+    one refusal line, which names the key or its value, whether it exits 1 or 2."""
     base, argv = _PROBED[command]
     prefixes = {cli.EXIT_VALIDATION: "error: ", cli.EXIT_NUMERICAL: "numerical failure: "}
     config = tmp_path / "probe.cfg"
     failures = []
-    for key in PAPER_CONFIG:
+    for key in _PROBED_KEYS:
         for value in _BAD_VALUES:
             config.write_text("".join(f"{k} = {v!r}\n" for k, v in dict(base, **{key: value}).items()))
             with warnings.catch_warnings():
@@ -384,7 +398,7 @@ def test_every_key_at_every_bad_value(capsys, tmp_path, command):
                 failed = True
             else:
                 failed = not (err.startswith(prefixes[rc]) and err.endswith("\n")) or (
-                    rc == cli.EXIT_VALIDATION and key not in err and repr(value) not in err)
+                    key not in err and repr(value) not in err)
             if failed:
                 failures.append(f"{key} = {value!r}: exit {rc}, stderr {err!r}")
     assert failures == []

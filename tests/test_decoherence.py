@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from fnmatch import fnmatch
 from functools import lru_cache
 from importlib import resources
@@ -24,7 +25,7 @@ from scipy.special import roots_legendre
 
 from conftest import PAPER_CONFIG
 from nanoramsey import cli, decoherence, dynamics
-from nanoramsey.constants import HBAR, K_BOLTZMANN, LIGHT_SPEED
+from nanoramsey.constants import DEFAULT_RESPONSE_MOD_SQ, HBAR, K_BOLTZMANN, LIGHT_SPEED
 from nanoramsey.decoherence import (
     MAX_SATURATED_RATE,
     QUADRATURE_RTOL,
@@ -549,7 +550,7 @@ def _ellipse(n_points):
 
 #: The three channel kinds at the radius and responses of the default model.
 KINDS = [("absorption", 300.0, 1e-3), ("emission", 1500.0, 1e-3),
-         ("scattering", 300.0, decoherence.DEFAULT_RESPONSE_MOD_SQ)]
+         ("scattering", 300.0, DEFAULT_RESPONSE_MOD_SQ)]
 
 
 class TestErrorBound:
@@ -629,7 +630,7 @@ class TestErrorBound:
         eta = localization_rate_profile([model], [0.0, 5e-324, 1e-7])[:, 0]
         assert eta[0] == eta[1] == 0.0 < eta[2]
         assert _error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER).tolist() == [0.0, 0.0]
-        mute = default_model(paper_params, response_im=0.0, response_mod_sq=0.0)
+        mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0))
         assert localization_rate_profile([mute], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
         assert localization_rate_profile([(cold,)], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]

@@ -43,16 +43,18 @@ def make_params(**overrides):
 
 
 def random_param_sets(n, seed):
+    """``n`` random (params, t3) pairs: the t3 is the pulse sequence's, not a field."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        out.append(make_params(
+        cfg = dict(
             mass=float(10 ** rng.uniform(-18, -16)),
             b_gradient=float(10 ** rng.uniform(5, 7.5)),
             theta=float(rng.uniform(0.0, 1.4)),
             t3=float(10 ** rng.uniform(-4.5, -3.5)),
             trap_omega=float(10 ** rng.uniform(4, 6)),
-        ))
+        )
+        out.append((make_params(**cfg), cfg["t3"]))
     return out
 
 
@@ -102,14 +104,14 @@ class TestClassicalTrajectory:
                 assert p_cl / paper_params.mass == pytest.approx(vs[idx], rel=1e-7, abs=1e-30)
 
     def test_balanced_closure_relative_coordinates(self):
-        for params in random_param_sets(20, seed=5):
-            seq = PulseSequence.balanced(params.t3)
+        for params, t3 in random_param_sets(20, seed=5):
+            seq = PulseSequence.balanced(t3)
             final = evolve_sequence(params, seq, initial_state(params))
             xp, pp = final.plus_branch.center, final.plus_branch.momentum
             xm, pm = final.minus_branch.center, final.minus_branch.momentum
             # closure to 1e-12 of the excursion scale
             scale_x = max(abs(xp), max_separation(params, seq))
-            scale_p = max(abs(pp), params.spin_coupling() * params.t3)
+            scale_p = max(abs(pp), params.spin_coupling() * t3)
             assert abs(xp - xm) <= 1e-12 * scale_x
             assert abs(pp - pm) <= 1e-12 * scale_p
 
@@ -190,10 +192,10 @@ class TestOneSeparationSource:
 
     def test_random_scalar_sequences_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(11)
-        for params in random_param_sets(40, seed=13):
-            t1, t2 = np.sort(rng.uniform(0.0, params.t3, 2))
-            jitter = tuple(float(j) for j in rng.normal(0.0, 1e-3 * params.t3, 3))
-            seq = PulseSequence(float(t1), float(t2), params.t3)
+        for params, t3 in random_param_sets(40, seed=13):
+            t1, t2 = np.sort(rng.uniform(0.0, t3, 2))
+            jitter = tuple(float(j) for j in rng.normal(0.0, 1e-3 * t3, 3))
+            seq = PulseSequence(float(t1), float(t2), t3)
             for s in (seq, replace(seq, jitter=jitter)):
                 self.assert_same_bits(params, s, monkeypatch)
                 for t in (0.0, s.effective_times()[0]):
@@ -225,8 +227,8 @@ class TestGravitationalPhase:
             4.0 * a * (2.5e-5) ** 3, rel=1e-12)
 
     def test_three_routes_agree_over_random_sweep(self):
-        for params in random_param_sets(100, seed=17):
-            seq = PulseSequence.balanced(params.t3)
+        for params, t3 in random_param_sets(100, seed=17):
+            seq = PulseSequence.balanced(t3)
             phi = gravitational_phase(params, seq)
             assert gravitational_phase_action(params, seq) == pytest.approx(phi, rel=1e-9)
             assert gravitational_phase_propagator(params, seq) == pytest.approx(phi, rel=1e-9)

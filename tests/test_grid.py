@@ -275,7 +275,7 @@ class TestAutoGridMomentum:
         match = ("dimensionless phase ~nan" if g_earth == 1.0e308
                  else f"more than {MAX_POINTS}; .*desk scale")
         with pytest.raises(ScaleError, match=match):
-            auto_grid(scale_params(params, PulseSequence.balanced(params.t3)))
+            auto_grid(scale_params(params, PulseSequence.balanced(PAPER_CONFIG["t3"])))
 
     @pytest.mark.parametrize("desk_set", list(CERTIFY_DESK.values()))
     def test_certify_desk_at_criterion_points_matches_2048(self, desk_set):
@@ -348,7 +348,7 @@ class TestOracleCompare:
         """No gradient and a gravity whose scaled value overflows: the phase scale is
         0 * inf = NaN, which scale_params refuses before a caller's grid is ever sized."""
         params = build_params(dict(PAPER_CONFIG, b_gradient=0.0, g_earth=1.0e308))
-        seq = PulseSequence.balanced(params.t3)
+        seq = PulseSequence.balanced(PAPER_CONFIG["t3"])
         with pytest.raises(ScaleError, match="dimensionless phase ~nan"):
             oracle_compare(params, seq, GridSpec(256, -50.0, 50.0, 10))
 
@@ -656,7 +656,7 @@ class TestSnapshots:
         Strang loop: the step count moves only a c-number phase."""
         if case == "snapshot":
             params = build_params(SNAPSHOT_CONFIG)
-            seq = PulseSequence.balanced(params.t3)
+            seq = PulseSequence.balanced(SNAPSHOT_CONFIG["t3"])
         else:
             params, seq = desk_scale_params(*case)
         scaled = scale_params(params, seq)

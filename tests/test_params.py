@@ -201,7 +201,7 @@ class TestUnitAudit:
     def test_phase_invariant_under_unit_rescaling(self, monkeypatch):
         """phi_g is dimensionless: rescaling (m, kg, s) must leave it fixed."""
         base = make_params()
-        seq = PulseSequence.balanced(base.t3)
+        seq = PulseSequence.balanced(PAPER_CONFIG["t3"])
         phi0 = gravitational_phase(base, seq)
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -214,7 +214,6 @@ class TestUnitAudit:
                 mass=base.mass * lam_m,
                 b_gradient=base.b_gradient * scale_force,
                 theta=base.theta,
-                t3=base.t3 * lam_t,
                 trap_omega=base.trap_omega / lam_t,
                 mw_frequency=base.mw_frequency,
                 pulse_duration=base.pulse_duration,
@@ -224,7 +223,7 @@ class TestUnitAudit:
                 g_nv=base.g_nv,
                 g_earth=STANDARD_GRAVITY * lam_l / lam_t**2,
             )
-            phi = gravitational_phase(params, PulseSequence.balanced(params.t3))
+            phi = gravitational_phase(params, PulseSequence.balanced(PAPER_CONFIG["t3"] * lam_t))
             assert phi == pytest.approx(phi0, rel=1e-12)
 
     def test_immutability(self):

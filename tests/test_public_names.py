@@ -8,13 +8,15 @@ that no call in ``src/`` passes is generality only the tests use; the
 exceptions are the signatures the tracer's hooks bind to, and ``KEPT``. A
 dataclass field that no code in ``src/`` reads, outside the class's own
 ``__post_init__``, is a stored copy of something else; the exceptions are in
-``KEPT_FIELDS``.
+``KEPT_FIELDS``. And each config key has one home object.
 """
 import ast
+import dataclasses
 import warnings
 from pathlib import Path
 
 import nanoramsey
+from nanoramsey.params import KNOWN_CONFIG_KEYS, ExperimentParams
 from test_tracer_targets import TRACER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +175,22 @@ def test_every_dataclass_field_is_read_in_src():
             if fields:
                 unread[f"{module}.{cls.name}"] = fields
     assert unread == {cls: names for cls, (names, _) in KEPT_FIELDS.items()}
+
+
+#: The config keys the pulse sequence is built from (``cli._sequence_from_config``).
+SEQUENCE_INPUTS = {"t1", "t2", "t3", "jitter_t1", "jitter_t2", "jitter_t3"}
+
+
+def test_every_config_key_has_one_home():
+    """Each config key is held by exactly one object: a field of ``ExperimentParams``, an
+    input of the ``PulseSequence``, or, for ``density``, none, as it is checked but not
+    stored. A key held twice is a copy that a caller can set apart from its original; a
+    key held nowhere is read from the raw config, outside every check."""
+    fields = {field.name for field in dataclasses.fields(ExperimentParams)}
+    homes = {key: [home for home, keys in (("ExperimentParams", fields), ("PulseSequence", SEQUENCE_INPUTS),
+                                           ("checked only", {"density"})) if key in keys]
+             for key in KNOWN_CONFIG_KEYS}
+    assert {key: held for key, held in homes.items() if len(held) != 1} == {}
 
 
 def test_one_version_string():
