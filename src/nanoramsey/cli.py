@@ -4,15 +4,16 @@ Subcommands: sweep, visibility, certify, budget, dicke, dump-snapshots. Outputs
 are deterministic (12-significant-digit scientific CSV, or the JSON mirror with
 config hash and version); the CLI never computes anything itself, it formats
 library results. Exit codes: 0 success, 1 validation or usage error, 2 numerical
-or certification failure.
+or certification failure. The command line is read in one pass by ``parse_args``
+from the ``COMMANDS`` table; no parser object is built, and neither argparse nor
+the gettext and locale modules it pulls in are imported.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import math
-import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,29 +21,13 @@ from . import __version__
 from .budget import budget_report
 from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surface_to_json, visibility_surface
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
-from .dynamics import (
-    PulseSequence,
-    branch_overlap,
-    evolve_sequence,
-    gravitational_phase,
-    initial_state,
-    max_separation,
-    ramsey_probability,
-)
+from .dynamics import (PulseSequence, branch_overlap, evolve_sequence, gravitational_phase, initial_state,
+                       max_separation, ramsey_probability)
 from .grid import (CERTIFY_DESK, CLOSURE_MIN, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames)
 from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
-from .params import (
-    PARAM_KEYS,
-    ConfigError,
-    all_of,
-    any_of,
-    atan2,
-    build_params,
-    modulus,
-    number,
-    parse_config_text,
-)
+from .params import (PARAM_KEYS, ConfigError, all_of, any_of, atan2, build_params, modulus, number,
+                     parse_config_text)
 
 # the import graph lives until exit; frozen, it is walked by no collection, not even shutdown's
 gc.freeze()
@@ -55,14 +40,21 @@ SWEEPABLE = (*PARAM_KEYS, "t1", "t2")
 
 OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 
+#: Memory a command's size flags may commit it to. Each ceiling below is this over a unit's
+#: tracemalloc peak, rounded up: a sweep point 640 B, a surface temperature 16 KiB (its
+#: channel's weighted spectrum) and a cell 128 B, a frame 512 KiB on the 2048-point grid.
+SIZE_BUDGET = 256 << 20
+MAX_SWEEP_POINTS = SIZE_BUDGET // 640
+MAX_TEMPERATURES = SIZE_BUDGET // (16 << 10)
+MAX_CELLS = SIZE_BUDGET // 128
+MAX_FRAMES = SIZE_BUDGET // (512 << 10)
+
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:
     t3 = number(cfg["t3"])
     t1 = number(cfg.get("t1", t3 / 4.0))
     t2 = number(cfg.get("t2", 3.0 * t3 / 4.0))
-    jitter = (float(cfg.get("jitter_t1", 0.0)),
-              float(cfg.get("jitter_t2", 0.0)),
-              float(cfg.get("jitter_t3", 0.0)))
+    jitter = tuple(float(cfg.get(f"jitter_{t}", 0.0)) for t in ("t1", "t2", "t3"))
     try:
         return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
     except ValueError as exc:
@@ -73,18 +65,11 @@ def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     cfg = parse_config_text(text)
-    params = build_params(cfg)
-    seq = _sequence_from_config(cfg)
-    return params, seq, cfg, text
+    return build_params(cfg), _sequence_from_config(cfg), cfg, text
 
 
 def _metadata(command: str, cfg_text: str, seed) -> dict:
-    return {
-        "command": command,
-        "config_sha256": config_sha256(cfg_text),
-        "version": __version__,
-        "seed": seed,
-    }
+    return {"command": command, "config_sha256": config_sha256(cfg_text), "version": __version__, "seed": seed}
 
 
 def _write(args, text: str):
@@ -104,19 +89,18 @@ def _point_outputs(params, seq) -> dict:
         ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
         phi = -atan2(ov.imag, ov.real)
         vis = modulus(ov)
-    return {
-        "phi_g_rad": phi,
-        "p0": ramsey_probability(phi),
-        "delta_x_max_m": max_separation(params, seq),
-        "visibility": vis,
-    }
+    return {"phi_g_rad": phi, "p0": ramsey_probability(phi), "delta_x_max_m": max_separation(params, seq),
+            "visibility": vis}
 
 
-def _numbers(text: str, flag: str) -> list[float]:
+def _numbers(text: str, flag: str, most: int) -> list[float]:
     """The comma-separated entries of ``flag`` as floats, refused by flag and entry, or by
-    flag if there are none."""
+    flag if there are none or more than ``most``."""
+    entries = list(filter(str.strip, text.split(",")))
+    if len(entries) > most:
+        raise ConfigError(f"{flag} takes at most {most} entries, got {len(entries)}")
     values = []
-    for entry in filter(str.strip, text.split(",")):
+    for entry in entries:
         try:
             values.append(float(entry))
         except ValueError:
@@ -128,7 +112,7 @@ def _numbers(text: str, flag: str) -> list[float]:
 
 def _sweep_values(args):
     if args.values:
-        vals = _numbers(args.values, "--values")
+        vals = _numbers(args.values, "--values", MAX_SWEEP_POINTS)
         bad = [v for v in vals if not math.isfinite(v)]
         if bad:
             raise ConfigError(f"--values must be finite, got {bad[0]!r}")
@@ -140,6 +124,8 @@ def _sweep_values(args):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if args.count < 2:
         raise ConfigError("--count must be >= 2 for a range sweep")
+    if args.count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"--count must be at most {MAX_SWEEP_POINTS}, got {args.count!r}")
     if args.log:
         if args.start <= 0 or args.stop <= 0:
             raise ConfigError("log spacing needs positive endpoints")
@@ -228,23 +214,18 @@ def _cmd_visibility(args) -> int:
                 raise ConfigError(f"{name} must be > 0 under log spacing, got {value!r}")
         elif value < 0.0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
-    for flag in ("dx_count", "tint_count"):
-        value = getattr(args, flag)
-        if value < 1:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value!r}")
-    if args.dx_count > MAX_SEPARATIONS:
-        raise ConfigError(f"--dx-count must be at most {MAX_SEPARATIONS}, where the quadrature's work "
-                          f"buffer reaches 128 MiB, got {args.dx_count!r}")
-    if args.dx_log:
-        dx_axis = np.geomspace(args.dx_min, args.dx_max, args.dx_count)
-    else:
-        dx_axis = np.linspace(args.dx_min, args.dx_max, args.dx_count)
+    # at MAX_SEPARATIONS the quadrature's work buffer reaches 128 MiB
+    for flag, most in (("dx_count", MAX_SEPARATIONS), ("tint_count", MAX_TEMPERATURES)):
+        if not 1 <= getattr(args, flag) <= most:
+            raise ConfigError(f"--{flag.replace('_', '-')} must lie in [1, {most}], got {getattr(args, flag)!r}")
+    if args.dx_count * args.tint_count > MAX_CELLS:
+        raise ConfigError(f"--dx-count x --tint-count must be at most {MAX_CELLS} cells, got "
+                          f"{args.dx_count!r} x {args.tint_count!r}")
+    dx_axis = (np.geomspace if args.dx_log else np.linspace)(args.dx_min, args.dx_max, args.dx_count)
     tint_axis = np.linspace(args.tint_min, args.tint_max, args.tint_count)
     surface = visibility_surface(params, dx_axis, tint_axis, flight_time=seq.effective_times()[2])
-    if args.format == "json":
-        _write(args, surface_to_json(surface, _metadata("visibility", text, args.seed)))
-    else:
-        _write(args, surface_to_csv(surface))
+    _write(args, surface_to_json(surface, _metadata("visibility", text, args.seed)) if args.format == "json"
+           else surface_to_csv(surface))
     return EXIT_OK
 
 
@@ -254,8 +235,7 @@ def _cmd_certify(args) -> int:
         runs = {"config": (params, seq)}
     else:
         runs = {label: desk_scale_params(*desk_set) for label, desk_set in CERTIFY_DESK.items()}
-    all_ok = True
-    lines = []
+    all_ok, lines = True, []
     reports = [oracle_compare(*run) for run in runs.values()]
     for label, report in zip(runs, reports):
         ok = report.passed and report.closure_ok
@@ -273,10 +253,8 @@ def _cmd_certify(args) -> int:
 def _cmd_budget(args) -> int:
     params, seq, _, text = _load_config(args.config)
     report = budget_report(params, seq)
-    if args.format == "json":
-        _write(args, report.to_json(_metadata("budget", text, args.seed)) + "\n")
-    else:
-        _write(args, report.to_text())
+    _write(args, report.to_json(_metadata("budget", text, args.seed)) + "\n" if args.format == "json"
+           else report.to_text())
     return EXIT_OK if report.all_pass() else EXIT_NUMERICAL
 
 
@@ -305,7 +283,7 @@ def _snapshots_json(frames, metadata: dict) -> str:
 
 def _cmd_dump_snapshots(args) -> int:
     params, seq, _, text = _load_config(args.config)
-    fractions = _numbers(args.times, "--times")
+    fractions = _numbers(args.times, "--times", MAX_FRAMES)
     frames = snapshot_frames(params, seq, fractions)
     header = ["x", "prob_plus", "prob_minus"]
     if args.format == "json":
@@ -314,98 +292,142 @@ def _cmd_dump_snapshots(args) -> int:
     if not args.out:
         raise ConfigError("dump-snapshots with CSV output needs --out as a filename prefix")
     for idx, (t, x, pp, pm) in enumerate(frames):
-        rows = np.column_stack([x, pp, pm])
-        path = f"{args.out}_{idx:03d}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# time_s = {fmt(t)}\n")
-            fh.write(csv_text(header, rows))
+        with open(f"{args.out}_{idx:03d}.csv", "w", encoding="utf-8") as fh:
+            fh.write(f"# time_s = {fmt(t)}\n" + csv_text(header, np.column_stack([x, pp, pm])))
     return EXIT_OK
 
 
 # -- argument parsing ------------------------------------------------------------
 
+#: The default of an option that the command cannot run without.
+REQUIRED = object()
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to a flat key=value config file (SI units)")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="integer recorded in the JSON metadata; no command samples, so it moves no number")
+_COMMON = (
+    ("--config", str, REQUIRED, "path to a flat key=value config file (SI units)"),
+    ("--out", str, None, "output path (default: stdout)"),
+    ("--format", ("csv", "json"), "csv", ""),
+    ("--seed", int, None, "integer recorded in the JSON metadata; no command samples, so it moves no number"),
+)
+
+#: command -> (function, help line, options). An option is (flag, type, default, help); its type
+#: converts the value, or is the tuple of choices, or is the bool that the bare flag stores.
+COMMANDS = {
+    "sweep": (_cmd_sweep, "general parameter sweep with selectable outputs", (
+        *_COMMON,
+        ("--param", str, REQUIRED, f"one of: {', '.join(SWEEPABLE)}"),
+        ("--values", str, None, "comma-separated explicit values"),
+        ("--start", float, None, ""), ("--stop", float, None, ""), ("--count", int, 0, ""),
+        ("--log", True, False, "logarithmic range spacing"),
+        ("--outputs", str, ",".join(OUTPUT_COLUMNS), f"comma list from: {', '.join(OUTPUT_COLUMNS)}"),
+    )),
+    "visibility": (_cmd_visibility, "decoherence visibility surface", (
+        *_COMMON,
+        ("--dx-min", float, 1e-9, ""),
+        ("--dx-max", float, 1e-6, "largest separation (m); the quadrature's error bound holds up to "
+         "about 0.178 m K / T, T the hotter of t_environment and --tint-max (1.19e-4 m at 1500 K); "
+         "beyond that the command exits 2"),
+        ("--dx-count", int, 50, ""), ("--dx-linear", False, True, ""),
+        ("--tint-min", float, 300.0, ""), ("--tint-max", float, 1500.0, ""), ("--tint-count", int, 50, ""),
+    )),
+    "certify": (_cmd_certify, "grid oracle vs closed forms, pass/fail per tolerance", (
+        ("--config", str, None, "config file to certify instead of the three desk sets"), _COMMON[1])),
+    "budget": (_cmd_budget, "feasibility budget report", _COMMON),
+    "dicke": (_cmd_dicke, "collective sector table for l spins", (*_COMMON, ("--l", int, REQUIRED, ""))),
+    "dump-snapshots": (_cmd_dump_snapshots, "grid |psi|^2 frames at fractions of t3", (
+        *_COMMON, ("--times", str, REQUIRED, "comma-separated fractions of t3 in [0, 1]"))),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EXIT_VALIDATION; exit 2 means a numerical failure."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads only "-1" and "-1.5" as negative numbers, so "--start -1e-05"
-        # would take "-1e-05" for an option; no flag here starts with a digit
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+def _dest(flag: str) -> str:
+    # --dx-linear switches off the default log spacing
+    return "dx_log" if flag == "--dx-linear" else flag[2:].replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nanoramsey",
-        description="Free-flight spin-force Ramsey interferometry toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+def _spec(flag: str, kind) -> str:
+    if isinstance(kind, bool):
+        return flag
+    return f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {_dest(flag).upper()}"
 
-    p = subs.add_parser("sweep", help="general parameter sweep with selectable outputs")
-    _add_common(p)
-    p.add_argument("--param", required=True, help=f"one of: {', '.join(SWEEPABLE)}")
-    p.add_argument("--values", default=None, help="comma-separated explicit values")
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--count", type=int, default=0)
-    p.add_argument("--log", action="store_true", help="logarithmic range spacing")
-    p.add_argument("--outputs", default=",".join(OUTPUT_COLUMNS),
-                   help=f"comma list from: {', '.join(OUTPUT_COLUMNS)}")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = subs.add_parser("visibility", help="decoherence visibility surface")
-    _add_common(p)
-    p.add_argument("--dx-min", type=float, default=1e-9)
-    p.add_argument("--dx-max", type=float, default=1e-6,
-                   help="largest separation (m); the quadrature's error bound holds up to "
-                        "about 0.178 m K / T, T the hotter of t_environment and --tint-max "
-                        "(1.19e-4 m at 1500 K); beyond that the command exits 2")
-    p.add_argument("--dx-count", type=int, default=50)
-    p.add_argument("--dx-linear", dest="dx_log", action="store_false")
-    p.add_argument("--tint-min", type=float, default=300.0)
-    p.add_argument("--tint-max", type=float, default=1500.0)
-    p.add_argument("--tint-count", type=int, default=50)
-    p.set_defaults(func=_cmd_visibility)
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: nanoramsey [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    return " ".join([f"usage: nanoramsey {command} [-h]", *(
+        _spec(flag, kind) if default is REQUIRED else f"[{_spec(flag, kind)}]"
+        for flag, kind, default, _ in COMMANDS[command][2])])
 
-    p = subs.add_parser("certify", help="grid oracle vs closed forms, pass/fail per tolerance")
-    p.add_argument("--config", help="config file to certify instead of the three desk sets")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_certify)
 
-    p = subs.add_parser("budget", help="feasibility budget report")
-    _add_common(p)
-    p.set_defaults(func=_cmd_budget)
+def _help(command) -> str:
+    rows = [("-h, --help", "show this help message and exit")] + (
+        [("--version", "show the version and exit"), *((name, c[1]) for name, c in COMMANDS.items())]
+        if command is None else [(_spec(flag, kind), text) for flag, kind, _, text in COMMANDS[command][2]])
+    about = COMMANDS[command][1] if command else "Free-flight spin-force Ramsey interferometry toolkit"
+    lines = (f"  {name:<22}{text}" if len(name) < 22 else f"  {name}\n{'':24}{text}" for name, text in rows)
+    return "\n".join([_usage(command), "", about, "", *map(str.rstrip, lines)]) + "\n"
 
-    p = subs.add_parser("dicke", help="collective sector table for l spins")
-    _add_common(p)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=_cmd_dicke)
 
-    p = subs.add_parser("dump-snapshots", help="grid |psi|^2 frames at fractions of t3")
-    _add_common(p)
-    p.add_argument("--times", required=True, help="comma-separated fractions of t3 in [0, 1]")
-    p.set_defaults(func=_cmd_dump_snapshots)
+def _usage_error(command, message: str):
+    sys.stderr.write(f"{_usage(command)}\nnanoramsey{' ' + command if command else ''}: error: {message}\n")
+    raise SystemExit(EXIT_VALIDATION)
 
-    return parser
+
+def _is_option(token: str) -> bool:
+    """Whether ``token`` names an option: it starts with "-" and does not read as a negative
+    number, so "--start -1e-05" takes "-1e-05" as its value (argparse's ``^-\\.?\\d``)."""
+    digits = token[2:] if token[1:2] == "." else token[1:]
+    return token.startswith("-") and not digits[:1].isdecimal()
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """``argv`` (no program name) as a namespace of ``command``, ``func`` and each option of the
+    command. Flags are spelled in full, as ``--flag value`` or ``--flag=value``; a repeated flag
+    keeps its last value. A usage error prints the usage line and the error and exits with
+    EXIT_VALIDATION; ``-h``, ``--help`` and ``--version`` print to stdout and exit 0."""
+    argv, command, values, extras, i = list(argv), None, {}, [], 0
+    kinds = dict.fromkeys(("-h", "--help", "--version"))        # before the command
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        flag, eq, explicit = token.partition("=")
+        if not _is_option(token) and command is None:
+            if token not in COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {token!r} "
+                                   f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command, options = token, COMMANDS[token][2]
+            kinds = {"-h": None, "--help": None, **{flag: kind for flag, kind, _, _ in options}}
+            values = {_dest(flag): default for flag, _, default, _ in options}
+        elif not _is_option(token) or flag not in kinds:
+            extras.append(token)
+        elif eq and not isinstance(kinds[flag], (type, tuple)):    # a switch takes no value
+            _usage_error(command, f"argument {flag}: ignored explicit argument {explicit!r}")
+        elif kinds[flag] is None:
+            sys.stdout.write(f"{__version__}\n" if flag == "--version" else _help(command))
+            raise SystemExit(EXIT_OK)
+        elif isinstance(kinds[flag], bool):
+            values[_dest(flag)] = kinds[flag]
+        else:
+            if not eq:
+                if i == len(argv) or _is_option(argv[i]):
+                    _usage_error(command, f"argument {flag}: expected one argument")
+                explicit, i = argv[i], i + 1
+            kind = kinds[flag]
+            if isinstance(kind, tuple) and explicit not in kind:
+                _usage_error(command, f"argument {flag}: invalid choice: {explicit!r} "
+                                      f"(choose from {', '.join(map(repr, kind))})")
+            try:
+                values[_dest(flag)] = explicit if isinstance(kind, tuple) else kind(explicit)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid {kind.__name__} value: {explicit!r}")
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    missing = [flag for flag, _, _, _ in COMMANDS[command][2] if values[_dest(flag)] is REQUIRED]
+    if missing or extras:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}" if missing
+                     else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, func=COMMANDS[command][0], **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     # ScaleError subclasses ValueError, so the numerical group goes first

@@ -339,14 +339,18 @@ def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -
         return rate
     bound = _error_bound(channel, dx, RULE_ORDER)
     # written as "unless within bounds", so a NaN bound is refused too
-    if not np.all(bound <= QUADRATURE_RTOL * np.abs(rate)):
+    passes = bound <= QUADRATURE_RTOL * np.abs(rate)
+    if not np.all(passes):
         with np.errstate(divide="ignore", invalid="ignore"):
             worst = float(np.max(bound / np.abs(rate)))
+        # the bound grows with the separation, so the passing separations are the smallest
+        reach = (f"on separations up to {float(dx.max())!r} m; the largest that passes is "
+                 f"{float(dx[passes].max())!r} m" if passes.any() else
+                 f"already at the smallest separation, {float(dx.min())!r} m")
         raise QuadratureError(
             f"channel {channel.name!r} not converged: the {RULE_ORDER}-node rule's error "
             f"bound is {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) at temperature "
-            f"{channel.temperature!r} K on separations up to {float(dx.max())!r} m; reduce the "
-            "largest separation"
+            f"{channel.temperature!r} K {reach}"
         )
     return rate
 

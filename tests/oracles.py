@@ -21,6 +21,8 @@ sectors are checked against brute-force 2^l statevectors of l pseudo-spins.
 The column-wise table emitters are checked byte for byte against
 ``csv_text_reference`` and ``json_table_reference``, which call ``fmt`` once
 per cell and let the json module lay out the document.
+The CLI's one-pass flag parser is checked against ``build_parser``, the
+argparse parser it replaced, kept here unchanged as the reference.
 
 Four compositions of package routines that no command runs live here too,
 beside the claims the tests make with them; unlike the routes above, they
@@ -35,15 +37,29 @@ time-resolved one it bounds; ``sector_action_phases`` runs
 """
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
+import sys
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
-from nanoramsey import dynamics
+from nanoramsey import __version__, dynamics
+from nanoramsey.cli import (
+    EXIT_VALIDATION,
+    OUTPUT_COLUMNS,
+    SWEEPABLE,
+    _cmd_budget,
+    _cmd_certify,
+    _cmd_dicke,
+    _cmd_dump_snapshots,
+    _cmd_sweep,
+    _cmd_visibility,
+)
 from nanoramsey.constants import HBAR, LIGHT_SPEED
 from nanoramsey.decoherence import (
     QuadratureError,
@@ -690,3 +706,83 @@ def single_spin_contrast(vec: np.ndarray) -> float:
     """Ramsey contrast 2 |rho_{+-}| of the first spin, the other l - 1 traced out."""
     rows = vec.reshape(2, -1)
     return float(2.0 * abs(np.vdot(rows[1], rows[0])))
+
+
+# -- the argparse parser the CLI's flag table replaced -----------------------------
+
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="path to a flat key=value config file (SI units)")
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="integer recorded in the JSON metadata; no command samples, so it moves no number")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_VALIDATION; exit 2 means a numerical failure."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only "-1" and "-1.5" as negative numbers, so "--start -1e-05"
+        # would take "-1e-05" for an option; no flag here starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="nanoramsey",
+        description="Free-flight spin-force Ramsey interferometry toolkit",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("sweep", help="general parameter sweep with selectable outputs")
+    _add_common(p)
+    p.add_argument("--param", required=True, help=f"one of: {', '.join(SWEEPABLE)}")
+    p.add_argument("--values", default=None, help="comma-separated explicit values")
+    p.add_argument("--start", type=float, default=None)
+    p.add_argument("--stop", type=float, default=None)
+    p.add_argument("--count", type=int, default=0)
+    p.add_argument("--log", action="store_true", help="logarithmic range spacing")
+    p.add_argument("--outputs", default=",".join(OUTPUT_COLUMNS),
+                   help=f"comma list from: {', '.join(OUTPUT_COLUMNS)}")
+    p.set_defaults(func=_cmd_sweep)
+
+    p = subs.add_parser("visibility", help="decoherence visibility surface")
+    _add_common(p)
+    p.add_argument("--dx-min", type=float, default=1e-9)
+    p.add_argument("--dx-max", type=float, default=1e-6,
+                   help="largest separation (m); the quadrature's error bound holds up to "
+                        "about 0.178 m K / T, T the hotter of t_environment and --tint-max "
+                        "(1.19e-4 m at 1500 K); beyond that the command exits 2")
+    p.add_argument("--dx-count", type=int, default=50)
+    p.add_argument("--dx-linear", dest="dx_log", action="store_false")
+    p.add_argument("--tint-min", type=float, default=300.0)
+    p.add_argument("--tint-max", type=float, default=1500.0)
+    p.add_argument("--tint-count", type=int, default=50)
+    p.set_defaults(func=_cmd_visibility)
+
+    p = subs.add_parser("certify", help="grid oracle vs closed forms, pass/fail per tolerance")
+    p.add_argument("--config", help="config file to certify instead of the three desk sets")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(func=_cmd_certify)
+
+    p = subs.add_parser("budget", help="feasibility budget report")
+    _add_common(p)
+    p.set_defaults(func=_cmd_budget)
+
+    p = subs.add_parser("dicke", help="collective sector table for l spins")
+    _add_common(p)
+    p.add_argument("--l", type=int, required=True)
+    p.set_defaults(func=_cmd_dicke)
+
+    p = subs.add_parser("dump-snapshots", help="grid |psi|^2 frames at fractions of t3")
+    _add_common(p)
+    p.add_argument("--times", required=True, help="comma-separated fractions of t3 in [0, 1]")
+    p.set_defaults(func=_cmd_dump_snapshots)
+
+    return parser

@@ -417,6 +417,58 @@ def test_dx_count_refused_before_any_array(capsys, tmp_path):
     assert peak < 1 << 20
 
 
+#: Runs each argv of the JSON list on stdin through ``cli.main`` in this process, its address
+#: space capped 1 GiB above what the imports left, so a flag without a ceiling raises
+#: MemoryError here instead of paging the machine; prints [exit code, stderr] per argv.
+_SIZE_PROBE = """
+import io, json, os, resource, sys
+from contextlib import redirect_stderr, redirect_stdout
+from nanoramsey import cli
+argvs = json.load(sys.stdin)
+limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+results = []
+for argv in argvs:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except BaseException as exc:        # what the command line would show as a traceback
+            rc = f"uncaught {type(exc).__name__}: {exc}"
+    results.append([rc, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_size_flag_refused_by_name(tmp_path):
+    """Each flag that sizes an array, at 0, -1, 1, 2^31, 2^63 - 1 and 10^23, and each list flag
+    empty and one entry past its ceiling: the command runs, or it exits with one line that
+    names the flag, before any array of that size exists."""
+    config = write_config(tmp_path)
+    probes = []
+    for value in ("0", "-1", "1", str(2**31), str(2**63 - 1), str(10**23)):
+        probes += [
+            ("--count", ["sweep", "--param", "theta", "--start", "0", "--stop", "1", "--count", value]),
+            ("--tint-count", ["visibility", "--dx-count", "2", "--tint-count", value]),
+            ("--dx-count", ["visibility", "--dx-count", value, "--tint-count", "2"]),
+        ]
+    for entries in (0, cli.MAX_SWEEP_POINTS + 1):
+        probes.append(("--values", ["sweep", "--param", "theta", "--values", ",".join(["0.5"] * entries)]))
+    for entries in (0, cli.MAX_FRAMES + 1):
+        probes.append(("--times", ["dump-snapshots", "--format", "json", "--times", ",".join(["1"] * entries)]))
+    probes.append(("--tint-count", ["visibility", "--dx-count", str(MAX_SEPARATIONS),
+                                    "--tint-count", str(cli.MAX_CELLS // MAX_SEPARATIONS + 1)]))
+    argvs = [[argv[0], "--config", config, *argv[1:]] for _, argv in probes]
+    child = _child("-c", _SIZE_PROBE, input=json.dumps(argvs).encode(), check=True)
+    failures = [f"{argv}: exit {rc}, stderr {err!r}"
+                for (flag, argv), (rc, err) in zip(probes, json.loads(child.stdout))
+                if rc != cli.EXIT_OK and not (rc == cli.EXIT_VALIDATION and err.startswith("error: ")
+                                              and err.count("\n") == 1 and flag in err)]
+    assert failures == []
+
+
 def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp_path):
     """eta * t3 overflows to inf for t3 = 1e300, and exp(-inf) is the 0.0 that every
     exposure above about 745 already gives."""
@@ -442,8 +494,25 @@ def test_visibility_beyond_the_rule_reach_refused(capsys, tmp_path):
     assert rc == cli.EXIT_NUMERICAL and out == ""
     assert err.startswith("numerical failure: channel 'thermal_emission' not converged: "
                           "the 1024-node rule's error bound is ")
-    assert "up to 0.0003 m; reduce the largest separation" in err
+    assert err.endswith(" K already at the smallest separation, 0.0003 m\n")
     assert "n_nodes" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("dx_min, dx_max, t_environment, reach", [
+    ("1e-9", "1e-6", 1e20, "at temperature 1e+20 K already at the smallest separation, 1e-09 m\n"),
+    ("0", "3e-4", 300.0, "at temperature 1500.0 K on separations up to 0.0003 m; the largest that "
+                         "passes is 9.999999999999999e-05 m\n"),
+])
+def test_quadrature_refusal_names_what_passes(capsys, tmp_path, dx_min, dx_max, t_environment,
+                                              reach):
+    """The bound grows with the separation: the refusal names the largest separation of the
+    axis that passes, or says that even the smallest fails at that temperature."""
+    config = write_config(tmp_path, t_environment=t_environment)
+    rc = cli.main(["visibility", "--config", config, "--dx-linear", "--dx-min", dx_min,
+                   "--dx-max", dx_max, "--dx-count", "4", "--tint-count", "2"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERICAL and out == "" and err.endswith(reach)
+    assert "reduce the largest separation" not in err
 
 
 @pytest.mark.parametrize("key", ["radius", "t_environment"])
@@ -501,6 +570,15 @@ def test_cli_import_loads_no_numpy_polynomial():
     assert not {m for m in loaded if m.startswith("numpy.polynomial")}
 
 
+def test_command_loads_no_argparse_or_locale(tmp_path):
+    """The flag table needs neither; argparse loaded gettext and, through it, locale."""
+    code = ("import json, sys, nanoramsey.cli; nanoramsey.cli.main(sys.argv[1:]); "
+            "print(json.dumps(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))))")
+    child = _child("-c", code, "budget", "--config", write_config(tmp_path),
+                   "--out", str(tmp_path / "budget.txt"), check=True)
+    assert json.loads(child.stdout) == [] and (tmp_path / "budget.txt").read_text()
+
+
 def test_constants_import_loads_no_numpy():
     assert _modules_after_import("nanoramsey.constants", "numpy") == set()
 
@@ -542,7 +620,7 @@ class TestProcessLifetime:
         spawned = _child("-m", "nanoramsey.cli", *command(tmp_path / "spawned.out"))
         try:
             rc = cli.main(command(tmp_path / "in_process.out"))
-        except SystemExit as exc:                   # argparse's usage error
+        except SystemExit as exc:                   # the parser's usage error
             rc = exc.code
         out, err = capsys.readouterr()
         assert spawned.returncode == rc == code

@@ -78,7 +78,16 @@ class TestLocalizationRate:
         model = default_model(paper_params, t_internal=1500.0)
         with pytest.raises(QuadratureError, match="not converged") as refused:
             localization_rate_profile([model], [1e-3])
-        assert "up to 0.001 m; reduce the largest separation" in str(refused.value)
+        assert str(refused.value).endswith("300.0 K already at the smallest separation, 0.001 m")
+
+    def test_refusal_names_the_largest_separation_that_passes(self, paper_params):
+        """The 300 K absorption channel is refused first: dx T = 0.003 and 0.03 m K pass, 0.3 m K
+        does not."""
+        model = default_model(paper_params, t_internal=1500.0)
+        with pytest.raises(QuadratureError, match="not converged") as refused:
+            localization_rate_profile([model], [1e-3, 1e-5, 1e-4])
+        assert str(refused.value).endswith("on separations up to 0.001 m; the largest that "
+                                           "passes is 0.0001 m")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_rate_raises(self, paper_params):

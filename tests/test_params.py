@@ -379,7 +379,7 @@ class TestArrayKernels:
                             patched.setattr(module, attr, recorded)
             for seed in range(workloads.VARIANTS):
                 for cmd in workloads.commands("sweep", seed):
-                    args = cli.build_parser().parse_args(cmd.argv)
+                    args = cli.parse_args(cmd.argv)
                     cfg = parse_config_text((ROOT / args.config).read_text())
                     rows = cli._sweep_rows(cfg, args.param, cli._sweep_values(args),
                                            list(cli.OUTPUT_COLUMNS))

@@ -77,7 +77,7 @@ def run_cli(argv):
 
 
 def run_reference(cfg: dict, argv):
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     try:
         header, rows = sweep_reference(cfg, args)
     except ValueError as exc:       # ConfigError included, as cli.main reports it
@@ -107,7 +107,7 @@ def test_sweep_equals_per_point_reference(configs, param, mode, data):
     else:
         lo, hi = data.draw(FACTORS, label="lo"), data.draw(FACTORS, label="hi")
         count = data.draw(st.integers(2, 25), label="count")
-        # "--start=-1e-05": argparse would take a bare "-1e-05" for an option
+        # the "--start=-1e-05" form, one token whatever the value
         argv = [f"--start={base * lo!r}", f"--stop={base * hi!r}", "--count", str(count)]
         if mode == "log":
             argv.append("--log")
