@@ -82,40 +82,6 @@ def thermal_velocity(t_cm: float, mass: float) -> float:
 
 
 @dataclass(frozen=True)
-class ZeemanResolvability:
-    """Whether the position-split resonances can be addressed separately."""
-
-    splitting: float       # Hz, between the two displaced arms at t1
-    bandwidth: float       # Hz, Fourier width of one control pulse
-    ratio: float
-    passes: bool
-
-
-def zeeman_resolvability(params: ExperimentParams, seq: PulseSequence) -> ZeemanResolvability:
-    """Splitting vs pulse bandwidth at the first flip.
-
-    At t1 the arms sit at +-x_flip around the mean path, seeing local fields
-    that differ by 2 * b_gradient * x_flip; the resulting splitting is
-    2 * (g_nv mu_B / h) * b_gradient * x_flip, compared against the pulse
-    bandwidth 1/pulse_duration. x_flip is half the arm separation at t1.
-    """
-    x_flip = 0.5 * abs(separation_at(params, seq, seq.effective_times()[0]))
-    h = 2.0 * math.pi * HBAR
-    splitting = 2.0 * (params.g_nv * MU_BOHR / h) * abs(params.b_gradient) * x_flip
-    bandwidth = 1.0 / params.pulse_duration
-    if bandwidth == math.inf:
-        raise ValueError(f"pulse_duration = {params.pulse_duration!r} s makes the pulse bandwidth "
-                         "1 / pulse_duration overflow")
-    ratio = splitting / bandwidth
-    if not math.isfinite(ratio):
-        raise ValueError(f"pulse_duration, g_nv and b_gradient make the resolvability ratio {ratio!r}, "
-                         f"got pulse_duration={params.pulse_duration!r}, g_nv={params.g_nv!r}, "
-                         f"b_gradient={params.b_gradient!r}")
-    return ZeemanResolvability(splitting=splitting, bandwidth=bandwidth,
-                               ratio=ratio, passes=ratio >= RESOLVABILITY_MARGIN)
-
-
-@dataclass(frozen=True)
 class BudgetReport:
     """Consolidated feasibility numbers for one configuration (all SI)."""
 
@@ -188,11 +154,25 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     bound_mass = csl_bound(params.mass / AMU, t3)
     v_rms = thermal_velocity(params.t_cm, params.mass)
     doppler = doppler_linewidth(params.mw_frequency, v_rms)
-    zeeman = zeeman_resolvability(params, seq)
+    # at t1 the arms sit at +-x_flip, half their separation, around the mean path, in local
+    # fields 2 b_gradient x_flip apart: a splitting 2 (g_nv mu_B / h) b_gradient x_flip that
+    # must clear the pulse bandwidth 1 / pulse_duration to address each arm's resonance
+    x_flip = 0.5 * abs(separation_at(params, seq, seq.effective_times()[0]))
+    h = 2.0 * math.pi * HBAR
+    splitting = 2.0 * (params.g_nv * MU_BOHR / h) * abs(params.b_gradient) * x_flip
+    bandwidth = 1.0 / params.pulse_duration
+    if bandwidth == math.inf:
+        raise ValueError(f"pulse_duration = {params.pulse_duration!r} s makes the pulse bandwidth "
+                         "1 / pulse_duration overflow")
+    ratio = splitting / bandwidth
+    if not math.isfinite(ratio):
+        raise ValueError(f"pulse_duration, g_nv and b_gradient make the resolvability ratio {ratio!r}, "
+                         f"got pulse_duration={params.pulse_duration!r}, g_nv={params.g_nv!r}, "
+                         f"b_gradient={params.b_gradient!r}")
     separation = max_separation(params, seq)
     arm = 0.5 * separation
     spread = wavepacket_width(params, t3) / params.sigma0()
-    final = evolve_sequence(params, seq, initial_state(params))
+    final = evolve_sequence(params, seq, initial_state())
     ov = branch_overlap(params, final)
     vis = abs(ov)
     if seq.is_balanced():
@@ -207,7 +187,7 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
                   f" (single-arm displacement {arm:.3e} m)"),
                  ("doppler linewidth", "doppler_linewidth_hz", doppler, "Hz", ""),
                  ("thermal rms velocity", "thermal_velocity_m_s", v_rms, "m/s", ""),
-                 ("zeeman splitting", "zeeman_splitting_hz", zeeman.splitting, "Hz", ""),
+                 ("zeeman splitting", "zeeman_splitting_hz", splitting, "Hz", ""),
              ) if _discrepant(value, quotes[key])]
     # bound comparison on the order of magnitude only (the quote is an order)
     if abs(math.log10(bound) - math.log10(quotes["csl_bound_per_s"])) > 0.5:
@@ -234,16 +214,16 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
         n_nucleons=params.n_nucleons,
         doppler_linewidth_hz=doppler,
         thermal_velocity_m_s=v_rms,
-        zeeman_splitting_hz=zeeman.splitting,
-        pulse_bandwidth_hz=zeeman.bandwidth,
-        resolvability_ratio=zeeman.ratio,
+        zeeman_splitting_hz=splitting,
+        pulse_bandwidth_hz=bandwidth,
+        resolvability_ratio=ratio,
         peak_separation_m=separation,
         arm_displacement_m=arm,
         spread_ratio=spread,
         phi_g_rad=phi,
         ramsey_p0=ramsey_probability(phi),
         visibility_closure=vis,
-        resolvability_pass=zeeman.passes,
+        resolvability_pass=ratio >= RESOLVABILITY_MARGIN,
         closure_pass=vis >= 1.0 - 1e-9,
         notes=tuple(notes),
     )

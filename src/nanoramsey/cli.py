@@ -86,7 +86,7 @@ def _point_outputs(params, seq) -> dict:
         phi = gravitational_phase(params, seq)
         vis = 1.0
     else:
-        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state()))
         phi = -atan2(ov.imag, ov.real)
         vis = modulus(ov)
     return {"phi_g_rad": phi, "p0": ramsey_probability(phi), "delta_x_max_m": max_separation(params, seq),

@@ -273,15 +273,17 @@ def _channel_rate(spectrum, delta_x: np.ndarray, work: np.ndarray) -> np.ndarray
     return kick @ weighted
 
 
-def _error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
-    """A-priori bound on the absolute error of ``channel``'s rate on an ``n_nodes`` rule.
+def _log_error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Natural log of an a-priori bound on the absolute error of ``channel``'s rate on an
+    ``n_nodes`` rule; -inf where the bound is 0.
 
     Gauss-Legendre on an integrand f analytic inside the Bernstein ellipse E_rho errs
     by at most (64/15) M rho^(-2n) / (rho^2 - 1), M = sup |f| on E_rho (Trefethen,
     Approximation Theory and Approximation Practice, Thm 19.3). f is the integrand on
     [-1, 1], half-length included; M is its prefactor times sup |w^p / expm1(w)| times
-    a majorant of |1 - sinc z|, all in logarithms, as rho^(-2048) underflows
-    (docs/physics-notes.md, "How far the rule reaches"). Calls no ``rate_density``.
+    a majorant of |1 - sinc z|, all in logarithms, as rho^(-2048) underflows and the bound
+    far past the rule's reach overflows (docs/physics-notes.md, "How far the rule
+    reaches"). Calls no ``rate_density``.
     """
     p, _ = _SATURATION[channel.kind]
     sup, integral = _PLANCK_SHAPE[p]
@@ -297,7 +299,7 @@ def _error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
         series = 2.0 * log_s + _ELLIPSE_REACH * s + math.log(_ELLIPSE_REACH**2 / 6.0)
         # 1 + sinh y / y <= 1 + e^y / (2 y) at y = max |Im z|, from sinc z = int_0^1 cos(z t) dt
         cosine = np.logaddexp(0.0, _ELLIPSE_HEIGHT * s - log_s - math.log(2.0 * _ELLIPSE_HEIGHT))
-        return np.exp(log_base + np.minimum(series, cosine))
+        return log_base + np.minimum(series, cosine)
 
 
 def localization_rate_profile(models, delta_x) -> np.ndarray:
@@ -337,20 +339,25 @@ def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -
         )
     if not rate.any():      # zero temperature or response, or every term underflows: nothing to bound
         return rate
-    bound = _error_bound(channel, dx, RULE_ORDER)
-    # written as "unless within bounds", so a NaN bound is refused too
-    passes = bound <= QUADRATURE_RTOL * np.abs(rate)
+    log_bound = _log_error_bound(channel, dx, RULE_ORDER)
+    with np.errstate(over="ignore"):
+        # written as "unless within bounds", so a NaN bound is refused too
+        passes = np.exp(log_bound) <= QUADRATURE_RTOL * np.abs(rate)
     if not np.all(passes):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = float(np.max(bound / np.abs(rate)))
+        # the ratio at the smallest failing separation, from the log bound, as the bound
+        # itself overflows far past the rule's reach: mantissa and power of ten apart
+        first = np.flatnonzero(~passes)[np.argmin(dx[~passes])]
+        log10_ratio = float(log_bound[first] - math.log(abs(rate[first]))) / math.log(10.0)
+        whole = math.floor(log10_ratio)
+        mantissa, carry = f"{10.0 ** (log10_ratio - whole):.2e}".split("e")
         # the bound grows with the separation, so the passing separations are the smallest
         reach = (f"on separations up to {float(dx.max())!r} m; the largest that passes is "
                  f"{float(dx[passes].max())!r} m" if passes.any() else
                  f"already at the smallest separation, {float(dx.min())!r} m")
         raise QuadratureError(
             f"channel {channel.name!r} not converged: the {RULE_ORDER}-node rule's error "
-            f"bound is {worst:.2e} relative (tol {QUADRATURE_RTOL:.0e}) at temperature "
-            f"{channel.temperature!r} K {reach}"
+            f"bound is {mantissa}e{whole + int(carry):+03d} relative (tol {QUADRATURE_RTOL:.0e}) "
+            f"at temperature {channel.temperature!r} K {reach}"
         )
     return rate
 

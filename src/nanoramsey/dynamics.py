@@ -237,7 +237,7 @@ def ramsey_probability(phi):
 
 # -- full sequence evolution -------------------------------------------------
 
-def initial_state(params: ExperimentParams, x0: float = 0.0, p0: float = 0.0) -> CompositeState:
+def initial_state(x0: float = 0.0, p0: float = 0.0) -> CompositeState:
     """Equal superposition of the two spin branches on a shared coherent state."""
     packet = GaussianBranchState(center=x0, momentum=p0)
     return CompositeState(plus_branch=packet, minus_branch=packet)

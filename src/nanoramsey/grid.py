@@ -5,7 +5,9 @@ This module is the independent referee for every closed form in
 on a grid, as a product of second-order Strang steps (kinetic step in momentum
 space via FFT, linear-potential step in position space), composed per segment
 in closed form, and compares phases, trajectories, widths and overlaps against
-the analytic predictions.
+the analytic predictions. A grid state is its complex amplitude array, read
+through the :class:`GridSpec` it lives on: that spec alone holds the axis, the
+spacing and the wavenumbers.
 
 Scaling. The oracle works in units where m = hbar = 1 and the initial packet
 width sigma0 = 1. With length unit sigma0 and time unit m*sigma0^2/hbar
@@ -127,12 +129,15 @@ def scale_params(params: ExperimentParams, seq: PulseSequence) -> ScaledUnits:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization of the natural-unit problem.
+    """Discretization of the natural-unit problem, and the one home of its grid quantities.
 
     n_points primarily sets momentum resolution (FFT), the domain
     [x_min, x_max] must contain every excursion plus an 8-sigma margin,
     and each segment of duration tau evolves as the product of
-    steps_per_segment Strang steps of tau / steps_per_segment.
+    steps_per_segment Strang steps of tau / steps_per_segment. A state on
+    the grid is its complex amplitude array, one branch of shape (N,) or one
+    branch per row, shape (B, N); ``x``, ``dx`` and :meth:`wavenumbers` are
+    the axis, spacing and FFT wavenumbers every reader of a state uses.
     """
 
     n_points: int
@@ -147,57 +152,45 @@ class GridSpec:
             raise ValueError("x_max must exceed x_min")
         if self.steps_per_segment < 1:
             raise ValueError("steps_per_segment must be >= 1")
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points, endpoint=False)
+        # built once per spec, not per read; it is no field, so equality and replace()
+        # see only the four above
+        object.__setattr__(self, "x", np.linspace(self.x_min, self.x_max, self.n_points, endpoint=False))
 
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_points
 
+    def wavenumbers(self) -> np.ndarray:
+        """The FFT's angular wavenumbers, in the order ``np.fft.fft`` returns them."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-@dataclass(frozen=True)
-class GridWavefunction:
-    """Complex amplitudes over the spatial grid: one branch, shape (N,), or
-    one branch per row, shape (B, N). Norms and moments are per row."""
+    def norm(self, psi):
+        """Norm of the state ``psi``, per row."""
+        return np.sum(np.abs(psi) ** 2, axis=-1) * self.dx
 
-    x: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.x.shape != self.amplitudes.shape[-1:]:
-            raise ValueError("grid and amplitude arrays must share the last axis")
-        n = self.norm()
+    def moments(self, psi):
+        """(<x>, <p>, width, momentum width) of the state ``psi``, per row. Refuses a row
+        whose norm is more than 1e-9 off 1, from the same |psi|^2, before any FFT."""
+        prob = np.abs(psi) ** 2
+        dx = self.dx
+        n = np.sum(prob, axis=-1) * dx
         if np.any(np.abs(n - 1.0) > 1e-9):
             raise ValueError(f"wavefunction must be normalized, got norm {n}")
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    def norm(self):
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1) * self.dx
-
-    def moments(self):
-        """(<x>, <p>, width, momentum width) from the grid state, per row."""
-        prob = np.abs(self.amplitudes) ** 2
-        dx = self.dx
         xb = np.sum(self.x * prob, axis=-1) * dx
         width = np.sqrt(np.sum((self.x - np.expand_dims(xb, -1)) ** 2 * prob, axis=-1) * dx)
-        k = 2.0 * np.pi * np.fft.fftfreq(self.x.size, d=dx)
-        prob_k = np.abs(np.fft.fft(self.amplitudes)) ** 2
+        k = self.wavenumbers()
+        prob_k = np.abs(np.fft.fft(psi)) ** 2
         total = np.sum(prob_k, axis=-1)
         pk = np.sum(k * prob_k, axis=-1) / total
         pwidth = np.sqrt(np.maximum(np.sum(k * k * prob_k, axis=-1) / total - pk * pk, 0.0))
         return xb, pk, width, pwidth
 
 
-def gaussian_packet(spec: GridSpec, center: float = 0.0, momentum: float = 0.0) -> GridWavefunction:
-    """Minimum-uncertainty packet with sigma0 = 1 in natural units."""
-    x = spec.axis()
-    psi = np.exp(-((x - center) ** 2) / 4.0 + 1j * momentum * (x - center))
+def gaussian_packet(spec: GridSpec, center: float = 0.0, momentum: float = 0.0) -> np.ndarray:
+    """Minimum-uncertainty packet with sigma0 = 1 in natural units, normalized on ``spec``."""
+    psi = np.exp(-((spec.x - center) ** 2) / 4.0 + 1j * momentum * (spec.x - center))
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * spec.dx))
-    return GridWavefunction(x=x, amplitudes=psi)
+    return psi
 
 
 def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
@@ -212,10 +205,11 @@ def _check_momentum(p_lo: float, p_hi: float, spec: GridSpec):
         )
 
 
-def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0):
-    """Keep every row ``GUARD_SIGMAS`` widths inside +-pi/dx in p, at <p> and <p> + ``kick``,
-    then inside the domain in x (aliased momentum would garble the x moments)."""
-    xb, pb, width, pwidth = psi.moments()
+def _check_margin(psi: np.ndarray, spec: GridSpec, kick=0.0):
+    """Keep every row of ``psi`` normalized (:meth:`GridSpec.moments`), ``GUARD_SIGMAS``
+    widths inside +-pi/dx in p, at <p> and <p> + ``kick``, then inside the domain in x
+    (aliased momentum would garble the x moments)."""
+    xb, pb, width, pwidth = spec.moments(psi)
     _check_momentum(float(np.min(np.minimum(pb, pb + kick) - GUARD_SIGMAS * pwidth)),
                     float(np.max(np.maximum(pb, pb + kick) + GUARD_SIGMAS * pwidth)), spec)
     lo, hi = float(np.min(xb - GUARD_SIGMAS * width)), float(np.max(xb + GUARD_SIGMAS * width))
@@ -229,10 +223,10 @@ def _check_margin(psi: GridWavefunction, spec: GridSpec, kick=0.0):
         )
 
 
-def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridSpec) -> GridWavefunction:
+def split_step_evolve(psi: np.ndarray, force, duration: float, spec: GridSpec) -> np.ndarray:
     """Strang-split evolution of the rows of ``psi`` under H = p^2/2 - force*x (natural
-    units) for a ``duration`` > 0, ``force`` a number or one per row, with the margin
-    checked before (with the segment's kick) and after.
+    units) for a ``duration`` > 0, ``force`` a number or one per row, with the norm and
+    margin checked before (with the segment's kick) and after.
 
     The n = ``spec.steps_per_segment`` Strang steps of dt = tau/n are composed in closed
     form: the exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
@@ -243,12 +237,12 @@ def split_step_evolve(psi: GridWavefunction, force, duration: float, spec: GridS
         raise ValueError(f"duration must be > 0, got {duration!r}")
     force = np.asarray(force, dtype=float)[..., None]     # one row each, broadcast over x
     _check_margin(psi, spec, kick=force[..., 0] * duration)
-    k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
+    k = spec.wavenumbers()
     dt = duration / spec.steps_per_segment
     c_number = force * force * duration * (duration * duration / 6.0 + dt * dt / 12.0)
-    kicked = np.exp(1j * force * duration * psi.x) * psi.amplitudes      # V = -force*x
+    kicked = np.exp(1j * force * duration * spec.x) * psi      # V = -force*x
     drift = np.exp(-1j * (0.5 * k * k * duration - 0.5 * force * duration * duration * k + c_number))
-    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(drift * np.fft.fft(kicked)))
+    out = np.fft.ifft(drift * np.fft.fft(kicked))
     _check_margin(out, spec)
     return out
 
@@ -335,8 +329,7 @@ def evolve_branch_on_grid(
         start += tau
     _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
                     float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
-    packet = gaussian_packet(spec, center, momentum)
-    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (accelerations.shape[1], 1)))
+    psi = np.tile(gaussian_packet(spec, center, momentum), (accelerations.shape[1], 1))
     states, t = [], 0.0
     for horizon in horizons:
         start = 0.0
@@ -345,7 +338,7 @@ def evolve_branch_on_grid(
             if step > 0.0:
                 psi = split_step_evolve(psi, a, step, spec)
             start += tau
-        states.append(psi if np.ndim(spin) else GridWavefunction(psi.x, psi.amplitudes[0]))
+        states.append(psi if np.ndim(spin) else psi[0])
         t = horizon
     return states if np.ndim(until) else states[0]
 
@@ -447,14 +440,14 @@ def oracle_compare(
         )
     spec = spec or _sized_grid(params, seq, scaled, MIN_POINTS, 1200)
     pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
-    ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+    ov_grid = complex(np.sum(np.conj(pair[1]) * pair[0]) * spec.dx)
     if balanced and abs(ov_grid) < 0.99:
         raise ClosureError(
             f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
         )
-    norm_drift = float(np.max(np.abs(pair.norm() - 1.0)))
+    norm_drift = float(np.max(np.abs(spec.norm(pair) - 1.0)))
 
-    final = evolve_sequence(params, seq, initial_state(params))
+    final = evolve_sequence(params, seq, initial_state())
     ov_analytic = branch_overlap(params, final)
 
     # phases compared as a circular residual; unwrapping only picks the branch
@@ -472,7 +465,7 @@ def oracle_compare(
     center_error = 0.0
     width_error = 0.0
     sigma_scaled = wavepacket_width(params, final.spread_time) / scaled.length_unit
-    for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+    for xb, pb, width, _, branch in zip(*spec.moments(pair), (final.plus_branch, final.minus_branch)):
         x_cl = branch.center / scaled.length_unit
         # natural momentum unit is hbar / sigma0
         p_cl = branch.momentum * scaled.length_unit / HBAR
@@ -535,8 +528,8 @@ def snapshot_frames(
         min(fractions[i] * t3 / scaled.time_unit, scaled.total_time) for i in order])
     frames = [None] * len(fractions)
     for i, pair in zip(order, states):
-        prob = np.abs(pair.amplitudes) ** 2 / scaled.length_unit
-        frames[i] = (fractions[i] * t3, pair.x * scaled.length_unit, prob[0], prob[1])
+        prob = np.abs(pair) ** 2 / scaled.length_unit
+        frames[i] = (fractions[i] * t3, spec.x * scaled.length_unit, prob[0], prob[1])
     return frames
 
 

@@ -79,7 +79,7 @@ from nanoramsey.dynamics import (
     max_separation,
     ramsey_probability,
 )
-from nanoramsey.grid import GridWavefunction, _check_margin, gaussian_packet
+from nanoramsey.grid import _check_margin, gaussian_packet
 from nanoramsey.io import fmt
 from nanoramsey.params import (
     ConfigError,
@@ -458,18 +458,16 @@ def strang_reference(psi, force, duration, spec):
     _check_margin(psi, spec)
     steps = spec.steps_per_segment
     dt = duration / steps
-    x = psi.x
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     half_kinetic = np.exp(-0.25j * k * k * dt)
-    potential = np.exp(1j * force * x * dt)       # V = -force*x
-    amps = psi.amplitudes
+    potential = np.exp(1j * force * spec.x * dt)       # V = -force*x
+    amps = psi
     for _ in range(steps):
         amps = np.fft.ifft(half_kinetic * np.fft.fft(amps))
         amps = potential * amps
         amps = np.fft.ifft(half_kinetic * np.fft.fft(amps))
-    out = GridWavefunction(x=x, amplitudes=amps)
-    _check_margin(out, spec)
-    return out
+    _check_margin(amps, spec)
+    return amps
 
 
 def reference_branch(scaled, spec, spin, until=None):
@@ -497,12 +495,12 @@ def paired_strang_reference(psi, force, duration, spec):
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n_points, d=spec.dx)
     kinetic = np.exp(-0.5j * k * k * dt)
     half_kinetic = np.exp(-0.25j * k * k * dt)
-    potential = np.exp(1j * force * psi.x * dt)      # V = -force*x
-    amps = np.fft.fft(psi.amplitudes) * half_kinetic
+    potential = np.exp(1j * force * spec.x * dt)      # V = -force*x
+    amps = np.fft.fft(psi) * half_kinetic
     for i in range(steps):
         amps = np.fft.fft(potential * np.fft.ifft(amps))
         amps *= kinetic if i < steps - 1 else half_kinetic
-    out = GridWavefunction(x=psi.x, amplitudes=np.fft.ifft(amps))
+    out = np.fft.ifft(amps)
     _check_margin(out, spec)
     return out
 
@@ -514,8 +512,7 @@ def flight_reference(scaled, spec, spins=(1, -1), center=0.0, momentum=0.0, unti
     ``until`` is one horizon (default t3) or an ascending list, walked in one forward pass
     that returns one state per horizon; durations are cut as the package cuts them.
     """
-    packet = gaussian_packet(spec, center, momentum)
-    psi = GridWavefunction(packet.x, np.tile(packet.amplitudes, (len(spins), 1)))
+    psi = np.tile(gaussian_packet(spec, center, momentum), (len(spins), 1))
     accelerations = np.array([scaled.branch_accelerations(_spin_history(s)) for s in spins]).T
     states, t = [], 0.0
     for horizon in np.atleast_1d(scaled.total_time if until is None else until):
@@ -548,7 +545,7 @@ def _point_outputs(params, seq) -> dict:
         phi = gravitational_phase(params, seq)
         vis = 1.0
     else:
-        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state()))
         phi = -math.atan2(ov.imag, ov.real)
         vis = abs(ov)
     return {
@@ -646,7 +643,7 @@ def sector_action_phases(params, seq, l: int):
     out = []
     for n in range(l + 1):
         mv = 2 * n - l
-        final = evolve_branches(params, seq, initial_state(params), spins=(mv, mv))
+        final = evolve_branches(params, seq, initial_state(), spins=(mv, mv))
         out.append((mv, final.plus_branch.action_phase))
     return out
 

@@ -14,7 +14,6 @@ from nanoramsey.budget import (
     csl_bound,
     doppler_linewidth,
     thermal_velocity,
-    zeeman_resolvability,
 )
 from nanoramsey.constants import HBAR, K_BOLTZMANN, MU_BOHR
 from nanoramsey.dynamics import PulseSequence
@@ -62,10 +61,11 @@ class TestZeeman:
         x_flip = 0.5 * abs(xp[i] - xm[i])
         h = 2 * math.pi * HBAR
         expected = 2 * (paper_params.g_nv * MU_BOHR / h) * paper_params.b_gradient * x_flip
-        z = zeeman_resolvability(paper_params, paper_seq)
-        assert z.splitting == pytest.approx(expected, rel=1e-9)
-        assert z.bandwidth == 1.0 / paper_params.pulse_duration
-        assert z.passes == (z.ratio >= 10.0)
+        report = budget_report(paper_params, paper_seq)
+        assert report.zeeman_splitting_hz == pytest.approx(expected, rel=1e-9)
+        assert report.pulse_bandwidth_hz == 1.0 / paper_params.pulse_duration
+        assert report.resolvability_ratio == report.zeeman_splitting_hz / report.pulse_bandwidth_hz
+        assert report.resolvability_pass == (report.resolvability_ratio >= 10.0)
 
 
 class TestReport:

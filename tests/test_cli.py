@@ -106,9 +106,8 @@ class TestExitCodes:
             pair = evolve(*args, **kwargs)
             calls.append(args)
             if len(calls) == 2:
-                amps = pair.amplitudes.copy()
-                amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
-                pair = grid.GridWavefunction(pair.x, amps)
+                pair = pair.copy()
+                pair[1] = np.roll(pair[1], pair.shape[-1] // 4)
             return pair
 
         monkeypatch.setattr(grid, "evolve_branch_on_grid", broken_middle)
@@ -513,6 +512,29 @@ def test_quadrature_refusal_names_what_passes(capsys, tmp_path, dx_min, dx_max, 
     out, err = capsys.readouterr()
     assert rc == cli.EXIT_NUMERICAL and out == "" and err.endswith(reach)
     assert "reduce the largest separation" not in err
+
+
+def test_quadrature_refusal_ratio_stays_finite(capsys, config):
+    """At 3e-4 m and 1500 K the bound itself overflows a float; the refusal gives its ratio
+    to the rate at the smallest failing separation in mantissa and power of ten, which
+    matches the log bound over the 4096-node reference rate."""
+    from nanoramsey.decoherence import RULE_ORDER, _log_error_bound, default_model
+    from nanoramsey.params import build_params
+    from oracles import channel_rate_reference
+
+    rc = cli.main(["visibility", "--config", config, "--dx-min", "1e-5", "--dx-max", "3e-4",
+                   "--dx-count", "3", "--tint-count", "2"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERICAL and out == ""
+    assert err.endswith(" K on separations up to 0.0003 m; the largest that passes is 5.477225575051662e-05 m\n")
+    mantissa, exponent = re.search(r"error bound is (\d\.\d\d)e\+(\d+) relative", err).groups()
+    printed = math.log10(float(mantissa)) + int(exponent)
+    channel = next(ch for ch in default_model(build_params(PAPER_CONFIG), 1500.0) if ch.name == "thermal_emission")
+    separation = np.array([3e-4])
+    log_bound = _log_error_bound(channel, separation, RULE_ORDER)[0]
+    assert log_bound > math.log(sys.float_info.max)
+    want = (log_bound - math.log(channel_rate_reference(channel, separation, 4096)[0])) / math.log(10.0)
+    assert printed == pytest.approx(want, abs=0.003)     # the mantissa's 3 digits
 
 
 @pytest.mark.parametrize("key", ["radius", "t_environment"])

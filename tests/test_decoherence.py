@@ -34,7 +34,7 @@ from nanoramsey.decoherence import (
     QuadratureError,
     _channel_rate,
     _checked_channel_rate,
-    _error_bound,
+    _log_error_bound,
     _stored_rule,
     _weighted_spectrum,
     angular_factor,
@@ -591,7 +591,7 @@ class TestErrorBound:
         channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
         rho = decoherence._BERNSTEIN_RHO
         dx = dx_t / temperature
-        majorant = float(_error_bound(channel, np.array([dx]), 0)[0]) * (rho * rho - 1.0) * 15.0 / 64.0
+        majorant = math.exp(_log_error_bound(channel, np.array([dx]), 0)[0]) * (rho * rho - 1.0) * 15.0 / 64.0
         half = 0.5 * channel.support()[1]
         omega = half * (1.0 + _ellipse(20_001))
         z = omega * dx / LIGHT_SPEED
@@ -638,7 +638,7 @@ class TestErrorBound:
         model = default_model(paper_params)
         eta = localization_rate_profile([model], [0.0, 5e-324, 1e-7])[:, 0]
         assert eta[0] == eta[1] == 0.0 < eta[2]
-        assert _error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER).tolist() == [0.0, 0.0]
+        assert np.exp(_log_error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER)).tolist() == [0.0, 0.0]
         mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0))
         assert localization_rate_profile([mute], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)

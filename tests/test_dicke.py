@@ -31,7 +31,7 @@ class TestCollectiveTrajectory:
     @pytest.mark.parametrize("m_value", [2, -2, 3, -3])
     def test_matches_verlet_oracle(self, paper_params, paper_seq, m_value):
         """Sector M feels M*A - C, so the branch walker covers it directly."""
-        start = initial_state(paper_params, 1e-9, 1e-24)
+        start = initial_state(1e-9, 1e-24)
         ts, xs, vs = integrate_trajectory(paper_params, paper_seq, m_value, 1e-9, 1e-24)
         for frac in (0.25, 0.5, 0.9, 1.0):
             idx = int(np.argmin(np.abs(ts - paper_seq.t3 * frac)))

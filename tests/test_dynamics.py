@@ -77,7 +77,7 @@ class TestPulseSequence:
 
 def branch_at(params, seq, spin, t, x0=0.0, p0=0.0):
     """(centre, momentum) at time t of the branch that starts on ``spin``."""
-    branch = evolve_branches(params, seq, initial_state(params, x0, p0), spins=(spin, spin),
+    branch = evolve_branches(params, seq, initial_state(x0, p0), spins=(spin, spin),
                              until=t).plus_branch
     return branch.center, branch.momentum
 
@@ -106,7 +106,7 @@ class TestClassicalTrajectory:
     def test_balanced_closure_relative_coordinates(self):
         for params, t3 in random_param_sets(20, seed=5):
             seq = PulseSequence.balanced(t3)
-            final = evolve_sequence(params, seq, initial_state(params))
+            final = evolve_sequence(params, seq, initial_state())
             xp, pp = final.plus_branch.center, final.plus_branch.momentum
             xm, pm = final.minus_branch.center, final.minus_branch.momentum
             # closure to 1e-12 of the excursion scale
@@ -132,13 +132,13 @@ class TestClassicalTrajectory:
         _, xm, _ = integrate_trajectory(paper_params, paper_seq, -1)
         idx = int(np.argmin(np.abs(ts - 0.5e-4)))
         assert sep == pytest.approx(xp[idx] - xm[idx], rel=1e-6)
-        mid = evolve_branches(paper_params, paper_seq, initial_state(paper_params), until=0.5e-4)
+        mid = evolve_branches(paper_params, paper_seq, initial_state(), until=0.5e-4)
         assert sep == pytest.approx(mid.plus_branch.center - mid.minus_branch.center, rel=1e-12)
 
     def test_separation_at_measurement_time(self, paper_params):
         # the accumulated segment starts end an ulp short of t3 on this sequence
         seq = PulseSequence(6e-6, 51e-6, 1e-4)
-        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, seq, initial_state())
         sep = separation_at(paper_params, seq, 1e-4)
         assert sep == pytest.approx(final.plus_branch.center - final.minus_branch.center,
                                     rel=1e-12)
@@ -282,7 +282,7 @@ class TestRamseyProbability:
 
 class TestEvolveSequence:
     def test_balanced_branches_coincide(self, paper_params, paper_seq):
-        final = evolve_sequence(paper_params, paper_seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, paper_seq, initial_state())
         plus, minus = final.plus_branch, final.minus_branch
         scale_x = max_separation(paper_params, paper_seq)
         assert abs(plus.center - minus.center) <= 1e-12 * scale_x
@@ -291,13 +291,13 @@ class TestEvolveSequence:
 
     def test_action_phase_difference_equals_phi_g(self, paper_params, paper_seq):
         """The branch actions accumulate (S+ - S-)/hbar = -phi_g."""
-        final = evolve_sequence(paper_params, paper_seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, paper_seq, initial_state())
         diff = final.plus_branch.action_phase - final.minus_branch.action_phase
         assert diff == pytest.approx(-gravitational_phase(paper_params, paper_seq), rel=1e-9)
 
     def test_action_phase_against_numeric_action_oracle(self, desk):
         params, seq = desk
-        final = evolve_sequence(params, seq, initial_state(params))
+        final = evolve_sequence(params, seq, initial_state())
         s_plus = numeric_action(params, seq, +1)
         s_minus = numeric_action(params, seq, -1)
         assert final.plus_branch.action_phase == pytest.approx(s_plus / HBAR, rel=1e-6)
@@ -311,12 +311,12 @@ class TestEvolveSequence:
         for _ in range(100):
             x0 = float(rng.normal(0.0, 5.0)) * s0
             p0 = float(rng.normal(0.0, 5.0)) * HBAR / s0
-            final = evolve_sequence(params, seq, initial_state(params, x0, p0))
+            final = evolve_sequence(params, seq, initial_state(x0, p0))
             diff = final.minus_branch.action_phase - final.plus_branch.action_phase
             assert diff == pytest.approx(phi_ref, rel=1e-12)
 
     def test_intermediate_truncation_exposes_split_state(self, paper_params, paper_seq):
-        mid = evolve_branches(paper_params, paper_seq, initial_state(paper_params),
+        mid = evolve_branches(paper_params, paper_seq, initial_state(),
                               until=0.5e-4)
         sep = mid.plus_branch.center - mid.minus_branch.center
         assert sep == pytest.approx(max_separation(paper_params, paper_seq), rel=1e-12)
@@ -326,7 +326,7 @@ class TestEvolveSequence:
         """Exact kinematics: dx(t3) = 3 (A/m) t3 dt1 - 2 (A/m) dt1^2, dp = 4 A dt1."""
         delta = 1e-9
         seq = replace(PulseSequence.balanced(1e-4), jitter=(delta, 0.0, 0.0))
-        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, seq, initial_state())
         a = paper_params.spin_coupling() / paper_params.mass
         dx = final.plus_branch.center - final.minus_branch.center
         dp = final.plus_branch.momentum - final.minus_branch.momentum
@@ -336,7 +336,7 @@ class TestEvolveSequence:
     def test_jitter_residuals_match_verlet_oracle(self, paper_params):
         delta = 5e-7   # large enough for the oracle stepper to resolve
         seq = replace(PulseSequence.balanced(1e-4), jitter=(delta, 0.0, 0.0))
-        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, seq, initial_state())
         tp, xp, vp = integrate_trajectory(paper_params, seq, +1)
         tm, xm, vm = integrate_trajectory(paper_params, seq, -1)
         assert final.plus_branch.center - final.minus_branch.center == pytest.approx(
@@ -345,7 +345,7 @@ class TestEvolveSequence:
             paper_params.mass * (vp[-1] - vm[-1]), rel=1e-6)
 
     def test_spin_zero_pair_has_no_phase(self, paper_params, paper_seq):
-        final = evolve_branches(paper_params, paper_seq, initial_state(paper_params),
+        final = evolve_branches(paper_params, paper_seq, initial_state(),
                                 spins=(SpinBranch.ZERO, SpinBranch.ZERO))
         assert final.plus_branch.action_phase == final.minus_branch.action_phase
         assert final.plus_branch.center == final.minus_branch.center
@@ -353,7 +353,7 @@ class TestEvolveSequence:
 
 class TestBranchOverlap:
     def test_identical_branches(self, paper_params):
-        state = initial_state(paper_params)
+        state = initial_state()
         assert branch_overlap(paper_params, state) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_pure_displacement_inversion_at_half(self, paper_params):
@@ -375,7 +375,7 @@ class TestBranchOverlap:
                 math.exp(-dx**2 / (8 * s0**2)), rel=1e-12)
 
     def test_closure_argument_is_minus_phi_g(self, paper_params, paper_seq):
-        final = evolve_sequence(paper_params, paper_seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, paper_seq, initial_state())
         ov = branch_overlap(paper_params, final)
         assert abs(ov) == pytest.approx(1.0, abs=1e-12)
         phi = gravitational_phase(paper_params, paper_seq)
@@ -397,7 +397,7 @@ class TestDeskSetProperties:
     @given(DESK_SETS)
     def test_balanced_flight_closes_on_phi_g(self, desk_set):
         params, seq = desk_scale_params(*desk_set)
-        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state()))
         phi = gravitational_phase(params, seq)
         assert abs(abs(ov) - 1.0) <= 1e-12
         # below 1 rad absolutely: at a_gravity = 0, phi is cos(pi/2) ~ 6e-17 times its scale
@@ -410,7 +410,7 @@ class TestDeskSetProperties:
     def test_open_flight_overlap_at_most_one(self, desk_set, f1, f2):
         params, balanced = desk_scale_params(*desk_set)
         seq = PulseSequence(t1=f1 * balanced.t3, t2=f2 * balanced.t3, t3=balanced.t3)
-        assert abs(branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))) <= 1.0
+        assert abs(branch_overlap(params, evolve_sequence(params, seq, initial_state()))) <= 1.0
 
 
 def assert_same_state_bits(state, other):
@@ -436,13 +436,13 @@ class TestBranchWalkerIsEvolveSequence:
         params, balanced = desk_scale_params(*desk_set)
         seq = PulseSequence(t1=flips[0] * balanced.t3, t2=flips[1] * balanced.t3, t3=balanced.t3)
         s0 = params.sigma0()
-        initial = initial_state(params, start[0] * s0, start[1] * HBAR / s0)
+        initial = initial_state(start[0] * s0, start[1] * HBAR / s0)
         assert_same_state_bits(evolve_sequence(params, seq, initial), evolve_branches(params, seq, initial))
 
     @pytest.mark.parametrize("v", range(8))
     def test_t1_sweep_arrays(self, paper_params, v):
         seq = t1_sweep_sequence(v)
-        initial = initial_state(paper_params)
+        initial = initial_state()
         assert_same_state_bits(evolve_sequence(paper_params, seq, initial),
                                evolve_branches(paper_params, seq, initial))
 
@@ -470,7 +470,7 @@ def thermal_flight(params, seq, n_bar, n_samples, seed):
     megaradian array would report its own summation roundoff."""
     re, im = np.random.default_rng(seed).normal(0.0, math.sqrt(n_bar / 2.0), (2, n_samples))
     s0 = params.sigma0()
-    start = initial_state(params, 2.0 * s0 * re, HBAR / s0 * im)
+    start = initial_state(2.0 * s0 * re, HBAR / s0 * im)
     final = evolve_sequence(params, seq, start)
     phases = final.plus_branch.action_phase - final.minus_branch.action_phase
     return np.std(phases - phases[0]), phases[0], np.min(np.abs(branch_overlap(params, final)))
@@ -508,7 +508,7 @@ class TestThermalInvariance:
 class TestJitterScan:
     def test_zero_jitter_full_visibility(self, paper_params, paper_seq):
         seq = replace(paper_seq, jitter=(0.0, 0.0, 0.0))
-        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, seq, initial_state())
         assert abs(branch_overlap(paper_params, final)) == pytest.approx(1.0, abs=1e-12)
 
     def test_five_ns_jitter_frozen_value(self, paper_params, paper_seq):
@@ -528,7 +528,7 @@ class TestJitterScan:
         expected = math.exp(-dx_back**2 / (8 * s0**2) - (s0 * dp / HBAR) ** 2 / 2.0)
         seq = replace(paper_seq, jitter=(d, 0.0, 0.0))
         visibility = abs(branch_overlap(paper_params, evolve_sequence(paper_params, seq,
-                                                                      initial_state(paper_params))))
+                                                                      initial_state())))
         assert visibility == pytest.approx(expected, rel=1e-9)
         assert visibility == pytest.approx(0.827, abs=5e-3)
 
@@ -536,7 +536,7 @@ class TestJitterScan:
         """dp(t3) vanishes when dt3 = -2 dt1 (and only then, for dt2 = 0)."""
         d = 3e-8
         seq = replace(paper_seq, jitter=(d, 0.0, np.array([-2.0 * d, -d, 0.0])))
-        final = evolve_sequence(paper_params, seq, initial_state(paper_params))
+        final = evolve_sequence(paper_params, seq, initial_state())
         dp = np.abs(final.plus_branch.momentum - final.minus_branch.momentum)
         dp_scale = 4.0 * paper_params.spin_coupling() * d
         assert dp[0] <= 1e-9 * dp_scale

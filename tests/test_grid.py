@@ -130,7 +130,7 @@ class TestSplitStep:
         psi = gaussian_packet(spec)
         t = 4.0
         out = split_step_evolve(psi, force=0.0, duration=t, spec=spec)
-        _, _, width, _ = out.moments()
+        _, _, width, _ = spec.moments(out)
         assert width == pytest.approx(math.sqrt(1.0 + (t / 2.0) ** 2), rel=1e-9)
 
     def test_constant_force_ehrenfest(self):
@@ -138,25 +138,24 @@ class TestSplitStep:
         psi = gaussian_packet(spec)
         a, t = 0.8, 3.0
         out = split_step_evolve(psi, force=a, duration=t, spec=spec)
-        xb, pb, _, _ = out.moments()
+        xb, pb, _, _ = spec.moments(out)
         assert xb == pytest.approx(0.5 * a * t * t, rel=1e-6)
         assert pb == pytest.approx(a * t, rel=1e-6)
 
     def test_norm_conserved(self):
         spec = small_spec()
         out = split_step_evolve(gaussian_packet(spec), force=0.5, duration=5.0, spec=spec)
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(spec.norm(out) - 1.0) < 1e-12
 
     def test_second_order_phase_convergence(self):
         """Phase error against the exact evolved Gaussian scales as dt^2."""
         force, duration = 0.7, 2.0
-        x = None
         errors = []
         steps_list = (40, 80, 160, 320)
         for steps in steps_list:
             spec = small_spec(steps_per_segment=steps)
             psi = split_step_evolve(gaussian_packet(spec), force, duration, spec)
-            x = psi.x
+            x = spec.x
             # exact evolved state: classical center/momentum/action, free-spread width
             xc = 0.5 * force * duration**2
             pc = force * duration
@@ -164,7 +163,7 @@ class TestSplitStep:
             w = 1.0 + 0.5j * duration
             chi = (2 * math.pi) ** (-0.25) * w ** (-0.5) * np.exp(
                 -((x - xc) ** 2) / (4.0 * w) + 1j * (action + pc * (x - xc)))
-            ov = np.sum(np.conj(chi) * psi.amplitudes) * psi.dx
+            ov = np.sum(np.conj(chi) * psi) * spec.dx
             errors.append(abs(np.angle(ov)))
         slope = np.polyfit(np.log(steps_list), np.log(errors), 1)[0]
         assert -slope == pytest.approx(2.0, abs=0.1)
@@ -178,6 +177,25 @@ class TestSplitStep:
         with pytest.raises(ValueError, match=re.escape(f"duration must be > 0, got {duration!r}")):
             split_step_evolve(gaussian_packet(spec), force=0.5, duration=duration, spec=spec)
 
+    def test_unnormalized_row_refused_before_any_fft(self, monkeypatch):
+        """One row of a pair 1e-8 off in norm is refused as it enters, before any FFT; a row
+        normalized to rounding passes."""
+        spec = small_spec()
+        pair = np.tile(gaussian_packet(spec), (2, 1))
+        pair[1] *= math.sqrt(1.0 + 1e-8)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("an FFT ran on an unnormalized state")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.fft, "fft", no_fft)
+            patched.setattr(np.fft, "ifft", no_fft)
+            with pytest.raises(ValueError, match=re.escape("wavefunction must be normalized, got norm [")):
+                split_step_evolve(pair, force=(0.5, -0.5), duration=1.0, spec=spec)
+        pair[1] = gaussian_packet(spec) * (1.0 + 2.0 ** -52)
+        out = split_step_evolve(pair, force=(0.5, -0.5), duration=1.0, spec=spec)
+        assert np.all(np.abs(spec.norm(out) - 1.0) < 1e-12)
+
     def test_boundary_contact_detected(self):
         spec = small_spec(x_min=-6.0, x_max=6.0)
         with pytest.raises(GridBoundaryError, match="enlarge"):
@@ -189,8 +207,8 @@ class TestSplitStep:
         params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15, tau_scaled=6.0)
         scaled = scale_params(params, seq)
         spec = auto_grid(scaled, steps_per_segment=300, spin_values=spins)
-        rows = evolve_branch_on_grid(scaled, spec, spins).amplitudes
-        ref = np.array([reference_branch(scaled, spec, s).amplitudes for s in spins])
+        rows = evolve_branch_on_grid(scaled, spec, spins)
+        ref = np.array([reference_branch(scaled, spec, s) for s in spins])
         assert np.max(np.abs(rows - ref)) < 1e-12
         # overlap of every row with the last: phases agree as well as moduli
         ov_rows = np.angle(np.sum(np.conj(rows[-1]) * rows, axis=-1))
@@ -206,18 +224,25 @@ class TestSplitStep:
 class TestMarginThresholds:
     """``_check_margin`` on each of its four edges alone, just inside (passes) and just
     outside (raises), with the edge placed from the packet's own moments: a packet of
-    width 1 and momentum width 1/2, offset toward the edge under test."""
+    width 1 and momentum width 1/2, offset toward the edge under test. The moments that
+    place the edge come from the packet on a first grid; on the placed grid they move by
+    rounding only, which is checked to stay far below the gap."""
 
     GAP = 1e-6
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_x_edge(self, side, inside):
-        psi = gaussian_packet(small_spec(n_points=1024), center=10.0 * side)
-        xb, _, width, _ = psi.moments()
-        edge = float(xb + side * GUARD_SIGMAS * width) + side * (self.GAP if inside else -self.GAP)
+        def support(spec):
+            xb, _, width, _ = spec.moments(gaussian_packet(spec, center=10.0 * side))
+            return float(xb + side * GUARD_SIGMAS * width)
+
+        gap = side * (self.GAP if inside else -self.GAP)
+        edge = support(small_spec(n_points=1024)) + gap
         far = -40.0 * side
         spec = small_spec(n_points=1024, x_min=min(edge, far), x_max=max(edge, far))
+        assert abs(support(spec) + gap - edge) < 1e-3 * self.GAP
+        psi = gaussian_packet(spec, center=10.0 * side)
         if inside:
             grid._check_margin(psi, spec)
         else:
@@ -227,11 +252,16 @@ class TestMarginThresholds:
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_p_edge(self, side, inside):
-        psi = gaussian_packet(small_spec(n_points=1024, x_min=-44.0, x_max=44.0), momentum=5.0 * side)
-        _, pb, _, pwidth = psi.moments()
-        k_edge = abs(float(pb + side * GUARD_SIGMAS * pwidth)) + (self.GAP if inside else -self.GAP)
+        def support(spec):
+            _, pb, _, pwidth = spec.moments(gaussian_packet(spec, momentum=5.0 * side))
+            return abs(float(pb + side * GUARD_SIGMAS * pwidth))
+
+        gap = self.GAP if inside else -self.GAP
+        k_edge = support(small_spec(n_points=1024, x_min=-44.0, x_max=44.0)) + gap
         half = 0.5 * math.pi * 256 / k_edge       # pi / dx = k_edge
         spec = small_spec(n_points=256, x_min=-half, x_max=half)
+        assert abs(support(spec) + gap - k_edge) < 1e-3 * self.GAP
+        psi = gaussian_packet(spec, momentum=5.0 * side)
         if inside:
             grid._check_margin(psi, spec)
         else:
@@ -314,8 +344,9 @@ class TestOraclePhase:
         report = oracle_compare(params, bad)
         assert not report.balanced and report.closure_ok
         scaled = scale_params(params, bad)
-        pair = evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1))
-        ov = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+        spec = auto_grid(scaled)
+        pair = evolve_branch_on_grid(scaled, spec, (+1, -1))
+        ov = complex(np.sum(np.conj(pair[1]) * pair[0]) * spec.dx)
         assert report.phase_grid == oracle_phase(params, bad) == -math.atan2(ov.imag, ov.real)
 
     def test_megaradian_refused(self, paper_params, paper_seq):
@@ -369,10 +400,9 @@ class TestOracleCompare:
 
     def test_pair_that_fails_to_recombine_refused(self, desk, monkeypatch):
         def broken(*args, **kwargs):
-            pair = evolve_branch_on_grid(*args, **kwargs)
-            amps = pair.amplitudes.copy()
-            amps[1] = np.roll(amps[1], amps.shape[-1] // 4)
-            return grid.GridWavefunction(pair.x, amps)
+            pair = evolve_branch_on_grid(*args, **kwargs).copy()
+            pair[1] = np.roll(pair[1], pair.shape[-1] // 4)
+            return pair
 
         monkeypatch.setattr(grid, "evolve_branch_on_grid", broken)
         with pytest.raises(ClosureError, match="failed to recombine"):
@@ -385,7 +415,7 @@ class TestOracleCompare:
         scaled = scale_params(params, seq)
         assert scaled.total_time == 6.0
         with pytest.raises(ValueError, match="until must lie"):
-            evolve_branches(params, seq, initial_state(params), until=until * scaled.time_unit)
+            evolve_branches(params, seq, initial_state(), until=until * scaled.time_unit)
         with pytest.raises(ValueError, match=re.escape(f"horizon {until!r} outside the flight [0, 6.0]")):
             evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1), until=[1.0, until])
 
@@ -403,7 +433,7 @@ class TestOracleCompare:
         scaled = scale_params(params, seq)
         spec = auto_grid(scaled)
         psi = evolve_branch_on_grid(scaled, spec, +1)
-        _, _, width_grid, _ = psi.moments()
+        _, _, width_grid, _ = spec.moments(psi)
         width_std = wavepacket_width(params, seq.t3) / scaled.length_unit
         omega_t = params.trap_omega * seq.t3
         width_alt = (math.sqrt(1.0 + omega_t**2 / 16.0)
@@ -465,7 +495,7 @@ class TestSplittingPhase:
         seq = replace(seq0, jitter=(0.02 * seq0.t3, 0.0, 0.0))
         report = oracle_compare(params, seq, auto_grid(scale_params(params, seq),
                                                        steps_per_segment=steps))
-        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state(params)))
+        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state()))
         assert report.phase_analytic == -math.atan2(ov.imag, ov.real)
         assert abs(report.phase_residual) <= 1e-10
         assert report.center_error <= 1e-10
@@ -484,8 +514,8 @@ class TestSectorPhasesOnGrid:
         for steps in (300, 1200):
             spec = auto_grid(scaled, steps_per_segment=steps, spin_values=(2, -2, 1, -1))
             sectors = evolve_branch_on_grid(scaled, spec, (2, 0))
-            psi2, psi0 = sectors.amplitudes
-            ov = np.sum(np.conj(psi0) * psi2) * sectors.dx
+            psi2, psi0 = sectors
+            ov = np.sum(np.conj(psi0) * psi2) * spec.dx
             assert abs(ov) > 0.9999       # every sector recombines
             assert abs(abs(ov) - 1.0) <= 1e-10
             assert np.angle(ov) == pytest.approx(wrapped, abs=1e-3)
@@ -531,7 +561,7 @@ class TestStrangReference:
     def assert_matches(scaled, spec, spins, center=0.0, momentum=0.0, until=None):
         rows = evolve_branch_on_grid(scaled, spec, spins, center, momentum, until)
         ref = flight_reference(scaled, spec, spins, center, momentum, until)
-        assert np.max(np.abs(rows.amplitudes - ref.amplitudes)) < 1e-12
+        assert np.max(np.abs(rows - ref)) < 1e-12
 
     @pytest.mark.parametrize("desk_set", [*CERTIFY_DESK.values(), (1.0, 0.5, 8.0)])
     def test_desk_sets(self, desk_set):
@@ -555,7 +585,7 @@ class TestStrangReference:
         assert len({spec.dx for spec in specs}) == 3
         for (scaled, spec, spins), pair in evolved:
             assert spins == (+1, -1)
-            assert np.max(np.abs(pair.amplitudes - flight_reference(scaled, spec).amplitudes)) < 1e-12
+            assert np.max(np.abs(pair - flight_reference(scaled, spec))) < 1e-12
 
     def test_jittered_set(self):
         params, seq0 = desk_scale_params()
@@ -586,16 +616,16 @@ class TestDeskSpaceOnGrid:
         horizon = fraction * scaled.total_time
         pair = evolve_branch_on_grid(scaled, spec, spins, *start, until=horizon)
         unit = scaled.length_unit
-        initial = initial_state(params, start[0] * unit, start[1] * HBAR / unit)
+        initial = initial_state(start[0] * unit, start[1] * HBAR / unit)
         final = evolve_branches(params, seq, initial, spins=spins,
                                 until=fraction * seq.effective_times()[2])
         sigma = wavepacket_width(params, final.spread_time) / unit
-        for xb, pb, width, _, branch in zip(*pair.moments(), (final.plus_branch, final.minus_branch)):
+        for xb, pb, width, _, branch in zip(*spec.moments(pair), (final.plus_branch, final.minus_branch)):
             x_cl, p_cl = branch.center / unit, branch.momentum * unit / HBAR
             denom = max(1.0, abs(x_cl), abs(p_cl))
             assert abs(xb - x_cl) <= 1e-10 * denom and abs(pb - p_cl) <= 1e-10 * denom
             assert abs(width - sigma) <= 1e-10 * sigma
-        ov_grid = complex(np.sum(np.conj(pair.amplitudes[1]) * pair.amplitudes[0]) * pair.dx)
+        ov_grid = complex(np.sum(np.conj(pair[1]) * pair[0]) * spec.dx)
         ov = branch_overlap(params, final)
         assert abs(abs(ov_grid) - abs(ov)) <= 1e-10
         # the grid phase carries the splitting term of every piece up to the horizon
@@ -635,7 +665,7 @@ class TestSnapshots:
         for frac, (_, _, prob_p, prob_m) in zip(fractions, frames):
             until = frac * seq.t3 / scaled.time_unit
             for spin, prob in ((+1, prob_p), (-1, prob_m)):
-                ref = np.abs(reference_branch(scaled, spec, spin, until).amplitudes) ** 2
+                ref = np.abs(reference_branch(scaled, spec, spin, until)) ** 2
                 ref /= scaled.length_unit
                 assert np.max(np.abs(prob - ref)) < 1e-10 * ref.max()
 
@@ -648,7 +678,7 @@ class TestSnapshots:
         assert seq.effective_times()[2] / scaled.time_unit > scaled.total_time
         [(_, _, prob_p, prob_m)] = snapshot_frames(params, seq, [1.0])
         final = evolve_branch_on_grid(scaled, auto_grid(scaled, 2048, 1), (+1, -1))
-        assert np.array_equal(np.abs(final.amplitudes) ** 2 / scaled.length_unit, [prob_p, prob_m])
+        assert np.array_equal(np.abs(final) ** 2 / scaled.length_unit, [prob_p, prob_m])
 
     @pytest.mark.parametrize("case", ["snapshot", (2.0, 0.05, 8.0), (6.0, 0.2, 8.0)])
     def test_default_frames_match_strang_reference(self, case):
@@ -666,8 +696,8 @@ class TestSnapshots:
         reference = flight_reference(scaled, spec, until=[f * scaled.total_time for f in sorted(fractions)])
         for (t, x, *probs), frac in zip(frames, fractions):
             assert t == frac * seq.t3
-            assert x.size == 2048 and np.array_equal(x, spec.axis() * scaled.length_unit)
-            ref = np.abs(reference[sorted(fractions).index(frac)].amplitudes) ** 2 / scaled.length_unit
+            assert x.size == 2048 and np.array_equal(x, spec.x * scaled.length_unit)
+            ref = np.abs(reference[sorted(fractions).index(frac)]) ** 2 / scaled.length_unit
             for prob, ref_prob in zip(probs, ref):
                 assert np.max(np.abs(prob - ref_prob)) < 1e-10 * ref_prob.max()
 
