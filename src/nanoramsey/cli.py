@@ -23,8 +23,8 @@ from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surfa
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
 from .dynamics import (PulseSequence, branch_overlap, evolve_sequence, gravitational_phase, initial_state,
                        max_separation, ramsey_probability)
-from .grid import (CERTIFY_DESK, CLOSURE_MIN, ClosureError, GridBoundaryError, ScaleError,
-                   desk_scale_params, oracle_compare, snapshot_frames)
+from .grid import (CERTIFY_DESK, CLOSURE_MIN, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
+                   desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
 from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
 from .params import (PARAM_KEYS, ConfigError, all_of, any_of, atan2, build_params, modulus, number,
                      parse_config_text)
@@ -42,12 +42,15 @@ OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 
 #: Memory a command's size flags may commit it to. Each ceiling below is this over a unit's
 #: tracemalloc peak, rounded up: a sweep point 640 B, a surface temperature 16 KiB (its
-#: channel's weighted spectrum) and a cell 128 B, a frame 512 KiB on the 2048-point grid.
+#: channel's weighted spectrum) and a cell 128 B, a frame 256 B a grid point (512 KiB on
+#: the 2048-point grid). A frame's grid can be wider than that, so ``--times`` is held to
+#: ``MAX_FRAME_POINTS`` on the grid the config sizes, as well as to ``MAX_FRAMES``.
 SIZE_BUDGET = 256 << 20
 MAX_SWEEP_POINTS = SIZE_BUDGET // 640
 MAX_TEMPERATURES = SIZE_BUDGET // (16 << 10)
 MAX_CELLS = SIZE_BUDGET // 128
-MAX_FRAMES = SIZE_BUDGET // (512 << 10)
+MAX_FRAME_POINTS = SIZE_BUDGET // 256
+MAX_FRAMES = MAX_FRAME_POINTS // SNAPSHOT_POINTS
 
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:
@@ -284,7 +287,11 @@ def _snapshots_json(frames, metadata: dict) -> str:
 def _cmd_dump_snapshots(args) -> int:
     params, seq, _, text = _load_config(args.config)
     fractions = _numbers(args.times, "--times", MAX_FRAMES)
-    frames = snapshot_frames(params, seq, fractions)
+    spec = snapshot_grid(params, seq)
+    if len(fractions) * spec.n_points > MAX_FRAME_POINTS:
+        raise ConfigError(f"--times takes at most {MAX_FRAME_POINTS // spec.n_points} entries on this "
+                          f"config's {spec.n_points}-point grid, got {len(fractions)}")
+    frames = snapshot_frames(params, seq, fractions, spec)
     header = ["x", "prob_plus", "prob_minus"]
     if args.format == "json":
         _write(args, _snapshots_json(frames, _metadata("dump-snapshots", text, args.seed)))

@@ -51,6 +51,7 @@ CLOSURE_MIN = 0.9999     # |overlap| on the grid a balanced flight must reach
 
 MIN_POINTS = 256         # smallest grid; auto_grid doubles it until momentum fits
 MAX_POINTS = 1 << 16     # largest grid auto_grid sizes; past it, desk-scale first
+SNAPSHOT_POINTS = 2048   # fewest points of a snapshot frame
 GUARD_SIGMAS = 8.0       # packet widths the runtime guards keep inside the grid
 DOMAIN_SIGMAS = 10.0     # final widths auto_grid leaves beyond the excursions
 
@@ -509,18 +510,15 @@ def snapshot_frames(
     ``fractions`` are times as fractions of t3. Returns a list of
     (time_s, x_m, prob_plus_per_m, prob_minus_per_m) tuples, each probability
     normalized per metre so the frames are plot-ready, in the order given;
-    both branches go forward once through the sorted times. The default grid
-    has 2048 points (more if momentum needs them) and one step per segment:
-    the step count moves only a c-number phase, never |psi|^2.
+    both branches go forward once through the sorted times, on
+    :func:`snapshot_grid` when ``spec`` is None.
     """
     scaled = scale_params(params, seq)
     fractions = list(fractions)
     for frac in fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
-    if spec is None:
-        # frames are an output, so their resolution is fixed, not sized for the physics
-        spec = _sized_grid(params, seq, scaled, 2048, 1)
+    spec = spec or snapshot_grid(params, seq)
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     # f t3 / time_unit can round an ulp past total_time; capping it drops no piece
@@ -531,6 +529,14 @@ def snapshot_frames(
         prob = np.abs(pair) ** 2 / scaled.length_unit
         frames[i] = (fractions[i] * t3, spec.x * scaled.length_unit, prob[0], prob[1])
     return frames
+
+
+def snapshot_grid(params: ExperimentParams, seq: PulseSequence) -> GridSpec:
+    """The grid of :func:`snapshot_frames`: ``SNAPSHOT_POINTS`` points, more if
+    momentum needs them, and one step per segment, as the step count moves only a
+    c-number phase, never |psi|^2. Frames are an output, so their resolution is
+    fixed, not sized for the physics."""
+    return _sized_grid(params, seq, scale_params(params, seq), SNAPSHOT_POINTS, 1)
 
 
 #: (a_spin, a_gravity, tau_scaled) of the desk sets ``certify`` runs, by label

@@ -13,9 +13,11 @@ workload's large visibility table. The quadrature cases time one 1024-node
 channel on 200 separations, the a-priori error bound of that channel alone
 on the same separations, and the stored Gauss-Legendre rule the quadrature
 loads, against computing it with ``leggauss``. The two visibility CLI cases
-are the ``surface`` workload's commands in a fresh interpreter; they also
-record the median minor page faults and system CPU seconds per command in
-``extra_info``. The io cases time the emitters alone on the ``sweep``
+are the ``surface`` workload's commands in a fresh interpreter, and the two
+fresh sweep cases are the ``sweep`` workload's; they also record the median
+minor page faults and system CPU seconds per command in ``extra_info``. An
+emitter change shows in the fresh sweep cases: the in-process io cases
+below read the process's allocator state as much as the code. The io cases time the emitters alone on the ``sweep``
 workload's tables (the 30,000 x 4 theta CSV and the 20,000 x 5 t1 JSON), the
 float kernel on the theta table's 120,000 cells, and the ``oracle``
 workload's 4-frame ``dump-snapshots`` JSON. ``BENCH_sweep.json`` keeps the
@@ -176,6 +178,18 @@ def test_cli_visibility_200x100(benchmark):
 def test_cli_visibility_50x50_json(benchmark):
     """``visibility`` at the default 50 x 50 as JSON."""
     _bench_cli(benchmark, "visibility", "--config", CONFIG, "--format", "json")
+
+
+def test_cli_sweep_theta_30k(benchmark):
+    """The 30,000-point ``theta`` sweep as CSV, interpreter start and import included."""
+    _bench_cli(benchmark, "sweep", "--config", CONFIG, "--param", "theta", "--start", "0.0",
+               "--stop", "1.5", "--count", "30000")
+
+
+def test_cli_sweep_t1_20k_json(benchmark):
+    """The 20,000-point ``t1`` sweep as JSON."""
+    _bench_cli(benchmark, "sweep", "--config", CONFIG, "--param", "t1", "--start", "2.495e-05",
+               "--stop", "2.505e-05", "--count", "20000", "--format", "json")
 
 
 @pytest.fixture(scope="module")

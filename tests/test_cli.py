@@ -468,6 +468,24 @@ def test_every_size_flag_refused_by_name(tmp_path):
     assert failures == []
 
 
+def test_times_held_to_the_frame_budget_on_a_wide_grid(tmp_path):
+    """Frames of a config whose momentum sizes the widest grid cost 32 times a 2048-point
+    frame each: ``--times`` is refused by name past ``MAX_FRAME_POINTS`` on that grid, at
+    ``MAX_FRAMES`` too, before any evolution, and one frame still runs."""
+    config = write_config(tmp_path, b_gradient=4e6, theta=1.5667963267948966, t3=1e-4)
+    params, seq, _, _ = cli._load_config(config)
+    assert grid.snapshot_grid(params, seq).n_points == grid.MAX_POINTS
+    most = cli.MAX_FRAME_POINTS // grid.MAX_POINTS
+    counts = (1, most, most + 1, cli.MAX_FRAMES)
+    argvs = [["dump-snapshots", "--config", config, "--format", "json", "--times", ",".join(["1"] * k)]
+             for k in counts]
+    child = _child("-c", _SIZE_PROBE, input=json.dumps(argvs).encode(), check=True)
+    refusal = "error: --times takes at most {} entries on this config's {}-point grid, got {}\n"
+    assert json.loads(child.stdout) == [
+        [cli.EXIT_OK, ""], [cli.EXIT_OK, ""],
+        *([cli.EXIT_VALIDATION, refusal.format(most, grid.MAX_POINTS, k)] for k in counts[2:])]
+
+
 def test_visibility_exposure_overflow_decays_to_zero_without_warning(capsys, tmp_path):
     """eta * t3 overflows to inf for t3 = 1e300, and exp(-inf) is the 0.0 that every
     exposure above about 745 already gives."""

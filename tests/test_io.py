@@ -1,6 +1,6 @@
 """The emitters against f-strings, the per-cell references and the json module, bit for bit.
 
-``float_cells`` formats a float column in one numpy pass; every cell must
+``float_cells`` formats a float column in numpy, block by block; every cell must
 equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``, ``surface_to_csv`` and
 the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
 ``oracles.json_table_reference`` and ``json.dumps(..., sort_keys=True,
@@ -15,6 +15,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import paper_config_text
-from nanoramsey import cli
+from nanoramsey import cli, io
 from nanoramsey.decoherence import VisibilitySurface, surface_to_csv, surface_to_json
 from nanoramsey.dicke import sector_phase_quadratic_coefficient
 from nanoramsey.grid import snapshot_frames
@@ -405,6 +406,68 @@ class TestSnapshotJson:
         frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg), [0.5, 0.25])
         metadata = json.loads(out)["metadata"]
         assert out == snapshots_reference(frames, metadata)
+
+
+# -- block edges ---------------------------------------------------------------------
+
+#: Cells whose bytes come from f-strings, or sit next to a case that does.
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, TINY, -TINY, 2.2250738585072014e-308,
+               np.nextafter(2.2250738585072014e-308, 0.0), 1e-280, np.nextafter(1e-280, 0.0),
+               1e280, np.nextafter(1e280, math.inf), 999999999999.5, 99999999999.95, 0.5,
+               *ties([123456789012, 999999999999])[:8], *powers_of_ten()[::97]]
+
+
+def edge_table(n_rows: int, n_cols: int, block: int) -> np.ndarray:
+    """An (n_rows, n_cols) float matrix of random values with an edge value in every
+    cell of the first and last row of each block of ``block`` rows."""
+    rng = np.random.default_rng(n_rows * 31 + n_cols)
+    table = rng.lognormal(0.0, 30.0, (n_rows, n_cols)) * rng.choice([-1.0, 1.0], (n_rows, n_cols))
+    edges = sorted({r for start in range(0, n_rows, block) for r in (start, min(start + block, n_rows) - 1)})
+    picks = rng.integers(0, len(EDGE_VALUES), (len(edges), n_cols))
+    table[edges] = np.array(EDGE_VALUES)[picks]
+    return table
+
+
+def assert_emitters_equal_references(table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    rows = [tuple(row) for row in table.tolist()]
+    assert csv_text(header, table) == csv_text_reference(header, rows)
+    assert json_table(header, table, {"n": len(rows)}) == json_table_reference(header, rows, {"n": len(rows)})
+    assert [[c.replace(b"\0", b"") for c in row] for row in fmt_cells(table).tolist()] == \
+        [[fmt(v).encode() for v in row] for row in rows]
+    frames = [(0.5, *table.T[:3])] if table.shape[1] >= 3 else [(0.5, table.T[0], table.T[0], table.T[0])]
+    assert cli._snapshots_json(frames, {}) == snapshots_reference(frames, {})
+
+
+class TestBlockEdges:
+    """A table of 0, 1, B - 1, B, B + 1 and 3B + 1 rows, where B is a block's rows,
+    equals the per-cell references, with f-string cells at every block's first and
+    last row."""
+
+    CELLS = io._BLOCK_BYTES // 8
+
+    @pytest.mark.parametrize("n_cols", [1, 4])
+    @pytest.mark.parametrize("k", ["0", "1", "B-1", "B", "B+1", "3B+1"])
+    def test_format_block(self, n_cols, k):
+        block = self.CELLS // n_cols
+        n_rows = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "3B+1": 3 * block + 1}[k]
+        assert_emitters_equal_references(edge_table(n_rows, n_cols, block))
+
+    @pytest.mark.parametrize("block_bytes", [1, 8, 24, 66, 100, 250])
+    def test_every_row_count_on_small_blocks(self, block_bytes):
+        # a block of 1-31 cells and of 1-11 joined rows: every count below puts an edge at each place
+        with mock.patch.object(io, "_BLOCK_BYTES", block_bytes):
+            for n_cols in (1, 3):
+                for n_rows in range(0, 26):
+                    assert_emitters_equal_references(edge_table(n_rows, n_cols, max(1, block_bytes // 8)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 400), tables(), METADATA)
+    def test_row_tuples_on_small_blocks(self, block_bytes, table, metadata):
+        header, rows = table
+        with mock.patch.object(io, "_BLOCK_BYTES", block_bytes):
+            assert csv_text(header, rows) == csv_text_reference(header, rows)
+            assert json_table(header, rows, metadata) == json_table_reference(header, rows, metadata)
 
 
 # -- dicke metadata ------------------------------------------------------------------

@@ -65,7 +65,6 @@ KEPT = {
                        "sizes a grid for the spins and start that evolve_branch_on_grid's "
                        "hooked signature takes"),
     "grid.oracle_phase": ({"spec"}, "a tracer target, whose signature follows oracle_compare's"),
-    "grid.snapshot_frames": ({"spec"}, "frames on a grid other than the fixed output grid"),
     "grid.desk_scale_params": ({"a_spin", "a_gravity", "tau_scaled", "omega", "mass"},
                                "certify passes the first three from CERTIFY_DESK by a star, which "
                                "this check cannot count; omega and mass rescale a set, and the "
