@@ -106,7 +106,8 @@ class BudgetReport:
     def all_pass(self) -> bool:
         return self.resolvability_pass and self.closure_pass
 
-    def to_json(self, metadata: dict | None = None) -> str:
+    def to_json(self, metadata: dict | None = None) -> list[bytes]:
+        """The report as ``io.json_document`` pieces, ``metadata`` under its own key."""
         payload = asdict(self)
         if metadata is not None:
             payload["metadata"] = metadata

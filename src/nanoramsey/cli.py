@@ -7,6 +7,11 @@ library results. Exit codes: 0 success, 1 validation or usage error, 2 numerical
 or certification failure. The command line is read in one pass by ``parse_args``
 from the ``COMMANDS`` table; no parser object is built, and neither argparse nor
 the gettext and locale modules it pulls in are imported.
+
+Every document is a list of ``bytes`` pieces (see ``io``), written in order in
+binary, to ``--out`` or to ``sys.stdout.buffer``: never joined, decoded or
+encoded whole, and with no newline translation. A sweep's physics runs
+``SWEEP_BLOCK`` points at a time.
 """
 from __future__ import annotations
 
@@ -52,6 +57,11 @@ MAX_CELLS = SIZE_BUDGET // 128
 MAX_FRAME_POINTS = SIZE_BUDGET // 256
 MAX_FRAMES = MAX_FRAME_POINTS // SNAPSHOT_POINTS
 
+#: Points per block of a sweep's physics. Each float temporary of a block is 32 KiB, under
+#: glibc's 128 KiB mmap threshold, so the blocks reuse heap pages that stay in cache instead
+#: of mapping, faulting in and unmapping a whole-sweep array per temporary.
+SWEEP_BLOCK = 4096
+
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:
     t3 = number(cfg["t3"])
@@ -75,12 +85,24 @@ def _metadata(command: str, cfg_text: str, seed) -> dict:
     return {"command": command, "config_sha256": config_sha256(cfg_text), "version": __version__, "seed": seed}
 
 
-def _write(args, text: str):
+def _write(args, pieces):
+    """Write a document's byte pieces in order, to ``--out`` or to stdout.
+
+    A reader that closes stdout early, as ``| head`` does, ends the output but is no error: the
+    rest goes to the null device, and the command exits as it would have.
+    """
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        with open(args.out, "wb") as fh:
+            fh.writelines(pieces)
+        return
+    sys.stdout.flush()
+    try:
+        sys.stdout.buffer.writelines(pieces)
+    except BrokenPipeError:
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _point_outputs(params, seq) -> dict:
@@ -172,12 +194,18 @@ def _sweep_outputs(cfg: dict, name: str, values) -> dict:
 
 def _sweep_rows(cfg: dict, name: str, values, outputs):
     """The table of the swept ``values`` and their ``outputs``: an
-    (n, 1 + len(outputs)) float matrix, or row tuples from the replay."""
+    (n, 1 + len(outputs)) float matrix, computed ``SWEEP_BLOCK`` points at a
+    time, or row tuples from the replay."""
+    swept = np.asarray(values, dtype=float)
+    table = np.empty((swept.size, 1 + len(outputs)))
+    table[:, 0] = swept
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            points = _sweep_outputs(cfg, name, np.asarray(values, dtype=float))
-        return np.column_stack([values, *(np.broadcast_to(points[c], np.shape(values))
-                                          for c in outputs)])
+            for start in range(0, swept.size, SWEEP_BLOCK):
+                points = _sweep_outputs(cfg, name, swept[start:start + SWEEP_BLOCK])
+                for column, c in enumerate(outputs, 1):
+                    table[start:start + SWEEP_BLOCK, column] = points[c]
+        return table
     except (ValueError, ArithmeticError):
         # Some point is invalid or hits a float exception (numpy reports x/0,
         # where Python raises). Point by point, the first such point raises,
@@ -249,15 +277,15 @@ def _cmd_certify(args) -> int:
                    if report.balanced else "  (unbalanced flight: closure not required)")
         lines.append(f"  closure  |overlap| {report.overlap_grid:.6f}{closure}")
     lines.append(f"certification: {'PASS' if all_ok else 'FAIL'}")
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, ["\n".join(lines).encode() + b"\n"])
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
 def _cmd_budget(args) -> int:
     params, seq, _, text = _load_config(args.config)
     report = budget_report(params, seq)
-    _write(args, report.to_json(_metadata("budget", text, args.seed)) + "\n" if args.format == "json"
-           else report.to_text())
+    _write(args, [*report.to_json(_metadata("budget", text, args.seed)), b"\n"] if args.format == "json"
+           else [report.to_text().encode()])
     return EXIT_OK if report.all_pass() else EXIT_NUMERICAL
 
 
@@ -275,8 +303,8 @@ def _cmd_dicke(args) -> int:
     return EXIT_OK
 
 
-def _snapshots_json(frames, metadata: dict) -> str:
-    """The frames as a JSON document, every number a fmt string."""
+def _snapshots_json(frames, metadata: dict) -> list[bytes]:
+    """The frames as a JSON document's byte pieces, every number a fmt string."""
     return json_document({
         "frames": [{"prob_minus": fmt_cells(pm), "prob_plus": fmt_cells(pp), "time_s": fmt(t),
                     "x": fmt_cells(x)} for t, x, pp, pm in frames],
@@ -299,8 +327,9 @@ def _cmd_dump_snapshots(args) -> int:
     if not args.out:
         raise ConfigError("dump-snapshots with CSV output needs --out as a filename prefix")
     for idx, (t, x, pp, pm) in enumerate(frames):
-        with open(f"{args.out}_{idx:03d}.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# time_s = {fmt(t)}\n" + csv_text(header, np.column_stack([x, pp, pm])))
+        with open(f"{args.out}_{idx:03d}.csv", "wb") as fh:
+            fh.write(f"# time_s = {fmt(t)}\n".encode())
+            fh.writelines(csv_text(header, np.column_stack([x, pp, pm])))
     return EXIT_OK
 
 
@@ -323,18 +352,23 @@ COMMANDS = {
         *_COMMON,
         ("--param", str, REQUIRED, f"one of: {', '.join(SWEEPABLE)}"),
         ("--values", str, None, "comma-separated explicit values"),
-        ("--start", float, None, ""), ("--stop", float, None, ""), ("--count", int, 0, ""),
+        ("--start", float, None, "first value of a range sweep, in the swept key's SI unit"),
+        ("--stop", float, None, "last value of a range sweep (included), in the same unit"),
+        ("--count", int, 0, "points of a range sweep, at least 2; linearly spaced unless --log"),
         ("--log", True, False, "logarithmic range spacing"),
         ("--outputs", str, ",".join(OUTPUT_COLUMNS), f"comma list from: {', '.join(OUTPUT_COLUMNS)}"),
     )),
     "visibility": (_cmd_visibility, "decoherence visibility surface", (
         *_COMMON,
-        ("--dx-min", float, 1e-9, ""),
-        ("--dx-max", float, 1e-6, "largest separation (m); the quadrature's error bound holds up to "
-         "about 0.178 m K / T, T the hotter of t_environment and --tint-max (1.19e-4 m at 1500 K); "
-         "beyond that the command exits 2"),
-        ("--dx-count", int, 50, ""), ("--dx-linear", False, True, ""),
-        ("--tint-min", float, 300.0, ""), ("--tint-max", float, 1500.0, ""), ("--tint-count", int, 50, ""),
+        ("--dx-min", float, 1e-9, "smallest separation (m), default 1e-9"),
+        ("--dx-max", float, 1e-6, "largest separation (m), default 1e-6; the quadrature's error bound "
+         "holds up to about 0.178 m K / T, T the hotter of t_environment and --tint-max (1.19e-4 m at "
+         "1500 K); beyond that the command exits 2"),
+        ("--dx-count", int, 50, "number of separations, default 50; log-spaced unless --dx-linear"),
+        ("--dx-linear", False, True, "space the separations linearly (default: logarithmically)"),
+        ("--tint-min", float, 300.0, "lowest internal temperature (K), default 300"),
+        ("--tint-max", float, 1500.0, "highest internal temperature (K), default 1500"),
+        ("--tint-count", int, 50, "number of internal temperatures, linearly spaced, default 50"),
     )),
     "certify": (_cmd_certify, "grid oracle vs closed forms, pass/fail per tolerance", (
         ("--config", str, None, "config file to certify instead of the three desk sets"), _COMMON[1])),

@@ -24,6 +24,12 @@ unmapped again; a block's temporaries stay under it, and in cache, and
 reuse the same heap pages from block to block. Each cell depends on its
 own value alone and a row never spans two blocks, so the block size moves
 no byte.
+
+A document, from :func:`csv_text` or :func:`json_document` and so from every
+emitter built on them, is a list of ``bytes`` pieces whose concatenation is
+its UTF-8 text: each block of joined rows as the join leaves it, and each
+small piece around them encoded on its own. The caller writes the pieces in
+order to a binary stream; the document is never joined or decoded whole.
 """
 from __future__ import annotations
 
@@ -141,10 +147,10 @@ def _table_cells(rows) -> np.ndarray:
     return np.array([[fmt(v) for v in row] for row in rows], dtype="S")
 
 
-def _join_rows(cells, prefix: str, sep: str, suffix: str, between: str = "") -> list[str]:
+def _join_rows(cells, prefix: str, sep: str, suffix: str, between: str = "") -> list[bytes]:
     """prefix + cell + sep + cell ... + suffix for each row of an (n, m)
-    byte-string array, rows separated by ``between``, NULs dropped, as pieces
-    whose concatenation is the text.
+    byte-string array, rows separated by ``between``, NULs dropped, as byte
+    pieces whose concatenation is the text.
 
     The rows go through one reused buffer, ``_BLOCK_BYTES`` of rows at a
     time, which holds the fixed bytes of each row once and takes each block's
@@ -167,16 +173,17 @@ def _join_rows(cells, prefix: str, sep: str, suffix: str, between: str = "") -> 
         slots[:len(block)] = block
         if start + rows >= n and between:
             buffer[len(block) - 1, -len(between):] = 0
-        blocks.append(buffer[:len(block)].tobytes().translate(None, b"\0").decode("ascii"))
+        blocks.append(buffer[:len(block)].tobytes().translate(None, b"\0"))
     return blocks
 
 
-def csv_text(header, rows) -> str:
-    return "".join([",".join(str(h) for h in header) + "\n",
-                    *_join_rows(_table_cells(rows), "", ",", "\n")])
+def csv_text(header, rows) -> list[bytes]:
+    """The CSV document of a table, header line first, as byte pieces."""
+    return [(",".join(str(h) for h in header) + "\n").encode(),
+            *_join_rows(_table_cells(rows), "", ",", "\n")]
 
 
-def json_table(header, rows, metadata: dict) -> str:
+def json_table(header, rows, metadata: dict) -> list[bytes]:
     """JSON mirror of a CSV table: the same cells as strings, plus run metadata."""
     return json_document({"columns": list(header), "rows": _table_cells(rows),
                           "metadata": metadata})
@@ -186,13 +193,13 @@ _MARKER = "\0ndarray\0"          # json.dumps writes _PLACE where an array goes
 _PLACE = json.dumps(_MARKER)
 
 
-def json_document(payload) -> str:
+def json_document(payload) -> list[bytes]:
     """``json.dumps(payload, sort_keys=True, indent=1)`` with each ndarray
     written as json writes its ``tolist()``, at the depth of the line where
-    json put the array's marker. Floats print as json prints them; byte-string
-    cells print as strings, verbatim but for their NULs, so they must need no
-    escaping, as :func:`fmt_cells` never does. A payload string that json
-    writes as the marker raises ValueError."""
+    json put the array's marker, as byte pieces. Floats print as json prints
+    them; byte-string cells print as strings, verbatim but for their NULs, so
+    they must need no escaping, as :func:`fmt_cells` never does. A payload
+    string that json writes as the marker raises ValueError."""
     arrays = []
 
     def place(obj):
@@ -204,21 +211,21 @@ def json_document(payload) -> str:
     pieces = json.dumps(payload, sort_keys=True, indent=1, default=place).split(_PLACE)
     if len(pieces) != len(arrays) + 1:
         raise ValueError(f"a payload string reads as the array marker {_MARKER!r}")
-    parts = pieces[:1]
+    parts = [pieces[0].encode()]
     for array, before, after in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
-        parts += [*_array_pieces(array, len(line) - len(line.lstrip(" "))), after]
-    return "".join(parts)
+        parts += [*_array_pieces(array, len(line) - len(line.lstrip(" "))), after.encode()]
+    return parts
 
 
-def _array_pieces(a: np.ndarray, depth: int) -> list[str]:
+def _array_pieces(a: np.ndarray, depth: int) -> list[bytes]:
     """``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels deep."""
     pad = " " * (depth + 1)
     if not len(a):
-        return ["[]"]
+        return [b"[]"]
     if a.ndim > 2 or not a.size:
-        pieces = [p for sub in a for p in (",\n" + pad, *_array_pieces(sub, depth + 1))]
-        return ["[\n" + pad, *pieces[1:], "\n" + pad[1:] + "]"]
+        pieces = [p for sub in a for p in ((",\n" + pad).encode(), *_array_pieces(sub, depth + 1))]
+        return [("[\n" + pad).encode(), *pieces[1:], ("\n" + pad[1:] + "]").encode()]
     q = '"' if a.dtype.kind == "S" else ""
     if not q:
         spell = repr if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
@@ -227,7 +234,7 @@ def _array_pieces(a: np.ndarray, depth: int) -> list[str]:
         rows = _join_rows(a[:, None], pad + q, "", q, ",\n")
     else:
         rows = _join_rows(a, f"{pad}[\n {pad}{q}", f"{q},\n {pad}{q}", f"{q}\n{pad}]", ",\n")
-    return ["[\n", *rows, "\n" + pad[1:] + "]"]
+    return [b"[\n", *rows, ("\n" + pad[1:] + "]").encode()]
 
 
 def config_sha256(text: str) -> str:

@@ -15,7 +15,8 @@ on the same separations, and the stored Gauss-Legendre rule the quadrature
 loads, against computing it with ``leggauss``. The two visibility CLI cases
 are the ``surface`` workload's commands in a fresh interpreter, and the two
 fresh sweep cases are the ``sweep`` workload's; they also record the median
-minor page faults and system CPU seconds per command in ``extra_info``. An
+minor page faults and system CPU seconds per command in ``extra_info``; the
+two in-process sweep cases record their median minor page faults there too. An
 emitter change shows in the fresh sweep cases: the in-process io cases
 below read the process's allocator state as much as the code. The io cases time the emitters alone on the ``sweep``
 workload's tables (the 30,000 x 4 theta CSV and the 20,000 x 5 t1 JSON), the
@@ -59,23 +60,30 @@ CONFIG = "perfbench/configs/paper.cfg"
 SNAPSHOT_CONFIG = "perfbench/configs/snapshot.cfg"
 
 
-def _cli_sweep(out, *argv):
+def _cli_sweep(minflt, out, *argv):
+    """One in-process sweep command; appends its minor page faults."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert cli.main(["sweep", "--config", CONFIG, *argv, "--out", str(out)]) == cli.EXIT_OK
+    minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+
+def _bench_sweep(benchmark, *args):
+    minflt = []
+    benchmark.pedantic(_cli_sweep, args=(minflt, *args), rounds=5, iterations=1, warmup_rounds=1)
+    # the warm-up round is counted too; the median ignores it
+    benchmark.extra_info["median_minflt"] = statistics.median(minflt)
 
 
 def test_sweep_theta_cli(benchmark, tmp_path):
     """Balanced closed form, 30,000 points, CSV."""
-    benchmark.pedantic(_cli_sweep, args=(tmp_path / "theta.csv", "--param", "theta",
-                                         "--start", "0.0", "--stop", "1.5", "--count", "30000"),
-                       rounds=5, iterations=1, warmup_rounds=1)
+    _bench_sweep(benchmark, tmp_path / "theta.csv", "--param", "theta", "--start", "0.0", "--stop", "1.5",
+                 "--count", "30000")
 
 
 def test_sweep_t1_cli(benchmark, tmp_path):
     """Unbalanced evolve_sequence + branch_overlap, 20,000 points, JSON."""
-    benchmark.pedantic(_cli_sweep, args=(tmp_path / "t1.json", "--param", "t1",
-                                         "--start", "2.495e-05", "--stop", "2.505e-05",
-                                         "--count", "20000", "--format", "json"),
-                       rounds=5, iterations=1, warmup_rounds=1)
+    _bench_sweep(benchmark, tmp_path / "t1.json", "--param", "t1", "--start", "2.495e-05",
+                 "--stop", "2.505e-05", "--count", "20000", "--format", "json")
 
 
 def _library_sweep(cfg, thetas):

@@ -610,6 +610,12 @@ def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
 
 # -- per-cell table emitters ------------------------------------------------------
 
+def joined(pieces) -> str:
+    """A document's byte pieces, as ``io`` emitters return them, as its text."""
+    assert all(type(piece) is bytes for piece in pieces)
+    return b"".join(pieces).decode("utf-8")
+
+
 def csv_text_reference(header, rows) -> str:
     lines = [",".join(str(h) for h in header)]
     for row in rows:

@@ -56,7 +56,7 @@ def run_commands(commands) -> dict[tuple[str, ...], int]:
     from nanoramsey import cli
     codes = {}
     for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             codes[argv] = cli.main(list(argv))
     return codes
 

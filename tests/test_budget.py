@@ -18,7 +18,7 @@ from nanoramsey.budget import (
 from nanoramsey.constants import HBAR, K_BOLTZMANN, MU_BOHR
 from nanoramsey.dynamics import PulseSequence
 from nanoramsey.params import build_params
-from oracles import gravitational_phase_action, integrate_trajectory
+from oracles import gravitational_phase_action, integrate_trajectory, joined
 
 mpmath.mp.dps = 40
 
@@ -102,12 +102,12 @@ class TestReport:
 
     def test_json_round_trip_and_text(self, paper_params, paper_seq):
         report = budget_report(paper_params, paper_seq)
-        text = report.to_json({"command": "budget"})
+        text = joined(report.to_json({"command": "budget"}))
         data = json.loads(text)
         assert data.pop("metadata") == {"command": "budget"}
         assert data.pop("notes") == list(report.notes)
         assert data == {k: v for k, v in asdict(report).items() if k != "notes"}
-        assert text == report.to_json({"command": "budget"})
+        assert text == joined(report.to_json({"command": "budget"}))
         lines = report.to_text().splitlines()
         assert lines[0] == "feasibility budget"
         assert lines[-len(QUOTED_ONLY_NOTES):] == [f"  - {n}" for n in QUOTED_ONLY_NOTES]

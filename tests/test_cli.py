@@ -429,7 +429,7 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 results = []
 for argv in argvs:
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with redirect_stdout(io.TextIOWrapper(io.BytesIO())), redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:
@@ -582,12 +582,15 @@ def test_budget_mass_below_one_nucleon_refused_by_name(capsys, tmp_path, mass, f
                    f"count the nucleons of the collapse-rate bound, got mass={mass!r}\n")
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports ``nanoramsey`` from ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _child(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """``python args`` in a fresh interpreter that imports ``nanoramsey`` from ``src/``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120,
+    return subprocess.run([sys.executable, *args], env=_child_env(), capture_output=True, timeout=120,
                           **kwargs)
 
 
@@ -617,6 +620,23 @@ def test_command_loads_no_argparse_or_locale(tmp_path):
     child = _child("-c", code, "budget", "--config", write_config(tmp_path),
                    "--out", str(tmp_path / "budget.txt"), check=True)
     assert json.loads(child.stdout) == [] and (tmp_path / "budget.txt").read_text()
+
+
+@pytest.mark.parametrize("lines", [1, 0], ids=["head-1", "unread"])
+def test_reader_that_closes_stdout_early(config, lines):
+    """``nanoramsey sweep ... | head -1``: the reader closes the pipe with most of the 2.7 MB
+    table unwritten. The command exits 0 with nothing on stderr, as it did when it wrote text
+    (one partial write(2) that never raised), also when the reader reads no byte at all."""
+    argv = ["sweep", "--config", config, "--param", "theta", "--start", "0", "--stop", "1.5",
+            "--count", "30000"]
+    proc = subprocess.Popen([sys.executable, "-m", "nanoramsey.cli", *argv], env=_child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    read = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_OK, b"")
+    assert read == [b"param_value,phi_g_rad,p0,delta_x_max_m,visibility\n"][:lines]
 
 
 def test_constants_import_loads_no_numpy():

@@ -40,7 +40,7 @@ from nanoramsey.io import (
     json_table,
 )
 from nanoramsey.params import build_params, parse_config_text
-from oracles import csv_text_reference, json_table_reference
+from oracles import csv_text_reference, joined, json_table_reference
 
 SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nanoramsey"
@@ -193,17 +193,17 @@ class TestTables:
     ROWS = [(0.5, np.float64(0.25), True), (1, 1.0 / 3.0, False)]
 
     def test_csv_bytes(self):
-        assert csv_text(self.HEADER, self.ROWS) == (
+        assert joined(csv_text(self.HEADER, self.ROWS)) == (
             "param_value,p0,ok\n"
             "5.00000000000e-01,2.50000000000e-01,true\n"
             "1,3.33333333333e-01,false\n"
         )
 
     def test_csv_header_only(self):
-        assert csv_text(["a", "b"], []) == "a,b\n"
+        assert joined(csv_text(["a", "b"], [])) == "a,b\n"
 
     def test_json_bytes(self):
-        text = json_table(self.HEADER, self.ROWS, {"seed": None, "command": "sweep"})
+        text = joined(json_table(self.HEADER, self.ROWS, {"seed": None, "command": "sweep"}))
         assert text == (
             '{\n'
             ' "columns": [\n  "param_value",\n  "p0",\n  "ok"\n ],\n'
@@ -216,16 +216,16 @@ class TestTables:
         )
 
     def test_json_cells_equal_csv_cells(self):
-        rows = json.loads(json_table(self.HEADER, self.ROWS, {}))["rows"]
-        csv_rows = csv_text(self.HEADER, self.ROWS).splitlines()[1:]
+        rows = json.loads(joined(json_table(self.HEADER, self.ROWS, {})))["rows"]
+        csv_rows = joined(csv_text(self.HEADER, self.ROWS)).splitlines()[1:]
         assert [",".join(r) for r in rows] == csv_rows
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(tables(), METADATA)
     def test_equal_the_per_cell_references(self, table, metadata):
         header, rows = table
-        assert csv_text(header, rows) == csv_text_reference(header, rows)
-        assert json_table(header, rows, metadata) == json_table_reference(header, rows, metadata)
+        assert joined(csv_text(header, rows)) == csv_text_reference(header, rows)
+        assert joined(json_table(header, rows, metadata)) == json_table_reference(header, rows, metadata)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(FLOATS, min_size=3, max_size=3), max_size=20), METADATA)
@@ -233,13 +233,13 @@ class TestTables:
         # the sweep and dump-snapshots CSV hand over one float matrix, not row tuples
         header = ["a", "b", "c"]
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
-        assert csv_text(header, matrix) == csv_text_reference(header, rows)
-        assert json_table(header, matrix, metadata) == json_table_reference(header, rows, metadata)
+        assert joined(csv_text(header, matrix)) == csv_text_reference(header, rows)
+        assert joined(json_table(header, matrix, metadata)) == json_table_reference(header, rows, metadata)
 
     def test_one_column_and_zero_rows(self):
         for rows in ([], [(0.1,)], [(True,), (2,)]):
-            assert csv_text(["a"], rows) == csv_text_reference(["a"], rows)
-            assert json_table(["a"], rows, {}) == json_table_reference(["a"], rows, {})
+            assert joined(csv_text(["a"], rows)) == csv_text_reference(["a"], rows)
+            assert joined(json_table(["a"], rows, {})) == json_table_reference(["a"], rows, {})
 
     def test_surface_csv(self):
         rng = np.random.default_rng(5)
@@ -250,7 +250,7 @@ class TestTables:
                                     visibility=vis, flight_time=1e-4)
         header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
         rows = [(dx, *row) for dx, row in zip(surface.delta_x_axis, vis)]
-        assert surface_to_csv(surface) == csv_text_reference(header, rows)
+        assert joined(surface_to_csv(surface)) == csv_text_reference(header, rows)
 
 
 def surface_json_reference(surface, metadata=None) -> str:
@@ -275,7 +275,7 @@ def test_surface_json_equals_json_dumps(dx, n_tint, metadata, flight_time):
                                 visibility=rng.uniform(0.0, 1.0, (len(dx), n_tint)),
                                 flight_time=flight_time)
     for meta in (None, metadata):
-        assert surface_to_json(surface, meta) == surface_json_reference(surface, meta)
+        assert joined(surface_to_json(surface, meta)) == surface_json_reference(surface, meta)
 
 
 # -- the JSON writer ---------------------------------------------------------------
@@ -340,14 +340,14 @@ class TestJsonDocument:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(PAYLOADS)
     def test_equals_json_dumps(self, payload):
-        assert json_document(payload) == json.dumps(expanded(payload), sort_keys=True, indent=1)
+        assert joined(json_document(payload)) == json.dumps(expanded(payload), sort_keys=True, indent=1)
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_arrays_in_lists_of_dicts(self, depth):
         payload = nested({"a": [{"b": np.array([[1.5, -0.0], [math.inf, math.nan]]),
                                  "c": np.zeros((2, 0)), "d": np.array([])}],
                           "e": fmt_cells(np.array([[1.0, 2.0]])), "f": "[]"}, depth)
-        assert json_document(payload) == json.dumps(expanded(payload), sort_keys=True, indent=1)
+        assert joined(json_document(payload)) == json.dumps(expanded(payload), sort_keys=True, indent=1)
 
     @pytest.mark.parametrize("payload", [
         _MARKER, [_MARKER], {"a": np.zeros(2), "b": _MARKER}, {_MARKER: 1}, [np.zeros(1), _MARKER],
@@ -389,14 +389,14 @@ class TestSnapshotJson:
     @given(st.lists(st.tuples(FLOATS, ARRAYS, ARRAYS, ARRAYS), min_size=1, max_size=3),
            METADATA)
     def test_equals_json_dumps(self, frames, metadata):
-        assert cli._snapshots_json(frames, metadata) == snapshots_reference(frames, metadata)
+        assert joined(cli._snapshots_json(frames, metadata)) == snapshots_reference(frames, metadata)
 
     def test_json_cells_depth(self):
         values = np.array([0.5, -1e-300, math.nan])
         for depth in (0, 1, 3):
-            assert json_document(nested(fmt_cells(values), depth)) == \
+            assert joined(json_document(nested(fmt_cells(values), depth))) == \
                 json.dumps(nested([fmt(v) for v in values], depth), indent=1)
-        assert json_document(nested(fmt_cells(np.array([])), 3)) == json.dumps([[[[]]]], indent=1)
+        assert joined(json_document(nested(fmt_cells(np.array([])), 3))) == json.dumps([[[[]]]], indent=1)
 
     def test_cli_frames(self, capsys):
         cfg = parse_config_text(SNAPSHOT_CFG.read_text())
@@ -431,12 +431,12 @@ def edge_table(n_rows: int, n_cols: int, block: int) -> np.ndarray:
 def assert_emitters_equal_references(table):
     header = [f"c{j}" for j in range(table.shape[1])]
     rows = [tuple(row) for row in table.tolist()]
-    assert csv_text(header, table) == csv_text_reference(header, rows)
-    assert json_table(header, table, {"n": len(rows)}) == json_table_reference(header, rows, {"n": len(rows)})
+    assert joined(csv_text(header, table)) == csv_text_reference(header, rows)
+    assert joined(json_table(header, table, {"n": len(rows)})) == json_table_reference(header, rows, {"n": len(rows)})
     assert [[c.replace(b"\0", b"") for c in row] for row in fmt_cells(table).tolist()] == \
         [[fmt(v).encode() for v in row] for row in rows]
     frames = [(0.5, *table.T[:3])] if table.shape[1] >= 3 else [(0.5, table.T[0], table.T[0], table.T[0])]
-    assert cli._snapshots_json(frames, {}) == snapshots_reference(frames, {})
+    assert joined(cli._snapshots_json(frames, {})) == snapshots_reference(frames, {})
 
 
 class TestBlockEdges:
@@ -466,8 +466,8 @@ class TestBlockEdges:
     def test_row_tuples_on_small_blocks(self, block_bytes, table, metadata):
         header, rows = table
         with mock.patch.object(io, "_BLOCK_BYTES", block_bytes):
-            assert csv_text(header, rows) == csv_text_reference(header, rows)
-            assert json_table(header, rows, metadata) == json_table_reference(header, rows, metadata)
+            assert joined(csv_text(header, rows)) == csv_text_reference(header, rows)
+            assert joined(json_table(header, rows, metadata)) == json_table_reference(header, rows, metadata)
 
 
 # -- dicke metadata ------------------------------------------------------------------

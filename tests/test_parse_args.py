@@ -110,9 +110,17 @@ def test_abbreviation_is_refused():
 
 @pytest.mark.parametrize("argv, phrases", [
     (["--help"], ["Free-flight spin-force Ramsey", "dump-snapshots", "--version"]),
-    (["visibility", "--help"], ["about 0.178 m K / T", "--dx-linear", "--tint-count TINT_COUNT"]),
+    (["visibility", "--help"], ["about 0.178 m K / T", "--dx-linear", "--tint-count TINT_COUNT",
+                                "smallest separation (m), default 1e-9", "largest separation (m), default 1e-6",
+                                "number of separations, default 50; log-spaced unless --dx-linear",
+                                "space the separations linearly (default: logarithmically)",
+                                "lowest internal temperature (K), default 300",
+                                "highest internal temperature (K), default 1500",
+                                "number of internal temperatures, linearly spaced, default 50"]),
     (["sweep", "-h"], ["no command samples, so it moves no number", "comma-separated explicit values",
-                       "--param PARAM", "[--log]"]),
+                       "--param PARAM", "[--log]", "first value of a range sweep, in the swept key's SI unit",
+                       "last value of a range sweep (included)",
+                       "points of a range sweep, at least 2; linearly spaced unless --log"]),
 ])
 def test_help_is_built_from_the_table(capsys, argv, phrases):
     with pytest.raises(SystemExit) as excinfo:

@@ -67,13 +67,15 @@ def _base_value(cfg: dict, param: str) -> float:
 
 
 def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # the CLI writes bytes to sys.stdout.buffer
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except Exception as exc:   # noqa: BLE001 - compared with the reference's
             return "raises", type(exc), str(exc)
-    return rc, out.getvalue(), err.getvalue()
+    out.flush()
+    return rc, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def run_reference(cfg: dict, argv):
@@ -197,3 +199,58 @@ class TestSweepRoutes:
         assert [",".join(r) for r in rows] == csv_out.splitlines()[1:]
         assert any(0.0 < float(r[-1]) < 1.0 for r in rows)
         assert not any(math.isnan(float(c)) for r in rows for c in r)
+
+
+def assert_table_bitwise(table, cfg: dict, param: str, values):
+    """The sweep table against one ``run_point`` per value, every float64 bit."""
+    points = [run_point(cfg, param, v) for v in values]
+    want = np.array([[v, *(p[c] for c in cli.OUTPUT_COLUMNS)] for v, p in zip(values, points)], dtype=float)
+    assert table.shape == want.shape
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
+B = cli.SWEEP_BLOCK
+
+
+class TestSweepBlocks:
+    """``_sweep_rows`` computes SWEEP_BLOCK points at a time; at and around the block edges
+    the table equals the per-point reference, bit for bit, and a bad point in a later block
+    is reported as it is alone."""
+
+    @pytest.mark.parametrize("count", [B - 1, B, B + 1, 2 * B + 1], ids=["B-1", "B", "B+1", "2B+1"])
+    @pytest.mark.parametrize("config_name, param, lo, hi", [
+        ("paper", "theta", 0.0, 1.5),                 # balanced: the closed form
+        ("weak_shaped", "t1", 2.3e-5, 2.5e-5),        # unbalanced: the branch overlap
+    ])
+    def test_counts_around_the_block(self, configs, config_name, param, lo, hi, count):
+        cfg = configs[config_name][1]
+        values = np.linspace(lo, hi, count)
+        assert_table_bitwise(cli._sweep_rows(cfg, param, values, cli.OUTPUT_COLUMNS), cfg, param, values)
+
+    def test_mixed_routes_straddle_the_block_edges(self, configs):
+        # balanced points on both sides of both edges, so every block splits into both routes
+        quarter = T3 / 4.0
+        values = np.linspace(2.495e-5, 2.505e-5, 2 * B + 1)
+        balanced = [0, 5, B - 2, B - 1, B, B + 1, 2 * B - 1, 2 * B]
+        values[balanced] = quarter
+        values[B + 1] = quarter * (1 + 1e-13)          # balanced within the tolerance
+        cfg = configs["paper"][1]
+        table = cli._sweep_rows(cfg, "t1", values, cli.OUTPUT_COLUMNS)
+        assert_table_bitwise(table, cfg, "t1", values)
+        unbalanced = np.ones(len(values), dtype=bool)
+        unbalanced[balanced] = False
+        assert (table[balanced, -1] == 1.0).all() and (table[unbalanced, -1] < 1.0).all()
+        argv = ["--param", "t1", "--values", ",".join(map(repr, values.tolist()))]
+        assert_matches_reference(configs, "paper", argv)
+
+    @pytest.mark.parametrize("config_name, bad, message", [
+        ("derived_nucleons", (1e-30, -1.0), "error: n_nucleons must be >= 1\n"),
+        ("paper", (1e300, 1e301), "error: mass and trap_omega must give a packet width"),
+    ])
+    def test_bad_point_in_the_second_block(self, configs, config_name, bad, message):
+        values = np.linspace(1.2e-17, 1.3e-17, B + 10)
+        values[[B + 3, B + 7]] = bad
+        argv = ["--param", "mass", "--values", ",".join(map(repr, values.tolist()))]
+        assert_matches_reference(configs, config_name, argv)
+        rc, out, err = run_cli(["sweep", "--config", configs[config_name][0], *argv])
+        assert (rc, out) == (cli.EXIT_VALIDATION, "") and err.startswith(message)
