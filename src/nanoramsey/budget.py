@@ -12,13 +12,13 @@ from dataclasses import asdict, dataclass
 from .constants import AMU, HBAR, K_BOLTZMANN, LIGHT_SPEED, MU_BOHR
 from .dynamics import (
     PulseSequence,
+    _relative_segments,
     branch_overlap,
     evolve_sequence,
     gravitational_phase,
     initial_state,
     max_separation,
     ramsey_probability,
-    separation_at,
     wavepacket_width,
 )
 from .io import json_document
@@ -155,10 +155,10 @@ def budget_report(params: ExperimentParams, seq: PulseSequence) -> BudgetReport:
     bound_mass = csl_bound(params.mass / AMU, t3)
     v_rms = thermal_velocity(params.t_cm, params.mass)
     doppler = doppler_linewidth(params.mw_frequency, v_rms)
-    # at t1 the arms sit at +-x_flip, half their separation, around the mean path, in local
+    # at t1, where the second segment starts, the arms sit at +-x_flip around the mean path, in
     # fields 2 b_gradient x_flip apart: a splitting 2 (g_nv mu_B / h) b_gradient x_flip that
     # must clear the pulse bandwidth 1 / pulse_duration to address each arm's resonance
-    x_flip = 0.5 * abs(separation_at(params, seq, seq.effective_times()[0]))
+    x_flip = 0.5 * abs(_relative_segments(params, seq)[1][2])
     h = 2.0 * math.pi * HBAR
     splitting = 2.0 * (params.g_nv * MU_BOHR / h) * abs(params.b_gradient) * x_flip
     bandwidth = 1.0 / params.pulse_duration

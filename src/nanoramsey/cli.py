@@ -28,7 +28,7 @@ from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surfa
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
 from .dynamics import (PulseSequence, branch_overlap, evolve_sequence, gravitational_phase, initial_state,
                        max_separation, ramsey_probability)
-from .grid import (CERTIFY_DESK, CLOSURE_MIN, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
+from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
 from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
 from .params import (PARAM_KEYS, ConfigError, all_of, any_of, atan2, build_params, modulus, number,
@@ -207,11 +207,13 @@ def _sweep_rows(cfg: dict, name: str, values, outputs):
                     table[start:start + SWEEP_BLOCK, column] = points[c]
         return table
     except (ValueError, ArithmeticError):
-        # Some point is invalid or hits a float exception (numpy reports x/0,
-        # where Python raises). Point by point, the first such point raises,
-        # or every point computes, exactly as it does alone.
-        points = [_sweep_outputs(cfg, name, v) for v in values]
-        return list(zip(values, *([p[c] for p in points] for c in outputs)))
+        # Some point of the block at ``start`` is invalid or hits a float exception
+        # (numpy reports x/0, where Python raises); each earlier block computed, so
+        # each of its points does alone. From that block on, point by point, the
+        # first such point raises, or every point computes, exactly as it does alone.
+        points = [_sweep_outputs(cfg, name, v) for v in values[start:]]
+        return [*map(tuple, table[:start].tolist()),
+                *zip(values[start:], *([p[c] for p in points] for c in outputs))]
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -273,9 +275,6 @@ def _cmd_certify(args) -> int:
         all_ok &= ok
         lines.append(f"[{label}] {'PASS' if ok else 'FAIL'}")
         lines.extend("  " + ln for ln in report.lines())
-        closure = (f" >= {CLOSURE_MIN}  [{'pass' if report.closure_ok else 'FAIL'}]"
-                   if report.balanced else "  (unbalanced flight: closure not required)")
-        lines.append(f"  closure  |overlap| {report.overlap_grid:.6f}{closure}")
     lines.append(f"certification: {'PASS' if all_ok else 'FAIL'}")
     _write(args, ["\n".join(lines).encode() + b"\n"])
     return EXIT_OK if all_ok else EXIT_NUMERICAL

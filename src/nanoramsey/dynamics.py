@@ -150,55 +150,56 @@ def _spin_history(initial_spin: int) -> tuple[int, int, int]:
     return (s, -s, s)
 
 
-def _relative_segments(params: ExperimentParams, seq: PulseSequence):
-    """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation.
-
-    Both branch centres start at rest at the origin and are walked through the
-    three segments; ``start`` accumulates the durations and ``duration`` is the
-    difference of consecutive starts, so the last segment may end an ulp off t3.
-    """
-    m = params.mass
-    t, xp, pp, xm, pm = 0.0, 0.0, 0.0, 0.0, 0.0
-    out = []
-    for tau, s in zip(seq.segment_durations(), _spin_history(SpinBranch.PLUS)):
-        ap, am = branch_force(params, s) / m, branch_force(params, -s) / m
+def _walk(durations, forces, mass, x=0.0, p=0.0):
+    """The one centre walk: (start, duration, x, p, a) at each segment start from (``x``, ``p``)
+    under ``forces``, and the end (x, p); ``duration`` is the difference of consecutive starts.
+    The grid walks with mass 1.0, where p / m and m a are exact. :func:`evolve_sequence` keeps
+    its own closed form, whose centre and action bits feed phi (docs/physics-notes.md)."""
+    t, segments = 0.0, []
+    for tau, f in zip(durations, forces):
+        a = f / mass
         end = t + tau
-        out.append((t, end - t, xp - xm, (pp - pm) / m, ap - am))
-        xp, pp = xp + ((pp / m) * tau + 0.5 * ap * tau * tau), pp + m * ap * tau
-        xm, pm = xm + ((pm / m) * tau + 0.5 * am * tau * tau), pm + m * am * tau
+        segments.append((t, end - t, x, p, a))
+        x, p = x + ((p / mass) * tau + 0.5 * a * tau * tau), p + mass * a * tau
         t = end
-    return out
+    return segments, (x, p)
 
 
-def separation_at(params: ExperimentParams, seq: PulseSequence, t: float) -> float:
-    """Signed branch separation x_plus(t) - x_minus(t) in metres, for 0 <= t <= t3,
-    from the last segment that starts at or before t."""
-    t3 = seq.effective_times()[2]
-    if not 0.0 <= t <= t3:      # written so, NaN is refused too
-        raise ValueError(f"time {t} outside the flight [0.0, {t3}]")
-    start, _, dx0, dv0, da = [seg for seg in _relative_segments(params, seq) if seg[0] <= t][-1]
-    dt = t - start
-    return dx0 + dv0 * dt + 0.5 * da * dt * dt
+def _reach(x, v, a, tau):
+    """(lowest, highest) value of x + v t + a t^2 / 2 over 0 <= t <= ``tau``, from
+    both ends and from the vertex -v / a where it lies inside: the one vertex search."""
+    has_vertex = a != 0.0
+    t_vertex = -v / where(has_vertex, a, 1.0)
+    inside = has_vertex & (0.0 < t_vertex) & (t_vertex < tau)
+    lo = hi = x
+    for tc, candidate in ((tau, True), (t_vertex, inside)):
+        value = x + v * tc + 0.5 * a * tc * tc
+        lo = where(candidate & (value < lo), value, lo)
+        hi = where(candidate & (value > hi), value, hi)
+    return lo, hi
+
+
+def _relative_segments(params: ExperimentParams, seq: PulseSequence):
+    """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation:
+    the difference of the two branches' :func:`_walk` from rest at the origin."""
+    m = params.mass
+    (plus, _), (minus, _) = (_walk(seq.segment_durations(),
+                                   [branch_force(params, s) for s in _spin_history(spin)], m)
+                             for spin in (SpinBranch.PLUS, SpinBranch.MINUS))
+    return [(t, tau, xp - xm, (pp - pm) / m, ap - am)
+            for (t, tau, xp, pp, ap), (_, _, xm, pm, am) in zip(plus, minus)]
 
 
 def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
-    """Peak |x_plus - x_minus| over the whole flight (m).
-
-    For a balanced sequence this is the closed form 2*(|A|/m)*(t3/4)^2,
-    reached at t3/2. Any other sequence, and an array of sequences not all
-    balanced, takes the exact maximum of the piecewise-quadratic separation,
-    evaluated segment by segment.
-    """
+    """Peak |x_plus - x_minus| over the whole flight (m): for a balanced sequence the closed
+    form 2*(|A|/m)*(t3/4)^2, reached at t3/2; for any other sequence, and an array of sequences
+    not all balanced, the exact maximum of the piecewise-quadratic separation, per segment."""
     if all_of(seq.is_balanced()):
         return 2.0 * (abs(params.spin_coupling()) / params.mass) * power(seq.t3 / 4.0, 2)
     best = 0.0
     for _, tau, dx0, dv0, da in _relative_segments(params, seq):
-        has_vertex = da != 0.0
-        t_vertex = -dv0 / where(has_vertex, da, 1.0)
-        inside = has_vertex & (0.0 < t_vertex) & (t_vertex < tau)
-        for tc, candidate in ((0.0, True), (tau, True), (t_vertex, inside)):
-            sep = abs(dx0 + dv0 * tc + 0.5 * da * tc * tc)
-            best = where(candidate & (sep > best), sep, best)
+        for sep in map(abs, _reach(dx0, dv0, da, tau)):
+            best = where(sep > best, sep, best)
     return best
 
 

@@ -23,13 +23,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .constants import DEFAULT_G_NV, HBAR, MU_BOHR
 from .dynamics import (
     PulseSequence,
+    _reach,
     _spin_history,
+    _walk,
     branch_overlap,
     evolve_sequence,
     gravitational_phase,
@@ -267,19 +270,12 @@ def auto_grid(
     """
     lo, hi, p_peak = center, center, abs(momentum)
     for spin in spin_values:
-        x, v = center, momentum
-        for tau, a in zip(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin))):
-            candidates = [tau]
-            if a != 0.0:
-                tv = -v / a
-                if 0.0 < tv < tau:
-                    candidates.append(tv)
-            for tc in candidates:
-                xc = x + v * tc + 0.5 * a * tc * tc
-                lo, hi = min(lo, xc), max(hi, xc)
-            x += v * tau + 0.5 * a * tau * tau
-            v += a * tau
-            p_peak = max(p_peak, abs(v))
+        segments, (_, p) = _walk(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin)),
+                                 1.0, center, momentum)
+        for tau, (_, _, x, v, a) in zip(scaled.seg_times, segments):     # tau, as the walk steps by
+            seg_lo, seg_hi = _reach(x, v, a, tau)
+            lo, hi, p_peak = min(lo, seg_lo), max(hi, seg_hi), max(p_peak, abs(v))
+        p_peak = max(p_peak, abs(p))
     # the packet is widest at t3: sigma0 = 1 spreads freely to sqrt(1 + (t3 / 2)^2)
     margin = DOMAIN_SIGMAS * math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2) + 2.0
     while math.pi * n_points / (hi - lo + 2.0 * margin) < p_peak + 0.5 * DOMAIN_SIGMAS:
@@ -321,13 +317,12 @@ def evolve_branch_on_grid(
         raise ValueError("horizons must ascend")
     accelerations = np.array([scaled.branch_accelerations(_spin_history(s))
                               for s in np.atleast_1d(spin)]).T
-    # The whole flight's classical <p> is extreme at segment ends, and the packet's
-    # momentum width stays 1/2; check it once, so the advice covers every segment.
-    p_ends = [np.full(accelerations.shape[1], float(momentum))]
-    start = 0.0
-    for tau, a in zip(scaled.seg_times, accelerations):
-        p_ends.append(p_ends[-1] + a * min(tau, max(horizons[-1] - start, 0.0)))
-        start += tau
+    # The whole flight's classical <p> is extreme at segment ends (cut at the last horizon), and
+    # the packet's momentum width stays 1/2; check it once, so the advice covers every segment.
+    segments, (_, p) = _walk([min(tau, max(horizons[-1] - start, 0.0)) for start, tau in
+                              zip((0.0, *accumulate(scaled.seg_times)), scaled.seg_times)],
+                             accelerations, 1.0, center, np.full(accelerations.shape[1], float(momentum)))
+    p_ends = [seg[3] for seg in segments] + [p]
     _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
                     float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
     psi = np.tile(gaussian_packet(spec, center, momentum), (accelerations.shape[1], 1))
@@ -401,6 +396,9 @@ class OracleReport:
             f"  deficit {self.overlap_deficit:.3e} (tol {OVERLAP_TOL:.0e})"
             f"  [{mark(self.overlap_deficit <= OVERLAP_TOL)}]",
             f"norm     drift {self.norm_drift:.3e}",
+            f"closure  |overlap| {self.overlap_grid:.6f}"
+            + (f" >= {CLOSURE_MIN}  [{mark(self.closure_ok)}]" if self.balanced
+               else "  (unbalanced flight: closure not required)"),
         ]
 
 

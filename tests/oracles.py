@@ -7,7 +7,9 @@ none of these calls the closed forms under test. The action route to phi_g
 leans on ``separation_time_integral``, which is itself checked against Verlet.
 The separation observables are checked bit for bit against
 ``relative_segments_reference``, which walks each branch centre on its own
-through ``classical_trajectory_reference``.
+through ``classical_trajectory_reference``. The extremes the walk's readers find
+(``max_separation``, ``auto_grid``'s domain and size, the flight's momentum check)
+are checked against ``sampled_trajectory``, the same centres sampled densely.
 The grid's closed-form segment propagator is checked against the Strang
 loop it composes: ``strang_reference``, the plain unfused one-branch loop, and
 ``flight_reference``, which runs a flight's rows through the fused loop with
@@ -217,6 +219,23 @@ def classical_trajectory_reference(params, seq, initial_spin, x0=0.0, p0=0.0):
         t = t + tau
         breakpoints.append((t, x, p))
     return breakpoints, accels
+
+
+def sampled_trajectory(params, seq, initial_spin, samples, x0=0.0, p0=0.0, until=None):
+    """(t, x, p) arrays of the branch centre that starts on ``initial_spin``, at ``samples``
+    evenly spaced times in each segment of ``classical_trajectory_reference`` (both ends
+    included), up to ``until`` (default t3); each point is its segment's closed form."""
+    breakpoints, accels = classical_trajectory_reference(params, seq, initial_spin, x0, p0)
+    horizon = breakpoints[-1][0] if until is None else until
+    ts, xs, ps = [], [], []
+    for (t0, x, p), a, (t1, _, _) in zip(breakpoints, accels, breakpoints[1:]):
+        if t0 > horizon:
+            break
+        dt = np.linspace(0.0, min(t1, horizon) - t0, samples)
+        ts.append(t0 + dt)
+        xs.append(x + (p / params.mass) * dt + 0.5 * a * dt * dt)
+        ps.append(p + params.mass * a * dt)
+    return np.concatenate(ts), np.concatenate(xs), np.concatenate(ps)
 
 
 def relative_segments_reference(params, seq):

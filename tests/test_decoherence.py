@@ -42,7 +42,7 @@ from nanoramsey.decoherence import (
     localization_rate_profile,
     visibility_surface,
 )
-from nanoramsey.dynamics import PulseSequence, separation_at
+from nanoramsey.dynamics import PulseSequence
 from nanoramsey.params import build_params
 from oracles import (
     TIME_NODES,
@@ -686,12 +686,20 @@ class TestDephasingExposures:
         t3 = PAPER_CONFIG["t3"]
         seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
         model = default_model(paper_params)
-        # the refinement as the per-node loop of scalar separation_at calls computes it
+        # the refinement as a per-node loop computes it: each node's separation from the
+        # last segment that starts at or before it
+        segments = dynamics._relative_segments(paper_params, seq)
+
+        def separation(t):
+            start, _, dx0, dv0, da = [seg for seg in segments if seg[0] <= t][-1]
+            dt = t - start
+            return dx0 + dv0 * dt + 0.5 * da * dt * dt
+
         edges = sorted({0.0, *seq.effective_times(), t3 / 2.0})
         want = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             nodes, weights = gauss_nodes(lo, hi, TIME_NODES)
-            seps = np.abs([separation_at(paper_params, seq, t) for t in nodes.tolist()])
+            seps = np.abs([separation(t) for t in nodes.tolist()])
             want += float(np.dot(localization_rate_profile([model], seps)[:, 0], weights))
         walks = []
         walk = dynamics._relative_segments

@@ -1,6 +1,8 @@
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from nanoramsey.dynamics import (
 )
 from nanoramsey.grid import (
     CERTIFY_DESK,
+    DOMAIN_SIGMAS,
     GUARD_SIGMAS,
     MAX_POINTS,
+    MIN_POINTS,
     ClosureError,
     GridBoundaryError,
     GridSpec,
@@ -39,7 +43,8 @@ from nanoramsey.grid import (
 )
 from nanoramsey.params import build_params
 from conftest import PAPER_CONFIG
-from oracles import evolve_branches, flight_reference, reference_branch, sector_action_phases
+from oracles import (evolve_branches, flight_reference, reference_branch, sampled_trajectory,
+                     sector_action_phases)
 from test_dynamics import DESK_SETS
 
 
@@ -537,6 +542,8 @@ FLIPS = st.one_of(st.just((0.25, 0.75)), st.tuples(st.floats(0.02, 0.49), st.flo
 JITTER = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-0.01, 0.01)] * 3))
 #: the horizon as a fraction of the flight: the whole flight, or a cut inside it
 HORIZONS = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+#: the rows a walk test sizes a grid for: a spin pair, the Dicke pair of l = 2, spin 0 alone
+WALK_SPINS = [(1, -1), (2, -2), (0,)]
 
 
 def drawn_flight(desk_set, flips, jitter, spins, start):
@@ -636,6 +643,60 @@ class TestDeskSpaceOnGrid:
         residual = math.remainder(-np.angle(ov_grid) + np.angle(ov) - splitting, 2.0 * math.pi)
         # the phase of an overlap near 0 is rounding noise: checked where |ov| >= 1e-3
         assert abs(ov) < 1e-3 or abs(residual) <= 1e-10
+
+
+class TestWalkAgainstSampledCentres:
+    """The grid's reading of the classical walk against the closed-form centres of
+    ``oracles.sampled_trajectory``, sampled densely in scaled units (mass 1): the domain's
+    excursions, the peak |p| that sizes ``n_points``, and the flight's momentum refusal."""
+
+    SAMPLES = 4001
+
+    @classmethod
+    def sampled(cls, scaled, spins, start, until=None):
+        """(x, p) of every row of ``spins`` at the sampled times, and the widest gap a
+        vertex can fall into, on the scaled problem as the reference trajectory reads it."""
+        units = SimpleNamespace(mass=1.0, spin_coupling=lambda: scaled.a_spin,
+                                gravity_force=lambda: scaled.a_gravity)
+        flight = SimpleNamespace(segment_durations=lambda: scaled.seg_times)
+        rows = [sampled_trajectory(units, flight, s, cls.SAMPLES, *start, until) for s in spins]
+        return (np.concatenate([x for _, x, _ in rows]), np.concatenate([p for _, _, p in rows]),
+                max(scaled.seg_times) / (cls.SAMPLES - 1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, FLIPS, JITTER, st.sampled_from(WALK_SPINS), STARTS)
+    def test_domain_and_points_follow_the_sampled_centres(self, desk_set, flips, jitter, spins, start):
+        _, _, scaled, spec = drawn_flight(desk_set, flips, jitter, spins, start)
+        x, p, h = self.sampled(scaled, spins, start)
+        margin = DOMAIN_SIGMAS * math.sqrt(1.0 + (scaled.total_time / 2.0) ** 2) + 2.0
+        # a sample lies within h / 2 of a vertex, where the centre is |a| (h / 2)^2 / 2 further out
+        a_max = max(abs(a) for s in spins for a in scaled.branch_accelerations(_spin_history(s)))
+        tol = 0.5 * a_max * (h / 2.0) ** 2 + 1e-12 * (abs(spec.x_min) + abs(spec.x_max) + margin)
+        assert spec.x_min + margin == pytest.approx(float(np.min(x)), abs=tol)
+        assert spec.x_max - margin == pytest.approx(float(np.max(x)), abs=tol)
+        # n_points: the smallest power of two from MIN_POINTS whose pi / dx clears the peak |p|
+        # plus DOMAIN_SIGMAS momentum widths of 1/2
+        need = (float(np.max(np.abs(p))) + 0.5 * DOMAIN_SIGMAS) * (spec.x_max - spec.x_min) / math.pi
+        assert spec.n_points == max(MIN_POINTS, 1 << math.ceil(math.log2(need)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, FLIPS, JITTER, st.sampled_from(WALK_SPINS), STARTS, HORIZONS,
+           st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]))
+    def test_momentum_refused_exactly_where_the_sampled_range_crosses_the_edge(
+            self, desk_set, flips, jitter, spins, start, fraction, edge):
+        """A grid whose +-pi/dx sits a part in 1e9 inside the sampled <p> range +- GUARD_SIGMAS
+        widths of 1/2 (up to the horizon) is refused; one a part in 1e9 outside is not."""
+        _, _, scaled, spec = drawn_flight(desk_set, flips, jitter, spins, start)
+        horizon = fraction * scaled.total_time
+        _, p, _ = self.sampled(scaled, spins, start, horizon)
+        k_edge = edge * max(-float(np.min(p)), float(np.max(p))) + edge * GUARD_SIGMAS * 0.5
+        edged = GridSpec(spec.n_points, spec.x_min, spec.x_min + spec.n_points * math.pi / k_edge, 1)
+        with mock.patch.object(grid, "split_step_evolve", lambda psi, *_: psi):    # the check alone
+            if edge < 1.0:
+                with pytest.raises(GridBoundaryError, match="momentum support"):
+                    evolve_branch_on_grid(scaled, edged, spins, *start, until=horizon)
+            else:
+                evolve_branch_on_grid(scaled, edged, spins, *start, until=horizon)
 
 
 class TestSnapshots:

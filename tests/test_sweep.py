@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import PAPER_CONFIG, paper_config_text
 from nanoramsey import cli
+from nanoramsey.io import csv_text
 from nanoramsey.params import parse_config_text, sphere_mass
 from oracles import csv_text_reference, run_point, sweep_reference
 
@@ -254,3 +255,41 @@ class TestSweepBlocks:
         assert_matches_reference(configs, config_name, argv)
         rc, out, err = run_cli(["sweep", "--config", configs[config_name][0], *argv])
         assert (rc, out) == (cli.EXIT_VALIDATION, "") and err.startswith(message)
+
+    def test_replay_starts_at_the_failing_block(self, configs, monkeypatch):
+        """The blocks before a bad point computed, so the point-by-point replay starts at
+        the bad point's block: a bad point at B + 3 costs 4 scalar calls, not B + 4."""
+        values = np.linspace(1.2e-17, 1.3e-17, B + 10)
+        values[B + 3] = -1.0
+        scalar_calls = []
+        outputs = cli._sweep_outputs
+
+        def counting(cfg, name, v):
+            if np.ndim(v) == 0:
+                scalar_calls.append(v)
+            return outputs(cfg, name, v)
+
+        monkeypatch.setattr(cli, "_sweep_outputs", counting)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            cli._sweep_rows(configs["paper"][1], "mass", values, cli.OUTPUT_COLUMNS)
+        assert len(scalar_calls) <= B
+
+    def test_replayed_rows_keep_the_table_bytes(self, configs, monkeypatch):
+        """A block whose array call raises, though each of its points computes alone, is
+        replayed from its start; the rows before it come from the table as tuples, and the
+        document has the bytes of the table that no raise interrupts."""
+        cfg = configs["paper"][1]
+        values = np.linspace(0.0, 1.5, 2 * B + 5)
+        header = ["param_value", *cli.OUTPUT_COLUMNS]
+        table = cli._sweep_rows(cfg, "theta", values, cli.OUTPUT_COLUMNS)
+        outputs = cli._sweep_outputs
+
+        def second_block_raises(cfg, name, v):
+            if np.ndim(v) and v[0] == values[B]:
+                raise FloatingPointError("invalid value encountered in multiply")
+            return outputs(cfg, name, v)
+
+        monkeypatch.setattr(cli, "_sweep_outputs", second_block_raises)
+        rows = cli._sweep_rows(cfg, "theta", values, cli.OUTPUT_COLUMNS)
+        assert isinstance(rows, list) and len(rows) == len(values)
+        assert b"".join(csv_text(header, rows)) == b"".join(csv_text(header, table))
