@@ -204,14 +204,6 @@ RULE_ORDER = 1024
 #: measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = 8192
 
-#: Fewest elements a work buffer takes (512 KiB). glibc maps the first buffer and,
-#: when it is freed, raises its heap trim threshold to twice the buffer's size. Under this
-#: floor that threshold stays below the heap a channel peaks at (the buffer, the block
-#: temporaries and the 128 KiB top pad), so the heap would be trimmed after each buffer and
-#: faulted in again: about 190 pages a channel on 50 separations, with a buffer per channel.
-#: The kick matrix never touches the pages past its own elements.
-_MIN_WORK_ELEMENTS = 8 * _KICK_BLOCK_ELEMENTS
-
 #: Most separations one surface takes: each channel integral fills a separations x
 #: ``RULE_ORDER`` float64 work buffer, 128 MiB at this count.
 MAX_SEPARATIONS = (128 << 20) // (8 * RULE_ORDER)
@@ -324,7 +316,7 @@ def localization_rate_profile(models, delta_x) -> np.ndarray:
 
 def _work_buffer(dx: np.ndarray) -> np.ndarray:
     """A float64 buffer that holds the kick matrix of any channel over ``dx``."""
-    return np.empty(max(dx.size * RULE_ORDER, _MIN_WORK_ELEMENTS))
+    return np.empty(dx.size * RULE_ORDER)
 
 
 def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -> np.ndarray:

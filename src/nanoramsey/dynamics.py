@@ -117,22 +117,6 @@ class GaussianBranchState:
     momentum: float
     action_phase: float = 0.0
 
-    def evolved(self, force: float, duration: float, mass: float) -> "GaussianBranchState":
-        """Exact evolution under a constant force for ``duration`` seconds."""
-        x, p, tau, m = self.center, self.momentum, duration, mass
-        f = force
-        action = (
-            p * p * tau / (2.0 * m)
-            + f * x * tau
-            + f * p * tau * tau / m
-            + f * f * power(tau, 3) / (3.0 * m)
-        )
-        return GaussianBranchState(
-            center=x + p * tau / m + f * tau * tau / (2.0 * m),
-            momentum=p + f * tau,
-            action_phase=self.action_phase + action / HBAR,
-        )
-
 
 @dataclass(frozen=True)
 class CompositeState:
@@ -151,17 +135,16 @@ def _spin_history(initial_spin: int) -> tuple[int, int, int]:
 
 
 def _walk(durations, forces, mass, x=0.0, p=0.0):
-    """The one centre walk: (start, duration, x, p, a) at each segment start from (``x``, ``p``)
-    under ``forces``, and the end (x, p); ``duration`` is the difference of consecutive starts.
-    The grid walks with mass 1.0, where p / m and m a are exact. :func:`evolve_sequence` keeps
-    its own closed form, whose centre and action bits feed phi (docs/physics-notes.md)."""
-    t, segments = 0.0, []
+    """The one routine that moves a branch centre: (x, p, a) at each segment start from
+    (``x``, ``p``) under ``forces``, and the end (x, p), each step the exact constant-force one
+    over its duration. It keeps no clock and no action, which only some readers need:
+    :func:`_relative_segments` adds the segment starts, :func:`_branch_end` the action, and the
+    grid walks with mass 1.0 (docs/physics-notes.md, "One walk moves a branch")."""
+    segments = []
     for tau, f in zip(durations, forces):
-        a = f / mass
-        end = t + tau
-        segments.append((t, end - t, x, p, a))
-        x, p = x + ((p / mass) * tau + 0.5 * a * tau * tau), p + mass * a * tau
-        t = end
+        segments.append((x, p, f / mass))
+        ft = f * tau
+        x, p = x + p * tau / mass + ft * tau / (2.0 * mass), p + ft
     return segments, (x, p)
 
 
@@ -181,13 +164,17 @@ def _reach(x, v, a, tau):
 
 def _relative_segments(params: ExperimentParams, seq: PulseSequence):
     """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation:
-    the difference of the two branches' :func:`_walk` from rest at the origin."""
-    m = params.mass
-    (plus, _), (minus, _) = (_walk(seq.segment_durations(),
-                                   [branch_force(params, s) for s in _spin_history(spin)], m)
+    the difference of the two branches' :func:`_walk` from rest at the origin, each
+    ``duration`` the difference of consecutive accumulated starts."""
+    m, durations = params.mass, seq.segment_durations()
+    (plus, _), (minus, _) = (_walk(durations, [branch_force(params, s) for s in _spin_history(spin)], m)
                              for spin in (SpinBranch.PLUS, SpinBranch.MINUS))
-    return [(t, tau, xp - xm, (pp - pm) / m, ap - am)
-            for (t, tau, xp, pp, ap), (_, _, xm, pm, am) in zip(plus, minus)]
+    t, pieces = 0.0, []
+    for tau, (xp, pp, ap), (xm, pm, am) in zip(durations, plus, minus):
+        end = t + tau
+        pieces.append((t, end - t, xp - xm, (pp - pm) / m, ap - am))
+        t = end
+    return pieces
 
 
 def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -244,15 +231,26 @@ def initial_state(x0: float = 0.0, p0: float = 0.0) -> CompositeState:
     return CompositeState(plus_branch=packet, minus_branch=packet)
 
 
+def _branch_end(params: ExperimentParams, durations, state: GaussianBranchState, spin) -> GaussianBranchState:
+    """``state`` moved through ``durations`` of the flip sequence from initial spin ``spin``: the
+    :func:`_walk`'s end, and the action phase summed from each segment's start (x, p),
+    S = p^2 tau / 2m + f x tau + f p tau^2 / m + f^2 tau^3 / 3m."""
+    m = params.mass
+    forces = [branch_force(params, s) for s in _spin_history(spin)]
+    segments, (x, p) = _walk(durations, forces, m, state.center, state.momentum)
+    phase = state.action_phase
+    for tau, f, (x0, p0, _) in zip(durations, forces, segments):
+        phase = phase + (p0 * p0 * tau / (2.0 * m) + f * x0 * tau + f * p0 * tau * tau / m
+                         + f * f * power(tau, 3) / (3.0 * m)) / HBAR
+    return GaussianBranchState(x, p, phase)
+
+
 def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: CompositeState) -> CompositeState:
     """Evolve both branches through the flip sequence to t3 (exact closed forms):
     the plus branch starts on spin +1, the minus branch on spin -1."""
     durations = seq.segment_durations()
-    branches = []
-    for state, spin in ((initial.plus_branch, SpinBranch.PLUS), (initial.minus_branch, SpinBranch.MINUS)):
-        for tau, s in zip(durations, _spin_history(spin)):
-            state = state.evolved(branch_force(params, s), tau, params.mass)
-        branches.append(state)
+    branches = [_branch_end(params, durations, initial.plus_branch, SpinBranch.PLUS),
+                _branch_end(params, durations, initial.minus_branch, SpinBranch.MINUS)]
     bad = np.logical_not(np.isfinite(branches[0].action_phase) & np.isfinite(branches[1].action_phase))
     if any_of(bad):     # an action that overflows leaves the overlap phase inf - inf = NaN
         raise ValueError("mass, g_earth, g_nv, b_gradient and t3 overflow a branch's action phase S / hbar, "

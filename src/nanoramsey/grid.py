@@ -272,7 +272,7 @@ def auto_grid(
     for spin in spin_values:
         segments, (_, p) = _walk(scaled.seg_times, scaled.branch_accelerations(_spin_history(spin)),
                                  1.0, center, momentum)
-        for tau, (_, _, x, v, a) in zip(scaled.seg_times, segments):     # tau, as the walk steps by
+        for tau, (x, v, a) in zip(scaled.seg_times, segments):
             seg_lo, seg_hi = _reach(x, v, a, tau)
             lo, hi, p_peak = min(lo, seg_lo), max(hi, seg_hi), max(p_peak, abs(v))
         p_peak = max(p_peak, abs(p))
@@ -322,7 +322,7 @@ def evolve_branch_on_grid(
     segments, (_, p) = _walk([min(tau, max(horizons[-1] - start, 0.0)) for start, tau in
                               zip((0.0, *accumulate(scaled.seg_times)), scaled.seg_times)],
                              accelerations, 1.0, center, np.full(accelerations.shape[1], float(momentum)))
-    p_ends = [seg[3] for seg in segments] + [p]
+    p_ends = [seg[1] for seg in segments] + [p]
     _check_momentum(float(np.min(p_ends)) - GUARD_SIGMAS * 0.5,
                     float(np.max(p_ends)) + GUARD_SIGMAS * 0.5, spec)
     psi = np.tile(gaussian_packet(spec, center, momentum), (accelerations.shape[1], 1))
@@ -422,7 +422,7 @@ def oracle_compare(
 ) -> OracleReport:
     """Run the grid and the closed forms side by side and report the errors.
 
-    ``spec`` is the grid, None for ``auto_grid``. The branch pair is evolved once,
+    ``spec`` is the grid, None for ``auto_grid``. The branch pair is run once,
     as the two rows of :func:`evolve_branch_on_grid`, and ``phase_grid`` is
     -arg<psi_minus(t3)|psi_plus(t3)>. A balanced set is refused above
     ``MAX_ORACLE_PHASE`` before any grid work, must recombine (else

@@ -8,7 +8,8 @@ The default test run does not collect this file (its name does not match
 ``test_*.py``). The two sweep CLI cases are the ``sweep`` workload's commands
 run in-process, output included; the library cases are a 1e6-point balanced
 theta sweep through the closed forms and the t1 command's 20,000 points
-through ``evolve_sequence`` and ``branch_overlap`` alone; the surface case is the ``surface``
+through ``evolve_sequence`` and ``branch_overlap`` alone, and ``max_separation`` on one
+``cli.SWEEP_BLOCK`` block of them; the surface case is the ``surface``
 workload's large visibility table. The quadrature cases time one 1024-node
 channel on 200 separations, the a-priori error bound of that channel alone
 on the same separations, and the stored Gauss-Legendre rule the quadrature
@@ -110,6 +111,14 @@ def test_library_unbalanced_20k(benchmark):
     cfg = dict(parse_config_text(Path(CONFIG).read_text()), t1=np.linspace(2.495e-05, 2.505e-05, 20_000))
     benchmark.pedantic(_library_unbalanced, args=(build_params(cfg), cli._sequence_from_config(cfg)),
                        rounds=30, iterations=1, warmup_rounds=2)
+
+
+def test_max_separation_t1_block(benchmark):
+    """The peak separation on the t1 command's first block (cli.SWEEP_BLOCK points)."""
+    t1 = np.linspace(2.495e-05, 2.505e-05, 20_000)[:cli.SWEEP_BLOCK]
+    cfg = dict(parse_config_text(Path(CONFIG).read_text()), t1=t1)
+    benchmark.pedantic(max_separation, args=(build_params(cfg), cli._sequence_from_config(cfg)),
+                       rounds=200, iterations=1, warmup_rounds=5)
 
 
 @pytest.fixture(scope="module")

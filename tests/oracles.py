@@ -5,9 +5,16 @@ trapezoid integration of the Lagrangian along those paths, sphere averages
 from Monte-Carlo sampling and localization rates from adaptive quadrature;
 none of these calls the closed forms under test. The action route to phi_g
 leans on ``separation_time_integral``, which is itself checked against Verlet.
-The separation observables are checked bit for bit against
-``relative_segments_reference``, which walks each branch centre on its own
-through ``classical_trajectory_reference``. The extremes the walk's readers find
+The package moves every branch centre with one walk, ``dynamics._walk``, and
+sums phi's action from its records, in the arithmetic of ``evolved_reference``:
+the constant-force closed form each branch was once stepped through, kept here
+unchanged. ``evolved_branches_reference`` steps a branch pair through it, and
+``evolve_sequence`` must give every bit of it. The separation observables are
+checked bit for bit against ``relative_segments_reference``, which walks each
+branch centre on its own through ``classical_trajectory_reference`` with the
+same step, and within a few ulps against the walk's older arithmetic,
+``classical_step_reference``; ``classical_walk_reference`` puts that arithmetic
+back into the grid's sizing walk. The extremes the walk's readers find
 (``max_separation``, ``auto_grid``'s domain and size, the flight's momentum check)
 are checked against ``sampled_trajectory``, the same centres sampled densely.
 The grid's closed-form segment propagator is checked against the Strang
@@ -28,9 +35,9 @@ argparse parser it replaced, kept here unchanged as the reference.
 
 Four compositions of package routines that no command runs live here too,
 beside the claims the tests make with them; unlike the routes above, they
-call the code under test. ``evolve_branches`` walks a branch pair with any
-initial spins to any horizon through ``GaussianBranchState.evolved``, and at
-its defaults equals ``evolve_sequence`` bit for bit;
+call the code under test. ``evolve_branches`` moves a branch pair with any
+initial spins to any horizon through the package's ``dynamics._branch_end``, and
+at its defaults equals ``evolve_sequence`` bit for bit;
 ``separation_time_integral`` sums the separation pieces of
 ``dynamics._relative_segments``; ``dephasing_exposures`` returns the
 peak-separation exposure that the visibility surface takes and the
@@ -72,6 +79,7 @@ from nanoramsey.decoherence import (
 )
 from nanoramsey.dynamics import (
     CompositeState,
+    GaussianBranchState,
     PulseSequence,
     _spin_history,
     branch_overlap,
@@ -115,15 +123,62 @@ def evolve_branches(params, seq, initial, spins=(1, -1), until=None):
         if all_of(idle):
             break
         durations.append(where(idle, 0.0, stop - start))
-    branches = []
-    for state, spin in zip((initial.plus_branch, initial.minus_branch), spins):
-        for tau, s in zip(durations, _spin_history(spin)):
-            state = state.evolved(branch_force(params, s), tau, params.mass)
-        branches.append(state)
+    branches = [dynamics._branch_end(params, durations, state, spin)
+                for state, spin in zip((initial.plus_branch, initial.minus_branch), spins)]
     clock = initial.spread_time
     for tau in durations:
         clock = clock + tau
     return CompositeState(*branches, clock)
+
+
+def evolved_reference(x, p, phase, f, tau, m):
+    """(centre, momentum, action phase) of a branch at (``x``, ``p``, ``phase``) moved for
+    ``tau`` under the constant force ``f``: the closed form of the package's former
+    ``GaussianBranchState.evolved``, every operation in its order."""
+    action = (
+        p * p * tau / (2.0 * m)
+        + f * x * tau
+        + f * p * tau * tau / m
+        + f * f * power(tau, 3) / (3.0 * m)
+    )
+    return x + p * tau / m + f * tau * tau / (2.0 * m), p + f * tau, phase + action / HBAR
+
+
+def evolved_step_reference(x, p, f, tau, m):
+    """(centre, momentum) of ``evolved_reference``: the arithmetic of ``dynamics._walk``."""
+    x, p, _ = evolved_reference(x, p, 0.0, f, tau, m)
+    return x, p
+
+
+def classical_step_reference(x, p, f, tau, m):
+    """(centre, momentum) after ``tau`` under ``f`` in the package's older walk arithmetic,
+    through the acceleration a = f / m; it differs from ``evolved_step_reference`` by ulps."""
+    a = f / m
+    return x + ((p / m) * tau + 0.5 * a * tau * tau), p + m * a * tau
+
+
+def classical_walk_reference(durations, forces, mass, x=0.0, p=0.0):
+    """``dynamics._walk`` with ``classical_step_reference``'s arithmetic: the walk as the grid
+    sized its domain before the package had one walk."""
+    segments = []
+    for tau, f in zip(durations, forces):
+        segments.append((x, p, f / mass))
+        x, p = classical_step_reference(x, p, f, tau, mass)
+    return segments, (x, p)
+
+
+def evolved_branches_reference(params, seq, initial):
+    """The (plus, minus) branch pair of ``initial`` at t3, each branch stepped segment by
+    segment through ``evolved_reference`` from spin +1 and -1: the phase route as the
+    package ran it before ``evolve_sequence`` read the one walk."""
+    durations = seq.segment_durations()
+    branches = []
+    for state, spin in zip((initial.plus_branch, initial.minus_branch), (1, -1)):
+        x, p, phase = state.center, state.momentum, state.action_phase
+        for tau, s in zip(durations, _spin_history(spin)):
+            x, p, phase = evolved_reference(x, p, phase, branch_force(params, s), tau, params.mass)
+        branches.append(GaussianBranchState(x, p, phase))
+    return CompositeState(*branches, initial.spread_time + durations[0] + durations[1] + durations[2])
 
 
 def _force_of_time(params, seq, initial_spin):
@@ -198,12 +253,14 @@ def numeric_separation_integral(params, seq, n_steps=400_000):
     return float(np.trapezoid(xp - xm, tp))
 
 
-def classical_trajectory_reference(params, seq, initial_spin, x0=0.0, p0=0.0):
+def classical_trajectory_reference(params, seq, initial_spin, x0=0.0, p0=0.0,
+                                   step=classical_step_reference):
     """(breakpoints, accelerations) of the branch centre that starts on ``initial_spin``.
 
     ``breakpoints`` holds (time, centre, momentum) at the segment boundaries, the
-    times accumulated segment by segment. This is the second trajectory route the
-    package once had; the separation observables must reproduce it bit for bit.
+    times accumulated segment by segment and each segment moved by ``step``: the
+    older classical arithmetic by default, ``evolved_step_reference`` for the
+    package's walk.
     """
     durations = seq.segment_durations()
     spins = _spin_history(int(initial_spin))
@@ -212,10 +269,9 @@ def classical_trajectory_reference(params, seq, initial_spin, x0=0.0, p0=0.0):
     breakpoints = [(t, x, p)]
     accels = []
     for tau, s in zip(durations, spins):
-        a = branch_force(params, s) / m
-        accels.append(a)
-        x = x + ((p / m) * tau + 0.5 * a * tau * tau)
-        p = p + m * a * tau
+        f = branch_force(params, s)
+        accels.append(f / m)
+        x, p = step(x, p, f, tau, m)
         t = t + tau
         breakpoints.append((t, x, p))
     return breakpoints, accels
@@ -238,10 +294,11 @@ def sampled_trajectory(params, seq, initial_spin, samples, x0=0.0, p0=0.0, until
     return np.concatenate(ts), np.concatenate(xs), np.concatenate(ps)
 
 
-def relative_segments_reference(params, seq):
-    """Per-segment (start, duration, dx0, dv0, da) from the two reference trajectories."""
-    plus, plus_accels = classical_trajectory_reference(params, seq, +1)
-    minus, minus_accels = classical_trajectory_reference(params, seq, -1)
+def relative_segments_reference(params, seq, step=evolved_step_reference):
+    """Per-segment (start, duration, dx0, dv0, da) from the two reference trajectories, each
+    moved by ``step``: by default the arithmetic of the package's walk."""
+    plus, plus_accels = classical_trajectory_reference(params, seq, +1, step=step)
+    minus, minus_accels = classical_trajectory_reference(params, seq, -1, step=step)
     m = params.mass
     out = []
     for k in range(len(plus_accels)):
@@ -252,11 +309,12 @@ def relative_segments_reference(params, seq):
     return out
 
 
-def separation_at_reference(params, seq, t):
-    """x_plus(t) - x_minus(t), each centre evaluated in its own trajectory segment."""
+def separation_at_reference(params, seq, t, step=classical_step_reference):
+    """x_plus(t) - x_minus(t), each centre evaluated in its own trajectory segment, the
+    segment starts moved by ``step``."""
     centres = []
     for spin in (+1, -1):
-        breakpoints, accels = classical_trajectory_reference(params, seq, spin)
+        breakpoints, accels = classical_trajectory_reference(params, seq, spin, step=step)
         times = [b[0] for b in breakpoints]
         if not times[0] <= t <= times[-1]:
             raise ValueError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")

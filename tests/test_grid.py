@@ -38,13 +38,14 @@ from nanoramsey.grid import (
     oracle_phase,
     scale_params,
     snapshot_frames,
+    snapshot_grid,
     split_step_evolve,
     splitting_phase,
 )
 from nanoramsey.params import build_params
 from conftest import PAPER_CONFIG
-from oracles import (evolve_branches, flight_reference, reference_branch, sampled_trajectory,
-                     sector_action_phases)
+from oracles import (classical_walk_reference, evolve_branches, flight_reference, reference_branch,
+                     sampled_trajectory, sector_action_phases)
 from test_dynamics import DESK_SETS
 
 
@@ -697,6 +698,41 @@ class TestWalkAgainstSampledCentres:
                     evolve_branch_on_grid(scaled, edged, spins, *start, until=horizon)
             else:
                 evolve_branch_on_grid(scaled, edged, spins, *start, until=horizon)
+
+
+class TestSizingKeepsItsBits:
+    """The grid's sizing against the walk's older classical arithmetic
+    (``oracles.classical_walk_reference``), from which the one walk's step differs by ulps:
+    ``n_points`` never moves and a domain edge by at most 2 ulps; the grids the commands
+    run keep every bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(DESK_SETS, FLIPS, JITTER, st.sampled_from([(1, -1), (2, -2, 1, -1, 0), (0,), (1, 0)]), STARTS)
+    def test_points_fixed_and_edges_within_two_ulps(self, desk_set, flips, jitter, spins, start):
+        _, _, scaled, spec = drawn_flight(desk_set, flips, jitter, spins, start)
+        with mock.patch.object(grid, "_walk", classical_walk_reference):
+            old = auto_grid(scaled, spin_values=spins, center=start[0], momentum=start[1])
+        assert (spec.n_points, spec.steps_per_segment) == (old.n_points, old.steps_per_segment)
+        for edge, was in ((spec.x_min, old.x_min), (spec.x_max, old.x_max)):
+            assert abs(edge - was) <= 2.0 * math.ulp(was)
+
+    #: (n_points, x_min, x_max) of each certify desk set's grid, recorded from the older walk
+    CERTIFY_GRIDS = {
+        "desk-a": (256, "-0x1.22950be6212aep+5", "0x1.1376539435a5cp+5"),
+        "desk-b": (256, "-0x1.382ea57fbac47p+5", "0x1.0e02c2c18ee1bp+5"),
+        "desk-c": (256, "-0x1.4b3bb5bacd399p+5", "0x1.41418071d3045p+5"),
+    }
+
+    @pytest.mark.parametrize("label", list(CERTIFY_DESK))
+    def test_certify_grids(self, label):
+        params, seq = desk_scale_params(*CERTIFY_DESK[label])
+        spec = auto_grid(scale_params(params, seq))
+        assert (spec.n_points, spec.x_min.hex(), spec.x_max.hex()) == self.CERTIFY_GRIDS[label]
+
+    def test_snapshot_grid(self):
+        spec = snapshot_grid(build_params(SNAPSHOT_CONFIG), PulseSequence.balanced(SNAPSHOT_CONFIG["t3"]))
+        assert (spec.n_points, spec.x_min.hex(), spec.x_max.hex()) == (
+            2048, "-0x1.22b995651d3b5p+5", "0x1.12fa2394b234cp+5")
 
 
 class TestSnapshots:
