@@ -7,6 +7,7 @@ annotate discrepancies in the report notes, never as inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from .constants import AMU, HBAR, K_BOLTZMANN, LIGHT_SPEED, MU_BOHR
@@ -106,7 +107,7 @@ class BudgetReport:
     def all_pass(self) -> bool:
         return self.resolvability_pass and self.closure_pass
 
-    def to_json(self, metadata: dict | None = None) -> list[bytes]:
+    def to_json(self, metadata: dict | None = None) -> Iterator[bytes]:
         """The report as ``io.json_document`` pieces, ``metadata`` under its own key."""
         payload = asdict(self)
         if metadata is not None:

@@ -8,16 +8,18 @@ or certification failure. The command line is read in one pass by ``parse_args``
 from the ``COMMANDS`` table; no parser object is built, and neither argparse nor
 the gettext and locale modules it pulls in are imported.
 
-Every document is a list of ``bytes`` pieces (see ``io``), written in order in
-binary, to ``--out`` or to ``sys.stdout.buffer``: never joined, decoded or
-encoded whole, and with no newline translation. A sweep's physics runs
-``SWEEP_BLOCK`` points at a time.
+Every document is an iterable of ``bytes`` pieces (see ``io``), written in
+binary as the pieces are made, to ``--out`` or to ``sys.stdout.buffer``: never
+joined, decoded or encoded whole, and with no newline translation. A sweep's
+physics runs ``SWEEP_BLOCK`` points at a time, and all of it before the first
+byte is written, so a sweep that fails writes nothing.
 """
 from __future__ import annotations
 
 import gc
 import math
 import sys
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +28,8 @@ from . import __version__
 from .budget import budget_report
 from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surface_to_json, visibility_surface
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
-from .dynamics import (PulseSequence, branch_overlap, evolve_sequence, gravitational_phase, initial_state,
-                       max_separation, ramsey_probability)
+from .dynamics import (PulseSequence, branch_overlap, flight_from_rest, gravitational_phase, max_separation,
+                       ramsey_probability)
 from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
 from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
@@ -86,7 +88,7 @@ def _metadata(command: str, cfg_text: str, seed) -> dict:
 
 
 def _write(args, pieces):
-    """Write a document's byte pieces in order, to ``--out`` or to stdout.
+    """Write a document's byte pieces as they are made, to ``--out`` or to stdout.
 
     A reader that closes stdout early, as ``| head`` does, ends the output but is no error: the
     rest goes to the null device, and the command exits as it would have.
@@ -105,17 +107,18 @@ def _write(args, pieces):
         os.close(devnull)
 
 
-def _point_outputs(params, seq) -> dict:
-    """Output columns of points that are all balanced, or all not."""
-    if all_of(seq.is_balanced()):
+def _point_outputs(params, seq, balanced: bool) -> dict:
+    """Output columns of points that are all ``balanced``, or all not."""
+    if balanced:
         phi = gravitational_phase(params, seq)
         vis = 1.0
+        separation = max_separation(params, seq)
     else:
-        ov = branch_overlap(params, evolve_sequence(params, seq, initial_state()))
+        final, separation = flight_from_rest(params, seq)
+        ov = branch_overlap(params, final)
         phi = -atan2(ov.imag, ov.real)
         vis = modulus(ov)
-    return {"phi_g_rad": phi, "p0": ramsey_probability(phi), "delta_x_max_m": max_separation(params, seq),
-            "visibility": vis}
+    return {"phi_g_rad": phi, "p0": ramsey_probability(phi), "delta_x_max_m": separation, "visibility": vis}
 
 
 def _numbers(text: str, flag: str, most: int) -> list[float]:
@@ -181,8 +184,9 @@ def _sweep_outputs(cfg: dict, name: str, values) -> dict:
     params = build_params(cfg_v)
     seq = _sequence_from_config(cfg_v)
     balanced = seq.is_balanced()
-    if all_of(balanced) or not any_of(balanced):
-        return _point_outputs(params, seq)
+    every = all_of(balanced)
+    if every or not any_of(balanced):
+        return _point_outputs(params, seq, every)
     parts = [(mask, _sweep_outputs(cfg, name, values[mask])) for mask in (balanced, ~balanced)]
     out = {}
     for column in OUTPUT_COLUMNS:
@@ -302,7 +306,7 @@ def _cmd_dicke(args) -> int:
     return EXIT_OK
 
 
-def _snapshots_json(frames, metadata: dict) -> list[bytes]:
+def _snapshots_json(frames, metadata: dict) -> Iterator[bytes]:
     """The frames as a JSON document's byte pieces, every number a fmt string."""
     return json_document({
         "frames": [{"prob_minus": fmt_cells(pm), "prob_plus": fmt_cells(pp), "time_s": fmt(t),

@@ -37,6 +37,7 @@ import math
 import os
 import sys
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -483,13 +484,13 @@ def visibility_surface(params: ExperimentParams, delta_x_range, t_int_range,
 
 # -- serialization -----------------------------------------------------------------
 
-def surface_to_csv(surface: VisibilitySurface) -> list[bytes]:
+def surface_to_csv(surface: VisibilitySurface) -> Iterator[bytes]:
     """Matrix CSV, as ``io.csv_text`` pieces: first row the T_int axis, first column the delta_x axis."""
     header = ["delta_x_m\\t_int_K", *map(fmt, surface.t_int_axis)]
     return csv_text(header, np.column_stack([surface.delta_x_axis, surface.visibility]))
 
 
-def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> list[bytes]:
+def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> Iterator[bytes]:
     """The surface as a JSON document of its float arrays, as ``io.json_document`` pieces; an
     empty ``metadata`` is left out."""
     payload = {"delta_x_m": surface.delta_x_axis, "flight_time_s": surface.flight_time,

@@ -148,6 +148,15 @@ def _walk(durations, forces, mass, x=0.0, p=0.0):
     return segments, (x, p)
 
 
+def _walks(params: ExperimentParams, durations, plus=(0.0, 0.0), minus=(0.0, 0.0)):
+    """(forces, walk) of each branch through ``durations`` of the flip sequence: the plus
+    branch from (x, p) ``plus`` on spin +1, the minus branch from ``minus`` on spin -1. The
+    two forces are formed once for both."""
+    up, down = branch_force(params, SpinBranch.PLUS), branch_force(params, SpinBranch.MINUS)
+    return [(forces, _walk(durations, forces, params.mass, *start))
+            for forces, start in (((up, down, up), plus), ((down, up, down), minus))]
+
+
 def _reach(x, v, a, tau):
     """(lowest, highest) value of x + v t + a t^2 / 2 over 0 <= t <= ``tau``, from
     both ends and from the vertex -v / a where it lies inside: the one vertex search."""
@@ -162,19 +171,31 @@ def _reach(x, v, a, tau):
     return lo, hi
 
 
-def _relative_segments(params: ExperimentParams, seq: PulseSequence):
-    """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation:
-    the difference of the two branches' :func:`_walk` from rest at the origin, each
-    ``duration`` the difference of consecutive accumulated starts."""
-    m, durations = params.mass, seq.segment_durations()
-    (plus, _), (minus, _) = (_walk(durations, [branch_force(params, s) for s in _spin_history(spin)], m)
-                             for spin in (SpinBranch.PLUS, SpinBranch.MINUS))
+def _separation_pieces(mass, durations, walks):
+    """Per-segment (start, duration, dx0, dv0, da) of the + minus - branch separation of
+    :func:`_walks`, each ``duration`` the difference of consecutive accumulated starts."""
+    (_, (plus, _)), (_, (minus, _)) = walks
     t, pieces = 0.0, []
     for tau, (xp, pp, ap), (xm, pm, am) in zip(durations, plus, minus):
         end = t + tau
-        pieces.append((t, end - t, xp - xm, (pp - pm) / m, ap - am))
+        pieces.append((t, end - t, xp - xm, (pp - pm) / mass, ap - am))
         t = end
     return pieces
+
+
+def _relative_segments(params: ExperimentParams, seq: PulseSequence):
+    """:func:`_separation_pieces` of the two branches' walks from rest at the origin."""
+    durations = seq.segment_durations()
+    return _separation_pieces(params.mass, durations, _walks(params, durations))
+
+
+def _peak(pieces):
+    """The exact maximum of |separation| over the segments ``pieces``."""
+    best = 0.0
+    for _, tau, dx0, dv0, da in pieces:
+        for sep in map(abs, _reach(dx0, dv0, da, tau)):
+            best = where(sep > best, sep, best)
+    return best
 
 
 def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -183,11 +204,7 @@ def max_separation(params: ExperimentParams, seq: PulseSequence) -> float:
     not all balanced, the exact maximum of the piecewise-quadratic separation, per segment."""
     if all_of(seq.is_balanced()):
         return 2.0 * (abs(params.spin_coupling()) / params.mass) * power(seq.t3 / 4.0, 2)
-    best = 0.0
-    for _, tau, dx0, dv0, da in _relative_segments(params, seq):
-        for sep in map(abs, _reach(dx0, dv0, da, tau)):
-            best = where(sep > best, sep, best)
-    return best
+    return _peak(_relative_segments(params, seq))
 
 
 # -- interferometric phase ----------------------------------------------------
@@ -231,26 +248,24 @@ def initial_state(x0: float = 0.0, p0: float = 0.0) -> CompositeState:
     return CompositeState(plus_branch=packet, minus_branch=packet)
 
 
-def _branch_end(params: ExperimentParams, durations, state: GaussianBranchState, spin) -> GaussianBranchState:
-    """``state`` moved through ``durations`` of the flip sequence from initial spin ``spin``: the
-    :func:`_walk`'s end, and the action phase summed from each segment's start (x, p),
-    S = p^2 tau / 2m + f x tau + f p tau^2 / m + f^2 tau^3 / 3m."""
-    m = params.mass
-    forces = [branch_force(params, s) for s in _spin_history(spin)]
-    segments, (x, p) = _walk(durations, forces, m, state.center, state.momentum)
-    phase = state.action_phase
-    for tau, f, (x0, p0, _) in zip(durations, forces, segments):
-        phase = phase + (p0 * p0 * tau / (2.0 * m) + f * x0 * tau + f * p0 * tau * tau / m
-                         + f * f * power(tau, 3) / (3.0 * m)) / HBAR
+def _branch_end(mass, durations, cubes, forces, walk, phase) -> GaussianBranchState:
+    """The branch at the end of ``walk`` under ``forces``: the walk's end (x, p), and ``phase``
+    plus the action over hbar summed from each segment's start (x, p) over ``durations``,
+    ``cubes`` their cubes: S = p^2 tau / 2m + f x tau + f p tau^2 / m + f^2 tau^3 / 3m."""
+    segments, (x, p) = walk
+    for tau, cube, f, (x0, p0, _) in zip(durations, cubes, forces, segments):
+        phase = phase + (p0 * p0 * tau / (2.0 * mass) + f * x0 * tau + f * p0 * tau * tau / mass
+                         + f * f * cube / (3.0 * mass)) / HBAR
     return GaussianBranchState(x, p, phase)
 
 
-def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: CompositeState) -> CompositeState:
-    """Evolve both branches through the flip sequence to t3 (exact closed forms):
-    the plus branch starts on spin +1, the minus branch on spin -1."""
-    durations = seq.segment_durations()
-    branches = [_branch_end(params, durations, initial.plus_branch, SpinBranch.PLUS),
-                _branch_end(params, durations, initial.minus_branch, SpinBranch.MINUS)]
+def _sequence_end(params: ExperimentParams, seq: PulseSequence, durations, walks,
+                  initial: CompositeState) -> CompositeState:
+    """The pair of ``initial`` at the end of its :func:`_walks`, each tau^3 formed once for
+    both branches; an action phase that overflows is refused."""
+    cubes = [power(tau, 3) for tau in durations]
+    branches = [_branch_end(params.mass, durations, cubes, forces, walk, state.action_phase)
+                for (forces, walk), state in zip(walks, (initial.plus_branch, initial.minus_branch))]
     bad = np.logical_not(np.isfinite(branches[0].action_phase) & np.isfinite(branches[1].action_phase))
     if any_of(bad):     # an action that overflows leaves the overlap phase inf - inf = NaN
         raise ValueError("mass, g_earth, g_nv, b_gradient and t3 overflow a branch's action phase S / hbar, "
@@ -259,6 +274,24 @@ def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: Compo
                          f"t3={first(bad, seq.t3)!r}")
     return CompositeState(branches[0], branches[1],
                           initial.spread_time + durations[0] + durations[1] + durations[2])
+
+
+def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: CompositeState) -> CompositeState:
+    """Evolve both branches through the flip sequence to t3 (exact closed forms):
+    the plus branch starts on spin +1, the minus branch on spin -1."""
+    durations = seq.segment_durations()
+    plus, minus = initial.plus_branch, initial.minus_branch
+    walks = _walks(params, durations, (plus.center, plus.momentum), (minus.center, minus.momentum))
+    return _sequence_end(params, seq, durations, walks, initial)
+
+
+def flight_from_rest(params: ExperimentParams, seq: PulseSequence):
+    """(``evolve_sequence(params, seq, initial_state())``, the piecewise peak separation that
+    :func:`max_separation` gives a sequence that is not balanced), from one walk per branch."""
+    durations = seq.segment_durations()
+    walks = _walks(params, durations)
+    return (_sequence_end(params, seq, durations, walks, initial_state()),
+            _peak(_separation_pieces(params.mass, durations, walks)))
 
 
 def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:

@@ -10,31 +10,33 @@ module does. The CLI never does arithmetic of its own; it formats library
 results, computed in order with no parallel runner.
 
 A float matrix, such as a sweep's table, is formatted in numpy by
-:func:`float_cells`, which writes exactly the bytes of ``f"{v:.11e}"``;
+:func:`_fill_cells` (through :func:`float_cells` or the row join), which
+writes exactly the bytes of ``f"{v:.11e}"``;
 docs/physics-notes.md ("Why the table bytes cannot move") gives the error
 bound that makes it exact. Every JSON document comes from
 :func:`json_document`: ``json.dumps(..., sort_keys=True, indent=1)`` of a
 payload whose numpy arrays, cell strings or floats, are laid out in numpy.
 
-Both the formatting and the row join work through a table in blocks of
-``_BLOCK_BYTES`` (64 KiB): 8192 float cells, or as many joined rows as fit.
-A whole-table temporary of a sweep is larger than glibc's 128 KiB mmap
-threshold, so each one would be mapped, faulted in page by page and
-unmapped again; a block's temporaries stay under it, and in cache, and
-reuse the same heap pages from block to block. Each cell depends on its
-own value alone and a row never spans two blocks, so the block size moves
-no byte.
+The row join works through a table in blocks of at most ``_BLOCK_BYTES``
+(64 KiB) of rows, and formats a float table 8192 cells a block into one reused
+word block on the way. A whole-table temporary of a sweep is larger than
+glibc's 128 KiB mmap threshold, so each one would be mapped, faulted in page
+by page and unmapped again; a block's buffers are made once per table and
+reused. Each cell depends on its own value alone and a row never spans two
+blocks, so the block size moves no byte.
 
 A document, from :func:`csv_text` or :func:`json_document` and so from every
-emitter built on them, is a list of ``bytes`` pieces whose concatenation is
-its UTF-8 text: each block of joined rows as the join leaves it, and each
-small piece around them encoded on its own. The caller writes the pieces in
-order to a binary stream; the document is never joined or decoded whole.
+emitter built on them, is an iterator of ``bytes`` pieces whose concatenation
+is its UTF-8 text: each block of joined rows as the join leaves it, and each
+small piece around them encoded on its own. The pieces are made as they are
+read, so the caller that writes them in order to a binary stream never holds
+the document, nor a table's formatted cells, whole.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def _words(strings) -> np.ndarray:
 
 
 # One cell is five words: [sign d0 . d1] [d2..d5] [d6..d9] [d10 d11 e sign] [exponent]
-_LEAD = _words(f"\0{i // 10}.{i % 10}" for i in range(100))
+_LEAD = _words(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100))
 _PAIR = np.array([f"{i:02d}".encode() for i in range(100)], dtype="S2").view("<u2").astype("<u4")
 _QUAD = (_PAIR[:, None] | _PAIR << 16).ravel()
 _TAIL = _words(f"{i % 100:02d}e{'+-'[i // 100]}" for i in range(200))
@@ -58,11 +60,12 @@ _EXPONENT = _words(f"{i:02d}" for i in range(_K + 1))
 CELL_WIDTH = 20                   # bytes per float cell; the longest is 19
 TIE_WINDOW = 1e-3                 # scaled values this close to a half go through f-strings
 
-#: Bytes per block of a table (8192 float cells, or as many joined rows as fit). Every
-#: temporary of a block stays under glibc's 128 KiB mmap threshold and in cache, so a
-#: table's temporaries reuse heap pages instead of being mapped, faulted in and unmapped
-#: once per table. Chosen by measurement: 16 KiB is about 10% slower on the sweep
-#: tables, and 100 KiB refaults about 2000 pages on the 30,000-point theta table.
+#: Bytes per block of a table: 8192 float cells are formatted at a time, and each joined
+#: piece holds at most this many bytes of rows. A block's temporaries stay in cache and its
+#: buffers are made once per table, so a sweep table faults in about 160 pages, not one
+#: mapping per whole-table temporary. Chosen by measurement: 16 KiB is about 10% slower on
+#: the sweep tables, and 100 KiB refaulted about 2000 pages on the 30,000-point theta table
+#: when the table was formatted whole.
 _BLOCK_BYTES = 64 << 10
 
 
@@ -88,37 +91,69 @@ def float_cells(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).ravel()
     words = np.empty((v.size, CELL_WIDTH // 4), "<u4")
     step = max(1, _BLOCK_BYTES // 8)
+    work = _work(min(step, v.size))
     for start in range(0, v.size, step):
-        _fill_cells(v[start:start + step], words[start:start + step])
+        _fill_cells(v[start:start + step], words[start:start + step], work)
     return words.view(np.uint8)
 
 
-def _fill_cells(v, words):
-    """:func:`float_cells` of the block ``v``, written into its (len(v), 5) ``words``."""
-    a = np.abs(v)
-    exact = (a >= 1e-280) & (a <= 1e280)
-    a[~exact] = 1.0
-    e, scaled = _decimal_scale(a)
-    mantissa = np.rint(scaled)
-    exact &= ((scaled >= 1e11) & (scaled < 1e12)
-              & (np.abs(scaled - mantissa) < 0.5 - TIE_WINDOW))
+def _work(size: int) -> np.ndarray:
+    """Scratch for :func:`_fill_cells` on blocks of up to ``size`` cells.
+
+    Made once and reused block by block, so that no block's temporaries are
+    freed at the top of the heap, where glibc would trim them and the next
+    block fault them in again (about 64 pages a block of the t1 sweep's table).
+    """
+    return np.empty((5, size))
+
+
+def _fill_cells(v, words, work):
+    """:func:`float_cells` of the block ``v``, written into its (len(v), 5) ``words``, with
+    ``work`` from :func:`_work` as scratch. Each word is looked up by ``np.take`` in place,
+    the lead word's table holding the sign, and ``x - (x // n) * n`` stands for ``x % n``,
+    which numpy does not vectorize."""
+    n = len(v)
+    a, scaled, digits, head, spare = (row[:n] for row in work)
+    digits, head, spare = digits.view(np.int64), head.view(np.int64), spare.view(np.int64)
+    e = work[4].view(np.int32)[:n]
+    np.abs(v, out=a)
+    exact = a >= 1e-280
+    exact &= a <= 1e280
+    np.copyto(a, 1.0, where=~exact)
+    _decimal_scale(a, scaled, e)
+    mantissa = np.rint(scaled, out=a)
+    exact &= scaled >= 1e11
+    exact &= scaled < 1e12
+    off = np.abs(np.subtract(scaled, mantissa, out=scaled), out=scaled)
+    exact &= off < 0.5 - TIE_WINDOW
     carry = mantissa == 1e12
-    mantissa[carry] = 1e11
+    np.copyto(mantissa, 1e11, where=carry)
     e += carry
-    hi, lo = np.divmod(mantissa.astype(np.int64), 10**6)
-    words[:, 0] = _LEAD[hi // 10**4] + np.signbit(v) * ord("-")
-    words[:, 1] = _QUAD[hi % 10**4]
-    words[:, 2] = _QUAD[lo // 100]
-    words[:, 3] = _TAIL[lo % 100 + 100 * (e < 0)]
-    words[:, 4] = _EXPONENT[np.abs(e)]
+    np.copyto(digits, mantissa, casting="unsafe")
+    product = scaled.view(np.int64)
+    rest = mantissa.view(np.int64)
+    np.floor_divide(digits, 10**6, out=head)                          # the first six digits
+    digits -= np.multiply(head, 10**6, out=product)                   # the last six
+    k = np.floor_divide(head, 10**4, out=product)
+    head -= np.multiply(k, 10**4, out=rest)
+    k += np.multiply(np.signbit(v), 100, out=rest)
+    np.take(_LEAD, k, mode="clip", out=words[:, 0])
+    np.take(_QUAD, head, mode="clip", out=words[:, 1])
+    k = np.floor_divide(digits, 100, out=product)
+    np.take(_QUAD, k, mode="clip", out=words[:, 2])
+    digits -= np.multiply(k, 100, out=rest)
+    digits += np.multiply(e < 0, 100, out=rest)
+    np.take(_TAIL, digits, mode="clip", out=words[:, 3])
+    np.take(_EXPONENT, np.abs(e, out=e), mode="clip", out=words[:, 4])
     slow = np.flatnonzero(~exact)
     if slow.size:
         slow_cells = np.array([f"{x:.11e}" for x in v[slow].tolist()], dtype=f"S{CELL_WIDTH}")
         words.view(np.uint8)[slow] = slow_cells.view(np.uint8).reshape(-1, CELL_WIDTH)
 
 
-def _decimal_scale(a):
-    """(e, a * 10**(11 - e)) for a in [1e-280, 1e280], e the decimal exponent of a.
+def _decimal_scale(a, scaled, e):
+    """Into ``e`` the decimal exponent of each a in [1e-280, 1e280], and into ``scaled``
+    a * 10**(11 - e).
 
     The scaled value carries two roundings, the table's and the product's:
     it is within 2**-52 (relative) of the exact a * 10**(11 - e), which lies
@@ -126,9 +161,13 @@ def _decimal_scale(a):
     when a is within an ulp of a power of ten.
     """
     # floor(log10(2**(E-1))) by 78913 / 2**18 ~ log10(2); the table corrects it by one
-    e = ((np.frexp(a)[1] - 1) * 78913) >> 18
-    e += a >= _POW10[e + (_K + 1)]
-    return e, a * _POW10[(_K + 11) - e]
+    np.frexp(a, out=(scaled, e))
+    e -= 1
+    e *= 78913
+    e >>= 18
+    e += a >= np.take(_POW10, e + (_K + 1), mode="clip", out=scaled)
+    np.take(_POW10, (_K + 11) - e, mode="clip", out=scaled)
+    scaled *= a
 
 
 def fmt_cells(values) -> np.ndarray:
@@ -138,72 +177,87 @@ def fmt_cells(values) -> np.ndarray:
     return float_cells(values).view(f"S{CELL_WIDTH}").reshape(values.shape)
 
 
-def _table_cells(rows) -> np.ndarray:
-    """A float matrix or row tuples by fmt's rules, as an (n, m) byte-string
-    array (empty if there are no rows): the matrix in one :func:`fmt_cells`
-    call, the tuples cell by cell."""
+def _table(rows) -> np.ndarray:
+    """A table's cells by fmt's rules: a float matrix as it is, formatted as it is written,
+    or row tuples cell by cell as an (n, m) byte-string array (empty if there are no rows)."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        return fmt_cells(rows)
+        return rows
     return np.array([[fmt(v) for v in row] for row in rows], dtype="S")
 
 
-def _join_rows(cells, prefix: str, sep: str, suffix: str, between: str = "") -> list[bytes]:
-    """prefix + cell + sep + cell ... + suffix for each row of an (n, m)
-    byte-string array, rows separated by ``between``, NULs dropped, as byte
-    pieces whose concatenation is the text.
+def _join_rows(table, prefix: str, sep: str, suffix: str, between: str = "") -> Iterator[bytes]:
+    """prefix + cell + sep + cell ... + suffix for each row of an (n, m) :func:`_table`, rows
+    separated by ``between``, NULs dropped, yielded as byte pieces whose concatenation is the
+    text.
 
-    The rows go through one reused buffer, ``_BLOCK_BYTES`` of rows at a
-    time, which holds the fixed bytes of each row once and takes each block's
-    cells into their slots; each block is one piece.
+    The rows go through one reused buffer, which holds the fixed bytes of each row once and
+    takes a block's cells into their slots: ``_BLOCK_BYTES // 8`` float cells, formatted into
+    one reused word block first, or ``_BLOCK_BYTES`` of byte-string rows. Each piece is at
+    most ``_BLOCK_BYTES`` of the buffer.
     """
-    if not cells.size:
-        return []
-    n, m = cells.shape
-    width = cells.dtype.itemsize
+    if not table.size:
+        return
+    n, m = table.shape
+    floats = table.dtype == np.float64
+    width = CELL_WIDTH if floats else table.dtype.itemsize
     # prefix, then m slots of (cell, sep) whose last sep is NUL, then the tail
     row = (prefix + sep.join(["\0" * width] * m) + "\0" * len(sep) + suffix + between).encode()
-    rows = max(1, min(n, _BLOCK_BYTES // len(row)))
+    piece = max(1, _BLOCK_BYTES // len(row))
+    rows = min(n, max(1, _BLOCK_BYTES // 8 // m) if floats else piece)
     buffer = np.tile(np.frombuffer(row, np.uint8), (rows, 1))
     slots = buffer[:, len(prefix):len(prefix) + m * (width + len(sep))]
     slots = slots.reshape(rows, m, width + len(sep))[:, :, :width]
-    columns = cells.view((np.uint8, (width,)))
-    blocks = []
+    if floats:
+        words = np.empty((rows * m, CELL_WIDTH // 4), "<u4")
+        cells = words.view(np.uint8).reshape(rows, m, CELL_WIDTH)
+        work = _work(rows * m)
     for start in range(0, n, rows):
-        block = columns[start:start + rows]
-        slots[:len(block)] = block
+        count = min(rows, n - start)
+        if floats:
+            _fill_cells(table[start:start + count].ravel(), words[:count * m], work)
+            slots[:count] = cells[:count]
+        else:
+            slots[:count] = table[start:start + count].view((np.uint8, (width,)))
         if start + rows >= n and between:
-            buffer[len(block) - 1, -len(between):] = 0
-        blocks.append(buffer[:len(block)].tobytes().translate(None, b"\0"))
-    return blocks
+            buffer[count - 1, -len(between):] = 0
+        for at in range(0, count, piece):
+            yield buffer[at:min(at + piece, count)].tobytes().translate(None, b"\0")
 
 
-def csv_text(header, rows) -> list[bytes]:
-    """The CSV document of a table, header line first, as byte pieces."""
-    return [(",".join(str(h) for h in header) + "\n").encode(),
-            *_join_rows(_table_cells(rows), "", ",", "\n")]
+def csv_text(header, rows) -> Iterator[bytes]:
+    """The CSV document of a table, header line first, as byte pieces made as they are read."""
+    yield (",".join(str(h) for h in header) + "\n").encode()
+    yield from _join_rows(_table(rows), "", ",", "\n")
 
 
-def json_table(header, rows, metadata: dict) -> list[bytes]:
+class _Cells:
+    """A :func:`_table` that :func:`json_document` writes as strings, formatted as it is written."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+
+def json_table(header, rows, metadata: dict) -> Iterator[bytes]:
     """JSON mirror of a CSV table: the same cells as strings, plus run metadata."""
-    return json_document({"columns": list(header), "rows": _table_cells(rows),
-                          "metadata": metadata})
+    return json_document({"columns": list(header), "rows": _Cells(_table(rows)), "metadata": metadata})
 
 
 _MARKER = "\0ndarray\0"          # json.dumps writes _PLACE where an array goes
 _PLACE = json.dumps(_MARKER)
 
 
-def json_document(payload) -> list[bytes]:
+def json_document(payload) -> Iterator[bytes]:
     """``json.dumps(payload, sort_keys=True, indent=1)`` with each ndarray
     written as json writes its ``tolist()``, at the depth of the line where
-    json put the array's marker, as byte pieces. Floats print as json prints
-    them; byte-string cells print as strings, verbatim but for their NULs, so
-    they must need no escaping, as :func:`fmt_cells` never does. A payload
-    string that json writes as the marker raises ValueError."""
+    json put the array's marker, as byte pieces made as they are read. Floats
+    print as json prints them; byte-string cells print as strings, verbatim but
+    for their NULs, so they must need no escaping, as :func:`fmt_cells` never
+    does. The payload is laid out at once: a payload string that json writes as
+    the marker raises ValueError here, not when the pieces are read."""
     arrays = []
 
     def place(obj):
-        if not isinstance(obj, np.ndarray):
+        if not isinstance(obj, (np.ndarray, _Cells)):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         arrays.append(obj)
         return _MARKER
@@ -211,30 +265,46 @@ def json_document(payload) -> list[bytes]:
     pieces = json.dumps(payload, sort_keys=True, indent=1, default=place).split(_PLACE)
     if len(pieces) != len(arrays) + 1:
         raise ValueError(f"a payload string reads as the array marker {_MARKER!r}")
-    parts = [pieces[0].encode()]
+    return _document_pieces(arrays, pieces)
+
+
+def _document_pieces(arrays, pieces) -> Iterator[bytes]:
+    """The json text ``pieces`` with each of ``arrays`` in the gap before the next piece."""
+    yield pieces[0].encode()
     for array, before, after in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
-        parts += [*_array_pieces(array, len(line) - len(line.lstrip(" "))), after.encode()]
-    return parts
+        yield from _array_pieces(array, len(line) - len(line.lstrip(" ")))
+        yield after.encode()
 
 
-def _array_pieces(a: np.ndarray, depth: int) -> list[bytes]:
-    """``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels deep."""
+def _array_pieces(a, depth: int) -> Iterator[bytes]:
+    """``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels deep; a
+    :class:`_Cells` table as its cells' strings."""
+    quoted = isinstance(a, _Cells)
+    if quoted:
+        a = a.table
     pad = " " * (depth + 1)
     if not len(a):
-        return [b"[]"]
+        yield b"[]"
+        return
     if a.ndim > 2 or not a.size:
-        pieces = [p for sub in a for p in ((",\n" + pad).encode(), *_array_pieces(sub, depth + 1))]
-        return [("[\n" + pad).encode(), *pieces[1:], ("\n" + pad[1:] + "]").encode()]
-    q = '"' if a.dtype.kind == "S" else ""
+        yield ("[\n" + pad).encode()
+        for i, sub in enumerate(a):
+            if i:
+                yield (",\n" + pad).encode()
+            yield from _array_pieces(_Cells(sub) if quoted else sub, depth + 1)
+        yield ("\n" + pad[1:] + "]").encode()
+        return
+    q = '"' if quoted or a.dtype.kind == "S" else ""
     if not q:
         spell = repr if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
         a = np.array(list(map(spell, a.ravel().tolist())), dtype="S").reshape(a.shape)
+    yield b"[\n"
     if a.ndim == 1:
-        rows = _join_rows(a[:, None], pad + q, "", q, ",\n")
+        yield from _join_rows(a[:, None], pad + q, "", q, ",\n")
     else:
-        rows = _join_rows(a, f"{pad}[\n {pad}{q}", f"{q},\n {pad}{q}", f"{q}\n{pad}]", ",\n")
-    return [b"[\n", *rows, ("\n" + pad[1:] + "]").encode()]
+        yield from _join_rows(a, f"{pad}[\n {pad}{q}", f"{q},\n {pad}{q}", f"{q}\n{pad}]", ",\n")
+    yield ("\n" + pad[1:] + "]").encode()
 
 
 def config_sha256(text: str) -> str:

@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +50,8 @@ def pointwise(fn, *args):
 # on Python floats and raises the class that call raises; a scalar argument
 # takes the scalar call itself. The array routes are C libm or IEEE basic
 # operations, never a numpy SIMD loop (docs/physics-notes.md, "Bit-identical
-# broadcasting"). numpy's exp and arctan2 are SIMD loops, so those two map libm.
+# broadcasting"). numpy's float exp and arctan2 are SIMD loops, so those two
+# run in its complex loops, whose parts are libm's exp and atan2.
 
 def _kernel(scalar, array, refused, error, message):
     """``scalar`` on scalars; on arrays ``array``, raising ``error(message)``
@@ -67,8 +67,37 @@ def _kernel(scalar, array, refused, error, message):
     return kernel
 
 
-exp = partial(pointwise, math.exp)
-atan2 = partial(pointwise, math.atan2)
+#: Above this glibc's cexp scales exp(x) through int arithmetic and its real part leaves libm
+#: exp's bits; up to it the real part of cexp(x + 0i) is exp(x) times cos(0) = 1.
+_CEXP_EXACT_MAX = 709.0
+
+
+def exp(x):
+    """``math.exp``: over arrays the real part of numpy's complex exp (C ``cexp``) up to
+    ``_CEXP_EXACT_MAX``, and ``math.exp`` element by element above it and on NaN, which
+    raises OverflowError where the scalar call does."""
+    if not _has_array(x):
+        return math.exp(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(x + 0j).real.copy()
+    rest = np.logical_not(x <= _CEXP_EXACT_MAX)
+    if rest.any():
+        out[rest] = pointwise(math.exp, x[rest])
+    return out
+
+
+def atan2(y, x):
+    """``math.atan2``: over arrays the imaginary part of numpy's complex log of x + iy, which
+    is C ``clog``'s libm ``atan2(y, x)``, signed zeros, infinities and NaN included."""
+    if not _has_array(y, x):
+        return math.atan2(y, x)
+    y, x = np.broadcast_arrays(y, x)
+    z = np.empty(x.shape, complex)
+    z.real, z.imag = x, y
+    with np.errstate(divide="ignore", invalid="ignore"):     # log(0) is -inf, raising divide
+        return np.log(z, out=z).imag.copy()
+
+
 cos = _kernel(math.cos, np.cos, lambda out, x: np.isinf(x), ValueError, "math domain error")
 sin = _kernel(math.sin, np.sin, lambda out, x: np.isinf(x), ValueError, "math domain error")
 sqrt = _kernel(math.sqrt, np.sqrt, lambda out, x: x < 0.0, ValueError, "math domain error")

@@ -19,14 +19,17 @@ fresh sweep cases are the ``sweep`` workload's; they also record the median
 minor page faults and system CPU seconds per command in ``extra_info``; the
 two in-process sweep cases record their median minor page faults there too. An
 emitter change shows in the fresh sweep cases: the in-process io cases
-below read the process's allocator state as much as the code. The io cases time the emitters alone on the ``sweep``
-workload's tables (the 30,000 x 4 theta CSV and the 20,000 x 5 t1 JSON), the
-float kernel on the theta table's 120,000 cells, and the ``oracle``
-workload's 4-frame ``dump-snapshots`` JSON. ``BENCH_sweep.json`` keeps the
-measured trajectory of these cases.
+below read the process's allocator state as much as the code. The io cases time the
+emitters alone on the ``sweep`` workload's tables (the 30,000 x 4 theta CSV and the
+20,000 x 5 t1 JSON), every piece read, since a document's pieces are made as they are
+read; the float kernel on the theta table's 120,000 cells; and the ``oracle``
+workload's 4-frame ``dump-snapshots`` JSON. The kernel cases time ``params.exp`` and
+``params.atan2`` on the arguments they get on the t1 command's first block.
+``BENCH_sweep.json`` keeps the measured trajectory of these cases.
 """
 import resource
 import statistics
+from collections import deque
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +38,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nanoramsey import cli
+from nanoramsey import cli, dynamics, params
 from nanoramsey.decoherence import (
     _channel_rate,
     _log_error_bound,
@@ -119,6 +122,34 @@ def test_max_separation_t1_block(benchmark):
     cfg = dict(parse_config_text(Path(CONFIG).read_text()), t1=t1)
     benchmark.pedantic(max_separation, args=(build_params(cfg), cli._sequence_from_config(cfg)),
                        rounds=200, iterations=1, warmup_rounds=5)
+
+
+@pytest.fixture(scope="module")
+def t1_block_kernel_arguments():
+    """The arguments of ``params.exp`` and ``params.atan2`` on the t1 command's first block
+    (cli.SWEEP_BLOCK points), recorded from one pass of the sweep."""
+    calls = {}
+    with pytest.MonkeyPatch.context() as patched:
+        for name in ("exp", "atan2"):
+            kernel = getattr(params, name)
+            def recorded(*args, _name=name, _kernel=kernel):
+                calls[_name] = args
+                return _kernel(*args)
+            for module in (params, dynamics, cli):
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        patched.setattr(module, attr, recorded)
+        cfg = parse_config_text(Path(CONFIG).read_text())
+        cli._sweep_outputs(cfg, "t1", np.linspace(2.495e-05, 2.505e-05, 20_000)[:cli.SWEEP_BLOCK])
+    return calls
+
+
+@pytest.mark.parametrize("name", ["exp", "atan2"])
+def test_kernel_t1_block(benchmark, t1_block_kernel_arguments, name):
+    """``params.exp`` (the overlap's modulus) or ``params.atan2`` (its phase) on one
+    cli.SWEEP_BLOCK block of the t1 command."""
+    benchmark.pedantic(getattr(params, name), args=t1_block_kernel_arguments[name], rounds=200,
+                       iterations=1, warmup_rounds=5)
 
 
 @pytest.fixture(scope="module")
@@ -219,16 +250,21 @@ def sweep_tables():
     return (["param_value", *outputs[:3]], theta), (["param_value", *outputs], t1)
 
 
+def _read(emitter, *args):
+    """Every piece of the document ``emitter`` makes: the pieces are made as they are read."""
+    deque(emitter(*args), maxlen=0)
+
+
 def test_io_csv_text_30k(benchmark, sweep_tables):
-    """csv_text on the 30,000 x 4 theta table."""
-    benchmark.pedantic(csv_text, args=sweep_tables[0], rounds=10, iterations=1,
+    """csv_text on the 30,000 x 4 theta table, every piece read."""
+    benchmark.pedantic(_read, args=(csv_text, *sweep_tables[0]), rounds=10, iterations=1,
                        warmup_rounds=1)
 
 
 def test_io_json_table_20k(benchmark, sweep_tables):
-    """json_table on the 20,000 x 5 t1 table."""
+    """json_table on the 20,000 x 5 t1 table, every piece read."""
     header, rows = sweep_tables[1]
-    benchmark.pedantic(json_table, args=(header, rows, {"command": "sweep"}), rounds=10,
+    benchmark.pedantic(_read, args=(json_table, header, rows, {"command": "sweep"}), rounds=10,
                        iterations=1, warmup_rounds=1)
 
 
@@ -243,5 +279,5 @@ def test_io_snapshots_json_4_frames(benchmark):
     cfg = parse_config_text(Path(SNAPSHOT_CONFIG).read_text())
     frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg),
                              [0.25, 0.5, 0.75, 1.0])
-    benchmark.pedantic(cli._snapshots_json, args=(frames, {"command": "dump-snapshots"}),
+    benchmark.pedantic(_read, args=(cli._snapshots_json, frames, {"command": "dump-snapshots"}),
                        rounds=10, iterations=1, warmup_rounds=1)

@@ -36,7 +36,8 @@ argparse parser it replaced, kept here unchanged as the reference.
 Four compositions of package routines that no command runs live here too,
 beside the claims the tests make with them; unlike the routes above, they
 call the code under test. ``evolve_branches`` moves a branch pair with any
-initial spins to any horizon through the package's ``dynamics._branch_end``, and
+initial spins to any horizon through the package's ``dynamics._walk`` and
+``dynamics._branch_end``, and
 at its defaults equals ``evolve_sequence`` bit for bit;
 ``separation_time_integral`` sums the separation pieces of
 ``dynamics._relative_segments``; ``dephasing_exposures`` returns the
@@ -123,8 +124,12 @@ def evolve_branches(params, seq, initial, spins=(1, -1), until=None):
         if all_of(idle):
             break
         durations.append(where(idle, 0.0, stop - start))
-    branches = [dynamics._branch_end(params, durations, state, spin)
-                for state, spin in zip((initial.plus_branch, initial.minus_branch), spins)]
+    cubes = [power(tau, 3) for tau in durations]
+    branches = []
+    for state, spin in zip((initial.plus_branch, initial.minus_branch), spins):
+        forces = [branch_force(params, s) for s in _spin_history(spin)]
+        walk = dynamics._walk(durations, forces, params.mass, state.center, state.momentum)
+        branches.append(dynamics._branch_end(params.mass, durations, cubes, forces, walk, state.action_phase))
     clock = initial.spread_time
     for tau in durations:
         clock = clock + tau
@@ -689,6 +694,7 @@ def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
 
 def joined(pieces) -> str:
     """A document's byte pieces, as ``io`` emitters return them, as its text."""
+    pieces = list(pieces)
     assert all(type(piece) is bytes for piece in pieces)
     return b"".join(pieces).decode("utf-8")
 

@@ -622,6 +622,45 @@ def test_command_loads_no_argparse_or_locale(tmp_path):
     assert json.loads(child.stdout) == [] and (tmp_path / "budget.txt").read_text()
 
 
+#: Runs ``main`` on its arguments and writes the exit code and the minor page faults that
+#: ``main`` took (RUSAGE_SELF) to stderr.
+_MAIN_FAULTS = """
+import resource, sys
+from nanoramsey import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before}")
+"""
+PAPER_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "paper.cfg")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--param", "theta", "--start", "0.0", "--stop", "1.5", "--count", "30000", "--out", "theta.csv"),
+    ("--param", "t1", "--start", "2.495e-05", "--stop", "2.505e-05", "--count", "20000", "--format", "json"),
+], ids=["theta-csv-file", "t1-json-stdout"])
+def test_sweep_faults_in_no_whole_table(tmp_path, argv):
+    """The benchmark's two sweeps in a fresh interpreter stay under 1200 minor faults in
+    ``main``: the document is written as its 64 KiB pieces are made, and the formatter's
+    scratch is reused block by block, so neither the formatted table (3 MB on theta) nor
+    the document is ever faulted in whole. Measured 392 (theta) and 588 (t1), against
+    1653 and 1374 when each document was built whole."""
+    child = _child("-c", _MAIN_FAULTS, "sweep", "--config", PAPER_CFG, *argv, cwd=tmp_path)
+    code, faults = map(int, child.stderr.split())
+    assert code == cli.EXIT_OK
+    assert len(child.stdout or (tmp_path / "theta.csv").read_bytes()) > 2_500_000
+    assert faults < 1200
+
+
+def test_sweep_whose_last_block_fails_writes_nothing():
+    """All of a sweep's physics runs before its first byte is written: t1 runs past t2 in
+    the last of three blocks, and stdout stays empty."""
+    child = _child("-m", "nanoramsey.cli", "sweep", "--config", PAPER_CFG, "--param", "t1",
+                   "--start", "1e-06", "--stop", "7.6e-05", "--count", "9000")
+    assert child.returncode == cli.EXIT_VALIDATION
+    assert child.stderr.startswith(b"error: pulse times must satisfy 0 < t1 < t2 < t3")
+    assert child.stdout == b""
+
+
 @pytest.mark.parametrize("lines", [1, 0], ids=["head-1", "unread"])
 def test_reader_that_closes_stdout_early(config, lines):
     """``nanoramsey sweep ... | head -1``: the reader closes the pipe with most of the 2.7 MB

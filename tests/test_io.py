@@ -154,7 +154,8 @@ class TestDecimalScale:
                             np.nextafter(decades, math.inf),
                             *(decades * rng.uniform(1.0, 10.0, decades.size) for _ in range(6))])
         a = a[(a >= 1e-280) & (a <= 1e280)]
-        e, scaled = _decimal_scale(a)
+        scaled, e = np.empty_like(a), np.empty(a.shape, np.int32)
+        _decimal_scale(a, scaled, e)
         bound = Fraction(1, 2**52)
         for ai, ei, si in zip(a.tolist(), e.tolist(), scaled.tolist()):
             t = Fraction(ai) * Fraction(10) ** (11 - ei)

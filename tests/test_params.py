@@ -350,6 +350,26 @@ class TestArrayKernels:
             "polar": {OverflowError, ValueError}, "ramsey_probability": {ValueError},
         }.get(name, set())
 
+    def test_exp_above_the_cexp_threshold(self):
+        # glibc's cexp scales exp(x) through int arithmetic above 709, where its real part
+        # leaves libm's bits on about 30% of inputs; math.exp takes those elements
+        largest = math.log(1.7976931348623157e308)
+        band = np.linspace(params._CEXP_EXACT_MAX, largest, 200_001)
+        band = np.concatenate([band, np.nextafter(band, math.inf), [709.79, 710.0, 1e3, 1e300, math.inf]])
+        assert assert_kernel_matches_scalar("exp", (band,)) == {OverflowError}
+        finite = band[(band > params._CEXP_EXACT_MAX) & (band <= largest)]
+        cexp = np.exp(finite + 0j).real
+        assert np.count_nonzero(cexp != np.array([math.exp(x) for x in finite.tolist()])) > 1000
+        for x in (np.nextafter(largest, math.inf), 709.79, 710.0, 1e300):
+            with pytest.raises(OverflowError):
+                params.exp(np.array([0.0, x]))
+
+    def test_atan2_signed_zeros_infinities_and_nan(self):
+        special = np.array([0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0, 1e308, math.inf, math.nan])
+        special = np.concatenate([special, -special])
+        y, x = np.meshgrid(special, special)
+        assert assert_kernel_matches_scalar("atan2", (y.ravel(), x.ravel())) == set()
+
     def test_square(self):
         # numpy squares by multiplying, which misses pow(x, 2) on about 0.1% of inputs
         assert_kernel_matches_scalar("power", (edge_values(1 << 20, 4), 2))
@@ -392,3 +412,42 @@ class TestArrayKernels:
         assert {key[0] for key in sweep_arguments} == set(KERNELS)
         for (name, *rest), arrays in sweep_arguments.items():
             assert assert_kernel_matches_scalar(name, (*arrays, *rest)) == set()
+
+
+def test_exp_and_atan2_are_libm_on_benchmark_sweeps(monkeypatch):
+    """The t1 sweep bytes rest on numpy's complex exp and log having libm's exp and
+    atan2 as their parts (``params.exp``, ``params.atan2``). Check every element those
+    two return in the benchmark's t1 sweeps, all 8 input variants, against ``math.exp``
+    and ``math.atan2``, so a numpy build that breaks it fails here by name rather than
+    in a golden byte."""
+    workloads = load_perfbench("workloads")
+    counts = {}
+
+    def checked(name, kernel, op):
+        def wrapped(*args):
+            out = kernel(*args)
+            arrays = [a.ravel().tolist() for a in np.broadcast_arrays(*args)]
+            libm = np.fromiter(map(op, *arrays), float, out.size)
+            checked_, differ = counts.get(name, (0, 0))
+            counts[name] = (checked_ + out.size,
+                            differ + int(np.count_nonzero(out.view(np.uint64) != libm.view(np.uint64))))
+            return out
+        return wrapped
+
+    for name, op in (("exp", math.exp), ("atan2", math.atan2)):
+        kernel = getattr(params, name)
+        wrapped = checked(name, kernel, op)
+        for module in (params, dynamics, cli):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, wrapped)
+    for seed in range(workloads.VARIANTS):
+        for cmd in workloads.commands("sweep", seed):
+            args = cli.parse_args(cmd.argv)
+            if args.param != "t1":
+                continue
+            cfg = parse_config_text((ROOT / args.config).read_text())
+            rows = cli._sweep_rows(cfg, args.param, cli._sweep_values(args), list(cli.OUTPUT_COLUMNS))
+            assert isinstance(rows, np.ndarray)     # every point went through the array kernels
+    points = workloads.VARIANTS * 20_000
+    assert counts == {"exp": (points, 0), "atan2": (points, 0)}
