@@ -32,7 +32,7 @@ from .dynamics import (PulseSequence, branch_overlap, flight_from_rest, gravitat
                        ramsey_probability)
 from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
-from .io import config_sha256, csv_text, fmt, fmt_cells, json_document, json_table
+from .io import Cells, config_sha256, csv_text, fmt, json_document, json_table
 from .params import (PARAM_KEYS, ConfigError, all_of, any_of, atan2, build_params, modulus, number,
                      parse_config_text)
 
@@ -139,7 +139,11 @@ def _numbers(text: str, flag: str, most: int) -> list[float]:
 
 
 def _sweep_values(args):
-    if args.values:
+    if args.values is not None:
+        ranged = [flag for flag, given in (("--start", args.start is not None), ("--stop", args.stop is not None),
+                                           ("--count", args.count != 0), ("--log", args.log)) if given]
+        if ranged:
+            raise ConfigError(f"--values takes no range flags, got {', '.join(ranged)}")
         vals = _numbers(args.values, "--values", MAX_SWEEP_POINTS)
         bad = [v for v in vals if not math.isfinite(v)]
         if bad:
@@ -309,8 +313,8 @@ def _cmd_dicke(args) -> int:
 def _snapshots_json(frames, metadata: dict) -> Iterator[bytes]:
     """The frames as a JSON document's byte pieces, every number a fmt string."""
     return json_document({
-        "frames": [{"prob_minus": fmt_cells(pm), "prob_plus": fmt_cells(pp), "time_s": fmt(t),
-                    "x": fmt_cells(x)} for t, x, pp, pm in frames],
+        "frames": [{"prob_minus": Cells(pm), "prob_plus": Cells(pp), "time_s": fmt(t), "x": Cells(x)}
+                   for t, x, pp, pm in frames],
         "metadata": metadata,
     })
 

@@ -7,23 +7,18 @@ exact), so identical inputs produce byte-identical CSV and JSON:
 ``decoherence.surface_to_csv``. ``decoherence.surface_to_json`` and
 ``budget.BudgetReport.to_json`` write float ``repr`` instead, as the json
 module does. The CLI never does arithmetic of its own; it formats library
-results, computed in order with no parallel runner.
+results.
 
-A float matrix, such as a sweep's table, is formatted in numpy by
-:func:`_fill_cells` (through :func:`float_cells` or the row join), which
-writes exactly the bytes of ``f"{v:.11e}"``;
-docs/physics-notes.md ("Why the table bytes cannot move") gives the error
-bound that makes it exact. Every JSON document comes from
-:func:`json_document`: ``json.dumps(..., sort_keys=True, indent=1)`` of a
-payload whose numpy arrays, cell strings or floats, are laid out in numpy.
+Every float cell is formatted by :func:`_fill_cells`, which only the row join
+:func:`_join_rows` calls, into exactly the bytes of ``f"{v:.11e}"``;
+docs/physics-notes.md ("Why the table bytes cannot move") gives the error bound
+that makes it exact. Every JSON document comes from :func:`json_document`:
+``json.dumps(..., sort_keys=True, indent=1)`` of a payload whose numpy arrays
+and :class:`Cells` tables of fmt strings are laid out in numpy.
 
-The row join works through a table in blocks of at most ``_BLOCK_BYTES``
-(64 KiB) of rows, and formats a float table 8192 cells a block into one reused
-word block on the way. A whole-table temporary of a sweep is larger than
-glibc's 128 KiB mmap threshold, so each one would be mapped, faulted in page
-by page and unmapped again; a block's buffers are made once per table and
-reused. Each cell depends on its own value alone and a row never spans two
-blocks, so the block size moves no byte.
+The row join works through a table in blocks of at most ``_BLOCK_BYTES`` of
+rows, formatting a float table on the way. Each cell depends on its own value
+alone and a row never spans two blocks, so the block size moves no byte.
 
 A document, from :func:`csv_text` or :func:`json_document` and so from every
 emitter built on them, is an iterator of ``bytes`` pieces whose concatenation
@@ -78,40 +73,16 @@ def fmt(value) -> str:
     return f"{float(value):.11e}"
 
 
-def float_cells(values) -> np.ndarray:
-    """The bytes of ``f"{v:.11e}"`` for each float, as an (n, CELL_WIDTH) uint8 matrix.
-
-    Each row holds one cell, NUL-padded. The decimal exponent comes from
-    ``frexp``; the value is scaled into [1e11, 1e12) by a correctly rounded
-    power of ten and rounded to the 12-digit mantissa. A cell whose scaled
-    value lies within ``TIE_WINDOW`` of a half, or that is zero, non-finite
-    or outside [1e-280, 1e280], is formatted by ``f"{v:.11e}"`` itself. The
-    cells are filled ``_BLOCK_BYTES // 8`` at a time.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    words = np.empty((v.size, CELL_WIDTH // 4), "<u4")
-    step = max(1, _BLOCK_BYTES // 8)
-    work = _work(min(step, v.size))
-    for start in range(0, v.size, step):
-        _fill_cells(v[start:start + step], words[start:start + step], work)
-    return words.view(np.uint8)
-
-
-def _work(size: int) -> np.ndarray:
-    """Scratch for :func:`_fill_cells` on blocks of up to ``size`` cells.
-
-    Made once and reused block by block, so that no block's temporaries are
-    freed at the top of the heap, where glibc would trim them and the next
-    block fault them in again (about 64 pages a block of the t1 sweep's table).
-    """
-    return np.empty((5, size))
-
-
 def _fill_cells(v, words, work):
-    """:func:`float_cells` of the block ``v``, written into its (len(v), 5) ``words``, with
-    ``work`` from :func:`_work` as scratch. Each word is looked up by ``np.take`` in place,
-    the lead word's table holding the sign, and ``x - (x // n) * n`` stands for ``x % n``,
-    which numpy does not vectorize."""
+    """The bytes of ``f"{x:.11e}"`` for each float x of the block ``v``, NUL-padded, into its
+    (len(v), 5) ``words``, with the float array ``work``, (5, len(v)) or wider, as scratch.
+
+    The decimal exponent comes from ``frexp``; the value is scaled into [1e11, 1e12) by a
+    correctly rounded power of ten and rounded to the 12-digit mantissa. A cell whose scaled
+    value lies within ``TIE_WINDOW`` of a half, or that is zero, non-finite or outside
+    [1e-280, 1e280], is formatted by ``f"{x:.11e}"`` itself. Each word is looked up by
+    ``np.take`` in place, the lead word's table holding the sign, and ``x - (x // n) * n``
+    stands for ``x % n``, which numpy does not vectorize."""
     n = len(v)
     a, scaled, digits, head, spare = (row[:n] for row in work)
     digits, head, spare = digits.view(np.int64), head.view(np.int64), spare.view(np.int64)
@@ -170,13 +141,6 @@ def _decimal_scale(a, scaled, e):
     scaled *= a
 
 
-def fmt_cells(values) -> np.ndarray:
-    """``fmt`` of each float as a byte string (a NUL-padded :func:`float_cells`
-    row), in an array of the values' shape."""
-    values = np.asarray(values, dtype=np.float64)
-    return float_cells(values).view(f"S{CELL_WIDTH}").reshape(values.shape)
-
-
 def _table(rows) -> np.ndarray:
     """A table's cells by fmt's rules: a float matrix as it is, formatted as it is written,
     or row tuples cell by cell as an (n, m) byte-string array (empty if there are no rows)."""
@@ -210,7 +174,10 @@ def _join_rows(table, prefix: str, sep: str, suffix: str, between: str = "") -> 
     if floats:
         words = np.empty((rows * m, CELL_WIDTH // 4), "<u4")
         cells = words.view(np.uint8).reshape(rows, m, CELL_WIDTH)
-        work = _work(rows * m)
+        # _fill_cells' scratch, made once and reused: blocks that freed their temporaries at the
+        # top of the heap would have glibc trim them and the next block fault them in again
+        # (about 64 pages a block of the t1 sweep's table)
+        work = np.empty((5, rows * m))
     for start in range(0, n, rows):
         count = min(rows, n - start)
         if floats:
@@ -230,16 +197,17 @@ def csv_text(header, rows) -> Iterator[bytes]:
     yield from _join_rows(_table(rows), "", ",", "\n")
 
 
-class _Cells:
-    """A :func:`_table` that :func:`json_document` writes as strings, formatted as it is written."""
+class Cells:
+    """A table, as :func:`_table` takes it, that :func:`json_document` writes as fmt strings,
+    formatted as it is written: a float vector as a list, a matrix as a list of rows."""
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
+    def __init__(self, table):
+        self.table = _table(table)
 
 
 def json_table(header, rows, metadata: dict) -> Iterator[bytes]:
     """JSON mirror of a CSV table: the same cells as strings, plus run metadata."""
-    return json_document({"columns": list(header), "rows": _Cells(_table(rows)), "metadata": metadata})
+    return json_document({"columns": list(header), "rows": Cells(rows), "metadata": metadata})
 
 
 _MARKER = "\0ndarray\0"          # json.dumps writes _PLACE where an array goes
@@ -250,15 +218,20 @@ def json_document(payload) -> Iterator[bytes]:
     """``json.dumps(payload, sort_keys=True, indent=1)`` with each ndarray
     written as json writes its ``tolist()``, at the depth of the line where
     json put the array's marker, as byte pieces made as they are read. Floats
-    print as json prints them; byte-string cells print as strings, verbatim but
-    for their NULs, so they must need no escaping, as :func:`fmt_cells` never
-    does. The payload is laid out at once: a payload string that json writes as
-    the marker raises ValueError here, not when the pieces are read."""
+    print as json prints them; a :class:`Cells` table prints as its fmt
+    strings, which need no escaping. The payload is laid out at once: an array
+    that is not 1-D or 2-D, a 2-D array whose rows are empty, and a bare array
+    of anything but numbers raise TypeError here, and a payload string that json
+    writes as the marker raises ValueError, not when the pieces are read."""
     arrays = []
 
     def place(obj):
-        if not isinstance(obj, (np.ndarray, _Cells)):
+        a = obj.table if isinstance(obj, Cells) else obj
+        if not isinstance(a, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if a.ndim not in (1, 2) or len(a) and not a.size or a is obj and a.dtype.kind not in "biuf":
+            raise TypeError(f"cannot write a {a.dtype} array of shape {a.shape}: only 1-D and 2-D "
+                            "arrays of numbers, with cells in each row, or Cells")
         arrays.append(obj)
         return _MARKER
 
@@ -278,27 +251,18 @@ def _document_pieces(arrays, pieces) -> Iterator[bytes]:
 
 
 def _array_pieces(a, depth: int) -> Iterator[bytes]:
-    """``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels deep; a
-    :class:`_Cells` table as its cells' strings."""
-    quoted = isinstance(a, _Cells)
-    if quoted:
+    """A 1-D or 2-D ``a.tolist()`` as ``json.dumps(indent=1)`` writes it ``depth`` levels
+    deep; a :class:`Cells` table as its cells' strings."""
+    q = '"' if isinstance(a, Cells) else ""
+    if q:
         a = a.table
-    pad = " " * (depth + 1)
     if not len(a):
         yield b"[]"
         return
-    if a.ndim > 2 or not a.size:
-        yield ("[\n" + pad).encode()
-        for i, sub in enumerate(a):
-            if i:
-                yield (",\n" + pad).encode()
-            yield from _array_pieces(_Cells(sub) if quoted else sub, depth + 1)
-        yield ("\n" + pad[1:] + "]").encode()
-        return
-    q = '"' if quoted or a.dtype.kind == "S" else ""
     if not q:
         spell = repr if a.dtype.kind == "f" and np.isfinite(a).all() else json.dumps
         a = np.array(list(map(spell, a.ravel().tolist())), dtype="S").reshape(a.shape)
+    pad = " " * (depth + 1)
     yield b"[\n"
     if a.ndim == 1:
         yield from _join_rows(a[:, None], pad + q, "", q, ",\n")

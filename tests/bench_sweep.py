@@ -22,7 +22,8 @@ emitter change shows in the fresh sweep cases: the in-process io cases
 below read the process's allocator state as much as the code. The io cases time the
 emitters alone on the ``sweep`` workload's tables (the 30,000 x 4 theta CSV and the
 20,000 x 5 t1 JSON), every piece read, since a document's pieces are made as they are
-read; the float kernel on the theta table's 120,000 cells; and the ``oracle``
+read; the float kernel, through the CSV of the theta table's 120,000 cells as one
+column; and the ``oracle``
 workload's 4-frame ``dump-snapshots`` JSON. The kernel cases time ``params.exp`` and
 ``params.atan2`` on the arguments they get on the t1 command's first block.
 ``BENCH_sweep.json`` keeps the measured trajectory of these cases.
@@ -57,7 +58,7 @@ from nanoramsey.dynamics import (
     ramsey_probability,
 )
 from nanoramsey.grid import snapshot_frames
-from nanoramsey.io import csv_text, float_cells, json_table
+from nanoramsey.io import csv_text, json_table
 from nanoramsey.params import build_params, parse_config_text
 
 CONFIG = "perfbench/configs/paper.cfg"
@@ -268,10 +269,12 @@ def test_io_json_table_20k(benchmark, sweep_tables):
                        iterations=1, warmup_rounds=1)
 
 
-def test_io_float_cells_120k(benchmark, sweep_tables):
-    """The float kernel on the theta table's 120,000 cells."""
-    values = np.array(sweep_tables[0][1]).ravel()
-    benchmark.pedantic(float_cells, args=(values,), rounds=10, iterations=1, warmup_rounds=1)
+def test_io_csv_column_120k(benchmark, sweep_tables):
+    """The float kernel: csv_text of the theta table's 120,000 cells as one column, every
+    piece read."""
+    column = np.array(sweep_tables[0][1]).reshape(-1, 1)
+    benchmark.pedantic(_read, args=(csv_text, ["v"], column), rounds=10, iterations=1,
+                       warmup_rounds=1)
 
 
 def test_io_snapshots_json_4_frames(benchmark):

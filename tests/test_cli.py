@@ -216,6 +216,23 @@ class TestNonFiniteInputs:
         assert rc == cli.EXIT_VALIDATION and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--values", "0.1,0.2", "--start", "0", "--stop", "1", "--count", "5", "--log"],
+         "--start, --stop, --count, --log"),
+        (["--values", "0.1,0.2", "--start", "0"], "--start"),
+        (["--values", "0.1,0.2", "--stop", "1"], "--stop"),
+        (["--values", "0.1,0.2", "--count", "5"], "--count"),
+        (["--values", "0.1,0.2", "--log"], "--log"),
+        (["--values", "", "--start", "0", "--stop", "1", "--count", "3"], "--start, --stop, --count"),
+    ], ids=["all", "start", "stop", "count", "log", "empty-values"])
+    def test_values_with_range_flags_refused(self, capsys, tmp_path, flags, named, monkeypatch):
+        """--values next to a range flag is refused by name, not run with either dropped."""
+        monkeypatch.setattr(cli, "_sweep_rows", lambda *args: pytest.fail("a point ran"))
+        rc = cli.main(["sweep", "--config", write_config(tmp_path), "--param", "theta", *flags])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: --values takes no range flags, got {named}\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--tint-max=-5"], "--tint-max must be >= 0, got -5.0"),
         (["--tint-min=-5"], "--tint-min must be >= 0, got -5.0"),

@@ -1,13 +1,14 @@
 """The emitters against f-strings, the per-cell references and the json module, bit for bit.
 
-``float_cells`` formats a float column in numpy, block by block; every cell must
-equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``, ``surface_to_csv`` and
-the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
+The row join formats a float column in numpy, block by block; every cell of a
+one-column ``csv_text`` must equal ``f"{v:.11e}"``. ``csv_text``, ``json_table``,
+``surface_to_csv`` and the ``dump-snapshots`` JSON must equal ``oracles.csv_text_reference``,
 ``oracles.json_table_reference`` and ``json.dumps(..., sort_keys=True,
 indent=1)`` of per-cell ``fmt`` strings, and ``surface_to_json`` must equal
 ``json.dumps`` of its float lists. ``json_document``, which all of them
 share, must equal ``json.dumps`` of its payload with every array as a list,
-and it is the only place in the package that calls ``json.dumps``.
+and it is the only place in the package that calls ``json.dumps``; the row
+join is the only place that formats a float cell.
 """
 import ast
 import hashlib
@@ -29,13 +30,11 @@ from nanoramsey.dicke import sector_phase_quadratic_coefficient
 from nanoramsey.grid import snapshot_frames
 from nanoramsey.io import (
     _MARKER,
-    CELL_WIDTH,
+    Cells,
     _decimal_scale,
     config_sha256,
     csv_text,
-    float_cells,
     fmt,
-    fmt_cells,
     json_document,
     json_table,
 )
@@ -46,14 +45,11 @@ SNAPSHOT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nanoramsey"
 
 
-def cell_strings(cells) -> list[str]:
-    assert cells.dtype == np.uint8 and cells.shape[1] == CELL_WIDTH
-    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells]
-
-
 def assert_cells_exact(values):
+    """The CSV of the one-column float matrix of ``values`` has one f-string cell a line."""
     values = np.asarray(values, dtype=np.float64)
-    assert cell_strings(float_cells(values)) == [f"{v:.11e}" for v in values.tolist()]
+    expected = "v\n" + "".join(f"{v:.11e}\n" for v in values.tolist())
+    assert joined(csv_text(["v"], values[:, None])) == expected
 
 
 class TestFmt:
@@ -141,7 +137,7 @@ class TestFloatCells:
         assert_cells_exact(rng.lognormal(0.0, 40.0, 100_000) * rng.choice([-1.0, 1.0], 100_000))
 
     def test_empty(self):
-        assert float_cells(np.array([])).shape == (0, CELL_WIDTH)
+        assert_cells_exact(np.array([]))
 
 
 class TestDecimalScale:
@@ -276,7 +272,11 @@ def test_surface_json_equals_json_dumps(dx, n_tint, metadata, flight_time):
                                 visibility=rng.uniform(0.0, 1.0, (len(dx), n_tint)),
                                 flight_time=flight_time)
     for meta in (None, metadata):
-        assert joined(surface_to_json(surface, meta)) == surface_json_reference(surface, meta)
+        if dx and not n_tint:
+            with pytest.raises(TypeError, match="shape"):     # rows with no cells: see TestJsonDocument
+                surface_to_json(surface, meta)
+        else:
+            assert joined(surface_to_json(surface, meta)) == surface_json_reference(surface, meta)
 
 
 # -- the JSON writer ---------------------------------------------------------------
@@ -288,13 +288,18 @@ def nested(value, depth: int):
     return value
 
 
+def fmt_list(values):
+    """fmt of each value of a list, or of each list's values."""
+    return [fmt_list(v) if isinstance(v, list) else fmt(v) for v in values]
+
+
 def expanded(payload):
-    """The payload as plain JSON values: each array as its ``tolist()``, and
-    byte strings as text without their NULs."""
+    """The payload as plain JSON values: each array as its ``tolist()``, and each
+    ``Cells`` table as the fmt strings of its cells."""
     if isinstance(payload, np.ndarray):
         return expanded(payload.tolist())
-    if isinstance(payload, bytes):
-        return payload.replace(b"\0", b"").decode("ascii")
+    if isinstance(payload, Cells):
+        return fmt_list(payload.table.tolist())
     if isinstance(payload, dict):
         return {k: expanded(v) for k, v in payload.items()}
     if isinstance(payload, list):
@@ -302,20 +307,14 @@ def expanded(payload):
     return payload
 
 
-PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
-                                   blacklist_characters='"\\'), max_size=6)
-SHAPES = st.one_of(st.tuples(st.integers(0, 5)), st.tuples(st.integers(0, 4), st.integers(0, 3)),
-                   st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+SHAPES = st.one_of(st.tuples(st.integers(0, 5)), st.tuples(st.integers(0, 4), st.integers(1, 3)))
 
 
 @st.composite
 def arrays(draw):
     shape = draw(SHAPES)
     size = math.prod(shape)
-    kind = draw(st.sampled_from(["float", "fmt", "text", "int", "bool"]))
-    if kind == "text":
-        return np.array(draw(st.lists(PLAIN_TEXT, min_size=size, max_size=size)),
-                        dtype="S").reshape(shape)
+    kind = draw(st.sampled_from(["float", "fmt", "int", "bool"]))
     if kind == "int":
         return np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=size, max_size=size)),
                         dtype=np.int64).reshape(shape)
@@ -324,7 +323,7 @@ def arrays(draw):
                         dtype=bool).reshape(shape)
     values = np.array(draw(st.lists(FLOATS, min_size=size, max_size=size)),
                       dtype=np.float64).reshape(shape)
-    return fmt_cells(values) if kind == "fmt" else values
+    return Cells(values) if kind == "fmt" else values
 
 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=6),
@@ -346,9 +345,20 @@ class TestJsonDocument:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_arrays_in_lists_of_dicts(self, depth):
         payload = nested({"a": [{"b": np.array([[1.5, -0.0], [math.inf, math.nan]]),
-                                 "c": np.zeros((2, 0)), "d": np.array([])}],
-                          "e": fmt_cells(np.array([[1.0, 2.0]])), "f": "[]"}, depth)
+                                 "c": np.zeros((0, 2)), "d": np.array([])}],
+                          "e": Cells(np.array([[1.0, 2.0]])), "f": "[]"}, depth)
         assert joined(json_document(payload)) == json.dumps(expanded(payload), sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((2, 0)), Cells(np.zeros((2, 0))), Cells([(), ()]), np.zeros((1, 1, 1)),
+        np.zeros((0, 2, 2)), Cells(np.zeros((2, 2, 1))), np.array(1.5), np.array([b"1.5"]),
+        np.array([1 + 2j]), np.array([None]),
+    ])
+    def test_unwritable_array_raises_before_return(self, array):
+        # 3 or more dimensions, rows with no cells, a 0-d array, or a bare array that is not
+        # of numbers: refused when the payload is laid out, before any piece is made
+        with pytest.raises(TypeError, match="cannot write"):
+            json_document({"a": [1.0, array], "b": np.zeros(3)})
 
     @pytest.mark.parametrize("payload", [
         _MARKER, [_MARKER], {"a": np.zeros(2), "b": _MARKER}, {_MARKER: 1}, [np.zeros(1), _MARKER],
@@ -356,6 +366,19 @@ class TestJsonDocument:
     def test_marker_string_raises(self, payload):
         with pytest.raises(ValueError, match="marker"):
             json_document(payload)
+
+    def test_only_the_row_join_formats_float_cells(self):
+        sites = []
+        for path in PACKAGE.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                if getattr(node, "id", getattr(node, "attr", None)) == "_fill_cells":
+                    # ast.walk meets an outer function before the ones inside it
+                    around = [fn.name for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+                    sites.append((path.name, around[-1] if around else None, id(node) in called))
+        assert sites == [("io.py", "_join_rows", True)]
 
     def test_only_io_calls_json_dumps(self):
         def json_dumps_lines(path):
@@ -395,9 +418,9 @@ class TestSnapshotJson:
     def test_json_cells_depth(self):
         values = np.array([0.5, -1e-300, math.nan])
         for depth in (0, 1, 3):
-            assert joined(json_document(nested(fmt_cells(values), depth))) == \
+            assert joined(json_document(nested(Cells(values), depth))) == \
                 json.dumps(nested([fmt(v) for v in values], depth), indent=1)
-        assert joined(json_document(nested(fmt_cells(np.array([])), 3))) == json.dumps([[[[]]]], indent=1)
+        assert joined(json_document(nested(Cells(np.array([])), 3))) == json.dumps([[[[]]]], indent=1)
 
     def test_cli_frames(self, capsys):
         cfg = parse_config_text(SNAPSHOT_CFG.read_text())
@@ -434,8 +457,6 @@ def assert_emitters_equal_references(table):
     rows = [tuple(row) for row in table.tolist()]
     assert joined(csv_text(header, table)) == csv_text_reference(header, rows)
     assert joined(json_table(header, table, {"n": len(rows)})) == json_table_reference(header, rows, {"n": len(rows)})
-    assert [[c.replace(b"\0", b"") for c in row] for row in fmt_cells(table).tolist()] == \
-        [[fmt(v).encode() for v in row] for row in rows]
     frames = [(0.5, *table.T[:3])] if table.shape[1] >= 3 else [(0.5, table.T[0], table.T[0], table.T[0])]
     assert joined(cli._snapshots_json(frames, {})) == snapshots_reference(frames, {})
 
