@@ -28,13 +28,11 @@ from . import __version__
 from .budget import budget_report
 from .decoherence import MAX_SEPARATIONS, QuadratureError, surface_to_csv, surface_to_json, visibility_surface
 from .dicke import collective_final_state, sector_phase_quadratic_coefficient, sector_table
-from .dynamics import (PulseSequence, branch_overlap, flight_from_rest, gravitational_phase, max_separation,
-                       ramsey_probability)
+from .dynamics import PulseSequence, fringe
 from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
-from .io import Cells, config_sha256, csv_text, fmt, json_document, json_table
-from .params import (PARAM_KEYS, ConfigError, all_of, any_of, atan2, build_params, modulus, number,
-                     parse_config_text)
+from .io import BLOCK_BYTES, Cells, config_sha256, csv_text, fmt, json_document, json_table
+from .params import PARAM_KEYS, ConfigError, all_of, any_of, build_params, number, parse_config_text
 
 # the import graph lives until exit; frozen, it is walked by no collection, not even shutdown's
 gc.freeze()
@@ -59,10 +57,9 @@ MAX_CELLS = SIZE_BUDGET // 128
 MAX_FRAME_POINTS = SIZE_BUDGET // 256
 MAX_FRAMES = MAX_FRAME_POINTS // SNAPSHOT_POINTS
 
-#: Points per block of a sweep's physics. Each float temporary of a block is 32 KiB, under
-#: glibc's 128 KiB mmap threshold, so the blocks reuse heap pages that stay in cache instead
-#: of mapping, faulting in and unmapping a whole-sweep array per temporary.
-SWEEP_BLOCK = 4096
+#: Points per block of a sweep's physics: a block's widest temporary, complex128 (``params.exp``,
+#: ``atan2``, ``_polar``), is ``io.BLOCK_BYTES``.
+SWEEP_BLOCK = BLOCK_BYTES // 16
 
 
 def _sequence_from_config(cfg: dict) -> PulseSequence:
@@ -105,20 +102,6 @@ def _write(args, pieces):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-
-
-def _point_outputs(params, seq, balanced: bool) -> dict:
-    """Output columns of points that are all ``balanced``, or all not."""
-    if balanced:
-        phi = gravitational_phase(params, seq)
-        vis = 1.0
-        separation = max_separation(params, seq)
-    else:
-        final, separation = flight_from_rest(params, seq)
-        ov = branch_overlap(params, final)
-        phi = -atan2(ov.imag, ov.real)
-        vis = modulus(ov)
-    return {"phi_g_rad": phi, "p0": ramsey_probability(phi), "delta_x_max_m": separation, "visibility": vis}
 
 
 def _numbers(text: str, flag: str, most: int) -> list[float]:
@@ -190,7 +173,7 @@ def _sweep_outputs(cfg: dict, name: str, values) -> dict:
     balanced = seq.is_balanced()
     every = all_of(balanced)
     if every or not any_of(balanced):
-        return _point_outputs(params, seq, every)
+        return dict(zip(OUTPUT_COLUMNS, fringe(params, seq, every)))
     parts = [(mask, _sweep_outputs(cfg, name, values[mask])) for mask in (balanced, ~balanced)]
     out = {}
     for column in OUTPUT_COLUMNS:
@@ -203,7 +186,7 @@ def _sweep_outputs(cfg: dict, name: str, values) -> dict:
 def _sweep_rows(cfg: dict, name: str, values, outputs):
     """The table of the swept ``values`` and their ``outputs``: an
     (n, 1 + len(outputs)) float matrix, computed ``SWEEP_BLOCK`` points at a
-    time, or row tuples from the replay."""
+    time."""
     swept = np.asarray(values, dtype=float)
     table = np.empty((swept.size, 1 + len(outputs)))
     table[:, 0] = swept
@@ -213,15 +196,15 @@ def _sweep_rows(cfg: dict, name: str, values, outputs):
                 points = _sweep_outputs(cfg, name, swept[start:start + SWEEP_BLOCK])
                 for column, c in enumerate(outputs, 1):
                     table[start:start + SWEEP_BLOCK, column] = points[c]
-        return table
     except (ValueError, ArithmeticError):
         # Some point of the block at ``start`` is invalid or hits a float exception
         # (numpy reports x/0, where Python raises); each earlier block computed, so
         # each of its points does alone. From that block on, point by point, the
         # first such point raises, or every point computes, exactly as it does alone.
-        points = [_sweep_outputs(cfg, name, v) for v in values[start:]]
-        return [*map(tuple, table[:start].tolist()),
-                *zip(values[start:], *([p[c] for p in points] for c in outputs))]
+        for row, value in enumerate(values[start:], start):
+            point = _sweep_outputs(cfg, name, value)
+            table[row, 1:] = [point[c] for c in outputs]
+    return table
 
 
 # -- subcommand implementations ------------------------------------------------

@@ -45,7 +45,7 @@ from importlib import resources
 import numpy as np
 
 from .constants import DEFAULT_RESPONSE_IM, HBAR, K_BOLTZMANN, LIGHT_SPEED
-from .io import csv_text, fmt, json_document
+from .io import BLOCK_BYTES, csv_text, fmt, json_document
 from .params import ExperimentParams
 
 #: Planck spectra are truncated at this multiple of kT/hbar (relative tail ~1e-17).
@@ -198,12 +198,11 @@ def default_model(params: ExperimentParams,
 #: dense 1024 x 1024 eigenvalue problem.
 RULE_ORDER = 1024
 
-#: Elements per block of the kick matrix (64 KiB of float64). Every temporary of
-#: a block stays under glibc's 128 KiB mmap threshold, and all of them together
-#: stay small enough that freeing the kick matrix does not trim the heap, so
-#: each call reuses heap pages instead of faulting in fresh ones. Chosen by
-#: measurement: 12288 refaults about 10k pages on 50 separations.
-_KICK_BLOCK_ELEMENTS = 8192
+#: Elements per block of the kick matrix, ``io.BLOCK_BYTES`` of float64. All the
+#: temporaries of a block together stay small enough that freeing the kick matrix
+#: does not trim the heap, so each call reuses heap pages instead of faulting in
+#: fresh ones. Chosen by measurement: 12288 refaults about 10k pages on 50 separations.
+_KICK_BLOCK_ELEMENTS = BLOCK_BYTES // 8
 
 #: Most separations one surface takes: each channel integral fills a separations x
 #: ``RULE_ORDER`` float64 work buffer, 128 MiB at this count.
@@ -438,10 +437,11 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
         for pid, read, _ in children:
             os.close(read)
             os.waitpid(pid, 0)
-    for channel in channels:
-        if channel not in rates:
-            spectrum = _weighted_spectrum(channel, rule)
-            rates[channel] = _checked_channel_rate(channel, dx, spectrum, _work_buffer(dx))
+    missing = [channel for channel in channels if channel not in rates]
+    if missing:
+        work = _work_buffer(dx)     # one for them all, as in _share_rates
+        for channel in missing:
+            rates[channel] = _checked_channel_rate(channel, dx, _weighted_spectrum(channel, rule), work)
     return rates
 
 

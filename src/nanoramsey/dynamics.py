@@ -44,11 +44,13 @@ from .params import (
     SpinBranch,
     all_of,
     any_of,
+    atan2,
     branch_force,
     cos,
     exp,
     first,
     isclose,
+    modulus,
     power,
     sin,
     where,
@@ -285,13 +287,25 @@ def evolve_sequence(params: ExperimentParams, seq: PulseSequence, initial: Compo
     return _sequence_end(params, seq, durations, walks, initial)
 
 
-def flight_from_rest(params: ExperimentParams, seq: PulseSequence):
-    """(``evolve_sequence(params, seq, initial_state())``, the piecewise peak separation that
-    :func:`max_separation` gives a sequence that is not balanced), from one walk per branch."""
-    durations = seq.segment_durations()
-    walks = _walks(params, durations)
-    return (_sequence_end(params, seq, durations, walks, initial_state()),
-            _peak(_separation_pieces(params.mass, durations, walks)))
+def fringe(params: ExperimentParams, seq: PulseSequence, balanced: bool):
+    """(phi_g, P0, peak separation, visibility) of points that are all ``balanced``, or all
+    not. A balanced flight closes the interferometer, so the phase is the closed form
+    :func:`gravitational_phase` and the visibility 1.0. Any other flight leaves the phase on
+    the motion: phase and visibility are read from the branch overlap at t3, and the peak
+    from the same one walk from rest."""
+    if balanced:
+        phi = gravitational_phase(params, seq)
+        separation = max_separation(params, seq)
+        vis = 1.0
+    else:
+        durations = seq.segment_durations()
+        walks = _walks(params, durations)
+        final = _sequence_end(params, seq, durations, walks, initial_state())
+        separation = _peak(_separation_pieces(params.mass, durations, walks))
+        ov = branch_overlap(params, final)
+        phi = -atan2(ov.imag, ov.real)
+        vis = modulus(ov)
+    return phi, ramsey_probability(phi), separation, vis
 
 
 def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:

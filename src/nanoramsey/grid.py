@@ -35,7 +35,7 @@ from .dynamics import (
     _walk,
     branch_overlap,
     evolve_sequence,
-    gravitational_phase,
+    fringe,
     initial_state,
     wavepacket_width,
 )
@@ -431,7 +431,7 @@ def oracle_compare(
     """
     scaled = scale_params(params, seq)
     balanced = bool(seq.is_balanced())
-    phase_analytic = gravitational_phase(params, seq) if balanced else None
+    phase_analytic = fringe(params, seq, balanced)[0]
     if balanced and abs(phase_analytic) > MAX_ORACLE_PHASE:
         raise ScaleError(
             f"analytic phase {phase_analytic:.3g} rad exceeds {MAX_ORACLE_PHASE:.0g}; "
@@ -456,8 +456,6 @@ def oracle_compare(
     phase_grid = -math.atan2(ov_grid.imag, ov_grid.real)
     if balanced:
         phase_grid += 2.0 * math.pi * round((phase_analytic - phase_grid) / (2.0 * math.pi))
-    else:
-        phase_analytic = -math.atan2(ov_analytic.imag, ov_analytic.real)
     splitting = splitting_phase(scaled.seg_times, scaled.branch_accelerations(_spin_history(+1)),
                                 scaled.branch_accelerations(_spin_history(-1)), spec.steps_per_segment)
 

@@ -16,7 +16,7 @@ that makes it exact. Every JSON document comes from :func:`json_document`:
 ``json.dumps(..., sort_keys=True, indent=1)`` of a payload whose numpy arrays
 and :class:`Cells` tables of fmt strings are laid out in numpy.
 
-The row join works through a table in blocks of at most ``_BLOCK_BYTES`` of
+The row join works through a table in blocks of at most ``BLOCK_BYTES`` of
 rows, formatting a float table on the way. Each cell depends on its own value
 alone and a row never spans two blocks, so the block size moves no byte.
 
@@ -55,13 +55,15 @@ _EXPONENT = _words(f"{i:02d}" for i in range(_K + 1))
 CELL_WIDTH = 20                   # bytes per float cell; the longest is 19
 TIE_WINDOW = 1e-3                 # scaled values this close to a half go through f-strings
 
-#: Bytes per block of a table: 8192 float cells are formatted at a time, and each joined
-#: piece holds at most this many bytes of rows. A block's temporaries stay in cache and its
-#: buffers are made once per table, so a sweep table faults in about 160 pages, not one
-#: mapping per whole-table temporary. Chosen by measurement: 16 KiB is about 10% slower on
-#: the sweep tables, and 100 KiB refaulted about 2000 pages on the 30,000-point theta table
-#: when the table was formatted whole.
-_BLOCK_BYTES = 64 << 10
+#: Bytes per block of every blocked loop: a table's rows (8192 float cells are formatted at a
+#: time, and each joined piece holds at most this many bytes of rows), a sweep's points
+#: (``cli.SWEEP_BLOCK``) and a kick matrix's rows (``decoherence._KICK_BLOCK_ELEMENTS``).
+#: Each temporary of a block stays under glibc's 128 KiB mmap threshold, so the blocks reuse
+#: heap pages that stay in cache instead of mapping, faulting in and unmapping one array per
+#: whole-table temporary: a sweep table faults in about 160 pages. Chosen by measurement:
+#: 16 KiB is about 10% slower on the sweep tables, and 100 KiB refaulted about 2000 pages on
+#: the 30,000-point theta table when the table was formatted whole.
+BLOCK_BYTES = 64 << 10
 
 
 def fmt(value) -> str:
@@ -155,9 +157,9 @@ def _join_rows(table, prefix: str, sep: str, suffix: str, between: str = "") -> 
     text.
 
     The rows go through one reused buffer, which holds the fixed bytes of each row once and
-    takes a block's cells into their slots: ``_BLOCK_BYTES // 8`` float cells, formatted into
-    one reused word block first, or ``_BLOCK_BYTES`` of byte-string rows. Each piece is at
-    most ``_BLOCK_BYTES`` of the buffer.
+    takes a block's cells into their slots: ``BLOCK_BYTES // 8`` float cells, formatted into
+    one reused word block first, or ``BLOCK_BYTES`` of byte-string rows. Each piece is at
+    most ``BLOCK_BYTES`` of the buffer.
     """
     if not table.size:
         return
@@ -166,8 +168,8 @@ def _join_rows(table, prefix: str, sep: str, suffix: str, between: str = "") -> 
     width = CELL_WIDTH if floats else table.dtype.itemsize
     # prefix, then m slots of (cell, sep) whose last sep is NUL, then the tail
     row = (prefix + sep.join(["\0" * width] * m) + "\0" * len(sep) + suffix + between).encode()
-    piece = max(1, _BLOCK_BYTES // len(row))
-    rows = min(n, max(1, _BLOCK_BYTES // 8 // m) if floats else piece)
+    piece = max(1, BLOCK_BYTES // len(row))
+    rows = min(n, max(1, BLOCK_BYTES // 8 // m) if floats else piece)
     buffer = np.tile(np.frombuffer(row, np.uint8), (rows, 1))
     slots = buffer[:, len(prefix):len(prefix) + m * (width + len(sep))]
     slots = slots.reshape(rows, m, width + len(sep))[:, :, :width]

@@ -31,21 +31,6 @@ def _has_array(*args) -> bool:
     return any(isinstance(a, np.ndarray) for a in args)
 
 
-def pointwise(fn, *args):
-    """``fn`` applied element by element over the broadcast ``args``.
-
-    Without an ndarray among the arguments this is one plain call, so a
-    scalar stays a Python scalar. Arrays run ``fn`` on each element as a
-    Python float, so a ``math`` function goes through libm exactly as a
-    scalar call does.
-    """
-    if not _has_array(*args):
-        return fn(*args)
-    arrays = np.broadcast_arrays(*args)
-    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
-    return out.reshape(arrays[0].shape)
-
-
 # Array kernels. Each gives, element by element, the bits of its scalar call
 # on Python floats and raises the class that call raises; a scalar argument
 # takes the scalar call itself. The array routes are C libm or IEEE basic
@@ -82,7 +67,7 @@ def exp(x):
         out = np.exp(x + 0j).real.copy()
     rest = np.logical_not(x <= _CEXP_EXACT_MAX)
     if rest.any():
-        out[rest] = pointwise(math.exp, x[rest])
+        out[rest] = [math.exp(v) for v in x[rest].tolist()]
     return out
 
 

@@ -7,7 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from conftest import PAPER_CONFIG
+from nanoramsey import cli
 from nanoramsey.budget import (
     QUOTED_ONLY_NOTES,
     budget_report,
@@ -93,6 +95,21 @@ class TestReport:
         assert report.visibility_closure < 1.0 - 1e-9
         assert not report.closure_pass
         assert not report.all_pass()
+
+    @pytest.mark.parametrize("keys", [{"t1": 0.3e-4}, {"jitter_t2": 2.0e-7}], ids=["t1-off", "jittered"])
+    def test_unbalanced_fringe_is_the_sweep_row(self, keys):
+        """Off balance the phase, P0 and peak are the overlap route's: every bit of the
+        one-point sweep row of the same config, and of the point-by-point oracle."""
+        cfg = dict(PAPER_CONFIG, **keys)
+        params, seq = build_params(dict(cfg)), cli._sequence_from_config(cfg)
+        assert not seq.is_balanced()
+        report = budget_report(params, seq)
+        columns = ["phi_g_rad", "p0", "delta_x_max_m"]
+        got = [report.phi_g_rad, report.ramsey_p0, report.peak_separation_m]
+        row = cli._sweep_rows(cfg, "theta", [cfg["theta"]], columns)[0, 1:]
+        point = oracles._point_outputs(params, seq)
+        bits = lambda values: np.asarray(values, dtype=float).view(np.int64).tolist()
+        assert bits(got) == bits(row) == bits([point[c] for c in columns])
 
     def test_discrepancy_note_follows_the_separation(self):
         # a tenfold gradient moves the separation far from the quoted 100 nm

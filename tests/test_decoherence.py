@@ -413,6 +413,32 @@ class TestForkedShares:
         monkeypatch.setattr(decoherence, "_checked_channel_rate", dying)
         assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
 
+    def test_one_work_buffer_for_the_missing_channels(self, paper_params, monkeypatch):
+        """A child that dies before its first channel leaves its whole share here; this
+        process integrates all of it in one work buffer, to the serial walk's bits."""
+        dx, tins = np.geomspace(1e-9, 1e-6, 33), np.linspace(300.0, 1500.0, 12)
+        serial = self._surface(paper_params, 1, monkeypatch, dx, tins)
+        parent, checked, work_buffer = os.getpid(), decoherence._checked_channel_rate, decoherence._work_buffer
+        here, buffers = [], []
+
+        def dying(channel, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            here.append(channel)
+            return checked(channel, *args)
+
+        def counted(dx):
+            if os.getpid() == parent:
+                buffers.append(dx.size)
+            return work_buffer(dx)
+
+        monkeypatch.setattr(decoherence, "_checked_channel_rate", dying)
+        monkeypatch.setattr(decoherence, "_work_buffer", counted)
+        assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
+        distinct = list(dict.fromkeys(ch for t in tins for ch in default_model(paper_params, t)))
+        assert here == distinct[::2] + distinct[1::2]
+        assert buffers == [dx.size, dx.size]       # share 0's, then one for the child's share
+
     def test_child_cut_off_mid_write(self, paper_params, monkeypatch):
         """A child killed while writing leaves part of a rate at the end of the pipe; that
         part is dropped and its channel computed here."""

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 from dataclasses import replace
@@ -14,6 +15,7 @@ from nanoramsey.dynamics import (
     PulseSequence,
     branch_overlap,
     evolve_sequence,
+    fringe,
     gravitational_phase,
     initial_state,
     max_separation,
@@ -21,7 +23,7 @@ from nanoramsey.dynamics import (
     wavepacket_width,
 )
 from nanoramsey.grid import desk_scale_params
-from nanoramsey.params import SpinBranch, build_params
+from nanoramsey.params import SpinBranch, atan2, build_params, modulus
 from conftest import PAPER_CONFIG
 from oracles import (
     classical_step_reference,
@@ -39,6 +41,7 @@ from oracles import (
     separation_at_reference,
     separation_time_integral,
 )
+from test_public_names import PACKAGE, _references
 
 
 def make_params(**overrides):
@@ -553,6 +556,40 @@ class TestPhaseBitsAgainstEvolvedReference:
         re, im = np.random.default_rng(7).normal(0.0, math.sqrt(10.0 / 2.0), (2, 256))
         s0 = paper_params.sigma0()
         self.assert_same_phase_bits(paper_params, seq, initial_state(2.0 * s0 * re, HBAR / s0 * im))
+
+
+#: the array kernels of ``params``, each a libm function over arrays
+KERNELS = {"exp", "atan2", "cos", "sin", "sqrt", "power", "modulus"}
+
+
+class TestFringe:
+    """``fringe`` is the one place that picks the balanced closed form or the branch
+    overlap, and each of its columns is every bit of the public route it stands for."""
+
+    def test_only_dynamics_picks_the_phase_route(self):
+        trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+        imported = [(node.module, alias.name) for node in ast.walk(trees["cli"])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert sorted(name for module, name in imported if module == "dynamics") == ["PulseSequence", "fringe"]
+        assert not {name for module, name in imported if module == "params"} & KERNELS
+        naming = {stem for stem, tree in trees.items() if "gravitational_phase" in _references(tree)}
+        assert naming <= {"dynamics", "dicke"}
+
+    def test_balanced_is_the_closed_form(self, paper_params, paper_seq):
+        phi, p0, separation, vis = fringe(paper_params, paper_seq, True)
+        want = gravitational_phase(paper_params, paper_seq)
+        assert bits([phi, p0, separation, vis]).tolist() == bits(
+            [want, ramsey_probability(want), max_separation(paper_params, paper_seq), 1.0]).tolist()
+
+    @pytest.mark.parametrize("v", [0, 5])
+    def test_unbalanced_is_the_overlap(self, paper_params, v):
+        seq = t1_sweep_sequence(v)
+        ov = branch_overlap(paper_params, evolve_sequence(paper_params, seq, initial_state()))
+        want = -atan2(ov.imag, ov.real)
+        for got, expected in zip(fringe(paper_params, seq, False),
+                                 (want, ramsey_probability(want), max_separation(paper_params, seq),
+                                  modulus(ov))):
+            np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 class TestWavepacketWidth:

@@ -466,7 +466,7 @@ class TestBlockEdges:
     equals the per-cell references, with f-string cells at every block's first and
     last row."""
 
-    CELLS = io._BLOCK_BYTES // 8
+    CELLS = io.BLOCK_BYTES // 8
 
     @pytest.mark.parametrize("n_cols", [1, 4])
     @pytest.mark.parametrize("k", ["0", "1", "B-1", "B", "B+1", "3B+1"])
@@ -478,7 +478,7 @@ class TestBlockEdges:
     @pytest.mark.parametrize("block_bytes", [1, 8, 24, 66, 100, 250])
     def test_every_row_count_on_small_blocks(self, block_bytes):
         # a block of 1-31 cells and of 1-11 joined rows: every count below puts an edge at each place
-        with mock.patch.object(io, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(io, "BLOCK_BYTES", block_bytes):
             for n_cols in (1, 3):
                 for n_rows in range(0, 26):
                     assert_emitters_equal_references(edge_table(n_rows, n_cols, max(1, block_bytes // 8)))
@@ -487,7 +487,7 @@ class TestBlockEdges:
     @given(st.integers(1, 400), tables(), METADATA)
     def test_row_tuples_on_small_blocks(self, block_bytes, table, metadata):
         header, rows = table
-        with mock.patch.object(io, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(io, "BLOCK_BYTES", block_bytes):
             assert joined(csv_text(header, rows)) == csv_text_reference(header, rows)
             assert joined(json_table(header, rows, metadata)) == json_table_reference(header, rows, metadata)
 

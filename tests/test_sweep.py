@@ -276,8 +276,8 @@ class TestSweepBlocks:
 
     def test_replayed_rows_keep_the_table_bytes(self, configs, monkeypatch):
         """A block whose array call raises, though each of its points computes alone, is
-        replayed from its start; the rows before it come from the table as tuples, and the
-        document has the bytes of the table that no raise interrupts."""
+        replayed from its start into the same table, and the document has the bytes of the
+        table that no raise interrupts."""
         cfg = configs["paper"][1]
         values = np.linspace(0.0, 1.5, 2 * B + 5)
         header = ["param_value", *cli.OUTPUT_COLUMNS]
@@ -291,5 +291,5 @@ class TestSweepBlocks:
 
         monkeypatch.setattr(cli, "_sweep_outputs", second_block_raises)
         rows = cli._sweep_rows(cfg, "theta", values, cli.OUTPUT_COLUMNS)
-        assert isinstance(rows, list) and len(rows) == len(values)
+        assert rows.shape == table.shape
         assert b"".join(csv_text(header, rows)) == b"".join(csv_text(header, table))
