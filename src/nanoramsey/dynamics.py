@@ -315,8 +315,8 @@ def wavepacket_width(params: ExperimentParams, spread_time: float) -> float:
     Linear potentials do not alter the spreading, so the law holds verbatim
     through the whole accelerated sequence (grid-certified).
     """
-    if spread_time < 0.0:
-        raise ValueError("spread_time must be >= 0")
+    if not spread_time >= 0.0:      # written so, NaN is refused too
+        raise ValueError(f"spread_time must be >= 0, got {spread_time!r}")
     s0 = params.sigma0()
     # hbar / trap_omega in exact arithmetic, but its left-to-right product can underflow
     denominator = 2.0 * params.mass * s0 * s0

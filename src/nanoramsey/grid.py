@@ -230,7 +230,9 @@ def _check_margin(psi: np.ndarray, spec: GridSpec, kick=0.0):
 def split_step_evolve(psi: np.ndarray, force, duration: float, spec: GridSpec) -> np.ndarray:
     """Strang-split evolution of the rows of ``psi`` under H = p^2/2 - force*x (natural
     units) for a ``duration`` > 0, ``force`` a number or one per row, with the norm and
-    margin checked before (with the segment's kick) and after.
+    margin of ``psi`` checked first, with the segment's kick. The state it returns is
+    unchecked: in a flight it is the next segment's input, and
+    :func:`evolve_branch_on_grid` checks the last.
 
     The n = ``spec.steps_per_segment`` Strang steps of dt = tau/n are composed in closed
     form: the exact propagator, psi(k, tau) = exp(-i (k^2 tau/2 - k F tau^2/2 + F^2 tau^3/6))
@@ -246,9 +248,7 @@ def split_step_evolve(psi: np.ndarray, force, duration: float, spec: GridSpec) -
     c_number = force * force * duration * (duration * duration / 6.0 + dt * dt / 12.0)
     kicked = np.exp(1j * force * duration * spec.x) * psi      # V = -force*x
     drift = np.exp(-1j * (0.5 * k * k * duration - 0.5 * force * duration * duration * k + c_number))
-    out = np.fft.ifft(drift * np.fft.fft(kicked))
-    _check_margin(out, spec)
-    return out
+    return np.fft.ifft(drift * np.fft.fft(kicked))
 
 
 def auto_grid(
@@ -307,9 +307,14 @@ def evolve_branch_on_grid(
     one horizon in [0, t3] (default t3) or an ascending sequence, for which
     the rows go forward once, each horizon resuming from the state and time
     of the last, and the list of states is returned; each segment piece is
-    one :func:`split_step_evolve` call.
+    one :func:`split_step_evolve` call. Every state returned passes the margin
+    guard: each piece checks its input, and the last state is checked once at
+    the end; an earlier horizon's state is a later piece's input or the last
+    state itself.
     """
     horizons = np.atleast_1d(scaled.total_time if until is None else until)
+    if horizons.size == 0:
+        raise ValueError(f"until must name at least one horizon, got {until!r}")
     for horizon in horizons:
         if not 0.0 <= horizon <= scaled.total_time:     # written so, NaN is refused too
             raise ValueError(f"horizon {float(horizon)!r} outside the flight [0, {scaled.total_time!r}]")
@@ -336,6 +341,7 @@ def evolve_branch_on_grid(
             start += tau
         states.append(psi if np.ndim(spin) else psi[0])
         t = horizon
+    _check_margin(psi, spec)
     return states if np.ndim(until) else states[0]
 
 

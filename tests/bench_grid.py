@@ -43,7 +43,7 @@ def desk_grid():
 
 
 def test_strang_step(benchmark, desk_grid):
-    """One one-step segment of the (plus, minus) pair, with its two guards."""
+    """One one-step segment of the (plus, minus) pair, with its entry guard."""
     _, _, scaled, spec = desk_grid
     one_step = replace(spec, steps_per_segment=1)
     pair = evolve_branch_on_grid(scaled, one_step, (+1, -1), until=0.0)

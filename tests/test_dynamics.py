@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -606,6 +607,11 @@ class TestWavepacketWidth:
         ratio = wavepacket_width(paper_params, 1e-4) / paper_params.sigma0()
         assert ratio == pytest.approx(math.sqrt(1.0 + (1e5 * 1e-4) ** 2), rel=1e-12)
         assert ratio == pytest.approx(10.0499, rel=1e-4)
+
+    @pytest.mark.parametrize("spread_time", [-1.0, math.nan])
+    def test_negative_or_nan_time_refused(self, paper_params, spread_time):
+        with pytest.raises(ValueError, match=re.escape(f"spread_time must be >= 0, got {spread_time!r}")):
+            wavepacket_width(paper_params, spread_time)
 
 
 def thermal_flight(params, seq, n_bar, n_samples, seed):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nanoramsey import grid
+from nanoramsey import cli, grid
 from nanoramsey.constants import HBAR
 from nanoramsey.dynamics import (
     PulseSequence,
@@ -128,6 +128,8 @@ class TestGridSpecValidation:
     def test_domain_and_dt(self):
         with pytest.raises(ValueError):
             small_spec(x_min=1.0, x_max=-1.0)
+        with pytest.raises(ValueError, match="steps_per_segment must be >= 1"):
+            small_spec(steps_per_segment=0)
 
 
 class TestSplitStep:
@@ -273,6 +275,66 @@ class TestMarginThresholds:
         else:
             with pytest.raises(GridBoundaryError, match="FFT edge"):
                 grid._check_margin(psi, spec)
+
+
+class TestEachStateGuardedOnce:
+    """:func:`split_step_evolve` checks only its input; :func:`evolve_branch_on_grid`
+    checks the state it ends on, so every state it returns has passed a guard, and each
+    state the grid makes is measured once."""
+
+    EDGE = ("packet within 8.0 sigma of the grid edge (support [-28.00, 22.60] vs domain "
+            "[-25.00, 34.43]); enlarge the domain to at least half-width 31.22 beyond the current edges")
+
+    def test_last_segment_edge_refused(self):
+        """The pair enters the last segment inside the domain and leaves it past x_min: only
+        the check of the final state can refuse it, with the message the segment's own exit
+        check gave."""
+        params, seq = desk_scale_params()
+        scaled = scale_params(params, seq)
+        spec = replace(auto_grid(scaled), x_min=-25.0)
+        entry = evolve_branch_on_grid(scaled, spec, (+1, -1), until=sum(scaled.seg_times[:2]))
+        xb, _, width, _ = spec.moments(entry)
+        assert spec.x_min < float(np.min(xb - GUARD_SIGMAS * width)) < -21.8
+        with pytest.raises(GridBoundaryError, match=re.escape(self.EDGE)):
+            evolve_branch_on_grid(scaled, spec, (+1, -1))
+        with pytest.raises(GridBoundaryError, match=re.escape(self.EDGE)):
+            oracle_compare(params, seq, spec)
+
+    def test_state_at_horizon_zero_guarded(self, desk):
+        """A start packet that no segment takes as input is still checked."""
+        scaled = scale_params(*desk)
+        spec = auto_grid(scaled)
+        with pytest.raises(GridBoundaryError, match="sigma of the grid edge"):
+            evolve_branch_on_grid(scaled, spec, (+1, -1), center=spec.x_max - 4.0, until=0.0)
+
+    def test_empty_horizon_list_refused(self, desk):
+        params, seq = desk
+        scaled = scale_params(params, seq)
+        with pytest.raises(ValueError, match=re.escape("until must name at least one horizon, got []")):
+            evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1), until=[])
+        with pytest.raises(ValueError, match=re.escape("until must name at least one horizon, got []")):
+            snapshot_frames(params, seq, [])
+
+    def test_moments_calls(self, desk, monkeypatch, capsys):
+        """Per flight, one entry check per segment piece and one on the final pair, plus
+        ``oracle_compare``'s own reading of the final pair: 3 + 1 + 1 per certify set."""
+        calls = []
+        moments = GridSpec.moments
+
+        def counted(self, psi):
+            calls.append(psi.shape)
+            return moments(self, psi)
+
+        monkeypatch.setattr(GridSpec, "moments", counted)
+        assert cli.main(["certify"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3 * 5
+        calls.clear()
+        oracle_compare(*desk)
+        assert len(calls) == 5
+        calls.clear()
+        snapshot_frames(*desk, [0.25, 0.5, 0.75, 1.0])
+        assert len(calls) == 5
 
 
 class TestAutoGridMomentum:
