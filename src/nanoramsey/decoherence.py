@@ -151,8 +151,6 @@ class BlackbodyChannel:
             math.log10(self.radius) - math.log10(LIGHT_SPEED) + log_theta)
 
     def support(self) -> tuple[float, float]:
-        if self.temperature == 0.0:
-            return (0.0, 0.0)
         return (0.0, PLANCK_CUTOFF * K_BOLTZMANN * self.temperature / HBAR)
 
     def rate_density(self, omega: np.ndarray) -> np.ndarray:
@@ -235,7 +233,9 @@ def _stored_rule() -> tuple[np.ndarray, np.ndarray]:
 def _weighted_spectrum(channel, rule) -> tuple[np.ndarray, np.ndarray]:
     """The nodes of ``rule``, a Gauss-Legendre (nodes, weights) pair on [-1, 1], mapped onto
     the channel's support, and gamma(omega) times the weight at each. An empty support
-    maps every node to 0 with weight 0, and calls no ``rate_density``."""
+    maps every node to 0 with weight 0, and calls no ``rate_density``: at 0 K that only
+    saves the call, but at a subnormal temperature the cutoff underflows to 0 while T > 0,
+    and ``rate_density`` at omega = 0 would give 0/0 = NaN."""
     lo, hi = channel.support()
     half = 0.5 * (hi - lo)
     nodes, weights = lo + half * (rule[0] + 1.0), half * rule[1]
@@ -247,15 +247,13 @@ def _weighted_spectrum(channel, rule) -> tuple[np.ndarray, np.ndarray]:
 def _channel_rate(spectrum, delta_x: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Localization rate of one channel over a 1-d array of separations.
 
-    ``spectrum`` is the channel's :func:`_weighted_spectrum`; where its weights are all
-    zero, so is the rate. The kick matrix is filled a block of rows at a time, but the
+    ``spectrum`` is the channel's :func:`_weighted_spectrum`; zero weights give a +0.0
+    rate. The kick matrix is filled a block of rows at a time, but the
     matrix-vector product runs on the whole matrix: BLAS sums a row in an order that
     depends on the row count, so a blocked product would move the last bits. The matrix
     takes the first delta_x.size * len(nodes) elements of the float64 buffer ``work``.
     """
     nodes, weighted = spectrum
-    if not weighted.any():
-        return np.zeros_like(delta_x)
     kick = work[:delta_x.size * nodes.size].reshape(delta_x.size, nodes.size)
     rows = max(1, _KICK_BLOCK_ELEMENTS // nodes.size)
     for start in range(0, delta_x.size, rows):
@@ -365,16 +363,17 @@ def _share_count(n_channels: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_channels) or 1
 
 
-def _share_rates(channels, spectra, dx: np.ndarray) -> list[np.ndarray]:
-    """Checked rates of ``channels``, in order, up to the first one refused. One work buffer
+def _share_rates(channels, rule, dx: np.ndarray) -> list[np.ndarray]:
+    """Checked rates of ``channels``, in order, up to the first one refused, each from its
+    :func:`_weighted_spectrum` on ``rule``, formed just before its integral. One work buffer
     serves them all: freed and taken again per channel, next to the small rates that stay,
     it could fragment the heap so that a later buffer no longer fits in the freed one; the
     command's peak then rose by 0.9 MiB, or not, with the length of its argv."""
     rates = []
     work = _work_buffer(dx)
-    for channel, spectrum in zip(channels, spectra):
+    for channel in channels:
         try:
-            rates.append(_checked_channel_rate(channel, dx, spectrum, work))
+            rates.append(_checked_channel_rate(channel, dx, _weighted_spectrum(channel, rule), work))
         except QuadratureError:
             break
     return rates
@@ -388,20 +387,16 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
     a pipe, once, and leaves by ``os._exit``. A share stops at its first refused channel.
     Once every child is reaped, this process integrates, in order, each channel no share
     returned (a refused one, the rest of its share, a dead or unforked child's share, a
-    rate cut off mid-write), so it raises the serial walk's first refusal. Every weighted
-    spectrum is evaluated in this process; every kick matrix, product and check runs whole
-    in one process.
+    rate cut off mid-write), so it raises the serial walk's first refusal. Every share runs
+    :func:`_share_rates`, which forms each channel's spectrum where it integrates it; each
+    spectrum, kick matrix, product and check runs whole in one process. The rule is read
+    here, before the first fork, so that no child loads it again.
     """
     rule = _stored_rule()
     shares = _share_count(len(channels))
-    # the children's spectra, in one block: mapped, never touched at share 0's rows,
-    # and unmapped here once the children hold it
-    handed = np.empty((len(channels), 2, RULE_ORDER))
     children = []       # (pid, read end of its pipe, its channels)
     try:
         for share in range(1, shares):
-            for i in range(share, len(channels), shares):
-                handed[i] = _weighted_spectrum(channels[i], rule)
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -412,16 +407,15 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
             if pid == 0:
                 try:
                     os.close(read)
-                    rates = _share_rates(channels[share::shares], handed[share::shares], dx)
+                    rates = _share_rates(channels[share::shares], rule, dx)
                     with open(write, "wb") as pipe:
                         pipe.writelines(rates)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, read, channels[share::shares]))
-        del handed
         own = channels[::shares]
-        rates = dict(zip(own, _share_rates(own, (_weighted_spectrum(ch, rule) for ch in own), dx)))
+        rates = dict(zip(own, _share_rates(own, rule, dx)))
         for _, read, sent_for in children:
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()

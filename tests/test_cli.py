@@ -297,6 +297,25 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
                    "got mass=1e-290, g_nv=2.0028, b_gradient=10000000.0, t3=0.0001\n")
 
 
+@pytest.mark.parametrize("argv, config_text, message", [
+    (["dicke", "--l", "0"], paper_config_text(), "l must lie in [1, 30]"),
+    (["dicke", "--l", "31"], paper_config_text(), "l must lie in [1, 30]"),
+    (["dicke", "--l", "3"], paper_config_text(t1=2.6e-5),
+     "collective final state is separable only for balanced sequences"),
+    (["visibility"], paper_config_text(radius=None),
+     "decoherence model needs the object radius; set the radius key"),
+    (["budget"], paper_config_text() + "= 5\n", f"line {len(PAPER_CONFIG) + 1}: empty key"),
+], ids=["dicke-l-0", "dicke-l-31", "dicke-unbalanced", "visibility-no-radius", "empty-key"])
+def test_input_refused_with_its_message(capsys, tmp_path, argv, config_text, message):
+    """Each refusal ends the command with exit 1, nothing on stdout and its one line."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text, encoding="utf-8")
+    rc = cli.main([*argv, "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def _refusal(argv, overrides, code, *named):
     label = " ".join([*argv, *(f"{key}={value:g}" for key, value in overrides.items())])
     return pytest.param(argv, overrides, code, named, id=label)

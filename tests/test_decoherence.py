@@ -357,20 +357,45 @@ class TestForkedShares:
 
     @pytest.mark.parametrize("shares", [2, 3])
     def test_each_channel_integrated_once(self, paper_params, shares, monkeypatch):
-        """This process integrates only share 0; every other rate comes from a child."""
+        """This process integrates only share 0, and forms only share 0's spectra; every
+        other rate and spectrum comes from a child."""
         parent, checked = os.getpid(), decoherence._checked_channel_rate
-        here = []
+        density = BlackbodyChannel.rate_density
+        here, spectra = [], []
 
         def counted(channel, *args):
             if os.getpid() == parent:
                 here.append(channel)
             return checked(channel, *args)
 
+        def counted_density(channel, omega):
+            if os.getpid() == parent:
+                spectra.append(channel)
+            return density(channel, omega)
+
         monkeypatch.setattr(decoherence, "_checked_channel_rate", counted)
+        monkeypatch.setattr(BlackbodyChannel, "rate_density", counted_density)
         tins = np.linspace(300.0, 1500.0, 10)
         self._surface(paper_params, shares, monkeypatch, np.geomspace(1e-9, 1e-6, 20), tins)
         distinct = list(dict.fromkeys(ch for t in tins for ch in default_model(paper_params, t)))
         assert here == distinct[::shares]
+        assert spectra == distinct[::shares]
+
+    def test_rule_read_before_the_first_fork(self, paper_params, monkeypatch):
+        """The stored rule is loaded once, in this process, before any child is forked, so
+        that no share loads it again."""
+        fork, cached = os.fork, []
+
+        def counted_fork():
+            cached.append(decoherence._stored_rule.cache_info().currsize)
+            return fork()
+
+        decoherence._stored_rule.cache_clear()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        self._surface(paper_params, 2, monkeypatch, np.geomspace(1e-9, 1e-6, 20),
+                      np.linspace(300.0, 1500.0, 4))
+        assert cached == [1]
+        assert decoherence._stored_rule.cache_info().misses == 1
 
     @pytest.mark.parametrize("shares", [1, 3])
     @pytest.mark.parametrize("m", [1, 7, 33, 50, 200])
@@ -666,9 +691,13 @@ class TestErrorBound:
         assert eta[0] == eta[1] == 0.0 < eta[2]
         assert np.exp(_log_error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER)).tolist() == [0.0, 0.0]
         mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0))
-        assert localization_rate_profile([mute], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
-        assert localization_rate_profile([(cold,)], [0.0, 1e-7, 1e-4])[:, 0].tolist() == [0.0, 0.0, 0.0]
+        dx = np.array([0.0, 1e-7, 1e-4])
+        for model in (mute, (cold,)):
+            assert localization_rate_profile([model], dx)[:, 0].tolist() == [0.0, 0.0, 0.0]
+            # each channel's own rate, before the sum into eta could turn a -0.0 into +0.0
+            for rate in decoherence._channel_rates(list(model), dx).values():
+                assert rate.tolist() == [0.0, 0.0, 0.0] and not np.signbit(rate).any()
 
 
 # -- angular factor against independent oracles --------------------------------
