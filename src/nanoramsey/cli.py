@@ -31,7 +31,7 @@ from .dicke import collective_final_state, sector_phase_quadratic_coefficient, s
 from .dynamics import PulseSequence, fringe
 from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
-from .io import BLOCK_BYTES, Cells, config_sha256, csv_text, fmt, json_document, json_table
+from .io import BLOCK_BYTES, SIZE_BUDGET, Cells, config_sha256, csv_text, fmt, json_document, json_table
 from .params import PARAM_KEYS, ConfigError, all_of, any_of, build_params, number, parse_config_text
 
 # the import graph lives until exit; frozen, it is walked by no collection, not even shutdown's
@@ -45,12 +45,11 @@ SWEEPABLE = (*PARAM_KEYS, "t1", "t2")
 
 OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 
-#: Memory a command's size flags may commit it to. Each ceiling below is this over a unit's
-#: tracemalloc peak, rounded up: a sweep point 640 B, a surface temperature 16 KiB (its
-#: channel's weighted spectrum) and a cell 128 B, a frame 256 B a grid point (512 KiB on
-#: the 2048-point grid). A frame's grid can be wider than that, so ``--times`` is held to
-#: ``MAX_FRAME_POINTS`` on the grid the config sizes, as well as to ``MAX_FRAMES``.
-SIZE_BUDGET = 256 << 20
+#: The size flags' ceilings: ``io.SIZE_BUDGET`` over a unit's tracemalloc peak, rounded up: a
+#: sweep point 640 B, a surface temperature 16 KiB (its channel's weighted spectrum) and a cell
+#: 128 B, a frame 256 B a grid point (512 KiB on the 2048-point grid). A frame's grid can be
+#: wider than that, so ``--times`` is held to ``MAX_FRAME_POINTS`` on the grid the config sizes,
+#: as well as to ``MAX_FRAMES``.
 MAX_SWEEP_POINTS = SIZE_BUDGET // 640
 MAX_TEMPERATURES = SIZE_BUDGET // (16 << 10)
 MAX_CELLS = SIZE_BUDGET // 128
@@ -67,10 +66,7 @@ def _sequence_from_config(cfg: dict) -> PulseSequence:
     t1 = number(cfg.get("t1", t3 / 4.0))
     t2 = number(cfg.get("t2", 3.0 * t3 / 4.0))
     jitter = tuple(float(cfg.get(f"jitter_{t}", 0.0)) for t in ("t1", "t2", "t3"))
-    try:
-        return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
 
 
 def _load_config(path):
@@ -238,7 +234,6 @@ def _cmd_visibility(args) -> int:
                 raise ConfigError(f"{name} must be > 0 under log spacing, got {value!r}")
         elif value < 0.0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
-    # at MAX_SEPARATIONS the quadrature's work buffer reaches 128 MiB
     for flag, most in (("dx_count", MAX_SEPARATIONS), ("tint_count", MAX_TEMPERATURES)):
         if not 1 <= getattr(args, flag) <= most:
             raise ConfigError(f"--{flag.replace('_', '-')} must lie in [1, {most}], got {getattr(args, flag)!r}")
@@ -281,8 +276,7 @@ def _cmd_budget(args) -> int:
 
 def _cmd_dicke(args) -> int:
     params, seq, _, text = _load_config(args.config)
-    final = collective_final_state(params, seq, args.l)
-    header, rows = sector_table(final)
+    header, rows = sector_table(collective_final_state(params, seq, args.l))
     meta = _metadata("dicke", text, args.seed)
     meta["l"] = args.l
     meta["phase_rad"] = ("linear M * phi_g; the exact sector phase adds "
@@ -465,7 +459,7 @@ def main(argv=None) -> int:
     except (ScaleError, ClosureError, GridBoundaryError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

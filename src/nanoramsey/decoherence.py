@@ -45,7 +45,7 @@ from importlib import resources
 import numpy as np
 
 from .constants import DEFAULT_RESPONSE_IM, HBAR, K_BOLTZMANN, LIGHT_SPEED
-from .io import BLOCK_BYTES, csv_text, fmt, json_document
+from .io import BLOCK_BYTES, SIZE_BUDGET, csv_text, fmt, json_document
 from .params import ExperimentParams
 
 #: Planck spectra are truncated at this multiple of kT/hbar (relative tail ~1e-17).
@@ -202,9 +202,9 @@ RULE_ORDER = 1024
 #: fresh ones. Chosen by measurement: 12288 refaults about 10k pages on 50 separations.
 _KICK_BLOCK_ELEMENTS = BLOCK_BYTES // 8
 
-#: Most separations one surface takes: each channel integral fills a separations x
-#: ``RULE_ORDER`` float64 work buffer, 128 MiB at this count.
-MAX_SEPARATIONS = (128 << 20) // (8 * RULE_ORDER)
+#: Most separations one surface takes: each share of its channel integrals fills a separations
+#: x ``RULE_ORDER`` float64 work buffer, so that at this count two shares fill ``io.SIZE_BUDGET``.
+MAX_SEPARATIONS = SIZE_BUDGET // (2 * 8 * RULE_ORDER)
 
 #: Largest relative error a channel integral may carry, by its a-priori bound.
 QUADRATURE_RTOL = 1.0e-6
@@ -354,13 +354,16 @@ def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -
 
 # -- channel integrals in forked processes --------------------------------------
 
-def _share_count(n_channels: int) -> int:
-    """Processes that integrate ``n_channels`` channels: one per CPU this process may run
-    on, at most one per channel. Only one while another Python thread runs, since a forked
-    child would hold just the forking thread and whatever locks the others held."""
-    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+def _share_count(n_channels: int, separations: int) -> int:
+    """Processes that integrate ``n_channels`` channels over ``separations``: one per CPU this
+    process may run on, at most one per channel, and at most as many as ``io.SIZE_BUDGET``
+    holds of their work buffers, separations x ``RULE_ORDER`` float64 each. Only one while
+    another Python thread runs, since a forked child would hold just the forking thread and
+    whatever locks the others held, and only one over no separations."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity") or not separations:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_channels) or 1
+    fit = SIZE_BUDGET // (8 * RULE_ORDER * separations)
+    return max(1, min(len(os.sched_getaffinity(0)), n_channels, fit))
 
 
 def _share_rates(channels, rule, dx: np.ndarray) -> list[np.ndarray]:
@@ -393,7 +396,7 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
     here, before the first fork, so that no child loads it again.
     """
     rule = _stored_rule()
-    shares = _share_count(len(channels))
+    shares = _share_count(len(channels), dx.size)
     children = []       # (pid, read end of its pipe, its channels)
     try:
         for share in range(1, shares):

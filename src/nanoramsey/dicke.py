@@ -22,7 +22,6 @@ the dynamics: for l >= 2 the twisting cuts each spin's contrast to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import HBAR
 from .dynamics import PulseSequence, gravitational_phase
@@ -31,29 +30,21 @@ from .params import ExperimentParams
 MAX_EXACT_L = 30          # binomials stay exact in float64 well past this
 
 
-@dataclass(frozen=True)
-class CollectiveFinalState:
-    """Idealized separable output: linear sector phases."""
-
-    l: int
-    sector_phases: tuple[tuple[int, float], ...]   # (M, M * phi_g)
-
-
-def collective_final_state(params: ExperimentParams, seq: PulseSequence, l: int) -> CollectiveFinalState:
-    """Final collective state for a balanced sequence, linear-phase convention.
+def collective_final_state(params: ExperimentParams, seq: PulseSequence,
+                           l: int) -> tuple[tuple[int, float], ...]:
+    """Final collective state for a balanced sequence, linear-phase convention: the
+    idealized separable output's sector phases (M, M * phi_g), M = -l, -l + 2, ..., l.
 
     Every sector recombines onto the same motional Gaussian (the spin-zero
-    projectile packet); the sector table carries phase(M) = M * phi_g.
-    Unbalanced sequences leave the sectors entangled with distinct packets
-    and are rejected.
+    projectile packet). Unbalanced sequences leave the sectors entangled with
+    distinct packets and are rejected.
     """
     if not seq.is_balanced():
         raise ValueError("collective final state is separable only for balanced sequences")
     if not 1 <= l <= MAX_EXACT_L:
         raise ValueError(f"l must lie in [1, {MAX_EXACT_L}]")
     phi = gravitational_phase(params, seq)
-    phases = tuple((2 * n - l, (2 * n - l) * phi) for n in range(l + 1))
-    return CollectiveFinalState(l=l, sector_phases=phases)
+    return tuple((2 * n - l, (2 * n - l) * phi) for n in range(l + 1))
 
 
 def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSequence) -> float:
@@ -80,8 +71,9 @@ def sector_phase_quadratic_coefficient(params: ExperimentParams, seq: PulseSeque
     return coefficient
 
 
-def sector_table(final: CollectiveFinalState) -> tuple[list[str], list[tuple]]:
-    """CSV-ready sector table (M, multiplicity, phase_rad)."""
-    header = ["M", "multiplicity", "phase_rad"]
-    rows = [(m, math.comb(final.l, (m + final.l) // 2), phase) for m, phase in final.sector_phases]
-    return header, rows
+def sector_table(sector_phases: tuple[tuple[int, float], ...]) -> tuple[list[str], list[tuple]]:
+    """CSV-ready sector table (M, multiplicity, phase_rad) of the l + 1 sectors'
+    (M, phase) pairs of :func:`collective_final_state`."""
+    l = len(sector_phases) - 1
+    rows = [(m, math.comb(l, (m + l) // 2), phase) for m, phase in sector_phases]
+    return ["M", "multiplicity", "phase_rad"], rows

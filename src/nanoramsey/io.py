@@ -65,6 +65,10 @@ TIE_WINDOW = 1e-3                 # scaled values this close to a half go throug
 #: the 30,000-point theta table when the table was formatted whole.
 BLOCK_BYTES = 64 << 10
 
+#: Memory a command may commit at its size flags' limits: ``cli``'s ceilings derive from it, and
+#: ``decoherence``'s separations ceiling and the count of forked shares whose buffers coexist.
+SIZE_BUDGET = 256 << 20
+
 
 def fmt(value) -> str:
     """Canonical cell format: 12 significant digits, scientific notation."""

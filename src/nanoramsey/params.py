@@ -309,12 +309,7 @@ def build_params(config: dict) -> ExperimentParams:
 
     kwargs = {key: number(config[key]) for key in _FIELDS if config.get(key) is not None}
     kwargs["mass"] = number(mass)        # derived, or checked against radius and density, above
-    try:
-        return ExperimentParams(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentParams(**kwargs)
 
 
 def parse_config_text(text: str) -> dict:

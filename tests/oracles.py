@@ -616,10 +616,7 @@ def _sequence_from_config(cfg: dict) -> PulseSequence:
     jitter = (float(cfg.get("jitter_t1", 0.0)),
               float(cfg.get("jitter_t2", 0.0)),
               float(cfg.get("jitter_t3", 0.0)))
-    try:
-        return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PulseSequence(t1=t1, t2=t2, t3=t3, jitter=jitter)
 
 
 def _point_outputs(params, seq) -> dict:

@@ -53,6 +53,29 @@ class TestPointFormulas:
         with pytest.raises(ValueError):
             thermal_velocity(-1.0, m)
 
+    @pytest.mark.parametrize("formula, args, message", [
+        (csl_bound, (0.5, 1e-4), "n_nucleons must be >= 1"),
+        (csl_bound, (1e9, 0.0), "t3 must be > 0"),
+        (csl_bound, (1e9, math.nan), "t3 must be > 0"),
+        (doppler_linewidth, (0.0, 1e-3), "f0 must be > 0"),
+        (doppler_linewidth, (2.87e9, -1e-300), "v0 must be >= 0"),
+        (thermal_velocity, (-1e-300, 1.25e-17), "t_cm must be >= 0"),
+        (thermal_velocity, (1e-3, 0.0), "mass must be > 0"),
+        (thermal_velocity, (1e-3, math.nan), "mass must be > 0"),
+    ], ids=["csl-nucleons", "csl-t3", "csl-t3-nan", "doppler-f0", "doppler-v0", "thermal-t_cm",
+            "thermal-mass", "thermal-mass-nan"])
+    def test_refusal_names_its_input(self, formula, args, message):
+        """Each point formula refuses its input by name, as a ValueError with this text."""
+        with pytest.raises(ValueError) as refused:
+            formula(*args)
+        assert type(refused.value) is ValueError and str(refused.value) == message
+
+    def test_threshold_inputs_pass(self):
+        """The inputs on the other side of each refusal's threshold."""
+        assert csl_bound(1.0, 1e-4) == 1.0 / 2e-4
+        assert doppler_linewidth(5e-324, 0.0) == 0.0
+        assert thermal_velocity(0.0, 5e-324) == 0.0
+
 
 class TestZeeman:
     def test_splitting_from_verlet_arm_positions(self, paper_params, paper_seq):

@@ -305,7 +305,18 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
     (["visibility"], paper_config_text(radius=None),
      "decoherence model needs the object radius; set the radius key"),
     (["budget"], paper_config_text() + "= 5\n", f"line {len(PAPER_CONFIG) + 1}: empty key"),
-], ids=["dicke-l-0", "dicke-l-31", "dicke-unbalanced", "visibility-no-radius", "empty-key"])
+    (["sweep", "--param", "t1", "--start", "2e-5", "--stop", "9e-5", "--count", "5000"], paper_config_text(),
+     "pulse times must satisfy 0 < t1 < t2 < t3 after jitter, got 7.500300060012002e-05, "
+     "7.500000000000001e-05, 0.0001"),
+    (["sweep", "--param", "theta"], paper_config_text(), "pass --values or all of --start/--stop/--count"),
+    (["sweep", "--param", "t4", "--values", "1"], paper_config_text(),
+     "--param must be one of mass, radius, density, b_gradient, theta, t3, trap_omega, g_nv, t_internal, "
+     "t_environment, t_cm, mw_frequency, pulse_duration, n_nucleons, g_earth, t1, t2"),
+    (["dump-snapshots", "--times", "0.5"],
+     (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg").read_text(),
+     "dump-snapshots with CSV output needs --out as a filename prefix"),
+], ids=["dicke-l-0", "dicke-l-31", "dicke-unbalanced", "visibility-no-radius", "empty-key",
+        "t1-sweep-out-of-order", "sweep-no-range", "sweep-unknown-param", "snapshots-csv-no-out"])
 def test_input_refused_with_its_message(capsys, tmp_path, argv, config_text, message):
     """Each refusal ends the command with exit 1, nothing on stdout and its one line."""
     path = tmp_path / "run.cfg"

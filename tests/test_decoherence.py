@@ -43,6 +43,7 @@ from nanoramsey.decoherence import (
     visibility_surface,
 )
 from nanoramsey.dynamics import PulseSequence
+from nanoramsey.io import SIZE_BUDGET
 from nanoramsey.params import build_params
 from oracles import (
     TIME_NODES,
@@ -136,6 +137,30 @@ class TestLocalizationRate:
         with pytest.raises(ValueError) as refused:
             BlackbodyChannel("absorption", "absorption", temperature, radius)
         assert str(refused.value) == message
+
+    def test_unknown_channel_kind_refused(self):
+        with pytest.raises(ValueError) as refused:
+            BlackbodyChannel("laser", "laser", 300.0, 1e-7)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "unknown blackbody channel kind 'laser'"
+
+    @pytest.mark.parametrize("visibility, message", [
+        (np.full((1, 2), 0.5), "visibility matrix shape must match the axes"),
+        (np.array([[0.5], [1.0 + 2**-52]]), "visibility entries must lie in [0, 1]"),
+        (np.array([[-5e-324], [0.5]]), "visibility entries must lie in [0, 1]"),
+    ], ids=["shape", "above-one", "below-zero"])
+    def test_surface_record_refusal(self, visibility, message):
+        axes = np.array([1e-7, 2e-7]), np.array([300.0])
+        with pytest.raises(ValueError) as refused:
+            decoherence.VisibilitySurface(*axes, visibility, 1e-4)
+        assert type(refused.value) is ValueError and str(refused.value) == message
+        decoherence.VisibilitySurface(*axes, np.array([[0.0], [1.0]]), 1e-4)     # the bounds pass
+
+    @pytest.mark.parametrize("dx, tins", [([], [300.0]), ([1e-7], []), ([], [])])
+    def test_empty_surface_axis_refused(self, paper_params, dx, tins):
+        with pytest.raises(ValueError) as refused:
+            visibility_surface(paper_params, dx, tins, 1e-4)
+        assert type(refused.value) is ValueError and str(refused.value) == "axes must be non-empty"
 
 
 class TestSaturatedRateCeiling:
@@ -344,7 +369,7 @@ class TestForkedShares:
     def _surface(params, shares, monkeypatch, dx, tins):
         """The visibility on ``shares`` shares at most; None: one per CPU, as the CLI runs."""
         monkeypatch.setattr(decoherence, "_share_count", TestForkedShares.SHARE_COUNT
-                            if shares is None else lambda n: min(shares, n))
+                            if shares is None else lambda n, m: min(shares, n))
         return visibility_surface(params, dx, tins, PAPER_CONFIG["t3"]).visibility
 
     @pytest.mark.parametrize("surface", SURFACES)
@@ -530,9 +555,38 @@ class TestForkedShares:
 
     def test_share_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert [decoherence._share_count(n) for n in (1, 3, 102)] == [1, 3, 4]
+        assert [decoherence._share_count(n, 200) for n in (1, 3, 102)] == [1, 3, 4]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert decoherence._share_count(102) == 1
+        assert decoherence._share_count(102, 200) == 1
+
+    def test_shares_fit_in_the_size_budget(self, monkeypatch):
+        """On 64 CPUs the shares' work buffers, one each, stay within ``io.SIZE_BUDGET``, and
+        one more would not fit; no fewer shares run than fit. Nothing forks here."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert decoherence._share_count(124, decoherence.MAX_SEPARATIONS) == 2
+        assert decoherence._share_count(102, 200) == 64
+        buffer = 8 * RULE_ORDER          # bytes of a work buffer per separation
+        for m in (1, 2, 200, 511, 512, 513, 4096, 5000, 8192, 8193, decoherence.MAX_SEPARATIONS):
+            shares = decoherence._share_count(10**6, m)
+            assert shares * buffer * m <= SIZE_BUDGET
+            assert shares == 64 or (shares + 1) * buffer * m > SIZE_BUDGET
+        assert decoherence._share_count(10**6, 4 * decoherence.MAX_SEPARATIONS) == 1    # the floor
+
+    def test_channel_rates_cap_shares_by_their_separations(self, paper_params, monkeypatch):
+        """``_channel_rates`` asks for shares by its channel count and its separations."""
+        asked = []
+        monkeypatch.setattr(decoherence, "_share_count", lambda n, m: asked.append((n, m)) or 1)
+        localization_rate_profile([default_model(paper_params, 300.0)], np.geomspace(1e-9, 1e-6, 7))
+        assert asked == [(3, 7)]
+
+    def test_no_separations_take_no_share(self, paper_params, monkeypatch):
+        """An empty separation axis takes one share, which forks nothing, and gives an empty
+        rate table; over two shares the parent would split the children's bytes into rows of
+        zero length."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert decoherence._share_count(6, 0) == 1
+        models = [default_model(paper_params, t) for t in (300.0, 400.0)]
+        assert localization_rate_profile(models, []).shape == (0, 2)
 
 
 # -- the stored Gauss-Legendre rule --------------------------------------------

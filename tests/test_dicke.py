@@ -10,7 +10,7 @@ from nanoramsey.dicke import (
     sector_phase_quadratic_coefficient,
     sector_table,
 )
-from nanoramsey.dynamics import gravitational_phase, initial_state
+from nanoramsey.dynamics import PulseSequence, gravitational_phase, initial_state
 from nanoramsey.grid import desk_scale_params
 from oracles import (
     dicke_state_vector,
@@ -107,6 +107,14 @@ class TestSectorPhasesFromSympy:
             assert sector_phase_quadratic_coefficient(params, seq) == pytest.approx(expected,
                                                                                     rel=1e-12)
 
+    def test_coefficient_refuses_an_unbalanced_sequence(self):
+        params, seq = desk_scale_params(a_spin=0.35, a_gravity=0.15)
+        unbalanced = PulseSequence(t1=seq.t1 * 1.01, t2=seq.t2, t3=seq.t3)
+        with pytest.raises(ValueError) as refused:
+            sector_phase_quadratic_coefficient(params, unbalanced)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "quadratic coefficient derived for balanced sequences"
+
 
 class TestBruteForceSectors:
     @pytest.mark.parametrize("l", range(1, 13))
@@ -147,5 +155,5 @@ class TestTwistingContrast:
         exact = reconstruct_spin_state(2, sector_action_phases(params, seq, 2))
         assert single_spin_contrast(exact) == pytest.approx(0.451, abs=5e-4)
         # the linear table of collective_final_state keeps full contrast
-        linear = reconstruct_spin_state(2, collective_final_state(params, seq, 2).sector_phases)
+        linear = reconstruct_spin_state(2, collective_final_state(params, seq, 2))
         assert single_spin_contrast(linear) == pytest.approx(1.0, abs=1e-12)

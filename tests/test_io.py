@@ -367,6 +367,22 @@ class TestJsonDocument:
         with pytest.raises(ValueError, match="marker"):
             json_document(payload)
 
+    @pytest.mark.parametrize("payload, kind, message", [
+        ({"a": {1}}, TypeError, "Object of type set is not JSON serializable"),
+        ([1.0, object()], TypeError, "Object of type object is not JSON serializable"),
+        ({"a": np.zeros(2), "b": _MARKER}, ValueError,
+         "a payload string reads as the array marker '\\x00ndarray\\x00'"),
+    ], ids=["set", "object", "marker"])
+    def test_refusal_text(self, payload, kind, message):
+        """A value json cannot write is refused as json.dumps refuses it, with its text."""
+        with pytest.raises(kind) as refused:
+            json_document(payload)
+        assert type(refused.value) is kind and str(refused.value) == message
+        if kind is TypeError:
+            with pytest.raises(TypeError) as plain:
+                json.dumps(payload)
+            assert str(plain.value) == message
+
     def test_only_the_row_join_formats_float_cells(self):
         sites = []
         for path in PACKAGE.rglob("*.py"):

@@ -12,6 +12,7 @@ dataclass field that no code in ``src/`` reads, outside the class's own
 """
 import ast
 import dataclasses
+import importlib
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,11 @@ from test_tracer_targets import TRACER
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nanoramsey"
+
+
+def _trees() -> dict[str, ast.Module]:
+    """Each module of the package, by name, parsed."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -106,8 +112,7 @@ def _calls(trees) -> dict[str, list[tuple[int, set]]]:
 
 
 def test_every_defaulted_parameter_is_passed_in_src():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     calls = _calls(trees.values())
     hooked = {f"{module.removeprefix('nanoramsey.')}.{attr}"
               for module, attr, span, _ in TRACER.TARGETS if span in TRACER.HOOKS}
@@ -159,8 +164,7 @@ def _field_reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 def test_every_dataclass_field_is_read_in_src():
     """A field that only its own ``__post_init__`` reads is a copy that nothing uses.
     A class whose method passes ``self`` to ``asdict`` reads every field it has."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     unread = {}
     for module, tree in trees.items():
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
@@ -200,3 +204,34 @@ def test_one_version_string():
         config = read_configuration(ROOT / "pyproject.toml")
     assert config["project"]["dynamic"] == ["version"]
     assert config["project"]["version"] == nanoramsey.__version__
+
+
+def test_no_refusal_is_relabelled():
+    """No ``except ... as exc`` handler raises an exception built from ``str(exc)``: a refusal
+    reaches ``cli.main`` as the class that raised it, whose clause prints its text."""
+    relabels = []
+    for module, tree in _trees().items():
+        for handler in (node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.name):
+            for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and any(
+                        ast.unparse(arg) == f"str({handler.name})" for arg in node.exc.args):
+                    relabels.append(f"{module}.py:{node.lineno}")
+    assert relabels == []
+
+
+#: The ceilings ``io.SIZE_BUDGET`` sets, by module.
+CEILINGS = {"cli": {"MAX_SWEEP_POINTS": 419430, "MAX_TEMPERATURES": 16384, "MAX_CELLS": 2097152,
+                    "MAX_FRAME_POINTS": 1048576, "MAX_FRAMES": 512},
+            "decoherence": {"MAX_SEPARATIONS": 16384}}
+
+
+def test_one_size_budget():
+    """The memory a command may commit is stated once, in ``io``, and every ceiling derives
+    from it at its old value."""
+    assigned = [module for module, tree in _trees().items() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "SIZE_BUDGET" and isinstance(node.ctx, ast.Store)]
+    assert assigned == ["io"]
+    assert importlib.import_module("nanoramsey.io").SIZE_BUDGET == 256 << 20
+    for module, ceilings in CEILINGS.items():
+        loaded = importlib.import_module(f"nanoramsey.{module}")
+        assert {name: getattr(loaded, name) for name in ceilings} == ceilings
