@@ -105,12 +105,9 @@ class BudgetReport:
     def all_pass(self) -> bool:
         return self.resolvability_pass and self.closure_pass
 
-    def to_json(self, metadata: dict | None = None) -> Iterator[bytes]:
+    def to_json(self, metadata: dict) -> Iterator[bytes]:
         """The report as ``io.json_document`` pieces, ``metadata`` under its own key."""
-        payload = asdict(self)
-        if metadata is not None:
-            payload["metadata"] = metadata
-        return json_document(payload)
+        return json_document({**asdict(self), "metadata": metadata})
 
     def to_text(self) -> str:
         flag = lambda ok: "pass" if ok else "FAIL"

@@ -154,9 +154,8 @@ class BlackbodyChannel:
         return (0.0, PLANCK_CUTOFF * K_BOLTZMANN * self.temperature / HBAR)
 
     def rate_density(self, omega: np.ndarray) -> np.ndarray:
-        """gamma(omega) in s^-1 per unit angular frequency."""
-        if self.temperature == 0.0:
-            return np.zeros_like(omega)
+        """gamma(omega) in s^-1 per unit angular frequency, at a temperature > 0: a channel at
+        0 K has an empty support, on which :func:`_weighted_spectrum` calls none."""
         flux = _planck_flux(omega, self.temperature)
         resp = self.response
         if self.kind == "scattering":
@@ -166,24 +165,23 @@ class BlackbodyChannel:
         return flux * cross
 
 
-def default_model(params: ExperimentParams,
-                  t_internal: float | None = None) -> tuple[BlackbodyChannel, ...]:
-    """Blackbody absorption + scattering at t_environment, emission at t_internal, with
-    the object's response factors ``params.response_im`` and ``params.response_mod_sq``.
+def default_model(params: ExperimentParams, t_internal: float) -> tuple[BlackbodyChannel, ...]:
+    """Blackbody absorption + scattering at ``params.t_environment``, emission at the
+    internal temperature ``t_internal``, with the object's response factors
+    ``params.response_im`` and ``params.response_mod_sq``.
 
     Requires ``params.radius``. Gas collisions are left out: the chamber is
     assumed pumped to a vacuum where their rate is negligible.
     """
     if params.radius is None:
         raise ValueError("decoherence model needs the object radius; set the radius key")
-    t_int = params.t_internal if t_internal is None else t_internal
     return (
         BlackbodyChannel("blackbody_absorption", "absorption",
                          params.t_environment, params.radius, params.response_im),
         BlackbodyChannel("blackbody_scattering", "scattering",
                          params.t_environment, params.radius, params.response_mod_sq),
         BlackbodyChannel("thermal_emission", "emission",
-                         t_int, params.radius, params.response_im),
+                         t_internal, params.radius, params.response_im),
     )
 
 
@@ -487,11 +485,9 @@ def surface_to_csv(surface: VisibilitySurface) -> Iterator[bytes]:
     return csv_text(header, np.column_stack([surface.delta_x_axis, surface.visibility]))
 
 
-def surface_to_json(surface: VisibilitySurface, metadata: dict | None = None) -> Iterator[bytes]:
-    """The surface as a JSON document of its float arrays, as ``io.json_document`` pieces; an
-    empty ``metadata`` is left out."""
-    payload = {"delta_x_m": surface.delta_x_axis, "flight_time_s": surface.flight_time,
-               "t_int_K": surface.t_int_axis, "visibility": surface.visibility}
-    if metadata:
-        payload["metadata"] = metadata
-    return json_document(payload)
+def surface_to_json(surface: VisibilitySurface, metadata: dict) -> Iterator[bytes]:
+    """The surface as a JSON document of its float arrays and ``metadata``, as
+    ``io.json_document`` pieces."""
+    return json_document({"delta_x_m": surface.delta_x_axis, "flight_time_s": surface.flight_time,
+                          "metadata": metadata, "t_int_K": surface.t_int_axis,
+                          "visibility": surface.visibility})

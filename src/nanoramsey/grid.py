@@ -168,12 +168,8 @@ class GridSpec:
         """The FFT's angular wavenumbers, in the order ``np.fft.fft`` returns them."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def norm(self, psi):
-        """Norm of the state ``psi``, per row."""
-        return np.sum(np.abs(psi) ** 2, axis=-1) * self.dx
-
     def moments(self, psi):
-        """(<x>, <p>, width, momentum width) of the state ``psi``, per row. Refuses a row
+        """(<x>, <p>, width, momentum width, norm) of the state ``psi``, per row. Refuses a row
         whose norm is more than 1e-9 off 1, from the same |psi|^2, before any FFT."""
         prob = np.abs(psi) ** 2
         dx = self.dx
@@ -187,7 +183,7 @@ class GridSpec:
         total = np.sum(prob_k, axis=-1)
         pk = np.sum(k * prob_k, axis=-1) / total
         pwidth = np.sqrt(np.maximum(np.sum(k * k * prob_k, axis=-1) / total - pk * pk, 0.0))
-        return xb, pk, width, pwidth
+        return xb, pk, width, pwidth, n
 
 
 def gaussian_packet(spec: GridSpec, center: float = 0.0, momentum: float = 0.0) -> np.ndarray:
@@ -213,7 +209,7 @@ def _check_margin(psi: np.ndarray, spec: GridSpec, kick=0.0):
     """Keep every row of ``psi`` normalized (:meth:`GridSpec.moments`), ``GUARD_SIGMAS``
     widths inside +-pi/dx in p, at <p> and <p> + ``kick``, then inside the domain in x
     (aliased momentum would garble the x moments)."""
-    xb, pb, width, pwidth = spec.moments(psi)
+    xb, pb, width, pwidth, _ = spec.moments(psi)
     _check_momentum(float(np.min(np.minimum(pb, pb + kick) - GUARD_SIGMAS * pwidth)),
                     float(np.max(np.maximum(pb, pb + kick) + GUARD_SIGMAS * pwidth)), spec)
     lo, hi = float(np.min(xb - GUARD_SIGMAS * width)), float(np.max(xb + GUARD_SIGMAS * width))
@@ -450,8 +446,6 @@ def oracle_compare(
         raise ClosureError(
             f"balanced sequence failed to recombine on the grid (|overlap| = {abs(ov_grid):.4f})"
         )
-    norm_drift = float(np.max(np.abs(spec.norm(pair) - 1.0)))
-
     final = evolve_sequence(params, seq, initial_state())
     ov_analytic = branch_overlap(params, final)
 
@@ -468,7 +462,8 @@ def oracle_compare(
     center_error = 0.0
     width_error = 0.0
     sigma_scaled = wavepacket_width(params, final.spread_time) / scaled.length_unit
-    for xb, pb, width, _, branch in zip(*spec.moments(pair), (final.plus_branch, final.minus_branch)):
+    *readings, norm = spec.moments(pair)
+    for xb, pb, width, _, branch in zip(*readings, (final.plus_branch, final.minus_branch)):
         x_cl = branch.center / scaled.length_unit
         # natural momentum unit is hbar / sigma0
         p_cl = branch.momentum * scaled.length_unit / HBAR
@@ -486,7 +481,7 @@ def oracle_compare(
         overlap_grid=abs(ov_grid),
         overlap_analytic=abs(ov_analytic),
         overlap_deficit=abs(abs(ov_grid) - abs(ov_analytic)),
-        norm_drift=norm_drift,
+        norm_drift=float(np.max(np.abs(norm - 1.0))),
         balanced=balanced,
     )
 
@@ -505,22 +500,21 @@ def snapshot_frames(
     params: ExperimentParams,
     seq: PulseSequence,
     fractions,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ):
     """Probability-density frames |psi(x)|^2 of both branches in SI units.
 
     ``fractions`` are times as fractions of t3. Returns a list of
     (time_s, x_m, prob_plus_per_m, prob_minus_per_m) tuples, each probability
     normalized per metre so the frames are plot-ready, in the order given;
-    both branches go forward once through the sorted times, on
-    :func:`snapshot_grid` when ``spec`` is None.
+    both branches go forward once through the sorted times, on ``spec``, the
+    grid :func:`snapshot_grid` sizes.
     """
     scaled = scale_params(params, seq)
     fractions = list(fractions)
     for frac in fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"snapshot fraction {frac} outside [0, 1]")
-    spec = spec or snapshot_grid(params, seq)
     t3 = seq.effective_times()[2]
     order = sorted(range(len(fractions)), key=fractions.__getitem__)
     # f t3 / time_unit can round an ulp past total_time; capping it drops no piece
@@ -581,7 +575,6 @@ def desk_scale_params(
         trap_omega=omega,
         mw_frequency=2.87e9,
         pulse_duration=1.0e-8,
-        t_internal=300.0,
         t_environment=300.0,
         t_cm=1.0e-3,
         radius=1.0e-7,

@@ -152,14 +152,15 @@ class SpinBranch(IntEnum):
 class ExperimentParams:
     """All physical knobs of one protocol run (SI units throughout), except the pulse
     times, flight time t3 included, which belong to the
-    :class:`~nanoramsey.dynamics.PulseSequence`.
+    :class:`~nanoramsey.dynamics.PulseSequence`, and the object's internal temperature,
+    which the visibility surface takes as its own axis (the config's ``t_internal`` is
+    only checked, by :func:`build_params`).
 
     mass            kg, of the test object
     b_gradient      T/m, magnetic field gradient along the flight axis
     theta           rad, tilt of the flight axis against gravity, [0, pi/2]
     trap_omega      rad/s, trap angular frequency before release
     g_nv            Lande factor of the NV spin (dimensionless)
-    t_internal      K, internal temperature of the object
     t_environment   K, temperature of the surrounding blackbody field
     t_cm            K, centre-of-mass temperature in the trap
     mw_frequency    Hz, microwave carrier used for spin control
@@ -179,7 +180,6 @@ class ExperimentParams:
     trap_omega: float
     mw_frequency: float
     pulse_duration: float
-    t_internal: float
     t_environment: float
     t_cm: float
     g_nv: float = DEFAULT_G_NV
@@ -195,7 +195,7 @@ class ExperimentParams:
         _require(self.trap_omega > 0.0, "trap_omega", "must be > 0")
         _require((0.0 <= self.theta) & (self.theta <= math.pi / 2.0),
                  "theta", "must lie in [0, pi/2]")
-        for name in ("t_internal", "t_environment", "t_cm", "response_im", "response_mod_sq"):
+        for name in ("t_environment", "t_cm", "response_im", "response_mod_sq"):
             _require(getattr(self, name) >= 0.0, name, "must be >= 0")
         _require(self.mw_frequency > 0.0, "mw_frequency", "must be > 0")
         _require(self.pulse_duration > 0.0, "pulse_duration", "must be > 0")
@@ -255,8 +255,9 @@ PARAM_KEYS = (
 _FIELDS = tuple(field.name for field in fields(ExperimentParams))
 #: the keys the pulse sequence is built from
 _SEQUENCE_KEYS = {"t1", "t2", "t3", "jitter_t1", "jitter_t2", "jitter_t3"}
-#: each key has one home: a field, the pulse sequence, or, for the density, none (it is only checked)
-KNOWN_CONFIG_KEYS = {*_FIELDS, *_SEQUENCE_KEYS, "density"}
+#: each key has one home: a field, the pulse sequence, or, for the density and the internal
+#: temperature, none (they are only checked)
+KNOWN_CONFIG_KEYS = {*_FIELDS, *_SEQUENCE_KEYS, "density", "t_internal"}
 
 _MANDATORY = ("b_gradient", "theta", "t3", "trap_omega", "mw_frequency",
               "pulse_duration", "t_internal", "t_environment", "t_cm")
@@ -274,8 +275,9 @@ def build_params(config: dict) -> ExperimentParams:
     or both; when all three are present they must agree to 1e-12 relative,
     otherwise the conflict is reported instead of silently resolved. The
     pulse-sequence keys are the caller's; of them only ``t3`` is required and
-    checked here. Any number may be an array; a failing check names its first
-    bad element.
+    checked here. ``t_internal`` is required and checked too, and held by no
+    object. Any number may be an array; a failing check names its first bad
+    element.
     """
     unknown = set(config) - KNOWN_CONFIG_KEYS
     if unknown:
@@ -304,8 +306,9 @@ def build_params(config: dict) -> ExperimentParams:
             )
     elif density is not None:       # the mass is given, so the density is only checked
         _require(density > 0.0, "density", "must be > 0")
-    # t3 is the pulse sequence's, and checked here as the density is
+    # t3 is the pulse sequence's and t_internal no object's; each is checked here, as the density is
     _require(config["t3"] > 0.0, "t3", "must be > 0")
+    _require(config["t_internal"] >= 0.0, "t_internal", "must be >= 0")
 
     kwargs = {key: number(config[key]) for key in _FIELDS if config.get(key) is not None}
     kwargs["mass"] = number(mass)        # derived, or checked against radius and density, above

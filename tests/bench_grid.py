@@ -8,8 +8,9 @@ The default test run does not collect this file (its name does not match
 ``test_*.py``). The layer cases run on the default desk-scale set with the
 library's own default grids: ``auto_grid`` sizes ``n_points`` from the peak
 branch momentum (256 points here) with 1200 Strang steps per segment, and
-``snapshot_frames`` takes 2048 frame points and one step per segment. Each
-segment is one closed-form propagator call, whatever its step count.
+``snapshot_frames`` runs on ``snapshot_grid``'s 2048 frame points with one
+step per segment. Each segment is one closed-form propagator call, whatever
+its step count.
 ``test_certify_sets`` makes the three ``oracle_compare`` calls that
 ``certify`` makes, one per desk set, in-process. The two end-to-end cases
 run a CLI command in a fresh interpreter, as the benchmark's ``oracle``
@@ -31,6 +32,7 @@ from nanoramsey.grid import (
     oracle_compare,
     scale_params,
     snapshot_frames,
+    snapshot_grid,
     split_step_evolve,
 )
 
@@ -73,9 +75,9 @@ def test_oracle_compare(benchmark, desk_grid):
 
 
 def test_snapshot_frames(benchmark, desk_grid):
-    """Four frames, at 0.25, 0.5, 0.75 and 1.0 of t3."""
+    """Four frames, at 0.25, 0.5, 0.75 and 1.0 of t3, on the grid sized for them."""
     params, seq, _, _ = desk_grid
-    benchmark.pedantic(snapshot_frames, args=(params, seq, [0.25, 0.5, 0.75, 1.0]),
+    benchmark.pedantic(lambda: snapshot_frames(params, seq, [0.25, 0.5, 0.75, 1.0], snapshot_grid(params, seq)),
                        rounds=5, iterations=1, warmup_rounds=1)
 
 

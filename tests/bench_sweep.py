@@ -57,7 +57,7 @@ from nanoramsey.dynamics import (
     max_separation,
     ramsey_probability,
 )
-from nanoramsey.grid import snapshot_frames
+from nanoramsey.grid import snapshot_frames, snapshot_grid
 from nanoramsey.io import csv_text, json_table
 from nanoramsey.params import build_params, parse_config_text
 
@@ -280,7 +280,7 @@ def test_io_csv_column_120k(benchmark, sweep_tables):
 def test_io_snapshots_json_4_frames(benchmark):
     """The dump-snapshots JSON of 4 frames of 2048 points (24,576 cells)."""
     cfg = parse_config_text(Path(SNAPSHOT_CONFIG).read_text())
-    frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg),
-                             [0.25, 0.5, 0.75, 1.0])
+    params, seq = build_params(cfg), cli._sequence_from_config(cfg)
+    frames = snapshot_frames(params, seq, [0.25, 0.5, 0.75, 1.0], snapshot_grid(params, seq))
     benchmark.pedantic(_read, args=(cli._snapshots_json, frames, {"command": "dump-snapshots"}),
                        rounds=10, iterations=1, warmup_rounds=1)

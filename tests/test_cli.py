@@ -383,14 +383,26 @@ def test_extreme_input_refused_by_name(capsys, tmp_path, argv, overrides, code, 
 
 
 @pytest.mark.parametrize("value", [-0.5, -1e-3])
-@pytest.mark.parametrize("key", ["response_im", "response_mod_sq"])
+@pytest.mark.parametrize("key", ["response_im", "response_mod_sq", "t_internal", "t_environment", "t_cm"])
 def test_negative_response_refused_by_name(capsys, tmp_path, key, value):
     """A negative |.|^2, or a negative absorption that would make the visibility exceed 1,
-    is the object's bad input, and is refused as one."""
+    is the object's bad input, and is refused as one; so is a negative temperature, the
+    internal one too, which the surface never reads."""
     rc = cli.main([*_VISIBILITY, "--config", write_config(tmp_path, **{key: value})])
     out, err = capsys.readouterr()
     assert rc == cli.EXIT_VALIDATION and out == ""
     assert err == f"error: {key} must be >= 0\n"
+
+
+@pytest.mark.parametrize("other", [{"theta": 2.0}, {"g_earth": -1.0}, {"mass": 0.0}, {"trap_omega": 0.0}],
+                         ids=["theta", "g_earth", "mass", "trap_omega"])
+def test_internal_temperature_refused_before_the_object(capsys, tmp_path, other):
+    """``t_internal`` is checked with ``t3``, before the object's own fields: with a bad
+    theta, g_earth, mass or trap_omega as well, the refusal names ``t_internal``."""
+    rc = cli.main(["budget", "--config", write_config(tmp_path, t_internal=-1.0, **other)])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION and out == ""
+    assert err == "error: t_internal must be >= 0\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -71,7 +71,7 @@ def assert_bit_equal(got, want):
 class TestLocalizationRate:
     @pytest.mark.parametrize("delta_x", [1e-9, 1e-7, 1e-6, 1e-5])
     def test_gauss_legendre_matches_adaptive_oracle(self, paper_params, delta_x):
-        model = default_model(paper_params)
+        model = default_model(paper_params, PAPER_CONFIG["t_internal"])
         assert localization_rate_profile([model], [delta_x])[0, 0] == pytest.approx(
             localization_rate_adaptive(model, delta_x), rel=1e-9)
 
@@ -101,7 +101,7 @@ class TestLocalizationRate:
 
     def test_models_share_channels_and_an_empty_model_sums_to_zero(self, paper_params):
         """One column per model, in order; a model with no channels forks nothing."""
-        hot, cold = default_model(paper_params, 900.0), default_model(paper_params)
+        hot, cold = default_model(paper_params, 900.0), default_model(paper_params, PAPER_CONFIG["t_internal"])
         eta = localization_rate_profile([hot, (), cold], [1e-8, 1e-7])
         assert eta.shape == (2, 3) and eta[:, 1].tolist() == [0.0, 0.0]
         assert_bit_equal(eta[:, 0], localization_rate_profile([hot], [1e-8, 1e-7])[:, 0])
@@ -117,7 +117,7 @@ class TestLocalizationRate:
     @pytest.mark.parametrize("delta_x", [math.nan, math.inf, -1e-9])
     def test_separation_outside_bounds_refused(self, paper_params, delta_x):
         with pytest.raises(ValueError, match="delta_x must be finite and >= 0"):
-            localization_rate_profile([default_model(paper_params)], [1e-7, delta_x])
+            localization_rate_profile([default_model(paper_params, PAPER_CONFIG["t_internal"])], [1e-7, delta_x])
 
     @pytest.mark.parametrize("temperature, radius", [
         (math.nan, 1e-7), (math.inf, 1e-7), (300.0, math.nan), (300.0, math.inf),
@@ -736,15 +736,16 @@ class TestErrorBound:
         assert localization_rate_profile([model], [1e-4])[0, 0] == pytest.approx(want, rel=QUADRATURE_RTOL)
 
     @pytest.mark.filterwarnings("error")
-    def test_zero_rates_pass_without_warning(self, paper_params):
+    def test_zero_rates_pass_without_warning(self, paper_params, monkeypatch):
         """dx = 0 gives exactly 0, and so does a subnormal dx, whose kicks underflow: both
         bounds are exactly 0 too. A zero response or temperature makes every rate 0, with
-        nothing to bound."""
-        model = default_model(paper_params)
+        nothing to bound; at 0 K the support is empty, and no ``rate_density`` call forms
+        the spectrum."""
+        model = default_model(paper_params, PAPER_CONFIG["t_internal"])
         eta = localization_rate_profile([model], [0.0, 5e-324, 1e-7])[:, 0]
         assert eta[0] == eta[1] == 0.0 < eta[2]
         assert np.exp(_log_error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER)).tolist() == [0.0, 0.0]
-        mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0))
+        mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0), PAPER_CONFIG["t_internal"])
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
         dx = np.array([0.0, 1e-7, 1e-4])
         for model in (mute, (cold,)):
@@ -752,6 +753,13 @@ class TestErrorBound:
             # each channel's own rate, before the sum into eta could turn a -0.0 into +0.0
             for rate in decoherence._channel_rates(list(model), dx).values():
                 assert rate.tolist() == [0.0, 0.0, 0.0] and not np.signbit(rate).any()
+
+        def no_call(channel, omega):
+            raise AssertionError(f"rate_density called on {channel.name!r}")
+
+        monkeypatch.setattr(BlackbodyChannel, "rate_density", no_call)
+        rate = decoherence._channel_rates([cold], dx)[cold]
+        assert rate.tolist() == [0.0, 0.0, 0.0] and not np.signbit(rate).any()
 
 
 # -- angular factor against independent oracles --------------------------------
@@ -787,14 +795,14 @@ class TestDephasingExposures:
         params = build_params(cfg)
         t3 = cfg["t3"]
         seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
-        bound, refined = dephasing_exposures(params, seq, default_model(params))
+        bound, refined = dephasing_exposures(params, seq, default_model(params, cfg["t_internal"]))
         assert 0.0 < refined < bound
 
     @pytest.mark.parametrize("shape", [(0.25, 0.75), (0.2, 0.7)])
     def test_one_walk_per_piece_and_the_per_node_bits(self, paper_params, shape, monkeypatch):
         t3 = PAPER_CONFIG["t3"]
         seq = PulseSequence(t1=shape[0] * t3, t2=shape[1] * t3, t3=t3)
-        model = default_model(paper_params)
+        model = default_model(paper_params, PAPER_CONFIG["t_internal"])
         # the refinement as a per-node loop computes it: each node's separation from the
         # last segment that starts at or before it
         segments = dynamics._relative_segments(paper_params, seq)
@@ -822,6 +830,6 @@ class TestDephasingExposures:
     def test_no_spin_force_gives_equal_zero_exposures(self):
         params = build_params(dict(PAPER_CONFIG, b_gradient=0.0))
         seq = PulseSequence.balanced(PAPER_CONFIG["t3"])
-        bound, refined = dephasing_exposures(params, seq, default_model(params))
+        bound, refined = dephasing_exposures(params, seq, default_model(params, PAPER_CONFIG["t_internal"]))
         assert refined <= bound
         assert bound == refined == 0.0

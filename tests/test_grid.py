@@ -138,7 +138,7 @@ class TestSplitStep:
         psi = gaussian_packet(spec)
         t = 4.0
         out = split_step_evolve(psi, force=0.0, duration=t, spec=spec)
-        _, _, width, _ = spec.moments(out)
+        _, _, width, _, _ = spec.moments(out)
         assert width == pytest.approx(math.sqrt(1.0 + (t / 2.0) ** 2), rel=1e-9)
 
     def test_constant_force_ehrenfest(self):
@@ -146,14 +146,14 @@ class TestSplitStep:
         psi = gaussian_packet(spec)
         a, t = 0.8, 3.0
         out = split_step_evolve(psi, force=a, duration=t, spec=spec)
-        xb, pb, _, _ = spec.moments(out)
+        xb, pb, _, _, _ = spec.moments(out)
         assert xb == pytest.approx(0.5 * a * t * t, rel=1e-6)
         assert pb == pytest.approx(a * t, rel=1e-6)
 
     def test_norm_conserved(self):
         spec = small_spec()
         out = split_step_evolve(gaussian_packet(spec), force=0.5, duration=5.0, spec=spec)
-        assert abs(spec.norm(out) - 1.0) < 1e-12
+        assert abs(spec.moments(out)[4] - 1.0) < 1e-12
 
     def test_second_order_phase_convergence(self):
         """Phase error against the exact evolved Gaussian scales as dt^2."""
@@ -202,7 +202,7 @@ class TestSplitStep:
                 split_step_evolve(pair, force=(0.5, -0.5), duration=1.0, spec=spec)
         pair[1] = gaussian_packet(spec) * (1.0 + 2.0 ** -52)
         out = split_step_evolve(pair, force=(0.5, -0.5), duration=1.0, spec=spec)
-        assert np.all(np.abs(spec.norm(out) - 1.0) < 1e-12)
+        assert np.all(np.abs(spec.moments(out)[4] - 1.0) < 1e-12)
 
     def test_boundary_contact_detected(self):
         spec = small_spec(x_min=-6.0, x_max=6.0)
@@ -242,7 +242,7 @@ class TestMarginThresholds:
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_x_edge(self, side, inside):
         def support(spec):
-            xb, _, width, _ = spec.moments(gaussian_packet(spec, center=10.0 * side))
+            xb, _, width, _, _ = spec.moments(gaussian_packet(spec, center=10.0 * side))
             return float(xb + side * GUARD_SIGMAS * width)
 
         gap = side * (self.GAP if inside else -self.GAP)
@@ -261,7 +261,7 @@ class TestMarginThresholds:
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_p_edge(self, side, inside):
         def support(spec):
-            _, pb, _, pwidth = spec.moments(gaussian_packet(spec, momentum=5.0 * side))
+            _, pb, _, pwidth, _ = spec.moments(gaussian_packet(spec, momentum=5.0 * side))
             return abs(float(pb + side * GUARD_SIGMAS * pwidth))
 
         gap = self.GAP if inside else -self.GAP
@@ -293,7 +293,7 @@ class TestEachStateGuardedOnce:
         scaled = scale_params(params, seq)
         spec = replace(auto_grid(scaled), x_min=-25.0)
         entry = evolve_branch_on_grid(scaled, spec, (+1, -1), until=sum(scaled.seg_times[:2]))
-        xb, _, width, _ = spec.moments(entry)
+        xb, _, width, _, _ = spec.moments(entry)
         assert spec.x_min < float(np.min(xb - GUARD_SIGMAS * width)) < -21.8
         with pytest.raises(GridBoundaryError, match=re.escape(self.EDGE)):
             evolve_branch_on_grid(scaled, spec, (+1, -1))
@@ -313,7 +313,7 @@ class TestEachStateGuardedOnce:
         with pytest.raises(ValueError, match=re.escape("until must name at least one horizon, got []")):
             evolve_branch_on_grid(scaled, auto_grid(scaled), (+1, -1), until=[])
         with pytest.raises(ValueError, match=re.escape("until must name at least one horizon, got []")):
-            snapshot_frames(params, seq, [])
+            snapshot_frames(params, seq, [], snapshot_grid(params, seq))
 
     def test_moments_calls(self, desk, monkeypatch, capsys):
         """Per flight, one entry check per segment piece and one on the final pair, plus
@@ -333,7 +333,7 @@ class TestEachStateGuardedOnce:
         oracle_compare(*desk)
         assert len(calls) == 5
         calls.clear()
-        snapshot_frames(*desk, [0.25, 0.5, 0.75, 1.0])
+        snapshot_frames(*desk, [0.25, 0.5, 0.75, 1.0], snapshot_grid(*desk))
         assert len(calls) == 5
 
 
@@ -501,7 +501,7 @@ class TestOracleCompare:
         scaled = scale_params(params, seq)
         spec = auto_grid(scaled)
         psi = evolve_branch_on_grid(scaled, spec, +1)
-        _, _, width_grid, _ = spec.moments(psi)
+        _, _, width_grid, _, _ = spec.moments(psi)
         width_std = wavepacket_width(params, seq.t3) / scaled.length_unit
         omega_t = params.trap_omega * seq.t3
         width_alt = (math.sqrt(1.0 + omega_t**2 / 16.0)
@@ -690,7 +690,7 @@ class TestDeskSpaceOnGrid:
         final = evolve_branches(params, seq, initial, spins=spins,
                                 until=fraction * seq.effective_times()[2])
         sigma = wavepacket_width(params, final.spread_time) / unit
-        for xb, pb, width, _, branch in zip(*spec.moments(pair), (final.plus_branch, final.minus_branch)):
+        for xb, pb, width, _, _, branch in zip(*spec.moments(pair), (final.plus_branch, final.minus_branch)):
             x_cl, p_cl = branch.center / unit, branch.momentum * unit / HBAR
             denom = max(1.0, abs(x_cl), abs(p_cl))
             assert abs(xb - x_cl) <= 1e-10 * denom and abs(pb - p_cl) <= 1e-10 * denom
@@ -801,7 +801,7 @@ class TestSnapshots:
     def test_frames_normalized_and_split(self):
         # exaggerated splitting so the mid-flight frame shows two clear peaks
         params, seq = desk_scale_params(a_spin=2.0, a_gravity=0.05, tau_scaled=8.0)
-        frames = snapshot_frames(params, seq, [0.0, 0.5, 1.0])
+        frames = snapshot_frames(params, seq, [0.0, 0.5, 1.0], snapshot_grid(params, seq))
         from nanoramsey.dynamics import max_separation
         sep_expected = max_separation(params, seq)
         for t, x, prob_p, prob_m in frames:
@@ -835,7 +835,7 @@ class TestSnapshots:
         seq = replace(seq0, jitter=(0.01 * seq0.t3, 0.0, 0.0))
         scaled = scale_params(params, seq)
         assert seq.effective_times()[2] / scaled.time_unit > scaled.total_time
-        [(_, _, prob_p, prob_m)] = snapshot_frames(params, seq, [1.0])
+        [(_, _, prob_p, prob_m)] = snapshot_frames(params, seq, [1.0], snapshot_grid(params, seq))
         final = evolve_branch_on_grid(scaled, auto_grid(scaled, 2048, 1), (+1, -1))
         assert np.array_equal(np.abs(final) ** 2 / scaled.length_unit, [prob_p, prob_m])
 
@@ -850,7 +850,7 @@ class TestSnapshots:
             params, seq = desk_scale_params(*case)
         scaled = scale_params(params, seq)
         fractions = [0.25, 0.6, 1.0, 0.1, 0.5]
-        frames = snapshot_frames(params, seq, fractions)
+        frames = snapshot_frames(params, seq, fractions, snapshot_grid(params, seq))
         spec = auto_grid(scaled, 2048, 1200)
         reference = flight_reference(scaled, spec, until=[f * scaled.total_time for f in sorted(fractions)])
         for (t, x, *probs), frac in zip(frames, fractions):
@@ -860,11 +860,14 @@ class TestSnapshots:
             for prob, ref_prob in zip(probs, ref):
                 assert np.max(np.abs(prob - ref_prob)) < 1e-10 * ref_prob.max()
 
-    def test_megaradian_refused(self, paper_params, paper_seq):
+    def test_megaradian_refused(self, paper_params, paper_seq, desk):
+        """Refused when the grid is sized, and by the frames on any grid."""
         with pytest.raises(ScaleError, match="desk scale"):
-            snapshot_frames(paper_params, paper_seq, [0.5])
+            snapshot_grid(paper_params, paper_seq)
+        with pytest.raises(ScaleError, match="desk scale"):
+            snapshot_frames(paper_params, paper_seq, [0.5], snapshot_grid(*desk))
 
     def test_fraction_out_of_range(self, desk):
         params, seq = desk
         with pytest.raises(ValueError, match="fraction"):
-            snapshot_frames(params, seq, [1.5])
+            snapshot_frames(params, seq, [1.5], snapshot_grid(params, seq))

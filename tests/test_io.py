@@ -27,7 +27,7 @@ from conftest import paper_config_text
 from nanoramsey import cli, io
 from nanoramsey.decoherence import VisibilitySurface, surface_to_csv, surface_to_json
 from nanoramsey.dicke import sector_phase_quadratic_coefficient
-from nanoramsey.grid import snapshot_frames
+from nanoramsey.grid import snapshot_frames, snapshot_grid
 from nanoramsey.io import (
     _MARKER,
     Cells,
@@ -250,15 +250,14 @@ class TestTables:
         assert joined(surface_to_csv(surface)) == csv_text_reference(header, rows)
 
 
-def surface_json_reference(surface, metadata=None) -> str:
+def surface_json_reference(surface, metadata) -> str:
     payload = {
         "delta_x_m": [float(v) for v in surface.delta_x_axis],
         "t_int_K": [float(v) for v in surface.t_int_axis],
         "flight_time_s": surface.flight_time,
         "visibility": [[float(v) for v in row] for row in surface.visibility],
+        "metadata": metadata,
     }
-    if metadata:
-        payload["metadata"] = metadata
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -271,12 +270,11 @@ def test_surface_json_equals_json_dumps(dx, n_tint, metadata, flight_time):
                                 t_int_axis=np.linspace(300.0, 1500.0, n_tint),
                                 visibility=rng.uniform(0.0, 1.0, (len(dx), n_tint)),
                                 flight_time=flight_time)
-    for meta in (None, metadata):
-        if dx and not n_tint:
-            with pytest.raises(TypeError, match="shape"):     # rows with no cells: see TestJsonDocument
-                surface_to_json(surface, meta)
-        else:
-            assert joined(surface_to_json(surface, meta)) == surface_json_reference(surface, meta)
+    if dx and not n_tint:
+        with pytest.raises(TypeError, match="shape"):     # rows with no cells: see TestJsonDocument
+            surface_to_json(surface, metadata)
+    else:
+        assert joined(surface_to_json(surface, metadata)) == surface_json_reference(surface, metadata)
 
 
 # -- the JSON writer ---------------------------------------------------------------
@@ -443,7 +441,8 @@ class TestSnapshotJson:
         assert cli.main(["dump-snapshots", "--config", str(SNAPSHOT_CFG), "--format", "json",
                          "--times", "0.5,0.25"]) == cli.EXIT_OK
         out = capsys.readouterr().out
-        frames = snapshot_frames(build_params(cfg), cli._sequence_from_config(cfg), [0.5, 0.25])
+        params, seq = build_params(cfg), cli._sequence_from_config(cfg)
+        frames = snapshot_frames(params, seq, [0.5, 0.25], snapshot_grid(params, seq))
         metadata = json.loads(out)["metadata"]
         assert out == snapshots_reference(frames, metadata)
 

@@ -217,7 +217,6 @@ class TestUnitAudit:
                 trap_omega=base.trap_omega / lam_t,
                 mw_frequency=base.mw_frequency,
                 pulse_duration=base.pulse_duration,
-                t_internal=base.t_internal,
                 t_environment=base.t_environment,
                 t_cm=base.t_cm,
                 g_nv=base.g_nv,

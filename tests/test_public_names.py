@@ -186,12 +186,12 @@ SEQUENCE_INPUTS = {"t1", "t2", "t3", "jitter_t1", "jitter_t2", "jitter_t3"}
 
 def test_every_config_key_has_one_home():
     """Each config key is held by exactly one object: a field of ``ExperimentParams``, an
-    input of the ``PulseSequence``, or, for ``density``, none, as it is checked but not
-    stored. A key held twice is a copy that a caller can set apart from its original; a
+    input of the ``PulseSequence``, or, for ``density`` and ``t_internal``, none, as each
+    is checked but not stored. A key held twice is a copy that a caller can set apart from its original; a
     key held nowhere is read from the raw config, outside every check."""
     fields = {field.name for field in dataclasses.fields(ExperimentParams)}
     homes = {key: [home for home, keys in (("ExperimentParams", fields), ("PulseSequence", SEQUENCE_INPUTS),
-                                           ("checked only", {"density"})) if key in keys]
+                                           ("checked only", {"density", "t_internal"})) if key in keys]
              for key in KNOWN_CONFIG_KEYS}
     assert {key: held for key, held in homes.items() if len(held) != 1} == {}
 
