@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands: sweep, visibility, certify, budget, dicke, dump-snapshots. Outputs
+Subcommands: sweep, visibility, certify, budget, dicke, dump-snapshots; sweep
+moves one of the config keys in ``SWEEPABLE``, those its columns read. Outputs
 are deterministic (12-significant-digit scientific CSV, or the JSON mirror with
 config hash and version); the CLI never computes anything itself, it formats
 library results. Exit codes: 0 success, 1 validation or usage error, 2 numerical
@@ -32,7 +33,7 @@ from .dynamics import PulseSequence, fringe
 from .grid import (CERTIFY_DESK, SNAPSHOT_POINTS, ClosureError, GridBoundaryError, ScaleError,
                    desk_scale_params, oracle_compare, snapshot_frames, snapshot_grid)
 from .io import BLOCK_BYTES, SIZE_BUDGET, Cells, config_sha256, csv_text, fmt, json_document, json_table
-from .params import PARAM_KEYS, ConfigError, all_of, any_of, build_params, number, parse_config_text
+from .params import ConfigError, all_of, any_of, build_params, number, parse_config_text
 
 # the import graph lives until exit; frozen, it is walked by no collection, not even shutdown's
 gc.freeze()
@@ -41,7 +42,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-SWEEPABLE = (*PARAM_KEYS, "t1", "t2")
+#: The keys ``sweep --param`` moves: each reaches an output column, the radius and density
+#: through the mass of a config that derives it. A key no column reads is refused.
+SWEEPABLE = ("mass", "radius", "density", "b_gradient", "theta", "t3", "trap_omega", "g_nv", "g_earth", "t1", "t2")
 
 OUTPUT_COLUMNS = ("phi_g_rad", "p0", "delta_x_max_m", "visibility")
 

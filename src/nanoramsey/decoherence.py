@@ -261,9 +261,9 @@ def _channel_rate(spectrum, delta_x: np.ndarray, work: np.ndarray) -> np.ndarray
     return kick @ weighted
 
 
-def _log_error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Natural log of an a-priori bound on the absolute error of ``channel``'s rate on an
-    ``n_nodes`` rule; -inf where the bound is 0.
+def _log_error_bound(channel, delta_x: np.ndarray) -> np.ndarray:
+    """Natural log of an a-priori bound on the absolute error of ``channel``'s rate on the
+    ``RULE_ORDER``-node rule; -inf where the bound is 0.
 
     Gauss-Legendre on an integrand f analytic inside the Bernstein ellipse E_rho errs
     by at most (64/15) M rho^(-2n) / (rho^2 - 1), M = sup |f| on E_rho (Trefethen,
@@ -279,7 +279,7 @@ def _log_error_bound(channel, delta_x: np.ndarray, n_nodes: int) -> np.ndarray:
     # prefactor times sup: the saturated rate is the prefactor times the integral over [0, inf)
     log_base = (channel._log10_saturated_rate() * math.log(10.0)
                 + math.log(0.5 * PLANCK_CUTOFF * sup / integral * (64.0 / 15.0) / (rho * rho - 1.0))
-                - 2.0 * n_nodes * math.log(rho))
+                - 2.0 * RULE_ORDER * math.log(rho))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = delta_x * (0.5 * channel.support()[1] / LIGHT_SPEED)     # z at x = 0
         log_s = np.log(s)
@@ -310,16 +310,11 @@ def localization_rate_profile(models, delta_x) -> np.ndarray:
     return eta
 
 
-def _work_buffer(dx: np.ndarray) -> np.ndarray:
-    """A float64 buffer that holds the kick matrix of any channel over ``dx``."""
-    return np.empty(dx.size * RULE_ORDER)
-
-
-def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -> np.ndarray:
-    """The rate of ``channel`` from its :func:`_weighted_spectrum` on the stored rule, its
-    kick matrix in ``work`` (:func:`_work_buffer`), refused where it is not finite or where
-    the rule's error bound passes ``QUADRATURE_RTOL`` of it."""
-    rate = _channel_rate(spectrum, dx, work)
+def _checked_channel_rate(channel, dx: np.ndarray, rule, work: np.ndarray) -> np.ndarray:
+    """The rate of ``channel`` from its :func:`_weighted_spectrum` on ``rule``, its kick
+    matrix in the float64 buffer ``work``, refused where it is not finite or where the
+    rule's error bound passes ``QUADRATURE_RTOL`` of it."""
+    rate = _channel_rate(_weighted_spectrum(channel, rule), dx, work)
     if not np.all(np.isfinite(rate)):
         raise QuadratureError(
             f"channel {channel.name!r} not converged: its rate is not finite at "
@@ -327,7 +322,7 @@ def _checked_channel_rate(channel, dx: np.ndarray, spectrum, work: np.ndarray) -
         )
     if not rate.any():      # zero temperature or response, or every term underflows: nothing to bound
         return rate
-    log_bound = _log_error_bound(channel, dx, RULE_ORDER)
+    log_bound = _log_error_bound(channel, dx)
     with np.errstate(over="ignore"):
         # written as "unless within bounds", so a NaN bound is refused too
         passes = np.exp(log_bound) <= QUADRATURE_RTOL * np.abs(rate)
@@ -364,20 +359,21 @@ def _share_count(n_channels: int, separations: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_channels, fit))
 
 
-def _share_rates(channels, rule, dx: np.ndarray) -> list[np.ndarray]:
-    """Checked rates of ``channels``, in order, up to the first one refused, each from its
-    :func:`_weighted_spectrum` on ``rule``, formed just before its integral. One work buffer
-    serves them all: freed and taken again per channel, next to the small rates that stay,
-    it could fragment the heap so that a later buffer no longer fits in the freed one; the
-    command's peak then rose by 0.9 MiB, or not, with the length of its argv."""
+def _share_rates(channels, rule, dx: np.ndarray) -> tuple[list[np.ndarray], QuadratureError | None]:
+    """Checked rates of ``channels``, in order, up to the first one refused, and that refusal,
+    or None. Each channel's spectrum is formed just before its integral. One work buffer,
+    separations x ``RULE_ORDER`` float64, serves them all: freed and taken again per channel,
+    next to the small rates that stay, it could fragment the heap so that a later buffer no
+    longer fits in the freed one; the command's peak then rose by 0.9 MiB, or not, with the
+    length of its argv."""
     rates = []
-    work = _work_buffer(dx)
+    work = np.empty(dx.size * RULE_ORDER)
     for channel in channels:
         try:
-            rates.append(_checked_channel_rate(channel, dx, _weighted_spectrum(channel, rule), work))
-        except QuadratureError:
-            break
-    return rates
+            rates.append(_checked_channel_rate(channel, dx, rule, work))
+        except QuadratureError as refusal:
+            return rates, refusal
+    return rates, None
 
 
 def _channel_rates(channels: list, dx: np.ndarray) -> dict:
@@ -388,10 +384,10 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
     a pipe, once, and leaves by ``os._exit``. A share stops at its first refused channel.
     Once every child is reaped, this process integrates, in order, each channel no share
     returned (a refused one, the rest of its share, a dead or unforked child's share, a
-    rate cut off mid-write), so it raises the serial walk's first refusal. Every share runs
-    :func:`_share_rates`, which forms each channel's spectrum where it integrates it; each
-    spectrum, kick matrix, product and check runs whole in one process. The rule is read
-    here, before the first fork, so that no child loads it again.
+    rate cut off mid-write), and raises the refusal that pass stops at: the serial walk's
+    first. Each share and that pass run :func:`_share_rates`, so each channel's spectrum,
+    kick matrix, product and check run whole in one process. The rule is read here, before
+    the first fork, so that no child loads it again.
     """
     rule = _stored_rule()
     shares = _share_count(len(channels), dx.size)
@@ -408,7 +404,7 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
             if pid == 0:
                 try:
                     os.close(read)
-                    rates = _share_rates(channels[share::shares], rule, dx)
+                    rates, _ = _share_rates(channels[share::shares], rule, dx)
                     with open(write, "wb") as pipe:
                         pipe.writelines(rates)
                 finally:
@@ -416,7 +412,7 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
             os.close(write)
             children.append((pid, read, channels[share::shares]))
         own = channels[::shares]
-        rates = dict(zip(own, _share_rates(own, rule, dx)))
+        rates = dict(zip(own, _share_rates(own, rule, dx)[0]))
         for _, read, sent_for in children:
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()
@@ -434,9 +430,10 @@ def _channel_rates(channels: list, dx: np.ndarray) -> dict:
             os.waitpid(pid, 0)
     missing = [channel for channel in channels if channel not in rates]
     if missing:
-        work = _work_buffer(dx)     # one for them all, as in _share_rates
-        for channel in missing:
-            rates[channel] = _checked_channel_rate(channel, dx, _weighted_spectrum(channel, rule), work)
+        found, refusal = _share_rates(missing, rule, dx)
+        if refusal is not None:
+            raise refusal
+        rates.update(zip(missing, found))
     return rates
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from .constants import HBAR
 from .params import (
     ExperimentParams,
-    SpinBranch,
     all_of,
     any_of,
     atan2,
@@ -154,7 +153,7 @@ def _walks(params: ExperimentParams, durations, plus=(0.0, 0.0), minus=(0.0, 0.0
     """(forces, walk) of each branch through ``durations`` of the flip sequence: the plus
     branch from (x, p) ``plus`` on spin +1, the minus branch from ``minus`` on spin -1. The
     two forces are formed once for both."""
-    up, down = branch_force(params, SpinBranch.PLUS), branch_force(params, SpinBranch.MINUS)
+    up, down = branch_force(params, 1), branch_force(params, -1)
     return [(forces, _walk(durations, forces, params.mass, *start))
             for forces, start in (((up, down, up), plus), ((down, up, down), minus))]
 

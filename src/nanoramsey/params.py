@@ -3,7 +3,8 @@
 The protocol: a nanodiamond holding NV spins is released from a harmonic trap
 (angular frequency ``trap_omega``) whose axis is tilted by ``theta`` against
 gravity, inside a magnetic field gradient ``b_gradient`` along that axis.
-The spin projection s in {-1, 0, +1} feels the signed force
+The spin projection s, a plain int (-1, 0 or +1 for one spin, the sector M
+for a collective state), feels the signed force
 
     F(s) = s * g_nv * mu_bohr * b_gradient - mass * g_earth * cos(theta)
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from enum import IntEnum
 
 import numpy as np
 
@@ -140,14 +140,6 @@ class ConfigError(ValueError):
     """Raised when a parameter map or config file fails validation."""
 
 
-class SpinBranch(IntEnum):
-    """Eigenvalue of the spin projection along the trap axis."""
-
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
-
-
 @dataclass(frozen=True)
 class ExperimentParams:
     """All physical knobs of one protocol run (SI units throughout), except the pulse
@@ -234,24 +226,16 @@ class ExperimentParams:
         return sqrt(HBAR / (2.0 * self.mass * self.trap_omega))
 
 
-def branch_force(params: ExperimentParams, s: SpinBranch | int) -> float:
-    """Signed force (N) along the flight axis for spin projection ``s``.
-
-    Works for any integer projection, which covers single spins (|s| <= 1)
-    and collective sectors alike.
-    """
-    return int(s) * params.spin_coupling() - params.gravity_force()
+def branch_force(params: ExperimentParams, s: int) -> float:
+    """Signed force (N) along the flight axis for the integer spin projection ``s``: a
+    single spin's -1, 0 or +1, or a collective sector's M."""
+    return s * params.spin_coupling() - params.gravity_force()
 
 
 # -- configuration ---------------------------------------------------------
 
 _DERIVED_MASS_RTOL = 1e-12
 
-PARAM_KEYS = (
-    "mass", "radius", "density", "b_gradient", "theta", "t3", "trap_omega",
-    "g_nv", "t_internal", "t_environment", "t_cm", "mw_frequency",
-    "pulse_duration", "n_nucleons", "g_earth",
-)
 _FIELDS = tuple(field.name for field in fields(ExperimentParams))
 #: the keys the pulse sequence is built from
 _SEQUENCE_KEYS = {"t1", "t2", "t3", "jitter_t1", "jitter_t2", "jitter_t3"}

@@ -184,7 +184,7 @@ def test_error_bound_200(benchmark, surface_inputs):
     """The (log) error bound of the same channel on the same 200 separations."""
     channel = next(ch for ch in default_model(surface_inputs[0], 900.0)
                    if ch.name == "thermal_emission")
-    benchmark.pedantic(_log_error_bound, args=(channel, SEPARATIONS, 1024), rounds=200, iterations=1,
+    benchmark.pedantic(_log_error_bound, args=(channel, SEPARATIONS), rounds=200, iterations=1,
                        warmup_rounds=5)
 
 

@@ -635,6 +635,15 @@ def _point_outputs(params, seq) -> dict:
     }
 
 
+#: The config keys some sweep column reads, in the CLI's order: the mass, and the radius and
+#: density where they derive it; the gradient, tilt, flight time, trap frequency (through the
+#: packet width), Lande factor and gravity; and the flip times.
+SWEPT_KEYS = ("mass", "radius", "density", "b_gradient", "theta", "t3", "trap_omega", "g_nv", "g_earth",
+              "t1", "t2")
+#: Config keys no sweep column reads, so that a sweep of one prints a single point n times.
+UNREAD_KEYS = ("t_internal", "t_environment", "t_cm", "mw_frequency", "pulse_duration", "n_nucleons")
+
+
 def _sweep_values(args) -> list[float]:
     if args.values:
         vals = [float(v) for v in args.values.split(",") if v.strip()]
@@ -675,10 +684,12 @@ def run_point(cfg: dict, name: str, value: float) -> dict:
 def sweep_reference(cfg: dict, args) -> tuple[list[str], list[tuple]]:
     """(header, rows) of ``nanoramsey sweep`` on the parsed config ``cfg``, point by point.
 
-    ``args`` is the parsed sweep command line. Every swept value builds its
-    own parameters and sequence from Python scalars, as the CLI did before
-    the sweep became one broadcast call.
+    ``args`` is the parsed sweep command line; a key outside ``SWEPT_KEYS`` is refused.
+    Every swept value builds its own parameters and sequence from Python scalars, as
+    the CLI did before the sweep became one broadcast call.
     """
+    if args.param not in SWEPT_KEYS:
+        raise ConfigError(f"--param must be one of {', '.join(SWEPT_KEYS)}")
     outputs = [c.strip() for c in args.outputs.split(",") if c.strip()]
     values = _sweep_values(args)
     points = [run_point(cfg, args.param, v) for v in values]

@@ -14,7 +14,8 @@ commands) runs once on each tree, in a fresh interpreter with
 
 Then ``budget`` runs on each tree over ``FAULTS``: one-fault variants of the
 checkout's ``perfbench/configs/paper.cfg``, written into the temporary
-directory, each of which the parent must refuse. So the bytes of the
+directory, each of which the parent must refuse, and ``REFUSALS`` runs one
+refusal of every other command on a perfbench config. So the bytes of the
 refusals, stderr and exit code, are compared as well as stdout.
 
 The script lists every command whose stdout sha256, stderr or exit code
@@ -48,6 +49,17 @@ FAULTS = (
     ("theta-2", "theta", "2"),
     ("mass-0", "mass", "0"),
     ("unknown-key", "colour", "1"),
+)
+
+
+#: One refusal of each command but budget, which ``FAULTS`` covers, as its argv: each exits
+#: non-zero at the parent. The ``sweep --param`` key list is pinned by ``tests/test_cli.py``.
+REFUSALS = (
+    ("certify", "--config", "perfbench/configs/paper.cfg"),
+    ("visibility", "--config", "perfbench/configs/paper.cfg", "--dx-min", "-1"),
+    ("dump-snapshots", "--config", "perfbench/configs/snapshot.cfg", "--times", "2", "--format", "json"),
+    ("dicke", "--config", "perfbench/configs/paper.cfg", "--l", "0"),
+    ("sweep", "--config", "perfbench/configs/paper.cfg", "--param", "theta"),
 )
 
 
@@ -87,11 +99,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = [archive(args.parent, Path(tmp) / "parent"), archive(args.change, Path(tmp) / "change")]
         differ = sum(compare(trees, argv_)[0] for argv_ in commands)
-        refusals_differ = unrefused = 0
+        refusals = {" ".join(argv): argv for argv in REFUSALS}
         for name, key, value in FAULTS:
             config = Path(tmp) / f"{name}.cfg"
             config.write_text(fault_config(paper, key, value), encoding="utf-8")
-            differs, code = compare(trees, ("budget", "--config", str(config)))
+            refusals[name] = ("budget", "--config", str(config))
+        refusals_differ = unrefused = 0
+        for name, argv in refusals.items():
+            differs, code = compare(trees, argv)
             refusals_differ += differs
             if code == 0:
                 unrefused += 1
@@ -100,7 +115,7 @@ def main(argv=None) -> int:
             compiled = sorted(str(p) for p in (tree / "src").rglob("__pycache__"))
             if compiled:
                 sys.exit(f"{tree}: bytecode written under src/: {compiled}")
-    print(f"{len(commands)} commands, {differ} differ; {len(FAULTS)} refusals, {refusals_differ} differ, "
+    print(f"{len(commands)} commands, {differ} differ; {len(refusals)} refusals, {refusals_differ} differ, "
           f"{unrefused} not refused")
     return 1 if differ or refusals_differ or unrefused else 0
 

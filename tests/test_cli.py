@@ -15,6 +15,7 @@ from conftest import PAPER_CONFIG, paper_config_text
 from nanoramsey import cli, grid
 from nanoramsey.decoherence import MAX_SEPARATIONS
 from nanoramsey.params import parse_config_text
+from oracles import UNREAD_KEYS
 
 SWEEP_ARGS = ["--param", "theta", "--start", "0.0", "--stop", "1.5", "--count", "7"]
 
@@ -297,6 +298,11 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
                    "got mass=1e-290, g_nv=2.0028, b_gradient=10000000.0, t3=0.0001\n")
 
 
+#: The one refusal of a key that ``sweep --param`` does not take, listing every key it takes.
+PARAM_REFUSAL = ("--param must be one of mass, radius, density, b_gradient, theta, t3, trap_omega, g_nv, g_earth, "
+                 "t1, t2")
+
+
 @pytest.mark.parametrize("argv, config_text, message", [
     (["dicke", "--l", "0"], paper_config_text(), "l must lie in [1, 30]"),
     (["dicke", "--l", "31"], paper_config_text(), "l must lie in [1, 30]"),
@@ -309,14 +315,15 @@ def test_dicke_twisting_overflow_refused(capsys, tmp_path, fmt):
      "pulse times must satisfy 0 < t1 < t2 < t3 after jitter, got 7.500300060012002e-05, "
      "7.500000000000001e-05, 0.0001"),
     (["sweep", "--param", "theta"], paper_config_text(), "pass --values or all of --start/--stop/--count"),
-    (["sweep", "--param", "t4", "--values", "1"], paper_config_text(),
-     "--param must be one of mass, radius, density, b_gradient, theta, t3, trap_omega, g_nv, t_internal, "
-     "t_environment, t_cm, mw_frequency, pulse_duration, n_nucleons, g_earth, t1, t2"),
+    (["sweep", "--param", "t4", "--values", "1"], paper_config_text(), PARAM_REFUSAL),
+    # a key no output column reads would print one point n times
+    *((["sweep", "--param", key, "--values", "1,2,3"], paper_config_text(), PARAM_REFUSAL) for key in UNREAD_KEYS),
     (["dump-snapshots", "--times", "0.5"],
      (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "snapshot.cfg").read_text(),
      "dump-snapshots with CSV output needs --out as a filename prefix"),
 ], ids=["dicke-l-0", "dicke-l-31", "dicke-unbalanced", "visibility-no-radius", "empty-key",
-        "t1-sweep-out-of-order", "sweep-no-range", "sweep-unknown-param", "snapshots-csv-no-out"])
+        "t1-sweep-out-of-order", "sweep-no-range", "sweep-unknown-param",
+        *(f"sweep-{key}" for key in UNREAD_KEYS), "snapshots-csv-no-out"])
 def test_input_refused_with_its_message(capsys, tmp_path, argv, config_text, message):
     """Each refusal ends the command with exit 1, nothing on stdout and its one line."""
     path = tmp_path / "run.cfg"
@@ -325,6 +332,20 @@ def test_input_refused_with_its_message(capsys, tmp_path, argv, config_text, mes
     out, err = capsys.readouterr()
     assert rc == cli.EXIT_VALIDATION == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_radius_sweep_moves_a_derived_mass(capsys, tmp_path):
+    """Radius stays sweepable: where the config derives the mass from radius and density, a
+    radius sweep moves the mass, and with it the phase of an unbalanced flight."""
+    path = tmp_path / "derived.cfg"
+    path.write_text(paper_config_text(mass=None, density=3510.0, b_gradient=3e-2, t1=2.4e-5, t2=7.7e-5),
+                    encoding="utf-8")
+    rc = cli.main(["sweep", "--config", str(path), "--param", "radius", "--values", "1e-7,1.1e-7",
+                   "--outputs", "phi_g_rad"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_OK and err == ""
+    (_, small), (_, large) = (map(float, row.split(",")) for row in out.splitlines()[1:])
+    assert small != large
 
 
 def _refusal(argv, overrides, code, *named):
@@ -595,7 +616,7 @@ def test_quadrature_refusal_ratio_stays_finite(capsys, config):
     """At 3e-4 m and 1500 K the bound itself overflows a float; the refusal gives its ratio
     to the rate at the smallest failing separation in mantissa and power of ten, which
     matches the log bound over the 4096-node reference rate."""
-    from nanoramsey.decoherence import RULE_ORDER, _log_error_bound, default_model
+    from nanoramsey.decoherence import _log_error_bound, default_model
     from nanoramsey.params import build_params
     from oracles import channel_rate_reference
 
@@ -608,7 +629,7 @@ def test_quadrature_refusal_ratio_stays_finite(capsys, config):
     printed = math.log10(float(mantissa)) + int(exponent)
     channel = next(ch for ch in default_model(build_params(PAPER_CONFIG), 1500.0) if ch.name == "thermal_emission")
     separation = np.array([3e-4])
-    log_bound = _log_error_bound(channel, separation, RULE_ORDER)[0]
+    log_bound = _log_error_bound(channel, separation)[0]
     assert log_bound > math.log(sys.float_info.max)
     want = (log_bound - math.log(channel_rate_reference(channel, separation, 4096)[0])) / math.log(10.0)
     assert printed == pytest.approx(want, abs=0.003)     # the mantissa's 3 digits

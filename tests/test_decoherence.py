@@ -468,26 +468,23 @@ class TestForkedShares:
         process integrates all of it in one work buffer, to the serial walk's bits."""
         dx, tins = np.geomspace(1e-9, 1e-6, 33), np.linspace(300.0, 1500.0, 12)
         serial = self._surface(paper_params, 1, monkeypatch, dx, tins)
-        parent, checked, work_buffer = os.getpid(), decoherence._checked_channel_rate, decoherence._work_buffer
-        here, buffers = [], []
+        parent, checked = os.getpid(), decoherence._checked_channel_rate
+        here, buffers = [], []      # each buffer held here, so that no later one takes its id
 
-        def dying(channel, *args):
+        def dying(channel, dx, rule, work):
             if os.getpid() != parent:
                 os._exit(3)
             here.append(channel)
-            return checked(channel, *args)
-
-        def counted(dx):
-            if os.getpid() == parent:
-                buffers.append(dx.size)
-            return work_buffer(dx)
+            if not any(work is seen for seen in buffers):
+                buffers.append(work)
+            return checked(channel, dx, rule, work)
 
         monkeypatch.setattr(decoherence, "_checked_channel_rate", dying)
-        monkeypatch.setattr(decoherence, "_work_buffer", counted)
         assert_bit_equal(self._surface(paper_params, 2, monkeypatch, dx, tins), serial)
         distinct = list(dict.fromkeys(ch for t in tins for ch in default_model(paper_params, t)))
         assert here == distinct[::2] + distinct[1::2]
-        assert buffers == [dx.size, dx.size]       # share 0's, then one for the child's share
+        # share 0's, then one for the child's share
+        assert [work.size for work in buffers] == [dx.size * RULE_ORDER] * 2
 
     def test_child_cut_off_mid_write(self, paper_params, monkeypatch):
         """A child killed while writing leaves part of a rate at the end of the pipe; that
@@ -648,9 +645,13 @@ def _reference_rule():
 
 
 def reference_rate(channel, delta_x):
-    """The channel's rate on scipy's 4096-node rule, from one whole kick matrix."""
+    """The channel's rate on scipy's 4096-node rule, from one whole kick matrix; 0 on an
+    empty support, as at 0 K, where ``rate_density`` would give 0/0."""
+    lo, hi = channel.support()
+    if hi <= lo:
+        return np.zeros_like(delta_x)
     nodes, weights = _reference_rule()
-    half = 0.5 * channel.support()[1]
+    half = 0.5 * hi
     omega = half * (nodes + 1.0)
     kick = angular_factor_reference(np.outer(delta_x, omega) / LIGHT_SPEED)
     return kick @ (channel.rate_density(omega) * half * weights)
@@ -689,14 +690,15 @@ class TestErrorBound:
     @pytest.mark.parametrize("kind, temperature, response", KINDS)
     @pytest.mark.parametrize("dx_t", [0.0, 1e-6, 1e-3, 0.05, 0.1])
     def test_majorant_bounds_the_integrand_on_the_ellipse(self, kind, temperature, response, dx_t):
-        """At n = 0 the bound is (64/15) M / (rho^2 - 1): M must dominate |f| sampled on
-        the ellipse, f the channel's integrand on [-1, 1] as rate_density gives it. M
-        takes each factor's sup on its own, so it overshoots by up to e^25 at 0.1 m K,
-        where M is about e^550: that moves the refusal by under 0.005 m K."""
+        """Without its rho^(-2n) factor the bound is (64/15) M / (rho^2 - 1): M must dominate
+        |f| sampled on the ellipse, f the channel's integrand on [-1, 1] as rate_density
+        gives it. M takes each factor's sup on its own, so it overshoots by up to e^25 at
+        0.1 m K, where M is about e^550: that moves the refusal by under 0.005 m K."""
         channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
         rho = decoherence._BERNSTEIN_RHO
         dx = dx_t / temperature
-        majorant = math.exp(_log_error_bound(channel, np.array([dx]), 0)[0]) * (rho * rho - 1.0) * 15.0 / 64.0
+        log_bound = _log_error_bound(channel, np.array([dx]))[0] + 2.0 * RULE_ORDER * math.log(rho)
+        majorant = math.exp(log_bound) * (rho * rho - 1.0) * 15.0 / 64.0
         half = 0.5 * channel.support()[1]
         omega = half * (1.0 + _ellipse(20_001))
         z = omega * dx / LIGHT_SPEED
@@ -713,13 +715,13 @@ class TestErrorBound:
         4096-node value by more than QUADRATURE_RTOL, the channel is refused."""
         channel = BlackbodyChannel(kind, kind, temperature, 1e-7, response)
         dx = np.linspace(0.05, 0.3, 126) / temperature
-        spectrum = _weighted_spectrum(channel, _stored_rule())
-        missed = np.abs(_channel_rate(spectrum, dx, np.empty(dx.size * RULE_ORDER))
+        rule = _stored_rule()
+        missed = np.abs(_channel_rate(_weighted_spectrum(channel, rule), dx, np.empty(dx.size * RULE_ORDER))
                         / reference_rate(channel, dx) - 1.0) > QUADRATURE_RTOL
         refused = np.zeros(dx.size, dtype=bool)
         for i, sep in enumerate(dx):
             try:
-                _checked_channel_rate(channel, np.array([sep]), spectrum, np.empty(RULE_ORDER))
+                _checked_channel_rate(channel, np.array([sep]), rule, np.empty(RULE_ORDER))
             except QuadratureError:
                 refused[i] = True
         assert missed.any() and not missed[dx * temperature < 0.19].any()
@@ -744,7 +746,7 @@ class TestErrorBound:
         model = default_model(paper_params, PAPER_CONFIG["t_internal"])
         eta = localization_rate_profile([model], [0.0, 5e-324, 1e-7])[:, 0]
         assert eta[0] == eta[1] == 0.0 < eta[2]
-        assert np.exp(_log_error_bound(model[0], np.array([0.0, 5e-324]), RULE_ORDER)).tolist() == [0.0, 0.0]
+        assert np.exp(_log_error_bound(model[0], np.array([0.0, 5e-324]))).tolist() == [0.0, 0.0]
         mute = default_model(replace(paper_params, response_im=0.0, response_mod_sq=0.0), PAPER_CONFIG["t_internal"])
         cold = BlackbodyChannel("cold", "emission", 0.0, 1e-7)
         dx = np.array([0.0, 1e-7, 1e-4])
@@ -760,6 +762,7 @@ class TestErrorBound:
         monkeypatch.setattr(BlackbodyChannel, "rate_density", no_call)
         rate = decoherence._channel_rates([cold], dx)[cold]
         assert rate.tolist() == [0.0, 0.0, 0.0] and not np.signbit(rate).any()
+        assert reference_rate(cold, np.array([1e-7])).tolist() == [0.0]     # it skips the empty support too
 
 
 # -- angular factor against independent oracles --------------------------------

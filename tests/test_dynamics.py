@@ -24,7 +24,7 @@ from nanoramsey.dynamics import (
     wavepacket_width,
 )
 from nanoramsey.grid import desk_scale_params
-from nanoramsey.params import SpinBranch, atan2, build_params, modulus
+from nanoramsey.params import atan2, build_params, modulus
 from conftest import PAPER_CONFIG
 from oracles import (
     classical_step_reference,
@@ -97,12 +97,12 @@ class TestClassicalTrajectory:
         params = make_params(b_gradient=0.0, theta=math.pi / 2)
         seq = PulseSequence.balanced(1e-4)
         for t in np.linspace(0, 1e-4, 7):
-            x, p = branch_at(params, seq, SpinBranch.PLUS, float(t), x0=1.0e-9, p0=0.0)
+            x, p = branch_at(params, seq, 1, float(t), x0=1.0e-9, p0=0.0)
             assert x == pytest.approx(1.0e-9, abs=1e-22)
             assert abs(p) < 1e-30
 
     def test_matches_verlet_oracle(self, paper_params, paper_seq):
-        for spin in (SpinBranch.PLUS, SpinBranch.MINUS, SpinBranch.ZERO):
+        for spin in (1, -1, 0):
             ts, xs, vs = integrate_trajectory(paper_params, paper_seq, spin, 1e-9, 1e-24)
             for frac in (0.25, 0.5, 0.9, 1.0):
                 t = 1e-4 * frac
@@ -127,7 +127,7 @@ class TestClassicalTrajectory:
     def test_spin_zero_is_projectile(self, paper_params, paper_seq):
         g = paper_params.g_earth
         for t in (2e-5, 5e-5, 1e-4):
-            x, p = branch_at(paper_params, paper_seq, SpinBranch.ZERO, t)
+            x, p = branch_at(paper_params, paper_seq, 0, t)
             assert x == pytest.approx(-0.5 * g * t * t, rel=1e-12)
             assert p == pytest.approx(-paper_params.mass * g * t, rel=1e-12)
 
@@ -392,7 +392,7 @@ class TestEvolveSequence:
 
     def test_spin_zero_pair_has_no_phase(self, paper_params, paper_seq):
         final = evolve_branches(paper_params, paper_seq, initial_state(),
-                                spins=(SpinBranch.ZERO, SpinBranch.ZERO))
+                                spins=(0, 0))
         assert final.plus_branch.action_phase == final.minus_branch.action_phase
         assert final.plus_branch.center == final.minus_branch.center
 

@@ -12,7 +12,6 @@ from nanoramsey.dynamics import PulseSequence, gravitational_phase
 from nanoramsey.params import (
     ConfigError,
     ExperimentParams,
-    SpinBranch,
     branch_force,
     build_params,
     parse_config_text,
@@ -119,17 +118,10 @@ class TestBuildParams:
             make_params(b_gradient=0.0, g_earth=g_earth)
 
 
-class TestSpinBranch:
-    def test_only_three_values(self):
-        assert {int(s) for s in SpinBranch} == {-1, 0, 1}
-        with pytest.raises(ValueError):
-            SpinBranch(2)
-
-
 class TestBranchForce:
     def test_spin_zero_feels_only_gravity(self):
         params = make_params()
-        assert branch_force(params, SpinBranch.ZERO) == pytest.approx(
+        assert branch_force(params, 0) == pytest.approx(
             -params.mass * STANDARD_GRAVITY * math.cos(params.theta), rel=1e-15)
 
     def test_magnetic_force_magnitude(self):
@@ -138,12 +130,12 @@ class TestBranchForce:
         a = params.spin_coupling()
         assert a == pytest.approx(2.0028 * MU_BOHR * 1e7, rel=1e-12)
         assert a == pytest.approx(1.8574e-16, rel=1e-4)
-        assert branch_force(params, SpinBranch.PLUS) == pytest.approx(
+        assert branch_force(params, 1) == pytest.approx(
             a - params.gravity_force(), rel=1e-15)
 
     def test_minus_branch_sign_flip(self):
         params = make_params()
-        assert branch_force(params, SpinBranch.MINUS) == pytest.approx(
+        assert branch_force(params, -1) == pytest.approx(
             -params.spin_coupling() - params.gravity_force(), rel=1e-15)
 
     def test_spin_terms_cancel_in_sum(self):
@@ -154,7 +146,7 @@ class TestBranchForce:
                 b_gradient=float(10 ** rng.uniform(4, 8)),
                 theta=float(rng.uniform(0, math.pi / 2)),
             )
-            total = branch_force(params, SpinBranch.PLUS) + branch_force(params, SpinBranch.MINUS)
+            total = branch_force(params, 1) + branch_force(params, -1)
             # analytically exact; rounding of each branch costs ~1 ulp of max(A, C)
             ulp_scale = params.spin_coupling() + params.gravity_force()
             assert total == pytest.approx(-2.0 * params.gravity_force(), abs=4e-16 * ulp_scale)

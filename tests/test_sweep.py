@@ -20,7 +20,7 @@ from conftest import PAPER_CONFIG, paper_config_text
 from nanoramsey import cli
 from nanoramsey.io import csv_text
 from nanoramsey.params import parse_config_text, sphere_mass
-from oracles import csv_text_reference, run_point, sweep_reference
+from oracles import UNREAD_KEYS, csv_text_reference, run_point, sweep_reference
 
 T3 = PAPER_CONFIG["t3"]
 
@@ -97,7 +97,7 @@ def assert_matches_reference(configs, config_name, argv):
 
 
 @pytest.mark.parametrize("mode", ["linear", "log", "values"])
-@pytest.mark.parametrize("param", cli.SWEEPABLE)
+@pytest.mark.parametrize("param", (*cli.SWEEPABLE, *UNREAD_KEYS))     # the reference refuses the second set
 @settings(max_examples=12, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -117,7 +117,7 @@ def test_sweep_equals_per_point_reference(configs, param, mode, data):
     assert_matches_reference(configs, config_name, ["--param", param, *argv])
 
 
-@pytest.mark.parametrize("param", cli.SWEEPABLE)
+@pytest.mark.parametrize("param", (*cli.SWEEPABLE, *UNREAD_KEYS))
 @settings(max_examples=12, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -133,7 +133,10 @@ def test_broadcast_columns_are_bitwise_per_point(configs, param, data):
         reference = [run_point(cfg, param, v) for v in values.tolist()]
     except ValueError:
         return      # invalid points: the CLI test compares exit codes and messages
-    assert_bitwise(cli._sweep_outputs(cfg, param, values), reference)
+    columns = cli._sweep_outputs(cfg, param, values)
+    assert_bitwise(columns, reference)
+    if param in UNREAD_KEYS:        # why sweep refuses the key: every point is the first
+        assert_bitwise(columns, reference[:1] * len(reference))
 
 
 def assert_bitwise(columns: dict, reference: list[dict]):
